@@ -13,7 +13,7 @@ from .dataio import (
     partition,
     to_libsvm,
 )
-from .numkit import DenseVector, RngStream, SparseVector, axpy, dot, draw_index
+from .numkit import RngStream
 from .objective import (
     Problem,
     ReferenceSolution,
@@ -44,11 +44,7 @@ from .theory import (
     BoundInputs,
     PreconditionError,
     Verdict,
-    bound_sc_identical_fs,
-    bound_sc_identical_ubv,
-    bound_wc_heterogeneous,
-    bound_wc_identical_fs,
-    bound_wc_identical_ubv,
+    bound,
     check_bound,
     check_grad_norm_bound,
     check_vt_bound,

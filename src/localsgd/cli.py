@@ -12,19 +12,13 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import dataio, theory, verify
 from .dataio import Regime
-from .objective import (
-    Problem,
-    ReferenceSolution,
-    build_problem,
-    measure_variances,
-    solve_reference,
-)
+from .objective import Problem, build_problem, measure_variances, solve_reference
 from .simulator import (
     DivergenceError,
     GradientMode,
@@ -44,61 +38,127 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved experiment description (config file plus flag overrides)."""
-
-    # data
-    source: str = "synthetic"
-    manifest: str = ""
-    data_dir: str = ""
-    n: int = 1000
-    d: int = 20
-    data_seed: int = 7
-    sort_by_label: bool = False
-    label_noise: float = 0.0
-    # problem
-    lam_spec: str = "1/n"
-    M: int = 4
-    regime: str = "identical"
-    # solver
-    tol: float = 1e-10
-    accelerated: bool = True
-    # run
-    gradient_mode: str = "stochastic"
-    batch: int = 1
-    noise_sigma: float | None = None
-    gamma_spec: str = "1/L"
-    schedule_spec: str = "uniform"
-    H_list: list[int] = field(default_factory=lambda: [1, 4, 16])
-    T: int = 2000
-    seeds: list[int] = field(default_factory=lambda: list(range(10)))
-    record_every: int | None = None
-    # variance sweep
-    var_M_list: list[int] = field(default_factory=lambda: [1, 2, 4, 8, 20])
-    var_batch_list: list[str] = field(default_factory=lambda: ["1", "4", "16", "full"])
-    # output
-    out_dir: str = "out"
-
-
 def _parse_bool(s: str) -> bool:
     if s.lower() in ("1", "true", "yes", "on"):
         return True
     if s.lower() in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {s!r}")
+    raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_seeds(spec: str) -> list[int]:
+def _positive_int(s: str) -> int:
+    v = int(s)
+    if v < 1:
+        raise ValueError(f"expected a positive integer, got {s!r}")
+    return v
+
+
+def _optional(parse):
+    """An empty value leaves the setting unset (None)."""
+    return lambda s: parse(s) if s.strip() else None
+
+
+def _list_of(parse):
+    def parse_list(s: str) -> tuple:
+        vals = tuple(parse(tok.strip()) for tok in s.split(",") if tok.strip())
+        if not vals:
+            raise ValueError("expected a comma-separated list, got an empty one")
+        return vals
+    return parse_list
+
+
+def _parse_seeds(spec: str) -> tuple[int, ...]:
+    """'a:b' (the range a..b-1) or a comma list."""
     spec = spec.strip()
     if ":" in spec:
         a, b = spec.split(":")
-        return list(range(int(a), int(b)))
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+        seeds = tuple(range(int(a), int(b)))
+    else:
+        seeds = tuple(int(tok) for tok in spec.split(",") if tok.strip())
+    if not seeds:
+        raise ValueError(f"no seeds in {spec!r}")
+    return seeds
 
 
-def _parse_int_list(spec: str) -> list[int]:
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+def _parse_lambda(s: str) -> float | None:
+    """'1/n' (None, the default of build_problem) or a float."""
+    return None if s.strip() == "1/n" else float(s)
+
+
+def _parse_gamma(spec: str) -> str:
+    """A float, a multiple 'c/L' of 1/L, or a planner rule; resolve_gamma
+    turns it into a stepsize once the problem is known."""
+    spec = spec.strip()
+    if spec not in theory.GAMMA_RULES:
+        try:
+            float(spec[:-2] if spec.endswith("/L") else spec)
+        except ValueError:
+            raise ValueError(f"expected a float, 'c/L' or a planner rule "
+                             f"{theory.GAMMA_RULES}, got {spec!r}") from None
+    return spec
+
+
+def _key(section: str, key: str, parse, default, flag: str | None = None,
+         help: str | None = None):
+    """A config field: its INI [section] key, the parser of its text, and
+    the flag that overrides it, if any."""
+    meta = {"section": section, "key": key, "parse": parse, "flag": flag, "help": help}
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class ExperimentConfig:
+    """Resolved experiment description (config file plus flag overrides).
+
+    Every field is one INI key; its metadata (see _key) is the only place
+    that names the key, its parser and its flag.
+    """
+
+    source: str = _key("data", "source", str, "synthetic", "--source",
+                       "dataset: 'synthetic' or a manifest name")
+    manifest: str = _key("data", "manifest", str, "")
+    data_dir: str = _key("data", "dir", str, "")
+    n: int = _key("data", "n", _positive_int, 1000)
+    d: int = _key("data", "d", _positive_int, 20)
+    data_seed: int = _key("data", "seed", int, 7)
+    sort_by_label: bool = _key("data", "sort_by_label", _parse_bool, False)
+    label_noise: float = _key("data", "label_noise", float, 0.0)
+    lam: float | None = _key("problem", "lambda", _parse_lambda, None, "--lam",
+                             "l2 coefficient ('1/n' or a float)")
+    M: int = _key("problem", "M", _positive_int, 4, "--M")
+    regime: Regime = _key("problem", "regime", lambda s: Regime(s.lower()),
+                          Regime.IDENTICAL, "--regime", "identical or heterogeneous")
+    tol: float = _key("solver", "tol", float, 1e-10, "--tol")
+    accelerated: bool = _key("solver", "accelerated", _parse_bool, True)
+    gradient_mode: GradientMode = _key(
+        "run", "gradient_mode", GradientMode, GradientMode.STOCHASTIC,
+        "--gradient-mode", ", ".join(m.value for m in GradientMode))
+    batch: int = _key("run", "batch", _positive_int, 1, "--batch")
+    noise_sigma: float | None = _key("run", "noise_sigma", _optional(float), None,
+                                     "--noise-sigma")
+    gamma_spec: str = _key("run", "gamma", _parse_gamma, "1/L", "--gamma",
+                           "stepsize: float, 'c/L', or planner rule")
+    schedule_spec: str = _key("run", "schedule", str, "uniform", "--schedule",
+                              "'uniform', 'one-shot', or 'explicit:...'")
+    H_list: tuple[int, ...] = _key("run", "H", _list_of(_positive_int), (1, 4, 16),
+                                   "--H", "comma list of synchronization intervals")
+    T: int = _key("run", "T", _positive_int, 2000, "--T")
+    seeds: tuple[int, ...] = _key("run", "seeds", _parse_seeds, tuple(range(10)),
+                                  "--seeds", "'a:b' range or comma list")
+    record_every: int | None = _key("run", "record_every", _optional(_positive_int),
+                                    None, "--record-every")
+    var_M_list: tuple[int, ...] = _key("variances", "M", _list_of(_positive_int),
+                                       (1, 2, 4, 8, 20))
+    var_batch_list: tuple[str, ...] = _key("variances", "batch", _list_of(str),
+                                           ("1", "4", "16", "full"))
+    out_dir: str = _key("output", "dir", str, "out", "--out-dir")
+
+
+def _set(cfg: ExperimentConfig, f, raw: str, where: str) -> None:
+    try:
+        setattr(cfg, f.name, f.metadata["parse"](raw))
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -106,47 +166,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
-
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
-
-    if parser.has_section("data"):
-        cfg.source = get("data", "source", cfg.source)
-        cfg.manifest = get("data", "manifest", cfg.manifest)
-        cfg.data_dir = get("data", "dir", cfg.data_dir)
-        cfg.n = int(get("data", "n", cfg.n))
-        cfg.d = int(get("data", "d", cfg.d))
-        cfg.data_seed = int(get("data", "seed", cfg.data_seed))
-        cfg.sort_by_label = _parse_bool(get("data", "sort_by_label", "false"))
-        cfg.label_noise = float(get("data", "label_noise", cfg.label_noise))
-    if parser.has_section("problem"):
-        cfg.lam_spec = get("problem", "lambda", cfg.lam_spec)
-        cfg.M = int(get("problem", "M", cfg.M))
-        cfg.regime = get("problem", "regime", cfg.regime)
-    if parser.has_section("solver"):
-        cfg.tol = float(get("solver", "tol", cfg.tol))
-        cfg.accelerated = _parse_bool(get("solver", "accelerated", "true"))
-    if parser.has_section("run"):
-        cfg.gradient_mode = get("run", "gradient_mode", cfg.gradient_mode)
-        cfg.batch = int(get("run", "batch", cfg.batch))
-        ns = get("run", "noise_sigma", "")
-        cfg.noise_sigma = float(ns) if ns else None
-        cfg.gamma_spec = get("run", "gamma", cfg.gamma_spec)
-        cfg.schedule_spec = get("run", "schedule", cfg.schedule_spec)
-        cfg.H_list = _parse_int_list(get("run", "H", "1,4,16"))
-        cfg.T = int(get("run", "T", cfg.T))
-        cfg.seeds = _parse_seeds(get("run", "seeds", "0:10"))
-        rec = get("run", "record_every", "")
-        cfg.record_every = int(rec) if rec else None
-    if parser.has_section("variances"):
-        cfg.var_M_list = _parse_int_list(get("variances", "M", "1,2,4,8,20"))
-        cfg.var_batch_list = [tok.strip() for tok in
-                              get("variances", "batch", "1,4,16,full").split(",")]
-    if parser.has_section("output"):
-        cfg.out_dir = get("output", "dir", cfg.out_dir)
+    for f in fields(cfg):
+        section, key = f.metadata["section"], f.metadata["key"]
+        if parser.has_option(section, key):
+            _set(cfg, f, parser.get(section, key), f"[{section}] {key}")
     return cfg
 
 
@@ -169,35 +194,18 @@ def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
     return dataio.load_dataset(entries[cfg.source], data_dir)
 
 
-def resolve_regime(name: str) -> Regime:
-    try:
-        return Regime(name.lower())
-    except ValueError:
-        raise ConfigError(f"unknown regime {name!r}") from None
-
-
 def resolve_problem(cfg: ExperimentConfig) -> Problem:
     ds = resolve_dataset(cfg)
-    part = dataio.partition(ds, cfg.M, resolve_regime(cfg.regime))
-    lam = None if cfg.lam_spec.strip() == "1/n" else float(cfg.lam_spec)
-    return build_problem(ds, part, lam=lam)
+    return build_problem(ds, dataio.partition(ds, cfg.M, cfg.regime), lam=cfg.lam)
 
 
 def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
     """Stepsize spec: absolute float, 'c/L' multiples of the estimated L, or
-    a planner rule name (which uses the almost-sure component L for the
-    finite-sum rules)."""
-    spec = spec.strip()
+    a planner rule name."""
+    if spec in theory.GAMMA_RULES:
+        return theory.planned_gamma(spec, p, M=M, T=T, H=H)
     if spec.endswith("/L"):
         return float(spec[:-2]) / p.L
-    if spec in ("sc-identical-ubv", "sc-identical-fs"):
-        return theory.plan_gamma(
-            spec, L=p.L if spec == "sc-identical-ubv" else p.L_component, mu=p.mu, M=M,
-            H=H, t_param=float(H)).gamma
-    if spec == "wc-identical-ubv":
-        return theory.plan_gamma("wc-identical-ubv", L=p.L, M=M, T=T).gamma
-    if spec in ("wc-identical-fs", "wc-heterogeneous"):
-        return theory.plan_gamma(spec, L=p.L_component, M=M, T=T, H=H).gamma
     return float(spec)
 
 
@@ -208,47 +216,8 @@ def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
     if spec == "one-shot":
         return SyncSchedule.one_shot(T)
     if spec.startswith("explicit:"):
-        steps = _parse_int_list(spec.split(":", 1)[1])
-        return SyncSchedule.from_steps(steps)
+        return SyncSchedule.from_steps(_list_of(int)(spec.split(":", 1)[1]))
     raise ConfigError(f"unknown schedule spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Bound selection for cmd_run
-# ---------------------------------------------------------------------------
-
-def applicable_bounds(p: Problem, run_cfg: RunConfig, r0_sq: float,
-                      var_report) -> list[theory.BoundCurve]:
-    """Every theorem whose hypotheses the run satisfies, with the RHS built
-    from measured quantities. Curves that fail a stepsize precondition are
-    skipped (the checker refuses rather than reporting a verdict)."""
-    curves = []
-    common = dict(gamma=run_cfg.gamma, T=run_cfg.T, H=run_cfg.schedule.H,
-                  M=run_cfg.M, r0_sq=r0_sq)
-    noise_sq = (run_cfg.noise_sigma or 0.0) ** 2
-    candidates = []
-    if run_cfg.regime == Regime.IDENTICAL:
-        if run_cfg.gradient_mode == GradientMode.INJECTED_NOISE:
-            bi = theory.BoundInputs(L=p.L, mu=p.mu, sigma_sq=noise_sq, **common)
-            if p.mu > 0:
-                candidates.append((theory.bound_sc_identical_ubv, bi))
-            candidates.append((theory.bound_wc_identical_ubv, bi))
-        if run_cfg.gradient_mode == GradientMode.STOCHASTIC:
-            bi = theory.BoundInputs(L=p.L_component, mu=p.mu,
-                                    sigma_opt_sq=var_report.sigma_opt_sq, **common)
-            if p.mu > 0:
-                candidates.append((theory.bound_sc_identical_fs, bi))
-            candidates.append((theory.bound_wc_identical_fs, bi))
-    else:
-        bi = theory.BoundInputs(L=p.L_component, mu=p.mu,
-                                sigma_dif_sq=var_report.sigma_dif_sq, **common)
-        candidates.append((theory.bound_wc_heterogeneous, bi))
-    for fn, bi in candidates:
-        try:
-            curves.append(fn(bi))
-        except theory.PreconditionError:
-            continue
-    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +232,7 @@ def cmd_variances(args) -> int:
     out_path = os.path.join(cfg.out_dir, "variances.csv")
     rows = []
     for M in cfg.var_M_list:
-        part = dataio.partition(ds, M, Regime.HETEROGENEOUS)
-        lam = None if cfg.lam_spec.strip() == "1/n" else float(cfg.lam_spec)
-        p = build_problem(ds, part, lam=lam)
+        p = build_problem(ds, dataio.partition(ds, M, Regime.HETEROGENEOUS), lam=cfg.lam)
         ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
         for batch_spec in cfg.var_batch_list:
             exhaustive = batch_spec == "full"
@@ -287,7 +254,6 @@ def cmd_run(args) -> int:
     p = resolve_problem(cfg)
     ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
     r0_sq = float(np.sum(ref.x_star**2))
-    mode = GradientMode(cfg.gradient_mode)
     var_report = measure_variances(p, ref, batch=cfg.batch)
     with open(os.path.join(cfg.out_dir, "variances.txt"), "w") as f:
         f.write(var_report.to_kv_text())
@@ -300,36 +266,30 @@ def cmd_run(args) -> int:
         schedule = resolve_schedule(cfg.schedule_spec, H, cfg.T)
         gamma = resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, schedule.H)
         run_cfg = RunConfig(M=cfg.M, T=cfg.T, schedule=schedule, gamma=gamma,
-                            regime=resolve_regime(cfg.regime), gradient_mode=mode,
+                            regime=cfg.regime, gradient_mode=cfg.gradient_mode,
                             seed=cfg.seeds[0], batch=cfg.batch,
                             noise_sigma=cfg.noise_sigma,
                             record_every=cfg.record_every)
         tag = f"H{schedule.H}"
         try:
             if len(cfg.seeds) >= 2:
-                agg = run_replicated(p, run_cfg, ref, cfg.seeds)
-                agg.metadata.update(_sigma_metadata(var_report))
-                path = os.path.join(cfg.out_dir, f"run_{tag}.csv")
-                with open(path, "w") as f:
-                    agg.to_csv(f)
-                final_sub = agg.mean["subopt"][-1]
-                final_dist = agg.mean["dist_sq"][-1]
-                comm = agg.comm_rounds
-                verdicts = _emit_bounds(cfg, p, run_cfg, r0_sq, var_report, agg, tag)
+                trace = run_replicated(p, run_cfg, ref, cfg.seeds)
+                final_sub = trace.mean["subopt"][-1]
+                final_dist = trace.mean["dist_sq"][-1]
             else:
-                tr = run_local_sgd(p, run_cfg, ref)
-                tr.metadata.update(_sigma_metadata(var_report))
-                path = os.path.join(cfg.out_dir, f"run_{tag}.csv")
-                with open(path, "w") as f:
-                    tr.to_csv(f)
-                final_sub = tr.subopt[-1]
-                final_dist = tr.dist_sq[-1]
-                comm = tr.comm_rounds
-                verdicts = []
+                trace = run_local_sgd(p, run_cfg, ref)
+                final_sub = trace.subopt[-1]
+                final_dist = trace.dist_sq[-1]
         except DivergenceError as e:
             print(f"H={schedule.H}: {e} (run skipped)")
             summary.append((schedule.H, None, None, None, "diverged"))
             continue
+        trace.metadata.update(_sigma_metadata(var_report))
+        with open(os.path.join(cfg.out_dir, f"run_{tag}.csv"), "w") as f:
+            trace.to_csv(f)
+        comm = trace.comm_rounds
+        verdicts = (_emit_bounds(cfg, p, run_cfg, r0_sq, var_report, trace, tag)
+                    if len(cfg.seeds) >= 2 else [])
         holds = all(v.holds for _, v in verdicts) if verdicts else None
         if holds is False:
             any_failed = True
@@ -359,7 +319,7 @@ def _sigma_metadata(vr) -> dict:
 
 def _emit_bounds(cfg, p, run_cfg, r0_sq, var_report, agg, tag) -> list:
     verdicts = []
-    for curve in applicable_bounds(p, run_cfg, r0_sq, var_report):
+    for curve in theory.applicable_bounds(p, run_cfg, r0_sq, var_report):
         v = theory.check_bound(curve, agg)
         verdicts.append((curve, v))
         base = os.path.join(cfg.out_dir, f"bound_{curve.theorem_id}_{tag}")
@@ -381,12 +341,8 @@ def _write_curve_csv(stream, curve, agg) -> None:
     if curve.notes:
         stream.write(f"# notes = {curve.notes}\n")
     stream.write("t,rhs\n")
-    if curve.metric == "dist_sq":
-        mask = agg.synced if curve.sync_only else np.ones(agg.t.size, dtype=bool)
-        for t in agg.t[mask]:
-            stream.write(f"{int(t)},{curve.rhs_at(int(t))!r}\n")
-    else:
-        stream.write(f"{curve.inputs.T},{curve.final()!r}\n")
+    for t in agg.t[theory.compared_steps(curve, agg)]:
+        stream.write(f"{int(t)},{curve.rhs_at(int(t))!r}\n")
 
 
 def cmd_solve_ref(args) -> int:
@@ -406,8 +362,7 @@ def cmd_solve_ref(args) -> int:
 
 def cmd_plan(args) -> int:
     if args.what == "h":
-        H = theory.plan_H(args.rule, args.T, args.M, kappa=args.kappa)
-        print(H)
+        print(theory.plan_H(args.rule, args.T, args.M, kappa=args.kappa))
         return EXIT_OK
     pg = theory.plan_gamma(args.rule, L=args.L, mu=args.mu, M=args.M, T=args.T,
                            H=args.H, t_param=args.t_param)
@@ -435,41 +390,17 @@ def cmd_verify(args) -> int:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    mapping = {
-        "M": "M", "T": "T", "batch": "batch", "regime": "regime",
-        "gradient_mode": "gradient_mode", "gamma": "gamma_spec",
-        "schedule": "schedule_spec", "out_dir": "out_dir", "tol": "tol",
-        "noise_sigma": "noise_sigma", "record_every": "record_every",
-        "source": "source", "lam": "lam_spec",
-    }
-    for arg_name, cfg_name in mapping.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            setattr(cfg, cfg_name, val)
-    if getattr(args, "H", None):
-        cfg.H_list = _parse_int_list(args.H)
-    if getattr(args, "seeds", None):
-        cfg.seeds = _parse_seeds(args.seeds)
+    for f in fields(cfg):
+        raw = getattr(args, f.name, None) if f.metadata["flag"] else None
+        if raw is not None:
+            _set(cfg, f, raw, f.metadata["flag"])
 
 
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--source", help="dataset: 'synthetic' or a manifest name")
-    sub.add_argument("--lam", help="l2 coefficient ('1/n' or a float)")
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--T", type=int)
-    sub.add_argument("--H", help="comma list of synchronization intervals")
-    sub.add_argument("--batch", type=int)
-    sub.add_argument("--regime", choices=["identical", "heterogeneous"])
-    sub.add_argument("--gradient-mode", dest="gradient_mode",
-                     choices=[m.value for m in GradientMode])
-    sub.add_argument("--gamma", help="stepsize: float, 'c/L', or planner rule")
-    sub.add_argument("--schedule", help="'uniform', 'one-shot', or 'explicit:...'")
-    sub.add_argument("--seeds", help="'a:b' range or comma list")
-    sub.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    sub.add_argument("--record-every", dest="record_every", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--out-dir", dest="out_dir")
+    for f in fields(ExperimentConfig):
+        if f.metadata["flag"]:
+            sub.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -507,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--level", choices=["fast", "full"], default="fast")
     ve.add_argument("--out", help="write machine-readable results (JSON)")
     ve.set_defaults(fn=cmd_verify)
+    for parser in (ap, *sp.choices.values()):
+        parser.allow_abbrev = False  # no prefix silently stands for a longer flag
     return ap
 
 
@@ -515,7 +448,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, configparser.Error, theory.PreconditionError) as e:
+    except (ConfigError, configparser.Error, theory.PreconditionError,
+            theory.UnknownRuleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (dataio.ManifestError, dataio.LibsvmFormatError, FileNotFoundError) as e:

@@ -19,7 +19,7 @@ from typing import Iterable, TextIO
 import numpy as np
 import scipy.sparse as sp
 
-from .numkit import RngStream, SparseVector
+from .numkit import RngStream
 
 
 class LibsvmFormatError(ValueError):
@@ -36,18 +36,8 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: SparseVector
-    label: float  # exactly -1.0 or +1.0 after normalization
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Sparse labeled samples in file order.
-
-    Rows live in one CSR matrix; `sample(i)` materializes the i-th row as a
-    SparseVector on demand.
-    """
+    """Sparse labeled samples in file order; rows live in one CSR matrix."""
 
     features: sp.csr_matrix  # shape (n, dim), float64
     labels: np.ndarray  # shape (n,), entries in {-1.0, +1.0}
@@ -68,13 +58,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
-
-    def sample(self, i: int) -> Sample:
-        row = self.features.getrow(i)
-        return Sample(
-            features=SparseVector(row.indices.astype(np.int64), row.data, self.dim),
-            label=float(self.labels[i]),
-        )
 
     def row_norms_sq(self) -> np.ndarray:
         sq = self.features.multiply(self.features)

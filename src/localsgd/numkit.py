@@ -1,9 +1,8 @@
-"""Vector carriers and the deterministic RNG contract shared by every module.
+"""The deterministic RNG contract shared by every module, and the
+dimension-mismatch error.
 
-Dense vectors are plain 1-D float64 numpy arrays. Sparse vectors keep their
-(index, value) pairs and are never expanded to dense form by the operations
-here. Randomness comes from counter-based Philox streams so that any draw is
-a pure function of (seed, stream_id, counter) and per-node streams can be
+Randomness comes from counter-based Philox streams so that any draw is a
+pure function of (seed, stream_id, counter) and per-node streams can be
 split off without sequential dependence.
 """
 from __future__ import annotations
@@ -12,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A dense vector is a 1-D float64 ndarray; helpers below validate the contract.
-DenseVector = np.ndarray
-
 _U64 = np.uint64
 # Philox emits 64-bit words in blocks of 4 per counter increment.
 _WORDS_PER_BLOCK = 4
@@ -22,82 +18,6 @@ _WORDS_PER_BLOCK = 4
 
 class DimensionMismatchError(ValueError):
     """Operands disagree on vector dimension."""
-
-
-def as_dense(values, dim: int | None = None) -> np.ndarray:
-    """Validate and return a 1-D float64 vector with finite entries."""
-    x = np.ascontiguousarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"dense vector must be 1-D, got shape {x.shape}")
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dim {dim}, got {x.shape[0]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("dense vector has non-finite entries")
-    return x
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse row: strictly increasing 0-based indices, no stored zeros."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        val = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.ndim != 1 or val.ndim != 1 or idx.shape != val.shape:
-            raise ValueError("indices and values must be 1-D and equal length")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError(f"index out of range for dim {self.dim}")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("indices must be strictly increasing")
-        if np.any(val == 0.0):
-            raise ValueError("stored zero values are not allowed")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("sparse vector has non-finite values")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
-def densify(a: SparseVector) -> np.ndarray:
-    out = np.zeros(a.dim, dtype=np.float64)
-    out[a.indices] = a.values
-    return out
-
-
-def dot(a: SparseVector | np.ndarray, b: np.ndarray) -> float:
-    """Inner product Σ a.values[k] * b[a.indices[k]] (or a plain dense dot).
-
-    The sparse case is evaluated through the same dense reduction as the
-    dense case, so dot(densify(a), b) == dot(a, b) bit-exactly; this module
-    trades BLAS-grade speed for that contract.
-    """
-    if not isinstance(a, SparseVector):
-        a_arr = np.asarray(a, dtype=np.float64)
-        if a_arr.shape != b.shape:
-            raise DimensionMismatchError(f"dot: dims {a_arr.shape} vs {b.shape}")
-        return float(np.dot(a_arr, b))
-    if a.dim != b.shape[0]:
-        raise DimensionMismatchError(f"dot: dims {a.dim} vs {b.shape[0]}")
-    if a.nnz == 0:
-        return 0.0
-    return float(np.dot(densify(a), b))
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return y + alpha * x without modifying either input."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"axpy: shapes {x.shape} vs {y.shape}")
-    return y + alpha * x
 
 
 @dataclass
@@ -124,16 +44,12 @@ class RngStream:
         self.counter += count
         return words[within:]
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Fresh stream with the same seed and a different stream id."""
-        return RngStream(seed=self.seed, stream_id=stream_id)
-
     def generator(self) -> np.random.Generator:
         """numpy Generator over this stream, positioned at the current counter.
 
         Meant for bulk non-integer draws (e.g. Gaussians) whose word
         consumption is variable; the counter of this RngStream is not
-        advanced, so use either the generator or draw_index on one stream,
+        advanced, so use either the generator or draw_indices on one stream,
         not both interleaved.
         """
         block, within = divmod(self.counter, _WORDS_PER_BLOCK)
@@ -156,7 +72,3 @@ def draw_indices(rng: RngStream, n: int, size) -> np.ndarray:
     words = rng._raw(count)
     return (words % _U64(n)).astype(np.int64).reshape(shape)
 
-
-def draw_index(rng: RngStream, n: int) -> int:
-    """Single uniform draw from {0, ..., n-1}; advances the counter by 1."""
-    return int(draw_indices(rng, n, 1)[0])

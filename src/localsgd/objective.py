@@ -176,13 +176,6 @@ def loss(p: Problem, x: np.ndarray) -> float:
     return float(loss_many(p, x[None, :])[0])
 
 
-def _loss_coeffs(p: Problem, x: np.ndarray) -> np.ndarray:
-    """Per-sample d/dt log(1+exp(-y t)) * y = -y * sigmoid(-y (a_i . x))."""
-    t = p.dataset.features @ x
-    y = p.dataset.labels
-    return -y * expit(-y * t)
-
-
 def full_grad(p: Problem, node: int, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f_node: average over the node's samples plus lam*x."""
     _check_dim(p, x)
@@ -226,16 +219,6 @@ def stochastic_grad(p: Problem, node: int, x: np.ndarray, rng: RngStream,
     t = A @ x
     coeff = -y * expit(-y * t) / batch
     return A.T @ coeff + p.lam * x
-
-
-def grad_check_central(p: Problem, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of f; the independent oracle for tests."""
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = eps
-        g[j] = (loss(p, x + e) - loss(p, x - e)) / (2.0 * eps)
-    return g
 
 
 # ---------------------------------------------------------------------------

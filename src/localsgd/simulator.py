@@ -45,6 +45,11 @@ class DivergenceError(RuntimeError):
         self.node = node
 
 
+def _max_gap(steps: tuple[int, ...]) -> int:
+    """Largest gap between consecutive timestamps, the one from 0 included."""
+    return max([1] + [b - a for a, b in zip((0,) + steps, steps)])
+
+
 @dataclass(frozen=True)
 class SyncSchedule:
     """Strictly increasing synchronization timestamps with max gap H.
@@ -71,12 +76,7 @@ class SyncSchedule:
             raise ValueError(f"schedule gap {self.max_gap()} exceeds declared H={self.H}")
 
     def max_gap(self) -> int:
-        prev = 0
-        gap = 0
-        for s in self.sync_steps:
-            gap = max(gap, s - prev)
-            prev = s
-        return gap
+        return _max_gap(self.sync_steps)
 
     @property
     def final(self) -> int:
@@ -99,13 +99,7 @@ class SyncSchedule:
     @classmethod
     def from_steps(cls, steps: Sequence[int], H: int | None = None) -> "SyncSchedule":
         steps = tuple(int(s) for s in steps)
-        if H is None:
-            prev = 0
-            H = 1
-            for s in steps:
-                H = max(H, s - prev)
-                prev = s
-        return cls(sync_steps=steps, H=H)
+        return cls(sync_steps=steps, H=_max_gap(steps) if H is None else H)
 
     def describe(self) -> str:
         if self.sync_steps == tuple(range(self.H, self.final + 1, self.H)):
@@ -141,6 +135,8 @@ class RunConfig:
             raise ValueError("gamma must be nonnegative")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         if self.gradient_mode == GradientMode.INJECTED_NOISE:
             if self.noise_sigma is None or self.noise_sigma <= 0:
                 raise ValueError("injected-noise mode needs noise_sigma > 0")
@@ -149,7 +145,7 @@ class RunConfig:
 
     def stride(self) -> int:
         if self.record_every is not None:
-            return max(1, int(self.record_every))
+            return self.record_every
         return max(1, math.ceil(self.T / 1000))
 
 
@@ -298,14 +294,19 @@ class _GradientEngine:
 # Traces
 # ---------------------------------------------------------------------------
 
-# `round` counts completed synchronizations up to t, so curves can be read
-# against either the step axis or the communication-round axis.
-_CSV_COLUMNS = ("t", "round", "synced", "V_t", "dist_sq", "subopt", "grad_norm_sq")
-
-
-def _write_metadata(stream: TextIO, metadata: dict) -> None:
+def _write_csv(stream: TextIO, metadata: dict, t: np.ndarray, synced: np.ndarray,
+               columns: dict[str, np.ndarray]) -> None:
+    """Metadata header, then one row per recorded step. `round` counts
+    completed synchronizations up to t, so curves can be read against either
+    the step axis or the communication-round axis."""
     for k in sorted(metadata):
         stream.write(f"# {k} = {metadata[k]}\n")
+    stream.write(",".join(["t", "round", "synced", *columns]) + "\n")
+    rows = zip(np.asarray(t, dtype=np.int64).tolist(), np.cumsum(synced).tolist(),
+               np.asarray(synced, dtype=np.int64).tolist(),
+               *(np.asarray(c, dtype=np.float64).tolist() for c in columns.values()))
+    for step, rnd, sync, *values in rows:
+        stream.write(f"{step},{rnd},{sync}," + ",".join(map(repr, values)) + "\n")
 
 
 @dataclass
@@ -325,19 +326,13 @@ class Trace:
     xhat: np.ndarray | None = None  # optional (rows, d) trajectory capture
 
     def to_csv(self, stream: TextIO) -> None:
-        md = dict(self.metadata)
-        md["bar_subopt_tail"] = repr(float(self.bar_subopt_tail))
-        md["bar_subopt_head"] = repr(float(self.bar_subopt_head))
-        md["comm_rounds"] = self.comm_rounds
-        _write_metadata(stream, md)
-        stream.write(",".join(_CSV_COLUMNS) + "\n")
-        rounds = np.cumsum(self.synced)
-        for i in range(self.t.size):
-            stream.write(
-                f"{int(self.t[i])},{int(rounds[i])},{int(self.synced[i])},"
-                f"{float(self.V[i])!r},{float(self.dist_sq[i])!r},"
-                f"{float(self.subopt[i])!r},{float(self.grad_norm_sq[i])!r}\n"
-            )
+        md = dict(self.metadata,
+                  bar_subopt_tail=repr(float(self.bar_subopt_tail)),
+                  bar_subopt_head=repr(float(self.bar_subopt_head)),
+                  comm_rounds=self.comm_rounds)
+        _write_csv(stream, md, self.t, self.synced,
+                   {"V_t": self.V, "dist_sq": self.dist_sq, "subopt": self.subopt,
+                    "grad_norm_sq": self.grad_norm_sq})
 
 
 @dataclass
@@ -356,28 +351,19 @@ class AggregateTrace:
     metadata: dict
 
     def to_csv(self, stream: TextIO) -> None:
-        md = dict(self.metadata)
-        md["seeds"] = ",".join(str(s) for s in self.seeds)
-        md["n_seeds"] = self.n_seeds
-        md["comm_rounds"] = self.comm_rounds
-        md["bar_subopt_tail_mean"] = repr(self.bar_subopt_tail[0])
-        md["bar_subopt_tail_se"] = repr(self.bar_subopt_tail[1])
-        md["bar_subopt_head_mean"] = repr(self.bar_subopt_head[0])
-        md["bar_subopt_head_se"] = repr(self.bar_subopt_head[1])
-        _write_metadata(stream, md)
-        cols = ["t", "round", "synced"]
-        names = ("V", "dist_sq", "subopt", "grad_norm_sq")
-        for name in names:
-            cols += [f"{name}_mean", f"{name}_se"]
-        stream.write(",".join(cols) + "\n")
-        rounds = np.cumsum(self.synced)
-        for i in range(self.t.size):
-            parts = [str(int(self.t[i])), str(int(rounds[i])),
-                     str(int(self.synced[i]))]
-            for name in names:
-                parts.append(repr(float(self.mean[name][i])))
-                parts.append(repr(float(self.se[name][i])))
-            stream.write(",".join(parts) + "\n")
+        md = dict(self.metadata,
+                  seeds=",".join(str(s) for s in self.seeds),
+                  n_seeds=self.n_seeds,
+                  comm_rounds=self.comm_rounds,
+                  bar_subopt_tail_mean=repr(self.bar_subopt_tail[0]),
+                  bar_subopt_tail_se=repr(self.bar_subopt_tail[1]),
+                  bar_subopt_head_mean=repr(self.bar_subopt_head[0]),
+                  bar_subopt_head_se=repr(self.bar_subopt_head[1]))
+        columns = {}
+        for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
+            columns[f"{name}_mean"] = self.mean[name]
+            columns[f"{name}_se"] = self.se[name]
+        _write_csv(stream, md, self.t, self.synced, columns)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,12 +2,14 @@
 stepsize/interval planners derived from them, and bound-vs-empirical
 verdicts.
 
-Bound identifiers:
+Every guarantee is one row of THEOREMS, keyed by its identifier:
   SC_IID_UBV  strongly convex, identical data, uniform variance bound
   WC_IID_UBV  convex, identical data, uniform variance bound
   SC_IID_FS   strongly convex, identical data, finite-sum sampling
   WC_IID_FS   convex, identical data, finite-sum sampling
   WC_HET_FS   convex, heterogeneous data, finite-sum sampling
+`bound`, `plan_gamma`, `applicable_bounds` and the checkers read the row
+and know nothing else about the statement.
 
 The finite-sum guarantees require the almost-sure component smoothness
 constant (Problem.L_component), not the smaller global estimate.
@@ -16,21 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .simulator import AggregateTrace
+from .dataio import Regime
+from .simulator import AggregateTrace, GradientMode
 
 # Pure floating-point slack for stepsize admissibility checks: planners are
 # allowed to return exactly the limiting value.
 _FP_SLACK = 1.0 + 1e-12
 
-THEOREM_IDS = ("SC_IID_UBV", "WC_IID_UBV", "SC_IID_FS", "WC_IID_FS", "WC_HET_FS")
-
 
 class PreconditionError(ValueError):
     """A hypothesis of the selected statement does not hold for these inputs."""
+
+
+class UnknownRuleError(ValueError):
+    """No guarantee or planner rule has the requested name."""
 
 
 @dataclass(frozen=True)
@@ -46,12 +52,6 @@ class BoundInputs:
     sigma_opt_sq: float | None = None
     sigma_dif_sq: float | None = None
 
-    @property
-    def kappa(self) -> float:
-        if self.mu is None or self.mu <= 0:
-            return float("inf")
-        return self.L / self.mu
-
     def require(self, *names: str) -> None:
         for name in names:
             v = getattr(self, name)
@@ -65,55 +65,158 @@ class BoundInputs:
             raise PreconditionError("T, H and M must be >= 1")
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """Evaluable RHS of one guarantee.
+class StepsizeLimit(NamedTuple):
+    """A stepsize hypothesis and the largest admissible gamma for an object
+    with attributes L, mu, M and H (BoundInputs, or a planner's arguments)."""
 
-    SC curves are per-step functions of t; WC curves are a single value at
-    the final step T. `sync_only` marks guarantees stated only at
-    synchronization timestamps. For suboptimality bounds, `convention` names
-    the iterate average the statement uses: 'tail' is (1/T) sum_{t=1..T}
-    xhat_t and 'head' is (1/T) sum_{t=0..T-1} xhat_t.
+    text: str
+    of: Callable[[Any], float]
+
+
+class Need(NamedTuple):
+    """Any other hypothesis; `fails` tests the same kind of object."""
+
+    text: str
+    fails: Callable[[Any], bool]
+
+
+_QUARTER_L = StepsizeLimit("gamma <= 1/(4L)", lambda a: 1.0 / (4.0 * a.L))
+_HET_LIMIT = StepsizeLimit(  # at H = 1 the second constraint is vacuous
+    "gamma <= min{1/(4L), 1/(8L(H-1))}",
+    lambda a: min(_QUARTER_L.of(a),
+                  1.0 / (8.0 * a.L * (a.H - 1)) if a.H > 1 else math.inf))
+
+_MU_POSITIVE = Need("mu > 0", lambda a: a.mu is None or a.mu <= 0)
+_T_PARAM_POSITIVE = Need("t_param > 0", lambda a: a.t_param is None or a.t_param <= 0)
+_TWO_NODES = Need("M >= 2", lambda a: a.M < 2)
+_H_AT_MOST_SQRT_T_M = Need(
+    "H <= sqrt(T/M)",
+    lambda a: a.M is None or a.T is None or a.H is None or a.H > math.sqrt(a.T / a.M))
+
+
+def _plan_sc(a, scale: float, steps: float) -> tuple[float, int]:
+    """gamma = 1/(mu scale), scale being the statement's function of kappa
+    and t_param; the step count steps * scale * log(scale) is rounded up."""
+    return 1.0 / (a.mu * scale), math.ceil(steps * scale * math.log(scale))
+
+
+def _plan_wc(c: float):
+    """gamma = sqrt(M) / (c L sqrt(T))."""
+    return lambda a: (math.sqrt(a.M) / (c * a.L * math.sqrt(a.T)), None)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One guarantee and everything derived from it.
+
+    'dist_sq' statements bound the distance to x* at every step t; 'subopt'
+    statements bound f(bar x_T) - f* at the final step T only, for the
+    iterate average `convention` names: 'tail' is (1/T) sum_{t=1..T} xhat_t
+    and 'head' is (1/T) sum_{t=0..T-1} xhat_t. `sync_only` marks statements
+    made only at synchronization timestamps.
     """
 
-    theorem_id: str
+    id: str
+    rule: str  # its plan_gamma rule, also accepted as a stepsize spec
     metric: str  # 'dist_sq' or 'subopt'
-    inputs: BoundInputs
-    sync_only: bool = False
-    convention: str | None = None
+    sync_only: bool
+    convention: str | None
+    regime: Regime  # runs it is checked on: this regime and one of `modes`
+    modes: tuple[GradientMode, ...]
+    needs_mu: bool  # strongly convex: mu > 0 is a hypothesis
+    component_L: bool  # stated for Problem.L_component rather than Problem.L
+    sigma: str  # the BoundInputs variance field the RHS reads
+    limit: StepsizeLimit
+    rhs: Callable[[BoundInputs, int], float]
+    plan: Callable[[Any], tuple[float, int | None]]  # (gamma, suggested T)
+    bound_needs: tuple[Need, ...] = ()  # besides mu > 0 and the limit
+    plan_needs: tuple[Need, ...] = ()
     notes: str = ""
 
-    def rhs_at(self, t: int) -> float:
-        b = self.inputs
-        if t < 0 or t > b.T:
-            raise ValueError(f"t={t} outside [0, {b.T}]")
-        if self.theorem_id == "SC_IID_UBV":
-            return ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
-                    + b.gamma * b.sigma_sq / (b.mu * b.M)
-                    + 2.0 * b.L * b.gamma**2 * (b.H - 1) * b.sigma_sq / b.mu)
-        if self.theorem_id == "SC_IID_FS":
-            return ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
-                    + 2.0 * b.gamma * b.sigma_opt_sq / (b.mu * b.M)
-                    + 4.0 * b.sigma_opt_sq * b.gamma**2 * (b.H - 1) * b.L / b.mu)
-        if t != b.T:
-            raise ValueError(f"{self.theorem_id} bounds only the final average at T={b.T}")
-        return self.final()
+    def smoothness(self, p) -> float:
+        """The smoothness constant of Problem p this statement is stated for."""
+        return p.L_component if self.component_L else p.L
 
-    def final(self) -> float:
-        b = self.inputs
-        if self.theorem_id == "WC_IID_UBV":
-            return (2.0 * b.r0_sq / (b.gamma * b.T)
-                    + 2.0 * b.gamma * b.sigma_sq / b.M
-                    + 4.0 * b.gamma**2 * b.L * b.sigma_sq * (b.H - 1))
-        if self.theorem_id == "WC_IID_FS":
-            return (10.0 * b.r0_sq / (b.gamma * b.T)
-                    + 20.0 * b.gamma * b.sigma_opt_sq / b.M
-                    + 40.0 * b.gamma**2 * b.L * b.sigma_opt_sq * (b.H - 1))
-        if self.theorem_id == "WC_HET_FS":
-            return (4.0 * b.r0_sq / (b.gamma * b.T)
-                    + 20.0 * b.gamma * b.sigma_dif_sq / b.M
-                    + 16.0 * b.gamma**2 * b.L * (b.H - 1) ** 2 * b.sigma_dif_sq)
-        return self.rhs_at(self.inputs.T)
+
+_TABLE = (
+    Theorem(
+        id="SC_IID_UBV", rule="sc-identical-ubv", metric="dist_sq",
+        sync_only=False, convention=None, regime=Regime.IDENTICAL,
+        modes=(GradientMode.INJECTED_NOISE,), needs_mu=True, component_L=False,
+        sigma="sigma_sq", limit=_QUARTER_L,
+        # contraction, a gamma sigma^2/(mu M) floor, and the drift term
+        rhs=lambda b, t: ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
+                          + b.gamma * b.sigma_sq / (b.mu * b.M)
+                          + 2.0 * b.L * b.gamma**2 * (b.H - 1) * b.sigma_sq / b.mu),
+        plan=lambda a: _plan_sc(a, 4.0 * (a.L / a.mu) + a.t_param, 2.0),
+        plan_needs=(_T_PARAM_POSITIVE,)),
+    Theorem(
+        id="WC_IID_UBV", rule="wc-identical-ubv", metric="subopt",
+        sync_only=False, convention="tail", regime=Regime.IDENTICAL,
+        modes=(GradientMode.INJECTED_NOISE,), needs_mu=False, component_L=False,
+        sigma="sigma_sq", limit=_QUARTER_L,
+        rhs=lambda b, t: (2.0 * b.r0_sq / (b.gamma * b.T)
+                          + 2.0 * b.gamma * b.sigma_sq / b.M
+                          + 4.0 * b.gamma**2 * b.L * b.sigma_sq * (b.H - 1)),
+        plan=_plan_wc(4.0),
+        plan_needs=(Need("T >= M",
+                         lambda a: a.M is None or a.T is None or a.T < a.M),)),
+    Theorem(
+        id="SC_IID_FS", rule="sc-identical-fs", metric="dist_sq",
+        sync_only=True, convention=None, regime=Regime.IDENTICAL,
+        modes=(GradientMode.STOCHASTIC,), needs_mu=True, component_L=True,
+        sigma="sigma_opt_sq",
+        limit=StepsizeLimit("gamma <= min{1/(4L(1+2/M)), 1/(mu+8L(H-1))}",
+                            lambda a: min(1.0 / (4.0 * a.L * (1.0 + 2.0 / a.M)),
+                                          1.0 / (a.mu + 8.0 * a.L * (a.H - 1)))),
+        rhs=lambda b, t: ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
+                          + 2.0 * b.gamma * b.sigma_opt_sq / (b.mu * b.M)
+                          + 4.0 * b.sigma_opt_sq * b.gamma**2 * (b.H - 1) * b.L / b.mu),
+        plan=lambda a: _plan_sc(a, 18.0 * (a.L / a.mu) * a.t_param, 18.0),
+        plan_needs=(_T_PARAM_POSITIVE,
+                    Need("H <= t_param",
+                         lambda a: a.H is None or a.M is None or a.H > a.t_param))),
+    Theorem(
+        id="WC_IID_FS", rule="wc-identical-fs", metric="subopt",
+        sync_only=True, convention="tail", regime=Regime.IDENTICAL,
+        modes=(GradientMode.STOCHASTIC,), needs_mu=False, component_L=True,
+        sigma="sigma_opt_sq",
+        limit=StepsizeLimit("gamma <= 1/(10LH)", lambda a: 1.0 / (10.0 * a.L * a.H)),
+        rhs=lambda b, t: (10.0 * b.r0_sq / (b.gamma * b.T)
+                          + 20.0 * b.gamma * b.sigma_opt_sq / b.M
+                          + 40.0 * b.gamma**2 * b.L * b.sigma_opt_sq * (b.H - 1)),
+        plan=_plan_wc(10.0),
+        bound_needs=(_TWO_NODES,), plan_needs=(_H_AT_MOST_SQRT_T_M,)),
+    Theorem(
+        id="WC_HET_FS", rule="wc-heterogeneous", metric="subopt",
+        sync_only=True, convention="head", regime=Regime.HETEROGENEOUS,
+        modes=tuple(GradientMode), needs_mu=False, component_L=True,
+        sigma="sigma_dif_sq", limit=_HET_LIMIT,
+        rhs=lambda b, t: (4.0 * b.r0_sq / (b.gamma * b.T)
+                          + 20.0 * b.gamma * b.sigma_dif_sq / b.M
+                          + 16.0 * b.gamma**2 * b.L * (b.H - 1) ** 2 * b.sigma_dif_sq),
+        plan=_plan_wc(8.0),
+        bound_needs=(_TWO_NODES,), plan_needs=(_H_AT_MOST_SQRT_T_M,),
+        notes="stepsize condition read as " + _HET_LIMIT.text.removeprefix("gamma <= ")),
+)
+
+THEOREMS = {thm.id: thm for thm in _TABLE}
+_BY_RULE = {thm.rule: thm for thm in _TABLE}
+GAMMA_RULES = tuple(_BY_RULE)
+
+
+def _lookup(table: dict, name: str, what: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownRuleError(
+            f"unknown {what} {name!r}; expected one of {tuple(table)}") from None
+
+
+def _assert_needs(who: str, thm: Theorem, needs: tuple[Need, ...], args) -> None:
+    for need in ((_MU_POSITIVE,) if thm.needs_mu else ()) + needs:
+        if need.fails(args):
+            raise PreconditionError(f"{who} needs {need.text}")
 
 
 def _check_gamma(gamma: float, limit: float, what: str) -> None:
@@ -122,65 +225,65 @@ def _check_gamma(gamma: float, limit: float, what: str) -> None:
             f"stepsize {gamma!r} violates {what} (limit {limit!r})")
 
 
-def bound_sc_identical_ubv(b: BoundInputs) -> BoundCurve:
-    """Distance bound for strongly convex identical data under a uniform
-    variance bound: contraction plus a gamma*sigma^2/(mu*M) floor plus the
-    2*L*gamma^2*(H-1)*sigma^2/mu drift term."""
-    b.require("mu", "sigma_sq")
-    if b.mu <= 0:
-        raise PreconditionError("SC_IID_UBV needs mu > 0")
-    _check_gamma(b.gamma, 1.0 / (4.0 * b.L), "gamma <= 1/(4L)")
-    return BoundCurve("SC_IID_UBV", "dist_sq", b)
+@dataclass(frozen=True)
+class BoundCurve:
+    """Evaluable RHS of one guarantee for fixed inputs: a function of t for
+    'dist_sq' statements, a single value at T for 'subopt' ones."""
+
+    theorem: Theorem
+    inputs: BoundInputs
+
+    theorem_id = property(lambda self: self.theorem.id)
+    metric = property(lambda self: self.theorem.metric)
+    sync_only = property(lambda self: self.theorem.sync_only)
+    convention = property(lambda self: self.theorem.convention)
+    notes = property(lambda self: self.theorem.notes)
+
+    def rhs_at(self, t: int) -> float:
+        b = self.inputs
+        if t < 0 or t > b.T:
+            raise ValueError(f"t={t} outside [0, {b.T}]")
+        if self.metric != "dist_sq" and t != b.T:
+            raise ValueError(f"{self.theorem_id} bounds only the final average at T={b.T}")
+        return self.theorem.rhs(b, t)
+
+    def final(self) -> float:
+        return self.rhs_at(self.inputs.T)
 
 
-def bound_wc_identical_ubv(b: BoundInputs) -> BoundCurve:
-    """Suboptimality of the averaged iterate (t = 1..T) for convex identical
-    data under a uniform variance bound."""
-    b.require("sigma_sq")
-    _check_gamma(b.gamma, 1.0 / (4.0 * b.L), "gamma <= 1/(4L)")
-    return BoundCurve("WC_IID_UBV", "subopt", b, convention="tail")
+def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
+    """The guarantee `theorem_id` for inputs b; raises PreconditionError
+    when one of its hypotheses, the stepsize limit included, fails."""
+    thm = _lookup(THEOREMS, theorem_id, "theorem")
+    b.require(*(("mu",) if thm.needs_mu else ()), thm.sigma)
+    _assert_needs(thm.id, thm, thm.bound_needs, b)
+    _check_gamma(b.gamma, thm.limit.of(b), thm.limit.text)
+    return BoundCurve(thm, b)
 
 
-def bound_sc_identical_fs(b: BoundInputs) -> BoundCurve:
-    """Distance bound for strongly convex identical data with finite-sum
-    sampling; stated only at synchronization timestamps."""
-    b.require("mu", "sigma_opt_sq")
-    if b.mu <= 0:
-        raise PreconditionError("SC_IID_FS needs mu > 0")
-    limit = min(1.0 / (4.0 * b.L * (1.0 + 2.0 / b.M)),
-                1.0 / (b.mu + 8.0 * b.L * (b.H - 1)))
-    _check_gamma(b.gamma, limit, "gamma <= min{1/(4L(1+2/M)), 1/(mu+8L(H-1))}")
-    return BoundCurve("SC_IID_FS", "dist_sq", b, sync_only=True)
+def applicable_bounds(p, run_cfg, r0_sq: float, var_report) -> list[BoundCurve]:
+    """Every guarantee whose hypotheses a run of Problem p under RunConfig
+    run_cfg satisfies, with the RHS built from measured quantities.
 
-
-def bound_wc_identical_fs(b: BoundInputs) -> BoundCurve:
-    """Suboptimality of the averaged iterate (t = 1..T) for convex identical
-    data with finite-sum sampling; T must be a synchronization timestamp."""
-    b.require("sigma_opt_sq")
-    if b.M < 2:
-        raise PreconditionError("WC_IID_FS needs M >= 2")
-    _check_gamma(b.gamma, 1.0 / (10.0 * b.L * b.H), "gamma <= 1/(10LH)")
-    return BoundCurve("WC_IID_FS", "subopt", b, sync_only=True, convention="tail")
-
-
-def bound_wc_heterogeneous(b: BoundInputs) -> BoundCurve:
-    """Suboptimality of the averaged iterate (t = 0..T-1) for convex
-    heterogeneous data with finite-sum sampling.
-
-    The stepsize hypothesis is read as gamma <= min{1/(4L), 1/(8L(H-1))};
-    at H = 1 the second constraint is vacuous.
+    Injected noise of scale noise_sigma makes the uniform variance bound
+    hold exactly with sigma^2 = noise_sigma^2; the finite-sum variances come
+    from var_report. Curves that fail a precondition are skipped (the
+    checker refuses rather than reporting a verdict).
     """
-    b.require("sigma_dif_sq")
-    if b.M < 2:
-        raise PreconditionError("WC_HET_FS needs M >= 2")
-    limit = 1.0 / (4.0 * b.L)
-    if b.H > 1:
-        limit = min(limit, 1.0 / (8.0 * b.L * (b.H - 1)))
-    _check_gamma(b.gamma, limit, "gamma <= min{1/(4L), 1/(8L(H-1))}")
-    return BoundCurve(
-        "WC_HET_FS", "subopt", b, sync_only=True, convention="head",
-        notes="stepsize condition read as min{1/(4L), 1/(8L(H-1))}",
-    )
+    sigmas = {"sigma_sq": (run_cfg.noise_sigma or 0.0) ** 2,
+              "sigma_opt_sq": var_report.sigma_opt_sq,
+              "sigma_dif_sq": var_report.sigma_dif_sq}
+    curves = []
+    for thm in _TABLE:
+        if run_cfg.regime == thm.regime and run_cfg.gradient_mode in thm.modes:
+            b = BoundInputs(L=thm.smoothness(p), gamma=run_cfg.gamma, T=run_cfg.T,
+                            H=run_cfg.schedule.H, M=run_cfg.M, r0_sq=r0_sq, mu=p.mu,
+                            **{thm.sigma: sigmas[thm.sigma]})
+            try:
+                curves.append(bound(thm.id, b))
+            except PreconditionError:
+                pass
+    return curves
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +299,18 @@ def plan_H(rule: str, T: int, M: int, kappa: float | None = None) -> int:
     sc-identical: 1 + floor(T / (kappa M)); wc-identical:
     1 + floor(sqrt(T) M^{-3/2}); wc-heterogeneous: 1 + floor(T^{1/4} M^{-3/4}).
     """
-    if T < 1 or M < 1:
-        raise ValueError("T and M must be >= 1")
+    if T is None or M is None or T < 1 or M < 1:
+        raise PreconditionError("T and M must be >= 1")
     if rule == "sc-identical":
         if kappa is None or kappa <= 0:
-            raise ValueError("sc-identical rule needs kappa > 0")
+            raise PreconditionError("sc-identical rule needs kappa > 0")
         return 1 + math.floor(T / (kappa * M))
     if rule == "wc-identical":
         return 1 + math.floor(math.sqrt(T) / M**1.5)
     if rule == "wc-heterogeneous":
         return 1 + math.floor(T**0.25 / M**0.75)
-    raise ValueError(f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
+    raise UnknownRuleError(
+        f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
 
 
 class PlannedGamma(NamedTuple):
@@ -216,75 +320,29 @@ class PlannedGamma(NamedTuple):
     suggested_T: int | None = None
 
 
-GAMMA_RULES = ("sc-identical-ubv", "wc-identical-ubv", "sc-identical-fs", "wc-identical-fs", "wc-heterogeneous")
-
-
 def plan_gamma(rule: str, L: float, mu: float | None = None,
                M: int | None = None, T: int | None = None,
                H: int | None = None, t_param: float | None = None) -> PlannedGamma:
-    """Rate-matching stepsize for each guarantee, hypotheses asserted.
-
-    sc-identical-ubv: gamma = 1/(mu a) with a = 4 kappa + t for t > 0.
-    wc-identical-ubv: gamma = sqrt(M)/(4 L sqrt(T)), needs T >= M.
-    sc-identical-fs: gamma = 1/(mu a) with a = 18 kappa t, needs H <= t.
-    wc-identical-fs: gamma = sqrt(M)/(10 L sqrt(T)), needs H <= sqrt(T/M).
-    wc-heterogeneous: gamma = sqrt(M)/(8 L sqrt(T)), needs H <= sqrt(T/M).
-    Pass the almost-sure component L for the three finite-sum rules.
-
-    The strongly convex rules also prescribe a step count proportional to
-    a log a, which is non-integral; suggested_T rounds it up.
+    """Rate-matching stepsize of the guarantee whose rule is `rule`, with
+    its hypotheses asserted; the planners are the `plan` entries of the
+    table. Pass the almost-sure component L for the finite-sum rules. The
+    strongly convex rules also suggest a step count.
     """
-    if L <= 0:
+    if L is None or L <= 0:
         raise PreconditionError("L must be positive")
-    if rule == "sc-identical-ubv":
-        if mu is None or mu <= 0:
-            raise PreconditionError(f"{rule} needs mu > 0")
-        if t_param is None or t_param <= 0:
-            raise PreconditionError(f"{rule} needs t_param > 0")
-        a = 4.0 * (L / mu) + t_param
-        gamma = 1.0 / (mu * a)
-        pre = "gamma <= 1/(4L)"
-        _check_gamma(gamma, 1.0 / (4.0 * L), pre)
-        return PlannedGamma(gamma, rule, pre, math.ceil(2.0 * a * math.log(a)))
-    if rule == "wc-identical-ubv":
-        if M is None or T is None or T < M:
-            raise PreconditionError(f"{rule} needs T >= M")
-        gamma = math.sqrt(M) / (4.0 * L * math.sqrt(T))
-        pre = "gamma <= 1/(4L)"
-        _check_gamma(gamma, 1.0 / (4.0 * L), pre)
-        return PlannedGamma(gamma, rule, pre)
-    if rule == "sc-identical-fs":
-        if mu is None or mu <= 0:
-            raise PreconditionError(f"{rule} needs mu > 0")
-        if t_param is None or t_param <= 0:
-            raise PreconditionError(f"{rule} needs t_param > 0")
-        if H is None or M is None or H > t_param:
-            raise PreconditionError(f"{rule} needs H <= t_param")
-        a = 18.0 * (L / mu) * t_param
-        gamma = 1.0 / (mu * a)
-        pre = "gamma <= min{1/(4L(1+2/M)), 1/(mu+8L(H-1))}"
-        limit = min(1.0 / (4.0 * L * (1.0 + 2.0 / M)),
-                    1.0 / (mu + 8.0 * L * (H - 1)))
-        _check_gamma(gamma, limit, pre)
-        return PlannedGamma(gamma, rule, pre, math.ceil(18.0 * a * math.log(a)))
-    if rule == "wc-identical-fs":
-        if M is None or T is None or H is None or H > math.sqrt(T / M):
-            raise PreconditionError(f"{rule} needs H <= sqrt(T/M)")
-        gamma = math.sqrt(M) / (10.0 * L * math.sqrt(T))
-        pre = "gamma <= 1/(10LH)"
-        _check_gamma(gamma, 1.0 / (10.0 * L * H), pre)
-        return PlannedGamma(gamma, rule, pre)
-    if rule == "wc-heterogeneous":
-        if M is None or T is None or H is None or H > math.sqrt(T / M):
-            raise PreconditionError(f"{rule} needs H <= sqrt(T/M)")
-        gamma = math.sqrt(M) / (8.0 * L * math.sqrt(T))
-        pre = "gamma <= min{1/(4L), 1/(8L(H-1))}"
-        limit = 1.0 / (4.0 * L)
-        if H > 1:
-            limit = min(limit, 1.0 / (8.0 * L * (H - 1)))
-        _check_gamma(gamma, limit, pre)
-        return PlannedGamma(gamma, rule, pre)
-    raise ValueError(f"unknown plan_gamma rule {rule!r}; expected one of {GAMMA_RULES}")
+    thm = _lookup(_BY_RULE, rule, "plan_gamma rule")
+    a = SimpleNamespace(L=L, mu=mu, M=M, T=T, H=H, t_param=t_param)
+    _assert_needs(rule, thm, thm.plan_needs, a)
+    gamma, suggested_T = thm.plan(a)
+    _check_gamma(gamma, thm.limit.of(a), thm.limit.text)
+    return PlannedGamma(gamma, rule, thm.limit.text, suggested_T)
+
+
+def planned_gamma(rule: str, p, M: int, T: int, H: int) -> float:
+    """plan_gamma for a run on Problem p with t_param = H, using the
+    smoothness constant the rule's statement is stated for."""
+    L = _lookup(_BY_RULE, rule, "plan_gamma rule").smoothness(p)
+    return plan_gamma(rule, L=L, mu=p.mu, M=M, T=T, H=H, t_param=float(H)).gamma
 
 
 # ---------------------------------------------------------------------------
@@ -319,42 +377,41 @@ def _verdict(emp: np.ndarray, se: np.ndarray, rhs: np.ndarray,
     )
 
 
+def compared_steps(curve: BoundCurve, agg: AggregateTrace) -> np.ndarray:
+    """Mask of the recorded rows where the guarantee speaks: every row (or
+    every synchronization row) for distance bounds, the final row T for
+    suboptimality bounds."""
+    T = curve.inputs.T
+    if int(agg.t[-1]) != T:
+        raise ValueError(f"trace ends at {int(agg.t[-1])}, bound is for T={T}")
+    if curve.metric == "subopt":
+        if curve.sync_only and not bool(agg.synced[-1]):
+            raise ValueError("T is not a synchronization timestamp")
+        return np.arange(agg.t.size) == agg.t.size - 1
+    mask = agg.synced if curve.sync_only else np.ones(agg.t.size, dtype=bool)
+    if not np.any(mask):
+        raise ValueError("no comparable steps recorded")
+    return mask
+
+
 def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
     """Is the empirical mean below the RHS (plus 3 standard errors) wherever
     the guarantee speaks?
 
-    Distance bounds are compared at every comparable recorded step (all of
-    them, or only synchronization steps for sync-only statements);
-    suboptimality bounds are compared once at T using the iterate-average
-    convention the statement defines.
+    Distance bounds are compared at every compared step; suboptimality
+    bounds are compared once at T using the iterate-average convention the
+    statement defines.
     """
-    T = curve.inputs.T
-    if int(agg.t[-1]) != T:
-        raise ValueError(f"trace ends at {int(agg.t[-1])}, bound is for T={T}")
+    mask = compared_steps(curve, agg)
     if curve.metric == "dist_sq":
-        mask = agg.synced if curve.sync_only else np.ones(agg.t.size, dtype=bool)
-        if not np.any(mask):
-            raise ValueError("no comparable steps recorded")
         ts = agg.t[mask]
-        emp = agg.mean["dist_sq"][mask]
-        se = agg.se["dist_sq"][mask]
         rhs = np.asarray([curve.rhs_at(int(t)) for t in ts])
-        return _verdict(emp, se, rhs,
+        return _verdict(agg.mean["dist_sq"][mask], agg.se["dist_sq"][mask], rhs,
                         f"{curve.theorem_id}: dist_sq at {ts.size} steps")
-    if curve.metric == "subopt":
-        if curve.sync_only and not bool(agg.synced[-1]):
-            raise ValueError("T is not a synchronization timestamp")
-        if curve.convention == "tail":
-            emp, se = agg.bar_subopt_tail
-        elif curve.convention == "head":
-            emp, se = agg.bar_subopt_head
-        else:
-            raise ValueError(f"unknown averaging convention {curve.convention!r}")
-        rhs = curve.final()
-        return _verdict(np.asarray([emp]), np.asarray([se]), np.asarray([rhs]),
-                        f"{curve.theorem_id}: f(bar x_T) - f* at T={T} "
-                        f"({curve.convention} average)")
-    raise ValueError(f"unknown metric {curve.metric!r}")
+    emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[curve.convention]
+    return _verdict(np.asarray([emp]), np.asarray([se]), np.asarray([curve.final()]),
+                    f"{curve.theorem_id}: f(bar x_T) - f* at T={curve.inputs.T} "
+                    f"({curve.convention} average)")
 
 
 def check_vt_bound(agg: AggregateTrace, gamma: float, H: int,

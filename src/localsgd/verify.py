@@ -189,7 +189,7 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
         agg = run_replicated(p, cfg, ref, seeds)
         bi = theory.BoundInputs(L=p.L, mu=p.mu, gamma=gamma, T=T, H=H, M=4,
                                 r0_sq=r0, sigma_sq=1.0)
-        v = theory.check_bound(theory.bound_sc_identical_ubv(bi), agg)
+        v = theory.check_bound(theory.bound("SC_IID_UBV", bi), agg)
         ok = ok and v.holds
         slacks.append(f"H={H}:{v.slack_ratio:.3f}")
     return _result("sc-identical-distance-bound", ok,
@@ -219,7 +219,7 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     agg5 = run_replicated(p, cfg5, ref, seeds)
     bi5 = theory.BoundInputs(L=p.L_component, mu=p.mu, gamma=g5.gamma, T=T5, H=H5,
                              M=4, r0_sq=r0, sigma_opt_sq=vr.sigma_opt_sq)
-    v5 = theory.check_bound(theory.bound_sc_identical_fs(bi5), agg5)
+    v5 = theory.check_bound(theory.bound("SC_IID_FS", bi5), agg5)
 
     H6, T6 = 5, 400
     g6 = theory.plan_gamma("wc-identical-fs", L=p.L_component, M=4, T=T6, H=H6)
@@ -229,7 +229,7 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     agg6 = run_replicated(p, cfg6, ref, seeds)
     bi6 = theory.BoundInputs(L=p.L_component, gamma=g6.gamma, T=T6, H=H6, M=4,
                              r0_sq=r0, sigma_opt_sq=vr.sigma_opt_sq)
-    v6 = theory.check_bound(theory.bound_wc_identical_fs(bi6), agg6)
+    v6 = theory.check_bound(theory.bound("WC_IID_FS", bi6), agg6)
 
     ok = v5.holds and v6.holds
     return _result("finite-sum-identical-bounds", ok,
@@ -260,7 +260,7 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     agg = run_replicated(p, cfg, ref, seeds)
     bi = theory.BoundInputs(L=p.L_component, gamma=g7.gamma, T=T, H=H, M=4,
                             r0_sq=r0, sigma_dif_sq=vr.sigma_dif_sq)
-    v = theory.check_bound(theory.bound_wc_heterogeneous(bi), agg)
+    v = theory.check_bound(theory.bound("WC_HET_FS", bi), agg)
 
     # Interpolation case: one dataset replicated across all nodes, so every
     # node's full gradient vanishes at x* and sigma_dif = 0; one-shot

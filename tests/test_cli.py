@@ -31,6 +31,15 @@ class TestPlan:
             run_cli(["plan", "--what", "nonsense", "--rule", "x"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--what", "gamma", "--rule", "nope", "--L", "1.0"],
+        ["--what", "h", "--rule", "sc-identical", "--T", "100", "--M", "4"],
+        ["--what", "h", "--rule", "wc-identical", "--M", "4"],
+    ])
+    def test_bad_request_exits_2_with_one_line(self, capsys, argv):
+        assert run_cli(["plan", *argv]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
 
 class TestVariancesCmd:
     def test_sweep_csv(self, tmp_path, capsys):
@@ -120,6 +129,27 @@ dir = {tmp_path / 'out'}
         text = (tmp_path / "o3" / "run_H1.csv").read_text()
         assert "# seed = 5" in text
 
+    @pytest.mark.parametrize("flags, keys", [
+        (["--seeds", "3:1"], {}),
+        ([], {"seeds": ""}),
+        (["--gamma", "foo"], {}),
+        ([], {"lambda": "abc"}),
+        (["--record-every", "0"], {}),
+    ])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, flags, keys):
+        keys = {"lambda": "1/n", "seeds": "0:2", **keys}
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[data]\nn = 50\nd = 3\n[problem]\nlambda = {keys['lambda']}\n"
+                       f"[run]\nT = 8\nH = 1\nseeds = {keys['seeds']}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli(["run", "--config", str(cfg), *flags]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_flag_prefix_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            run_cli(["run", "--config", self._config(tmp_path), "--n", "200"])
+        assert e.value.code == 2
+
     def test_missing_config_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent.ini"]) == 2
 
@@ -127,6 +157,91 @@ dir = {tmp_path / 'out'}
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[data]\nsource = a9a\nmanifest = /nonexistent/manifest\n")
         assert run_cli(["run", "--config", str(cfg)]) == 3
+
+
+# Which guarantees `run` checks, and with which smoothness constant: the
+# uniform-variance statements use the global L, the finite-sum ones the
+# almost-sure L_component.
+_BOUND_L_KEY = {"SC_IID_UBV": "L", "WC_IID_UBV": "L", "SC_IID_FS": "L_component",
+                "WC_IID_FS": "L_component", "WC_HET_FS": "L_component"}
+
+_SELECTION_CASES = [
+    # (regime, gradient mode, lambda, gamma spec, theorems checked)
+    ("identical", "stochastic", "0.05", "0.001", {"SC_IID_FS", "WC_IID_FS"}),
+    ("identical", "stochastic", "0", "0.001", {"WC_IID_FS"}),
+    ("identical", "full", "0.05", "0.001", set()),
+    ("identical", "full", "0", "0.001", set()),
+    ("identical", "injected-noise", "0.05", "0.001", {"SC_IID_UBV", "WC_IID_UBV"}),
+    ("identical", "injected-noise", "0", "0.001", {"WC_IID_UBV"}),
+    ("heterogeneous", "stochastic", "0.05", "0.001", {"WC_HET_FS"}),
+    ("heterogeneous", "stochastic", "0", "0.001", {"WC_HET_FS"}),
+    ("heterogeneous", "full", "0.05", "0.001", {"WC_HET_FS"}),
+    ("heterogeneous", "full", "0", "0.001", {"WC_HET_FS"}),
+    ("heterogeneous", "injected-noise", "0.05", "0.001", {"WC_HET_FS"}),
+    ("heterogeneous", "injected-noise", "0", "0.001", {"WC_HET_FS"}),
+    # every planner rule, in the setting of the statement it comes from
+    ("identical", "injected-noise", "0.05", "sc-identical-ubv",
+     {"SC_IID_UBV", "WC_IID_UBV"}),
+    ("identical", "injected-noise", "0.05", "wc-identical-ubv",
+     {"SC_IID_UBV", "WC_IID_UBV"}),
+    ("identical", "stochastic", "0.05", "sc-identical-fs", {"SC_IID_FS", "WC_IID_FS"}),
+    ("identical", "stochastic", "0.05", "wc-identical-fs", {"SC_IID_FS", "WC_IID_FS"}),
+    ("heterogeneous", "stochastic", "0.05", "wc-heterogeneous", {"WC_HET_FS"}),
+]
+
+
+def _kv(lines, prefix=""):
+    out = {}
+    for line in lines:
+        if line.startswith(prefix) and " = " in line:
+            k, v = line[len(prefix):].split(" = ", 1)
+            out[k] = v
+    return out
+
+
+class TestBoundSelection:
+    """Pins which bounds `run` writes and the L each one records."""
+
+    @pytest.mark.parametrize("regime, mode, lam, gamma, expected", _SELECTION_CASES)
+    def test_verdict_files_and_L(self, tmp_path, regime, mode, lam, gamma, expected):
+        out = tmp_path / "out"
+        cfg = tmp_path / "sel.ini"
+        cfg.write_text(f"""
+[data]
+source = synthetic
+n = 60
+d = 3
+seed = 4
+label_noise = 0.3
+
+[problem]
+lambda = {lam}
+M = 2
+regime = {regime}
+
+[solver]
+tol = 1e-8
+
+[run]
+gradient_mode = {mode}
+noise_sigma = 0.5
+gamma = {gamma}
+H = 1,4
+T = 32
+seeds = 0:2
+
+[output]
+dir = {out}
+""")
+        assert run_cli(["run", "--config", str(cfg)]) == 0
+        written = {p.name for p in out.glob("bound_*_H*.verdict.txt")}
+        assert written == {f"bound_{tid}_H{H}.verdict.txt"
+                           for tid in expected for H in (1, 4)}
+        for H in (1, 4):
+            meta = _kv((out / f"run_H{H}.csv").read_text().splitlines(), "# ")
+            for tid in expected:
+                verdict = (out / f"bound_{tid}_H{H}.verdict.txt").read_text()
+                assert _kv(verdict.splitlines())["input.L"] == meta[_BOUND_L_KEY[tid]]
 
 
 class TestSolveRefCmd:

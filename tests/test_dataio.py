@@ -27,10 +27,10 @@ class TestParse:
     def test_basic_line(self):
         ds = parse_libsvm("+1 1:0.5 3:2.0\n")
         assert ds.n == 1 and ds.dim == 3
-        s = ds.sample(0)
-        assert s.label == 1.0
-        assert list(s.features.indices) == [0, 2]
-        assert list(s.features.values) == [0.5, 2.0]
+        row = ds.features[0]
+        assert ds.labels[0] == 1.0
+        assert list(row.indices) == [0, 2]
+        assert list(row.data) == [0.5, 2.0]
 
     def test_zero_one_labels(self):
         ds = parse_libsvm("0 2:1.0\n1 1:1.0\n")
@@ -48,7 +48,7 @@ class TestParse:
     def test_order_preserved(self):
         text = "".join(f"+1 1:{float(i)}\n" for i in range(1, 6))
         ds = parse_libsvm(text)
-        vals = [ds.sample(i).features.values[0] for i in range(5)]
+        vals = [ds.features[i].data[0] for i in range(5)]
         assert vals == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_malformed_line_reports_number(self):

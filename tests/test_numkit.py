@@ -1,106 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from localsgd.numkit import (
-    DimensionMismatchError,
-    RngStream,
-    SparseVector,
-    as_dense,
-    axpy,
-    densify,
-    dot,
-    draw_index,
-    draw_indices,
-)
-
-
-def sv(pairs, dim):
-    idx = np.array([i for i, _ in pairs], dtype=np.int64)
-    val = np.array([v for _, v in pairs], dtype=np.float64)
-    return SparseVector(idx, val, dim)
-
-
-class TestDot:
-    def test_empty_sparse(self):
-        assert dot(sv([], 3), as_dense([1.0, 2.0, 3.0])) == 0.0
-
-    def test_single_term(self):
-        assert dot(sv([(0, 2.0)], 2), as_dense([3.0, 5.0])) == 6.0
-
-    def test_hand_expansion(self):
-        # 1*1 + 2*2 against (9,1,9,2)
-        assert dot(sv([(1, 1.0), (3, 2.0)], 4), as_dense([9.0, 1.0, 9.0, 2.0])) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            dot(sv([(0, 1.0)], 2), as_dense([1.0, 2.0, 3.0]))
-
-    @given(st.lists(st.tuples(st.integers(0, 49),
-                              st.floats(-1e6, 1e6).filter(lambda v: v != 0.0)),
-                    max_size=20, unique_by=lambda p: p[0]),
-           st.integers(0, 2**32))
-    @settings(max_examples=100, deadline=None)
-    def test_sparse_dense_agreement(self, pairs, seed):
-        pairs = sorted(pairs)
-        a = sv(pairs, 50)
-        b = RngStream(seed=seed).generator().standard_normal(50)
-        assert dot(a, b) == float(np.dot(densify(a), b))
-
-
-class TestSparseVectorInvariants:
-    def test_rejects_nonincreasing_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([2, 1]), np.array([1.0, 1.0]), 5)
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([0]), np.array([0.0]), 2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(np.array([5]), np.array([1.0]), 5)
-
-
-class TestAxpy:
-    def test_alpha_zero_leaves_y(self):
-        y = as_dense([1.0, 2.0])
-        out = axpy(0.0, as_dense([5.0, 7.0]), y)
-        assert np.array_equal(out, y)
-
-    def test_alpha_one_doubles(self):
-        out = axpy(1.0, as_dense([1.0, 1.0]), as_dense([1.0, 1.0]))
-        assert np.array_equal(out, [2.0, 2.0])
-
-    def test_hand_arithmetic(self):
-        out = axpy(-0.5, as_dense([2.0, 4.0]), as_dense([1.0, 1.0]))
-        assert np.array_equal(out, [0.0, -1.0])
-
-    def test_inputs_unmodified(self):
-        x = as_dense([1.0, 2.0])
-        y = as_dense([3.0, 4.0])
-        axpy(2.0, x, y)
-        assert np.array_equal(x, [1.0, 2.0]) and np.array_equal(y, [3.0, 4.0])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            axpy(1.0, as_dense([1.0]), as_dense([1.0, 2.0]))
+from localsgd.numkit import RngStream, draw_indices
 
 
 class TestRngStream:
     def test_n_one_always_zero(self):
         rng = RngStream(seed=5)
-        assert all(draw_index(rng, 1) == 0 for _ in range(20))
+        assert all(draw_indices(rng, 1, 1)[0] == 0 for _ in range(20))
 
     def test_same_state_same_draw(self):
-        a = draw_index(RngStream(seed=9, stream_id=3, counter=17), 1000)
-        b = draw_index(RngStream(seed=9, stream_id=3, counter=17), 1000)
+        a = draw_indices(RngStream(seed=9, stream_id=3, counter=17), 1000, 1)[0]
+        b = draw_indices(RngStream(seed=9, stream_id=3, counter=17), 1000, 1)[0]
         assert a == b
 
     def test_counter_advances_by_draw_count(self):
         rng = RngStream(seed=1)
-        draw_index(rng, 10)
+        draw_indices(rng, 10, 1)
         assert rng.counter == 1
         draw_indices(rng, 10, (3, 4))
         assert rng.counter == 13
@@ -129,19 +45,9 @@ class TestRngStream:
 
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
-            draw_index(RngStream(seed=0), 0)
+            draw_indices(RngStream(seed=0), 0, 1)
 
     def test_generator_requires_block_alignment(self):
         rng = RngStream(seed=0, counter=2)
         with pytest.raises(ValueError):
             rng.generator()
-
-
-class TestAsDense:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            as_dense([1.0, float("nan")])
-
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            as_dense(np.zeros((2, 2)))

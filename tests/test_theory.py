@@ -7,11 +7,7 @@ from localsgd.simulator import AggregateTrace
 from localsgd.theory import (
     BoundInputs,
     PreconditionError,
-    bound_sc_identical_fs,
-    bound_sc_identical_ubv,
-    bound_wc_heterogeneous,
-    bound_wc_identical_fs,
-    bound_wc_identical_ubv,
+    bound,
     check_bound,
     check_grad_norm_bound,
     check_vt_bound,
@@ -33,32 +29,32 @@ class TestScIdenticalUbv:
         b = inputs()
         expected = 0.975**100 * 1.0 + 0.25 * 1.0 / (0.1 * 2) \
             + 2 * 1.0 * 0.25**2 * (4 - 1) * 1.0 / 0.1
-        assert bound_sc_identical_ubv(b).rhs_at(100) == pytest.approx(
+        assert bound("SC_IID_UBV", b).rhs_at(100) == pytest.approx(
             expected, rel=1e-12)
 
     def test_noise_free_h1_is_pure_contraction(self):
         b = inputs(H=1, sigma_sq=0.0)
-        curve = bound_sc_identical_ubv(b)
+        curve = bound("SC_IID_UBV", b)
         for t in (0, 1, 17, 100):
             assert curve.rhs_at(t) == pytest.approx(0.975**t, rel=1e-12)
 
     def test_floor_terms(self):
         # As t grows the contraction dies and only the floor remains.
         b = inputs(T=10_000_000)
-        curve = bound_sc_identical_ubv(b)
+        curve = bound("SC_IID_UBV", b)
         floor = 0.25 / (0.1 * 2) + 2 * 0.25**2 * 3 / 0.1
         assert curve.rhs_at(10_000_000) == pytest.approx(floor, rel=1e-9)
 
     def test_requires_mu_positive(self):
         with pytest.raises(PreconditionError, match="mu"):
-            bound_sc_identical_ubv(inputs(mu=0.0))
+            bound("SC_IID_UBV", inputs(mu=0.0))
 
     def test_rejects_large_gamma(self):
         with pytest.raises(PreconditionError, match="1/\\(4L\\)"):
-            bound_sc_identical_ubv(inputs(gamma=0.3))
+            bound("SC_IID_UBV", inputs(gamma=0.3))
 
     def test_planner_gamma_accepted_at_limit(self):
-        bound_sc_identical_ubv(inputs(gamma=1.0 / 4.0))
+        bound("SC_IID_UBV", inputs(gamma=1.0 / 4.0))
 
 
 class TestWcIdenticalUbv:
@@ -66,21 +62,21 @@ class TestWcIdenticalUbv:
         b = inputs(mu=None)
         expected = 2 * 1.0 / (0.25 * 100) + 2 * 0.25 * 1.0 / 2 \
             + 4 * 0.25**2 * 1.0 * 1.0 * 3
-        assert bound_wc_identical_ubv(b).final() == pytest.approx(expected, rel=1e-12)
+        assert bound("WC_IID_UBV", b).final() == pytest.approx(expected, rel=1e-12)
 
     def test_h1_sigma0(self):
         b = inputs(H=1, sigma_sq=0.0)
-        assert bound_wc_identical_ubv(b).final() == pytest.approx(
+        assert bound("WC_IID_UBV", b).final() == pytest.approx(
             2 / (0.25 * 100), rel=1e-12)
 
     def test_doubling_T_halves_only_first_term(self):
         b1 = inputs(sigma_sq=0.0)
         b2 = inputs(sigma_sq=0.0, T=200)
-        assert bound_wc_identical_ubv(b2).final() == pytest.approx(
-            bound_wc_identical_ubv(b1).final() / 2, rel=1e-12)
+        assert bound("WC_IID_UBV", b2).final() == pytest.approx(
+            bound("WC_IID_UBV", b1).final() / 2, rel=1e-12)
 
     def test_uses_tail_average(self):
-        assert bound_wc_identical_ubv(inputs()).convention == "tail"
+        assert bound("WC_IID_UBV", inputs()).convention == "tail"
 
 
 class TestScIdenticalFs:
@@ -90,23 +86,23 @@ class TestScIdenticalFs:
         t = 8
         expected = (1 - gamma * 0.1) ** t * 1.0 \
             + 2 * gamma * 0.5 / (0.1 * 2) + 4 * 0.5 * gamma**2 * 3 * 1.0 / 0.1
-        assert bound_sc_identical_fs(b).rhs_at(t) == pytest.approx(expected, rel=1e-12)
+        assert bound("SC_IID_FS", b).rhs_at(t) == pytest.approx(expected, rel=1e-12)
 
     def test_sync_only_flag(self):
         gamma = 1.0 / (0.1 + 8 * 3)
-        assert bound_sc_identical_fs(inputs(gamma=gamma)).sync_only
+        assert bound("SC_IID_FS", inputs(gamma=gamma)).sync_only
 
     def test_interpolation_pure_contraction(self):
         gamma = 1.0 / (0.1 + 8 * 3)
         b = inputs(gamma=gamma, sigma_opt_sq=0.0)
-        curve = bound_sc_identical_fs(b)
+        curve = bound("SC_IID_FS", b)
         assert curve.rhs_at(40) == pytest.approx((1 - gamma * 0.1) ** 40, rel=1e-12)
 
     def test_stepsize_pair_of_limits(self):
         # for H=1 the binding limit is 1/(4L(1+2/M))
         b = inputs(H=1, gamma=1.0 / (4 * (1 + 2 / 2)) + 1e-3)
         with pytest.raises(PreconditionError):
-            bound_sc_identical_fs(b)
+            bound("SC_IID_FS", b)
 
 
 class TestWcIdenticalFs:
@@ -115,16 +111,16 @@ class TestWcIdenticalFs:
         b = inputs(gamma=gamma, sigma_opt_sq=2.0)
         expected = 10 * 1.0 / (gamma * 100) + 20 * gamma * 2.0 / 2 \
             + 40 * gamma**2 * 1.0 * 2.0 * 3
-        assert bound_wc_identical_fs(b).final() == pytest.approx(expected, rel=1e-12)
+        assert bound("WC_IID_FS", b).final() == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_nodes(self):
         with pytest.raises(PreconditionError, match="M >= 2"):
-            bound_wc_identical_fs(inputs(M=1, gamma=0.01))
+            bound("WC_IID_FS", inputs(M=1, gamma=0.01))
 
     def test_sigma0(self):
         gamma = 1.0 / 40
         b = inputs(gamma=gamma, sigma_opt_sq=0.0)
-        assert bound_wc_identical_fs(b).final() == pytest.approx(
+        assert bound("WC_IID_FS", b).final() == pytest.approx(
             10 / (gamma * 100), rel=1e-12)
 
 
@@ -134,60 +130,59 @@ class TestWcHeterogeneous:
         b = inputs(gamma=gamma, sigma_dif_sq=0.7)
         expected = 4 * 1.0 / (gamma * 100) + 20 * gamma * 0.7 / 2 \
             + 16 * gamma**2 * 1.0 * 9 * 0.7
-        assert bound_wc_heterogeneous(b).final() == pytest.approx(expected, rel=1e-12)
+        assert bound("WC_HET_FS", b).final() == pytest.approx(expected, rel=1e-12)
 
     def test_interpolation_any_H_converges(self):
         # sigma_dif = 0 keeps only 4 r0^2/(gamma T) for any admissible H.
         for H, T in ((1, 64), (64, 64)):
             gamma = 1.0 / 4.0 if H == 1 else 1.0 / (8 * (H - 1))
             b = inputs(H=H, T=T, gamma=gamma, sigma_dif_sq=0.0)
-            assert bound_wc_heterogeneous(b).final() == pytest.approx(
+            assert bound("WC_HET_FS", b).final() == pytest.approx(
                 4 / (gamma * T), rel=1e-12)
 
     def test_h1_drops_quadratic_term(self):
         b = inputs(H=1, gamma=0.25, sigma_dif_sq=0.7)
         expected = 4 / (0.25 * 100) + 20 * 0.25 * 0.7 / 2
-        assert bound_wc_heterogeneous(b).final() == pytest.approx(expected, rel=1e-12)
+        assert bound("WC_HET_FS", b).final() == pytest.approx(expected, rel=1e-12)
 
     def test_h1_accepts_quarter_L(self):
-        bound_wc_heterogeneous(inputs(H=1, gamma=0.25))
+        bound("WC_HET_FS", inputs(H=1, gamma=0.25))
 
     def test_uses_head_average(self):
         b = inputs(H=1, gamma=0.25)
-        assert bound_wc_heterogeneous(b).convention == "head"
+        assert bound("WC_HET_FS", b).convention == "head"
 
     def test_stepsize_reading(self):
         with pytest.raises(PreconditionError):
-            bound_wc_heterogeneous(inputs(H=4, gamma=1.0 / (8 * 2)))
+            bound("WC_HET_FS", inputs(H=4, gamma=1.0 / (8 * 2)))
 
 
 class TestMonotonicity:
     def test_rhs_monotone_in_H_sigma_r0(self):
         gamma = 1e-3
-        for fn, sig in ((bound_sc_identical_ubv, "sigma_sq"),
-                        (bound_wc_identical_ubv, "sigma_sq"),
-                        (bound_sc_identical_fs, "sigma_opt_sq"),
-                        (bound_wc_identical_fs, "sigma_opt_sq"),
-                        (bound_wc_heterogeneous, "sigma_dif_sq")):
+        for tid, sig in (("SC_IID_UBV", "sigma_sq"),
+                         ("WC_IID_UBV", "sigma_sq"),
+                         ("SC_IID_FS", "sigma_opt_sq"),
+                         ("WC_IID_FS", "sigma_opt_sq"),
+                         ("WC_HET_FS", "sigma_dif_sq")):
             prev = None
             for H in (1, 2, 4, 8):
                 b = inputs(gamma=gamma, H=H, M=4)
-                val = fn(b).final()
+                val = bound(tid, b).final()
                 if prev is not None:
                     assert val >= prev
                 prev = val
-            lo = fn(inputs(gamma=gamma, M=4, **{sig: 0.5})).final()
-            hi = fn(inputs(gamma=gamma, M=4, **{sig: 2.0})).final()
+            lo = bound(tid, inputs(gamma=gamma, M=4, **{sig: 0.5})).final()
+            hi = bound(tid, inputs(gamma=gamma, M=4, **{sig: 2.0})).final()
             assert hi >= lo
-            lo = fn(inputs(gamma=gamma, M=4, r0_sq=0.5)).final()
-            hi = fn(inputs(gamma=gamma, M=4, r0_sq=2.0)).final()
+            lo = bound(tid, inputs(gamma=gamma, M=4, r0_sq=0.5)).final()
+            hi = bound(tid, inputs(gamma=gamma, M=4, r0_sq=2.0)).final()
             assert hi >= lo
 
     def test_wc_first_term_decreases_in_T(self):
         gamma = 1e-3
-        for fn in (bound_wc_identical_ubv, bound_wc_identical_fs,
-                   bound_wc_heterogeneous):
-            vals = [fn(inputs(gamma=gamma, M=4, sigma_sq=0.0, sigma_opt_sq=0.0,
+        for tid in ("WC_IID_UBV", "WC_IID_FS", "WC_HET_FS"):
+            vals = [bound(tid, inputs(gamma=gamma, M=4, sigma_sq=0.0, sigma_opt_sq=0.0,
                               sigma_dif_sq=0.0, T=T)).final()
                     for T in (100, 1000, 10000)]
             assert vals[0] > vals[1] > vals[2]
@@ -273,7 +268,7 @@ def fake_agg(t, synced, dist_mean, dist_se, subopt_bar=(0.0, 0.0),
 class TestCheckBound:
     def test_distance_bound_holds_with_se_slack(self):
         b = inputs(T=4, H=1, sigma_sq=0.0)
-        curve = bound_sc_identical_ubv(b)
+        curve = bound("SC_IID_UBV", b)
         rhs = [curve.rhs_at(t) for t in range(5)]
         # empirical mean sits above the RHS by less than 3 SE: still holds
         agg = fake_agg(range(5), [False] + [True] * 4,
@@ -283,7 +278,7 @@ class TestCheckBound:
 
     def test_distance_bound_fails_beyond_se(self):
         b = inputs(T=4, H=1, sigma_sq=0.0)
-        curve = bound_sc_identical_ubv(b)
+        curve = bound("SC_IID_UBV", b)
         rhs = [curve.rhs_at(t) for t in range(5)]
         agg = fake_agg(range(5), [False] + [True] * 4,
                        [r + 0.05 for r in rhs], [0.01] * 5)
@@ -293,7 +288,7 @@ class TestCheckBound:
     def test_sync_only_compares_sync_steps(self):
         gamma = 1.0 / (0.1 + 8 * 1.0)
         b = inputs(T=4, H=2, gamma=gamma)
-        curve = bound_sc_identical_fs(b)
+        curve = bound("SC_IID_FS", b)
         # huge dist at a non-sync step must not be compared
         agg = fake_agg([0, 1, 2, 3, 4], [False, False, True, False, True],
                        [0.5, 100.0, 0.5, 100.0, 0.5], [0.0] * 5)
@@ -303,7 +298,7 @@ class TestCheckBound:
     def test_subopt_bound_at_T_with_convention(self):
         gamma = 0.25
         b = inputs(H=1, gamma=gamma, sigma_dif_sq=0.0, T=100)
-        curve = bound_wc_heterogeneous(b)
+        curve = bound("WC_HET_FS", b)
         limit = 4 / (gamma * 100)
         agg = fake_agg([0, 100], [False, True], [0.0, 0.0], [0.0, 0.0],
                        subopt_bar=(limit * 2, 0.0), head=(limit * 0.5, 0.0))
@@ -312,7 +307,7 @@ class TestCheckBound:
 
     def test_requires_matching_T(self):
         b = inputs(T=50, H=1, sigma_sq=0.0)
-        curve = bound_sc_identical_ubv(b)
+        curve = bound("SC_IID_UBV", b)
         agg = fake_agg([0, 100], [False, True], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="T="):
             check_bound(curve, agg)
@@ -320,12 +315,12 @@ class TestCheckBound:
     def test_checker_refuses_precondition_violation(self):
         # gamma = 1/L with large H: construction refuses, no verdict exists.
         with pytest.raises(PreconditionError):
-            bound_sc_identical_ubv(inputs(gamma=1.0, H=64))
+            bound("SC_IID_UBV", inputs(gamma=1.0, H=64))
 
     def test_wc_requires_sync_at_T(self):
         gamma = 1.0 / 40
         b = inputs(gamma=gamma, sigma_opt_sq=1.0, T=100, H=4)
-        curve = bound_wc_identical_fs(b)
+        curve = bound("WC_IID_FS", b)
         agg = fake_agg([0, 100], [False, False], [0.0, 0.0], [0.0, 0.0])
         with pytest.raises(ValueError, match="synchronization"):
             check_bound(curve, agg)
