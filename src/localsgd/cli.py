@@ -91,10 +91,12 @@ def _parse_gamma(spec: str) -> str:
     spec = spec.strip()
     if spec not in theory.GAMMA_RULES:
         try:
-            float(spec[:-2] if spec.endswith("/L") else spec)
+            value = float(spec[:-2] if spec.endswith("/L") else spec)
         except ValueError:
             raise ValueError(f"expected a float, 'c/L' or a planner rule "
                              f"{theory.GAMMA_RULES}, got {spec!r}") from None
+        if not value >= 0:
+            raise ValueError(f"the stepsize must be nonnegative, got {spec!r}")
     return spec
 
 
@@ -154,6 +156,13 @@ class ExperimentConfig:
     out_dir: str = _key("output", "dir", str, "out", "--out-dir")
 
 
+def _invalid(name: str, why: str) -> ConfigError:
+    """A ConfigError naming the INI key, and the flag, of field `name`."""
+    meta = ExperimentConfig.__dataclass_fields__[name].metadata
+    flag = f" ({meta['flag']})" if meta["flag"] else ""
+    return ConfigError(f"[{meta['section']}] {meta['key']}{flag}: {why}")
+
+
 def _set(cfg: ExperimentConfig, f, raw: str, where: str) -> None:
     try:
         setattr(cfg, f.name, f.metadata["parse"](raw))
@@ -194,9 +203,18 @@ def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
     return dataio.load_dataset(entries[cfg.source], data_dir)
 
 
+def _partition(ds: dataio.Dataset, M: int, regime: Regime,
+               name: str) -> dataio.Partition:
+    """dataio.partition; a split it refuses is a ConfigError on field `name`."""
+    try:
+        return dataio.partition(ds, M, regime)
+    except ValueError as e:
+        raise _invalid(name, str(e)) from None
+
+
 def resolve_problem(cfg: ExperimentConfig) -> Problem:
     ds = resolve_dataset(cfg)
-    return build_problem(ds, dataio.partition(ds, cfg.M, cfg.regime), lam=cfg.lam)
+    return build_problem(ds, _partition(ds, cfg.M, cfg.regime, "M"), lam=cfg.lam)
 
 
 def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
@@ -210,14 +228,24 @@ def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
 
 
 def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
+    """The schedule of the H-run; a malformed one, or one that does not end
+    at T, is a ConfigError on the schedule key."""
     spec = spec.strip()
-    if spec == "uniform":
-        return SyncSchedule.uniform(H, T)
-    if spec == "one-shot":
-        return SyncSchedule.one_shot(T)
-    if spec.startswith("explicit:"):
-        return SyncSchedule.from_steps(_list_of(int)(spec.split(":", 1)[1]))
-    raise ConfigError(f"unknown schedule spec {spec!r}")
+    try:
+        if spec == "uniform":
+            schedule = SyncSchedule.uniform(H, T)
+        elif spec == "one-shot":
+            schedule = SyncSchedule.one_shot(T)
+        elif spec.startswith("explicit:"):
+            schedule = SyncSchedule.from_steps(_list_of(int)(spec.split(":", 1)[1]))
+        else:
+            raise ValueError(f"unknown schedule spec {spec!r}")
+    except ValueError as e:
+        raise _invalid("schedule_spec", str(e)) from None
+    if schedule.final != T:
+        raise _invalid("schedule_spec",
+                       f"schedule ends at {schedule.final}, run length T is {T}")
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +260,8 @@ def cmd_variances(args) -> int:
     out_path = os.path.join(cfg.out_dir, "variances.csv")
     rows = []
     for M in cfg.var_M_list:
-        p = build_problem(ds, dataio.partition(ds, M, Regime.HETEROGENEOUS), lam=cfg.lam)
+        part = _partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
+        p = build_problem(ds, part, lam=cfg.lam)
         ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
         for batch_spec in cfg.var_batch_list:
             exhaustive = batch_spec == "full"
@@ -250,8 +279,13 @@ def cmd_variances(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    # Check the whole configuration before the first solve.
+    schedules = [resolve_schedule(cfg.schedule_spec, H, cfg.T) for H in cfg.H_list]
+    if (cfg.gradient_mode == GradientMode.INJECTED_NOISE
+            and not (cfg.noise_sigma or 0.0) > 0.0):
+        raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     p = resolve_problem(cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
     r0_sq = float(np.sum(ref.x_star**2))
     var_report = measure_variances(p, ref, batch=cfg.batch)
@@ -262,8 +296,7 @@ def cmd_run(args) -> int:
 
     summary = []
     any_failed = False
-    for H in cfg.H_list:
-        schedule = resolve_schedule(cfg.schedule_spec, H, cfg.T)
+    for schedule in schedules:
         gamma = resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, schedule.H)
         run_cfg = RunConfig(M=cfg.M, T=cfg.T, schedule=schedule, gamma=gamma,
                             regime=cfg.regime, gradient_mode=cfg.gradient_mode,

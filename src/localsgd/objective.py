@@ -39,6 +39,9 @@ class Problem:
     L_component: float
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
+    # Each node's CSR rows, sliced once; a node that owns the whole dataset
+    # (identical regime) shares the dataset's matrix instead of a copy.
+    node_rows: tuple = field(repr=False)
     # Dense copy of the rows when the stored matrix is mostly dense anyway
     # (synthetic data); genuinely sparse datasets keep None and all products
     # go through CSR.
@@ -140,6 +143,8 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
+        node_rows=tuple(A if (start, stop) == (0, dataset.n) else A[start:stop]
+                        for start, stop in part.node_ranges),
         dense_rows=dense,
     )
 
@@ -153,22 +158,37 @@ def _check_dim(p: Problem, x: np.ndarray) -> None:
         raise DimensionMismatchError(f"x has dim {x.shape[-1]}, problem has {p.dim}")
 
 
-def _log1p_exp_neg(t: np.ndarray) -> np.ndarray:
-    """log(1 + exp(-t)) as log1p(exp(-t)) for t >= 0 and -t + log1p(exp(t))
-    for t < 0; never overflows and is bit-stable."""
-    out = np.log1p(np.exp(-np.abs(t)))
-    np.add(out, np.maximum(-t, 0.0), out=out)
-    return out
+# Elements per pass of the pointwise loss chain: a chunk and its scratch stay
+# in cache, where whole-matrix temporaries would each stream through memory.
+_LOSS_CHUNK = 1 << 15
 
 
 def loss_many(p: Problem, X: np.ndarray) -> np.ndarray:
-    """f evaluated at each row of X, shape (k, d) -> (k,)."""
+    """f evaluated at each row of X, shape (k, d) -> (k,).
+
+    The per-sample loss log(1 + exp(-t)), t = y a.x, is evaluated in place
+    in the one (n, k) margin matrix as log1p(exp(-|t|)) - min(t, 0), which
+    never overflows. The pointwise passes run on contiguous row chunks; the
+    two matrix products are never split, so every value is independent of
+    the chunk size.
+    """
     _check_dim(p, X)
     X2 = np.atleast_2d(X)
     U = p.margins(X2)  # (n, k) margins a_i . x
-    per_sample = _log1p_exp_neg(p.dataset.labels[:, None] * U)
-    vals = p.weights @ per_sample + 0.5 * p.lam * np.einsum("kd,kd->k", X2, X2)
-    return vals
+    y = p.dataset.labels[:, None]
+    rows = max(1, _LOSS_CHUNK // U.shape[1])
+    scratch = np.empty((min(rows, U.shape[0]), U.shape[1]))
+    for start in range(0, U.shape[0], rows):
+        t = U[start:start + rows]
+        e = scratch[:t.shape[0]]
+        np.multiply(y[start:start + rows], t, out=t)
+        np.abs(t, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=e)
+        np.minimum(t, 0.0, out=t)
+        np.subtract(e, t, out=t)
+    return p.weights @ U + 0.5 * p.lam * np.einsum("kd,kd->k", X2, X2)
 
 
 def loss(p: Problem, x: np.ndarray) -> float:
@@ -180,7 +200,7 @@ def full_grad(p: Problem, node: int, x: np.ndarray) -> np.ndarray:
     """Exact gradient of f_node: average over the node's samples plus lam*x."""
     _check_dim(p, x)
     start, stop = p.node_range(node)
-    A = p.dataset.features[start:stop]
+    A = p.node_rows[node]
     y = p.dataset.labels[start:stop]
     t = A @ x
     coeff = -y * expit(-y * t) / (stop - start)

@@ -165,18 +165,21 @@ def compute_Vt(iterates) -> float:
     return float(np.mean(np.sum((X - xhat) ** 2, axis=1)))
 
 
-def _mean_nodes(X: np.ndarray) -> np.ndarray:
-    """Node average per seed; exact when a seed's nodes are bitwise equal."""
+def _nodes_equal(X: np.ndarray) -> np.ndarray:
+    """Per seed of a (S, M, d) stack: are all its node iterates bitwise equal?"""
+    return np.all(X == X[:, :1, :], axis=(1, 2))
+
+
+def _mean_nodes(X: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    """Node average per seed; exact where `eq` (_nodes_equal of X) holds."""
     xhat = X.mean(axis=1)
-    eq = np.all(X == X[:, :1, :], axis=(1, 2))
     if np.any(eq):
         xhat[eq] = X[eq, 0, :]
     return xhat
 
 
-def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+def _vt_batch(X: np.ndarray, xhat: np.ndarray, eq: np.ndarray) -> np.ndarray:
     V = np.mean(np.sum((X - xhat[:, None, :]) ** 2, axis=2), axis=1)
-    eq = np.all(X == X[:, :1, :], axis=(1, 2))
     V[eq] = 0.0
     return V
 
@@ -242,10 +245,9 @@ class _GradientEngine:
         self.noise_buf = buf
         self.noise_pos = 0
 
-    def _full_grads(self, Xn: np.ndarray) -> np.ndarray:
+    def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
         y = self.p.dataset.labels
-        if (self.p.part.regime == Regime.IDENTICAL
-                and np.all(Xn == Xn[:, :1, :])):
+        if self.p.part.regime == Regime.IDENTICAL and np.all(eq):
             # Nodes coincide and share f: one gradient per seed suffices.
             Xf = Xn[:, 0, :]
             U = self.p.margins(Xf)  # (n, S)
@@ -277,11 +279,12 @@ class _GradientEngine:
         G = (self.group_sum @ A_sel.multiply(c[:, None])).toarray()
         return G.reshape(self.S, self.M, self.d) + p.lam * Xn
 
-    def gradients(self, Xn: np.ndarray, t: int) -> np.ndarray:
+    def gradients(self, Xn: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
+        """Gradients at the (S, M, d) stack Xn; `eq` is _nodes_equal(Xn)."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
             return self._stochastic_grads(Xn, t)
-        G = self._full_grads(Xn)
+        G = self._full_grads(Xn, eq)
         if mode == GradientMode.INJECTED_NOISE:
             if self.noise_buf is None or self.noise_pos >= self.noise_buf.shape[2]:
                 self._refill_noise(self.cfg.T - t)
@@ -469,7 +472,13 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     R = len(grid)
 
     X = np.tile(x0, (S, M, 1))
-    xhat = _mean_nodes(X)
+    # Which seeds' nodes coincide in X: computed once per step, read by the
+    # averaging, V_t and the exact-gradient shortcut. Rows repeated from one
+    # average coincide by construction (a non-finite average stops the run at
+    # the divergence check before the mask is read).
+    eq = _nodes_equal(X)
+    all_equal = np.ones(S, dtype=bool)
+    xhat = _mean_nodes(X, eq)
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
     bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
 
@@ -496,7 +505,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         r = row_of.get(t)
         if r is None:
             return None
-        V[r] = _vt_batch(X, xhat)
+        V[r] = _vt_batch(X, xhat, eq)
         diff = xhat - ref.x_star
         dist[r] = np.sum(diff * diff, axis=1)
         pending.append((r, xhat))
@@ -508,7 +517,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
 
     for t in range(T):
         r = record_state(t)
-        G = grad_engine.gradients(X, t)
+        G = grad_engine.gradients(X, t, eq)
         if r is not None:
             g_mean = G.mean(axis=1)
             gradsq[r] = np.sum(g_mean * g_mean, axis=1)
@@ -516,13 +525,14 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         if minibatch:
             xhat = xhat - gamma * G.mean(axis=1)
             X = np.repeat(xhat[:, None, :], M, axis=1)
+            eq = all_equal
         else:
             X = X - gamma * G
+            eq = _nodes_equal(X)
+            xhat = _mean_nodes(X, eq)
             if (t + 1) in sync_set and not _disable_averaging:
-                xhat = _mean_nodes(X)
                 X = np.repeat(xhat[:, None, :], M, axis=1)
-            else:
-                xhat = _mean_nodes(X)
+                eq = all_equal
         bar_tail_sum += xhat
         _check_divergence(X, t + 1, seeds)
     record_state(T)

@@ -190,8 +190,10 @@ _TABLE = (
     Theorem(
         id="WC_HET_FS", rule="wc-heterogeneous", metric="subopt",
         sync_only=True, convention="head", regime=Regime.HETEROGENEOUS,
-        modes=tuple(GradientMode), needs_mu=False, component_L=True,
-        sigma="sigma_dif_sq", limit=_HET_LIMIT,
+        # Finite-sum noise only: injected Gaussian noise is not what
+        # sigma_dif_sq measures.
+        modes=(GradientMode.STOCHASTIC, GradientMode.FULL), needs_mu=False,
+        component_L=True, sigma="sigma_dif_sq", limit=_HET_LIMIT,
         rhs=lambda b, t: (4.0 * b.r0_sq / (b.gamma * b.T)
                           + 20.0 * b.gamma * b.sigma_dif_sq / b.M
                           + 16.0 * b.gamma**2 * b.L * (b.H - 1) ** 2 * b.sigma_dif_sq),

@@ -150,6 +150,22 @@ dir = {tmp_path / 'out'}
             run_cli(["run", "--config", self._config(tmp_path), "--n", "200"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--schedule", "explicit:5,10"], "[run] schedule (--schedule)"),
+        (["--schedule", "explicit:10,5"], "[run] schedule (--schedule)"),
+        (["--gradient-mode", "injected-noise"], "[run] noise_sigma (--noise-sigma)"),
+        (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
+        (["--gamma", "-0.1"], "--gamma"),
+    ])
+    def test_bad_run_config_names_its_key(self, tmp_path, capsys, flags, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[data]\nn = 50\nd = 3\n[run]\nT = 20\nH = 1\nseeds = 0:2\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli(["run", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not (tmp_path / "out").exists()  # refused before any output
+
     def test_missing_config_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent.ini"]) == 2
 
@@ -177,8 +193,9 @@ _SELECTION_CASES = [
     ("heterogeneous", "stochastic", "0", "0.001", {"WC_HET_FS"}),
     ("heterogeneous", "full", "0.05", "0.001", {"WC_HET_FS"}),
     ("heterogeneous", "full", "0", "0.001", {"WC_HET_FS"}),
-    ("heterogeneous", "injected-noise", "0.05", "0.001", {"WC_HET_FS"}),
-    ("heterogeneous", "injected-noise", "0", "0.001", {"WC_HET_FS"}),
+    # WC_HET_FS is a finite-sum statement; injected Gaussian noise is not
+    ("heterogeneous", "injected-noise", "0.05", "0.001", set()),
+    ("heterogeneous", "injected-noise", "0", "0.001", set()),
     # every planner rule, in the setting of the statement it comes from
     ("identical", "injected-noise", "0.05", "sc-identical-ubv",
      {"SC_IID_UBV", "WC_IID_UBV"}),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from localsgd.dataio import Dataset, Regime, generate_synthetic, parse_libsvm, partition
+from localsgd import objective
 from localsgd.numkit import RngStream
 from localsgd.objective import (
     ConvergenceError,
@@ -31,6 +33,30 @@ def dataset_from_rows(rows, labels, name="manual"):
     mat = sp.csr_matrix(np.asarray(rows, dtype=np.float64))
     return Dataset(features=mat, labels=np.asarray(labels, dtype=np.float64),
                    dim=mat.shape[1], name=name)
+
+
+def loss_many_oracle(p, X):
+    """The loss formula as whole-matrix expressions, one temporary per step:
+    log(1 + exp(-t)) = log1p(exp(-|t|)) + max(-t, 0) with t = y a.x."""
+    X2 = np.atleast_2d(X)
+    t = p.dataset.labels[:, None] * p.margins(X2)
+    per_sample = np.log1p(np.exp(-np.abs(t)))
+    np.add(per_sample, np.maximum(-t, 0.0), out=per_sample)
+    return p.weights @ per_sample + 0.5 * p.lam * np.einsum("kd,kd->k", X2, X2)
+
+
+def sparse_problem(n, d=40, density=0.1, seed=8):
+    gen = RngStream(seed=seed).generator()
+    mat = sp.random(n, d, density=density, format="csr", random_state=gen,
+                    data_rvs=gen.standard_normal)
+    ds = Dataset(features=mat, labels=np.where(gen.random(n) < 0.5, -1.0, 1.0),
+                 dim=d, name="sparse")
+    return build_problem(ds, partition(ds, 3, Regime.HETEROGENEOUS), lam=0.01)
+
+
+# Point scales giving margins of 0, about +-1e-3, and about +-800, where
+# exp(-|t|) underflows to 0.
+_SCALES = np.array([0.0, 1e-3, -1e-3, 1.0, 800.0, -800.0])
 
 
 class TestLoss:
@@ -64,6 +90,34 @@ class TestLoss:
         many = loss_many(p, X)
         each = [loss(p, X[i]) for i in range(5)]
         assert np.allclose(many, each, rtol=1e-15)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("k, n", [
+        (1, 997), (2, 997), (65, 997),
+        (objective._LOSS_CHUNK - 1, 13), (objective._LOSS_CHUNK + 1, 13),
+    ])
+    @pytest.mark.parametrize("chunk", [objective._LOSS_CHUNK, 64, 1000])
+    def test_loss_many_is_bitwise_the_formula(self, monkeypatch, storage, k, n, chunk):
+        # n is prime, so unless chunks are single rows the last one is short.
+        monkeypatch.setattr(objective, "_LOSS_CHUNK", chunk)
+        p = small_problem(n=n, d=6, M=1) if storage == "dense" else sparse_problem(n)
+        assert (p.dense_rows is not None) == (storage == "dense")  # the product path
+        gen = RngStream(seed=9).generator()
+        X = gen.standard_normal((k, p.dim)) / math.sqrt(p.dim)
+        X *= np.resize(_SCALES, k)[:, None]
+        assert np.array_equal(loss_many(p, X), loss_many_oracle(p, X))
+
+    def test_loss_many_works_in_one_margin_matrix(self):
+        n, k = 2000, 3200
+        p = small_problem(n=n, d=5, M=1)
+        X = RngStream(seed=10).generator().standard_normal((k, p.dim))
+        tracemalloc.start()
+        try:
+            loss_many(p, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * k * 8
 
 
 class TestGradients:
