@@ -25,7 +25,6 @@ from .objective import (
     loss,
     measure_variances,
     solve_reference,
-    stochastic_grad,
 )
 from .simulator import (
     AggregateTrace,
@@ -34,7 +33,6 @@ from .simulator import (
     RunConfig,
     SyncSchedule,
     Trace,
-    compute_Vt,
     run_local_sgd,
     run_minibatch_sgd,
     run_replicated,

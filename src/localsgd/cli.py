@@ -14,11 +14,16 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import dataio, theory, verify
 from .dataio import Regime
-from .objective import Problem, build_problem, measure_variances, solve_reference
+from .objective import (
+    ConvergenceError,
+    Problem,
+    ReferenceSolution,
+    build_problem,
+    measure_variances,
+    solve_reference,
+)
 from .simulator import (
     DivergenceError,
     GradientMode,
@@ -177,6 +182,16 @@ def load_config(path: str | None) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if not parser.read(path):
         raise ConfigError(f"config file not found: {path}")
+    # configparser lowercases keys, and would copy [DEFAULT] into every section.
+    known = {(f.metadata["section"], f.metadata["key"].lower()) for f in fields(cfg)}
+    if parser.defaults():
+        raise ConfigError(f"[{parser.default_section}]: unknown section")
+    for section in parser.sections():
+        if section not in {s for s, _ in known}:
+            raise ConfigError(f"[{section}]: unknown section")
+        unknown = [k for k in parser.options(section) if (section, k) not in known]
+        if unknown:
+            raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
     for f in fields(cfg):
         section, key = f.metadata["section"], f.metadata["key"]
         if parser.has_option(section, key):
@@ -219,9 +234,12 @@ def resolve_problem(cfg: ExperimentConfig) -> Problem:
 
 def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
     """Stepsize spec: absolute float, 'c/L' multiples of the estimated L, or
-    a planner rule name."""
+    a planner rule name; a planner that refuses is a ConfigError on gamma."""
     if spec in theory.GAMMA_RULES:
-        return theory.planned_gamma(spec, p, M=M, T=T, H=H)
+        try:
+            return theory.planned_gamma(spec, p, M=M, T=T, H=H)
+        except theory.PreconditionError as e:
+            raise _invalid("gamma_spec", str(e)) from None
     if spec.endswith("/L"):
         return float(spec[:-2]) / p.L
     return float(spec)
@@ -248,6 +266,15 @@ def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
     return schedule
 
 
+def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
+    """solve_reference; a solve that hits its iteration cap is a ConfigError
+    on tol."""
+    try:
+        return solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
+    except ConvergenceError as e:
+        raise _invalid("tol", str(e)) from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -262,7 +289,7 @@ def cmd_variances(args) -> int:
     for M in cfg.var_M_list:
         part = _partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
         p = build_problem(ds, part, lam=cfg.lam)
-        ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
+        ref = resolve_reference(p, cfg)
         for batch_spec in cfg.var_batch_list:
             exhaustive = batch_spec == "full"
             batch = 1 if exhaustive else int(batch_spec)
@@ -285,9 +312,9 @@ def cmd_run(args) -> int:
             and not (cfg.noise_sigma or 0.0) > 0.0):
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     p = resolve_problem(cfg)
+    gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
     os.makedirs(cfg.out_dir, exist_ok=True)
-    ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
-    r0_sq = float(np.sum(ref.x_star**2))
+    ref = resolve_reference(p, cfg)
     var_report = measure_variances(p, ref, batch=cfg.batch)
     with open(os.path.join(cfg.out_dir, "variances.txt"), "w") as f:
         f.write(var_report.to_kv_text())
@@ -296,8 +323,7 @@ def cmd_run(args) -> int:
 
     summary = []
     any_failed = False
-    for schedule in schedules:
-        gamma = resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, schedule.H)
+    for schedule, gamma in zip(schedules, gammas):
         run_cfg = RunConfig(M=cfg.M, T=cfg.T, schedule=schedule, gamma=gamma,
                             regime=cfg.regime, gradient_mode=cfg.gradient_mode,
                             seed=cfg.seeds[0], batch=cfg.batch,
@@ -321,7 +347,7 @@ def cmd_run(args) -> int:
         with open(os.path.join(cfg.out_dir, f"run_{tag}.csv"), "w") as f:
             trace.to_csv(f)
         comm = trace.comm_rounds
-        verdicts = (_emit_bounds(cfg, p, run_cfg, r0_sq, var_report, trace, tag)
+        verdicts = (_emit_bounds(cfg, p, run_cfg, ref, var_report, trace, tag)
                     if len(cfg.seeds) >= 2 else [])
         holds = all(v.holds for _, v in verdicts) if verdicts else None
         if holds is False:
@@ -350,9 +376,12 @@ def _sigma_metadata(vr) -> dict:
     }
 
 
-def _emit_bounds(cfg, p, run_cfg, r0_sq, var_report, agg, tag) -> list:
+def _emit_bounds(cfg, p, run_cfg, ref, var_report, agg, tag) -> list:
+    curves, skipped = theory.applicable_bounds(p, run_cfg, ref, var_report)
+    for theorem_id, why in skipped:
+        print(f"H={run_cfg.schedule.H}: {theorem_id} not checked: {why}")
     verdicts = []
-    for curve in theory.applicable_bounds(p, run_cfg, r0_sq, var_report):
+    for curve in curves:
         v = theory.check_bound(curve, agg)
         verdicts.append((curve, v))
         base = os.path.join(cfg.out_dir, f"bound_{curve.theorem_id}_{tag}")
@@ -382,7 +411,7 @@ def cmd_solve_ref(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     p = resolve_problem(cfg)
-    ref = solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
+    ref = resolve_reference(p, cfg)
     out = args.out or os.path.join(cfg.out_dir, "reference.txt")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w") as f:

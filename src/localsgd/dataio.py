@@ -257,7 +257,7 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
-                       sort_by_label: bool = False, scale: float = 1.0,
+                       sort_by_label: bool = False,
                        name: str | None = None) -> Dataset:
     """Seeded synthetic classification data: Gaussian features, planted separator.
 
@@ -268,7 +268,7 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
     if n <= 0 or d <= 0:
         raise ValueError("n and d must be positive")
     gen = RngStream(seed=seed, stream_id=0).generator()
-    feats = gen.standard_normal((n, d)) * scale
+    feats = gen.standard_normal((n, d))
     separator = gen.standard_normal(d)
     labels = np.where(feats @ separator >= 0.0, 1.0, -1.0)
     if label_noise > 0.0:

@@ -1,19 +1,19 @@
 """The l2-regularized logistic regression problem and its measured constants.
 
-Covers losses, per-node stochastic and exact gradients, the smoothness and
-strong-convexity constants, the deterministic reference optimum, and the
-variance quantities evaluated exactly at that optimum.
+Covers losses, exact per-node gradients, the smoothness and strong-convexity
+constants, the deterministic reference optimum, and the variance quantities
+evaluated exactly at that optimum.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 from scipy.special import expit
 
 from .dataio import Dataset, Partition, Regime
-from .numkit import DimensionMismatchError, RngStream, draw_indices
+from .numkit import DimensionMismatchError, RngStream
 
 
 class ConvergenceError(RuntimeError):
@@ -217,30 +217,6 @@ def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:
     return acc / p.M
 
 
-def stochastic_grad(p: Problem, node: int, x: np.ndarray, rng: RngStream,
-                    batch: int = 1, *, exhaustive: bool = False) -> np.ndarray:
-    """Average of `batch` component gradients sampled uniformly with
-    replacement from the node's range; unbiased for grad f_node(x).
-
-    `exhaustive` replaces sampling with a full sweep over the node's samples,
-    which equals full_grad exactly.
-    """
-    if exhaustive:
-        return full_grad(p, node, x)
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    _check_dim(p, x)
-    start, stop = p.node_range(node)
-    if stop <= start:
-        raise ValueError(f"node {node} has an empty sample range")
-    idx = start + draw_indices(rng, stop - start, batch)
-    A = p.dataset.features[idx]
-    y = p.dataset.labels[idx]
-    t = A @ x
-    coeff = -y * expit(-y * t) / batch
-    return A.T @ coeff + p.lam * x
-
-
 # ---------------------------------------------------------------------------
 # Reference optimum
 # ---------------------------------------------------------------------------
@@ -390,29 +366,16 @@ def _range_grad_stats(p: Problem, x: np.ndarray, start: int, stop: int,
     return mean_q, float(mean_grad @ mean_grad)
 
 
-def expected_stochastic_grad_sq(p: Problem, node: int, x: np.ndarray,
-                                batch: int = 1) -> float:
-    """Exact E||g||^2 for a batch-average stochastic gradient of f_node at x.
-
-    Only the variance part shrinks with the batch:
-    E||g||^2 = ||grad f_node(x)||^2 + (E||grad h(x,z)||^2 - ||grad f_node(x)||^2)/batch.
-    """
-    start, stop = p.node_range(node)
-    mean_q, g_sq = _range_grad_stats(p, x, start, stop, node)
-    return g_sq + (mean_q - g_sq) / batch
-
-
 def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
-                      exhaustive: bool = False,
-                      probes: Sequence[np.ndarray] | None = None) -> VarianceReport:
+                      exhaustive: bool = False) -> VarianceReport:
     """Enumerate the sigma quantities at x* exactly.
 
     sigma_opt_sq uses h = f with uniform draws over the full dataset (it does
     not depend on M); sigma_dif_sq uses h = f_m over each node's own range.
     The variance part divides by `batch`, the mean part does not, and
     `exhaustive` (full sweep instead of sampling) removes the variance part
-    entirely. sigma_sq is the max over a small probe set of iterates of
-    E||g - grad h||^2, reported as an estimate for the uniform bound.
+    entirely. sigma_sq is the max of E||g - grad h||^2 over the probe
+    iterates 0, x*/2 and x*, reported as an estimate for the uniform bound.
     """
     if ref.grad_norm > ref.tolerance:
         raise ValueError("reference solution not converged")
@@ -436,10 +399,8 @@ def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
         )
     sigma_dif = float(np.mean(per_node))
 
-    if probes is None:
-        probes = [np.zeros(p.dim), x_star, 0.5 * x_star]
     sigma_sq = 0.0
-    for x in probes:
+    for x in (np.zeros(p.dim), x_star, 0.5 * x_star):
         nodes = [None] if identical else range(p.M)
         for m in nodes:
             if m is None:

@@ -120,7 +120,6 @@ class RunConfig:
     seed: int
     batch: int = 1
     noise_sigma: float | None = None
-    x0: np.ndarray | None = None
     record_every: int | None = None
 
     def validate(self, p: Problem) -> None:
@@ -140,8 +139,6 @@ class RunConfig:
         if self.gradient_mode == GradientMode.INJECTED_NOISE:
             if self.noise_sigma is None or self.noise_sigma <= 0:
                 raise ValueError("injected-noise mode needs noise_sigma > 0")
-        if self.x0 is not None and np.asarray(self.x0).shape != (p.dim,):
-            raise ValueError("x0 dimension mismatch")
 
     def stride(self) -> int:
         if self.record_every is not None:
@@ -149,20 +146,9 @@ class RunConfig:
         return max(1, math.ceil(self.T / 1000))
 
 
-def compute_Vt(iterates) -> float:
-    """(1/M) sum_m ||x^m - mean||^2 for a stack of node iterates.
-
-    Bitwise-identical iterates give exactly 0.0: their mean is the common
-    value, and recomputing it in floating point must not manufacture
-    deviation.
-    """
-    X = np.asarray(iterates, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("expected a (M, d) stack of iterates")
-    if np.all(X == X[0]):
-        return 0.0
-    xhat = X.mean(axis=0)
-    return float(np.mean(np.sum((X - xhat) ** 2, axis=1)))
+def r0_sq(ref: ReferenceSolution) -> float:
+    """||x0 - x*||^2 for the start x0 = 0 of every run."""
+    return float(np.sum(ref.x_star**2))
 
 
 def _nodes_equal(X: np.ndarray) -> np.ndarray:
@@ -390,8 +376,6 @@ def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
                    engine: str) -> dict:
-    x0 = np.zeros(p.dim) if cfg.x0 is None else np.asarray(cfg.x0)
-    r0_sq = float(np.sum((x0 - ref.x_star) ** 2))
     return {
         "engine": engine,
         "dataset": p.dataset.name,
@@ -413,8 +397,8 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         "L_component": repr(float(p.L_component)),
         "f_star": repr(float(ref.f_star)),
         "ref_grad_norm": repr(float(ref.grad_norm)),
-        "x0": "zeros" if cfg.x0 is None else "custom",
-        "r0_sq": repr(r0_sq),
+        "x0": "zeros",
+        "r0_sq": repr(r0_sq(ref)),
         "intercept": "none",
     }
 
@@ -463,7 +447,6 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     seeds = list(seeds)
     S, M, d, T = len(seeds), cfg.M, p.dim, cfg.T
     gamma = cfg.gamma
-    x0 = np.zeros(d) if cfg.x0 is None else np.asarray(cfg.x0, dtype=np.float64)
 
     grad_engine = _GradientEngine(p, cfg, seeds)
     sync_set = frozenset(cfg.schedule.sync_steps)
@@ -471,7 +454,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     row_of = {t: i for i, t in enumerate(grid)}
     R = len(grid)
 
-    X = np.tile(x0, (S, M, 1))
+    X = np.zeros((S, M, d))
     # Which seeds' nodes coincide in X: computed once per step, read by the
     # averaging, V_t and the exact-gradient shortcut. Rows repeated from one
     # average coincide by construction (a non-finite average stops the run at

@@ -8,8 +8,8 @@ Every guarantee is one row of THEOREMS, keyed by its identifier:
   SC_IID_FS   strongly convex, identical data, finite-sum sampling
   WC_IID_FS   convex, identical data, finite-sum sampling
   WC_HET_FS   convex, heterogeneous data, finite-sum sampling
-`bound`, `plan_gamma`, `applicable_bounds` and the checkers read the row
-and know nothing else about the statement.
+`bound`, `bound_inputs`, `plan_gamma`, `applicable_bounds` and the
+checkers read the row and know nothing else about the statement.
 
 The finite-sum guarantees require the almost-sure component smoothness
 constant (Problem.L_component), not the smaller global estimate.
@@ -24,7 +24,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .dataio import Regime
-from .simulator import AggregateTrace, GradientMode
+from .simulator import AggregateTrace, GradientMode, r0_sq
 
 # Pure floating-point slack for stepsize admissibility checks: planners are
 # allowed to return exactly the limiting value.
@@ -263,29 +263,40 @@ def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
     return BoundCurve(thm, b)
 
 
-def applicable_bounds(p, run_cfg, r0_sq: float, var_report) -> list[BoundCurve]:
-    """Every guarantee whose hypotheses a run of Problem p under RunConfig
-    run_cfg satisfies, with the RHS built from measured quantities.
+def bound_inputs(theorem_id: str, p, run_cfg, ref, var_report) -> BoundInputs:
+    """The inputs of guarantee `theorem_id` for a run of Problem p under
+    RunConfig run_cfg, with smoothness constant and variance the ones its
+    row names.
 
     Injected noise of scale noise_sigma makes the uniform variance bound
     hold exactly with sigma^2 = noise_sigma^2; the finite-sum variances come
-    from var_report. Curves that fail a precondition are skipped (the
-    checker refuses rather than reporting a verdict).
+    from the VarianceReport var_report, which uniform-variance statements
+    do not read.
     """
-    sigmas = {"sigma_sq": (run_cfg.noise_sigma or 0.0) ** 2,
-              "sigma_opt_sq": var_report.sigma_opt_sq,
-              "sigma_dif_sq": var_report.sigma_dif_sq}
-    curves = []
+    thm = _lookup(THEOREMS, theorem_id, "theorem")
+    sigma = ((run_cfg.noise_sigma or 0.0) ** 2 if thm.sigma == "sigma_sq"
+             else getattr(var_report, thm.sigma))
+    return BoundInputs(L=thm.smoothness(p), gamma=run_cfg.gamma, T=run_cfg.T,
+                       H=run_cfg.schedule.H, M=run_cfg.M, r0_sq=r0_sq(ref), mu=p.mu,
+                       **{thm.sigma: sigma})
+
+
+def applicable_bounds(p, run_cfg, ref, var_report
+                      ) -> tuple[list[BoundCurve], list[tuple[str, str]]]:
+    """The guarantees checked on a run of Problem p under RunConfig run_cfg:
+    the curves of those whose hypotheses the run satisfies, and the
+    (theorem id, failed hypothesis) of those made for its regime and
+    gradient mode whose other hypotheses fail.
+    """
+    curves, skipped = [], []
     for thm in _TABLE:
         if run_cfg.regime == thm.regime and run_cfg.gradient_mode in thm.modes:
-            b = BoundInputs(L=thm.smoothness(p), gamma=run_cfg.gamma, T=run_cfg.T,
-                            H=run_cfg.schedule.H, M=run_cfg.M, r0_sq=r0_sq, mu=p.mu,
-                            **{thm.sigma: sigmas[thm.sigma]})
             try:
-                curves.append(bound(thm.id, b))
-            except PreconditionError:
-                pass
-    return curves
+                curves.append(bound(thm.id, bound_inputs(thm.id, p, run_cfg, ref,
+                                                         var_report)))
+            except PreconditionError as e:
+                skipped.append((thm.id, str(e)))
+    return curves, skipped
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from . import dataio, objective, theory
+from . import dataio, objective, simulator, theory
 from .dataio import Regime, generate_synthetic, partition
 from .objective import build_problem, measure_variances, solve_reference
 from .simulator import (
     GradientMode,
     RunConfig,
     SyncSchedule,
+    r0_sq,
     run_local_sgd,
     run_minibatch_sgd,
     run_replicated,
@@ -51,39 +52,54 @@ def _result(name: str, ok: bool, details: str, t0: float) -> CriterionResult:
     return CriterionResult(name, PASS if ok else FAIL, details, time.time() - t0)
 
 
+def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
+    """The verdict of guarantee `theorem_id` on agg, the aggregate of runs of
+    cfg, with the inputs `run` would give it."""
+    inputs = theory.bound_inputs(theorem_id, p, cfg, ref, vr)
+    return theory.check_bound(theory.bound(theorem_id, inputs), agg)
+
+
 # ---------------------------------------------------------------------------
 # 1. Gradient correctness against central differences
 # ---------------------------------------------------------------------------
 
 def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
+    """The package's own gradients against central differences of
+    objective.loss: the engine's single-sample stochastic gradient on dense
+    and on CSR storage, and full_grad."""
     t0 = time.time()
     ds = generate_synthetic(60, 8, seed=101)
     p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.05)
     gen = np.random.Generator(np.random.Philox(key=101))
-    eps = 1e-6
+    steps = 1e-6 * np.eye(p.dim)
+
+    def rel_error(grad, q, x) -> float:
+        fd = np.array([objective.loss(q, x + e) - objective.loss(q, x - e)
+                       for e in steps]) / 2e-6
+        return float(np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(grad)))
+
+    # Node 0 takes one single-sample gradient per step, each at a fresh
+    # point; the loss of the one sample it drew is a one-row problem.
+    T = 100
+    cfg = RunConfig(M=3, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.0,
+                    regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
+                    seed=101)
     worst = 0.0
-    for _ in range(100):
-        i = int(gen.integers(ds.n))
+    for q in (p, replace(p, dense_rows=None)):
+        engine = simulator._GradientEngine(q, cfg, [cfg.seed])
+        for t in range(T):
+            X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
+            G = engine.gradients(X, t, simulator._nodes_equal(X))
+            i = int(engine.idx[0, 0, t, 0])
+            row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1], ds.dim)
+            q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
+            worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
+    for _ in range(T):
         x = gen.standard_normal(p.dim)
-        row = ds.features[i].toarray().ravel()
-        y = ds.labels[i]
-        t = float(row @ x)
-        from scipy.special import expit
-
-        analytic = -y * expit(-y * t) * row + p.lam * x
-        fd = np.empty_like(x)
-        for j in range(p.dim):
-            e = np.zeros_like(x)
-            e[j] = eps
-
-            def phi(z):
-                return float(np.logaddexp(0.0, -y * (row @ z)) + 0.5 * p.lam * (z @ z))
-
-            fd[j] = (phi(x + e) - phi(x - e)) / (2 * eps)
-        rel = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-        worst = max(worst, rel)
+        worst = max(worst, rel_error(objective.full_grad(p, 0, x), p, x))
     return _result("gradient-correctness", worst <= 1e-6,
-                   f"max relative error {worst:.2e} over 100 (x, sample) pairs", t0)
+                   f"max relative error {worst:.2e} over {T} (x, sample) pairs "
+                   f"per storage and {T} full gradients", t0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +191,6 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
     ds = generate_synthetic(120, 20, seed=105)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.1)
     ref = solve_reference(p, 1e-11)
-    r0 = float(np.sum(ref.x_star**2))
     gamma = 1.0 / (4 * p.L)
     seeds = _seeds(level)
     T = 5000
@@ -186,10 +201,7 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
                         regime=Regime.IDENTICAL,
                         gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
                         seed=0)
-        agg = run_replicated(p, cfg, ref, seeds)
-        bi = theory.BoundInputs(L=p.L, mu=p.mu, gamma=gamma, T=T, H=H, M=4,
-                                r0_sq=r0, sigma_sq=1.0)
-        v = theory.check_bound(theory.bound("SC_IID_UBV", bi), agg)
+        v = _check("SC_IID_UBV", p, cfg, ref, None, run_replicated(p, cfg, ref, seeds))
         ok = ok and v.holds
         slacks.append(f"H={H}:{v.slack_ratio:.3f}")
     return _result("sc-identical-distance-bound", ok,
@@ -206,30 +218,22 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     ds = generate_synthetic(400, 25, seed=106)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))  # lam = 1/n
     ref = solve_reference(p, 1e-12, accelerated=True)
-    r0 = float(np.sum(ref.x_star**2))
     vr = measure_variances(p, ref, batch=1)
     seeds = _seeds(level)
 
     H5, T5 = 4, 400
-    g5 = theory.plan_gamma("sc-identical-fs", L=p.L_component, mu=p.mu, M=4, H=H5,
-                           t_param=float(H5))
     cfg5 = RunConfig(M=4, T=T5, schedule=SyncSchedule.uniform(H5, T5),
-                     gamma=g5.gamma, regime=Regime.IDENTICAL,
-                     gradient_mode=GradientMode.STOCHASTIC, seed=0, record_every=1)
-    agg5 = run_replicated(p, cfg5, ref, seeds)
-    bi5 = theory.BoundInputs(L=p.L_component, mu=p.mu, gamma=g5.gamma, T=T5, H=H5,
-                             M=4, r0_sq=r0, sigma_opt_sq=vr.sigma_opt_sq)
-    v5 = theory.check_bound(theory.bound("SC_IID_FS", bi5), agg5)
+                     gamma=theory.planned_gamma("sc-identical-fs", p, M=4, T=T5, H=H5),
+                     regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
+                     seed=0, record_every=1)
+    v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
 
     H6, T6 = 5, 400
-    g6 = theory.plan_gamma("wc-identical-fs", L=p.L_component, M=4, T=T6, H=H6)
     cfg6 = RunConfig(M=4, T=T6, schedule=SyncSchedule.uniform(H6, T6),
-                     gamma=g6.gamma, regime=Regime.IDENTICAL,
-                     gradient_mode=GradientMode.STOCHASTIC, seed=0)
-    agg6 = run_replicated(p, cfg6, ref, seeds)
-    bi6 = theory.BoundInputs(L=p.L_component, gamma=g6.gamma, T=T6, H=H6, M=4,
-                             r0_sq=r0, sigma_opt_sq=vr.sigma_opt_sq)
-    v6 = theory.check_bound(theory.bound("WC_IID_FS", bi6), agg6)
+                     gamma=theory.planned_gamma("wc-identical-fs", p, M=4, T=T6, H=H6),
+                     regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
+                     seed=0)
+    v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
     ok = v5.holds and v6.holds
     return _result("finite-sum-identical-bounds", ok,
@@ -247,20 +251,16 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     ds = generate_synthetic(240, 15, seed=107, sort_by_label=True, label_noise=0.05)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     ref = solve_reference(p, 1e-12, accelerated=True)
-    r0 = float(np.sum(ref.x_star**2))
     vr = measure_variances(p, ref, batch=1)
     seeds = _seeds(level)
 
     T = 256
     H = theory.plan_H("wc-heterogeneous", T, 4)
-    g7 = theory.plan_gamma("wc-heterogeneous", L=p.L_component, M=4, T=T, H=H)
-    cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T), gamma=g7.gamma,
+    cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T),
+                    gamma=theory.planned_gamma("wc-heterogeneous", p, M=4, T=T, H=H),
                     regime=Regime.HETEROGENEOUS,
                     gradient_mode=GradientMode.STOCHASTIC, seed=0)
-    agg = run_replicated(p, cfg, ref, seeds)
-    bi = theory.BoundInputs(L=p.L_component, gamma=g7.gamma, T=T, H=H, M=4,
-                            r0_sq=r0, sigma_dif_sq=vr.sigma_dif_sq)
-    v = theory.check_bound(theory.bound("WC_HET_FS", bi), agg)
+    v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
 
     # Interpolation case: one dataset replicated across all nodes, so every
     # node's full gradient vanishes at x* and sigma_dif = 0; one-shot
@@ -269,14 +269,13 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     tiled = dataio.concat_datasets([block] * 4, name="tiled")
     p2 = build_problem(tiled, partition(tiled, 4, Regime.HETEROGENEOUS))
     ref2 = solve_reference(p2, 1e-12, accelerated=True)
-    r0_2 = float(np.sum(ref2.x_star**2))
     T2 = 512
     gamma2 = 1.0 / (8 * p2.L_component * (T2 - 1))
     cfg2 = RunConfig(M=4, T=T2, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
                      regime=Regime.HETEROGENEOUS, gradient_mode=GradientMode.FULL,
                      seed=0)
     tr2 = run_local_sgd(p2, cfg2, ref2)
-    limit = 4.0 * r0_2 / (gamma2 * T2) * 1.01
+    limit = 4.0 * r0_sq(ref2) / (gamma2 * T2) * 1.01
     one_shot_ok = (tr2.bar_subopt_head <= limit
                    and tr2.subopt[-1] < tr2.subopt[0])
 

@@ -1,8 +1,9 @@
+import functools
 import os
 
 import pytest
 
-from localsgd import cli
+from localsgd import cli, objective
 from localsgd.dataio import generate_synthetic, to_libsvm, sha256_of
 
 
@@ -108,6 +109,26 @@ dir = {tmp_path / 'out'}
         verdict = (out / "bound_WC_HET_FS_H2.verdict.txt").read_text()
         assert "holds = True" in verdict
 
+    def test_unchecked_guarantee_is_named(self, tmp_path, capsys):
+        # gamma = 0.01 meets the H=1 stepsize limit, not the one for H=16
+        code = run_cli(["run", "--config", self._config(tmp_path),
+                        "--gamma", "0.01", "--H", "1,16"])
+        assert code == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if "not checked" in l]
+        assert len(lines) == 1
+        assert lines[0].startswith("H=16: WC_HET_FS not checked: stepsize 0.01 "
+                                   "violates gamma <= min{1/(4L), 1/(8L(H-1))}")
+        summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert summary[1].endswith(",holds") and summary[2].endswith(",")
+        assert not list((tmp_path / "out").glob("bound_*_H16.*"))
+
+    def test_reference_solve_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_reference",
+                            functools.partial(objective.solve_reference, max_iter=3))
+        assert run_cli(["run", "--config", self._config(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[solver] tol (--tol)" in err[0]
+
     def test_reproducible_byte_identical(self, tmp_path):
         cfg = self._config(tmp_path)
         run_cli(["run", "--config", cfg])
@@ -156,6 +177,7 @@ dir = {tmp_path / 'out'}
         (["--gradient-mode", "injected-noise"], "[run] noise_sigma (--noise-sigma)"),
         (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
         (["--gamma", "-0.1"], "--gamma"),
+        (["--gamma", "sc-identical-ubv", "--lam", "0"], "[run] gamma (--gamma)"),
     ])
     def test_bad_run_config_names_its_key(self, tmp_path, capsys, flags, key):
         cfg = tmp_path / "bad.ini"
@@ -166,6 +188,19 @@ dir = {tmp_path / 'out'}
         assert len(err) == 1 and key in err[0]
         assert not (tmp_path / "out").exists()  # refused before any output
 
+    @pytest.mark.parametrize("text, name", [
+        ("[run]\ngrdient_mode = full\n", "[run] grdient_mode: unknown key"),
+        ("[sovler]\ntol = 1e-8\n", "[sovler]: unknown section"),
+    ])
+    def test_unknown_ini_name_exits_2(self, tmp_path, capsys, text, name):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[data]\nn = 50\nd = 3\n{text}"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and name in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self):
         assert run_cli(["run", "--config", "/nonexistent.ini"]) == 2
 
@@ -175,11 +210,15 @@ dir = {tmp_path / 'out'}
         assert run_cli(["run", "--config", str(cfg)]) == 3
 
 
-# Which guarantees `run` checks, and with which smoothness constant: the
-# uniform-variance statements use the global L, the finite-sum ones the
-# almost-sure L_component.
-_BOUND_L_KEY = {"SC_IID_UBV": "L", "WC_IID_UBV": "L", "SC_IID_FS": "L_component",
-                "WC_IID_FS": "L_component", "WC_HET_FS": "L_component"}
+# Which guarantees `run` checks, and with which smoothness constant and
+# variance: the uniform-variance statements use the global L and the injected
+# noise_sigma^2, the finite-sum ones the almost-sure L_component and a
+# variance measured at x* (sigma_opt^2 for identical data, sigma_dif^2 else).
+_BOUND_KEYS = {"SC_IID_UBV": ("L", "sigma_sq"), "WC_IID_UBV": ("L", "sigma_sq"),
+               "SC_IID_FS": ("L_component", "sigma_opt_sq"),
+               "WC_IID_FS": ("L_component", "sigma_opt_sq"),
+               "WC_HET_FS": ("L_component", "sigma_dif_sq")}
+_SIGMAS = ("sigma_sq", "sigma_opt_sq", "sigma_dif_sq")
 
 _SELECTION_CASES = [
     # (regime, gradient mode, lambda, gamma spec, theorems checked)
@@ -217,7 +256,7 @@ def _kv(lines, prefix=""):
 
 
 class TestBoundSelection:
-    """Pins which bounds `run` writes and the L each one records."""
+    """Pins which bounds `run` writes and the L and sigma each one records."""
 
     @pytest.mark.parametrize("regime, mode, lam, gamma, expected", _SELECTION_CASES)
     def test_verdict_files_and_L(self, tmp_path, regime, mode, lam, gamma, expected):
@@ -256,9 +295,14 @@ dir = {out}
                            for tid in expected for H in (1, 4)}
         for H in (1, 4):
             meta = _kv((out / f"run_H{H}.csv").read_text().splitlines(), "# ")
+            meta["sigma_sq"] = repr(float(meta["noise_sigma"]) ** 2)
             for tid in expected:
                 verdict = (out / f"bound_{tid}_H{H}.verdict.txt").read_text()
-                assert _kv(verdict.splitlines())["input.L"] == meta[_BOUND_L_KEY[tid]]
+                inputs = _kv(verdict.splitlines(), "input.")
+                L_key, sigma = _BOUND_KEYS[tid]
+                assert inputs["L"] == meta[L_key]
+                assert {k: inputs[k] for k in _SIGMAS} == {
+                    k: meta[k] if k == sigma else "None" for k in _SIGMAS}
 
 
 class TestSolveRefCmd:

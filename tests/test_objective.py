@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,19 +9,24 @@ from scipy.special import expit
 
 from localsgd.dataio import Dataset, Regime, generate_synthetic, parse_libsvm, partition
 from localsgd import objective
-from localsgd.numkit import RngStream
+from localsgd.numkit import RngStream, draw_indices
 from localsgd.objective import (
     ConvergenceError,
     build_problem,
     estimate_L,
-    expected_stochastic_grad_sq,
     full_grad,
     full_grad_global,
     loss,
     loss_many,
     measure_variances,
     solve_reference,
-    stochastic_grad,
+)
+from localsgd.simulator import (
+    GradientMode,
+    RunConfig,
+    SyncSchedule,
+    _GradientEngine,
+    _nodes_equal,
 )
 
 
@@ -167,42 +173,59 @@ class TestGradients:
             assert loss(p, y) >= rhs - 1e-12
 
 
+def storages(p):
+    """p and its CSR twin, the same problem with every product through CSR."""
+    return p, dataclasses.replace(p, dense_rows=None)
+
+
+def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
+    """The engine's gradients of every (seed, node) at the common point x,
+    one (S, M, d) array per step t < T."""
+    cfg = RunConfig(M=p.M, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.0,
+                    regime=p.part.regime, gradient_mode=mode, seed=seeds[0],
+                    batch=batch)
+    engine = _GradientEngine(p, cfg, seeds)
+    X = np.tile(x, (len(seeds), p.M, 1))
+    return [engine.gradients(X, t, _nodes_equal(X)) for t in range(T)]
+
+
 class TestStochasticGrad:
-    def test_exhaustive_equals_full(self):
+    """The engine's per-node gradients, on dense rows and on CSR storage."""
+
+    def test_full_mode_equals_full_grad(self):
         p = small_problem(M=3, regime=Regime.HETEROGENEOUS)
         x = RngStream(seed=9).generator().standard_normal(p.dim)
-        rng = RngStream(seed=0, stream_id=0)
-        g = stochastic_grad(p, 1, x, rng, batch=5, exhaustive=True)
-        assert np.array_equal(g, full_grad(p, 1, x))
+        for q in storages(p):
+            [G] = node_grads(q, x, seeds=(0, 1), mode=GradientMode.FULL)
+            for m in range(3):
+                assert np.allclose(G[:, m], full_grad(q, m, x), rtol=1e-12, atol=0)
 
     def test_single_sample_node_is_deterministic(self):
         ds = generate_synthetic(3, 4, seed=10)
         p = build_problem(ds, partition(ds, 3, Regime.HETEROGENEOUS), lam=0.1)
         x = np.ones(4)
-        draws = [stochastic_grad(p, 2, x, RngStream(seed=s), batch=1)
-                 for s in range(5)]
-        for g in draws[1:]:
-            assert np.array_equal(g, draws[0])
-        assert np.array_equal(draws[0], full_grad(p, 2, x))
+        for q in storages(p):
+            [G] = node_grads(q, x, seeds=tuple(range(5)))
+            for g in G[1:, 2]:
+                assert np.array_equal(g, G[0, 2])
+            assert np.allclose(G[0, 2], full_grad(q, 2, x), rtol=1e-14, atol=0)
 
     def test_unbiasedness_monte_carlo(self):
         # Mean over draws within 3 standard errors of the full gradient.
         p = small_problem(n=50, d=4, M=2, lam=0.05, regime=Regime.HETEROGENEOUS)
         x = RngStream(seed=11).generator().standard_normal(p.dim) * 0.5
-        rng = RngStream(seed=12, stream_id=0)
-        N = 20000
-        draws = np.stack([stochastic_grad(p, 0, x, rng, batch=1) for _ in range(N)])
-        se = draws.std(axis=0, ddof=1) / math.sqrt(N)
-        diff = np.abs(draws.mean(axis=0) - full_grad(p, 0, x))
-        assert np.all(diff <= 3 * se + 1e-12)
+        for q in storages(p):
+            steps = node_grads(q, x, seeds=tuple(range(12, 112)), T=200)
+            draws = np.concatenate([G[:, 0] for G in steps])  # 20000 draws
+            se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
+            diff = np.abs(draws.mean(axis=0) - full_grad(q, 0, x))
+            assert np.all(diff <= 3 * se + 1e-12)
 
     def test_batch_reduces_to_mean_of_components(self):
         p = small_problem(n=20, d=4, M=1, lam=0.03)
         x = np.ones(4) * 0.2
-        g = stochastic_grad(p, 0, x, RngStream(seed=13), batch=7)
         # reproduce the draw with the same stream and average manually
-        from localsgd.numkit import draw_indices
-        idx = draw_indices(RngStream(seed=13), 20, 7)
+        idx = draw_indices(RngStream(seed=13, stream_id=0), 20, (1, 7))[0]
         rows = p.dataset.features[idx].toarray()
         ys = p.dataset.labels[idx]
         manual = np.zeros(4)
@@ -210,7 +233,9 @@ class TestStochasticGrad:
             t = float(a @ x)
             manual += -y * expit(-y * t) * a
         manual = manual / 7 + p.lam * x
-        assert np.allclose(g, manual, rtol=1e-12)
+        for q in storages(p):
+            [G] = node_grads(q, x, seeds=(13,), batch=7)
+            assert np.allclose(G[0, 0], manual, rtol=1e-12)
 
 
 class TestEstimateL:
@@ -328,23 +353,26 @@ class TestMeasureVariances:
         assert vr.sigma_dif_sq >= lb * (1 - 1e-12)
 
     def test_expected_grad_sq_brute_force_pairs(self):
-        # batch=2 second moment enumerated over all ordered sample pairs.
+        # At x* the batch-2 sigma quantities are the second moment of a
+        # two-sample gradient, enumerated over all ordered sample pairs: of
+        # the whole dataset for sigma_opt, of each node's block for sigma_m.
         ds = generate_synthetic(6, 3, seed=19)
-        p = build_problem(ds, partition(ds, 1, Regime.IDENTICAL), lam=0.04)
-        x = np.array([0.3, -0.2, 0.5])
-        rows = ds.features.toarray()
-        total = 0.0
-        for i in range(6):
-            for j in range(6):
-                g = np.zeros(3)
-                for k in (i, j):
-                    t = float(rows[k] @ x)
-                    g += -ds.labels[k] * expit(-ds.labels[k] * t) * rows[k]
-                g = g / 2 + p.lam * x
-                total += float(g @ g)
-        oracle = total / 36
-        assert expected_stochastic_grad_sq(p, 0, x, batch=2) == pytest.approx(
-            oracle, rel=1e-12)
+        p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS), lam=0.04)
+        ref = solve_reference(p, 1e-12)
+        x = ref.x_star
+        comps = [-y * expit(-y * float(a @ x)) * a + p.lam * x
+                 for a, y in zip(ds.features.toarray(), ds.labels)]
+
+        def pair_moment(start, stop):
+            block = range(start, stop)
+            return np.mean([np.sum(((comps[i] + comps[j]) / 2) ** 2)
+                            for i in block for j in block])
+
+        vr = measure_variances(p, ref, batch=2)
+        assert vr.sigma_opt_sq == pytest.approx(pair_moment(0, 6), rel=1e-12)
+        for m in range(2):
+            assert vr.per_node_sigma_sq[m] == pytest.approx(
+                pair_moment(*p.node_range(m)), rel=1e-12)
 
     def test_serialization(self):
         import io

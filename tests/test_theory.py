@@ -377,18 +377,22 @@ class TestRuntimeDiagnosticsIntegration:
     def test_individual_grad_second_moment_bound(self):
         # E||g_t^m||^2 <= 4 L D_f(x, x*) + 2 sigma_m^2 for identical data,
         # with the exact second moment enumerated instead of sampled.
+        from scipy.special import expit
         from localsgd.dataio import Regime, generate_synthetic, partition
         from localsgd.numkit import RngStream
-        from localsgd.objective import (build_problem, expected_stochastic_grad_sq,
-                                        loss, measure_variances, solve_reference)
+        from localsgd.objective import (build_problem, loss, measure_variances,
+                                        solve_reference)
         ds = generate_synthetic(120, 6, seed=78)
         p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.03)
         ref = solve_reference(p, 1e-11)
         vr = measure_variances(p, ref, batch=1)
+        A, y = ds.features.toarray(), ds.labels
         gen = RngStream(seed=79).generator()
         for _ in range(50):
             x = ref.x_star + gen.standard_normal(p.dim) * gen.uniform(0, 3)
-            lhs = expected_stochastic_grad_sq(p, 0, x, batch=1)
+            # every node draws one sample uniformly from the whole dataset
+            grads = (-y * expit(-y * (A @ x)))[:, None] * A + p.lam * x
+            lhs = float(np.mean(np.sum(grads**2, axis=1)))
             d_f = loss(p, x) - ref.f_star
             rhs = 4 * p.L_component * d_f + 2 * vr.per_node_sigma_sq[0]
             assert lhs <= rhs * (1 + 1e-9)
