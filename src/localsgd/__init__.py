@@ -11,7 +11,6 @@ from .dataio import (
     parse_libsvm,
     parse_manifest,
     partition,
-    to_libsvm,
 )
 from .numkit import RngStream
 from .objective import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -51,11 +52,30 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _positive_int(s: str) -> int:
-    v = int(s)
-    if v < 1:
-        raise ValueError(f"expected a positive integer, got {s!r}")
-    return v
+def _checked(parse, ok, domain: str):
+    """`parse`, refusing a value outside `domain` (ok(value) is False)."""
+    def parse_checked(s: str):
+        v = parse(s)
+        if not ok(v):
+            raise ValueError(f"expected {domain}, got {s!r}")
+        return v
+    return parse_checked
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                           "a positive finite number")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                              "a nonnegative finite number")
+_probability = _checked(float, lambda v: 0 <= v <= 1, "a probability in [0, 1]")
+_seed = _checked(int, lambda v: 0 <= v < 2**64, "a stream seed in [0, 2^64)")
+
+
+def _batch_spec(s: str) -> str:
+    """'full' (an exhaustive sweep) or a positive batch size, kept as text."""
+    if s != "full":
+        _positive_int(s)
+    return s
 
 
 def _optional(parse):
@@ -77,17 +97,17 @@ def _parse_seeds(spec: str) -> tuple[int, ...]:
     spec = spec.strip()
     if ":" in spec:
         a, b = spec.split(":")
-        seeds = tuple(range(int(a), int(b)))
+        seeds = tuple(range(_seed(a), _seed(b)))
     else:
-        seeds = tuple(int(tok) for tok in spec.split(",") if tok.strip())
+        seeds = tuple(_seed(tok) for tok in spec.split(",") if tok.strip())
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
     return seeds
 
 
 def _parse_lambda(s: str) -> float | None:
-    """'1/n' (None, the default of build_problem) or a float."""
-    return None if s.strip() == "1/n" else float(s)
+    """'1/n' (None, the default of build_problem) or a nonnegative float."""
+    return None if s.strip() == "1/n" else _nonnegative_float(s)
 
 
 def _parse_gamma(spec: str) -> str:
@@ -96,12 +116,10 @@ def _parse_gamma(spec: str) -> str:
     spec = spec.strip()
     if spec not in theory.GAMMA_RULES:
         try:
-            value = float(spec[:-2] if spec.endswith("/L") else spec)
+            _nonnegative_float(spec[:-2] if spec.endswith("/L") else spec)
         except ValueError:
-            raise ValueError(f"expected a float, 'c/L' or a planner rule "
-                             f"{theory.GAMMA_RULES}, got {spec!r}") from None
-        if not value >= 0:
-            raise ValueError(f"the stepsize must be nonnegative, got {spec!r}")
+            raise ValueError(f"expected a nonnegative float, 'c/L' or a planner "
+                             f"rule {theory.GAMMA_RULES}, got {spec!r}") from None
     return spec
 
 
@@ -127,22 +145,22 @@ class ExperimentConfig:
     data_dir: str = _key("data", "dir", str, "")
     n: int = _key("data", "n", _positive_int, 1000)
     d: int = _key("data", "d", _positive_int, 20)
-    data_seed: int = _key("data", "seed", int, 7)
+    data_seed: int = _key("data", "seed", _seed, 7)
     sort_by_label: bool = _key("data", "sort_by_label", _parse_bool, False)
-    label_noise: float = _key("data", "label_noise", float, 0.0)
+    label_noise: float = _key("data", "label_noise", _probability, 0.0)
     lam: float | None = _key("problem", "lambda", _parse_lambda, None, "--lam",
                              "l2 coefficient ('1/n' or a float)")
     M: int = _key("problem", "M", _positive_int, 4, "--M")
     regime: Regime = _key("problem", "regime", lambda s: Regime(s.lower()),
                           Regime.IDENTICAL, "--regime", "identical or heterogeneous")
-    tol: float = _key("solver", "tol", float, 1e-10, "--tol")
+    tol: float = _key("solver", "tol", _positive_float, 1e-10, "--tol")
     accelerated: bool = _key("solver", "accelerated", _parse_bool, True)
     gradient_mode: GradientMode = _key(
         "run", "gradient_mode", GradientMode, GradientMode.STOCHASTIC,
         "--gradient-mode", ", ".join(m.value for m in GradientMode))
     batch: int = _key("run", "batch", _positive_int, 1, "--batch")
-    noise_sigma: float | None = _key("run", "noise_sigma", _optional(float), None,
-                                     "--noise-sigma")
+    noise_sigma: float | None = _key("run", "noise_sigma", _optional(_positive_float),
+                                     None, "--noise-sigma")
     gamma_spec: str = _key("run", "gamma", _parse_gamma, "1/L", "--gamma",
                            "stepsize: float, 'c/L', or planner rule")
     schedule_spec: str = _key("run", "schedule", str, "uniform", "--schedule",
@@ -156,7 +174,7 @@ class ExperimentConfig:
                                     None, "--record-every")
     var_M_list: tuple[int, ...] = _key("variances", "M", _list_of(_positive_int),
                                        (1, 2, 4, 8, 20))
-    var_batch_list: tuple[str, ...] = _key("variances", "batch", _list_of(str),
+    var_batch_list: tuple[str, ...] = _key("variances", "batch", _list_of(_batch_spec),
                                            ("1", "4", "16", "full"))
     out_dir: str = _key("output", "dir", str, "out", "--out-dir")
 
@@ -199,16 +217,12 @@ def load_config(path: str | None) -> ExperimentConfig:
     return cfg
 
 
-def _data_dir(cfg: ExperimentConfig) -> str:
-    return (cfg.data_dir or os.environ.get(dataio.DATA_DIR_ENV, "") or "data")
-
-
 def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
     if cfg.source == "synthetic":
         return dataio.generate_synthetic(
             cfg.n, cfg.d, seed=cfg.data_seed, sort_by_label=cfg.sort_by_label,
             label_noise=cfg.label_noise)
-    data_dir = _data_dir(cfg)
+    data_dir = cfg.data_dir or os.environ.get(dataio.DATA_DIR_ENV, "") or "data"
     manifest_path = cfg.manifest or os.path.join(data_dir, "manifest.txt")
     with open(manifest_path) as f:
         entries = dataio.parse_manifest(f)
@@ -308,8 +322,7 @@ def cmd_run(args) -> int:
     _apply_overrides(cfg, args)
     # Check the whole configuration before the first solve.
     schedules = [resolve_schedule(cfg.schedule_spec, H, cfg.T) for H in cfg.H_list]
-    if (cfg.gradient_mode == GradientMode.INJECTED_NOISE
-            and not (cfg.noise_sigma or 0.0) > 0.0):
+    if cfg.gradient_mode == GradientMode.INJECTED_NOISE and cfg.noise_sigma is None:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     p = resolve_problem(cfg)
     gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
@@ -323,6 +336,8 @@ def cmd_run(args) -> int:
 
     summary = []
     any_failed = False
+    if len(cfg.seeds) < 2:
+        print("guarantees not checked: a verdict needs at least 2 seeds")
     for schedule, gamma in zip(schedules, gammas):
         run_cfg = RunConfig(M=cfg.M, T=cfg.T, schedule=schedule, gamma=gamma,
                             regime=cfg.regime, gradient_mode=cfg.gradient_mode,

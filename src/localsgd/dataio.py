@@ -75,9 +75,6 @@ class Partition:
     def M(self) -> int:
         return len(self.node_ranges)
 
-    def sizes(self) -> list[int]:
-        return [stop - start for start, stop in self.node_ranges]
-
 
 def _normalize_labels(raw: np.ndarray) -> np.ndarray:
     """Map raw labels onto {-1, +1}; smaller raw label becomes -1."""
@@ -151,18 +148,6 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
         shape=(len(raw_labels), dim),
     )
     return Dataset(features=mat, labels=labels, dim=dim, name=name)
-
-
-def to_libsvm(ds: Dataset, stream: TextIO) -> None:
-    """Write a Dataset back out as LIBSVM text (1-based indices)."""
-    mat = ds.features
-    for i in range(ds.n):
-        start, stop = mat.indptr[i], mat.indptr[i + 1]
-        feats = " ".join(
-            f"{mat.indices[k] + 1}:{float(mat.data[k])!r}" for k in range(start, stop)
-        )
-        label = "+1" if ds.labels[i] > 0 else "-1"
-        stream.write(f"{label} {feats}".rstrip() + "\n")
 
 
 def partition(ds: Dataset, M: int, regime: Regime) -> Partition:

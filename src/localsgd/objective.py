@@ -96,9 +96,13 @@ def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
     return w
 
 
-def estimate_L(dataset: Dataset, lam: float, *, rtol: float = 1e-9,
-               max_iter: int = 10_000) -> float:
-    """L = lambda_max((1/4n) A^T A) + lam by power iteration to `rtol`.
+# Power iteration for L: relative tolerance and iteration cap.
+_L_RTOL = 1e-9
+_L_MAX_ITER = 10_000
+
+
+def estimate_L(dataset: Dataset, lam: float) -> float:
+    """L = lambda_max((1/4n) A^T A) + lam by power iteration to _L_RTOL.
 
     (1/4) A^T A / n dominates the logistic Hessian at every point, so the
     result is a global smoothness constant for f.
@@ -110,18 +114,18 @@ def estimate_L(dataset: Dataset, lam: float, *, rtol: float = 1e-9,
     v = RngStream(seed=0x5EED, stream_id=0).generator().standard_normal(dataset.dim)
     v /= np.linalg.norm(v)
     lam_prev = 0.0
-    for it in range(max_iter):
+    for it in range(_L_MAX_ITER):
         w = A.T @ (A @ v) / (4.0 * n)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return lam  # A^T A annihilates the probe: spectrum is zero
         lam_max = float(v @ w)
         v = w / norm_w
-        if it > 0 and abs(lam_max - lam_prev) <= rtol * max(abs(lam_max), 1e-300):
+        if it > 0 and abs(lam_max - lam_prev) <= _L_RTOL * max(abs(lam_max), 1e-300):
             return lam_max + lam
         lam_prev = lam_max
     raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
+        f"power iteration did not converge in {_L_MAX_ITER} iterations "
         f"(last residual {abs(lam_max - lam_prev):.3e})"
     )
 
@@ -352,20 +356,6 @@ def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:
     return c * c * p.row_norms_sq + 2.0 * p.lam * c * t + p.lam**2 * float(x @ x)
 
 
-def _range_grad_stats(p: Problem, x: np.ndarray, start: int, stop: int,
-                      node: int | None) -> tuple[float, float]:
-    """(E_z ||grad h(x,z)||^2, ||grad h(x)||^2) for uniform draws over
-    [start, stop); h is f_node when node is given, else f restricted to the
-    range (the identical-data case uses the full range and h = f)."""
-    q = _per_sample_grad_sq(p, x)[start:stop]
-    mean_q = float(np.mean(q))
-    if node is None:
-        mean_grad = full_grad_global(p, x)
-    else:
-        mean_grad = full_grad(p, node, x)
-    return mean_q, float(mean_grad @ mean_grad)
-
-
 def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
                       exhaustive: bool = False) -> VarianceReport:
     """Enumerate the sigma quantities at x* exactly.
@@ -382,33 +372,35 @@ def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
     if batch < 1:
         raise ValueError("batch must be >= 1")
     x_star = ref.x_star
-    identical = p.part.regime == Regime.IDENTICAL
+    # Identical-regime nodes all draw from f over the full range: one
+    # stands for all of them.
+    nodes = range(1 if p.part.regime == Regime.IDENTICAL else p.M)
+
+    def node_stats(x: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
+        """The per-sample ||grad||^2 at x, from one pass over the data, and
+        (E_z ||grad f_m(x,z)||^2, ||grad f_m(x)||^2) per node m for uniform
+        draws over the node's range."""
+        q = _per_sample_grad_sq(p, x)
+        stats = []
+        for m in nodes:
+            start, stop = p.node_range(m)
+            g = full_grad(p, m, x)
+            stats.append((float(np.mean(q[start:stop])), float(g @ g)))
+        return q, stats
 
     def sigma_from_stats(mean_q: float, g_sq: float) -> float:
         return g_sq if exhaustive else g_sq + (mean_q - g_sq) / batch
 
-    mean_q, g_sq = _range_grad_stats(p, x_star, 0, p.dataset.n, None)
-    sigma_opt = sigma_from_stats(mean_q, g_sq)
-
-    if identical:
-        per_node = (sigma_opt,) * p.M  # every node draws from the same f
-    else:
-        per_node = tuple(
-            sigma_from_stats(*_range_grad_stats(p, x_star, *p.node_range(m), m))
-            for m in range(p.M)
-        )
+    q_star, star_stats = node_stats(x_star)
+    g = full_grad_global(p, x_star)
+    sigma_opt = sigma_from_stats(float(np.mean(q_star)), float(g @ g))
+    per_node = tuple(sigma_from_stats(*st) for st in star_stats)
+    per_node *= p.M // len(per_node)  # identical nodes share one value
     sigma_dif = float(np.mean(per_node))
 
-    sigma_sq = 0.0
-    for x in (np.zeros(p.dim), x_star, 0.5 * x_star):
-        nodes = [None] if identical else range(p.M)
-        for m in nodes:
-            if m is None:
-                mq, gs = _range_grad_stats(p, x, 0, p.dataset.n, None)
-            else:
-                mq, gs = _range_grad_stats(p, x, *p.node_range(m), m)
-            var = 0.0 if exhaustive else max(mq - gs, 0.0) / batch
-            sigma_sq = max(sigma_sq, var)
+    probes = (node_stats(np.zeros(p.dim))[1], star_stats, node_stats(0.5 * x_star)[1])
+    sigma_sq = max([0.0] + [0.0 if exhaustive else max(mq - gs, 0.0) / batch
+                            for stats in probes for mq, gs in stats])
 
     return VarianceReport(
         sigma_sq=sigma_sq,

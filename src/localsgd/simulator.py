@@ -24,7 +24,8 @@ from .objective import Problem, ReferenceSolution, loss_many
 # Stream-id namespace: index draws use the node id, Gaussian noise draws use
 # the node id with the top bit set, so the two never collide.
 _NOISE_STREAM_FLAG = 1 << 63
-_NOISE_CHUNK = 256  # steps of pre-drawn noise per refill
+# Bytes of pre-drawn randomness per refill of the gradient engine.
+_REFILL_BYTES = 8 << 20
 _DIVERGENCE_LIMIT = 1e100
 
 
@@ -164,6 +165,12 @@ def _mean_nodes(X: np.ndarray, eq: np.ndarray) -> np.ndarray:
     return xhat
 
 
+def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """The communication step: every node of a seed takes the seed's
+    average xhat, shape (S, d) -> (S, M, d)."""
+    return np.repeat(xhat[:, None, :], X.shape[1], axis=1)
+
+
 def _vt_batch(X: np.ndarray, xhat: np.ndarray, eq: np.ndarray) -> np.ndarray:
     V = np.mean(np.sum((X - xhat[:, None, :]) ** 2, axis=2), axis=1)
     V[eq] = 0.0
@@ -175,7 +182,14 @@ def _vt_batch(X: np.ndarray, xhat: np.ndarray, eq: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _GradientEngine:
-    """Per-step gradients for all (seed, node) pairs of one run batch."""
+    """Per-step gradients for all (seed, node) pairs of one run batch.
+
+    All randomness takes one path: a mode's `draw(s, m, k)` gives the next
+    k steps of the (seed s, node m) stream, `_draws` refills a preallocated
+    (S, M, k, ...) buffer of about _REFILL_BYTES from them, and step t reads
+    its slice. The streams are counter-based, so no value depends on where
+    a refill starts. Steps are taken in order.
+    """
 
     def __init__(self, p: Problem, cfg: RunConfig, seeds: Sequence[int]):
         self.p = p
@@ -185,51 +199,61 @@ class _GradientEngine:
         self.M = cfg.M
         self.n, self.d = p.dataset.features.shape
         mode = cfg.gradient_mode
+        self._draw = None  # exact gradients draw nothing
 
         if mode == GradientMode.STOCHASTIC:
-            # One bulk draw per (seed, node) stream: identical to what a
-            # single run would draw, and shared with the minibatch engine.
-            idx = np.empty((self.S, self.M, cfg.T, cfg.batch), dtype=np.int64)
-            for s, seed in enumerate(self.seeds):
-                for m in range(self.M):
-                    start, stop = p.node_range(m)
-                    stream = RngStream(seed=seed, stream_id=m)
-                    idx[s, m] = start + draw_indices(
-                        stream, stop - start, (cfg.T, cfg.batch))
-            self.idx = idx
+            # The draws a single run makes, shared with the minibatch engine:
+            # `batch` indices per step into node m's block.
+            streams = [[RngStream(seed=seed, stream_id=m) for m in range(self.M)]
+                       for seed in self.seeds]
+
+            def draw(s: int, m: int, k: int) -> np.ndarray:
+                start, stop = p.node_range(m)
+                return start + draw_indices(streams[s][m], stop - start, (k, cfg.batch))
+
+            self._draw, per_step, dtype = draw, cfg.batch, np.int64
             K = self.S * self.M * cfg.batch
             # Group-sum selector: row (s, m) sums its `batch` gathered rows.
             rows = np.repeat(np.arange(self.S * self.M), cfg.batch)
             self.group_sum = sp.csr_matrix(
                 (np.ones(K), (rows, np.arange(K))), shape=(self.S * self.M, K))
         else:
-            # Column weights for exact per-node gradients: sample i weighs
-            # 1/n_m inside node m's block and 0 elsewhere.
-            col_w = np.zeros((self.n, self.M))
-            for m in range(self.M):
-                start, stop = p.node_range(m)
-                col_w[start:stop, m] = 1.0 / (stop - start)
-            self.col_w = np.tile(col_w, (1, self.S))  # columns ordered (s, m)
+            # Exact per-node gradients weigh sample i by 1/n_m in node m's
+            # columns when i lies in node m's block, and by 0 elsewhere. The
+            # rows of a block share one weight row over the (s, m) columns.
+            ranges = p.part.node_ranges
+            self.col_w = [
+                (start, stop, np.tile([1.0 / (b - a) if (a, b) == (start, stop)
+                                       else 0.0 for a, b in ranges], self.S))
+                for start, stop in sorted(set(ranges))]
 
         if mode == GradientMode.INJECTED_NOISE:
-            self.noise_gens = [
-                [RngStream(seed=seed, stream_id=m | _NOISE_STREAM_FLAG).generator()
-                 for m in range(self.M)]
-                for seed in self.seeds
-            ]
-            self.noise_buf: np.ndarray | None = None
-            self.noise_pos = 0
+            gens = [[RngStream(seed=seed, stream_id=m | _NOISE_STREAM_FLAG).generator()
+                     for m in range(self.M)] for seed in self.seeds]
+            # Total injected variance per draw is noise_sigma^2, split over coords.
+            # `draw` holds no reference to self: the engine is freed without GC.
+            d, scale = self.d, cfg.noise_sigma / math.sqrt(self.d)
 
-    def _refill_noise(self, steps_left: int) -> None:
-        length = min(_NOISE_CHUNK, steps_left)
-        buf = np.empty((self.S, self.M, length, self.d))
-        for s in range(self.S):
-            for m in range(self.M):
-                buf[s, m] = self.noise_gens[s][m].standard_normal((length, self.d))
-        # Total injected variance per draw is noise_sigma^2, split over coords.
-        buf *= self.cfg.noise_sigma / math.sqrt(self.d)
-        self.noise_buf = buf
-        self.noise_pos = 0
+            def draw(s: int, m: int, k: int) -> np.ndarray:
+                return gens[s][m].standard_normal((k, d)) * scale
+
+            self._draw, per_step, dtype = draw, self.d, np.float64
+
+        if self._draw is not None:
+            step_bytes = self.S * self.M * per_step * np.dtype(dtype).itemsize
+            steps = min(cfg.T, max(1, _REFILL_BYTES // step_bytes))
+            self._buf = np.empty((self.S, self.M, steps, per_step), dtype=dtype)
+            self._filled, self._first = self._buf[:, :, :0], 0
+
+    def _draws(self, t: int) -> np.ndarray:
+        """The (S, M, ...) draws of step t, refilling the buffer from t on."""
+        if t >= self._first + self._filled.shape[2]:
+            k = min(self._buf.shape[2], self.cfg.T - t)
+            self._filled, self._first = self._buf[:, :, :k], t
+            for s in range(self.S):
+                for m in range(self.M):
+                    self._filled[s, m] = self._draw(s, m, k)
+        return self._filled[:, :, t - self._first]
 
     def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
         y = self.p.dataset.labels
@@ -241,20 +265,23 @@ class _GradientEngine:
             G = self.p.rows_T_dot(C).T[:, None, :]  # (S, 1, d)
             return np.broadcast_to(G, Xn.shape) + self.p.lam * Xn
         Xf = Xn.reshape(self.S * self.M, self.d)
-        U = self.p.margins(Xf)  # (n, S*M) margins
-        C = (-y[:, None] * expit(-y[:, None] * U)) * self.col_w
+        U = self.p.margins(Xf)  # (n, S*M) margins, columns ordered (s, m)
+        C = -y[:, None] * expit(-y[:, None] * U)
+        for start, stop, w in self.col_w:
+            C[start:stop] *= w
         G = self.p.rows_T_dot(C).T
         return G.reshape(self.S, self.M, self.d) + self.p.lam * Xn
 
     def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
+        idx = self._draws(t)  # (S, M, batch)
         if p.dense_rows is not None:
-            rows = p.dense_rows[self.idx[:, :, t, :]]  # (S, M, batch, d)
-            y_sel = p.dataset.labels[self.idx[:, :, t, :]]
+            rows = p.dense_rows[idx]  # (S, M, batch, d)
+            y_sel = p.dataset.labels[idx]
             tv = np.einsum("smbd,smd->smb", rows, Xn)
             c = -y_sel * expit(-y_sel * tv) / cfg.batch
             return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
-        idx_t = self.idx[:, :, t, :].reshape(-1)  # (S*M*batch,)
+        idx_t = idx.reshape(-1)  # (S*M*batch,)
         A_sel = p.dataset.features[idx_t]
         y_sel = p.dataset.labels[idx_t]
         X_rep = np.broadcast_to(
@@ -272,10 +299,7 @@ class _GradientEngine:
             return self._stochastic_grads(Xn, t)
         G = self._full_grads(Xn, eq)
         if mode == GradientMode.INJECTED_NOISE:
-            if self.noise_buf is None or self.noise_pos >= self.noise_buf.shape[2]:
-                self._refill_noise(self.cfg.T - t)
-            G = G + self.noise_buf[:, :, self.noise_pos, :]
-            self.noise_pos += 1
+            G = G + self._draws(t)
         return G
 
 
@@ -411,23 +435,22 @@ def _record_grid(cfg: RunConfig) -> list[int]:
     return sorted(grid)
 
 
+@dataclass
 class _RunBatch:
     """Raw per-seed outputs of one vectorized simulation."""
 
-    def __init__(self, t, synced, V, dist_sq, subopt, grad_norm_sq,
-                 bar_tail, bar_head, xhat, comm_rounds, metadata, seeds):
-        self.t = t
-        self.synced = synced
-        self.V = V
-        self.dist_sq = dist_sq
-        self.subopt = subopt
-        self.grad_norm_sq = grad_norm_sq
-        self.bar_tail = bar_tail
-        self.bar_head = bar_head
-        self.xhat = xhat
-        self.comm_rounds = comm_rounds
-        self.metadata = metadata
-        self.seeds = seeds
+    t: np.ndarray
+    synced: np.ndarray
+    V: np.ndarray
+    dist_sq: np.ndarray
+    subopt: np.ndarray
+    grad_norm_sq: np.ndarray
+    bar_tail: np.ndarray
+    bar_head: np.ndarray
+    xhat: np.ndarray | None
+    comm_rounds: int
+    metadata: dict
+    seeds: list[int]
 
 
 def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
@@ -441,8 +464,7 @@ def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
 
 def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
               seeds: Sequence[int], *, minibatch: bool,
-              capture_xhat: bool = False,
-              _disable_averaging: bool = False) -> _RunBatch:
+              capture_xhat: bool = False) -> _RunBatch:
     cfg.validate(p)
     seeds = list(seeds)
     S, M, d, T = len(seeds), cfg.M, p.dim, cfg.T
@@ -455,12 +477,10 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     R = len(grid)
 
     X = np.zeros((S, M, d))
-    # Which seeds' nodes coincide in X: computed once per step, read by the
-    # averaging, V_t and the exact-gradient shortcut. Rows repeated from one
-    # average coincide by construction (a non-finite average stops the run at
-    # the divergence check before the mask is read).
+    # Which seeds' nodes coincide in X: measured once per step, after any
+    # averaging, and read by the averaging, V_t and the exact-gradient
+    # shortcut.
     eq = _nodes_equal(X)
-    all_equal = np.ones(S, dtype=bool)
     xhat = _mean_nodes(X, eq)
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
     bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
@@ -507,15 +527,13 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         bar_head_sum += xhat
         if minibatch:
             xhat = xhat - gamma * G.mean(axis=1)
-            X = np.repeat(xhat[:, None, :], M, axis=1)
-            eq = all_equal
         else:
             X = X - gamma * G
             eq = _nodes_equal(X)
             xhat = _mean_nodes(X, eq)
-            if (t + 1) in sync_set and not _disable_averaging:
-                X = np.repeat(xhat[:, None, :], M, axis=1)
-                eq = all_equal
+        if minibatch or (t + 1) in sync_set:
+            X = _synchronize(X, xhat)
+            eq = _nodes_equal(X)
         bar_tail_sum += xhat
         _check_divergence(X, t + 1, seeds)
     record_state(T)
@@ -554,13 +572,11 @@ def _single_trace(batch: _RunBatch) -> Trace:
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
-                  capture_xhat: bool = False,
-                  _disable_averaging: bool = False) -> Trace:
+                  capture_xhat: bool = False) -> Trace:
     """One Local SGD run: every node steps on its own stream; at each
     scheduled timestamp all nodes are replaced by their average."""
     batch = _simulate(p, cfg, ref, [cfg.seed], minibatch=False,
-                      capture_xhat=capture_xhat,
-                      _disable_averaging=_disable_averaging)
+                      capture_xhat=capture_xhat)
     return _single_trace(batch)
 
 

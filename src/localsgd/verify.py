@@ -15,6 +15,7 @@ import numpy as np
 
 from . import dataio, objective, simulator, theory
 from .dataio import Regime, generate_synthetic, partition
+from .numkit import RngStream, draw_indices
 from .objective import build_problem, measure_variances, solve_reference
 from .simulator import (
     GradientMode,
@@ -79,18 +80,20 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
         return float(np.linalg.norm(grad - fd) / max(1.0, np.linalg.norm(grad)))
 
     # Node 0 takes one single-sample gradient per step, each at a fresh
-    # point; the loss of the one sample it drew is a one-row problem.
+    # point; the loss of the one sample it drew is a one-row problem. Its
+    # draws are read from its stream here, independently of the engine.
     T = 100
     cfg = RunConfig(M=3, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.0,
                     regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
                     seed=101)
+    drawn = draw_indices(RngStream(seed=cfg.seed, stream_id=0), p.dataset.n, (T, 1))
     worst = 0.0
     for q in (p, replace(p, dense_rows=None)):
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
             G = engine.gradients(X, t, simulator._nodes_equal(X))
-            i = int(engine.idx[0, 0, t, 0])
+            i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1], ds.dim)
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
             worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
@@ -321,12 +324,11 @@ def criterion_variance_identities(level: str = "full") -> CriterionResult:
 
 def criterion_planners(level: str = "full") -> CriterionResult:
     t0 = time.time()
-    checks = []
-    checks.append(theory.plan_H("wc-heterogeneous", 256, 4) == 2)
-    checks.append(theory.plan_H("wc-identical", 10**6, 10) == 32)
-    # T below kappa*M: the floor argument is below 1
-    checks.append(theory.plan_H("sc-identical", 30, 4, kappa=10.0) == 1)
-    checks.append(theory.plan_H("sc-identical", 39, 4, kappa=10.0) == 1)
+    checks = [theory.plan_H("wc-heterogeneous", 256, 4) == 2,
+              theory.plan_H("wc-identical", 10**6, 10) == 32,
+              # T below kappa*M: the floor argument is below 1
+              theory.plan_H("sc-identical", 30, 4, kappa=10.0) == 1,
+              theory.plan_H("sc-identical", 39, 4, kappa=10.0) == 1]
 
     gen = np.random.Generator(np.random.Philox(key=109))
     grid_ok = True
@@ -362,23 +364,15 @@ def criterion_planners(level: str = "full") -> CriterionResult:
 # 10. Protocol reproduction on real data (skipped when absent)
 # ---------------------------------------------------------------------------
 
-def _find_manifest() -> tuple[str, str] | None:
-    data_dir = os.environ.get(dataio.DATA_DIR_ENV, "data")
-    manifest = os.path.join(data_dir, "manifest.txt")
-    if os.path.exists(manifest):
-        return data_dir, manifest
-    return None
-
-
 def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
     t0 = time.time()
-    found = _find_manifest()
-    if found is None:
+    data_dir = os.environ.get(dataio.DATA_DIR_ENV, "data")
+    manifest = os.path.join(data_dir, "manifest.txt")
+    if not os.path.exists(manifest):
         return CriterionResult(
             "real-data-protocol", SKIP,
             "a9a not present (no manifest); fetch it per data/README.md to "
             "enable this check", time.time() - t0)
-    data_dir, manifest = found
     with open(manifest) as f:
         entries = dataio.parse_manifest(f)
     if "a9a" not in entries:
@@ -471,7 +465,4 @@ CRITERIA: list[Callable[[str], CriterionResult]] = [
 
 
 def run_all(level: str = "full") -> list[CriterionResult]:
-    results = []
-    for fn in CRITERIA:
-        results.append(fn(level))
-    return results
+    return [fn(level) for fn in CRITERIA]

@@ -1,10 +1,18 @@
 import functools
+import io
 import os
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localsgd import cli, objective
-from localsgd.dataio import generate_synthetic, to_libsvm, sha256_of
+from localsgd.dataio import generate_synthetic, sha256_of
+
+from libsvm_text import to_libsvm
 
 
 def run_cli(argv):
@@ -150,12 +158,25 @@ dir = {tmp_path / 'out'}
         text = (tmp_path / "o3" / "run_H1.csv").read_text()
         assert "# seed = 5" in text
 
+    def test_single_seed_says_no_guarantee_is_checked(self, tmp_path, capsys):
+        code = run_cli(["run", "--config", self._config(tmp_path),
+                        "--gamma", "0.01", "--H", "1,4", "--seeds", "5"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out.count("guarantees not checked: a verdict needs at least 2 seeds") == 1
+        assert not list((tmp_path / "out").glob("bound_*"))
+
     @pytest.mark.parametrize("flags, keys", [
         (["--seeds", "3:1"], {}),
         ([], {"seeds": ""}),
         (["--gamma", "foo"], {}),
         ([], {"lambda": "abc"}),
         (["--record-every", "0"], {}),
+        (["--tol", "0"], {}),
+        (["--tol=-1"], {}),
+        (["--lam=-1"], {}),
+        (["--seeds=-3:-1"], {}),
+        (["--noise-sigma", "nan"], {}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, flags, keys):
         keys = {"lambda": "1/n", "seeds": "0:2", **keys}
@@ -208,6 +229,69 @@ dir = {tmp_path / 'out'}
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[data]\nsource = a9a\nmanifest = /nonexistent/manifest\n")
         assert run_cli(["run", "--config", str(cfg)]) == 3
+
+
+# The CLI fuzz: a value outside one key's domain, in an otherwise valid tiny
+# config, must end in exit 2 (config) or 3 (data) with one stderr line.
+_FUZZ_BASE = {("data", "n"): "40", ("data", "d"): "3", ("problem", "M"): "2",
+              ("run", "T"): "8", ("run", "H"): "1,4", ("run", "seeds"): "0:2",
+              ("variances", "M"): "1,2"}
+# Kinds of bad value, and the keys for which a kind is in the domain.
+_FUZZ_KINDS = ("empty", "non-numeric", "zero", "negative", "nan")
+_FUZZ_VALID = {"data_seed": {"zero"}, "sort_by_label": {"zero"},
+               "label_noise": {"zero"}, "lam": {"zero"}, "accelerated": {"zero"},
+               "noise_sigma": {"empty"}, "gamma_spec": {"zero"}, "seeds": {"zero"},
+               "record_every": {"empty"}}
+# Words some keys accept; a non-numeric draw that spells one is not bad.
+_FUZZ_WORDS = {"true", "false", "yes", "no", "on", "off", "full", "stochastic",
+               "identical", "heterogeneous"}
+_FUZZ_FIELDS = [f for f in fields(cli.ExperimentConfig) if f.metadata["parse"] is not str]
+
+
+@st.composite
+def _bad_setting(draw):
+    f = draw(st.sampled_from(_FUZZ_FIELDS))
+    kind = draw(st.sampled_from(
+        [k for k in _FUZZ_KINDS if k not in _FUZZ_VALID.get(f.name, ())]))
+    if kind == "empty":
+        value = ""
+    elif kind == "non-numeric":
+        value = draw(st.text(string.ascii_letters, min_size=1, max_size=6).filter(
+            lambda v: v.lower() not in _FUZZ_WORDS))
+    elif kind == "zero":
+        value = draw(st.sampled_from(["0", "0.0", "-0"]))
+    elif kind == "negative":
+        value = draw(st.one_of(st.integers(max_value=-1).map(str),
+                               st.floats(max_value=-1e-9, allow_infinity=False).map(repr)))
+    else:
+        value = draw(st.sampled_from(["nan", "NaN", "-nan"]))
+    return f, value, draw(st.booleans()) and f.metadata["flag"] is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bad_setting())
+def test_cli_fuzz_bad_value_exits_with_one_line(setting):
+    f, value, as_flag = setting
+    section, key = f.metadata["section"], f.metadata["key"]
+    keys = dict(_FUZZ_BASE)
+    if not as_flag:
+        keys[(section, key)] = value
+    flags = [f"{f.metadata['flag']}={value}"] if as_flag else []
+    with tempfile.TemporaryDirectory() as tmp:
+        keys[("output", "dir")] = os.path.join(tmp, "out")
+        sections: dict = {}
+        for (sec, k), v in keys.items():
+            sections.setdefault(sec, []).append(f"{k} = {v}")
+        path = os.path.join(tmp, "fuzz.ini")
+        with open(path, "w") as fh:
+            fh.write("".join(f"[{sec}]\n" + "\n".join(lines) + "\n"
+                             for sec, lines in sections.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_cli(["run", "--config", path, *flags])
+    lines = err.getvalue().strip().splitlines()
+    assert code in (2, 3), (key, value, code)
+    assert len(lines) == 1 and "Traceback" not in err.getvalue(), lines
 
 
 # Which guarantees `run` checks, and with which smoothness constant and

@@ -19,8 +19,9 @@ from localsgd.dataio import (
     parse_manifest,
     partition,
     sha256_of,
-    to_libsvm,
 )
+
+from libsvm_text import to_libsvm
 
 
 class TestParse:
@@ -131,7 +132,7 @@ class TestPartition:
         if M > n:
             return
         part = partition(self._ds(n), M, Regime.HETEROGENEOUS)
-        sizes = part.sizes()
+        sizes = [b - a for a, b in part.node_ranges]
         assert max(sizes) - min(sizes) <= 1
         covered = [i for a, b in part.node_ranges for i in range(a, b)]
         assert covered == list(range(n))

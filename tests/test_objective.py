@@ -303,6 +303,20 @@ class TestSolveReference:
 
 
 class TestMeasureVariances:
+    def test_one_data_pass_per_point(self, monkeypatch):
+        # The probe points are x*, 0 and x*/2; each node's statistics are
+        # slices of one pass over the data at each point.
+        ds = generate_synthetic(200, 5, seed=18, sort_by_label=True)
+        p = build_problem(ds, partition(ds, 20, Regime.HETEROGENEOUS), lam=0.05)
+        ref = solve_reference(p, 1e-10)
+        calls = []
+        inner = objective._per_sample_grad_sq
+        monkeypatch.setattr(objective, "_per_sample_grad_sq",
+                            lambda p, x: calls.append(x) or inner(p, x))
+        vr = measure_variances(p, ref, batch=2)
+        assert len(calls) <= 3
+        assert len(vr.per_node_sigma_sq) == 20
+
     def test_m1_identity_exact(self):
         ds = generate_synthetic(40, 5, seed=17, sort_by_label=True)
         p = build_problem(ds, partition(ds, 1, Regime.HETEROGENEOUS), lam=0.05)

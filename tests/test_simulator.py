@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from localsgd import simulator
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
 from localsgd.objective import build_problem, full_grad_global, solve_reference
@@ -34,6 +35,11 @@ def setup_het():
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.02)
     ref = solve_reference(p, 1e-11)
     return p, ref
+
+
+def skip_averaging(monkeypatch):
+    """Mutate the engine: the communication step leaves every node as it is."""
+    monkeypatch.setattr(simulator, "_synchronize", lambda X, xhat: X)
 
 
 def make_cfg(p, T=64, H=8, gamma=None, mode=GradientMode.STOCHASTIC, M=4,
@@ -233,23 +239,29 @@ class TestInvariants:
             tr = run_local_sgd(p, cfg, ref)
             assert tr.comm_rounds == int(np.ceil(T / H))
 
-    def test_disable_averaging_breaks_sync_invariant(self, setup):
-        # Mutation hook: without averaging the sync rows must show V_t > 0,
+    def test_disable_averaging_breaks_sync_invariant(self, setup, monkeypatch):
+        # Mutation: without averaging the sync rows must show V_t > 0,
         # proving the invariant check has teeth.
         p, ref = setup
         cfg = make_cfg(p, T=24, H=4, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, _disable_averaging=True)
+        skip_averaging(monkeypatch)
+        tr = run_local_sgd(p, cfg, ref)
         assert np.any(tr.V[tr.synced] > 0.0)
 
-    def test_disable_averaging_breaks_h1_equivalence(self, setup):
+    def test_disable_averaging_breaks_h1_equivalence(self, setup, monkeypatch):
         p, ref = setup
         cfg = make_cfg(p, T=40, H=1, record_every=1)
-        tampered = run_local_sgd(p, cfg, ref, capture_xhat=True,
-                                 _disable_averaging=True)
         mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+        skip_averaging(monkeypatch)
+        tampered = run_local_sgd(p, cfg, ref, capture_xhat=True)
         rel = (np.linalg.norm(tampered.xhat - mb.xhat, axis=1)
                / np.maximum(np.linalg.norm(mb.xhat, axis=1), 1e-300))
         assert np.max(rel) > 1e-12
+
+    def test_disable_averaging_fails_sync_criterion(self, monkeypatch):
+        from localsgd import verify
+        skip_averaging(monkeypatch)
+        assert verify.criterion_sync_invariant("fast").status == verify.FAIL
 
     def test_divergence_reported(self, setup):
         ds = generate_synthetic(50, 4, seed=44)
@@ -349,3 +361,71 @@ class TestTraceCsv:
         text = buf.getvalue()
         assert "# n_seeds = 3" in text
         assert "subopt_mean,subopt_se" in text
+
+
+def csv_of(trace) -> str:
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue()
+
+
+class TestRefill:
+    """The engine draws its randomness in refills of about _REFILL_BYTES."""
+
+    @pytest.mark.parametrize("mode, kw", [
+        (GradientMode.STOCHASTIC, {"batch": 3}),
+        (GradientMode.INJECTED_NOISE, {"noise_sigma": 0.5}),
+    ])
+    def test_refill_size_does_not_change_outputs(self, setup_het, monkeypatch,
+                                                 mode, kw):
+        p, ref = setup_het
+        cfg = make_cfg(p, T=23, H=5, mode=mode, record_every=1, **kw)
+        seeds = [0, 3, 8]
+        whole = csv_of(run_replicated(p, cfg, ref, seeds))
+        one = make_cfg(p, T=23, H=5, mode=mode, record_every=1, seed=3, **kw)
+        single = csv_of(run_local_sgd(p, one, ref))
+        # 5 steps per refill: four full refills and a partial one of 3 steps.
+        item = 3 * 8 if mode == GradientMode.STOCHASTIC else p.dim * 8
+        monkeypatch.setattr(simulator, "_REFILL_BYTES", 5 * len(seeds) * 4 * item)
+        assert csv_of(run_replicated(p, cfg, ref, seeds)) == whole
+        monkeypatch.setattr(simulator, "_REFILL_BYTES", 1)
+        assert csv_of(run_local_sgd(p, one, ref)) == single
+
+    @pytest.mark.parametrize("mode, kw", [
+        (GradientMode.STOCHASTIC, {}),
+        (GradientMode.INJECTED_NOISE, {"noise_sigma": 0.5}),
+    ])
+    def test_engine_is_freed_without_collection(self, setup, mode, kw):
+        # A reference cycle would keep the buffer alive until the garbage
+        # collector runs, so two runs' buffers could be resident at once.
+        import gc
+        import weakref
+        p, _ = setup
+        engine = simulator._GradientEngine(p, make_cfg(p, mode=mode, **kw), [0, 1])
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_engine_memory_does_not_grow_with_T(self):
+        import tracemalloc
+        ds = generate_synthetic(100, 5, seed=45)
+        p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.1)
+        T = 100_000
+        cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.1,
+                        regime=Regime.HETEROGENEOUS,
+                        gradient_mode=GradientMode.STOCHASTIC, seed=0)
+        seeds = list(range(50))
+        X = np.zeros((50, 4, p.dim))
+        tracemalloc.start()
+        try:
+            engine = simulator._GradientEngine(p, cfg, seeds)
+            engine.gradients(X, 0, _nodes_equal(X))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The whole run's indices would take 50 * 4 * T * 8 bytes = 160 MB.
+        assert peak <= simulator._REFILL_BYTES + (2 << 20)
