@@ -43,7 +43,6 @@ from .theory import (
     Verdict,
     bound,
     check_bound,
-    check_grad_norm_bound,
     check_vt_bound,
     plan_H,
     plan_gamma,

@@ -96,8 +96,11 @@ def _parse_seeds(spec: str) -> tuple[int, ...]:
     """'a:b' (the range a..b-1) or a comma list."""
     spec = spec.strip()
     if ":" in spec:
-        a, b = spec.split(":")
-        seeds = tuple(range(_seed(a), _seed(b)))
+        ends = spec.split(":")
+        if len(ends) != 2:
+            raise ValueError(f"expected 'a:b' (the seeds a..b-1) or a comma list, "
+                             f"got {spec!r}")
+        seeds = tuple(range(_seed(ends[0]), _seed(ends[1])))
     else:
         seeds = tuple(_seed(tok) for tok in spec.split(",") if tok.strip())
     if not seeds:
@@ -154,7 +157,6 @@ class ExperimentConfig:
     regime: Regime = _key("problem", "regime", lambda s: Regime(s.lower()),
                           Regime.IDENTICAL, "--regime", "identical or heterogeneous")
     tol: float = _key("solver", "tol", _positive_float, 1e-10, "--tol")
-    accelerated: bool = _key("solver", "accelerated", _parse_bool, True)
     gradient_mode: GradientMode = _key(
         "run", "gradient_mode", GradientMode, GradientMode.STOCHASTIC,
         "--gradient-mode", ", ".join(m.value for m in GradientMode))
@@ -186,9 +188,10 @@ def _invalid(name: str, why: str) -> ConfigError:
     return ConfigError(f"[{meta['section']}] {meta['key']}{flag}: {why}")
 
 
-def _set(cfg: ExperimentConfig, f, raw: str, where: str) -> None:
+def _parse(parse, raw: str, where: str):
+    """parse(raw); a value it refuses is a ConfigError naming `where`."""
     try:
-        setattr(cfg, f.name, f.metadata["parse"](raw))
+        return parse(raw)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from None
 
@@ -202,6 +205,7 @@ def load_config(path: str | None) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     # configparser lowercases keys, and would copy [DEFAULT] into every section.
     known = {(f.metadata["section"], f.metadata["key"].lower()) for f in fields(cfg)}
+    known.add(("solver", "accelerated"))
     if parser.defaults():
         raise ConfigError(f"[{parser.default_section}]: unknown section")
     for section in parser.sections():
@@ -213,7 +217,14 @@ def load_config(path: str | None) -> ExperimentConfig:
     for f in fields(cfg):
         section, key = f.metadata["section"], f.metadata["key"]
         if parser.has_option(section, key):
-            _set(cfg, f, parser.get(section, key), f"[{section}] {key}")
+            setattr(cfg, f.name, _parse(f.metadata["parse"], parser.get(section, key),
+                                        f"[{section}] {key}"))
+    # Obsolete: it chose between two iterative reference solvers. It still
+    # loads, so that configs which set it keep working.
+    if parser.has_option("solver", "accelerated"):
+        _parse(_parse_bool, parser.get("solver", "accelerated"), "[solver] accelerated")
+        print("[solver] accelerated is obsolete and has no effect: "
+              "the reference solve is Newton's method")
     return cfg
 
 
@@ -281,10 +292,10 @@ def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
 
 
 def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
-    """solve_reference; a solve that hits its iteration cap is a ConfigError
-    on tol."""
+    """solve_reference; a solve that stops short of tol (step cap, or a tol
+    below the rounding floor) is a ConfigError on tol."""
     try:
-        return solve_reference(p, cfg.tol, accelerated=cfg.accelerated)
+        return solve_reference(p, cfg.tol)
     except ConvergenceError as e:
         raise _invalid("tol", str(e)) from None
 
@@ -370,8 +381,8 @@ def cmd_run(args) -> int:
         summary.append((schedule.H, comm, float(final_sub), float(final_dist),
                         "" if holds is None else ("holds" if holds else "violated")))
         print(f"H={schedule.H}: comm_rounds={comm} final_subopt={final_sub:.4e} "
-              f"final_dist_sq={final_dist:.4e} "
-              + (f"bounds={'ok' if holds else 'VIOLATED'}" if holds is not None else ""))
+              f"final_dist_sq={final_dist:.4e}"
+              + (f" bounds={'ok' if holds else 'VIOLATED'}" if holds is not None else ""))
 
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as f:
         f.write("H,comm_rounds,final_subopt,final_dist_sq,bounds\n")
@@ -470,7 +481,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
     for f in fields(cfg):
         raw = getattr(args, f.name, None) if f.metadata["flag"] else None
         if raw is not None:
-            _set(cfg, f, raw, f.metadata["flag"])
+            setattr(cfg, f.name, _parse(f.metadata["parse"], raw, f.metadata["flag"]))
 
 
 def _add_common(sub):

@@ -13,11 +13,12 @@ import numpy as np
 from scipy.special import expit
 
 from .dataio import Dataset, Partition, Regime
-from .numkit import DimensionMismatchError, RngStream
+from .numkit import DimensionMismatchError
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap before reaching tolerance."""
+    """The reference solve stopped short of its tolerance: it hit its step
+    cap, or no step reduced the gradient any further."""
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class Problem:
     """f(x) = (1/M) sum_m f_m(x), each f_m an average of logistic losses plus
     (lam/2)||x||^2 over its node's samples.
 
-    L is the global smoothness estimate lambda_max((1/4n) A^T A) + lam; the
+    L is the global smoothness constant lambda_max((1/4n) A^T A) + lam; the
     logistic part contributes at least zero curvature so mu equals lam
     exactly. L_component is the almost-sure smoothness bound over
     single-sample draws, max_i ||a_i||^2 / 4 + lam; the finite-sum bounds
@@ -64,10 +65,6 @@ class Problem:
         return self.lam
 
     @property
-    def kappa(self) -> float:
-        return self.L / self.mu if self.mu > 0 else float("inf")
-
-    @property
     def M(self) -> int:
         return self.part.M
 
@@ -96,38 +93,33 @@ def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
     return w
 
 
-# Power iteration for L: relative tolerance and iteration cap.
-_L_RTOL = 1e-9
-_L_MAX_ITER = 10_000
+# Rows per block of a Gram matrix: the dense blocks stay small, where one
+# sparse product over all rows would leave multi-MB temporaries behind.
+_GRAM_ROWS = 256
+
+
+def _weighted_gram(A, w: np.ndarray) -> np.ndarray:
+    """A^T diag(w) A for a CSR matrix A, as a dense (d, d) array summed over
+    dense blocks of its rows."""
+    G = np.zeros((A.shape[1], A.shape[1]))
+    for start in range(0, A.shape[0], _GRAM_ROWS):
+        B = A[start:start + _GRAM_ROWS].toarray()
+        G += B.T @ (w[start:start + _GRAM_ROWS, None] * B)
+    return G
 
 
 def estimate_L(dataset: Dataset, lam: float) -> float:
-    """L = lambda_max((1/4n) A^T A) + lam by power iteration to _L_RTOL.
+    """L = lambda_max((1/4n) A^T A) + lam, the largest eigenvalue of the
+    d x d Gram matrix.
 
     (1/4) A^T A / n dominates the logistic Hessian at every point, so the
     result is a global smoothness constant for f.
     """
-    A = dataset.features
     n = dataset.n
     if n == 0:
         raise ValueError("empty dataset")
-    v = RngStream(seed=0x5EED, stream_id=0).generator().standard_normal(dataset.dim)
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    for it in range(_L_MAX_ITER):
-        w = A.T @ (A @ v) / (4.0 * n)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return lam  # A^T A annihilates the probe: spectrum is zero
-        lam_max = float(v @ w)
-        v = w / norm_w
-        if it > 0 and abs(lam_max - lam_prev) <= _L_RTOL * max(abs(lam_max), 1e-300):
-            return lam_max + lam
-        lam_prev = lam_max
-    raise ConvergenceError(
-        f"power iteration did not converge in {_L_MAX_ITER} iterations "
-        f"(last residual {abs(lam_max - lam_prev):.3e})"
-    )
+    gram = _weighted_gram(dataset.features, np.full(n, 1.0 / (4.0 * n)))
+    return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
 def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -> Problem:
@@ -232,7 +224,6 @@ class ReferenceSolution:
     grad_norm: float
     tolerance: float
     iterations: int
-    method: str
 
     def __post_init__(self):
         if self.grad_norm > self.tolerance:
@@ -244,61 +235,56 @@ class ReferenceSolution:
             f"grad_norm = {self.grad_norm!r}",
             f"tolerance = {self.tolerance!r}",
             f"iterations = {self.iterations}",
-            f"method = {self.method}",
+            "method = newton",
             "x_star = " + ",".join(repr(float(v)) for v in self.x_star),
         ]
         return "\n".join(lines) + "\n"
 
 
-def solve_reference(p: Problem, tol: float, *, accelerated: bool = False,
-                    x0: np.ndarray | None = None,
-                    max_iter: int = 10_000_000) -> ReferenceSolution:
-    """Deterministic full-batch descent at stepsize 1/L until ||grad f|| <= tol.
+# Step halvings before the line search gives up: below 2^-50 of a Newton
+# step, x moves only in its last bits.
+_MAX_HALVINGS = 50
 
-    Plain gradient descent by default; `accelerated` switches to Nesterov
-    momentum (strongly convex variant when mu > 0), useful for the 1/n
-    regularization where kappa is large.
+
+def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
+                    max_iter: int = 500) -> ReferenceSolution:
+    """Damped Newton's method until ||grad f|| <= tol.
+
+    Each step solves (A^T D A + lam I) s = -grad f by least squares, D the
+    logistic curvature weights, so it stays defined where lam = 0 leaves
+    the Hessian singular. The step is halved until it reduces ||grad f||
+    by a sufficient fraction; a step that cannot be made to reduce it means
+    tol is below the rounding floor of the gradient.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.zeros(p.dim) if x0 is None else np.array(x0, dtype=np.float64)
-    # L == 0 only for degenerate data (all-zero rows, lam = 0), where f is
-    # constant and the first gradient check below already returns.
-    gamma = 1.0 / p.L if p.L > 0 else 0.0
-
-    if not accelerated:
-        for it in range(max_iter):
-            g = full_grad_global(p, x)
-            gn = float(np.linalg.norm(g))
-            if gn <= tol:
-                return ReferenceSolution(x, loss(p, x), gn, tol, it, "gd")
-            x = x - gamma * g
-    else:
-        if p.mu > 0:
-            beta = (np.sqrt(p.kappa) - 1.0) / (np.sqrt(p.kappa) + 1.0)
-        y = x.copy()
-        x_prev = x.copy()
-        t_k = 1.0
-        for it in range(max_iter):
-            g = full_grad_global(p, y)
-            x = y - gamma * g
-            if p.mu > 0:
-                y = x + beta * (x - x_prev)
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-                y = x + ((t_k - 1.0) / t_next) * (x - x_prev)
-                t_k = t_next
-            x_prev = x
-            if it % 16 == 0 or float(np.linalg.norm(g)) <= tol:
-                gx = full_grad_global(p, x)
-                gn = float(np.linalg.norm(gx))
-                if gn <= tol:
-                    return ReferenceSolution(x, loss(p, x), gn, tol, it, "nesterov")
-    gn = float(np.linalg.norm(full_grad_global(p, x)))
-    raise ConvergenceError(
-        f"reference solver hit the {max_iter}-iteration cap at ||grad|| = {gn:.3e} "
-        f"(target {tol:.3e})"
-    )
+    A = p.dataset.features
+    g = full_grad_global(p, x)
+    gn = float(np.linalg.norm(g))
+    steps = 0
+    while gn > tol:
+        if steps == max_iter:
+            raise ConvergenceError(
+                f"reference solve hit the {max_iter}-step cap at ||grad|| = "
+                f"{gn:.3e} (target {tol:.3e})")
+        s = expit(A @ x)
+        hessian = _weighted_gram(A, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
+        step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
+        for halving in range(_MAX_HALVINGS):
+            t = 0.5 ** halving
+            x_new = x + t * step
+            g_new = full_grad_global(p, x_new)
+            gn_new = float(np.linalg.norm(g_new))
+            if gn_new < (1.0 - 1e-4 * t) * gn:
+                break
+        else:
+            raise ConvergenceError(
+                f"reference solve stalled at ||grad|| = {gn:.3e} after {steps} Newton "
+                f"steps: no step reduces it, so {tol:.3e} is below its rounding floor")
+        x, g, gn = x_new, g_new, gn_new
+        steps += 1
+    return ReferenceSolution(x, loss(p, x), gn, tol, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -437,25 +437,3 @@ def check_vt_bound(agg: AggregateTrace, gamma: float, H: int,
     return _verdict(agg.mean["V"], agg.se["V"], rhs,
                     f"V_t <= (H-1) gamma^2 sigma^2 at {agg.t.size} steps")
 
-
-def check_grad_norm_bound(agg: AggregateTrace, L: float, M: int,
-                          sigma_dif_sq: float) -> Verdict:
-    """Heterogeneous averaged-gradient bound: mean ||g_t||^2 <= 2 L^2 V_t
-    + 8 L (f(xhat_t) - f*) + 4 sigma_dif^2 / M, compared at recorded steps
-    with gradients; L is the almost-sure component constant.
-
-    The RHS is itself estimated from the trace, so its standard errors are
-    added to the slack alongside the LHS one.
-    """
-    has_grad = ~np.isnan(agg.mean["grad_norm_sq"])
-    if not np.any(has_grad):
-        raise ValueError("trace has no recorded gradient norms")
-    emp = agg.mean["grad_norm_sq"][has_grad]
-    rhs = (2.0 * L**2 * agg.mean["V"][has_grad]
-           + 8.0 * L * agg.mean["subopt"][has_grad]
-           + 4.0 * sigma_dif_sq / M)
-    se = (agg.se["grad_norm_sq"][has_grad]
-          + 2.0 * L**2 * agg.se["V"][has_grad]
-          + 8.0 * L * agg.se["subopt"][has_grad])
-    return _verdict(emp, se, rhs,
-                    f"||g_t||^2 bound at {int(has_grad.sum())} steps")

@@ -113,7 +113,7 @@ def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
     t0 = time.time()
     ds = generate_synthetic(1000, 20, seed=102)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))
-    ref = solve_reference(p, 1e-10, accelerated=True)
+    ref = solve_reference(p, 1e-10)
     cfg = RunConfig(M=4, T=500, schedule=SyncSchedule.uniform(1, 500),
                     gamma=1.0 / (4 * p.L), regime=Regime.IDENTICAL,
                     gradient_mode=GradientMode.STOCHASTIC, seed=11, record_every=1)
@@ -220,7 +220,7 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     t0 = time.time()
     ds = generate_synthetic(400, 25, seed=106)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))  # lam = 1/n
-    ref = solve_reference(p, 1e-12, accelerated=True)
+    ref = solve_reference(p, 1e-12)
     vr = measure_variances(p, ref, batch=1)
     seeds = _seeds(level)
 
@@ -253,7 +253,7 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     t0 = time.time()
     ds = generate_synthetic(240, 15, seed=107, sort_by_label=True, label_noise=0.05)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
-    ref = solve_reference(p, 1e-12, accelerated=True)
+    ref = solve_reference(p, 1e-12)
     vr = measure_variances(p, ref, batch=1)
     seeds = _seeds(level)
 
@@ -271,7 +271,7 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     block = generate_synthetic(60, 15, seed=1070)
     tiled = dataio.concat_datasets([block] * 4, name="tiled")
     p2 = build_problem(tiled, partition(tiled, 4, Regime.HETEROGENEOUS))
-    ref2 = solve_reference(p2, 1e-12, accelerated=True)
+    ref2 = solve_reference(p2, 1e-12)
     T2 = 512
     gamma2 = 1.0 / (8 * p2.L_component * (T2 - 1))
     cfg2 = RunConfig(M=4, T=T2, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
@@ -298,12 +298,12 @@ def criterion_variance_identities(level: str = "full") -> CriterionResult:
     t0 = time.time()
     ds = generate_synthetic(300, 12, seed=108, sort_by_label=True)
     p1 = build_problem(ds, partition(ds, 1, Regime.HETEROGENEOUS))
-    ref = solve_reference(p1, 1e-12, accelerated=True)
+    ref = solve_reference(p1, 1e-12)
     vr1 = measure_variances(p1, ref, batch=1)
     diff_m1 = abs(vr1.sigma_dif_sq - vr1.sigma_opt_sq)
 
     pM = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
-    refM = solve_reference(pM, 1e-12, accelerated=True)
+    refM = solve_reference(pM, 1e-12)
     vrM = measure_variances(pM, refM, batch=1, exhaustive=True)
     oracle = np.mean([
         float(np.sum(objective.full_grad(pM, m, refM.x_star) ** 2))
@@ -386,7 +386,7 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
             f"a9a shape {ds.n}x{ds.dim} differs from the published 32561x123",
             time.time() - t0)
     p = build_problem(ds, partition(ds, 20, Regime.IDENTICAL))  # lam = 1/n
-    ref = solve_reference(p, 1e-9, accelerated=True)
+    ref = solve_reference(p, 1e-9)
 
     rounds = 120
     ok = True
@@ -425,7 +425,7 @@ def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
     t0 = time.time()
     ds = generate_synthetic(400, 30, seed=51, sort_by_label=True, label_noise=0.02)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
-    ref = solve_reference(p, 1e-12, accelerated=True)
+    ref = solve_reference(p, 1e-12)
     gamma = 1.0 / p.L_component
     rounds = 2500
     per_round = {}

@@ -137,6 +137,25 @@ dir = {tmp_path / 'out'}
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "[solver] tol (--tol)" in err[0]
 
+    def test_tol_below_rounding_floor_exits_2(self, tmp_path, capsys):
+        assert run_cli(["run", "--config", self._config(tmp_path), "--tol", "1e-30"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[solver] tol (--tol)" in err[0] and "stalled" in err[0]
+        assert not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("value, code", [("false", 0), ("maybe", 2)])
+    def test_obsolete_accelerated_key(self, tmp_path, capsys, value, code):
+        cfg = self._config(tmp_path, f"[solver]\naccelerated = {value}")
+        assert run_cli(["run", "--config", cfg, "--H", "1"]) == code
+        captured = capsys.readouterr()
+        notice = ("[solver] accelerated is obsolete and has no effect: "
+                  "the reference solve is Newton's method")
+        if code == 0:
+            assert captured.out.splitlines().count(notice) == 1
+        else:
+            err = captured.err.strip().splitlines()
+            assert len(err) == 1 and "[solver] accelerated" in err[0]
+
     def test_reproducible_byte_identical(self, tmp_path):
         cfg = self._config(tmp_path)
         run_cli(["run", "--config", cfg])
@@ -164,6 +183,8 @@ dir = {tmp_path / 'out'}
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         assert out.count("guarantees not checked: a verdict needs at least 2 seeds") == 1
+        assert [l for l in out if l.startswith("H=")] and not any(
+            l.endswith(" ") for l in out)
         assert not list((tmp_path / "out").glob("bound_*"))
 
     @pytest.mark.parametrize("flags, keys", [
@@ -177,6 +198,7 @@ dir = {tmp_path / 'out'}
         (["--lam=-1"], {}),
         (["--seeds=-3:-1"], {}),
         (["--noise-sigma", "nan"], {}),
+        (["--seeds=1:2:3"], {}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, flags, keys):
         keys = {"lambda": "1/n", "seeds": "0:2", **keys}
@@ -186,6 +208,10 @@ dir = {tmp_path / 'out'}
                        f"[output]\ndir = {tmp_path / 'out'}\n")
         assert run_cli(["run", "--config", str(cfg), *flags]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_malformed_seed_range_shows_the_form(self, tmp_path, capsys):
+        assert run_cli(["run", "--config", self._config(tmp_path), "--seeds=1:2:3"]) == 2
+        assert "expected 'a:b'" in capsys.readouterr().err
 
     def test_flag_prefix_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -239,7 +265,7 @@ _FUZZ_BASE = {("data", "n"): "40", ("data", "d"): "3", ("problem", "M"): "2",
 # Kinds of bad value, and the keys for which a kind is in the domain.
 _FUZZ_KINDS = ("empty", "non-numeric", "zero", "negative", "nan")
 _FUZZ_VALID = {"data_seed": {"zero"}, "sort_by_label": {"zero"},
-               "label_noise": {"zero"}, "lam": {"zero"}, "accelerated": {"zero"},
+               "label_noise": {"zero"}, "lam": {"zero"},
                "noise_sigma": {"empty"}, "gamma_spec": {"zero"}, "seeds": {"zero"},
                "record_every": {"empty"}}
 # Words some keys accept; a non-numeric draw that spells one is not bad.

