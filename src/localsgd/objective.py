@@ -26,11 +26,12 @@ class Problem:
     """f(x) = (1/M) sum_m f_m(x), each f_m an average of logistic losses plus
     (lam/2)||x||^2 over its node's samples.
 
-    L is the global smoothness constant lambda_max((1/4n) A^T A) + lam; the
-    logistic part contributes at least zero curvature so mu equals lam
-    exactly. L_component is the almost-sure smoothness bound over
-    single-sample draws, max_i ||a_i||^2 / 4 + lam; the finite-sum bounds
-    hold for that constant, not for the (smaller) global L.
+    L is the global smoothness constant lambda_max(A^T diag(w) A)/4 + lam,
+    w the per-sample weights of f; the logistic part contributes at least
+    zero curvature so mu equals lam exactly. L_component is the almost-sure
+    smoothness bound over single-sample draws, max_i ||a_i||^2 / 4 + lam;
+    the finite-sum bounds hold for that constant, not for the (smaller)
+    global L.
     """
 
     dataset: Dataset
@@ -45,7 +46,7 @@ class Problem:
     node_rows: tuple = field(repr=False)
     # Dense copy of the rows when the stored matrix is mostly dense anyway
     # (synthetic data); genuinely sparse datasets keep None and all products
-    # go through CSR.
+    # go through CSR. Only margins, rows_T_dot and gather read the storage.
     dense_rows: np.ndarray | None = field(default=None, repr=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -59,6 +60,12 @@ class Problem:
         if self.dense_rows is not None:
             return self.dense_rows.T @ C
         return self.dataset.features.T @ C
+
+    def gather(self, idx: np.ndarray) -> np.ndarray:
+        """The rows at an index array as one dense block, shape (*idx.shape, d)."""
+        if self.dense_rows is not None:
+            return self.dense_rows[idx]
+        return self.dataset.features[idx.ravel()].toarray().reshape(*idx.shape, self.dim)
 
     @property
     def mu(self) -> float:
@@ -108,17 +115,17 @@ def _weighted_gram(A, w: np.ndarray) -> np.ndarray:
     return G
 
 
-def estimate_L(dataset: Dataset, lam: float) -> float:
-    """L = lambda_max((1/4n) A^T A) + lam, the largest eigenvalue of the
-    d x d Gram matrix.
+def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
+    """L = lambda_max(A^T diag(w) A)/4 + lam, the largest eigenvalue of the
+    d x d Gram matrix, w = sample_weights(dataset, part).
 
-    (1/4) A^T A / n dominates the logistic Hessian at every point, so the
-    result is a global smoothness constant for f.
+    f weighs sample i by w_i, and the logistic curvature of a sample is at
+    most 1/4, so A^T diag(w) A / 4 dominates the Hessian of f at every
+    point and the result is a global smoothness constant for f.
     """
-    n = dataset.n
-    if n == 0:
+    if dataset.n == 0:
         raise ValueError("empty dataset")
-    gram = _weighted_gram(dataset.features, np.full(n, 1.0 / (4.0 * n)))
+    gram = _weighted_gram(dataset.features, sample_weights(dataset, part) / 4.0)
     return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
@@ -135,7 +142,7 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         dataset=dataset,
         part=part,
         lam=lam,
-        L=estimate_L(dataset, lam),
+        L=estimate_L(dataset, part, lam),
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
@@ -152,6 +159,12 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
 def _check_dim(p: Problem, x: np.ndarray) -> None:
     if x.shape[-1] != p.dim:
         raise DimensionMismatchError(f"x has dim {x.shape[-1]}, problem has {p.dim}")
+
+
+def _logistic_slope(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d/dt log(1 + exp(-y t)) = -y sigmoid(-y t), elementwise: the one
+    coefficient every gradient scales its rows by."""
+    return -y * expit(-y * t)
 
 
 # Elements per pass of the pointwise loss chain: a chunk and its scratch stay
@@ -199,7 +212,7 @@ def full_grad(p: Problem, node: int, x: np.ndarray) -> np.ndarray:
     A = p.node_rows[node]
     y = p.dataset.labels[start:stop]
     t = A @ x
-    coeff = -y * expit(-y * t) / (stop - start)
+    coeff = _logistic_slope(y, t) / (stop - start)
     return A.T @ coeff + p.lam * x
 
 
@@ -338,7 +351,7 @@ def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:
     gradients: expands to c^2 ||a||^2 + 2 lam c (a.x) + lam^2 ||x||^2."""
     t = p.dataset.features @ x
     y = p.dataset.labels
-    c = -y * expit(-y * t)
+    c = _logistic_slope(y, t)
     return c * c * p.row_norms_sq + 2.0 * p.lam * c * t + p.lam**2 * float(x @ x)
 
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .dataio import Regime
 from .numkit import RngStream, draw_indices
-from .objective import Problem, ReferenceSolution, loss_many
+from .objective import Problem, ReferenceSolution, _logistic_slope, loss_many
 
 # Stream-id namespace: index draws use the node id, Gaussian noise draws use
 # the node id with the top bit set, so the two never collide.
@@ -38,9 +36,8 @@ class GradientMode(enum.Enum):
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, t: int, seed: int, node: int | None):
-        where = f"seed {seed}" + ("" if node is None else f", node {node}")
-        super().__init__(f"iterate diverged at step {t} ({where})")
+    def __init__(self, t: int, seed: int, node: int):
+        super().__init__(f"iterate diverged at step {t} (seed {seed}, node {node})")
         self.t = t
         self.seed = seed
         self.node = node
@@ -98,9 +95,9 @@ class SyncSchedule:
         return cls(sync_steps=(T,), H=T)
 
     @classmethod
-    def from_steps(cls, steps: Sequence[int], H: int | None = None) -> "SyncSchedule":
+    def from_steps(cls, steps: Sequence[int]) -> "SyncSchedule":
         steps = tuple(int(s) for s in steps)
-        return cls(sync_steps=steps, H=_max_gap(steps) if H is None else H)
+        return cls(sync_steps=steps, H=_max_gap(steps))
 
     def describe(self) -> str:
         if self.sync_steps == tuple(range(self.H, self.final + 1, self.H)):
@@ -197,7 +194,7 @@ class _GradientEngine:
         self.seeds = list(seeds)
         self.S = len(self.seeds)
         self.M = cfg.M
-        self.n, self.d = p.dataset.features.shape
+        self.d = p.dim
         mode = cfg.gradient_mode
         self._draw = None  # exact gradients draw nothing
 
@@ -212,11 +209,6 @@ class _GradientEngine:
                 return start + draw_indices(streams[s][m], stop - start, (k, cfg.batch))
 
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
-            K = self.S * self.M * cfg.batch
-            # Group-sum selector: row (s, m) sums its `batch` gathered rows.
-            rows = np.repeat(np.arange(self.S * self.M), cfg.batch)
-            self.group_sum = sp.csr_matrix(
-                (np.ones(K), (rows, np.arange(K))), shape=(self.S * self.M, K))
         else:
             # Exact per-node gradients weigh sample i by 1/n_m in node m's
             # columns when i lies in node m's block, and by 0 elsewhere. The
@@ -261,12 +253,12 @@ class _GradientEngine:
             # Nodes coincide and share f: one gradient per seed suffices.
             Xf = Xn[:, 0, :]
             U = self.p.margins(Xf)  # (n, S)
-            C = -y[:, None] * expit(-y[:, None] * U) / self.n
+            C = _logistic_slope(y[:, None], U) / self.p.dataset.n
             G = self.p.rows_T_dot(C).T[:, None, :]  # (S, 1, d)
             return np.broadcast_to(G, Xn.shape) + self.p.lam * Xn
         Xf = Xn.reshape(self.S * self.M, self.d)
         U = self.p.margins(Xf)  # (n, S*M) margins, columns ordered (s, m)
-        C = -y[:, None] * expit(-y[:, None] * U)
+        C = _logistic_slope(y[:, None], U)
         for start, stop, w in self.col_w:
             C[start:stop] *= w
         G = self.p.rows_T_dot(C).T
@@ -275,22 +267,11 @@ class _GradientEngine:
     def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
         idx = self._draws(t)  # (S, M, batch)
-        if p.dense_rows is not None:
-            rows = p.dense_rows[idx]  # (S, M, batch, d)
-            y_sel = p.dataset.labels[idx]
-            tv = np.einsum("smbd,smd->smb", rows, Xn)
-            c = -y_sel * expit(-y_sel * tv) / cfg.batch
-            return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
-        idx_t = idx.reshape(-1)  # (S*M*batch,)
-        A_sel = p.dataset.features[idx_t]
-        y_sel = p.dataset.labels[idx_t]
-        X_rep = np.broadcast_to(
-            Xn[:, :, None, :], (self.S, self.M, cfg.batch, self.d)
-        ).reshape(-1, self.d)
-        tv = np.asarray(A_sel.multiply(X_rep).sum(axis=1)).ravel()
-        c = -y_sel * expit(-y_sel * tv) / cfg.batch
-        G = (self.group_sum @ A_sel.multiply(c[:, None])).toarray()
-        return G.reshape(self.S, self.M, self.d) + p.lam * Xn
+        rows = p.gather(idx)  # (S, M, batch, d), from either storage
+        y_sel = p.dataset.labels[idx]
+        tv = np.einsum("smbd,smd->smb", rows, Xn)
+        c = _logistic_slope(y_sel, tv) / cfg.batch
+        return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
 
     def gradients(self, Xn: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
         """Gradients at the (S, M, d) stack Xn; `eq` is _nodes_equal(Xn)."""
@@ -382,11 +363,8 @@ class AggregateTrace:
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean/SE over the last axis; identical observations give the exact
     value and an SE of 0 instead of floating-point dust."""
-    S = values.shape[-1]
     mean = values.mean(axis=-1)
-    if S < 2:
-        return mean, np.zeros_like(mean)
-    se = values.std(axis=-1, ddof=1) / math.sqrt(S)
+    se = values.std(axis=-1, ddof=1) / math.sqrt(values.shape[-1])
     spread = values.max(axis=-1) - values.min(axis=-1)
     exact = spread == 0.0
     mean = np.where(exact, values[..., 0], mean)

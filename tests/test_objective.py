@@ -27,6 +27,7 @@ from localsgd.simulator import (
     SyncSchedule,
     _GradientEngine,
     _nodes_equal,
+    run_local_sgd,
 )
 
 
@@ -221,6 +222,33 @@ class TestStochasticGrad:
             diff = np.abs(draws.mean(axis=0) - full_grad(q, 0, x))
             assert np.all(diff <= 3 * se + 1e-12)
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_storages_give_bitwise_equal_gradients(self, regime, batch):
+        p = small_problem(n=90, d=7, M=3, regime=regime)
+        x = RngStream(seed=20).generator().standard_normal(p.dim)
+        dense, csr = (node_grads(q, x, seeds=(0, 1, 2), T=3, batch=batch)
+                      for q in storages(p))
+        assert all(np.array_equal(a, b) for a, b in zip(dense, csr))
+
+    def test_storages_give_bitwise_equal_iterates(self):
+        p = small_problem(n=90, d=7, M=3, regime=Regime.HETEROGENEOUS)
+        ref = solve_reference(p, 1e-10)
+        cfg = RunConfig(M=3, T=40, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
+                        regime=p.part.regime, gradient_mode=GradientMode.STOCHASTIC,
+                        seed=5, batch=3, record_every=1)
+        dense, csr = (run_local_sgd(q, cfg, ref, capture_xhat=True).xhat
+                      for q in storages(p))
+        assert np.array_equal(dense, csr)
+
+    def test_seed_alone_equals_seed_in_a_batch_on_csr(self):
+        p = storages(small_problem(n=90, d=7, M=3, regime=Regime.HETEROGENEOUS))[1]
+        x = RngStream(seed=21).generator().standard_normal(p.dim)
+        for batch in (1, 3):
+            alone = node_grads(p, x, seeds=(4,), T=3, batch=batch)
+            inside = node_grads(p, x, seeds=(0, 4, 9, 11), T=3, batch=batch)
+            assert all(np.array_equal(a[0], b[1]) for a, b in zip(alone, inside))
+
     def test_batch_reduces_to_mean_of_components(self):
         p = small_problem(n=20, d=4, M=1, lam=0.03)
         x = np.ones(4) * 0.2
@@ -238,36 +266,52 @@ class TestStochasticGrad:
             assert np.allclose(G[0, 0], manual, rtol=1e-12)
 
 
+def one_node(ds):
+    return partition(ds, 1, Regime.IDENTICAL)
+
+
 class TestEstimateL:
     def test_single_row_exact(self):
         ds = dataset_from_rows([[2.0, 0.0]], [1.0])
-        assert estimate_L(ds, 0.0) == pytest.approx(1.0, rel=1e-9)
+        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_lambda_shifts_additively(self):
         ds = generate_synthetic(40, 6, seed=14)
-        base = estimate_L(ds, 0.0)
-        assert estimate_L(ds, 0.37) == pytest.approx(base + 0.37, rel=1e-12)
+        base = estimate_L(ds, one_node(ds), 0.0)
+        assert estimate_L(ds, one_node(ds), 0.37) == pytest.approx(base + 0.37, rel=1e-12)
 
     def test_duplication_invariance(self):
         from localsgd.dataio import concat_datasets
         ds = generate_synthetic(30, 5, seed=15)
         doubled = concat_datasets([ds, ds])
-        assert estimate_L(doubled, 0.01) == pytest.approx(
-            estimate_L(ds, 0.01), rel=1e-8)
+        assert estimate_L(doubled, one_node(doubled), 0.01) == pytest.approx(
+            estimate_L(ds, one_node(ds), 0.01), rel=1e-8)
 
     def test_against_dense_eigensolver(self):
         ds = generate_synthetic(50, 7, seed=16)
         A = ds.features.toarray()
         oracle = float(np.linalg.eigvalsh(A.T @ A / (4 * ds.n)).max())
-        assert estimate_L(ds, 0.0) == pytest.approx(oracle, rel=1e-8)
+        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(oracle, rel=1e-8)
 
     def test_exact_on_shipped_heterogeneous_data(self):
         # Oracle: the largest singular value of the dense A, squared.
         ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True,
                                 label_noise=0.02)
         sigma_max = np.linalg.svd(ds.features.toarray(), compute_uv=False)[0]
-        assert estimate_L(ds, 0.0) == pytest.approx(sigma_max**2 / (4 * ds.n),
-                                                    rel=1e-12)
+        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(
+            sigma_max**2 / (4 * ds.n), rel=1e-12)
+
+    def test_weighs_samples_as_f_does(self):
+        # Unequal heterogeneous blocks (4 and 3 rows) weigh samples by
+        # 1/(M n_m), not 1/n; L must still dominate the Hessian of f, whose
+        # logistic part is at most sum_i w_i a_i a_i^T / 4.
+        ds = generate_synthetic(7, 5, seed=31, sort_by_label=True)
+        p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS), lam=0.0)
+        assert [b - a for a, b in p.part.node_ranges] == [4, 3]
+        w = np.repeat([1 / (2 * 4), 1 / (2 * 3)], [4, 3])
+        A = ds.features.toarray()
+        oracle = float(np.linalg.eigvalsh(A.T @ (w[:, None] * A) / 4)[-1])
+        assert p.L >= oracle * (1 - 1e-12)
 
     def test_component_constant_dominates(self):
         p = small_problem(n=50, d=5)

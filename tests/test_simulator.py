@@ -219,7 +219,7 @@ class TestInvariants:
         p, ref = setup
         steps = (3, 6, 9, 12, 20)
         s1 = SyncSchedule.from_steps(steps)          # H inferred = 8
-        s2 = SyncSchedule.from_steps(steps, H=12)    # looser declared bound
+        s2 = SyncSchedule(steps, H=12)               # looser declared bound
         out = []
         for s in (s1, s2):
             cfg = RunConfig(M=4, T=20, schedule=s, gamma=1.0 / (4 * p.L),
