@@ -307,19 +307,21 @@ def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
 def cmd_variances(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ds = resolve_dataset(cfg)
-    out_path = os.path.join(cfg.out_dir, "variances.csv")
+    # Check every node count before the first solve.
+    parts = [_partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
+             for M in cfg.var_M_list]
     rows = []
-    for M in cfg.var_M_list:
-        part = _partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
+    for part in parts:
         p = build_problem(ds, part, lam=cfg.lam)
         ref = resolve_reference(p, cfg)
         for batch_spec in cfg.var_batch_list:
             exhaustive = batch_spec == "full"
             batch = 1 if exhaustive else int(batch_spec)
             vr = measure_variances(p, ref, batch=batch, exhaustive=exhaustive)
-            rows.append((ds.name, M, batch_spec, vr.sigma_opt_sq, vr.sigma_dif_sq))
+            rows.append((ds.name, p.M, batch_spec, vr.sigma_opt_sq, vr.sigma_dif_sq))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    out_path = os.path.join(cfg.out_dir, "variances.csv")
     with open(out_path, "w") as f:
         f.write("dataset,M,batch,sigma_opt_sq,sigma_dif_sq\n")
         for name, M, batch_spec, so, sd in rows:
@@ -350,10 +352,9 @@ def cmd_run(args) -> int:
     if len(cfg.seeds) < 2:
         print("guarantees not checked: a verdict needs at least 2 seeds")
     for schedule, gamma in zip(schedules, gammas):
-        run_cfg = RunConfig(M=cfg.M, T=cfg.T, schedule=schedule, gamma=gamma,
-                            regime=cfg.regime, gradient_mode=cfg.gradient_mode,
-                            seed=cfg.seeds[0], batch=cfg.batch,
-                            noise_sigma=cfg.noise_sigma,
+        run_cfg = RunConfig(M=cfg.M, schedule=schedule, gamma=gamma,
+                            gradient_mode=cfg.gradient_mode, seed=cfg.seeds[0],
+                            batch=cfg.batch, noise_sigma=cfg.noise_sigma,
                             record_every=cfg.record_every)
         tag = f"H{schedule.H}"
         try:
@@ -395,7 +396,7 @@ def cmd_run(args) -> int:
 def _sigma_metadata(vr) -> dict:
     return {
         "sigma_sq_estimate": repr(float(vr.sigma_sq)),
-        "sigma_sq_is_estimate": vr.sigma_sq_is_estimate,
+        "sigma_sq_is_estimate": True,
         "sigma_opt_sq": repr(float(vr.sigma_opt_sq)),
         "sigma_dif_sq": repr(float(vr.sigma_dif_sq)),
         "sigma_batch": vr.batch_size,
@@ -484,10 +485,18 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
             setattr(cfg, f.name, _parse(f.metadata["parse"], raw, f.metadata["flag"]))
 
 
-def _add_common(sub):
+# The flagged fields `variances` and `solve-ref` read; `run` reads them all.
+# A subcommand refuses the flag of a field it does not read.
+_VARIANCES_FIELDS = ("source", "lam", "tol", "out_dir")
+_SOLVE_REF_FIELDS = _VARIANCES_FIELDS + ("M", "regime")
+
+
+def _add_common(sub, names: tuple[str, ...] | None = None):
+    """--config, and the flag of each ExperimentConfig field in `names`
+    (every flagged field when None)."""
     sub.add_argument("--config", help="INI config file")
     for f in fields(ExperimentConfig):
-        if f.metadata["flag"]:
+        if f.metadata["flag"] and (names is None or f.name in names):
             sub.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
 
 
@@ -498,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     v = sp.add_parser("variances", help="sweep sigma quantities over M and batch")
-    _add_common(v)
+    _add_common(v, _VARIANCES_FIELDS)
     v.set_defaults(fn=cmd_variances)
 
     r = sp.add_parser("run", help="run the H sweep with bound verdicts")
@@ -506,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_run)
 
     s = sp.add_parser("solve-ref", help="solve and store the reference optimum")
-    _add_common(s)
+    _add_common(s, _SOLVE_REF_FIELDS)
     s.add_argument("--out", help="output path")
     s.set_defaults(fn=cmd_solve_ref)
 

@@ -13,7 +13,7 @@ import gzip
 import hashlib
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -41,14 +41,12 @@ class Dataset:
 
     features: sp.csr_matrix  # shape (n, dim), float64
     labels: np.ndarray  # shape (n,), entries in {-1.0, +1.0}
-    dim: int
+    _: KW_ONLY
     name: str = "unnamed"
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if self.features.shape[1] != self.dim:
-            raise ValueError("feature matrix width disagrees with dim")
         if self.dim <= 0:
             raise ValueError("dim must be positive")
         bad = ~np.isin(self.labels, (-1.0, 1.0))
@@ -58,6 +56,10 @@ class Dataset:
     @property
     def n(self) -> int:
         return int(self.labels.shape[0])
+
+    @property
+    def dim(self) -> int:
+        return int(self.features.shape[1])
 
     def row_norms_sq(self) -> np.ndarray:
         sq = self.features.multiply(self.features)
@@ -147,7 +149,7 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
          np.asarray(indptr, dtype=np.int64)),
         shape=(len(raw_labels), dim),
     )
-    return Dataset(features=mat, labels=labels, dim=dim, name=name)
+    return Dataset(features=mat, labels=labels, name=name)
 
 
 def partition(ds: Dataset, M: int, regime: Regime) -> Partition:
@@ -265,7 +267,7 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         labels = labels[order]
     if name is None:
         name = f"synthetic-n{n}-d{d}-s{seed}"
-    return Dataset(features=sp.csr_matrix(feats), labels=labels, dim=d, name=name)
+    return Dataset(features=sp.csr_matrix(feats), labels=labels, name=name)
 
 
 def concat_datasets(parts: Iterable[Dataset], name: str = "concat") -> Dataset:
@@ -278,4 +280,4 @@ def concat_datasets(parts: Iterable[Dataset], name: str = "concat") -> Dataset:
                           shape=(p.n, dim)) for p in parts]
     feats = sp.vstack(mats, format="csr")
     labels = np.concatenate([p.labels for p in parts])
-    return Dataset(features=feats, labels=labels, dim=dim, name=name)
+    return Dataset(features=feats, labels=labels, name=name)

@@ -320,7 +320,6 @@ class VarianceReport:
     batch_size: int
     exhaustive: bool
     regime: Regime
-    sigma_sq_is_estimate: bool = True
 
     def __post_init__(self):
         vals = (self.sigma_sq, self.sigma_opt_sq, self.sigma_dif_sq,
@@ -331,7 +330,7 @@ class VarianceReport:
     def to_kv_text(self) -> str:
         lines = [
             f"sigma_sq = {self.sigma_sq!r}",
-            f"sigma_sq_is_estimate = {self.sigma_sq_is_estimate}",
+            "sigma_sq_is_estimate = True",
             f"sigma_opt_sq = {self.sigma_opt_sq!r}",
             f"sigma_dif_sq = {self.sigma_dif_sq!r}",
             f"batch_size = {self.batch_size}",
@@ -366,8 +365,6 @@ def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
     entirely. sigma_sq is the max of E||g - grad h||^2 over the probe
     iterates 0, x*/2 and x*, reported as an estimate for the uniform bound.
     """
-    if ref.grad_norm > ref.tolerance:
-        raise ValueError("reference solution not converged")
     if batch < 1:
         raise ValueError("batch must be >= 1")
     x_star = ref.x_star

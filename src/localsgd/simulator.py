@@ -52,8 +52,8 @@ def _max_gap(steps: tuple[int, ...]) -> int:
 class SyncSchedule:
     """Strictly increasing synchronization timestamps with max gap H.
 
-    The gap from 0 to the first timestamp counts; the final timestamp must
-    equal the run length T (validated against the RunConfig).
+    The gap from 0 to the first timestamp counts; the final timestamp is
+    the run length T.
     """
 
     sync_steps: tuple[int, ...]
@@ -109,25 +109,25 @@ class SyncSchedule:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings. The regime is the Problem's (its partition's),
+    and the run length T is where the schedule ends."""
+
     M: int
-    T: int
     schedule: SyncSchedule
     gamma: float
-    regime: Regime
     gradient_mode: GradientMode
     seed: int
     batch: int = 1
     noise_sigma: float | None = None
     record_every: int | None = None
 
+    @property
+    def T(self) -> int:
+        return self.schedule.final
+
     def validate(self, p: Problem) -> None:
         if self.M != p.M:
             raise ValueError(f"config M={self.M} but partition has {p.M} nodes")
-        if self.regime != p.part.regime:
-            raise ValueError("config regime disagrees with the partition's regime")
-        if self.schedule.final != self.T:
-            raise ValueError(
-                f"schedule ends at {self.schedule.final}, run length is {self.T}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.batch < 1:
@@ -168,10 +168,9 @@ def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return np.repeat(xhat[:, None, :], X.shape[1], axis=1)
 
 
-def _vt_batch(X: np.ndarray, xhat: np.ndarray, eq: np.ndarray) -> np.ndarray:
-    V = np.mean(np.sum((X - xhat[:, None, :]) ** 2, axis=2), axis=1)
-    V[eq] = 0.0
-    return V
+def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """V_t per seed: the mean squared distance of its nodes from xhat."""
+    return np.mean(np.sum((X - xhat[:, None, :]) ** 2, axis=2), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +314,12 @@ class Trace:
     grad_norm_sq: np.ndarray
     bar_subopt_tail: float  # f(mean of xhat_t, t = 1..T) - f*
     bar_subopt_head: float  # f(mean of xhat_t, t = 0..T-1) - f*
-    comm_rounds: int
     metadata: dict
     xhat: np.ndarray | None = None  # optional (rows, d) trajectory capture
+
+    @property
+    def comm_rounds(self) -> int:
+        return int(self.synced.sum())  # every synchronization is a recorded row
 
     def to_csv(self, stream: TextIO) -> None:
         md = dict(self.metadata,
@@ -339,15 +341,17 @@ class AggregateTrace:
     se: dict[str, np.ndarray]
     bar_subopt_tail: tuple[float, float]  # (mean, se)
     bar_subopt_head: tuple[float, float]
-    n_seeds: int
     seeds: tuple[int, ...]
-    comm_rounds: int
     metadata: dict
+
+    @property
+    def comm_rounds(self) -> int:
+        return int(self.synced.sum())  # every synchronization is a recorded row
 
     def to_csv(self, stream: TextIO) -> None:
         md = dict(self.metadata,
                   seeds=",".join(str(s) for s in self.seeds),
-                  n_seeds=self.n_seeds,
+                  n_seeds=len(self.seeds),
                   comm_rounds=self.comm_rounds,
                   bar_subopt_tail_mean=repr(self.bar_subopt_tail[0]),
                   bar_subopt_tail_se=repr(self.bar_subopt_tail[1]),
@@ -389,7 +393,7 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         "schedule": cfg.schedule.describe(),
         "gamma": repr(float(cfg.gamma)),
         "batch": cfg.batch,
-        "regime": cfg.regime.value,
+        "regime": p.part.regime.value,
         "gradient_mode": cfg.gradient_mode.value,
         "noise_sigma": "" if cfg.noise_sigma is None else repr(float(cfg.noise_sigma)),
         "record_every": cfg.stride(),
@@ -406,10 +410,9 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
 
 
 def _record_grid(cfg: RunConfig) -> list[int]:
-    stride = cfg.stride()
-    grid = set(range(0, cfg.T + 1, stride))
+    """Every stride-th step and every synchronization step (T among them)."""
+    grid = set(range(0, cfg.T + 1, cfg.stride()))
     grid.update(cfg.schedule.sync_steps)
-    grid.add(cfg.T)
     return sorted(grid)
 
 
@@ -426,7 +429,6 @@ class _RunBatch:
     bar_tail: np.ndarray
     bar_head: np.ndarray
     xhat: np.ndarray | None
-    comm_rounds: int
     metadata: dict
     seeds: list[int]
 
@@ -456,8 +458,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
 
     X = np.zeros((S, M, d))
     # Which seeds' nodes coincide in X: measured once per step, after any
-    # averaging, and read by the averaging, V_t and the exact-gradient
-    # shortcut.
+    # averaging, and read by the averaging and the exact-gradient shortcut.
     eq = _nodes_equal(X)
     xhat = _mean_nodes(X, eq)
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
@@ -486,7 +487,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         r = row_of.get(t)
         if r is None:
             return None
-        V[r] = _vt_batch(X, xhat, eq)
+        V[r] = _vt_batch(X, xhat)
         diff = xhat - ref.x_star
         dist[r] = np.sum(diff * diff, axis=1)
         pending.append((r, xhat))
@@ -526,8 +527,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         synced=np.asarray([t in sync_set for t in grid], dtype=bool),
         V=V, dist_sq=dist, subopt=subopt, grad_norm_sq=gradsq,
         bar_tail=bar_tail, bar_head=bar_head,
-        xhat=xhat_rows, comm_rounds=len(cfg.schedule.sync_steps),
-        metadata=metadata, seeds=seeds,
+        xhat=xhat_rows, metadata=metadata, seeds=seeds,
     )
 
 
@@ -543,7 +543,6 @@ def _single_trace(batch: _RunBatch) -> Trace:
         grad_norm_sq=batch.grad_norm_sq[:, 0],
         bar_subopt_tail=float(batch.bar_tail[0]),
         bar_subopt_head=float(batch.bar_head[0]),
-        comm_rounds=batch.comm_rounds,
         metadata=md,
         xhat=None if batch.xhat is None else batch.xhat[:, 0, :],
     )
@@ -605,8 +604,6 @@ def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         se=se,
         bar_subopt_tail=(float(tail_mean), float(tail_se)),
         bar_subopt_head=(float(head_mean), float(head_se)),
-        n_seeds=len(seeds_sorted),
         seeds=tuple(seeds_sorted),
-        comm_rounds=batch.comm_rounds,
         metadata=batch.metadata,
     )

@@ -290,7 +290,7 @@ def applicable_bounds(p, run_cfg, ref, var_report
     """
     curves, skipped = [], []
     for thm in _TABLE:
-        if run_cfg.regime == thm.regime and run_cfg.gradient_mode in thm.modes:
+        if p.part.regime == thm.regime and run_cfg.gradient_mode in thm.modes:
             try:
                 curves.append(bound(thm.id, bound_inputs(thm.id, p, run_cfg, ref,
                                                          var_report)))

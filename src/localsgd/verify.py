@@ -83,9 +83,8 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     # point; the loss of the one sample it drew is a one-row problem. Its
     # draws are read from its stream here, independently of the engine.
     T = 100
-    cfg = RunConfig(M=3, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.0,
-                    regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
-                    seed=101)
+    cfg = RunConfig(M=3, schedule=SyncSchedule.one_shot(T), gamma=0.0,
+                    gradient_mode=GradientMode.STOCHASTIC, seed=101)
     drawn = draw_indices(RngStream(seed=cfg.seed, stream_id=0), p.dataset.n, (T, 1))
     worst = 0.0
     for q in (p, replace(p, dense_rows=None)):
@@ -94,7 +93,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
             G = engine.gradients(X, t, simulator._nodes_equal(X))
             i = int(drawn[t, 0])
-            row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1], ds.dim)
+            row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
             worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
     for _ in range(T):
@@ -114,8 +113,7 @@ def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
     ds = generate_synthetic(1000, 20, seed=102)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))
     ref = solve_reference(p, 1e-10)
-    cfg = RunConfig(M=4, T=500, schedule=SyncSchedule.uniform(1, 500),
-                    gamma=1.0 / (4 * p.L), regime=Regime.IDENTICAL,
+    cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(1, 500), gamma=1.0 / (4 * p.L),
                     gradient_mode=GradientMode.STOCHASTIC, seed=11, record_every=1)
     tr_loc = run_local_sgd(p, cfg, ref, capture_xhat=True)
     tr_mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
@@ -147,9 +145,8 @@ def criterion_sync_invariant(level: str = "full") -> CriterionResult:
                                    replace=False))
         steps = sorted(set(steps.tolist()) | {T})
         p, ref = setups[M]
-        cfg = RunConfig(M=M, T=T, schedule=SyncSchedule.from_steps(steps),
-                        gamma=1.0 / (4 * p.L), regime=Regime.HETEROGENEOUS,
-                        gradient_mode=GradientMode.STOCHASTIC,
+        cfg = RunConfig(M=M, schedule=SyncSchedule.from_steps(steps),
+                        gamma=1.0 / (4 * p.L), gradient_mode=GradientMode.STOCHASTIC,
                         seed=int(gen.integers(2**31)), record_every=1)
         tr = run_local_sgd(p, cfg, ref)
         if not np.all(tr.V[tr.synced] == 0.0):
@@ -173,8 +170,7 @@ def criterion_vt_lemma(level: str = "full") -> CriterionResult:
     ok = True
     for H in (2, 8, 32):
         T = 96
-        cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        regime=Regime.IDENTICAL,
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
                         seed=0, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds)
@@ -200,8 +196,7 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
     ok = True
     slacks = []
     for H in (1, 4, 16):
-        cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        regime=Regime.IDENTICAL,
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
                         seed=0)
         v = _check("SC_IID_UBV", p, cfg, ref, None, run_replicated(p, cfg, ref, seeds))
@@ -225,17 +220,15 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     seeds = _seeds(level)
 
     H5, T5 = 4, 400
-    cfg5 = RunConfig(M=4, T=T5, schedule=SyncSchedule.uniform(H5, T5),
+    cfg5 = RunConfig(M=4, schedule=SyncSchedule.uniform(H5, T5),
                      gamma=theory.planned_gamma("sc-identical-fs", p, M=4, T=T5, H=H5),
-                     regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
-                     seed=0, record_every=1)
+                     gradient_mode=GradientMode.STOCHASTIC, seed=0, record_every=1)
     v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
 
     H6, T6 = 5, 400
-    cfg6 = RunConfig(M=4, T=T6, schedule=SyncSchedule.uniform(H6, T6),
+    cfg6 = RunConfig(M=4, schedule=SyncSchedule.uniform(H6, T6),
                      gamma=theory.planned_gamma("wc-identical-fs", p, M=4, T=T6, H=H6),
-                     regime=Regime.IDENTICAL, gradient_mode=GradientMode.STOCHASTIC,
-                     seed=0)
+                     gradient_mode=GradientMode.STOCHASTIC, seed=0)
     v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
     ok = v5.holds and v6.holds
@@ -259,9 +252,8 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
 
     T = 256
     H = theory.plan_H("wc-heterogeneous", T, 4)
-    cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T),
+    cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T),
                     gamma=theory.planned_gamma("wc-heterogeneous", p, M=4, T=T, H=H),
-                    regime=Regime.HETEROGENEOUS,
                     gradient_mode=GradientMode.STOCHASTIC, seed=0)
     v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
 
@@ -274,9 +266,8 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     ref2 = solve_reference(p2, 1e-12)
     T2 = 512
     gamma2 = 1.0 / (8 * p2.L_component * (T2 - 1))
-    cfg2 = RunConfig(M=4, T=T2, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
-                     regime=Regime.HETEROGENEOUS, gradient_mode=GradientMode.FULL,
-                     seed=0)
+    cfg2 = RunConfig(M=4, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
+                     gradient_mode=GradientMode.FULL, seed=0)
     tr2 = run_local_sgd(p2, cfg2, ref2)
     limit = 4.0 * r0_sq(ref2) / (gamma2 * T2) * 1.01
     one_shot_ok = (tr2.bar_subopt_head <= limit
@@ -396,8 +387,7 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
         worst_ratio = 0.0
         for H in (1, 4, 16, 64):
             T = H * rounds
-            cfg = RunConfig(M=20, T=T, schedule=SyncSchedule.uniform(H, T),
-                            gamma=gamma, regime=Regime.IDENTICAL,
+            cfg = RunConfig(M=20, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                             gradient_mode=GradientMode.STOCHASTIC, seed=3,
                             record_every=T + 1)
             tr = run_local_sgd(p, cfg, ref)
@@ -431,9 +421,8 @@ def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
     per_round = {}
     for H in (1, 2, 4, 8, 16):
         T = H * rounds
-        cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        regime=Regime.HETEROGENEOUS, gradient_mode=GradientMode.FULL,
-                        seed=0, record_every=T + 1)
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
+                        gradient_mode=GradientMode.FULL, seed=0, record_every=T + 1)
         tr = run_local_sgd(p, cfg, ref)
         per_round[H] = tr.subopt[tr.synced]
     target = 10.0 * per_round[16][-1]

@@ -5,6 +5,7 @@ import string
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,8 @@ from localsgd import cli, objective
 from localsgd.dataio import generate_synthetic, sha256_of
 
 from libsvm_text import to_libsvm
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(argv):
@@ -71,6 +74,37 @@ class TestVariancesCmd:
         assert by_batch["16"][1] < by_batch["4"][1]
         # exhaustive sigma_opt collapses to ~0, sigma_dif stays positive
         assert by_batch["full"][0] <= 1e-15
+
+
+    def test_bad_node_count_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                     monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return objective.solve_reference(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_reference", counting_solve)
+        cfg = tmp_path / "variances.ini"
+        cfg.write_text((CONFIGS / "variances.ini").read_text().replace(
+            "M = 1,2,4,8,20", "M = 1,2,5000"))
+        out = tmp_path / "out"
+        assert run_cli(["variances", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[variances] M" in err[0]
+        assert solves == [] and not out.exists()
+
+    def test_flags_it_does_not_read_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        for flag in (["--regime", "identical"], ["--M", "3"], ["--H", "999"],
+                     ["--T", "5"], ["--gamma", "7"], ["--seeds", "1:2"],
+                     ["--gradient-mode", "full"]):
+            with pytest.raises(SystemExit) as e:
+                run_cli(["variances", "--config", str(CONFIGS / "variances.ini"),
+                         "--out-dir", str(out), *flag])
+            assert e.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCmd:
@@ -423,6 +457,37 @@ class TestSolveRefCmd:
         assert code == 0
         text = open(out).read()
         assert "f_star" in text and "x_star" in text and "L_component" in text
+
+    def test_flags_it_does_not_read_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "ref.txt"
+        for flag in (["--H", "4"], ["--T", "5"], ["--gamma", "7"], ["--seeds", "1:2"],
+                     ["--gradient-mode", "full"], ["--batch", "2"]):
+            with pytest.raises(SystemExit) as e:
+                run_cli(["solve-ref", "--source", "synthetic", "--out", str(out), *flag])
+            assert e.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestShippedConfigs:
+    def test_heterogeneous_run_holds(self, tmp_path):
+        # T = 256 is the least T for which the planner admits H = 8 at M = 4.
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"),
+                        "--T", "256", "--seeds", "0:2", "--out-dir", str(out)]) == 0
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert len(summary) == 4 and all(r.endswith(",holds") for r in summary)
+        verdicts = list(out.glob("bound_*.verdict.txt"))
+        assert verdicts and all("holds = True" in v.read_text() for v in verdicts)
+
+    def test_variances_sweep(self, tmp_path):
+        assert run_cli(["variances", "--config", str(CONFIGS / "variances.ini"),
+                        "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "variances.csv").exists()
+
+    def test_a9a_config_loads(self):
+        cfg = cli.load_config(str(CONFIGS / "a9a-identical.ini"))
+        assert cfg.source == "a9a" and cfg.M == 20 and cfg.H_list == (1, 4, 16, 64)
 
 
 class TestManifestIntegration:

@@ -76,6 +76,12 @@ class TestParse:
         with pytest.raises(LibsvmFormatError):
             parse_libsvm("+1 5:1.0\n", dim=3)
 
+    def test_dim_is_the_matrix_width_and_name_is_keyword_only(self):
+        ds = parse_libsvm("+1 1:0.5 3:2.0\n")
+        assert Dataset(ds.features, ds.labels, name="x").dim == 3
+        with pytest.raises(TypeError):
+            Dataset(ds.features, ds.labels, 3)
+
     def test_comments_and_blank_lines(self):
         ds = parse_libsvm("# header\n+1 1:1.0\n\n-1 2:1.0  # trailing\n")
         assert ds.n == 2

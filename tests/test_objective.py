@@ -39,7 +39,7 @@ def small_problem(n=60, d=6, M=3, lam=0.1, regime=Regime.IDENTICAL, seed=1, **kw
 def dataset_from_rows(rows, labels, name="manual"):
     mat = sp.csr_matrix(np.asarray(rows, dtype=np.float64))
     return Dataset(features=mat, labels=np.asarray(labels, dtype=np.float64),
-                   dim=mat.shape[1], name=name)
+                   name=name)
 
 
 def loss_many_oracle(p, X):
@@ -57,7 +57,7 @@ def sparse_problem(n, d=40, density=0.1, seed=8):
     mat = sp.random(n, d, density=density, format="csr", random_state=gen,
                     data_rvs=gen.standard_normal)
     ds = Dataset(features=mat, labels=np.where(gen.random(n) < 0.5, -1.0, 1.0),
-                 dim=d, name="sparse")
+                 name="sparse")
     return build_problem(ds, partition(ds, 3, Regime.HETEROGENEOUS), lam=0.01)
 
 
@@ -182,9 +182,8 @@ def storages(p):
 def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
     """The engine's gradients of every (seed, node) at the common point x,
     one (S, M, d) array per step t < T."""
-    cfg = RunConfig(M=p.M, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.0,
-                    regime=p.part.regime, gradient_mode=mode, seed=seeds[0],
-                    batch=batch)
+    cfg = RunConfig(M=p.M, schedule=SyncSchedule.one_shot(T), gamma=0.0,
+                    gradient_mode=mode, seed=seeds[0], batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
     X = np.tile(x, (len(seeds), p.M, 1))
     return [engine.gradients(X, t, _nodes_equal(X)) for t in range(T)]
@@ -234,9 +233,9 @@ class TestStochasticGrad:
     def test_storages_give_bitwise_equal_iterates(self):
         p = small_problem(n=90, d=7, M=3, regime=Regime.HETEROGENEOUS)
         ref = solve_reference(p, 1e-10)
-        cfg = RunConfig(M=3, T=40, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
-                        regime=p.part.regime, gradient_mode=GradientMode.STOCHASTIC,
-                        seed=5, batch=3, record_every=1)
+        cfg = RunConfig(M=3, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
+                        gradient_mode=GradientMode.STOCHASTIC, seed=5, batch=3,
+                        record_every=1)
         dense, csr = (run_local_sgd(q, cfg, ref, capture_xhat=True).xhat
                       for q in storages(p))
         assert np.array_equal(dense, csr)

@@ -45,8 +45,8 @@ def skip_averaging(monkeypatch):
 def make_cfg(p, T=64, H=8, gamma=None, mode=GradientMode.STOCHASTIC, M=4,
              seed=0, **kw):
     gamma = gamma if gamma is not None else 1.0 / (4 * p.L)
-    return RunConfig(M=M, T=T, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                     regime=p.part.regime, gradient_mode=mode, seed=seed, **kw)
+    return RunConfig(M=M, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
+                     gradient_mode=mode, seed=seed, **kw)
 
 
 class TestSyncSchedule:
@@ -83,8 +83,7 @@ class TestSyncSchedule:
 def engine_vt(X) -> float:
     """V_t of one (M, d) stack of node iterates, as the engine computes it."""
     X = np.asarray(X, dtype=np.float64)[None]
-    eq = _nodes_equal(X)
-    return float(_vt_batch(X, _mean_nodes(X, eq), eq)[0])
+    return float(_vt_batch(X, _mean_nodes(X, _nodes_equal(X)))[0])
 
 
 class TestComputeVt:
@@ -144,8 +143,7 @@ class TestLocalSgdBasics:
 
     def test_gamma_zero_freezes_minibatch(self, setup):
         p, ref = setup
-        cfg = RunConfig(M=4, T=20, schedule=SyncSchedule.uniform(1, 20),
-                        gamma=0.0, regime=Regime.IDENTICAL,
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(1, 20), gamma=0.0,
                         gradient_mode=GradientMode.STOCHASTIC, seed=0,
                         record_every=1)
         tr = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
@@ -166,11 +164,6 @@ class TestLocalSgdBasics:
             run_local_sgd(p, make_cfg(p, M=3), ref)
         with pytest.raises(ValueError, match="noise_sigma"):
             run_local_sgd(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref)
-        bad = RunConfig(M=4, T=10, schedule=SyncSchedule.uniform(4, 12),
-                        gamma=0.1, regime=Regime.IDENTICAL,
-                        gradient_mode=GradientMode.FULL, seed=0)
-        with pytest.raises(ValueError, match="schedule"):
-            run_local_sgd(p, bad, ref)
 
 
 class TestInvariants:
@@ -222,8 +215,7 @@ class TestInvariants:
         s2 = SyncSchedule(steps, H=12)               # looser declared bound
         out = []
         for s in (s1, s2):
-            cfg = RunConfig(M=4, T=20, schedule=s, gamma=1.0 / (4 * p.L),
-                            regime=Regime.IDENTICAL,
+            cfg = RunConfig(M=4, schedule=s, gamma=1.0 / (4 * p.L),
                             gradient_mode=GradientMode.STOCHASTIC, seed=5,
                             record_every=1)
             out.append(run_local_sgd(p, cfg, ref))
@@ -263,12 +255,19 @@ class TestInvariants:
         skip_averaging(monkeypatch)
         assert verify.criterion_sync_invariant("fast").status == verify.FAIL
 
+    def test_sync_to_one_node_fails_sync_criterion(self, monkeypatch):
+        # Mutation: every node takes node 0's iterate, so the nodes agree but
+        # not at their average; V_t measured at the sync rows must show it.
+        from localsgd import verify
+        monkeypatch.setattr(simulator, "_synchronize",
+                            lambda X, xhat: np.repeat(X[:, :1, :], X.shape[1], axis=1))
+        assert verify.criterion_sync_invariant("fast").status == verify.FAIL
+
     def test_divergence_reported(self, setup):
         ds = generate_synthetic(50, 4, seed=44)
         p = build_problem(ds, partition(ds, 2, Regime.IDENTICAL), lam=1.0)
         ref = solve_reference(p, 1e-9)
-        cfg = RunConfig(M=2, T=500, schedule=SyncSchedule.uniform(10, 500),
-                        gamma=1e4, regime=Regime.IDENTICAL,
+        cfg = RunConfig(M=2, schedule=SyncSchedule.uniform(10, 500), gamma=1e4,
                         gradient_mode=GradientMode.FULL, seed=0)
         with pytest.raises(DivergenceError, match="diverged at step"):
             run_local_sgd(p, cfg, ref)
@@ -415,8 +414,7 @@ class TestRefill:
         ds = generate_synthetic(100, 5, seed=45)
         p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.1)
         T = 100_000
-        cfg = RunConfig(M=4, T=T, schedule=SyncSchedule.one_shot(T), gamma=0.1,
-                        regime=Regime.HETEROGENEOUS,
+        cfg = RunConfig(M=4, schedule=SyncSchedule.one_shot(T), gamma=0.1,
                         gradient_mode=GradientMode.STOCHASTIC, seed=0)
         seeds = list(range(50))
         X = np.zeros((50, 4, p.dim))

@@ -261,8 +261,7 @@ def fake_agg(t, synced, dist_mean, dist_se, subopt_bar=(0.0, 0.0),
         t=t, synced=np.asarray(synced, dtype=bool), mean=mean, se=se,
         bar_subopt_tail=subopt_bar,
         bar_subopt_head=subopt_bar if head is None else head,
-        n_seeds=10, seeds=tuple(range(10)), comm_rounds=int(np.sum(synced)),
-        metadata={})
+        seeds=tuple(range(10)), metadata={})
 
 
 def check_grad_norm_bound(agg: AggregateTrace, L: float, M: int,
@@ -387,9 +386,8 @@ class TestRuntimeDiagnosticsIntegration:
         p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.02)
         ref = solve_reference(p, 1e-11)
         vr = measure_variances(p, ref, batch=1)
-        cfg = RunConfig(M=4, T=48, schedule=SyncSchedule.uniform(6, 48),
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(6, 48),
                         gamma=1.0 / (8 * p.L_component),
-                        regime=Regime.HETEROGENEOUS,
                         gradient_mode=GradientMode.STOCHASTIC, seed=0,
                         record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
@@ -429,8 +427,7 @@ class TestRuntimeDiagnosticsIntegration:
         p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.05)
         ref = solve_reference(p, 1e-10)
         gamma = 1.0 / (2 * p.L)
-        cfg = RunConfig(M=4, T=40, schedule=SyncSchedule.uniform(8, 40),
-                        gamma=gamma, regime=Regime.IDENTICAL,
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(8, 40), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE,
                         noise_sigma=0.7, seed=0, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
