@@ -339,8 +339,8 @@ def cmd_run(args) -> int:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     p = resolve_problem(cfg)
     gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ref = resolve_reference(p, cfg)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     var_report = measure_variances(p, ref, batch=cfg.batch)
     with open(os.path.join(cfg.out_dir, "variances.txt"), "w") as f:
         f.write(var_report.to_kv_text())

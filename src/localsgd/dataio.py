@@ -231,11 +231,10 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt") as f:
         ds = parse_libsvm(f, name=entry.name, dim=entry.dim)
-    if ds.n != entry.n or ds.dim != entry.dim:
+    # parse_libsvm pads the width to entry.dim or refuses, so only n can differ.
+    if ds.n != entry.n:
         raise ManifestError(
-            f"shape mismatch for {entry.name}: manifest says n={entry.n} dim={entry.dim}, "
-            f"file has n={ds.n} dim={ds.dim}"
-        )
+            f"shape mismatch for {entry.name}: manifest says n={entry.n}, file has n={ds.n}")
     return ds
 
 

@@ -1,0 +1,110 @@
+"""Write the pinned outputs: the outputs that a change to the numerics is
+compared on.
+
+Usage:  python3 tests/pinned_outputs.py OUT_DIR [--root CHECKOUT]
+
+Runs the package of CHECKOUT (default: the checkout holding this script)
+in-process on
+- the 12 pinned `run` configs: synthetic n=90, d=7, data seed 3,
+  `sort_by_label`, lambda 1/n, M=3, tol 1e-10, batch 3, noise_sigma 0.5,
+  gamma 0.002, uniform schedule, H=1,4, T=40, over {identical,
+  heterogeneous} x {stochastic, full, injected-noise} x {seeds 0:3, seed 5},
+  into OUT_DIR/pinned/<name>/;
+- `run --config configs/synthetic-heterogeneous.ini` into OUT_DIR/synthetic-het/;
+- `variances --config configs/variances.ini` into OUT_DIR/variances/;
+- `solve-ref --config configs/synthetic-heterogeneous.ini` into
+  OUT_DIR/solve-ref/reference.txt.
+
+A byte-identity check is `diff -r A B` and a rebaseline report is
+`python3 tests/compare_outputs.py A B`, where A was written at the parent
+(`--root` pointing at its checkout) and B at the change.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+
+REGIMES = ("identical", "heterogeneous")
+MODES = ("stochastic", "full", "injected-noise")
+SEEDS = {"replicated": "0:3", "single": "5"}
+
+_PINNED = """\
+[data]
+source = synthetic
+n = 90
+d = 7
+seed = 3
+sort_by_label = true
+
+[problem]
+lambda = 1/n
+M = 3
+regime = {regime}
+
+[solver]
+tol = 1e-10
+
+[run]
+gradient_mode = {mode}
+batch = 3
+noise_sigma = 0.5
+gamma = 0.002
+schedule = uniform
+H = 1,4
+T = 40
+seeds = {seeds}
+"""
+
+
+def write_configs(config_dir: str) -> dict[str, str]:
+    """Write the 12 pinned `run` configs; name -> INI path. They name no
+    output directory: the caller passes --out-dir."""
+    paths = {}
+    for regime in REGIMES:
+        for mode in MODES:
+            for tag, seeds in SEEDS.items():
+                name = f"{regime}-{mode}-{tag}"
+                path = os.path.join(config_dir, f"{name}.ini")
+                with open(path, "w") as f:
+                    f.write(_PINNED.format(regime=regime, mode=mode, seeds=seeds))
+                paths[name] = path
+    return paths
+
+
+def invocations(out_dir: str, root: str, config_dir: str) -> list[list[str]]:
+    """The CLI argument lists that write every pinned output."""
+    shipped = os.path.join(root, "configs")
+    het = os.path.join(shipped, "synthetic-heterogeneous.ini")
+    argvs = [["run", "--config", path, "--out-dir", os.path.join(out_dir, "pinned", name)]
+             for name, path in write_configs(config_dir).items()]
+    argvs.append(["run", "--config", het, "--out-dir", os.path.join(out_dir, "synthetic-het")])
+    argvs.append(["variances", "--config", os.path.join(shipped, "variances.ini"),
+                  "--out-dir", os.path.join(out_dir, "variances")])
+    argvs.append(["solve-ref", "--config", het,
+                  "--out", os.path.join(out_dir, "solve-ref", "reference.txt")])
+    return argvs
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out_dir")
+    ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    help="checkout whose src/ and configs/ are run")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    from localsgd import cli
+
+    with tempfile.TemporaryDirectory() as config_dir:
+        for argv_ in invocations(os.path.abspath(args.out_dir), root, config_dir):
+            rc = cli.main(argv_)
+            if rc != 0:
+                print(f"exit {rc}: localsgd {' '.join(argv_)}", file=sys.stderr)
+                return rc
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

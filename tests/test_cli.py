@@ -269,6 +269,14 @@ dir = {tmp_path / 'out'}
         assert len(err) == 1 and key in err[0]
         assert not (tmp_path / "out").exists()  # refused before any output
 
+    def test_unreachable_tol_leaves_no_output_dir(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run_cli(["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"),
+                        "--tol", "1e-30", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "[solver] tol (--tol)" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, name", [
         ("[run]\ngrdient_mode = full\n", "[run] grdient_mode: unknown key"),
         ("[sovler]\ntol = 1e-8\n", "[sovler]: unknown section"),
@@ -289,6 +297,17 @@ dir = {tmp_path / 'out'}
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[data]\nsource = a9a\nmanifest = /nonexistent/manifest\n")
         assert run_cli(["run", "--config", str(cfg)]) == 3
+
+    def test_feature_beyond_manifest_dim_exits_3(self, tmp_path, capsys):
+        (tmp_path / "wide.txt").write_text("+1 1:1.0 4:2.0\n-1 2:1.0\n")
+        sha = sha256_of(str(tmp_path / "wide.txt"))
+        (tmp_path / "manifest.txt").write_text(f"wide wide.txt {sha} 2 3\n")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[data]\nsource = wide\ndir = {tmp_path}\n")
+        assert run_cli(["solve-ref", "--config", str(cfg),
+                        "--out", str(tmp_path / "ref.txt")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "below max feature index" in err[0]
 
 
 # The CLI fuzz: a value outside one key's domain, in an otherwise valid tiny

@@ -5,6 +5,7 @@ import pytest
 from localsgd import cli
 
 from compare_outputs import compare_dirs, main
+from pinned_outputs import write_configs
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +65,10 @@ def test_missing_file_is_a_problem(run_dir, tmp_path):
     (copy / "summary.csv").unlink()
     cmp = compare_dirs(str(run_dir), str(copy))
     assert cmp.problems == [f"summary.csv: only in {run_dir}"]
+
+
+def test_pinned_configs_load(tmp_path):
+    paths = write_configs(str(tmp_path))
+    cfgs = [cli.load_config(path) for path in paths.values()]
+    assert len({(c.regime, c.gradient_mode, c.seeds) for c in cfgs}) == 12
+    assert all((c.n, c.d, c.M, c.T, c.H_list) == (90, 7, 3, 40, (1, 4)) for c in cfgs)

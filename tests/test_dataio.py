@@ -182,6 +182,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="shape"):
             load_dataset(entries["toy"], str(tmp_path))
 
+    def test_feature_beyond_manifest_dim(self, tmp_path):
+        path = tmp_path / "toy.txt"
+        path.write_text("+1 1:1.0 3:2.0\n-1 2:1.0\n")
+        sha = sha256_of(str(path))
+        entries = parse_manifest(f"toy toy.txt {sha} 2 2\n")
+        with pytest.raises(LibsvmFormatError, match="below max feature index"):
+            load_dataset(entries["toy"], str(tmp_path))
+
     def test_missing_file(self, tmp_path):
         entries = parse_manifest("toy nothere.txt deadbeef 1 1\n")
         with pytest.raises(ManifestError, match="not found"):
