@@ -182,9 +182,9 @@ class _GradientEngine:
 
     All randomness takes one path: a mode's `draw(s, m, k)` gives the next
     k steps of the (seed s, node m) stream, `_draws` refills a preallocated
-    (S, M, k, ...) buffer of about _REFILL_BYTES from them, and step t reads
-    its slice. The streams are counter-based, so no value depends on where
-    a refill starts. Steps are taken in order.
+    step-major (k, S, M, ...) buffer of about _REFILL_BYTES from them, and
+    step t reads its one contiguous block. The streams are counter-based,
+    so no value depends on where a refill starts. Steps are taken in order.
     """
 
     def __init__(self, p: Problem, cfg: RunConfig, seeds: Sequence[int]):
@@ -233,18 +233,18 @@ class _GradientEngine:
         if self._draw is not None:
             step_bytes = self.S * self.M * per_step * np.dtype(dtype).itemsize
             steps = min(cfg.T, max(1, _REFILL_BYTES // step_bytes))
-            self._buf = np.empty((self.S, self.M, steps, per_step), dtype=dtype)
-            self._filled, self._first = self._buf[:, :, :0], 0
+            self._buf = np.empty((steps, self.S, self.M, per_step), dtype=dtype)
+            self._filled, self._first = self._buf[:0], 0
 
     def _draws(self, t: int) -> np.ndarray:
         """The (S, M, ...) draws of step t, refilling the buffer from t on."""
-        if t >= self._first + self._filled.shape[2]:
-            k = min(self._buf.shape[2], self.cfg.T - t)
-            self._filled, self._first = self._buf[:, :, :k], t
+        if t >= self._first + self._filled.shape[0]:
+            k = min(self._buf.shape[0], self.cfg.T - t)
+            self._filled, self._first = self._buf[:k], t
             for s in range(self.S):
                 for m in range(self.M):
-                    self._filled[s, m] = self._draw(s, m, k)
-        return self._filled[:, :, t - self._first]
+                    self._filled[:, s, m] = self._draw(s, m, k)
+        return self._filled[t - self._first]
 
     def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
         y = self.p.dataset.labels
@@ -279,7 +279,7 @@ class _GradientEngine:
             return self._stochastic_grads(Xn, t)
         G = self._full_grads(Xn, eq)
         if mode == GradientMode.INJECTED_NOISE:
-            G = G + self._draws(t)
+            G += self._draws(t)
         return G
 
 
