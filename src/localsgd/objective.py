@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
-from scipy.special import expit
 
 from .dataio import Dataset, Partition, Regime
 from .numkit import DimensionMismatchError
@@ -161,10 +160,20 @@ def _check_dim(p: Problem, x: np.ndarray) -> None:
         raise DimensionMismatchError(f"x has dim {x.shape[-1]}, problem has {p.dim}")
 
 
-def _logistic_slope(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dt log(1 + exp(-y t)) = -y sigmoid(-y t), elementwise: the one
-    coefficient every gradient scales its rows by."""
-    return -y * expit(-y * t)
+def _logistic_slope(num, y, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """num / (1 + exp(y t)), elementwise, written into `out` when given.
+
+    With num = -y this is d/dt log(1 + exp(-y t)) = -y sigmoid(-y t), the one
+    coefficient every gradient scales its rows by; a gradient's sample
+    weights fold into num, so the divide yields the weighted coefficient.
+    Where exp(y t) overflows to inf the quotient is the exact limit 0, so
+    the overflow is silenced rather than clamped.
+    """
+    z = np.multiply(y, t, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(num, z, out=z)
 
 
 # Elements per pass of the pointwise loss chain: a chunk and its scratch stay
@@ -212,8 +221,7 @@ def full_grad(p: Problem, node: int, x: np.ndarray) -> np.ndarray:
     A = p.node_rows[node]
     y = p.dataset.labels[start:stop]
     t = A @ x
-    coeff = _logistic_slope(y, t) / (stop - start)
-    return A.T @ coeff + p.lam * x
+    return A.T @ _logistic_slope(-y / (stop - start), y, t, out=t) + p.lam * x
 
 
 def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:
@@ -281,7 +289,7 @@ def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
             raise ConvergenceError(
                 f"reference solve hit the {max_iter}-step cap at ||grad|| = "
                 f"{gn:.3e} (target {tol:.3e})")
-        s = expit(A @ x)
+        s = _logistic_slope(1.0, 1.0, A @ x)  # sigmoid(-a.x); s(1 - s) is even
         hessian = _weighted_gram(A, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
         step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for halving in range(_MAX_HALVINGS):
@@ -350,7 +358,7 @@ def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:
     gradients: expands to c^2 ||a||^2 + 2 lam c (a.x) + lam^2 ||x||^2."""
     t = p.dataset.features @ x
     y = p.dataset.labels
-    c = _logistic_slope(y, t)
+    c = _logistic_slope(-y, y, t)
     return c * c * p.row_norms_sq + 2.0 * p.lam * c * t + p.lam**2 * float(x @ x)
 
 

@@ -209,14 +209,18 @@ class _GradientEngine:
 
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
         else:
-            # Exact per-node gradients weigh sample i by 1/n_m in node m's
-            # columns when i lies in node m's block, and by 0 elsewhere. The
-            # rows of a block share one weight row over the (s, m) columns.
-            ranges = p.part.node_ranges
-            self.col_w = [
-                (start, stop, np.tile([1.0 / (b - a) if (a, b) == (start, stop)
-                                       else 0.0 for a, b in ranges], self.S))
-                for start, stop in sorted(set(ranges))]
+            # The slope's numerator with the node weights folded in: -y_i/n_m
+            # in node m's (s, m) columns when i lies in node m's block, and 0
+            # elsewhere. Identical nodes all weigh every sample by 1/n, so one
+            # column serves every (s, m).
+            y, n = p.dataset.labels, p.dataset.n
+            if p.part.regime == Regime.IDENTICAL:
+                self._num = (-y / n)[:, None]
+            else:
+                num = np.zeros((n, self.S, self.M))
+                for m, (start, stop) in enumerate(p.part.node_ranges):
+                    num[start:stop, :, m] = (-y[start:stop] / (stop - start))[:, None]
+                self._num = num.reshape(n, self.S * self.M)
 
         if mode == GradientMode.INJECTED_NOISE:
             gens = [[RngStream(seed=seed, stream_id=m | _NOISE_STREAM_FLAG).generator()
@@ -247,21 +251,18 @@ class _GradientEngine:
         return self._filled[t - self._first]
 
     def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
-        y = self.p.dataset.labels
-        if self.p.part.regime == Regime.IDENTICAL and np.all(eq):
+        p = self.p
+        y = p.dataset.labels[:, None]
+        if p.part.regime == Regime.IDENTICAL and np.all(eq):
             # Nodes coincide and share f: one gradient per seed suffices.
-            Xf = Xn[:, 0, :]
-            U = self.p.margins(Xf)  # (n, S)
-            C = _logistic_slope(y[:, None], U) / self.p.dataset.n
-            G = self.p.rows_T_dot(C).T[:, None, :]  # (S, 1, d)
-            return np.broadcast_to(G, Xn.shape) + self.p.lam * Xn
-        Xf = Xn.reshape(self.S * self.M, self.d)
-        U = self.p.margins(Xf)  # (n, S*M) margins, columns ordered (s, m)
-        C = _logistic_slope(y[:, None], U)
-        for start, stop, w in self.col_w:
-            C[start:stop] *= w
-        G = self.p.rows_T_dot(C).T
-        return G.reshape(self.S, self.M, self.d) + self.p.lam * Xn
+            U = p.margins(Xn[:, 0, :])  # (n, S)
+            G = p.rows_T_dot(_logistic_slope(self._num, y, U, out=U)).T[:, None, :]
+            return np.broadcast_to(G, Xn.shape) + p.lam * Xn
+        # (n, S*M) margins, columns ordered (s, m), turned into coefficients
+        # in place.
+        U = p.margins(Xn.reshape(self.S * self.M, self.d))
+        G = p.rows_T_dot(_logistic_slope(self._num, y, U, out=U)).T
+        return G.reshape(self.S, self.M, self.d) + p.lam * Xn
 
     def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
@@ -269,7 +270,7 @@ class _GradientEngine:
         rows = p.gather(idx)  # (S, M, batch, d), from either storage
         y_sel = p.dataset.labels[idx]
         tv = np.einsum("smbd,smd->smb", rows, Xn)
-        c = _logistic_slope(y_sel, tv) / cfg.batch
+        c = _logistic_slope(y_sel / -cfg.batch, y_sel, tv, out=tv)
         return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
 
     def gradients(self, Xn: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +131,56 @@ class TestLoss:
         assert peak <= 1.5 * n * k * 8
 
 
+class TestLogisticSlope:
+    """objective._logistic_slope, num / (1 + exp(y t)), against the oracle
+    -y expit(-y t)."""
+
+    def test_agrees_with_expit(self):
+        gen = RngStream(seed=41).generator()
+        y = np.where(gen.random(10**5) < 0.5, -1.0, 1.0)
+        t = y * gen.uniform(-800.0, 800.0, 10**5)  # z = y t spans [-800, 800]
+        got = objective._logistic_slope(-y, y, t)
+        want = -y * expit(-y * t)
+        normal = np.abs(want) >= 1e-300
+        assert normal.sum() > 0.9 * t.size
+        assert np.all(np.abs(got - want)[normal] <= 1e-15 * np.abs(want[normal]))
+        # Beyond z = 690 both are below 1e-300; exp overflows past z = 709.8
+        # and gives the exact limit 0, where expit still returns subnormals.
+        assert np.all(np.abs(got[~normal]) < 1e-300)
+        assert np.all(got[want == 0.0] == 0.0)
+
+    def test_writes_in_place_into_out(self):
+        gen = RngStream(seed=42).generator()
+        y = np.where(gen.random((50, 1)) < 0.5, -1.0, 1.0)
+        t = gen.standard_normal((50, 8)) * 30
+        num = -y / 50
+        expected = objective._logistic_slope(num, y, t)
+        buf = t.copy()
+        assert objective._logistic_slope(num, y, buf, out=buf) is buf
+        assert np.array_equal(buf, expected)
+
+    def test_no_warning_at_extreme_margins(self):
+        z = np.linspace(-1e4, 1e4, 4001)
+        p = small_problem(n=30, d=4)
+        x = RngStream(seed=43).generator().standard_normal(p.dim) * 1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (1.0, -1.0):
+                c = objective._logistic_slope(-y, y, z)
+                assert np.all(np.isfinite(c))
+            assert np.all(np.isfinite(full_grad(p, 0, x)))
+            assert np.all(np.isfinite(full_grad(p, 0, -x)))
+
+    def test_cli_does_not_import_scipy_special(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("import sys, localsgd.cli, localsgd.verify; "
+                "print('scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
+
 class TestGradients:
     def test_symmetric_pair_has_zero_gradient(self):
         ds = dataset_from_rows([[1.0, 2.0], [1.0, 2.0]], [1.0, -1.0])
@@ -199,6 +253,31 @@ class TestStochasticGrad:
             [G] = node_grads(q, x, seeds=(0, 1), mode=GradientMode.FULL)
             for m in range(3):
                 assert np.allclose(G[:, m], full_grad(q, m, x), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("mode", [GradientMode.FULL, GradientMode.INJECTED_NOISE])
+    @pytest.mark.parametrize("common", [False, True])
+    def test_exact_modes_equal_full_grad_per_node(self, regime, mode, common):
+        # n = 61 over M = 3 gives unequal heterogeneous blocks; distinct node
+        # iterates take the general path, a common point the identical
+        # shortcut.
+        p = small_problem(n=61, d=5, M=3, regime=regime, sort_by_label=True)
+        seeds = (0, 1, 2, 3)
+        gen = RngStream(seed=44).generator()
+        X = gen.standard_normal((len(seeds), p.M, p.dim))
+        if common:
+            X[:] = X[0, 0]
+        cfg = RunConfig(M=p.M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
+                        gradient_mode=mode, seed=0, noise_sigma=0.3)
+        for q in storages(p):
+            engine = _GradientEngine(q, cfg, seeds)
+            G = engine.gradients(X, 0, _nodes_equal(X))
+            noise = (engine._draws(0) if mode == GradientMode.INJECTED_NOISE
+                     else np.zeros_like(X))
+            for s in range(len(seeds)):
+                for m in range(p.M):
+                    want = full_grad(q, m, X[s, m]) + noise[s, m]
+                    assert np.allclose(G[s, m], want, rtol=1e-12, atol=0)
 
     def test_single_sample_node_is_deterministic(self):
         ds = generate_synthetic(3, 4, seed=10)
