@@ -230,7 +230,9 @@ class _GradientEngine:
             d, scale = self.d, cfg.noise_sigma / math.sqrt(self.d)
 
             def draw(s: int, m: int, k: int) -> np.ndarray:
-                return gens[s][m].standard_normal((k, d)) * scale
+                draws = gens[s][m].standard_normal((k, d))
+                draws *= scale
+                return draws
 
             self._draw, per_step, dtype = draw, self.d, np.float64
 
