@@ -201,7 +201,11 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(dataio.unreadable(path, e)) from None
+    if not found:
         raise ConfigError(f"config file not found: {path}")
     # configparser lowercases keys, and would copy [DEFAULT] into every section.
     known = {(f.metadata["section"], f.metadata["key"].lower()) for f in fields(cfg)}
@@ -235,8 +239,11 @@ def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
             label_noise=cfg.label_noise)
     data_dir = cfg.data_dir or os.environ.get(dataio.DATA_DIR_ENV, "") or "data"
     manifest_path = cfg.manifest or os.path.join(data_dir, "manifest.txt")
-    with open(manifest_path) as f:
-        entries = dataio.parse_manifest(f)
+    try:
+        with open(manifest_path, encoding="utf-8") as f:
+            entries = dataio.parse_manifest(f)
+    except dataio.UNREADABLE as e:
+        raise dataio.ManifestError(dataio.unreadable(manifest_path, e)) from None
     if cfg.source not in entries:
         raise dataio.ManifestError(
             f"dataset {cfg.source!r} not in manifest {manifest_path}")

@@ -30,6 +30,19 @@ class ManifestError(ValueError):
     """Manifest missing, unparsable, or not matching the file on disk."""
 
 
+# What reading an input file raises on a bad file rather than a bad value: a
+# path that cannot be opened (a directory, say), a `.gz` file that is not
+# gzip or ends early, and bytes that are not UTF-8.
+UNREADABLE = (OSError, EOFError, UnicodeDecodeError)
+
+
+def unreadable(path: str, e: Exception) -> str:
+    """One line naming the file a read failed on, and why."""
+    if isinstance(e, UnicodeDecodeError):
+        return f"cannot read {path}: not UTF-8 text"
+    return f"cannot read {path}: {getattr(e, 'strerror', None) or e}"
+
+
 class Regime(enum.Enum):
     IDENTICAL = "identical"
     HETEROGENEOUS = "heterogeneous"
@@ -223,14 +236,17 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
     path = os.path.join(data_dir, entry.path)
     if not os.path.exists(path):
         raise ManifestError(f"dataset file not found: {path}")
-    digest = sha256_of(path)
-    if digest != entry.sha256:
-        raise ManifestError(
-            f"checksum mismatch for {entry.name}: expected {entry.sha256}, got {digest}"
-        )
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rt") as f:
-        ds = parse_libsvm(f, name=entry.name, dim=entry.dim)
+    try:
+        digest = sha256_of(path)
+        if digest != entry.sha256:
+            raise ManifestError(
+                f"checksum mismatch for {entry.name}: expected {entry.sha256}, got {digest}"
+            )
+        with opener(path, "rt", encoding="utf-8") as f:
+            ds = parse_libsvm(f, name=entry.name, dim=entry.dim)
+    except UNREADABLE as e:
+        raise ManifestError(unreadable(path, e)) from None
     # parse_libsvm pads the width to entry.dim or refuses, so only n can differ.
     if ds.n != entry.n:
         raise ManifestError(

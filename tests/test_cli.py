@@ -1,4 +1,5 @@
 import functools
+import gzip
 import io
 import os
 import string
@@ -308,6 +309,35 @@ dir = {tmp_path / 'out'}
                         "--out", str(tmp_path / "ref.txt")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "below max feature index" in err[0]
+
+    @pytest.mark.parametrize("case, code", [
+        ("config-not-utf8", 2), ("manifest-not-utf8", 3), ("libsvm-not-utf8", 3),
+        ("gz-not-gzip", 3), ("gz-truncated", 3), ("manifest-is-a-directory", 3)])
+    def test_unreadable_input_file_exits_with_one_line(self, tmp_path, capsys, case, code):
+        buf = io.StringIO()
+        to_libsvm(generate_synthetic(40, 3, seed=9), buf)
+        rows = buf.getvalue().encode()
+        not_utf8 = b"# \xff\n"
+        data = {"libsvm-not-utf8": not_utf8 + rows, "gz-not-gzip": rows,
+                "gz-truncated": gzip.compress(rows)[:-8]}.get(case, rows)
+        name = "tiny.txt.gz" if case.startswith("gz") else "tiny.txt"
+        (tmp_path / name).write_bytes(data)
+        manifest = tmp_path / "manifest.txt"
+        entry = f"tiny {name} {sha256_of(str(tmp_path / name))} 40 3\n".encode()
+        manifest.write_bytes((not_utf8 if case == "manifest-not-utf8" else b"") + entry)
+        if case == "manifest-is-a-directory":
+            manifest = tmp_path
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes((not_utf8 if case == "config-not-utf8" else b"")
+                        + f"[data]\nsource = tiny\ndir = {tmp_path}\n"
+                          f"manifest = {manifest}\n".encode())
+        culprit = {"config-not-utf8": cfg, "manifest-not-utf8": manifest,
+                   "manifest-is-a-directory": manifest}.get(case, tmp_path / name)
+        assert run_cli(["solve-ref", "--config", str(cfg),
+                        "--out", str(tmp_path / "ref.txt")]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(culprit) in err[0]
+        assert not (tmp_path / "ref.txt").exists()
 
 
 # The CLI fuzz: a value outside one key's domain, in an otherwise valid tiny
