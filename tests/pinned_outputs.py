@@ -13,7 +13,10 @@ in-process on
 - `run --config configs/synthetic-heterogeneous.ini` into OUT_DIR/synthetic-het/;
 - `variances --config configs/variances.ini` into OUT_DIR/variances/;
 - `solve-ref --config configs/synthetic-heterogeneous.ini` into
-  OUT_DIR/solve-ref/reference.txt.
+  OUT_DIR/solve-ref/reference.txt;
+- `run` on each of the three benchmark workloads at seed 1 and full size,
+  its inputs written by CHECKOUT's `bench/workloads.py`, into
+  OUT_DIR/bench/<workload>/.
 
 A byte-identity check is `diff -r A B` and a rebaseline report is
 `python3 tests/compare_outputs.py A B`, where A was written at the parent
@@ -29,6 +32,7 @@ import tempfile
 REGIMES = ("identical", "heterogeneous")
 MODES = ("stochastic", "full", "injected-noise")
 SEEDS = {"replicated": "0:3", "single": "5"}
+BENCH_SEED = 1
 
 _PINNED = """\
 [data]
@@ -97,11 +101,32 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, os.path.join(root, "src"))
     from localsgd import cli
 
+    sys.path.insert(0, os.path.join(root, "bench"))
+    import workloads
+
+    out_dir = os.path.abspath(args.out_dir)
     with tempfile.TemporaryDirectory() as config_dir:
-        for argv_ in invocations(os.path.abspath(args.out_dir), root, config_dir):
+        for argv_ in invocations(out_dir, root, config_dir):
             rc = cli.main(argv_)
             if rc != 0:
                 print(f"exit {rc}: localsgd {' '.join(argv_)}", file=sys.stderr)
+                return rc
+    cwd = os.getcwd()
+    for name in workloads.WORKLOADS:
+        with tempfile.TemporaryDirectory() as work_dir:
+            for file_name, data in workloads.generate(name, BENCH_SEED).items():
+                with open(os.path.join(work_dir, file_name), "wb") as f:
+                    f.write(data)
+            argv_ = ["run", "--config", "config.ini",
+                     "--out-dir", os.path.join(out_dir, "bench", name)]
+            os.chdir(work_dir)  # the a9a config names its data relative to it
+            try:
+                rc = cli.main(argv_)
+            finally:
+                os.chdir(cwd)
+            if rc != 0:
+                print(f"exit {rc}: localsgd {' '.join(argv_)} (bench workload {name})",
+                      file=sys.stderr)
                 return rc
     return 0
 
