@@ -40,12 +40,11 @@ class Problem:
     L_component: float
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
-    # Each node's CSR rows, sliced once; a node that owns the whole dataset
-    # (identical regime) shares the dataset's matrix instead of a copy.
-    node_rows: tuple = field(repr=False)
     # Dense copy of the rows when the stored matrix is mostly dense anyway
     # (synthetic data); genuinely sparse datasets keep None and all products
-    # go through CSR. Only margins, rows_T_dot and gather read the storage.
+    # go through CSR. Every product with the rows goes through margins,
+    # rows_T_dot or gather; only the d x d Gram helper behind L and the
+    # Newton curvature reads the CSR matrix itself, in dense blocks.
     dense_rows: np.ndarray | None = field(default=None, repr=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -104,9 +103,10 @@ def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
 _GRAM_ROWS = 256
 
 
-def _weighted_gram(A, w: np.ndarray) -> np.ndarray:
-    """A^T diag(w) A for a CSR matrix A, as a dense (d, d) array summed over
-    dense blocks of its rows."""
+def _weighted_gram(dataset: Dataset, w: np.ndarray) -> np.ndarray:
+    """A^T diag(w) A for the dataset's CSR rows A, as a dense (d, d) array
+    summed over dense blocks of its rows."""
+    A = dataset.features
     G = np.zeros((A.shape[1], A.shape[1]))
     for start in range(0, A.shape[0], _GRAM_ROWS):
         B = A[start:start + _GRAM_ROWS].toarray()
@@ -124,7 +124,7 @@ def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    gram = _weighted_gram(dataset.features, sample_weights(dataset, part) / 4.0)
+    gram = _weighted_gram(dataset, sample_weights(dataset, part) / 4.0)
     return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
@@ -145,8 +145,6 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
-        node_rows=tuple(A if (start, stop) == (0, dataset.n) else A[start:stop]
-                        for start, stop in part.node_ranges),
         dense_rows=dense,
     )
 
@@ -214,24 +212,40 @@ def loss(p: Problem, x: np.ndarray) -> float:
     return float(loss_many(p, x[None, :])[0])
 
 
-def full_grad(p: Problem, node: int, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of f_node: average over the node's samples plus lam*x."""
-    _check_dim(p, x)
-    start, stop = p.node_range(node)
-    A = p.node_rows[node]
-    y = p.dataset.labels[start:stop]
-    t = A @ x
-    return A.T @ _logistic_slope(-y / (stop - start), y, t, out=t) + p.lam * x
+def _slope_numerator(p: Problem, k: int) -> np.ndarray:
+    """The slope's numerator for k points per node, columns ordered (point,
+    node): -y_i/n_m in node m's columns for i in node m's block, else 0.
+    Identical nodes weigh every sample by 1/n, so one column -y/n serves all."""
+    y, n = p.dataset.labels, p.dataset.n
+    if p.part.regime == Regime.IDENTICAL:
+        return (-y / n)[:, None]
+    num = np.zeros((n, k, p.M))
+    for m, (start, stop) in enumerate(p.part.node_ranges):
+        num[start:stop, :, m] = (-y[start:stop] / (stop - start))[:, None]
+    return num.reshape(n, k * p.M)
+
+
+def _exact_grads(p: Problem, X: np.ndarray, num) -> np.ndarray:
+    """The one exact-gradient kernel, shape (k, d) -> (k, d): row j is
+    sum_i c_ij a_i + lam x_j, c_ij the logistic slope at a_i.x_j with
+    numerator num[i, j] (a column broadcasts), computed in the margins."""
+    _check_dim(p, X)
+    U = p.margins(X)  # (n, k)
+    C = _logistic_slope(num, p.dataset.labels[:, None], U, out=U)
+    return p.rows_T_dot(C).T + p.lam * X
+
+
+def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:
+    """The exact gradient of every f_m at x, shape (d,) -> (M, d). Identical
+    nodes share f, so one gradient stands for all of them."""
+    num = _slope_numerator(p, 1)
+    G = _exact_grads(p, np.tile(x, (num.shape[1], 1)), num)
+    return np.broadcast_to(G, (p.M, p.dim))
 
 
 def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:
-    """Gradient of f: per-node gradients combined in ascending node order."""
-    if p.part.regime == Regime.IDENTICAL:
-        return full_grad(p, 0, x)  # all nodes share f; mean of identical values
-    acc = full_grad(p, 0, x)
-    for m in range(1, p.M):
-        acc = acc + full_grad(p, m, x)
-    return acc / p.M
+    """Gradient of f: one kernel call with f's sample weights folded in."""
+    return _exact_grads(p, x[None, :], (-p.dataset.labels * p.weights)[:, None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +294,6 @@ def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     x = np.zeros(p.dim) if x0 is None else np.array(x0, dtype=np.float64)
-    A = p.dataset.features
     g = full_grad_global(p, x)
     gn = float(np.linalg.norm(g))
     steps = 0
@@ -289,8 +302,9 @@ def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
             raise ConvergenceError(
                 f"reference solve hit the {max_iter}-step cap at ||grad|| = "
                 f"{gn:.3e} (target {tol:.3e})")
-        s = _logistic_slope(1.0, 1.0, A @ x)  # sigmoid(-a.x); s(1 - s) is even
-        hessian = _weighted_gram(A, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
+        # sigmoid(-a.x); s(1 - s) is even
+        s = _logistic_slope(1.0, 1.0, p.margins(x[None, :])[:, 0])
+        hessian = _weighted_gram(p.dataset, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
         step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for halving in range(_MAX_HALVINGS):
             t = 0.5 ** halving
@@ -356,7 +370,7 @@ class VarianceReport:
 def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:
     """||c_i a_i + lam x||^2 for every sample, without materializing the
     gradients: expands to c^2 ||a||^2 + 2 lam c (a.x) + lam^2 ||x||^2."""
-    t = p.dataset.features @ x
+    t = p.margins(x[None, :])[:, 0]
     y = p.dataset.labels
     c = _logistic_slope(-y, y, t)
     return c * c * p.row_norms_sq + 2.0 * p.lam * c * t + p.lam**2 * float(x @ x)
@@ -376,21 +390,14 @@ def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
     if batch < 1:
         raise ValueError("batch must be >= 1")
     x_star = ref.x_star
-    # Identical-regime nodes all draw from f over the full range: one
-    # stands for all of them.
-    nodes = range(1 if p.part.regime == Regime.IDENTICAL else p.M)
 
     def node_stats(x: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
         """The per-sample ||grad||^2 at x, from one pass over the data, and
         (E_z ||grad f_m(x,z)||^2, ||grad f_m(x)||^2) per node m for uniform
         draws over the node's range."""
         q = _per_sample_grad_sq(p, x)
-        stats = []
-        for m in nodes:
-            start, stop = p.node_range(m)
-            g = full_grad(p, m, x)
-            stats.append((float(np.mean(q[start:stop])), float(g @ g)))
-        return q, stats
+        return q, [(float(np.mean(q[start:stop])), float(g @ g))
+                   for (start, stop), g in zip(p.part.node_ranges, node_gradients(p, x))]
 
     def sigma_from_stats(mean_q: float, g_sq: float) -> float:
         return g_sq if exhaustive else g_sq + (mean_q - g_sq) / batch
@@ -399,7 +406,6 @@ def measure_variances(p: Problem, ref: ReferenceSolution, batch: int = 1, *,
     g = full_grad_global(p, x_star)
     sigma_opt = sigma_from_stats(float(np.mean(q_star)), float(g @ g))
     per_node = tuple(sigma_from_stats(*st) for st in star_stats)
-    per_node *= p.M // len(per_node)  # identical nodes share one value
     sigma_dif = float(np.mean(per_node))
 
     probes = (node_stats(np.zeros(p.dim))[1], star_stats, node_stats(0.5 * x_star)[1])

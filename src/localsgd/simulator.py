@@ -17,7 +17,8 @@ import numpy as np
 
 from .dataio import Regime
 from .numkit import RngStream, draw_indices
-from .objective import Problem, ReferenceSolution, _logistic_slope, loss_many
+from .objective import (Problem, ReferenceSolution, _exact_grads, _logistic_slope,
+                        _slope_numerator, loss_many)
 
 # Stream-id namespace: index draws use the node id, Gaussian noise draws use
 # the node id with the top bit set, so the two never collide.
@@ -209,18 +210,7 @@ class _GradientEngine:
 
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
         else:
-            # The slope's numerator with the node weights folded in: -y_i/n_m
-            # in node m's (s, m) columns when i lies in node m's block, and 0
-            # elsewhere. Identical nodes all weigh every sample by 1/n, so one
-            # column serves every (s, m).
-            y, n = p.dataset.labels, p.dataset.n
-            if p.part.regime == Regime.IDENTICAL:
-                self._num = (-y / n)[:, None]
-            else:
-                num = np.zeros((n, self.S, self.M))
-                for m, (start, stop) in enumerate(p.part.node_ranges):
-                    num[start:stop, :, m] = (-y[start:stop] / (stop - start))[:, None]
-                self._num = num.reshape(n, self.S * self.M)
+            self._num = _slope_numerator(p, self.S)
 
         if mode == GradientMode.INJECTED_NOISE:
             gens = [[RngStream(seed=seed, stream_id=m | _NOISE_STREAM_FLAG).generator()
@@ -254,17 +244,13 @@ class _GradientEngine:
 
     def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
         p = self.p
-        y = p.dataset.labels[:, None]
         if p.part.regime == Regime.IDENTICAL and np.all(eq):
             # Nodes coincide and share f: one gradient per seed suffices.
-            U = p.margins(Xn[:, 0, :])  # (n, S)
-            G = p.rows_T_dot(_logistic_slope(self._num, y, U, out=U)).T[:, None, :]
-            return np.broadcast_to(G, Xn.shape) + p.lam * Xn
-        # (n, S*M) margins, columns ordered (s, m), turned into coefficients
-        # in place.
-        U = p.margins(Xn.reshape(self.S * self.M, self.d))
-        G = p.rows_T_dot(_logistic_slope(self._num, y, U, out=U)).T
-        return G.reshape(self.S, self.M, self.d) + p.lam * Xn
+            G = _exact_grads(p, Xn[:, 0, :], self._num)
+            return np.repeat(G[:, None, :], self.M, axis=1)
+        # Columns ordered (s, m), as the numerator's are.
+        G = _exact_grads(p, Xn.reshape(self.S * self.M, self.d), self._num)
+        return G.reshape(self.S, self.M, self.d)
 
     def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg

@@ -67,7 +67,7 @@ def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
 def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     """The package's own gradients against central differences of
     objective.loss: the engine's single-sample stochastic gradient on dense
-    and on CSR storage, and full_grad."""
+    and on CSR storage, and node_gradients."""
     t0 = time.time()
     ds = generate_synthetic(60, 8, seed=101)
     p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.05)
@@ -98,7 +98,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
             worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
     for _ in range(T):
         x = gen.standard_normal(p.dim)
-        worst = max(worst, rel_error(objective.full_grad(p, 0, x), p, x))
+        worst = max(worst, rel_error(objective.node_gradients(p, x)[0], p, x))
     return _result("gradient-correctness", worst <= 1e-6,
                    f"max relative error {worst:.2e} over {T} (x, sample) pairs "
                    f"per storage and {T} full gradients", t0)
@@ -296,10 +296,14 @@ def criterion_variance_identities(level: str = "full") -> CriterionResult:
     pM = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     refM = solve_reference(pM, 1e-12)
     vrM = measure_variances(pM, refM, batch=1, exhaustive=True)
-    oracle = np.mean([
-        float(np.sum(objective.full_grad(pM, m, refM.x_star) ** 2))
-        for m in range(4)
-    ])
+    # Each f_m from its own one-node problem on the node's rows, not from the
+    # per-node path measure_variances takes.
+    node_grads = []
+    for start, stop in pM.part.node_ranges:
+        rows = dataio.Dataset(ds.features[start:stop], ds.labels[start:stop])
+        q = build_problem(rows, partition(rows, 1, Regime.IDENTICAL), lam=pM.lam)
+        node_grads.append(objective.full_grad_global(q, refM.x_star))
+    oracle = np.mean([float(np.sum(g ** 2)) for g in node_grads])
     diff_fb = abs(vrM.sigma_dif_sq - oracle)
 
     ok = diff_m1 <= 1e-12 and diff_fb <= 1e-10

@@ -18,11 +18,11 @@ from localsgd.objective import (
     ConvergenceError,
     build_problem,
     estimate_L,
-    full_grad,
     full_grad_global,
     loss,
     loss_many,
     measure_variances,
+    node_gradients,
     solve_reference,
 )
 from localsgd.simulator import (
@@ -54,6 +54,15 @@ def loss_many_oracle(p, X):
     per_sample = np.log1p(np.exp(-np.abs(t)))
     np.add(per_sample, np.maximum(-t, 0.0), out=per_sample)
     return p.weights @ per_sample + 0.5 * p.lam * np.einsum("kd,kd->k", X2, X2)
+
+
+def node_grad_oracle(p, m, x):
+    """The exact gradient of f_m from node m's own CSR rows, with scipy's
+    expit: the formula, independent of the package's kernel and storage."""
+    start, stop = p.node_range(m)
+    A = p.dataset.features[start:stop]
+    y = p.dataset.labels[start:stop]
+    return A.T @ (-y * expit(-y * (A @ x))) / (stop - start) + p.lam * x
 
 
 def sparse_problem(n, d=40, density=0.1, seed=8):
@@ -168,8 +177,8 @@ class TestLogisticSlope:
             for y in (1.0, -1.0):
                 c = objective._logistic_slope(-y, y, z)
                 assert np.all(np.isfinite(c))
-            assert np.all(np.isfinite(full_grad(p, 0, x)))
-            assert np.all(np.isfinite(full_grad(p, 0, -x)))
+            assert np.all(np.isfinite(node_gradients(p, x)))
+            assert np.all(np.isfinite(node_gradients(p, -x)))
 
     def test_cli_does_not_import_scipy_special(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -201,10 +210,23 @@ class TestGradients:
             assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_global_equals_node_mean(self):
-        p = small_problem(M=4, regime=Regime.HETEROGENEOUS, n=61)
+        # f = (1/M) sum_m f_m weighs each node's mean equally, also over the
+        # unequal blocks of n = 61 on M = 3 nodes.
+        p = small_problem(M=3, regime=Regime.HETEROGENEOUS, n=61)
         x = RngStream(seed=6).generator().standard_normal(p.dim)
-        mean = np.mean([full_grad(p, m, x) for m in range(4)], axis=0)
-        assert np.allclose(full_grad_global(p, x), mean, rtol=1e-12, atol=1e-15)
+        mean = np.mean([node_grad_oracle(p, m, x) for m in range(3)], axis=0)
+        for q in storages(p):
+            assert np.allclose(full_grad_global(q, x), mean, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_node_gradients_match_oracle(self, regime):
+        p = small_problem(n=61, d=5, M=3, regime=regime, sort_by_label=True)
+        x = RngStream(seed=45).generator().standard_normal(p.dim)
+        for q in storages(p):
+            G = node_gradients(q, x)
+            assert G.shape == (3, p.dim)
+            for m in range(3):
+                assert np.allclose(G[m], node_grad_oracle(q, m, x), rtol=1e-12, atol=0)
 
     def test_smoothness_constant_is_valid(self):
         # ||grad f(x) - grad f(y)|| <= L ||x - y|| on 1000 random pairs
@@ -252,7 +274,7 @@ class TestStochasticGrad:
         for q in storages(p):
             [G] = node_grads(q, x, seeds=(0, 1), mode=GradientMode.FULL)
             for m in range(3):
-                assert np.allclose(G[:, m], full_grad(q, m, x), rtol=1e-12, atol=0)
+                assert np.allclose(G[:, m], node_grad_oracle(q, m, x), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("mode", [GradientMode.FULL, GradientMode.INJECTED_NOISE])
@@ -276,7 +298,7 @@ class TestStochasticGrad:
                      else np.zeros_like(X))
             for s in range(len(seeds)):
                 for m in range(p.M):
-                    want = full_grad(q, m, X[s, m]) + noise[s, m]
+                    want = node_grad_oracle(q, m, X[s, m]) + noise[s, m]
                     assert np.allclose(G[s, m], want, rtol=1e-12, atol=0)
 
     def test_single_sample_node_is_deterministic(self):
@@ -287,7 +309,7 @@ class TestStochasticGrad:
             [G] = node_grads(q, x, seeds=tuple(range(5)))
             for g in G[1:, 2]:
                 assert np.array_equal(g, G[0, 2])
-            assert np.allclose(G[0, 2], full_grad(q, 2, x), rtol=1e-14, atol=0)
+            assert np.allclose(G[0, 2], node_grad_oracle(q, 2, x), rtol=1e-14, atol=0)
 
     def test_unbiasedness_monte_carlo(self):
         # Mean over draws within 3 standard errors of the full gradient.
@@ -297,7 +319,7 @@ class TestStochasticGrad:
             steps = node_grads(q, x, seeds=tuple(range(12, 112)), T=200)
             draws = np.concatenate([G[:, 0] for G in steps])  # 20000 draws
             se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
-            diff = np.abs(draws.mean(axis=0) - full_grad(q, 0, x))
+            diff = np.abs(draws.mean(axis=0) - node_grad_oracle(q, 0, x))
             assert np.all(diff <= 3 * se + 1e-12)
 
     @pytest.mark.parametrize("regime", list(Regime))
@@ -490,7 +512,7 @@ class TestMeasureVariances:
                           sort_by_label=True)
         ref = solve_reference(p, 1e-12)
         vr = measure_variances(p, ref, batch=1, exhaustive=True)
-        oracle = np.mean([np.sum(full_grad(p, m, ref.x_star) ** 2)
+        oracle = np.mean([np.sum(node_grad_oracle(p, m, ref.x_star) ** 2)
                           for m in range(4)])
         assert vr.sigma_dif_sq == pytest.approx(oracle, abs=1e-15)
 
@@ -524,7 +546,7 @@ class TestMeasureVariances:
                           sort_by_label=True)
         ref = solve_reference(p, 1e-12)
         vr = measure_variances(p, ref, batch=2)
-        lb = np.mean([np.sum(full_grad(p, m, ref.x_star) ** 2) for m in range(4)])
+        lb = np.mean([np.sum(node_grad_oracle(p, m, ref.x_star) ** 2) for m in range(4)])
         assert vr.sigma_dif_sq >= lb * (1 - 1e-12)
 
     def test_expected_grad_sq_brute_force_pairs(self):
