@@ -242,7 +242,7 @@ def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
     try:
         with open(manifest_path, encoding="utf-8") as f:
             entries = dataio.parse_manifest(f)
-    except dataio.UNREADABLE as e:
+    except dataio.READ_ERRORS as e:
         raise dataio.ManifestError(dataio.unreadable(manifest_path, e)) from None
     if cfg.source not in entries:
         raise dataio.ManifestError(

@@ -33,7 +33,7 @@ class ManifestError(ValueError):
 # What reading an input file raises on a bad file rather than a bad value: a
 # path that cannot be opened (a directory, say), a `.gz` file that is not
 # gzip or ends early, and bytes that are not UTF-8.
-UNREADABLE = (OSError, EOFError, UnicodeDecodeError)
+READ_ERRORS = (OSError, EOFError, UnicodeDecodeError)
 
 
 def unreadable(path: str, e: Exception) -> str:
@@ -245,7 +245,7 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
             )
         with opener(path, "rt", encoding="utf-8") as f:
             ds = parse_libsvm(f, name=entry.name, dim=entry.dim)
-    except UNREADABLE as e:
+    except READ_ERRORS as e:
         raise ManifestError(unreadable(path, e)) from None
     # parse_libsvm pads the width to entry.dim or refuses, so only n can differ.
     if ds.n != entry.n:
