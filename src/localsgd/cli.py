@@ -237,13 +237,8 @@ def resolve_dataset(cfg: ExperimentConfig) -> dataio.Dataset:
         return dataio.generate_synthetic(
             cfg.n, cfg.d, seed=cfg.data_seed, sort_by_label=cfg.sort_by_label,
             label_noise=cfg.label_noise)
-    data_dir = cfg.data_dir or os.environ.get(dataio.DATA_DIR_ENV, "") or "data"
-    manifest_path = cfg.manifest or os.path.join(data_dir, "manifest.txt")
-    try:
-        with open(manifest_path, encoding="utf-8") as f:
-            entries = dataio.parse_manifest(f)
-    except dataio.READ_ERRORS as e:
-        raise dataio.ManifestError(dataio.unreadable(manifest_path, e)) from None
+    data_dir, manifest_path = dataio.manifest_path(cfg.data_dir, cfg.manifest)
+    entries = dataio.read_manifest(manifest_path)
     if cfg.source not in entries:
         raise dataio.ManifestError(
             f"dataset {cfg.source!r} not in manifest {manifest_path}")
@@ -307,6 +302,19 @@ def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
         raise _invalid("tol", str(e)) from None
 
 
+def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
+    """Refuse, before any work, an output path that cannot be written: a
+    directory where the file goes, or a file where the directory or one of
+    its ancestors goes. `name` is its config field; None means --out."""
+    head = path if is_dir else os.path.dirname(path)
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    why = (f"{path} is a directory" if not is_dir and os.path.isdir(path) else
+           f"{head} is not a directory" if head and not os.path.isdir(head) else None)
+    if why:
+        raise _invalid(name, why) if name else ConfigError(f"--out: {why}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -314,6 +322,7 @@ def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
 def cmd_variances(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    _check_output(cfg.out_dir, is_dir=True, name="out_dir")
     ds = resolve_dataset(cfg)
     # Check every node count before the first solve.
     parts = [_partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
@@ -344,6 +353,7 @@ def cmd_run(args) -> int:
     schedules = [resolve_schedule(cfg.schedule_spec, H, cfg.T) for H in cfg.H_list]
     if cfg.gradient_mode == GradientMode.INJECTED_NOISE and cfg.noise_sigma is None:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
+    _check_output(cfg.out_dir, is_dir=True, name="out_dir")
     p = resolve_problem(cfg)
     gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
     ref = resolve_reference(p, cfg)
@@ -444,9 +454,10 @@ def _write_curve_csv(stream, curve, agg) -> None:
 def cmd_solve_ref(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
+    out = args.out or os.path.join(cfg.out_dir, "reference.txt")
+    _check_output(out, is_dir=False, name=None if args.out else "out_dir")
     p = resolve_problem(cfg)
     ref = resolve_reference(p, cfg)
-    out = args.out or os.path.join(cfg.out_dir, "reference.txt")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     with open(out, "w") as f:
         f.write(ref.to_kv_text())
@@ -468,6 +479,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.out:
+        _check_output(args.out, is_dir=False)
     results = verify.run_all(level=args.level)
     for r in results:
         print(r.line())

@@ -223,6 +223,21 @@ def parse_manifest(source: TextIO | str) -> dict[str, ManifestEntry]:
     return entries
 
 
+def manifest_path(data_dir: str = "", manifest: str = "") -> tuple[str, str]:
+    """The data dir given, else $LOCALSGD_DATA_DIR or `data`, and its manifest."""
+    data_dir = data_dir or os.environ.get(DATA_DIR_ENV, "") or "data"
+    return data_dir, manifest or os.path.join(data_dir, "manifest.txt")
+
+
+def read_manifest(path: str) -> dict[str, ManifestEntry]:
+    """The manifest at path; a file that cannot be read is a ManifestError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_manifest(f)
+    except READ_ERRORS as e:
+        raise ManifestError(unreadable(path, e)) from None
+
+
 def sha256_of(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:

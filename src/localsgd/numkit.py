@@ -1,5 +1,4 @@
-"""The deterministic RNG contract shared by every module, and the
-dimension-mismatch error.
+"""The deterministic RNG contract shared by every module.
 
 Randomness comes from counter-based Philox streams so that any draw is a
 pure function of (seed, stream_id, counter) and per-node streams can be
@@ -14,10 +13,6 @@ import numpy as np
 _U64 = np.uint64
 # Philox emits 64-bit words in blocks of 4 per counter increment.
 _WORDS_PER_BLOCK = 4
-
-
-class DimensionMismatchError(ValueError):
-    """Operands disagree on vector dimension."""
 
 
 @dataclass

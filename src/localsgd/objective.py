@@ -12,7 +12,6 @@ from typing import TextIO
 import numpy as np
 
 from .dataio import Dataset, Partition, Regime
-from .numkit import DimensionMismatchError
 
 
 class ConvergenceError(RuntimeError):
@@ -153,11 +152,6 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
-def _check_dim(p: Problem, x: np.ndarray) -> None:
-    if x.shape[-1] != p.dim:
-        raise DimensionMismatchError(f"x has dim {x.shape[-1]}, problem has {p.dim}")
-
-
 def _logistic_slope(num, y, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """num / (1 + exp(y t)), elementwise, written into `out` when given.
 
@@ -188,7 +182,6 @@ def loss_many(p: Problem, X: np.ndarray) -> np.ndarray:
     two matrix products are never split, so every value is independent of
     the chunk size.
     """
-    _check_dim(p, X)
     X2 = np.atleast_2d(X)
     U = p.margins(X2)  # (n, k) margins a_i . x
     y = p.dataset.labels[:, None]
@@ -229,7 +222,6 @@ def _exact_grads(p: Problem, X: np.ndarray, num) -> np.ndarray:
     """The one exact-gradient kernel, shape (k, d) -> (k, d): row j is
     sum_i c_ij a_i + lam x_j, c_ij the logistic slope at a_i.x_j with
     numerator num[i, j] (a column broadcasts), computed in the margins."""
-    _check_dim(p, X)
     U = p.margins(X)  # (n, k)
     C = _logistic_slope(num, p.dataset.labels[:, None], U, out=U)
     return p.rows_T_dot(C).T + p.lam * X

@@ -155,9 +155,10 @@ def _nodes_equal(X: np.ndarray) -> np.ndarray:
     return np.all(X == X[:, :1, :], axis=(1, 2))
 
 
-def _mean_nodes(X: np.ndarray, eq: np.ndarray) -> np.ndarray:
-    """Node average per seed; exact where `eq` (_nodes_equal of X) holds."""
+def _mean_nodes(X: np.ndarray) -> np.ndarray:
+    """Node average per seed; exact for a seed whose nodes coincide."""
     xhat = X.mean(axis=1)
+    eq = _nodes_equal(X)
     if np.any(eq):
         xhat[eq] = X[eq, 0, :]
     return xhat
@@ -242,9 +243,9 @@ class _GradientEngine:
                     self._filled[:, s, m] = self._draw(s, m, k)
         return self._filled[t - self._first]
 
-    def _full_grads(self, Xn: np.ndarray, eq: np.ndarray) -> np.ndarray:
+    def _full_grads(self, Xn: np.ndarray) -> np.ndarray:
         p = self.p
-        if p.part.regime == Regime.IDENTICAL and np.all(eq):
+        if p.part.regime == Regime.IDENTICAL and np.all(_nodes_equal(Xn)):
             # Nodes coincide and share f: one gradient per seed suffices.
             G = _exact_grads(p, Xn[:, 0, :], self._num)
             return np.repeat(G[:, None, :], self.M, axis=1)
@@ -261,12 +262,12 @@ class _GradientEngine:
         c = _logistic_slope(y_sel / -cfg.batch, y_sel, tv, out=tv)
         return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
 
-    def gradients(self, Xn: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
-        """Gradients at the (S, M, d) stack Xn; `eq` is _nodes_equal(Xn)."""
+    def gradients(self, Xn: np.ndarray, t: int) -> np.ndarray:
+        """Gradients at the (S, M, d) stack Xn of step t."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
             return self._stochastic_grads(Xn, t)
-        G = self._full_grads(Xn, eq)
+        G = self._full_grads(Xn)
         if mode == GradientMode.INJECTED_NOISE:
             G += self._draws(t)
         return G
@@ -289,6 +290,10 @@ def _write_csv(stream: TextIO, metadata: dict, t: np.ndarray, synced: np.ndarray
                *(np.asarray(c, dtype=np.float64).tolist() for c in columns.values()))
     for step, rnd, sync, *values in rows:
         stream.write(f"{step},{rnd},{sync}," + ",".join(map(repr, values)) + "\n")
+
+
+# The per-step metrics of a Trace, each aggregated over seeds.
+_METRICS = ("V", "dist_sq", "subopt", "grad_norm_sq")
 
 
 @dataclass
@@ -326,7 +331,7 @@ class AggregateTrace:
 
     t: np.ndarray
     synced: np.ndarray
-    mean: dict[str, np.ndarray]  # keys: V, dist_sq, subopt, grad_norm_sq
+    mean: dict[str, np.ndarray]  # keyed by _METRICS
     se: dict[str, np.ndarray]
     bar_subopt_tail: tuple[float, float]  # (mean, se)
     bar_subopt_head: tuple[float, float]
@@ -346,10 +351,8 @@ class AggregateTrace:
                   bar_subopt_tail_se=repr(self.bar_subopt_tail[1]),
                   bar_subopt_head_mean=repr(self.bar_subopt_head[0]),
                   bar_subopt_head_se=repr(self.bar_subopt_head[1]))
-        columns = {}
-        for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
-            columns[f"{name}_mean"] = self.mean[name]
-            columns[f"{name}_se"] = self.se[name]
+        columns = {f"{name}_{stat}": values[name] for name in _METRICS
+                   for stat, values in (("mean", self.mean), ("se", self.se))}
         _write_csv(stream, md, self.t, self.synced, columns)
 
 
@@ -398,30 +401,6 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     }
 
 
-def _record_grid(cfg: RunConfig) -> list[int]:
-    """Every stride-th step and every synchronization step (T among them)."""
-    grid = set(range(0, cfg.T + 1, cfg.stride()))
-    grid.update(cfg.schedule.sync_steps)
-    return sorted(grid)
-
-
-@dataclass
-class _RunBatch:
-    """Raw per-seed outputs of one vectorized simulation."""
-
-    t: np.ndarray
-    synced: np.ndarray
-    V: np.ndarray
-    dist_sq: np.ndarray
-    subopt: np.ndarray
-    grad_norm_sq: np.ndarray
-    bar_tail: np.ndarray
-    bar_head: np.ndarray
-    xhat: np.ndarray | None
-    metadata: dict
-    seeds: list[int]
-
-
 def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
     peak = np.max(np.abs(X))
     if np.isfinite(peak) and peak <= _DIVERGENCE_LIMIT:
@@ -433,126 +412,87 @@ def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
 
 def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
               seeds: Sequence[int], *, minibatch: bool,
-              capture_xhat: bool = False) -> _RunBatch:
+              capture_xhat: bool = False) -> list[Trace]:
+    """Run cfg once per seed, vectorized over the seeds; one Trace each."""
     cfg.validate(p)
-    seeds = list(seeds)
     S, M, d, T = len(seeds), cfg.M, p.dim, cfg.T
-    gamma = cfg.gamma
 
     grad_engine = _GradientEngine(p, cfg, seeds)
     sync_set = frozenset(cfg.schedule.sync_steps)
-    grid = _record_grid(cfg)
+    # Every stride-th step and every synchronization step (T among them).
+    grid = sorted(sync_set.union(range(0, T + 1, cfg.stride())))
     row_of = {t: i for i, t in enumerate(grid)}
     R = len(grid)
 
     X = np.zeros((S, M, d))
-    # Which seeds' nodes coincide in X: measured once per step, after any
-    # averaging, and read by the averaging and the exact-gradient shortcut.
-    eq = _nodes_equal(X)
-    xhat = _mean_nodes(X, eq)
+    xhat = _mean_nodes(X)
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
     bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
 
-    V = np.zeros((R, S))
-    dist = np.zeros((R, S))
-    subopt = np.zeros((R, S))
+    V, dist, subopt = np.zeros((3, R, S))
     gradsq = np.full((R, S), np.nan)
     xhat_rows = np.zeros((R, S, d)) if capture_xhat else None
+    # Suboptimality needs a full loss evaluation; batch the averages of up
+    # to 64 consecutive rows into one matrix product.
+    pending: list[np.ndarray] = []
 
-    # Suboptimality needs a full loss evaluation; batch the recorded
-    # averages into few matrix products instead of one product per step.
-    pending: list[tuple[int, np.ndarray]] = []
-
-    def flush_subopt() -> None:
-        if not pending:
-            return
-        pts = np.concatenate([xh for _, xh in pending], axis=0)
-        vals = (loss_many(p, pts) - ref.f_star).reshape(len(pending), S)
-        for (r, _), row in zip(pending, vals):
-            subopt[r] = row
-        pending.clear()
-
-    def record_state(t: int) -> int | None:
+    for t in range(T + 1):
         r = row_of.get(t)
-        if r is None:
-            return None
-        V[r] = _vt_batch(X, xhat)
-        diff = xhat - ref.x_star
-        dist[r] = np.sum(diff * diff, axis=1)
-        pending.append((r, xhat))
-        if len(pending) >= 64:
-            flush_subopt()
-        if xhat_rows is not None:
-            xhat_rows[r] = xhat
-        return r
-
-    for t in range(T):
-        r = record_state(t)
-        G = grad_engine.gradients(X, t, eq)
+        if r is not None:
+            V[r] = _vt_batch(X, xhat)
+            diff = xhat - ref.x_star
+            dist[r] = np.sum(diff * diff, axis=1)
+            if xhat_rows is not None:
+                xhat_rows[r] = xhat
+            pending.append(xhat)
+            if len(pending) == 64 or t == T:
+                vals = loss_many(p, np.concatenate(pending)) - ref.f_star
+                subopt[r + 1 - len(pending):r + 1] = vals.reshape(len(pending), S)
+                pending.clear()
+        if t == T:
+            break
+        G = grad_engine.gradients(X, t)
         if r is not None:
             g_mean = G.mean(axis=1)
             gradsq[r] = np.sum(g_mean * g_mean, axis=1)
         bar_head_sum += xhat
         if minibatch:
-            xhat = xhat - gamma * G.mean(axis=1)
+            xhat = xhat - cfg.gamma * G.mean(axis=1)
         else:
-            X = X - gamma * G
-            eq = _nodes_equal(X)
-            xhat = _mean_nodes(X, eq)
+            X = X - cfg.gamma * G
+            xhat = _mean_nodes(X)
         if minibatch or (t + 1) in sync_set:
             X = _synchronize(X, xhat)
-            eq = _nodes_equal(X)
         bar_tail_sum += xhat
         _check_divergence(X, t + 1, seeds)
-    record_state(T)
-    flush_subopt()
 
     bar_tail = loss_many(p, bar_tail_sum / T) - ref.f_star
     bar_head = loss_many(p, bar_head_sum / T) - ref.f_star
-
     metadata = _base_metadata(p, cfg, ref, "minibatch" if minibatch else "local")
-    return _RunBatch(
-        t=np.asarray(grid, dtype=np.int64),
-        synced=np.asarray([t in sync_set for t in grid], dtype=bool),
-        V=V, dist_sq=dist, subopt=subopt, grad_norm_sq=gradsq,
-        bar_tail=bar_tail, bar_head=bar_head,
-        xhat=xhat_rows, metadata=metadata, seeds=seeds,
-    )
-
-
-def _single_trace(batch: _RunBatch) -> Trace:
-    md = dict(batch.metadata)
-    md["seed"] = batch.seeds[0]
-    return Trace(
-        t=batch.t,
-        synced=batch.synced,
-        V=batch.V[:, 0],
-        dist_sq=batch.dist_sq[:, 0],
-        subopt=batch.subopt[:, 0],
-        grad_norm_sq=batch.grad_norm_sq[:, 0],
-        bar_subopt_tail=float(batch.bar_tail[0]),
-        bar_subopt_head=float(batch.bar_head[0]),
-        metadata=md,
-        xhat=None if batch.xhat is None else batch.xhat[:, 0, :],
-    )
+    t_rec = np.asarray(grid, dtype=np.int64)
+    synced = np.asarray([t in sync_set for t in grid], dtype=bool)
+    return [Trace(t=t_rec, synced=synced, V=V[:, i], dist_sq=dist[:, i],
+                  subopt=subopt[:, i], grad_norm_sq=gradsq[:, i],
+                  bar_subopt_tail=float(bar_tail[i]), bar_subopt_head=float(bar_head[i]),
+                  metadata=dict(metadata, seed=seed),
+                  xhat=None if xhat_rows is None else xhat_rows[:, i])
+            for i, seed in enumerate(seeds)]
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
                   capture_xhat: bool = False) -> Trace:
     """One Local SGD run: every node steps on its own stream; at each
     scheduled timestamp all nodes are replaced by their average."""
-    batch = _simulate(p, cfg, ref, [cfg.seed], minibatch=False,
-                      capture_xhat=capture_xhat)
-    return _single_trace(batch)
+    return _simulate(p, cfg, ref, [cfg.seed], minibatch=False,
+                     capture_xhat=capture_xhat)[0]
 
 
 def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
                       capture_xhat: bool = False) -> Trace:
     """Minibatch SGD baseline: a single iterate stepped by the average of the
     M per-node stochastic gradients, drawn from the same per-node streams."""
-    batch = _simulate(p, cfg, ref, [cfg.seed], minibatch=True,
-                      capture_xhat=capture_xhat)
-    return _single_trace(batch)
+    return _simulate(p, cfg, ref, [cfg.seed], minibatch=True,
+                     capture_xhat=capture_xhat)[0]
 
 
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
@@ -568,31 +508,25 @@ def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     seeds_sorted = sorted(seeds)
     # A run is a pure function of its seed, and exact-gradient runs do not
     # touch the streams at all: simulate each distinct trajectory once and
-    # fan the columns back out, so duplicates agree bitwise.
-    if cfg.gradient_mode == GradientMode.FULL:
-        sim_seeds = seeds_sorted[:1]
-        expand = [0] * len(seeds_sorted)
-    else:
-        sim_seeds = sorted(set(seeds_sorted))
-        col_of = {s: i for i, s in enumerate(sim_seeds)}
-        expand = [col_of[s] for s in seeds_sorted]
-    batch = _simulate(p, cfg, ref, sim_seeds, minibatch=False)
+    # fan the traces back out, so duplicates agree bitwise.
+    full = cfg.gradient_mode == GradientMode.FULL
+    sim_seeds = seeds_sorted[:1] if full else sorted(set(seeds_sorted))
+    sims = dict(zip(sim_seeds, _simulate(p, cfg, ref, sim_seeds, minibatch=False)))
+    runs = [sims[sim_seeds[0] if full else s] for s in seeds_sorted]
 
-    mean: dict[str, np.ndarray] = {}
-    se: dict[str, np.ndarray] = {}
-    for name, arr in (("V", batch.V), ("dist_sq", batch.dist_sq),
-                      ("subopt", batch.subopt), ("grad_norm_sq", batch.grad_norm_sq)):
-        mean[name], se[name] = _mean_and_se(arr[:, expand])
-    tail_mean, tail_se = _mean_and_se(batch.bar_tail[expand])
-    head_mean, head_se = _mean_and_se(batch.bar_head[expand])
+    def stats(name: str) -> tuple[np.ndarray, np.ndarray]:
+        # Seeds on the last axis of a column-major (rows, seeds) array: numpy
+        # sums a strided axis in another order than a contiguous one.
+        return _mean_and_se(np.stack([getattr(tr, name) for tr in runs]).T)
 
+    per_metric = {name: stats(name) for name in _METRICS}
+    tail, head = stats("bar_subopt_tail"), stats("bar_subopt_head")
     return AggregateTrace(
-        t=batch.t,
-        synced=batch.synced,
-        mean=mean,
-        se=se,
-        bar_subopt_tail=(float(tail_mean), float(tail_se)),
-        bar_subopt_head=(float(head_mean), float(head_se)),
+        t=runs[0].t, synced=runs[0].synced,
+        mean={k: m for k, (m, _) in per_metric.items()},
+        se={k: e for k, (_, e) in per_metric.items()},
+        bar_subopt_tail=(float(tail[0]), float(tail[1])),
+        bar_subopt_head=(float(head[0]), float(head[1])),
         seeds=tuple(seeds_sorted),
-        metadata=batch.metadata,
+        metadata={k: v for k, v in runs[0].metadata.items() if k != "seed"},
     )

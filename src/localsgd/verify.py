@@ -91,7 +91,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
-            G = engine.gradients(X, t, simulator._nodes_equal(X))
+            G = engine.gradients(X, t)
             i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
@@ -359,17 +359,23 @@ def criterion_planners(level: str = "full") -> CriterionResult:
 # 10. Protocol reproduction on real data (skipped when absent)
 # ---------------------------------------------------------------------------
 
+def _plateau_reached(window: np.ndarray) -> bool:
+    """Has a sequence stopped falling? Not while more than 3/4 of the pairs
+    (a from its first half, b from its second) have b < a; a flat sequence
+    with noise gives about half."""
+    half = len(window) // 2
+    return bool(np.mean(window[half:][None, :] < window[:half, None]) <= 0.75)
+
+
 def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
     t0 = time.time()
-    data_dir = os.environ.get(dataio.DATA_DIR_ENV, "data")
-    manifest = os.path.join(data_dir, "manifest.txt")
+    data_dir, manifest = dataio.manifest_path()
     if not os.path.exists(manifest):
         return CriterionResult(
             "real-data-protocol", SKIP,
             "a9a not present (no manifest); fetch it per data/README.md to "
             "enable this check", time.time() - t0)
-    with open(manifest) as f:
-        entries = dataio.parse_manifest(f)
+    entries = dataio.read_manifest(manifest)
     if "a9a" not in entries:
         return CriterionResult("real-data-protocol", SKIP,
                                "manifest has no a9a entry", time.time() - t0)
@@ -387,6 +393,7 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
     ok = True
     notes = []
     plateaus = {}
+    falling = []
     for gname, gamma in (("1/L", 1.0 / p.L), ("0.05/L", 0.05 / p.L)):
         worst_ratio = 0.0
         for H in (1, 4, 16, 64):
@@ -397,12 +404,18 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
             tr = run_local_sgd(p, cfg, ref)
             per_round = tr.dist_sq[tr.synced]
             tail = per_round[50:]
+            if not _plateau_reached(tail):
+                falling.append(f"{gname} H={H}")
             # Plateau: no sustained growth after round 50 beyond noise.
             ratio = float(np.max(tail) / np.median(tail))
             worst_ratio = max(worst_ratio, ratio)
             plateaus.setdefault(gname, []).append(float(np.median(tail)))
         ok = ok and worst_ratio < 3.0
         notes.append(f"{gname}: max tail/median {worst_ratio:.2f}")
+    ok = ok and not falling
+    if falling:
+        notes.append(f"no plateau (distance still falling over rounds 51-{rounds}): "
+                     f"{', '.join(falling)}")
     lvl_big = np.median(plateaus["1/L"])
     lvl_small = np.median(plateaus["0.05/L"])
     ok = ok and lvl_big > lvl_small

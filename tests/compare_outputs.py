@@ -10,10 +10,11 @@ integer columns (t, round, synced, H, comm_rounds, node, M, batch), the
 text columns (bounds, dataset), `holds` and the other text keys of a
 verdict. A float is a value that parses as float but not as int; a comma
 list of floats (x_star) is compared entry by entry. For each float column
-or key the report gives, per file, the maximum relative change
+or key that changed the report gives, per file, the maximum relative change
 |a - b| / max(|a|, |b|) and the maximum absolute change: a value that was
 zero up to the old solver's tolerance reads a relative change near 1 and
-a tiny absolute one. Exits 0 when nothing but floats changed, 1 otherwise.
+a tiny absolute one. Its last line counts the files whose floats changed.
+Exits 0 when nothing but floats changed, 1 otherwise.
 """
 from __future__ import annotations
 
@@ -30,11 +31,14 @@ class Comparison:
     changes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
 
     def report(self) -> str:
+        changed = sorted((k, v) for k, v in self.changes.items() if v != (0.0, 0.0))
         lines = [f"{name}: {key} max rel {rel:.3g} max abs {ab:.3g}"
-                 for (name, key), (rel, ab) in sorted(self.changes.items())]
+                 for (name, key), (rel, ab) in changed]
         lines += [f"PROBLEM {p}" for p in self.problems]
-        lines.append("same files, keys, integer and text values"
-                     if not self.problems else f"{len(self.problems)} problems")
+        files = len({name for (name, _), _ in changed})
+        lines.append(("same files, keys, integer and text values"
+                      if not self.problems else f"{len(self.problems)} problems")
+                     + f"; files with changed floats: {files}")
         return "\n".join(lines)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localsgd import cli, objective
+from localsgd import cli, objective, verify
 from localsgd.dataio import generate_synthetic, sha256_of
 
 from libsvm_text import to_libsvm
@@ -516,6 +516,30 @@ class TestSolveRefCmd:
             assert e.value.code == 2
             assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, bad, key", [
+    (["solve-ref", "--source", "synthetic", "--out", "D"], "D", "--out"),
+    (["solve-ref", "--source", "synthetic", "--out", "F/x.txt"], "F", "--out"),
+    (["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"), "--out-dir", "F"],
+     "F", "[output] dir (--out-dir)"),
+    (["variances", "--config", str(CONFIGS / "variances.ini"), "--out-dir", "F"],
+     "F", "[output] dir (--out-dir)"),
+    (["verify", "--out", "D"], "D", "--out"),
+], ids=["solve-ref-dir", "solve-ref-under-file", "run", "variances", "verify"])
+def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      argv, bad, key):
+    work = []
+    monkeypatch.setattr(cli, "solve_reference", lambda *a, **k: work.append("solve"))
+    monkeypatch.setattr(verify, "CRITERIA", [lambda level: work.append("criterion")])
+    (tmp_path / "D").mkdir()
+    (tmp_path / "F").write_text("a file\n")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [str(tmp_path / a) if a in ("D", "F", "F/x.txt") else a for a in argv]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"{key}: {tmp_path / bad}" in err[0]
+    assert work == [] and sorted(tmp_path.rglob("*")) == before
 
 
 class TestShippedConfigs:

@@ -32,6 +32,8 @@ def test_identical_directories_show_no_change(run_dir, tmp_path):
     cmp = compare_dirs(str(run_dir), str(copy))
     assert cmp.problems == []
     assert cmp.changes and all(c == (0.0, 0.0) for c in cmp.changes.values())
+    assert cmp.report() == ("same files, keys, integer and text values; "
+                            "files with changed floats: 0")
     assert main([str(run_dir), str(copy)]) == 0
 
 
@@ -44,6 +46,9 @@ def test_float_change_is_reported_not_refused(run_dir, tmp_path):
     assert cmp.problems == []
     rel, ab = cmp.changes[("run_H4.csv", "f_star")]
     assert rel == pytest.approx(1 / 3) and ab == pytest.approx(0.5 * float(meta))
+    lines = cmp.report().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("run_H4.csv: f_star max rel 0.333")
+    assert lines[1].endswith("; files with changed floats: 1")
 
 
 @pytest.mark.parametrize("name, old, new", [

@@ -30,7 +30,6 @@ from localsgd.simulator import (
     RunConfig,
     SyncSchedule,
     _GradientEngine,
-    _nodes_equal,
     run_local_sgd,
 )
 
@@ -228,6 +227,16 @@ class TestGradients:
             for m in range(3):
                 assert np.allclose(G[m], node_grad_oracle(q, m, x), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("fn", [loss_many, loss, node_gradients, full_grad_global])
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_wrong_width_point_raises_value_error(self, storage, fn, width):
+        p = small_problem(d=6) if storage == "dense" else sparse_problem(50, d=6)
+        assert (p.dense_rows is not None) == (storage == "dense")  # the product path
+        x = np.ones(width)
+        with pytest.raises(ValueError):
+            fn(p, x[None, :] if fn is loss_many else x)
+
     def test_smoothness_constant_is_valid(self):
         # ||grad f(x) - grad f(y)|| <= L ||x - y|| on 1000 random pairs
         p = small_problem(n=80, d=5, lam=0.02)
@@ -262,7 +271,7 @@ def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
                     gradient_mode=mode, seed=seeds[0], batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
     X = np.tile(x, (len(seeds), p.M, 1))
-    return [engine.gradients(X, t, _nodes_equal(X)) for t in range(T)]
+    return [engine.gradients(X, t) for t in range(T)]
 
 
 class TestStochasticGrad:
@@ -293,7 +302,7 @@ class TestStochasticGrad:
                         gradient_mode=mode, seed=0, noise_sigma=0.3)
         for q in storages(p):
             engine = _GradientEngine(q, cfg, seeds)
-            G = engine.gradients(X, 0, _nodes_equal(X))
+            G = engine.gradients(X, 0)
             noise = (engine._draws(0) if mode == GradientMode.INJECTED_NOISE
                      else np.zeros_like(X))
             for s in range(len(seeds)):

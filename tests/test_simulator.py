@@ -6,14 +6,13 @@ import pytest
 from localsgd import simulator
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
-from localsgd.objective import build_problem, full_grad_global, solve_reference
+from localsgd.objective import build_problem, full_grad_global, loss, solve_reference
 from localsgd.simulator import (
     DivergenceError,
     GradientMode,
     RunConfig,
     SyncSchedule,
     _mean_nodes,
-    _nodes_equal,
     _vt_batch,
     run_local_sgd,
     run_minibatch_sgd,
@@ -83,7 +82,7 @@ class TestSyncSchedule:
 def engine_vt(X) -> float:
     """V_t of one (M, d) stack of node iterates, as the engine computes it."""
     X = np.asarray(X, dtype=np.float64)[None]
-    return float(_vt_batch(X, _mean_nodes(X, _nodes_equal(X)))[0])
+    return float(_vt_batch(X, _mean_nodes(X))[0])
 
 
 class TestComputeVt:
@@ -175,6 +174,20 @@ class TestInvariants:
         assert np.all(tr.V[tr.synced] == 0.0)
         between = ~tr.synced & (tr.t > 0)
         assert np.all(tr.V[between] > 0.0)
+
+    def test_recorded_rows_across_flush_boundaries(self, setup_het):
+        # 151 rows: two full subopt flushes of 64 rows and a partial one of 23.
+        p, ref = setup_het
+        cfg = make_cfg(p, T=150, H=4, record_every=1)
+        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        assert tr.t.tolist() == list(range(151))
+        floor = 4 * np.finfo(float).eps * ref.f_star
+        for r in range(151):
+            diff = tr.xhat[r] - ref.x_star
+            assert tr.dist_sq[r] == np.sum(diff * diff)
+            assert tr.subopt[r] == pytest.approx(loss(p, tr.xhat[r]) - ref.f_star,
+                                                 rel=1e-12, abs=floor)
+        assert np.all(tr.V[tr.synced] == 0.0) and tr.synced.sum() == 38
 
     def test_average_iterate_identity(self, setup_het):
         # xhat_{t+1} == xhat_t - gamma * mean_m g_t^m whether or not the step
@@ -358,7 +371,7 @@ class TestTraceCsv:
         buf = io.StringIO()
         agg.to_csv(buf)
         text = buf.getvalue()
-        assert "# n_seeds = 3" in text
+        assert "# n_seeds = 3" in text and "# seed =" not in text
         assert "subopt_mean,subopt_se" in text
 
 
@@ -421,7 +434,7 @@ class TestRefill:
         tracemalloc.start()
         try:
             engine = simulator._GradientEngine(p, cfg, seeds)
-            engine.gradients(X, 0, _nodes_equal(X))
+            engine.gradients(X, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
