@@ -59,6 +59,7 @@ def _checked(parse, ok, domain: str):
         if not ok(v):
             raise ValueError(f"expected {domain}, got {s!r}")
         return v
+    parse_checked.__name__ = domain.removeprefix("a ")  # argparse's name for the type
     return parse_checked
 
 
@@ -303,13 +304,14 @@ def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
 
 
 def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
-    """Refuse, before any work, an output path that cannot be written: a
-    directory where the file goes, or a file where the directory or one of
-    its ancestors goes. `name` is its config field; None means --out."""
+    """Refuse, before any work, an output path that cannot be written: an
+    empty one, a directory where the file goes, or a file where the directory
+    or one of its ancestors goes. `name` is its config field; None means --out."""
     head = path if is_dir else os.path.dirname(path)
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
-    why = (f"{path} is a directory" if not is_dir and os.path.isdir(path) else
+    why = ("empty path" if not path else
+           f"{path} is a directory" if not is_dir and os.path.isdir(path) else
            f"{head} is not a directory" if head and not os.path.isdir(head) else None)
     if why:
         raise _invalid(name, why) if name else ConfigError(f"--out: {why}")
@@ -454,8 +456,11 @@ def _write_curve_csv(stream, curve, agg) -> None:
 def cmd_solve_ref(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
-    out = args.out or os.path.join(cfg.out_dir, "reference.txt")
-    _check_output(out, is_dir=False, name=None if args.out else "out_dir")
+    out = args.out
+    if out is None:
+        _check_output(cfg.out_dir, is_dir=True, name="out_dir")
+        out = os.path.join(cfg.out_dir, "reference.txt")
+    _check_output(out, is_dir=False, name="out_dir" if args.out is None else None)
     p = resolve_problem(cfg)
     ref = resolve_reference(p, cfg)
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -479,13 +484,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.out:
+    if args.out is not None:
         _check_output(args.out, is_dir=False)
     results = verify.run_all(level=args.level)
     for r in results:
         print(r.line())
     failed = [r for r in results if r.failed]
-    if args.out:
+    if args.out is not None:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as f:
             json.dump([{"name": r.name, "status": r.status,
@@ -542,13 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sp.add_parser("plan", help="optimal-H and stepsize planners")
     pl.add_argument("--what", choices=["h", "gamma"], required=True)
     pl.add_argument("--rule", required=True)
-    pl.add_argument("--T", type=int)
-    pl.add_argument("--M", type=int)
-    pl.add_argument("--H", type=int)
-    pl.add_argument("--kappa", type=float)
-    pl.add_argument("--L", type=float)
-    pl.add_argument("--mu", type=float)
-    pl.add_argument("--t-param", dest="t_param", type=float)
+    for flag in ("--T", "--M", "--H"):
+        pl.add_argument(flag, type=_positive_int)
+    for flag in ("--kappa", "--L", "--mu", "--t-param"):
+        pl.add_argument(flag, type=_positive_float)
     pl.set_defaults(fn=cmd_plan)
 
     ve = sp.add_parser("verify", help="run the acceptance criteria")

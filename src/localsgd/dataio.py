@@ -12,6 +12,7 @@ import enum
 import gzip
 import hashlib
 import io
+import math
 import os
 from dataclasses import KW_ONLY, dataclass
 from typing import Iterable, TextIO
@@ -140,6 +141,8 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
                 raise LibsvmFormatError(f"line {lineno}: feature index must be >= 1")
             if idx <= prev:
                 raise LibsvmFormatError(f"line {lineno}: indices not strictly increasing")
+            if not math.isfinite(val):
+                raise LibsvmFormatError(f"line {lineno}: non-finite feature {tok!r}")
             prev = idx
             if val != 0.0:
                 indices.append(idx)

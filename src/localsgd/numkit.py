@@ -1,69 +1,38 @@
 """The deterministic RNG contract shared by every module.
 
-Randomness comes from counter-based Philox streams so that any draw is a
-pure function of (seed, stream_id, counter) and per-node streams can be
-split off without sequential dependence.
+Randomness comes from keyed Philox streams: the 128-bit key is
+(seed, stream_id), so every (seed, node) pair owns its own stream and a
+stream's draws do not depend on any other stream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-_U64 = np.uint64
-# Philox emits 64-bit words in blocks of 4 per counter increment.
-_WORDS_PER_BLOCK = 4
 
-
-@dataclass
 class RngStream:
-    """Counter-based random stream: state is exactly (seed, stream_id, counter).
+    """Keyed Philox stream: its draws are a pure function of (seed, stream_id).
 
-    Index draws consume one 64-bit Philox word each, so the counter advances
-    by exactly the number of indices drawn and any position can be restarted
-    bit-identically. Distinct stream_ids index statistically independent
-    Philox streams (the stream id is part of the 128-bit key).
+    One numpy Philox bit generator, created once, keeps the position, so
+    drawing 20 then 30 words gives the same words as drawing 50. The stream
+    id is part of the 128-bit key, so distinct ids give independent streams.
+    Use a stream either for draw_indices or for generator(), not both.
     """
 
-    seed: int
-    stream_id: int = 0
-    counter: int = 0
-
-    def _key(self) -> np.ndarray:
-        return np.array([self.seed, self.stream_id], dtype=_U64)
-
-    def _raw(self, count: int) -> np.ndarray:
-        block, within = divmod(self.counter, _WORDS_PER_BLOCK)
-        bitgen = np.random.Philox(key=self._key(), counter=block)
-        words = bitgen.random_raw(within + count)
-        self.counter += count
-        return words[within:]
+    def __init__(self, seed: int, stream_id: int = 0):
+        self.bitgen = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
 
     def generator(self) -> np.random.Generator:
-        """numpy Generator over this stream, positioned at the current counter.
-
-        Meant for bulk non-integer draws (e.g. Gaussians) whose word
-        consumption is variable; the counter of this RngStream is not
-        advanced, so use either the generator or draw_indices on one stream,
-        not both interleaved.
-        """
-        block, within = divmod(self.counter, _WORDS_PER_BLOCK)
-        if within != 0:
-            raise ValueError("generator() requires a block-aligned counter")
-        bitgen = np.random.Philox(key=self._key(), counter=block)
-        return np.random.Generator(bitgen)
+        """numpy Generator over this stream, for bulk non-integer draws
+        (e.g. Gaussians) whose word consumption is variable."""
+        return np.random.Generator(self.bitgen)
 
 
 def draw_indices(rng: RngStream, n: int, size) -> np.ndarray:
-    """Draw uniform indices in [0, n), advancing the counter by their count.
+    """Draw uniform indices in [0, n) of shape size, one Philox word each.
 
-    One Philox word per index; the residual modulo bias is below n / 2**64
-    and has no measurable effect for any feasible n.
+    The residual modulo bias is below n / 2**64 and has no measurable
+    effect for any feasible n.
     """
     if n < 1:
         raise ValueError(f"draw_indices: n must be >= 1, got {n}")
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    count = int(np.prod(shape)) if shape else 1
-    words = rng._raw(count)
-    return (words % _U64(n)).astype(np.int64).reshape(shape)
-
+    return (rng.bitgen.random_raw(size) % np.uint64(n)).astype(np.int64)

@@ -271,10 +271,11 @@ class ReferenceSolution:
 # Step halvings before the line search gives up: below 2^-50 of a Newton
 # step, x moves only in its last bits.
 _MAX_HALVINGS = 50
+_MAX_NEWTON_STEPS = 500
 
 
-def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
-                    max_iter: int = 500) -> ReferenceSolution:
+def solve_reference(p: Problem, tol: float, *,
+                    x0: np.ndarray | None = None) -> ReferenceSolution:
     """Damped Newton's method until ||grad f|| <= tol.
 
     Each step solves (A^T D A + lam I) s = -grad f by least squares, D the
@@ -290,9 +291,9 @@ def solve_reference(p: Problem, tol: float, *, x0: np.ndarray | None = None,
     gn = float(np.linalg.norm(g))
     steps = 0
     while gn > tol:
-        if steps == max_iter:
+        if steps == _MAX_NEWTON_STEPS:
             raise ConvergenceError(
-                f"reference solve hit the {max_iter}-step cap at ||grad|| = "
+                f"reference solve hit the {_MAX_NEWTON_STEPS}-step cap at ||grad|| = "
                 f"{gn:.3e} (target {tol:.3e})")
         # sigmoid(-a.x); s(1 - s) is even
         s = _logistic_slope(1.0, 1.0, p.margins(x[None, :])[:, 0])

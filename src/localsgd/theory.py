@@ -428,11 +428,10 @@ def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
 
 
 def check_vt_bound(agg: AggregateTrace, gamma: float, H: int,
-                   sigma_sq: float, L: float | None = None) -> Verdict:
+                   sigma_sq: float, L: float) -> Verdict:
     """Iterate-deviation bound for identical data: mean V_t <= (H-1) gamma^2
     sigma^2 + 3 SE at every recorded step; requires gamma <= 1/(2L)."""
-    if L is not None:
-        _check_gamma(gamma, 1.0 / (2.0 * L), "gamma <= 1/(2L)")
+    _check_gamma(gamma, 1.0 / (2.0 * L), "gamma <= 1/(2L)")
     rhs = np.full(agg.t.size, (H - 1) * gamma**2 * sigma_sq)
     return _verdict(agg.mean["V"], agg.se["V"], rhs,
                     f"V_t <= (H-1) gamma^2 sigma^2 at {agg.t.size} steps")

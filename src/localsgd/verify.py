@@ -45,8 +45,8 @@ class CriterionResult:
         return f"[{self.status}] {self.name} ({self.seconds:.1f}s): {self.details}"
 
 
-def _seeds(level: str, full_count: int = 200) -> list[int]:
-    return list(range(full_count if level == "full" else 50))
+def _seeds(level: str) -> list[int]:
+    return list(range(200 if level == "full" else 50))
 
 
 def _result(name: str, ok: bool, details: str, t0: float) -> CriterionResult:

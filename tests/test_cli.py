@@ -1,4 +1,3 @@
-import functools
 import gzip
 import io
 import os
@@ -43,6 +42,29 @@ class TestPlan:
         with pytest.raises(SystemExit) as e:
             run_cli(["plan", "--what", "nonsense", "--rule", "x"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gamma", "wc-identical-ubv", "--L", "1", "--M", "0", "--T", "0"], "--M"),
+        (["gamma", "wc-identical-ubv", "--L", "1", "--M", "4", "--T", "0"], "--T"),
+        (["gamma", "wc-heterogeneous", "--L", "1", "--M", "-4", "--T", "100", "--H", "1"],
+         "--M"),
+        (["gamma", "wc-heterogeneous", "--L", "1", "--M", "4", "--T", "100", "--H", "0"],
+         "--H"),
+        (["h", "sc-identical", "--T", "10", "--M", "2", "--kappa", "nan"], "--kappa"),
+        (["gamma", "wc-identical-fs", "--L", "nan", "--M", "4", "--T", "400"], "--L"),
+        (["gamma", "wc-identical-fs", "--L", "inf", "--M", "4", "--T", "400"], "--L"),
+        (["gamma", "sc-identical-ubv", "--L", "1", "--mu", "0", "--M", "4", "--T", "400"],
+         "--mu"),
+        (["gamma", "sc-identical-ubv", "--L", "1", "--mu", "0.1", "--M", "4", "--T", "400",
+          "--t-param", "-1"], "--t-param"),
+    ])
+    def test_flag_outside_its_domain_is_a_usage_error(self, capsys, argv, flag):
+        what, rule, *rest = argv
+        with pytest.raises(SystemExit) as e:
+            run_cli(["plan", "--what", what, "--rule", rule, *rest])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: invalid" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["--what", "gamma", "--rule", "nope", "--L", "1.0"],
@@ -166,8 +188,7 @@ dir = {tmp_path / 'out'}
         assert not list((tmp_path / "out").glob("bound_*_H16.*"))
 
     def test_reference_solve_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "solve_reference",
-                            functools.partial(objective.solve_reference, max_iter=3))
+        monkeypatch.setattr(objective, "_MAX_NEWTON_STEPS", 3)
         assert run_cli(["run", "--config", self._config(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "[solver] tol (--tol)" in err[0]
@@ -526,9 +547,20 @@ class TestSolveRefCmd:
     (["variances", "--config", str(CONFIGS / "variances.ini"), "--out-dir", "F"],
      "F", "[output] dir (--out-dir)"),
     (["verify", "--out", "D"], "D", "--out"),
-], ids=["solve-ref-dir", "solve-ref-under-file", "run", "variances", "verify"])
+    (["solve-ref", "--source", "synthetic", "--out", ""], "", "--out"),
+    (["solve-ref", "--source", "synthetic", "--out-dir", ""], "",
+     "[output] dir (--out-dir)"),
+    (["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"), "--out-dir", ""],
+     "", "[output] dir (--out-dir)"),
+    (["variances", "--config", str(CONFIGS / "variances.ini"), "--out-dir", ""],
+     "", "[output] dir (--out-dir)"),
+    (["verify", "--out", ""], "", "--out"),
+], ids=["solve-ref-dir", "solve-ref-under-file", "run", "variances", "verify",
+        "solve-ref-empty", "solve-ref-empty-dir", "run-empty", "variances-empty",
+        "verify-empty"])
 def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                       argv, bad, key):
+    monkeypatch.chdir(tmp_path)  # an empty path must not fall back to the cwd
     work = []
     monkeypatch.setattr(cli, "solve_reference", lambda *a, **k: work.append("solve"))
     monkeypatch.setattr(verify, "CRITERIA", [lambda level: work.append("criterion")])
@@ -538,7 +570,7 @@ def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypa
     argv = [str(tmp_path / a) if a in ("D", "F", "F/x.txt") else a for a in argv]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and f"{key}: {tmp_path / bad}" in err[0]
+    assert len(err) == 1 and f"{key}: {tmp_path / bad if bad else 'empty path'}" in err[0]
     assert work == [] and sorted(tmp_path.rglob("*")) == before
 
 

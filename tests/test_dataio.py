@@ -56,6 +56,11 @@ class TestParse:
         with pytest.raises(LibsvmFormatError, match="line 2"):
             parse_libsvm("+1 1:1.0\n+1 1:oops\n")
 
+    @pytest.mark.parametrize("tok", ["1:nan", "2:inf", "2:-inf", "1:1e999"])
+    def test_non_finite_feature_names_line_and_token(self, tok):
+        with pytest.raises(LibsvmFormatError, match=f"line 3: non-finite feature '{tok}'"):
+            parse_libsvm(f"+1 1:1.0\n\n-1 {tok}\n")
+
     def test_nonincreasing_indices(self):
         with pytest.raises(LibsvmFormatError, match="line 1"):
             parse_libsvm("+1 3:1.0 2:1.0\n")

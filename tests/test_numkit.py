@@ -10,22 +10,26 @@ class TestRngStream:
         assert all(draw_indices(rng, 1, 1)[0] == 0 for _ in range(20))
 
     def test_same_state_same_draw(self):
-        a = draw_indices(RngStream(seed=9, stream_id=3, counter=17), 1000, 1)[0]
-        b = draw_indices(RngStream(seed=9, stream_id=3, counter=17), 1000, 1)[0]
-        assert a == b
-
-    def test_counter_advances_by_draw_count(self):
-        rng = RngStream(seed=1)
-        draw_indices(rng, 10, 1)
-        assert rng.counter == 1
-        draw_indices(rng, 10, (3, 4))
-        assert rng.counter == 13
+        # The key (seed, stream_id) is the whole state of a fresh stream.
+        a = draw_indices(RngStream(seed=9, stream_id=3), 1000, (4, 5))
+        b = draw_indices(RngStream(seed=9, stream_id=3), 1000, (4, 5))
+        assert np.array_equal(a, b)
 
     def test_restart_mid_stream(self):
+        # A stream drawn in pieces continues where the last piece ended.
         rng = RngStream(seed=42, stream_id=7)
-        full = draw_indices(rng, 1_000_000, 50)
-        resumed = draw_indices(RngStream(seed=42, stream_id=7, counter=20), 1_000_000, 30)
-        assert np.array_equal(full[20:], resumed)
+        pieces = np.concatenate([draw_indices(rng, 1_000_000, 20),
+                                 draw_indices(rng, 1_000_000, 30)])
+        whole = draw_indices(RngStream(seed=42, stream_id=7), 1_000_000, 50)
+        assert np.array_equal(pieces, whole)
+
+    def test_pinned_values(self):
+        # A change in how a stream is keyed or consumed shows here.
+        idx = draw_indices(RngStream(seed=12345, stream_id=3), 1000, 8)
+        assert idx.tolist() == [545, 972, 825, 977, 715, 341, 708, 682]
+        gen = RngStream(seed=7, stream_id=(1 << 63) | 2).generator()
+        assert gen.standard_normal(4).tolist() == [
+            0.2262854557043512, 0.952951706532269, 0.3285322000807758, -0.7964367967462451]
 
     def test_streams_differ(self):
         a = draw_indices(RngStream(seed=3, stream_id=0), 10**9, 100)
@@ -46,8 +50,3 @@ class TestRngStream:
     def test_rejects_n_zero(self):
         with pytest.raises(ValueError):
             draw_indices(RngStream(seed=0), 0, 1)
-
-    def test_generator_requires_block_alignment(self):
-        rng = RngStream(seed=0, counter=2)
-        with pytest.raises(ValueError):
-            rng.generator()

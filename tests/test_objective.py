@@ -488,10 +488,11 @@ class TestSolveReference:
         with pytest.raises(ConvergenceError, match="stalled"):
             solve_reference(p, 1e-30)
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(objective, "_MAX_NEWTON_STEPS", 10)
         p = small_problem(lam=1e-6, n=100)
         with pytest.raises(ConvergenceError, match="cap"):
-            solve_reference(p, 1e-14, max_iter=10)
+            solve_reference(p, 1e-14)
 
 
 class TestMeasureVariances:

@@ -352,13 +352,13 @@ class TestDiagnosticChecks:
     def test_lemma_vt_flat_bound(self):
         agg = fake_agg([0, 1, 2], [False, False, True], [0.0] * 3, [0.0] * 3,
                        V=[0.0, 0.5, 0.0])
-        v = check_vt_bound(agg, gamma=1.0, H=2, sigma_sq=1.0)
+        v = check_vt_bound(agg, gamma=1.0, H=2, sigma_sq=1.0, L=0.5)
         assert v.holds  # bound is (H-1) gamma^2 sigma^2 = 1
 
     def test_lemma_vt_violation(self):
         agg = fake_agg([0, 1], [False, True], [0.0] * 2, [0.0] * 2,
                        V=[0.0, 2.0])
-        v = check_vt_bound(agg, gamma=1.0, H=2, sigma_sq=1.0)
+        v = check_vt_bound(agg, gamma=1.0, H=2, sigma_sq=1.0, L=0.5)
         assert not v.holds
 
     def test_lemma_vt_checks_stepsize(self):
