@@ -8,6 +8,7 @@ with H=1 consumes the same per-node draws as minibatch SGD.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ _NOISE_STREAM_FLAG = 1 << 63
 # Bytes of pre-drawn randomness per refill of the gradient engine.
 _REFILL_BYTES = 8 << 20
 _DIVERGENCE_LIMIT = 1e100
+# Size of the dense head and of the log-spaced tail of the grid of steps
+# whose suboptimality is recorded (_subopt_steps).
+_SUBOPT_DENSE = 64
 
 
 class GradientMode(enum.Enum):
@@ -304,8 +308,8 @@ class Trace:
     synced: np.ndarray
     V: np.ndarray
     dist_sq: np.ndarray
-    subopt: np.ndarray
-    grad_norm_sq: np.ndarray
+    subopt: np.ndarray  # nan off the _subopt_steps grid
+    grad_norm_sq: np.ndarray  # nan at T, where no gradient is taken
     bar_subopt_tail: float  # f(mean of xhat_t, t = 1..T) - f*
     bar_subopt_head: float  # f(mean of xhat_t, t = 0..T-1) - f*
     metadata: dict
@@ -410,6 +414,18 @@ def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
     raise DivergenceError(t, seeds[int(s)], int(m))
 
 
+def _subopt_steps(grid: Sequence[int], T: int) -> frozenset[int]:
+    """The recorded steps whose suboptimality is evaluated: all up to
+    D = _SUBOPT_DENSE, then the first at or after each step
+    ceil(D (T/D)^(k/D)), k = 1..D, the last of which is T."""
+    D = _SUBOPT_DENSE
+    steps = {t for t in grid if t <= D}
+    for k in range(1, D + 1):
+        step = min(T, math.ceil(D * (T / D) ** (k / D)))
+        steps.add(grid[bisect.bisect_left(grid, step)])
+    return frozenset(steps)
+
+
 def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
               seeds: Sequence[int], *, minibatch: bool,
               capture_xhat: bool = False) -> list[Trace]:
@@ -422,6 +438,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     # Every stride-th step and every synchronization step (T among them).
     grid = sorted(sync_set.union(range(0, T + 1, cfg.stride())))
     row_of = {t: i for i, t in enumerate(grid)}
+    subopt_at = _subopt_steps(grid, T)
     R = len(grid)
 
     X = np.zeros((S, M, d))
@@ -429,12 +446,9 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
     bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
 
-    V, dist, subopt = np.zeros((3, R, S))
-    gradsq = np.full((R, S), np.nan)
+    V, dist = np.zeros((2, R, S))
+    subopt, gradsq = np.full((2, R, S), np.nan)
     xhat_rows = np.zeros((R, S, d)) if capture_xhat else None
-    # Suboptimality needs a full loss evaluation; batch the averages of up
-    # to 64 consecutive rows into one matrix product.
-    pending: list[np.ndarray] = []
 
     for t in range(T + 1):
         r = row_of.get(t)
@@ -444,11 +458,8 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
             dist[r] = np.sum(diff * diff, axis=1)
             if xhat_rows is not None:
                 xhat_rows[r] = xhat
-            pending.append(xhat)
-            if len(pending) == 64 or t == T:
-                vals = loss_many(p, np.concatenate(pending)) - ref.f_star
-                subopt[r + 1 - len(pending):r + 1] = vals.reshape(len(pending), S)
-                pending.clear()
+            if t in subopt_at:
+                subopt[r] = loss_many(p, xhat) - ref.f_star
         if t == T:
             break
         G = grad_engine.gradients(X, t)

@@ -317,13 +317,17 @@ def plan_H(rule: str, T: int, M: int, kappa: float | None = None) -> int:
     if rule == "sc-identical":
         if kappa is None or kappa <= 0:
             raise PreconditionError("sc-identical rule needs kappa > 0")
-        return 1 + math.floor(T / (kappa * M))
-    if rule == "wc-identical":
-        return 1 + math.floor(math.sqrt(T) / M**1.5)
-    if rule == "wc-heterogeneous":
-        return 1 + math.floor(T**0.25 / M**0.75)
-    raise UnknownRuleError(
-        f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
+        H = 1 + math.floor(T / (kappa * M))
+    elif rule == "wc-identical":
+        H = 1 + math.floor(math.sqrt(T) / M**1.5)
+    elif rule == "wc-heterogeneous":
+        H = 1 + math.floor(T**0.25 / M**0.75)
+    else:
+        raise UnknownRuleError(
+            f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
+    if H > T:
+        raise PreconditionError(f"{rule} plans H={H}, longer than the run T={T}")
+    return H
 
 
 class PlannedGamma(NamedTuple):
@@ -347,6 +351,9 @@ def plan_gamma(rule: str, L: float, mu: float | None = None,
     a = SimpleNamespace(L=L, mu=mu, M=M, T=T, H=H, t_param=t_param)
     _assert_needs(rule, thm, thm.plan_needs, a)
     gamma, suggested_T = thm.plan(a)
+    if not math.isfinite(gamma):
+        raise PreconditionError(f"{rule} plans a stepsize that is not finite: "
+                                f"{gamma!r} (L={L!r})")
     _check_gamma(gamma, thm.limit.of(a), thm.limit.text)
     return PlannedGamma(gamma, rule, thm.limit.text, suggested_T)
 

@@ -440,8 +440,8 @@ def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
         T = H * rounds
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                         gradient_mode=GradientMode.FULL, seed=0, record_every=T + 1)
-        tr = run_local_sgd(p, cfg, ref)
-        per_round[H] = tr.subopt[tr.synced]
+        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        per_round[H] = objective.loss_many(p, tr.xhat[tr.synced]) - ref.f_star
     target = 10.0 * per_round[16][-1]
     hits = {}
     for H, sub in per_round.items():

@@ -13,14 +13,18 @@ list of floats (x_star) is compared entry by entry. For each float column
 or key that changed the report gives, per file, the maximum relative change
 |a - b| / max(|a|, |b|) and the maximum absolute change: a value that was
 zero up to the old solver's tolerance reads a relative change near 1 and
-a tiny absolute one. Its last line counts the files whose floats changed.
-Exits 0 when nothing but floats changed, 1 otherwise.
+a tiny absolute one. A float that turns into nan, or nan into a float,
+is a problem, reported once per file and column or key with its count
+(`run_H1.csv: subopt_mean 1234 cells float -> nan`). Its last line counts
+the files whose floats changed. Exits 0 when nothing but floats changed,
+1 otherwise.
 """
 from __future__ import annotations
 
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 
@@ -29,6 +33,8 @@ class Comparison:
     problems: list[str] = field(default_factory=list)
     # (file, column or key) -> (max relative change, max absolute change)
     changes: dict[tuple[str, str], tuple[float, float]] = field(default_factory=dict)
+    # (file, column or key, "float -> nan" or "nan -> float") -> cell count
+    nan_flips: Counter = field(default_factory=Counter)
 
     def report(self) -> str:
         changed = sorted((k, v) for k, v in self.changes.items() if v != (0.0, 0.0))
@@ -79,8 +85,9 @@ def _compare_value(cmp: Comparison, name: str, key: str, old: str, new: str) -> 
     rel, ab = cmp.changes.get((name, key), (0.0, 0.0))
     for x, y in zip(a, b):
         if math.isnan(x) or math.isnan(y):
-            if not (math.isnan(x) and math.isnan(y)):
-                cmp.problems.append(f"{name}: {key} {old!r} -> {new!r}")
+            if math.isnan(x) != math.isnan(y):
+                flip = "nan -> float" if math.isnan(x) else "float -> nan"
+                cmp.nan_flips[(name, key, flip)] += 1
             continue
         if x != y:
             ab = max(ab, abs(x - y))
@@ -113,6 +120,8 @@ def compare_dirs(old_dir: str, new_dir: str) -> Comparison:
         for old_row, new_row in zip(old_rows, new_rows):
             for col, a, b in zip(old_header, old_row, new_row):
                 _compare_value(cmp, name, col, a, b)
+    cmp.problems += [f"{name}: {key} {count} cells {flip}"
+                     for (name, key, flip), count in sorted(cmp.nan_flips.items())]
     return cmp
 
 

@@ -70,6 +70,9 @@ class TestPlan:
         ["--what", "gamma", "--rule", "nope", "--L", "1.0"],
         ["--what", "h", "--rule", "sc-identical", "--T", "100", "--M", "4"],
         ["--what", "h", "--rule", "wc-identical", "--M", "4"],
+        ["--what", "h", "--rule", "wc-heterogeneous", "--T", "1", "--M", "1"],
+        ["--what", "gamma", "--rule", "wc-identical-fs", "--L", "1e-320", "--M", "4",
+         "--T", "400", "--H", "10"],
     ])
     def test_bad_request_exits_2_with_one_line(self, capsys, argv):
         assert run_cli(["plan", *argv]) == 2

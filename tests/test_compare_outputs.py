@@ -64,6 +64,23 @@ def test_changed_holds_or_step_is_a_problem(run_dir, tmp_path, name, old, new):
     assert main([str(run_dir), str(copy)]) == 1
 
 
+def test_float_turned_nan_is_one_problem_per_column_with_a_count(run_dir, tmp_path):
+    copy = tmp_path / "copy"
+    shutil.copytree(run_dir, copy)
+    header, *rows = [line.split(",") for line in
+                     (run_dir / "run_H1.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    col = header.index("subopt_mean")
+    for row in rows[3:8]:
+        _edit(copy / "run_H1.csv", "\n" + ",".join(row) + "\n",
+              "\n" + ",".join(row[:col] + ["nan"] + row[col + 1:]) + "\n")
+    cmp = compare_dirs(str(run_dir), str(copy))
+    assert cmp.problems == ["run_H1.csv: subopt_mean 5 cells float -> nan"]
+    assert main([str(run_dir), str(copy)]) == 1
+    back = compare_dirs(str(copy), str(run_dir))
+    assert back.problems == ["run_H1.csv: subopt_mean 5 cells nan -> float"]
+
+
 def test_missing_file_is_a_problem(run_dir, tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(run_dir, copy)

@@ -6,7 +6,8 @@ import pytest
 from localsgd import simulator
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
-from localsgd.objective import build_problem, full_grad_global, loss, solve_reference
+from localsgd.objective import (build_problem, full_grad_global, loss, loss_many,
+                                solve_reference)
 from localsgd.simulator import (
     DivergenceError,
     GradientMode,
@@ -175,19 +176,42 @@ class TestInvariants:
         between = ~tr.synced & (tr.t > 0)
         assert np.all(tr.V[between] > 0.0)
 
-    def test_recorded_rows_across_flush_boundaries(self, setup_het):
-        # 151 rows: two full subopt flushes of 64 rows and a partial one of 23.
+    def test_recorded_rows_on_the_subopt_grid(self, setup_het):
+        # 151 rows: subopt at t <= 64 and at 64 log-spaced steps up to T.
         p, ref = setup_het
         cfg = make_cfg(p, T=150, H=4, record_every=1)
         tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
         assert tr.t.tolist() == list(range(151))
+        grid = simulator._subopt_steps(list(range(151)), 150)
+        assert set(range(65)) | {150} <= grid and len(grid) == 129
         floor = 4 * np.finfo(float).eps * ref.f_star
         for r in range(151):
             diff = tr.xhat[r] - ref.x_star
             assert tr.dist_sq[r] == np.sum(diff * diff)
-            assert tr.subopt[r] == pytest.approx(loss(p, tr.xhat[r]) - ref.f_star,
-                                                 rel=1e-12, abs=floor)
+            if r in grid:
+                assert tr.subopt[r] == pytest.approx(loss(p, tr.xhat[r]) - ref.f_star,
+                                                     rel=1e-12, abs=floor)
+            else:
+                assert np.isnan(tr.subopt[r])
         assert np.all(tr.V[tr.synced] == 0.0) and tr.synced.sum() == 38
+
+    def test_recorder_loss_is_one_s_column_product_per_grid_row(self, setup_het,
+                                                                monkeypatch):
+        # Working memory of the recorder does not grow with T: every loss
+        # evaluation takes at most S points, and there are at most
+        # 2 * _SUBOPT_DENSE + 1 grid rows plus the two iterate averages.
+        p, ref = setup_het
+        widths = []
+
+        def counting_loss_many(p, X):
+            widths.append(np.atleast_2d(X).shape[0])
+            return loss_many(p, X)
+
+        monkeypatch.setattr(simulator, "loss_many", counting_loss_many)
+        cfg = make_cfg(p, T=2000, H=4, record_every=1)
+        agg = run_replicated(p, cfg, ref, seeds=[0, 1, 2])
+        assert agg.t.size == 2001 and max(widths) <= 3 and len(widths) <= 129 + 2
+        assert np.sum(~np.isnan(agg.mean["subopt"])) == len(widths) - 2
 
     def test_average_iterate_identity(self, setup_het):
         # xhat_{t+1} == xhat_t - gamma * mean_m g_t^m whether or not the step

@@ -211,6 +211,20 @@ class TestPlanners:
     def test_plan_H_always_at_least_one(self):
         assert plan_H("wc-heterogeneous", 1, 100) == 1
 
+    @pytest.mark.parametrize("rule, T, M, kappa", [
+        ("wc-heterogeneous", 1, 1, None),
+        ("sc-identical", 10, 1, 1.0),
+        ("sc-identical", 10, 2, 0.25),
+        ("wc-identical", 1, 1, None),
+    ])
+    def test_plan_H_longer_than_the_run_refused(self, rule, T, M, kappa):
+        with pytest.raises(PreconditionError, match=f"longer than the run T={T}$"):
+            plan_H(rule, T, M, kappa=kappa)
+
+    def test_plan_gamma_refuses_an_infinite_stepsize(self):
+        with pytest.raises(PreconditionError, match="not finite: inf"):
+            plan_gamma("wc-identical-fs", L=1e-320, M=4, T=400, H=10)
+
     def test_plan_gamma_wc_ubv_equals_quarter_L_at_M_eq_T(self):
         pg = plan_gamma("wc-identical-ubv", L=2.0, M=64, T=64)
         assert pg.gamma == pytest.approx(1.0 / (4 * 2.0), rel=1e-12)
