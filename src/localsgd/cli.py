@@ -262,14 +262,19 @@ def resolve_problem(cfg: ExperimentConfig) -> Problem:
 
 def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
     """Stepsize spec: absolute float, 'c/L' multiples of the estimated L, or
-    a planner rule name; a planner that refuses is a ConfigError on gamma."""
+    a planner rule name; a planner that refuses, or a 'c/L' that overflows,
+    is a ConfigError on gamma."""
     if spec in theory.GAMMA_RULES:
         try:
             return theory.planned_gamma(spec, p, M=M, T=T, H=H)
         except theory.PreconditionError as e:
             raise _invalid("gamma_spec", str(e)) from None
     if spec.endswith("/L"):
-        return float(spec[:-2]) / p.L
+        gamma = float(spec[:-2]) / p.L
+        if not math.isfinite(gamma):
+            raise _invalid("gamma_spec", f"{spec} gives a stepsize that is not finite: "
+                                         f"{gamma!r} (L={p.L!r})")
+        return gamma
     return float(spec)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataio import Dataset, Partition, Regime
 
@@ -30,6 +31,12 @@ class Problem:
     smoothness bound over single-sample draws, max_i ||a_i||^2 / 4 + lam;
     the finite-sum bounds hold for that constant, not for the (smaller)
     global L.
+
+    The rows are stored label-signed, b_i = y_i a_i, so every product with
+    them (margins, rows_T_dot, gather) works on B = diag(y) A and no
+    gradient or loss takes a pass over the labels. Negation is exact and
+    rounding is sign-symmetric, so each product is the unsigned one times
+    y_i bit for bit.
     """
 
     dataset: Dataset
@@ -39,30 +46,33 @@ class Problem:
     L_component: float
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
-    # Dense copy of the rows when the stored matrix is mostly dense anyway
+    # B as CSR: signed data sharing the dataset's indices and indptr.
+    csr_rows: sp.csr_matrix = field(repr=False)
+    # Dense copy of B when the stored matrix is mostly dense anyway
     # (synthetic data); genuinely sparse datasets keep None and all products
-    # go through CSR. Every product with the rows goes through margins,
-    # rows_T_dot or gather; only the d x d Gram helper behind L and the
-    # Newton curvature reads the CSR matrix itself, in dense blocks.
+    # go through CSR. Only the d x d Gram helper behind L and the Newton
+    # curvature reads the dataset's unsigned matrix, in dense blocks.
     dense_rows: np.ndarray | None = field(default=None, repr=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
-        """A @ X.T for a stack of points, shape (k, d) -> (n, k)."""
+        """B @ X.T for a stack of points, entry (i, j) = y_i a_i.x_j, shape
+        (k, d) -> (n, k)."""
         if self.dense_rows is not None:
             return self.dense_rows @ X.T
-        return self.dataset.features @ X.T
+        return self.csr_rows @ X.T
 
     def rows_T_dot(self, C: np.ndarray) -> np.ndarray:
-        """A.T @ C, shape (n, k) -> (d, k)."""
+        """B.T @ C = sum_i y_i a_i C[i], shape (n, k) -> (d, k)."""
         if self.dense_rows is not None:
             return self.dense_rows.T @ C
-        return self.dataset.features.T @ C
+        return self.csr_rows.T @ C
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
-        """The rows at an index array as one dense block, shape (*idx.shape, d)."""
+        """The signed rows at an index array as one dense block, shape
+        (*idx.shape, d)."""
         if self.dense_rows is not None:
             return self.dense_rows[idx]
-        return self.dataset.features[idx.ravel()].toarray().reshape(*idx.shape, self.dim)
+        return self.csr_rows[idx.ravel()].toarray().reshape(*idx.shape, self.dim)
 
     @property
     def mu(self) -> float:
@@ -134,8 +144,11 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
     if lam < 0:
         raise ValueError("lam must be >= 0")
     rn = dataset.row_norms_sq()
-    A = dataset.features
-    dense = A.toarray() if A.nnz >= 0.5 * A.shape[0] * A.shape[1] else None
+    A, y = dataset.features, dataset.labels
+    data = np.repeat(y, np.diff(A.indptr))  # the label of each stored entry
+    data *= A.data
+    signed = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape, copy=False)
+    dense = signed.toarray() if A.nnz >= 0.5 * A.shape[0] * A.shape[1] else None
     return Problem(
         dataset=dataset,
         part=part,
@@ -144,6 +157,7 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
+        csr_rows=signed,
         dense_rows=dense,
     )
 
@@ -152,18 +166,18 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
 # Losses and gradients
 # ---------------------------------------------------------------------------
 
-def _logistic_slope(num, y, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """num / (1 + exp(y t)), elementwise, written into `out` when given.
+def _logistic_slope(num, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """num / (1 + exp(t)), elementwise, written into `out` when given.
 
-    With num = -y this is d/dt log(1 + exp(-y t)) = -y sigmoid(-y t), the one
-    coefficient every gradient scales its rows by; a gradient's sample
-    weights fold into num, so the divide yields the weighted coefficient.
-    Where exp(y t) overflows to inf the quotient is the exact limit 0, so
-    the overflow is silenced rather than clamped.
+    At a signed margin t = y a.x and with num = -1 this is
+    d/dt log(1 + exp(-t)) = -sigmoid(-t), the coefficient of the signed row
+    y a in every gradient; a gradient's sample weights fold into num, so the
+    divide yields the weighted coefficient. Where exp(t) overflows to inf
+    the quotient is the exact limit 0, so the overflow is silenced rather
+    than clamped.
     """
-    z = np.multiply(y, t, out=out)
     with np.errstate(over="ignore"):
-        np.exp(z, out=z)
+        z = np.exp(t, out=out)
     z += 1.0
     return np.divide(num, z, out=z)
 
@@ -176,21 +190,19 @@ _LOSS_CHUNK = 1 << 15
 def loss_many(p: Problem, X: np.ndarray) -> np.ndarray:
     """f evaluated at each row of X, shape (k, d) -> (k,).
 
-    The per-sample loss log(1 + exp(-t)), t = y a.x, is evaluated in place
-    in the one (n, k) margin matrix as log1p(exp(-|t|)) - min(t, 0), which
-    never overflows. The pointwise passes run on contiguous row chunks; the
-    two matrix products are never split, so every value is independent of
-    the chunk size.
+    The per-sample loss log(1 + exp(-t)) at the signed margin t = y a.x is
+    evaluated in place in the one (n, k) margin matrix as
+    log1p(exp(-|t|)) - min(t, 0), which never overflows. The pointwise
+    passes run on contiguous row chunks; the two matrix products are never
+    split, so every value is independent of the chunk size.
     """
     X2 = np.atleast_2d(X)
-    U = p.margins(X2)  # (n, k) margins a_i . x
-    y = p.dataset.labels[:, None]
+    U = p.margins(X2)  # (n, k) signed margins y_i a_i . x
     rows = max(1, _LOSS_CHUNK // U.shape[1])
     scratch = np.empty((min(rows, U.shape[0]), U.shape[1]))
     for start in range(0, U.shape[0], rows):
         t = U[start:start + rows]
         e = scratch[:t.shape[0]]
-        np.multiply(y[start:start + rows], t, out=t)
         np.abs(t, out=e)
         np.negative(e, out=e)
         np.exp(e, out=e)
@@ -205,39 +217,40 @@ def loss(p: Problem, x: np.ndarray) -> float:
     return float(loss_many(p, x[None, :])[0])
 
 
-def _slope_numerator(p: Problem, k: int) -> np.ndarray:
+def _slope_numerator(p: Problem, k: int) -> float | np.ndarray:
     """The slope's numerator for k points per node, columns ordered (point,
-    node): -y_i/n_m in node m's columns for i in node m's block, else 0.
-    Identical nodes weigh every sample by 1/n, so one column -y/n serves all."""
-    y, n = p.dataset.labels, p.dataset.n
+    node): -1/n_m in node m's columns for the rows of node m's block, else 0.
+    Identical nodes weigh every sample by 1/n, so the scalar -1/n serves all."""
+    n = p.dataset.n
     if p.part.regime == Regime.IDENTICAL:
-        return (-y / n)[:, None]
+        return -1.0 / n
     num = np.zeros((n, k, p.M))
     for m, (start, stop) in enumerate(p.part.node_ranges):
-        num[start:stop, :, m] = (-y[start:stop] / (stop - start))[:, None]
+        num[start:stop, :, m] = -1.0 / (stop - start)
     return num.reshape(n, k * p.M)
 
 
 def _exact_grads(p: Problem, X: np.ndarray, num) -> np.ndarray:
     """The one exact-gradient kernel, shape (k, d) -> (k, d): row j is
-    sum_i c_ij a_i + lam x_j, c_ij the logistic slope at a_i.x_j with
-    numerator num[i, j] (a column broadcasts), computed in the margins."""
+    sum_i c_ij y_i a_i + lam x_j, c_ij the logistic slope at the signed
+    margin y_i a_i.x_j with numerator num[i, j] (a scalar or column
+    broadcasts), computed in the margins."""
     U = p.margins(X)  # (n, k)
-    C = _logistic_slope(num, p.dataset.labels[:, None], U, out=U)
+    C = _logistic_slope(num, U, out=U)
     return p.rows_T_dot(C).T + p.lam * X
 
 
 def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:
     """The exact gradient of every f_m at x, shape (d,) -> (M, d). Identical
     nodes share f, so one gradient stands for all of them."""
-    num = _slope_numerator(p, 1)
-    G = _exact_grads(p, np.tile(x, (num.shape[1], 1)), num)
+    k = 1 if p.part.regime == Regime.IDENTICAL else p.M
+    G = _exact_grads(p, np.tile(x, (k, 1)), _slope_numerator(p, 1))
     return np.broadcast_to(G, (p.M, p.dim))
 
 
 def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:
     """Gradient of f: one kernel call with f's sample weights folded in."""
-    return _exact_grads(p, x[None, :], (-p.dataset.labels * p.weights)[:, None])[0]
+    return _exact_grads(p, x[None, :], (-p.weights)[:, None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +308,9 @@ def solve_reference(p: Problem, tol: float, *,
             raise ConvergenceError(
                 f"reference solve hit the {_MAX_NEWTON_STEPS}-step cap at ||grad|| = "
                 f"{gn:.3e} (target {tol:.3e})")
-        # sigmoid(-a.x); s(1 - s) is even
-        s = _logistic_slope(1.0, 1.0, p.margins(x[None, :])[:, 0])
+        # sigmoid(-a.x), with a.x = y (y a.x) exactly; s(1 - s) is even
+        # in a.x only up to rounding, so the unsigned margin is recovered.
+        s = _logistic_slope(1.0, p.dataset.labels * p.margins(x[None, :])[:, 0])
         hessian = _weighted_gram(p.dataset, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
         step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for halving in range(_MAX_HALVINGS):
@@ -361,11 +375,11 @@ class VarianceReport:
 
 
 def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:
-    """||c_i a_i + lam x||^2 for every sample, without materializing the
-    gradients: expands to c^2 ||a||^2 + 2 lam c (a.x) + lam^2 ||x||^2."""
+    """||c_i b_i + lam x||^2 for every sample, b_i = y_i a_i its signed row,
+    without materializing the gradients: expands to
+    c^2 ||b||^2 + 2 lam c (b.x) + lam^2 ||x||^2, with ||b|| = ||a||."""
     t = p.margins(x[None, :])[:, 0]
-    y = p.dataset.labels
-    c = _logistic_slope(-y, y, t)
+    c = _logistic_slope(-1.0, t)
     return c * c * p.row_norms_sq + 2.0 * p.lam * c * t + p.lam**2 * float(x @ x)
 
 

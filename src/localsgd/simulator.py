@@ -154,29 +154,34 @@ def r0_sq(ref: ReferenceSolution) -> float:
     return float(np.sum(ref.x_star**2))
 
 
-def _nodes_equal(X: np.ndarray) -> np.ndarray:
-    """Per seed of a (S, M, d) stack: are all its node iterates bitwise equal?"""
-    return np.all(X == X[:, :1, :], axis=(1, 2))
+# The per-step reductions below call the ufunc reductions that numpy's
+# wrappers (mean, sum, all, max) call, without the wrappers' Python layer:
+# np.add.reduce(X, axis) / M is X.mean(axis) bit for bit.
 
-
-def _mean_nodes(X: np.ndarray) -> np.ndarray:
-    """Node average per seed; exact for a seed whose nodes coincide."""
-    xhat = X.mean(axis=1)
-    eq = _nodes_equal(X)
-    if np.any(eq):
-        xhat[eq] = X[eq, 0, :]
-    return xhat
+def _mean_nodes(X: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Node average per seed of a (S, M, d) stack, exact for a seed whose
+    nodes coincide, and whether the nodes of every seed coincide."""
+    xhat = np.add.reduce(X, axis=1)
+    xhat /= X.shape[1]
+    eq = np.logical_and.reduce(X == X[:, :1, :], axis=(1, 2))
+    np.copyto(xhat, X[:, 0, :], where=eq[:, None])
+    return xhat, bool(np.logical_and.reduce(eq))
 
 
 def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     """The communication step: every node of a seed takes the seed's
-    average xhat, shape (S, d) -> (S, M, d)."""
-    return np.repeat(xhat[:, None, :], X.shape[1], axis=1)
+    average xhat, shape (S, d); X is overwritten and returned."""
+    X[...] = xhat[:, None, :]
+    return X
 
 
 def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     """V_t per seed: the mean squared distance of its nodes from xhat."""
-    return np.mean(np.sum((X - xhat[:, None, :]) ** 2, axis=2), axis=1)
+    D = X - xhat[:, None, :]
+    D *= D
+    V = np.add.reduce(np.add.reduce(D, axis=2), axis=1)
+    V /= X.shape[1]
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +252,9 @@ class _GradientEngine:
                     self._filled[:, s, m] = self._draw(s, m, k)
         return self._filled[t - self._first]
 
-    def _full_grads(self, Xn: np.ndarray) -> np.ndarray:
+    def _full_grads(self, Xn: np.ndarray, same: bool) -> np.ndarray:
         p = self.p
-        if p.part.regime == Regime.IDENTICAL and np.all(_nodes_equal(Xn)):
+        if same and p.part.regime == Regime.IDENTICAL:
             # Nodes coincide and share f: one gradient per seed suffices.
             G = _exact_grads(p, Xn[:, 0, :], self._num)
             return np.repeat(G[:, None, :], self.M, axis=1)
@@ -260,18 +265,18 @@ class _GradientEngine:
     def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
         idx = self._draws(t)  # (S, M, batch)
-        rows = p.gather(idx)  # (S, M, batch, d), from either storage
-        y_sel = p.dataset.labels[idx]
+        rows = p.gather(idx)  # (S, M, batch, d) signed rows, from either storage
         tv = np.einsum("smbd,smd->smb", rows, Xn)
-        c = _logistic_slope(y_sel / -cfg.batch, y_sel, tv, out=tv)
+        c = _logistic_slope(-1.0 / cfg.batch, tv, out=tv)
         return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
 
-    def gradients(self, Xn: np.ndarray, t: int) -> np.ndarray:
-        """Gradients at the (S, M, d) stack Xn of step t."""
+    def gradients(self, Xn: np.ndarray, t: int, same: bool) -> np.ndarray:
+        """Gradients at the (S, M, d) stack Xn of step t; `same` says that
+        the nodes of every seed coincide, as _mean_nodes measures."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
             return self._stochastic_grads(Xn, t)
-        G = self._full_grads(Xn)
+        G = self._full_grads(Xn, same)
         if mode == GradientMode.INJECTED_NOISE:
             G += self._draws(t)
         return G
@@ -406,8 +411,8 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
 
 
 def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
-    peak = np.max(np.abs(X))
-    if np.isfinite(peak) and peak <= _DIVERGENCE_LIMIT:
+    # A nan peak fails the comparison too.
+    if np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
         return
     bad = ~np.isfinite(X) | (np.abs(X) > _DIVERGENCE_LIMIT)
     s, m = np.argwhere(np.any(bad, axis=2))[0]
@@ -442,7 +447,7 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     R = len(grid)
 
     X = np.zeros((S, M, d))
-    xhat = _mean_nodes(X)
+    xhat, same = _mean_nodes(X)
     bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
     bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
 
@@ -455,25 +460,29 @@ def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         if r is not None:
             V[r] = _vt_batch(X, xhat)
             diff = xhat - ref.x_star
-            dist[r] = np.sum(diff * diff, axis=1)
+            diff *= diff
+            dist[r] = np.add.reduce(diff, axis=1)
             if xhat_rows is not None:
                 xhat_rows[r] = xhat
             if t in subopt_at:
                 subopt[r] = loss_many(p, xhat) - ref.f_star
         if t == T:
             break
-        G = grad_engine.gradients(X, t)
+        G = grad_engine.gradients(X, t, same)
+        if r is not None or minibatch:
+            g_mean = np.add.reduce(G, axis=1)
+            g_mean /= M
         if r is not None:
-            g_mean = G.mean(axis=1)
-            gradsq[r] = np.sum(g_mean * g_mean, axis=1)
+            gradsq[r] = np.add.reduce(g_mean * g_mean, axis=1)
         bar_head_sum += xhat
         if minibatch:
-            xhat = xhat - cfg.gamma * G.mean(axis=1)
+            xhat = xhat - cfg.gamma * g_mean
         else:
-            X = X - cfg.gamma * G
-            xhat = _mean_nodes(X)
+            X -= np.multiply(G, cfg.gamma, out=G)
+            xhat, same = _mean_nodes(X)
         if minibatch or (t + 1) in sync_set:
             X = _synchronize(X, xhat)
+            same = True  # every node now holds xhat
         bar_tail_sum += xhat
         _check_divergence(X, t + 1, seeds)
 

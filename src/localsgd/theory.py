@@ -57,10 +57,14 @@ class BoundInputs:
             v = getattr(self, name)
             if v is None or not np.isfinite(v):
                 raise PreconditionError(f"bound needs a finite value for {name}")
-        for name in ("L", "gamma", "r0_sq"):
+        for name in ("L", "r0_sq"):
             v = getattr(self, name)
             if v is None or not np.isfinite(v) or v < 0:
                 raise PreconditionError(f"{name} must be finite and nonnegative")
+        # The worst-case bounds divide by gamma, and at gamma = 0 the
+        # iterates never move: no guarantee says anything about that run.
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise PreconditionError("gamma must be finite and positive")
         if self.T < 1 or self.H < 1 or self.M < 1:
             raise PreconditionError("T, H and M must be >= 1")
 

@@ -91,7 +91,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
-            G = engine.gradients(X, t)
+            G = engine.gradients(X, t, same=True)
             i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)

@@ -2,6 +2,8 @@ import gzip
 import io
 import os
 import string
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -77,6 +79,15 @@ class TestPlan:
     def test_bad_request_exits_2_with_one_line(self, capsys, argv):
         assert run_cli(["plan", *argv]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_python_m_localsgd_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-m", "localsgd", "plan", "--what", "h",
+                               "--rule", "wc-heterogeneous", "--T", "256", "--M", "4"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "2"
 
 
 class TestVariancesCmd:
@@ -268,6 +279,22 @@ dir = {tmp_path / 'out'}
         assert run_cli(["run", "--config", str(cfg), *flags]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flags, theorems", [
+        (["--gamma", "0"], ["WC_HET_FS"]),
+        (["--gamma", "0/L", "--gradient-mode", "injected-noise", "--noise-sigma", "0.5",
+          "--regime", "identical"], ["SC_IID_UBV", "WC_IID_UBV"]),
+        (["--gamma", "0", "--gradient-mode", "full"], ["WC_HET_FS"]),
+    ])
+    def test_zero_stepsize_runs_with_the_guarantees_not_checked(self, tmp_path, capsys,
+                                                                 flags, theorems):
+        assert run_cli(["run", "--config", self._config(tmp_path), *flags]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [l for l in out if "not checked" in l] == [
+            f"H={H}: {tid} not checked: gamma must be finite and positive"
+            for H in (1, 2) for tid in theorems]
+        assert (tmp_path / "out" / "summary.csv").exists()
+        assert not list((tmp_path / "out").glob("bound_*"))
+
     def test_malformed_seed_range_shows_the_form(self, tmp_path, capsys):
         assert run_cli(["run", "--config", self._config(tmp_path), "--seeds=1:2:3"]) == 2
         assert "expected 'a:b'" in capsys.readouterr().err
@@ -284,6 +311,8 @@ dir = {tmp_path / 'out'}
         (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
         (["--gamma", "-0.1"], "--gamma"),
         (["--gamma", "sc-identical-ubv", "--lam", "0"], "[run] gamma (--gamma)"),
+        (["--gamma", "1e308/L"], "[run] gamma (--gamma): 1e308/L gives a stepsize "
+                                 "that is not finite: inf (L="),
     ])
     def test_bad_run_config_names_its_key(self, tmp_path, capsys, flags, key):
         cfg = tmp_path / "bad.ini"

@@ -47,9 +47,10 @@ def dataset_from_rows(rows, labels, name="manual"):
 
 def loss_many_oracle(p, X):
     """The loss formula as whole-matrix expressions, one temporary per step:
-    log(1 + exp(-t)) = log1p(exp(-|t|)) + max(-t, 0) with t = y a.x."""
+    log(1 + exp(-t)) = log1p(exp(-|t|)) + max(-t, 0) with t = y a.x, the
+    signed margins."""
     X2 = np.atleast_2d(X)
-    t = p.dataset.labels[:, None] * p.margins(X2)
+    t = p.margins(X2)
     per_sample = np.log1p(np.exp(-np.abs(t)))
     np.add(per_sample, np.maximum(-t, 0.0), out=per_sample)
     return p.weights @ per_sample + 0.5 * p.lam * np.einsum("kd,kd->k", X2, X2)
@@ -140,14 +141,14 @@ class TestLoss:
 
 
 class TestLogisticSlope:
-    """objective._logistic_slope, num / (1 + exp(y t)), against the oracle
-    -y expit(-y t)."""
+    """objective._logistic_slope, num / (1 + exp(t)), against the oracle
+    -y expit(-y t) at the signed margin y t with num = -y."""
 
     def test_agrees_with_expit(self):
         gen = RngStream(seed=41).generator()
         y = np.where(gen.random(10**5) < 0.5, -1.0, 1.0)
         t = y * gen.uniform(-800.0, 800.0, 10**5)  # z = y t spans [-800, 800]
-        got = objective._logistic_slope(-y, y, t)
+        got = objective._logistic_slope(-y, y * t)
         want = -y * expit(-y * t)
         normal = np.abs(want) >= 1e-300
         assert normal.sum() > 0.9 * t.size
@@ -162,9 +163,9 @@ class TestLogisticSlope:
         y = np.where(gen.random((50, 1)) < 0.5, -1.0, 1.0)
         t = gen.standard_normal((50, 8)) * 30
         num = -y / 50
-        expected = objective._logistic_slope(num, y, t)
+        expected = objective._logistic_slope(num, t)
         buf = t.copy()
-        assert objective._logistic_slope(num, y, buf, out=buf) is buf
+        assert objective._logistic_slope(num, buf, out=buf) is buf
         assert np.array_equal(buf, expected)
 
     def test_no_warning_at_extreme_margins(self):
@@ -174,7 +175,7 @@ class TestLogisticSlope:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for y in (1.0, -1.0):
-                c = objective._logistic_slope(-y, y, z)
+                c = objective._logistic_slope(-y, y * z)
                 assert np.all(np.isfinite(c))
             assert np.all(np.isfinite(node_gradients(p, x)))
             assert np.all(np.isfinite(node_gradients(p, -x)))
@@ -264,6 +265,57 @@ def storages(p):
     return p, dataclasses.replace(p, dense_rows=None)
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
+    # Labels fold into the stored rows, b_i = y_i a_i. Negation is exact and
+    # rounding sign-symmetric, so every kernel must equal its formula written
+    # on the unsigned rows a_i with margins y (A @ X.T) and the numerator
+    # -y w, bit for bit. n = 61 over M = 3 gives unequal blocks.
+    p = small_problem(n=61, d=5, M=3, regime=regime, sort_by_label=True)
+    y, lam, M = p.dataset.labels, p.lam, p.M
+    assert set(y.tolist()) == {-1.0, 1.0}
+    w = np.zeros((p.dataset.n, M))  # w[i, m]: weight of sample i in f_m
+    for m in range(M):
+        start, stop = p.node_range(m)
+        w[start:stop, m] = 1.0 / (p.dataset.n if regime == Regime.IDENTICAL
+                                  else stop - start)
+    gen = RngStream(seed=46).generator()
+    X = gen.standard_normal((M, p.dim))  # one point per node
+    Xs = gen.standard_normal((2, M, p.dim))  # (seed, node) iterates
+    cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
+                    gradient_mode=GradientMode.STOCHASTIC, seed=0, batch=3)
+    for q in storages(p):
+        A = p.dataset.features if q.dense_rows is None else p.dataset.features.toarray()
+
+        def grads(X, num):
+            U = y[:, None] * (A @ X.T)
+            return (A.T @ (num / (1.0 + np.exp(U)))).T + lam * X
+
+        def losses(X):
+            t = y[:, None] * (A @ X.T)
+            per_sample = np.log1p(np.exp(-np.abs(t))) - np.minimum(t, 0.0)
+            return q.weights @ per_sample + 0.5 * lam * np.einsum("kd,kd->k", X, X)
+
+        num = -y[:, None] * w  # column m serves node m's point
+        if regime == Regime.IDENTICAL:
+            num = num[:, :1]  # every node weighs sample i by 1/n
+        assert np.array_equal(objective._exact_grads(q, X, objective._slope_numerator(q, 1)),
+                              grads(X, num))
+        want = grads(np.tile(X[0], (num.shape[1], 1)), num)
+        assert np.array_equal(node_gradients(q, X[0]), np.broadcast_to(want, (M, p.dim)))
+        assert np.array_equal(loss_many(q, X), losses(X))
+
+        engine = _GradientEngine(q, cfg, [0, 1])
+        G = engine.gradients(Xs, 0, same=False)
+        idx = engine._draws(0)  # (seed, node, batch)
+        rows = (A[idx] if q.dense_rows is not None
+                else A[idx.ravel()].toarray().reshape(*idx.shape, p.dim))
+        y_sel = y[idx]
+        tv = np.einsum("smbd,smd->smb", rows, Xs)
+        c = (y_sel / -cfg.batch) / (1.0 + np.exp(y_sel * tv))
+        assert np.array_equal(G, np.einsum("smb,smbd->smd", c, rows) + lam * Xs)
+
+
 def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
     """The engine's gradients of every (seed, node) at the common point x,
     one (S, M, d) array per step t < T."""
@@ -271,7 +323,7 @@ def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
                     gradient_mode=mode, seed=seeds[0], batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
     X = np.tile(x, (len(seeds), p.M, 1))
-    return [engine.gradients(X, t) for t in range(T)]
+    return [engine.gradients(X, t, same=True) for t in range(T)]
 
 
 class TestStochasticGrad:
@@ -302,7 +354,7 @@ class TestStochasticGrad:
                         gradient_mode=mode, seed=0, noise_sigma=0.3)
         for q in storages(p):
             engine = _GradientEngine(q, cfg, seeds)
-            G = engine.gradients(X, 0)
+            G = engine.gradients(X, 0, same=common)
             noise = (engine._draws(0) if mode == GradientMode.INJECTED_NOISE
                      else np.zeros_like(X))
             for s in range(len(seeds)):

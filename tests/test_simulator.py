@@ -83,7 +83,7 @@ class TestSyncSchedule:
 def engine_vt(X) -> float:
     """V_t of one (M, d) stack of node iterates, as the engine computes it."""
     X = np.asarray(X, dtype=np.float64)[None]
-    return float(_vt_batch(X, _mean_nodes(X))[0])
+    return float(_vt_batch(X, _mean_nodes(X)[0])[0])
 
 
 class TestComputeVt:
@@ -458,7 +458,7 @@ class TestRefill:
         tracemalloc.start()
         try:
             engine = simulator._GradientEngine(p, cfg, seeds)
-            engine.gradients(X, 0)
+            engine.gradients(X, 0, same=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,6 +6,7 @@ import pytest
 from localsgd.simulator import AggregateTrace
 from localsgd.theory import (
     BoundInputs,
+    THEOREMS,
     PreconditionError,
     bound,
     check_bound,
@@ -21,6 +22,13 @@ def inputs(**kw):
                 sigma_sq=1.0, sigma_opt_sq=1.0, sigma_dif_sq=1.0)
     base.update(kw)
     return BoundInputs(**base)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+@pytest.mark.parametrize("gamma", [0.0, math.inf])
+def test_stepsize_must_be_finite_and_positive(theorem_id, gamma):
+    with pytest.raises(PreconditionError, match="gamma must be finite and positive"):
+        bound(theorem_id, inputs(gamma=gamma))
 
 
 class TestScIdenticalUbv:
