@@ -29,6 +29,7 @@ from .simulator import (
     DivergenceError,
     GradientMode,
     RunConfig,
+    Sweep,
     SyncSchedule,
     run_local_sgd,
     run_replicated,
@@ -373,21 +374,28 @@ def cmd_run(args) -> int:
 
     summary = []
     any_failed = False
-    if len(cfg.seeds) < 2:
+    replicated = len(cfg.seeds) >= 2
+    if not replicated:
         print("guarantees not checked: a verdict needs at least 2 seeds")
-    for schedule, gamma in zip(schedules, gammas):
-        run_cfg = RunConfig(M=cfg.M, schedule=schedule, gamma=gamma,
-                            gradient_mode=cfg.gradient_mode, seed=cfg.seeds[0],
-                            batch=cfg.batch, noise_sigma=cfg.noise_sigma,
-                            record_every=cfg.record_every)
+    run_cfgs = [RunConfig(M=cfg.M, schedule=schedule, gamma=gamma,
+                          gradient_mode=cfg.gradient_mode, seed=cfg.seeds[0],
+                          batch=cfg.batch, noise_sigma=cfg.noise_sigma,
+                          record_every=cfg.record_every)
+                for schedule, gamma in zip(schedules, gammas)]
+    # Every H is simulated in one lockstep sweep, on the first request below;
+    # each H's result is then requested in turn, as its own run (the
+    # benchmark's probe, bench/tracing.py, counts each request as one run).
+    sweep = Sweep(p, run_cfgs, ref, cfg.seeds if replicated else cfg.seeds[:1])
+    for run_cfg in run_cfgs:
+        schedule = run_cfg.schedule
         tag = f"H{schedule.H}"
         try:
-            if len(cfg.seeds) >= 2:
-                trace = run_replicated(p, run_cfg, ref, cfg.seeds)
+            if replicated:
+                trace = run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep)
                 final_sub = trace.mean["subopt"][-1]
                 final_dist = trace.mean["dist_sq"][-1]
             else:
-                trace = run_local_sgd(p, run_cfg, ref)
+                trace = run_local_sgd(p, run_cfg, ref, sweep=sweep)
                 final_sub = trace.subopt[-1]
                 final_dist = trace.dist_sq[-1]
         except DivergenceError as e:
@@ -399,7 +407,7 @@ def cmd_run(args) -> int:
             trace.to_csv(f)
         comm = trace.comm_rounds
         verdicts = (_emit_bounds(cfg, p, run_cfg, ref, var_report, trace, tag)
-                    if len(cfg.seeds) >= 2 else [])
+                    if replicated else [])
         holds = all(v.holds for _, v in verdicts) if verdicts else None
         if holds is False:
             any_failed = True

@@ -230,14 +230,15 @@ def _slope_numerator(p: Problem, k: int) -> float | np.ndarray:
     return num.reshape(n, k * p.M)
 
 
-def _exact_grads(p: Problem, X: np.ndarray, num) -> np.ndarray:
-    """The one exact-gradient kernel, shape (k, d) -> (k, d): row j is
-    sum_i c_ij y_i a_i + lam x_j, c_ij the logistic slope at the signed
-    margin y_i a_i.x_j with numerator num[i, j] (a scalar or column
-    broadcasts), computed in the margins."""
+def _exact_grads(p: Problem, X: np.ndarray, num,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The one exact-gradient kernel, shape (k, d) -> (k, d), written into
+    `out` when given: row j is sum_i c_ij y_i a_i + lam x_j, c_ij the
+    logistic slope at the signed margin y_i a_i.x_j with numerator num[i, j]
+    (a scalar or column broadcasts), computed in the margins."""
     U = p.margins(X)  # (n, k)
     C = _logistic_slope(num, U, out=U)
-    return p.rows_T_dot(C).T + p.lam * X
+    return np.add(p.rows_T_dot(C).T, p.lam * X, out=out)
 
 
 def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Local SGD engine: per-node iterates, synchronization schedule, averaging,
 and trace recording including the iterate deviation V_t.
 
-One run is strictly sequential over t. Replicated runs are vectorized over
-the seed axis: every (seed, node) pair owns its own counter-based stream, so
-a run inside a batch draws exactly what it would draw alone, and local SGD
-with H=1 consumes the same per-node draws as minibatch SGD.
+One run is strictly sequential over t. Runs are vectorized over the seed
+axis, and a sweep's configs (several H over the same seeds and T) step in
+lockstep: every (seed, node) pair owns its own counter-based stream, so a
+run inside a batch or a sweep draws exactly what it would draw alone, and
+local SGD with H=1 consumes the same per-node draws as minibatch SGD.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .objective import (Problem, ReferenceSolution, _exact_grads, _logistic_slop
 # the node id with the top bit set, so the two never collide.
 _NOISE_STREAM_FLAG = 1 << 63
 # Bytes of pre-drawn randomness per refill of the gradient engine.
-_REFILL_BYTES = 8 << 20
+_REFILL_BYTES = 2 << 20
 _DIVERGENCE_LIMIT = 1e100
 # Size of the dense head and of the log-spaced tail of the grid of steps
 # whose suboptimality is recorded (_subopt_steps).
@@ -133,8 +134,8 @@ class RunConfig:
     def validate(self, p: Problem) -> None:
         if self.M != p.M:
             raise ValueError(f"config M={self.M} but partition has {p.M} nodes")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
         if self.record_every is not None and self.record_every < 1:
@@ -156,46 +157,52 @@ def r0_sq(ref: ReferenceSolution) -> float:
 
 # The per-step reductions below call the ufunc reductions that numpy's
 # wrappers (mean, sum, all, max) call, without the wrappers' Python layer:
-# np.add.reduce(X, axis) / M is X.mean(axis) bit for bit.
+# np.add.reduce(X, axis) / M is X.mean(axis) bit for bit. They take a
+# (S, M, d) stack or a sweep's (K, S, M, d) one, and reduce only trailing
+# axes, so each config's values do not depend on the stack around it.
 
-def _mean_nodes(X: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Node average per seed of a (S, M, d) stack, exact for a seed whose
-    nodes coincide, and whether the nodes of every seed coincide."""
-    xhat = np.add.reduce(X, axis=1)
-    xhat /= X.shape[1]
-    eq = np.logical_and.reduce(X == X[:, :1, :], axis=(1, 2))
-    np.copyto(xhat, X[:, 0, :], where=eq[:, None])
-    return xhat, bool(np.logical_and.reduce(eq))
+def _mean_nodes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node average per seed of a (..., S, M, d) stack, exact for a seed
+    whose nodes coincide, and whether the nodes of every seed coincide, one
+    flag per leading index."""
+    xhat = np.add.reduce(X, axis=-2)
+    xhat /= X.shape[-2]
+    eq = np.logical_and.reduce(X == X[..., :1, :], axis=(-2, -1))
+    np.copyto(xhat, X[..., 0, :], where=eq[..., None])
+    return xhat, np.logical_and.reduce(eq, axis=-1)
 
 
 def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """The communication step: every node of a seed takes the seed's
-    average xhat, shape (S, d); X is overwritten and returned."""
+    """The communication step of one config: every node of a seed takes the
+    seed's average xhat, shape (S, d); X (S, M, d) is overwritten and
+    returned."""
     X[...] = xhat[:, None, :]
     return X
 
 
 def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     """V_t per seed: the mean squared distance of its nodes from xhat."""
-    D = X - xhat[:, None, :]
+    D = X - xhat[..., None, :]
     D *= D
-    V = np.add.reduce(np.add.reduce(D, axis=2), axis=1)
-    V /= X.shape[1]
+    V = np.add.reduce(np.add.reduce(D, axis=-1), axis=-1)
+    V /= X.shape[-2]
     return V
 
 
 # ---------------------------------------------------------------------------
-# Gradient evaluation, vectorized over (seed, node)
+# Gradient evaluation, vectorized over (config, seed, node)
 # ---------------------------------------------------------------------------
 
 class _GradientEngine:
-    """Per-step gradients for all (seed, node) pairs of one run batch.
+    """Per-step gradients for all (seed, node) pairs of a sweep's configs,
+    which share cfg's T, M, gradient mode, batch and noise_sigma.
 
-    All randomness takes one path: a mode's `draw(s, m, k)` gives the next
-    k steps of the (seed s, node m) stream, `_draws` refills a preallocated
-    step-major (k, S, M, ...) buffer of about _REFILL_BYTES from them, and
-    step t reads its one contiguous block. The streams are counter-based,
-    so no value depends on where a refill starts. Steps are taken in order.
+    All randomness takes one path: a mode's `draw(s, m, out)` writes the
+    next steps of the (seed s, node m) stream into out, its contiguous block
+    of a preallocated stream-major (S, M, k, ...) buffer of about
+    _REFILL_BYTES, which `_draws` refills; step t reads its (S, M, ...)
+    slice, shared by every config. The streams are counter-based, so no
+    value depends on where a refill starts. Steps are taken in order.
     """
 
     def __init__(self, p: Problem, cfg: RunConfig, seeds: Sequence[int]):
@@ -214,9 +221,9 @@ class _GradientEngine:
             streams = [[RngStream(seed=seed, stream_id=m) for m in range(self.M)]
                        for seed in self.seeds]
 
-            def draw(s: int, m: int, k: int) -> np.ndarray:
+            def draw(s: int, m: int, out: np.ndarray) -> None:
                 start, stop = p.node_range(m)
-                return start + draw_indices(streams[s][m], stop - start, (k, cfg.batch))
+                out[...] = start + draw_indices(streams[s][m], stop - start, out.shape)
 
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
         else:
@@ -227,56 +234,59 @@ class _GradientEngine:
                      for m in range(self.M)] for seed in self.seeds]
             # Total injected variance per draw is noise_sigma^2, split over coords.
             # `draw` holds no reference to self: the engine is freed without GC.
-            d, scale = self.d, cfg.noise_sigma / math.sqrt(self.d)
+            scale = cfg.noise_sigma / math.sqrt(self.d)
 
-            def draw(s: int, m: int, k: int) -> np.ndarray:
-                draws = gens[s][m].standard_normal((k, d))
-                draws *= scale
-                return draws
+            def draw(s: int, m: int, out: np.ndarray) -> None:
+                gens[s][m].standard_normal(out=out)
+                out *= scale
 
             self._draw, per_step, dtype = draw, self.d, np.float64
 
         if self._draw is not None:
             step_bytes = self.S * self.M * per_step * np.dtype(dtype).itemsize
             steps = min(cfg.T, max(1, _REFILL_BYTES // step_bytes))
-            self._buf = np.empty((steps, self.S, self.M, per_step), dtype=dtype)
-            self._filled, self._first = self._buf[:0], 0
+            self._buf = np.empty((self.S, self.M, steps, per_step), dtype=dtype)
+            self._first, self._filled = 0, 0  # the steps held: first, first + 1, ...
 
     def _draws(self, t: int) -> np.ndarray:
         """The (S, M, ...) draws of step t, refilling the buffer from t on."""
-        if t >= self._first + self._filled.shape[0]:
-            k = min(self._buf.shape[0], self.cfg.T - t)
-            self._filled, self._first = self._buf[:k], t
+        if t >= self._first + self._filled:
+            self._first, self._filled = t, min(self._buf.shape[2], self.cfg.T - t)
             for s in range(self.S):
                 for m in range(self.M):
-                    self._filled[:, s, m] = self._draw(s, m, k)
-        return self._filled[t - self._first]
+                    self._draw(s, m, self._buf[s, m, :self._filled])
+        return self._buf[:, :, t - self._first]
 
-    def _full_grads(self, Xn: np.ndarray, same: bool) -> np.ndarray:
+    def _full_grads(self, Xn: np.ndarray, same: bool, out: np.ndarray) -> None:
+        """One config's exact gradients at its (S, M, d) stack Xn, into out:
+        each config is its own product, at the width a run alone uses."""
         p = self.p
         if same and p.part.regime == Regime.IDENTICAL:
             # Nodes coincide and share f: one gradient per seed suffices.
-            G = _exact_grads(p, Xn[:, 0, :], self._num)
-            return np.repeat(G[:, None, :], self.M, axis=1)
-        # Columns ordered (s, m), as the numerator's are.
-        G = _exact_grads(p, Xn.reshape(self.S * self.M, self.d), self._num)
-        return G.reshape(self.S, self.M, self.d)
+            out[...] = _exact_grads(p, Xn[:, 0, :], self._num)[:, None, :]
+        else:
+            # Columns ordered (s, m), as the numerator's are.
+            _exact_grads(p, Xn.reshape(self.S * self.M, self.d), self._num,
+                         out=out.reshape(self.S * self.M, self.d))
 
-    def _stochastic_grads(self, Xn: np.ndarray, t: int) -> np.ndarray:
+    def _stochastic_grads(self, X: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
         idx = self._draws(t)  # (S, M, batch)
         rows = p.gather(idx)  # (S, M, batch, d) signed rows, from either storage
-        tv = np.einsum("smbd,smd->smb", rows, Xn)
+        tv = np.einsum("smbd,ksmd->ksmb", rows, X)
         c = _logistic_slope(-1.0 / cfg.batch, tv, out=tv)
-        return np.einsum("smb,smbd->smd", c, rows) + p.lam * Xn
+        return np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * X
 
-    def gradients(self, Xn: np.ndarray, t: int, same: bool) -> np.ndarray:
-        """Gradients at the (S, M, d) stack Xn of step t; `same` says that
-        the nodes of every seed coincide, as _mean_nodes measures."""
+    def gradients(self, X: np.ndarray, t: int, same: Sequence[bool]) -> np.ndarray:
+        """Gradients at the (K, S, M, d) stack X of step t, one (S, M, d)
+        block per config; same[k] says that the nodes of every seed of
+        config k coincide, as _mean_nodes measures."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
-            return self._stochastic_grads(Xn, t)
-        G = self._full_grads(Xn, same)
+            return self._stochastic_grads(X, t)
+        G = np.empty_like(X)
+        for k in range(X.shape[0]):
+            self._full_grads(X[k], same[k], G[k])
         if mode == GradientMode.INJECTED_NOISE:
             G += self._draws(t)
         return G
@@ -366,10 +376,12 @@ class AggregateTrace:
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean/SE over the last axis; identical observations give the exact
-    value and an SE of 0 instead of floating-point dust."""
+    """Mean/SE over the last axis; identical observations, a single one
+    among them, give the exact value and an SE of 0 instead of
+    floating-point dust."""
+    n = values.shape[-1]
     mean = values.mean(axis=-1)
-    se = values.std(axis=-1, ddof=1) / math.sqrt(values.shape[-1])
+    se = values.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     spread = values.max(axis=-1) - values.min(axis=-1)
     exact = spread == 0.0
     mean = np.where(exact, values[..., 0], mean)
@@ -410,13 +422,12 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     }
 
 
-def _check_divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> None:
-    # A nan peak fails the comparison too.
-    if np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
-        return
+def _divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> DivergenceError:
+    """The error naming the first (seed, node) of one config's (S, M, d)
+    stack X whose iterate is not finite or exceeds _DIVERGENCE_LIMIT."""
     bad = ~np.isfinite(X) | (np.abs(X) > _DIVERGENCE_LIMIT)
     s, m = np.argwhere(np.any(bad, axis=2))[0]
-    raise DivergenceError(t, seeds[int(s)], int(m))
+    return DivergenceError(t, seeds[int(s)], int(m))
 
 
 def _subopt_steps(grid: Sequence[int], T: int) -> frozenset[int]:
@@ -431,122 +442,298 @@ def _subopt_steps(grid: Sequence[int], T: int) -> frozenset[int]:
     return frozenset(steps)
 
 
-def _simulate(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
-              seeds: Sequence[int], *, minibatch: bool,
-              capture_xhat: bool = False) -> list[Trace]:
-    """Run cfg once per seed, vectorized over the seeds; one Trace each."""
-    cfg.validate(p)
+# Recorded rows per aggregation block of a _Lane.
+_RECORD_BLOCK = 64
+
+
+class _Lane:
+    """One config of a sweep: its synchronization steps, recording grid and
+    recorder, and after the run its per-row mean and SE over the requested
+    seeds, or its DivergenceError.
+
+    `pick` maps the requested seeds (sorted, repeats kept) to the simulated
+    ones: a slice when each was simulated once, else a list of rows. The
+    per-row metrics are aggregated as they are recorded, one block of
+    _RECORD_BLOCK rows at a time, so the recorder's memory does not grow
+    with T. A block is seed-major, (S, rows), and aggregated as the
+    column-major (rows, S) transpose; numpy reduces such an array one row at
+    a time in seed order whatever its row count, from 2 rows on, so every
+    block, the last one included, holds at least 2 rows. subopt and the
+    iterate averages are kept per seed, and the trajectory when captured.
+    """
+
+    _PER_ROW = ("V", "dist_sq", "grad_norm_sq")  # the block's rows, in this order
+
+    def __init__(self, cfg: RunConfig, S: int, pick, d: int, metadata: dict,
+                 capture_xhat: bool):
+        self.cfg, self.pick, self.metadata = cfg, pick, metadata
+        sync_steps = cfg.schedule.sync_steps
+        # Every stride-th step and every synchronization step (T among them).
+        grid = sorted(set(sync_steps).union(range(0, cfg.T + 1, cfg.stride())))
+        # subopt grid step -> its column in subopt
+        self.subopt_column = {t: j for j, t in enumerate(sorted(_subopt_steps(grid, cfg.T)))}
+        self.t = np.asarray(grid, dtype=np.int64)
+        self.synced = np.isin(self.t, sync_steps)
+        self.mean = {name: np.empty(len(grid)) for name in self._PER_ROW}
+        self.se = {name: np.empty(len(grid)) for name in self._PER_ROW}
+        self.block = np.empty((len(self._PER_ROW), S, _RECORD_BLOCK))
+        self.first = 0  # the row in block column 0
+        self.subopt = np.empty((S, len(self.subopt_column)))
+        self.xhat = np.zeros((S, len(grid), d)) if capture_xhat else None
+        self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
+        self.error: DivergenceError | None = None
+        # Cursors, as steps are taken in order: the next row to record and
+        # its step, and the next synchronization.
+        self.row, self.due = 0, 0
+        self._syncs = iter(sync_steps)
+        self.next_sync = next(self._syncs)
+
+    def advance(self) -> tuple[int, int | None]:
+        """The row of the step now recorded (the one `due`) and its column
+        in subopt, None off that grid; moves on to the next row."""
+        r, j = self.row, self.subopt_column.get(self.due)
+        self.row += 1
+        self.due = int(self.t[self.row]) if self.row < self.t.size else -1
+        return r, j
+
+    def synchronize_next(self) -> None:
+        """Move on to the synchronization after `next_sync`."""
+        self.next_sync = next(self._syncs, -1)
+
+    def column(self, r: int) -> int:
+        """The block column of row r; when the block is full, every row but
+        the last is aggregated first and the last moves to column 0."""
+        c = r - self.first
+        if c == _RECORD_BLOCK:
+            self._aggregate(c - 1)
+            self.block[:, :, 0] = self.block[:, :, c - 1]
+            self.first, c = r - 1, 1
+        return c
+
+    def _aggregate(self, rows: int) -> None:
+        for i, name in enumerate(self._PER_ROW):
+            m, e = self.stats(self.block[i, :, :rows])
+            self.mean[name][self.first:self.first + rows] = m
+            self.se[name][self.first:self.first + rows] = e
+
+    def stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and SE over the requested seeds of seed-major values."""
+        # Seeds on the last axis of a column-major (rows, seeds) array: numpy
+        # sums a strided axis in another order than a contiguous one.
+        return _mean_and_se(values[self.pick].T)
+
+    def finish(self, bar_tail: np.ndarray, bar_head: np.ndarray) -> None:
+        """Aggregate the last block (no gradient is taken at T) and store
+        the iterate-average suboptimalities, one per simulated seed."""
+        rows = self.t.size - self.first
+        self.block[2, :, rows - 1] = np.nan
+        self._aggregate(rows)
+        self.bar_subopt_tail, self.bar_subopt_head = bar_tail, bar_head
+
+    def subopt_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and SE of subopt at every row, nan off its grid."""
+        rows = np.searchsorted(self.t, list(self.subopt_column))
+        out = np.full((2, self.t.size), np.nan)
+        out[:, rows] = self.stats(self.subopt)
+        return out[0], out[1]
+
+
+def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane],
+              seeds: Sequence[int], *, minibatch: bool) -> None:
+    """Run every lane's config over the seeds, in lockstep, into its lane.
+
+    The configs share T, M, gradient mode, batch and noise_sigma, so one
+    engine draws each (seed, node) stream once for all of them. The state
+    is one (K, S, M, d) stack over the K lanes still running; elementwise
+    steps and trailing-axis reductions take the whole stack, and every BLAS
+    product (exact gradients, the recorder's loss) is taken per lane at the
+    width a run alone uses. A lane that diverges gets its DivergenceError
+    and leaves the stack; the others go on.
+    """
+    cfg = lanes[0].cfg
     S, M, d, T = len(seeds), cfg.M, p.dim, cfg.T
-
     grad_engine = _GradientEngine(p, cfg, seeds)
-    sync_set = frozenset(cfg.schedule.sync_steps)
-    # Every stride-th step and every synchronization step (T among them).
-    grid = sorted(sync_set.union(range(0, T + 1, cfg.stride())))
-    row_of = {t: i for i, t in enumerate(grid)}
-    subopt_at = _subopt_steps(grid, T)
-    R = len(grid)
-
-    X = np.zeros((S, M, d))
+    live = list(lanes)
+    gamma = np.array([lane.cfg.gamma for lane in live])[:, None, None, None]
+    X = np.zeros((len(live), S, M, d))
     xhat, same = _mean_nodes(X)
-    bar_head_sum = np.zeros((S, d))  # accumulates xhat_t over t = 0..T-1
-    bar_tail_sum = np.zeros((S, d))  # accumulates xhat_t over t = 1..T
-
-    V, dist = np.zeros((2, R, S))
-    subopt, gradsq = np.full((2, R, S), np.nan)
-    xhat_rows = np.zeros((R, S, d)) if capture_xhat else None
+    bar_head_sum = np.zeros((len(live), S, d))  # accumulates xhat_t over t = 0..T-1
+    bar_tail_sum = np.zeros((len(live), S, d))  # accumulates xhat_t over t = 1..T
 
     for t in range(T + 1):
-        r = row_of.get(t)
-        if r is not None:
-            V[r] = _vt_batch(X, xhat)
+        recs = [(k, lane, *lane.advance()) for k, lane in enumerate(live) if lane.due == t]
+        if recs:
+            V = _vt_batch(X, xhat)
             diff = xhat - ref.x_star
             diff *= diff
-            dist[r] = np.add.reduce(diff, axis=1)
-            if xhat_rows is not None:
-                xhat_rows[r] = xhat
-            if t in subopt_at:
-                subopt[r] = loss_many(p, xhat) - ref.f_star
+            dist = np.add.reduce(diff, axis=-1)
+            for k, lane, r, j in recs:
+                c = lane.column(r)
+                lane.block[0, :, c] = V[k]
+                lane.block[1, :, c] = dist[k]
+                if lane.xhat is not None:
+                    lane.xhat[:, r] = xhat[k]
+                if j is not None:
+                    lane.subopt[:, j] = loss_many(p, xhat[k]) - ref.f_star
         if t == T:
             break
         G = grad_engine.gradients(X, t, same)
-        if r is not None or minibatch:
-            g_mean = np.add.reduce(G, axis=1)
+        if recs or minibatch:
+            g_mean = np.add.reduce(G, axis=-2)
             g_mean /= M
-        if r is not None:
-            gradsq[r] = np.add.reduce(g_mean * g_mean, axis=1)
+        if recs:
+            gsq = np.add.reduce(g_mean * g_mean, axis=-1)
+            for k, lane, r, _ in recs:
+                lane.block[2, :, r - lane.first] = gsq[k]
         bar_head_sum += xhat
         if minibatch:
-            xhat = xhat - cfg.gamma * g_mean
+            xhat = xhat - gamma[..., 0] * g_mean
         else:
-            X -= np.multiply(G, cfg.gamma, out=G)
+            X -= np.multiply(G, gamma, out=G)
             xhat, same = _mean_nodes(X)
-        if minibatch or (t + 1) in sync_set:
-            X = _synchronize(X, xhat)
-            same = True  # every node now holds xhat
+        for k, lane in enumerate(live):
+            if minibatch or lane.next_sync == t + 1:
+                X[k] = _synchronize(X[k], xhat[k])
+                same[k] = True  # every node now holds xhat
+                lane.synchronize_next()
         bar_tail_sum += xhat
-        _check_divergence(X, t + 1, seeds)
+        # A nan peak fails the comparison too.
+        if not np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
+            ok = np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT
+            for k in np.flatnonzero(~ok):
+                live[k].error = _divergence(X[k], t + 1, seeds)
+            live = [lane for lane, keep in zip(live, ok) if keep]
+            if not live:
+                return
+            X, xhat, same, gamma, bar_head_sum, bar_tail_sum = (
+                a[ok] for a in (X, xhat, same, gamma, bar_head_sum, bar_tail_sum))
 
-    bar_tail = loss_many(p, bar_tail_sum / T) - ref.f_star
-    bar_head = loss_many(p, bar_head_sum / T) - ref.f_star
-    metadata = _base_metadata(p, cfg, ref, "minibatch" if minibatch else "local")
-    t_rec = np.asarray(grid, dtype=np.int64)
-    synced = np.asarray([t in sync_set for t in grid], dtype=bool)
-    return [Trace(t=t_rec, synced=synced, V=V[:, i], dist_sq=dist[:, i],
-                  subopt=subopt[:, i], grad_norm_sq=gradsq[:, i],
-                  bar_subopt_tail=float(bar_tail[i]), bar_subopt_head=float(bar_head[i]),
-                  metadata=dict(metadata, seed=seed),
-                  xhat=None if xhat_rows is None else xhat_rows[:, i])
-            for i, seed in enumerate(seeds)]
+    for k, lane in enumerate(live):
+        lane.finish(loss_many(p, bar_tail_sum[k] / T) - ref.f_star,
+                    loss_many(p, bar_head_sum[k] / T) - ref.f_star)
+
+
+# The fields every config of a sweep shares: they fix the steps, the draws
+# and the recording stride.
+_SHARED = ("T", "M", "gradient_mode", "batch", "noise_sigma", "record_every")
+
+
+class Sweep:
+    """Runs of several RunConfigs over the same seeds, simulated together in
+    lockstep when the first result is requested.
+
+    The configs share T, M, gradient mode, batch, noise_sigma and
+    record_every (each is checked, and every config validated, here);
+    their schedules and stepsizes differ. They share the (seed, node)
+    streams, drawn once for the sweep, and each config's results are bitwise
+    those of its run alone, whichever configs share the sweep. Hand a sweep
+    to run_local_sgd or run_replicated, with the same p, ref and seeds, to
+    get one config's result from it.
+    """
+
+    def __init__(self, p: Problem, cfgs: Sequence[RunConfig], ref: ReferenceSolution,
+                 seeds: Sequence[int], *, minibatch: bool = False,
+                 capture_xhat: bool = False):
+        self.cfgs = list(dict.fromkeys(cfgs))
+        if not self.cfgs:
+            raise ValueError("a sweep needs at least one config")
+        for cfg in self.cfgs:
+            cfg.validate(p)
+        for name in _SHARED:
+            values = [getattr(cfg, name) for cfg in self.cfgs]
+            if any(v != values[0] for v in values):
+                raise ValueError(f"the configs of a sweep must share {name}, got {values}")
+        self.seeds = sorted(int(s) for s in seeds)  # aggregated in sorted order
+        if not self.seeds:
+            raise ValueError("a sweep needs at least one seed")
+        self.p, self.ref = p, ref
+        self.minibatch, self.capture_xhat = minibatch, capture_xhat
+        self._lanes: list[_Lane] | None = None
+
+    def lane(self, cfg: RunConfig, seeds: Sequence[int]) -> _Lane:
+        """The finished lane of cfg run over `seeds`, simulating the whole
+        sweep on the first request; raises cfg's DivergenceError."""
+        if cfg not in self.cfgs:
+            raise ValueError("the config is not one of the sweep's")
+        if sorted(int(s) for s in seeds) != self.seeds:
+            raise ValueError(f"the sweep runs seeds {self.seeds}, not {list(seeds)}")
+        if self._lanes is None:
+            # Each distinct seed is simulated once. A run is a pure function
+            # of its seed, and exact-gradient runs do not touch the streams
+            # at all, so under FULL one run stands for every seed.
+            sim = sorted(set(self.seeds))
+            if cfg.gradient_mode == GradientMode.FULL:
+                sim = sim[:1]
+            position = {s: i for i, s in enumerate(sim)}
+            rows = [position.get(s, 0) for s in self.seeds]
+            pick = slice(None) if rows == list(range(len(sim))) else rows
+            engine = "minibatch" if self.minibatch else "local"
+            lanes = [_Lane(c, len(sim), pick, self.p.dim,
+                           _base_metadata(self.p, c, self.ref, engine), self.capture_xhat)
+                     for c in self.cfgs]
+            _simulate(self.p, self.ref, lanes, sim, minibatch=self.minibatch)
+            self._lanes = lanes
+        lane = self._lanes[self.cfgs.index(cfg)]
+        if lane.error is not None:
+            raise lane.error
+        return lane
+
+
+def _single(sweep: Sweep, cfg: RunConfig) -> Trace:
+    """The Trace of cfg's one-seed run in the sweep: its one observation per
+    row is its own mean."""
+    lane = sweep.lane(cfg, [cfg.seed])
+    subopt, _ = lane.subopt_stats()
+    return Trace(t=lane.t, synced=lane.synced, V=lane.mean["V"],
+                 dist_sq=lane.mean["dist_sq"], subopt=subopt,
+                 grad_norm_sq=lane.mean["grad_norm_sq"],
+                 bar_subopt_tail=float(lane.bar_subopt_tail[0]),
+                 bar_subopt_head=float(lane.bar_subopt_head[0]),
+                 metadata=dict(lane.metadata, seed=cfg.seed),
+                 xhat=None if lane.xhat is None else lane.xhat[0])
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
-                  capture_xhat: bool = False) -> Trace:
+                  capture_xhat: bool = False, sweep: Sweep | None = None) -> Trace:
     """One Local SGD run: every node steps on its own stream; at each
-    scheduled timestamp all nodes are replaced by their average."""
-    return _simulate(p, cfg, ref, [cfg.seed], minibatch=False,
-                     capture_xhat=capture_xhat)[0]
+    scheduled timestamp all nodes are replaced by their average. With a
+    sweep holding cfg over the one seed cfg.seed, its result is taken from
+    the sweep."""
+    if sweep is None:
+        sweep = Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat)
+    elif capture_xhat != sweep.capture_xhat:
+        raise ValueError("capture_xhat is the sweep's setting")
+    return _single(sweep, cfg)
 
 
 def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
                       capture_xhat: bool = False) -> Trace:
     """Minibatch SGD baseline: a single iterate stepped by the average of the
     M per-node stochastic gradients, drawn from the same per-node streams."""
-    return _simulate(p, cfg, ref, [cfg.seed], minibatch=True,
-                     capture_xhat=capture_xhat)[0]
+    return _single(Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
+                         capture_xhat=capture_xhat), cfg)
 
 
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
-                   seeds: Sequence[int]) -> AggregateTrace:
-    """Mean and standard error of the trace metrics over independent seeds.
+                   seeds: Sequence[int], *, sweep: Sweep | None = None) -> AggregateTrace:
+    """Mean and standard error of the trace metrics over independent seeds;
+    with a sweep holding cfg over these seeds, taken from the sweep.
 
     Seeds are aggregated in sorted order so the result does not depend on how
     the list was arranged.
     """
-    seeds = [int(s) for s in seeds]
     if len(seeds) < 2:
         raise ValueError("run_replicated needs at least 2 seeds")
-    seeds_sorted = sorted(seeds)
-    # A run is a pure function of its seed, and exact-gradient runs do not
-    # touch the streams at all: simulate each distinct trajectory once and
-    # fan the traces back out, so duplicates agree bitwise.
-    full = cfg.gradient_mode == GradientMode.FULL
-    sim_seeds = seeds_sorted[:1] if full else sorted(set(seeds_sorted))
-    sims = dict(zip(sim_seeds, _simulate(p, cfg, ref, sim_seeds, minibatch=False)))
-    runs = [sims[sim_seeds[0] if full else s] for s in seeds_sorted]
-
-    def stats(name: str) -> tuple[np.ndarray, np.ndarray]:
-        # Seeds on the last axis of a column-major (rows, seeds) array: numpy
-        # sums a strided axis in another order than a contiguous one.
-        return _mean_and_se(np.stack([getattr(tr, name) for tr in runs]).T)
-
-    per_metric = {name: stats(name) for name in _METRICS}
-    tail, head = stats("bar_subopt_tail"), stats("bar_subopt_head")
+    if sweep is None:
+        sweep = Sweep(p, [cfg], ref, seeds)
+    lane = sweep.lane(cfg, seeds)
+    mean, se = dict(lane.mean), dict(lane.se)
+    mean["subopt"], se["subopt"] = lane.subopt_stats()
+    tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
     return AggregateTrace(
-        t=runs[0].t, synced=runs[0].synced,
-        mean={k: m for k, (m, _) in per_metric.items()},
-        se={k: e for k, (_, e) in per_metric.items()},
+        t=lane.t, synced=lane.synced, mean=mean, se=se,
         bar_subopt_tail=(float(tail[0]), float(tail[1])),
         bar_subopt_head=(float(head[0]), float(head[1])),
-        seeds=tuple(seeds_sorted),
-        metadata={k: v for k, v in runs[0].metadata.items() if k != "seed"},
+        seeds=tuple(sweep.seeds),
+        metadata=dict(lane.metadata),
     )

@@ -259,12 +259,22 @@ class BoundCurve:
 
 def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
     """The guarantee `theorem_id` for inputs b; raises PreconditionError
-    when one of its hypotheses, the stepsize limit included, fails."""
+    when one of its hypotheses, the stepsize limit included, fails, or when
+    its RHS is not finite where it is compared (an overflowing RHS holds
+    vacuously and says nothing about the run)."""
     thm = _lookup(THEOREMS, theorem_id, "theorem")
     b.require(*(("mu",) if thm.needs_mu else ()), thm.sigma)
     _assert_needs(thm.id, thm, thm.bound_needs, b)
     _check_gamma(b.gamma, thm.limit.of(b), thm.limit.text)
-    return BoundCurve(thm, b)
+    curve = BoundCurve(thm, b)
+    # A distance RHS moves with t only through (1 - gamma mu)^t r0^2, which
+    # the stepsize limit keeps within [0, r0^2]: finite at 0 and T, it is
+    # finite at every step.
+    for t in (0, b.T) if thm.metric == "dist_sq" else (b.T,):
+        rhs = curve.rhs_at(t)
+        if not math.isfinite(rhs):
+            raise PreconditionError(f"the right-hand side is not finite at t={t}: {rhs!r}")
+    return curve
 
 
 def bound_inputs(theorem_id: str, p, run_cfg, ref, var_report) -> BoundInputs:

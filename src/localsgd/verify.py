@@ -20,6 +20,7 @@ from .objective import build_problem, measure_variances, solve_reference
 from .simulator import (
     GradientMode,
     RunConfig,
+    Sweep,
     SyncSchedule,
     r0_sq,
     run_local_sgd,
@@ -90,12 +91,12 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     for q in (p, replace(p, dense_rows=None)):
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
-            X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
-            G = engine.gradients(X, t, same=True)
+            X = np.tile(gen.standard_normal(p.dim), (1, 1, 3, 1))
+            G = engine.gradients(X, t, same=[True])
             i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
-            worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
+            worst = max(worst, rel_error(G[0, 0, 0], q_i, X[0, 0, 0]))
     for _ in range(T):
         x = gen.standard_normal(p.dim)
         worst = max(worst, rel_error(objective.node_gradients(p, x)[0], p, x))
@@ -168,12 +169,13 @@ def criterion_vt_lemma(level: str = "full") -> CriterionResult:
     seeds = _seeds(level)
     lines = []
     ok = True
-    for H in (2, 8, 32):
-        T = 96
-        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
-                        seed=0, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds)
+    cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, 96), gamma=gamma,
+                      gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
+                      seed=0, record_every=1) for H in (2, 8, 32)]
+    sweep = Sweep(p, cfgs, ref, seeds)
+    for cfg in cfgs:
+        H = cfg.schedule.H
+        agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
         v = theory.check_vt_bound(agg, gamma, H, 1.0, L=p.L)
         ok = ok and v.holds
         lines.append(f"H={H}:{'ok' if v.holds else 'VIOLATED'}")
@@ -195,13 +197,15 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
     T = 5000
     ok = True
     slacks = []
-    for H in (1, 4, 16):
-        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
-                        seed=0)
-        v = _check("SC_IID_UBV", p, cfg, ref, None, run_replicated(p, cfg, ref, seeds))
+    cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
+                      gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
+                      seed=0) for H in (1, 4, 16)]
+    sweep = Sweep(p, cfgs, ref, seeds)
+    for cfg in cfgs:
+        agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+        v = _check("SC_IID_UBV", p, cfg, ref, None, agg)
         ok = ok and v.holds
-        slacks.append(f"H={H}:{v.slack_ratio:.3f}")
+        slacks.append(f"H={cfg.schedule.H}:{v.slack_ratio:.3f}")
     return _result("sc-identical-distance-bound", ok,
                    f"mean dist_sq within RHS + 3SE at every recorded step "
                    f"(emp/bound {', '.join(slacks)})", t0)

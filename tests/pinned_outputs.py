@@ -10,6 +10,13 @@ in-process on
   gamma 0.002, uniform schedule, H=1,4, T=40, over {identical,
   heterogeneous} x {stochastic, full, injected-noise} x {seeds 0:3, seed 5},
   into OUT_DIR/pinned/<name>/;
+- a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
+  OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
+  2.05, just past the lambda gamma = 2 stability limit, with T between the
+  divergence steps of H=1 and H=4. No gamma spec can make only some H
+  diverge: the planner rules, the only specs that depend on H, stay within
+  gamma <= 1/(4L) <= 1/(4 lambda); so it is the trajectory, not the
+  stepsize, that differs by H;
 - `run --config configs/synthetic-heterogeneous.ini` into OUT_DIR/synthetic-het/;
 - `variances --config configs/variances.ini` into OUT_DIR/variances/;
 - `solve-ref --config configs/synthetic-heterogeneous.ini` into
@@ -62,6 +69,29 @@ seeds = {seeds}
 """
 
 
+_DIVERGING = """\
+[data]
+source = synthetic
+n = 90
+d = 7
+seed = 3
+sort_by_label = true
+
+[problem]
+lambda = 1/n
+M = 3
+regime = heterogeneous
+
+[run]
+gradient_mode = full
+gamma = 184.5
+schedule = uniform
+H = 1,4,16
+T = 4577
+seeds = 0:2
+"""
+
+
 def write_configs(config_dir: str) -> dict[str, str]:
     """Write the 12 pinned `run` configs; name -> INI path. They name no
     output directory: the caller passes --out-dir."""
@@ -83,6 +113,11 @@ def invocations(out_dir: str, root: str, config_dir: str) -> list[list[str]]:
     het = os.path.join(shipped, "synthetic-heterogeneous.ini")
     argvs = [["run", "--config", path, "--out-dir", os.path.join(out_dir, "pinned", name)]
              for name, path in write_configs(config_dir).items()]
+    diverging = os.path.join(config_dir, "diverging-sweep.ini")
+    with open(diverging, "w") as f:
+        f.write(_DIVERGING)
+    argvs.append(["run", "--config", diverging,
+                  "--out-dir", os.path.join(out_dir, "diverging-sweep")])
     argvs.append(["run", "--config", het, "--out-dir", os.path.join(out_dir, "synthetic-het")])
     argvs.append(["variances", "--config", os.path.join(shipped, "variances.ini"),
                   "--out-dir", os.path.join(out_dir, "variances")])

@@ -492,6 +492,138 @@ _SELECTION_CASES = [
 ]
 
 
+class TestRunSweep:
+    """`run` simulates every H of its sweep together, on the first request;
+    each H is still requested, and reported, as its own run."""
+
+    _DIVERGING = """
+[data]
+source = synthetic
+n = 90
+d = 7
+seed = 3
+sort_by_label = true
+
+[problem]
+M = 3
+regime = heterogeneous
+
+[run]
+gradient_mode = full
+gamma = 184.5
+T = 4577
+H = {H}
+seeds = 0:2
+"""
+
+    def test_a_diverging_H_is_skipped_as_when_run_alone(self, tmp_path, capsys):
+        # lambda gamma = 2.05: the iterates grow by about 1.05 per step and
+        # cross the divergence limit at step 4576 for H=1, at 4578 for H=4
+        # and later for H=16.
+        outs = {}
+        for Hs in ("1,4,16", "1", "4", "16"):
+            cfg = tmp_path / f"div{Hs}.ini"
+            cfg.write_text(self._DIVERGING.format(H=Hs))
+            out = tmp_path / f"out{Hs}"
+            assert run_cli(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            outs[Hs] = (out, capsys.readouterr().out.splitlines())
+        out, stdout = outs["1,4,16"]
+        assert stdout[0] == "H=1: iterate diverged at step 4576 (seed 0, node 0) (run skipped)"
+        assert stdout == outs["1"][1] + outs["4"][1] + outs["16"][1]
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1] == "1,None,,,diverged"
+        for i, H in enumerate(("1", "4", "16")):
+            assert summary[1 + i] == (outs[H][0] / "summary.csv").read_text().splitlines()[1]
+        assert not (out / "run_H1.csv").exists()
+        for H in ("4", "16"):
+            assert ((out / f"run_H{H}.csv").read_bytes()
+                    == (outs[H][0] / f"run_H{H}.csv").read_bytes())
+
+    @pytest.mark.parametrize("mode, owner, attr", [
+        ("stochastic", "simulator", "draw_indices"),
+        ("injected-noise", "RngStream", "generator"),
+    ])
+    def test_one_engine_draws_each_stream_once(self, tmp_path, monkeypatch, mode,
+                                               owner, attr):
+        from localsgd import simulator
+        from localsgd.numkit import RngStream
+        target = {"simulator": simulator, "RngStream": RngStream}[owner]
+        real, hits = getattr(target, attr), []
+
+        def counting(stream, *args):
+            hits.append(tuple(int(k) for k in stream.bitgen.state["state"]["key"]))
+            return real(stream, *args)
+
+        monkeypatch.setattr(target, attr, counting)
+        cfg = TestRunCmd()._config(tmp_path)
+        assert run_cli(["run", "--config", cfg, "--H", "1,2,4", "--gradient-mode", mode,
+                        "--noise-sigma", "0.5", "--seeds", "0:3"]) == 0
+        # T = 64 steps fit one refill: each (seed, node) stream once, not
+        # once per H. The data generator's stream has no noise flag.
+        flag = simulator._NOISE_STREAM_FLAG if mode == "injected-noise" else 0
+        assert sorted(k for k in hits if k[1] & flag == flag) == [
+            (seed, m | flag) for seed in range(3) for m in range(4)]
+
+    @pytest.mark.parametrize("seeds, name", [("0:3", "run_replicated"),
+                                             ("5", "run_local_sgd")])
+    def test_each_H_is_requested_in_order_and_the_first_request_simulates(
+            self, tmp_path, monkeypatch, seeds, name):
+        # The benchmark counts node-steps per request from its positional
+        # (p, run_cfg, ref[, seeds]) and ends set-up at the first one.
+        from localsgd import simulator
+        real_simulate, real_request = simulator._simulate, getattr(cli, name)
+        simulated, requests = [], []
+
+        def simulate(*args, **kwargs):
+            simulated.append(len(requests))
+            return real_simulate(*args, **kwargs)
+
+        def request(*args, **kwargs):
+            requests.append((args, len(simulated)))
+            return real_request(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_simulate", simulate)
+        monkeypatch.setattr(cli, name, request)
+        cfg = TestRunCmd()._config(tmp_path)
+        assert run_cli(["run", "--config", cfg, "--H", "4,1,2", "--seeds", seeds]) == 0
+        assert [args[1].schedule.H for args, _ in requests] == [4, 1, 2]
+        assert all(len(args) == (4 if name == "run_replicated" else 3)
+                   and isinstance(args[0], objective.Problem)
+                   and isinstance(args[2], objective.ReferenceSolution)
+                   for args, _ in requests)
+        if name == "run_replicated":
+            assert all(list(args[3]) == [0, 1, 2] for args, _ in requests)
+        # Nothing simulated before the first request, once within it.
+        assert [done for _, done in requests] == [0, 1, 1] and simulated == [1]
+
+    def test_a_stopped_first_request_simulates_nothing(self, tmp_path, monkeypatch):
+        from localsgd import simulator
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(simulator, "_simulate", None)
+        monkeypatch.setattr(cli, "run_replicated", stop)
+        with pytest.raises(Stop):
+            run_cli(["run", "--config", TestRunCmd()._config(tmp_path)])
+
+    def test_a_non_finite_rhs_is_not_checked(self, tmp_path, capsys):
+        # gamma = 3e-320: the worst-case RHS c r0^2 / (gamma T) overflows.
+        out = tmp_path / "out"
+        assert run_cli(["run", "--gamma", "1e-320/L", "--T", "50", "--H", "1,4",
+                        "--seeds", "0:3", "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if "not checked" in l] == [
+            f"H={H}: WC_IID_FS not checked: the right-hand side is not finite at "
+            f"t=50: inf" for H in (1, 4)]
+        assert not list(out.glob("bound_WC_IID_FS_*"))
+        for H in (1, 4):
+            assert "holds = True" in (out / f"bound_SC_IID_FS_H{H}.verdict.txt").read_text()
+
+
 def _kv(lines, prefix=""):
     out = {}
     for line in lines:

@@ -458,9 +458,132 @@ class TestRefill:
         tracemalloc.start()
         try:
             engine = simulator._GradientEngine(p, cfg, seeds)
-            engine.gradients(X, 0, same=True)
+            engine.gradients(X[None], 0, same=[True])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # The whole run's indices would take 50 * 4 * T * 8 bytes = 160 MB.
         assert peak <= simulator._REFILL_BYTES + (2 << 20)
+
+
+@pytest.fixture(scope="module", params=list(Regime), ids=lambda r: r.value)
+def setup_uneven(request):
+    # n = 61 over M = 3: unequal node blocks of 21, 20 and 20 rows.
+    ds = generate_synthetic(61, 5, seed=47, sort_by_label=True)
+    p = build_problem(ds, partition(ds, 3, request.param), lam=0.05)
+    return p, solve_reference(p, 1e-11)
+
+
+def sweep_cfgs(p, mode, T=150, Hs=(1, 4, 16), seed=0):
+    # Gammas differ per config, as a planner's would.
+    return [RunConfig(M=3, schedule=SyncSchedule.uniform(H, T),
+                      gamma=1.0 / ((3 + k) * p.L), gradient_mode=mode, seed=seed,
+                      batch=2, noise_sigma=0.4, record_every=1)
+            for k, H in enumerate(Hs)]
+
+
+class TestSweep:
+    """Every H of a sweep steps in lockstep, sharing the draws; each one's
+    results must be those of its run alone, bit for bit."""
+
+    @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seeds", [[5], [3, 0, 8]], ids=["1seed", "3seeds"])
+    def test_each_config_equals_its_run_alone(self, setup_uneven, mode, seeds):
+        p, ref = setup_uneven
+        cfgs = sweep_cfgs(p, mode, seed=seeds[0])
+        sweep = simulator.Sweep(p, cfgs, ref, seeds)
+        for cfg in cfgs:
+            if len(seeds) == 1:
+                together = run_local_sgd(p, cfg, ref, sweep=sweep)
+                alone = run_local_sgd(p, cfg, ref)
+            else:
+                together = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+                alone = run_replicated(p, cfg, ref, seeds)
+            assert csv_of(together) == csv_of(alone)
+
+    @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("seeds", [[0, 1, 2], [2, 0, 1, 2]], ids=["distinct", "repeat"])
+    def test_record_block_size_does_not_change_outputs(self, setup_uneven, monkeypatch,
+                                                       mode, seeds):
+        # 151 rows: the smallest block (3 rows, 2 aggregated per flush), a
+        # block that splits the rows unevenly, the default, and one block
+        # holding every row, as a seed-major whole-run recorder would.
+        p, ref = setup_uneven
+        [cfg] = sweep_cfgs(p, mode, Hs=(4,))
+        outputs = set()
+        for rows in (3, 4, 64, 152):
+            monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
+            outputs.add(csv_of(run_replicated(p, cfg, ref, seeds)))
+        assert len(outputs) == 1
+
+    def test_diverging_config_fails_alone_and_the_others_complete(self, setup):
+        p, ref = setup
+        cfgs = [make_cfg(p, T=60, H=4, record_every=1),
+                make_cfg(p, T=60, H=1, gamma=1e6, record_every=1),
+                make_cfg(p, T=60, H=16, record_every=1)]
+        seeds = [0, 1, 2]
+        sweep = simulator.Sweep(p, cfgs, ref, seeds)
+        with pytest.raises(DivergenceError) as alone:
+            run_replicated(p, cfgs[1], ref, seeds)
+        with pytest.raises(DivergenceError) as together:
+            run_replicated(p, cfgs[1], ref, seeds, sweep=sweep)
+        assert ((together.value.t, together.value.seed, together.value.node)
+                == (alone.value.t, alone.value.seed, alone.value.node))
+        for cfg in (cfgs[0], cfgs[2]):
+            assert (csv_of(run_replicated(p, cfg, ref, seeds, sweep=sweep))
+                    == csv_of(run_replicated(p, cfg, ref, seeds)))
+
+    def test_configs_must_share_the_steps_and_draws(self, setup):
+        p, ref = setup
+        base = make_cfg(p, T=40, H=4)
+        for field, value in (("schedule", SyncSchedule.uniform(4, 48)),
+                             ("M", 2), ("gradient_mode", GradientMode.FULL),
+                             ("batch", 2), ("record_every", 3)):
+            other = RunConfig(**{**vars(base), field: value})
+            with pytest.raises(ValueError, match="T" if field == "schedule" else field):
+                simulator.Sweep(p, [base, other], ref, [0])
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_gamma_is_refused_before_step_0(self, setup,
+                                                                   monkeypatch, gamma):
+        p, ref = setup
+        monkeypatch.setattr(simulator, "_simulate", None)  # step 0 is never reached
+        bad = make_cfg(p, T=40, H=4, gamma=gamma)
+        with pytest.raises(ValueError, match=f"gamma must be finite and nonnegative, "
+                                             f"got {gamma!r}"):
+            simulator.Sweep(p, [make_cfg(p, T=40, H=1), bad], ref, [0])
+        with pytest.raises(ValueError, match="gamma"):
+            run_local_sgd(p, bad, ref)
+
+    def test_a_sweep_serves_only_its_configs_and_seeds(self, setup):
+        p, ref = setup
+        cfg = make_cfg(p, T=20, H=4)
+        sweep = simulator.Sweep(p, [cfg], ref, [0, 1])
+        with pytest.raises(ValueError, match="seeds"):
+            run_replicated(p, cfg, ref, [0, 2], sweep=sweep)
+        with pytest.raises(ValueError, match="not one of"):
+            run_replicated(p, make_cfg(p, T=20, H=2), ref, [0, 1], sweep=sweep)
+
+    def test_recorder_memory_does_not_grow_with_T(self):
+        # Three configs of 40 seeds over T = 2000 steps, every step
+        # recorded: whole-run seed-major recorders would take
+        # 3 * 3 * 40 * 2001 * 8 bytes = 5.8 MB. Beyond the per-row means and
+        # SEs, the aggregation blocks and the draws must fit in a fixed
+        # budget.
+        import tracemalloc
+        ds = generate_synthetic(100, 5, seed=45)
+        p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.1)
+        ref = solve_reference(p, 1e-10)
+        T, S = 2000, 40
+        cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=0.1,
+                          gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
+                          seed=0, record_every=1) for H in (1, 4, 16)]
+        sweep = simulator.Sweep(p, cfgs, ref, range(S))
+        tracemalloc.start()
+        try:
+            run_replicated(p, cfgs[0], ref, range(S), sweep=sweep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_row = 3 * 2 * 8 * (T + 1)  # the mean and SE of three metrics
+        assert peak <= simulator._REFILL_BYTES + 3 * per_row + (1 << 20)

@@ -31,6 +31,19 @@ def test_stepsize_must_be_finite_and_positive(theorem_id, gamma):
         bound(theorem_id, inputs(gamma=gamma))
 
 
+@pytest.mark.parametrize("theorem_id, kw", [
+    ("WC_IID_UBV", {"gamma": 1e-320}),  # r0^2 / (gamma T) overflows
+    ("WC_IID_FS", {"gamma": 1e-320}),
+    ("WC_HET_FS", {"gamma": 1e-320}),
+    ("SC_IID_UBV", {"sigma_sq": 1e308, "mu": 1e-10}),  # the floor overflows
+    ("SC_IID_FS", {"sigma_opt_sq": 1e308, "mu": 1e-10, "H": 1}),
+])
+def test_a_non_finite_rhs_is_a_failed_precondition(theorem_id, kw):
+    # An infinite bound holds vacuously: it is not checked at all.
+    with pytest.raises(PreconditionError, match="right-hand side is not finite"):
+        bound(theorem_id, inputs(**{"gamma": 0.01, **kw}))
+
+
 class TestScIdenticalUbv:
     def test_worked_instance(self):
         # Independent transcription: kappa=10 via L=1, mu=0.1; gamma=1/(4L).
