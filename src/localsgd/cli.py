@@ -420,7 +420,7 @@ def cmd_run(args) -> int:
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as f:
         f.write("H,comm_rounds,final_subopt,final_dist_sq,bounds\n")
         for H, comm, fs, fd, b in summary:
-            f.write(f"{H},{comm},{'' if fs is None else repr(fs)},"
+            f.write(f"{H},{'' if comm is None else comm},{'' if fs is None else repr(fs)},"
                     f"{'' if fd is None else repr(fd)},{b}\n")
     return EXIT_CRITERION if any_failed else EXIT_OK
 

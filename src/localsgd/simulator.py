@@ -158,18 +158,17 @@ def r0_sq(ref: ReferenceSolution) -> float:
 # The per-step reductions below call the ufunc reductions that numpy's
 # wrappers (mean, sum, all, max) call, without the wrappers' Python layer:
 # np.add.reduce(X, axis) / M is X.mean(axis) bit for bit. They take a
-# (S, M, d) stack or a sweep's (K, S, M, d) one, and reduce only trailing
-# axes, so each config's values do not depend on the stack around it.
+# sweep's (K*S, M, d) stack, one row per (config, seed), and reduce only
+# within a row, so each row's values do not depend on the stack around it.
 
 def _mean_nodes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node average per seed of a (..., S, M, d) stack, exact for a seed
-    whose nodes coincide, and whether the nodes of every seed coincide, one
-    flag per leading index."""
-    xhat = np.add.reduce(X, axis=-2)
-    xhat /= X.shape[-2]
-    eq = np.logical_and.reduce(X == X[..., :1, :], axis=(-2, -1))
-    np.copyto(xhat, X[..., 0, :], where=eq[..., None])
-    return xhat, np.logical_and.reduce(eq, axis=-1)
+    """Node average of each row of a (rows, M, d) stack, exact for a row
+    whose nodes coincide, and whether they do, one flag per row."""
+    xhat = np.add.reduce(X, axis=1)
+    xhat /= X.shape[1]
+    eq = np.logical_and.reduce(X == X[:, :1, :], axis=(1, 2))
+    np.copyto(xhat, X[:, 0, :], where=eq[:, None])
+    return xhat, eq
 
 
 def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
@@ -181,11 +180,11 @@ def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
 
 
 def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """V_t per seed: the mean squared distance of its nodes from xhat."""
-    D = X - xhat[..., None, :]
+    """V_t per row: the mean squared distance of its nodes from xhat."""
+    D = X - xhat[:, None, :]
     D *= D
     V = np.add.reduce(np.add.reduce(D, axis=-1), axis=-1)
-    V /= X.shape[-2]
+    V /= X.shape[1]
     return V
 
 
@@ -195,7 +194,9 @@ def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
 
 class _GradientEngine:
     """Per-step gradients for all (seed, node) pairs of a sweep's configs,
-    which share cfg's T, M, gradient mode, batch and noise_sigma.
+    which share cfg's T, M, gradient mode, batch and noise_sigma. The
+    iterates are a (K*S, M, d) stack, config k owning rows k*S to
+    k*S + S - 1.
 
     All randomness takes one path: a mode's `draw(s, m, out)` writes the
     next steps of the (seed s, node m) stream into out, its contiguous block
@@ -228,6 +229,8 @@ class _GradientEngine:
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
         else:
             self._num = _slope_numerator(p, self.S)
+            # Nodes that coincide and share f need one gradient per seed.
+            self._shortcut = p.part.regime == Regime.IDENTICAL
 
         if mode == GradientMode.INJECTED_NOISE:
             gens = [[RngStream(seed=seed, stream_id=m | _NOISE_STREAM_FLAG).generator()
@@ -257,38 +260,37 @@ class _GradientEngine:
                     self._draw(s, m, self._buf[s, m, :self._filled])
         return self._buf[:, :, t - self._first]
 
-    def _full_grads(self, Xn: np.ndarray, same: bool, out: np.ndarray) -> None:
-        """One config's exact gradients at its (S, M, d) stack Xn, into out:
-        each config is its own product, at the width a run alone uses."""
-        p = self.p
-        if same and p.part.regime == Regime.IDENTICAL:
-            # Nodes coincide and share f: one gradient per seed suffices.
-            out[...] = _exact_grads(p, Xn[:, 0, :], self._num)[:, None, :]
-        else:
-            # Columns ordered (s, m), as the numerator's are.
-            _exact_grads(p, Xn.reshape(self.S * self.M, self.d), self._num,
-                         out=out.reshape(self.S * self.M, self.d))
-
     def _stochastic_grads(self, X: np.ndarray, t: int) -> np.ndarray:
         p, cfg = self.p, self.cfg
         idx = self._draws(t)  # (S, M, batch)
         rows = p.gather(idx)  # (S, M, batch, d) signed rows, from either storage
-        tv = np.einsum("smbd,ksmd->ksmb", rows, X)
+        Xk = X.reshape(-1, self.S, self.M, self.d)  # one (S, M, d) view per config
+        tv = np.einsum("smbd,ksmd->ksmb", rows, Xk)
         c = _logistic_slope(-1.0 / cfg.batch, tv, out=tv)
-        return np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * X
+        return (np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * Xk).reshape(X.shape)
 
-    def gradients(self, X: np.ndarray, t: int, same: Sequence[bool]) -> np.ndarray:
-        """Gradients at the (K, S, M, d) stack X of step t, one (S, M, d)
-        block per config; same[k] says that the nodes of every seed of
-        config k coincide, as _mean_nodes measures."""
+    def gradients(self, X: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
+        """Gradients at the (K*S, M, d) stack X of step t; eq[i] says that
+        the nodes of row i coincide, as _mean_nodes measures."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
             return self._stochastic_grads(X, t)
+        p, S, M, d = self.p, self.S, self.M, self.d
         G = np.empty_like(X)
-        for k in range(X.shape[0]):
-            self._full_grads(X[k], same[k], G[k])
+        # Config k's rows as one (S*M, d) block, columns ordered (s, m) as
+        # the numerator's: each config is its own product, at the width a
+        # run alone uses.
+        Xk, Gk = X.reshape(-1, S * M, d), G.reshape(-1, S * M, d)
+        if self._shortcut:
+            same = np.logical_and.reduce(eq.reshape(-1, S), axis=1)  # per config
+        for k in range(len(Xk)):
+            if self._shortcut and same[k]:  # one gradient per seed, at node 0
+                Gk[k].reshape(S, M, d)[...] = _exact_grads(p, Xk[k, ::M], self._num)[:, None]
+            else:
+                _exact_grads(p, Xk[k], self._num, out=Gk[k])
         if mode == GradientMode.INJECTED_NOISE:
-            G += self._draws(t)
+            per_config = G.reshape(-1, S, M, d)  # a view
+            per_config += self._draws(t)
         return G
 
 
@@ -442,79 +444,39 @@ def _subopt_steps(grid: Sequence[int], T: int) -> frozenset[int]:
     return frozenset(steps)
 
 
-# Recorded rows per aggregation block of a _Lane.
+# Recorded rows per aggregation block of a sweep.
 _RECORD_BLOCK = 64
 
 
 class _Lane:
-    """One config of a sweep: its synchronization steps, recording grid and
-    recorder, and after the run its per-row mean and SE over the requested
-    seeds, or its DivergenceError.
+    """One config of a sweep, filled in by _simulate: the mean and SE over
+    the requested seeds at each of its own rows, subopt and the
+    iterate-average suboptimalities per seed, the trajectory when captured,
+    or its DivergenceError.
 
-    `pick` maps the requested seeds (sorted, repeats kept) to the simulated
-    ones: a slice when each was simulated once, else a list of rows. The
-    per-row metrics are aggregated as they are recorded, one block of
-    _RECORD_BLOCK rows at a time, so the recorder's memory does not grow
-    with T. A block is seed-major, (S, rows), and aggregated as the
-    column-major (rows, S) transpose; numpy reduces such an array one row at
-    a time in seed order whatever its row count, from 2 rows on, so every
-    block, the last one included, holds at least 2 rows. subopt and the
-    iterate averages are kept per seed, and the trajectory when captured.
+    `rows`, `synced_at` and `subopt_at` are masks over the sweep's grid:
+    the config's own recording grid (every stride-th step and every
+    synchronization step, T among them), its synchronization steps and its
+    _subopt_steps. `pick` maps the requested seeds (sorted, repeats kept)
+    to the simulated ones: a slice when each was simulated once, else a list
+    of rows.
     """
 
-    _PER_ROW = ("V", "dist_sq", "grad_norm_sq")  # the block's rows, in this order
+    _PER_ROW = ("V", "dist_sq", "grad_norm_sq")  # the recording block's metrics, in order
 
-    def __init__(self, cfg: RunConfig, S: int, pick, d: int, metadata: dict,
-                 capture_xhat: bool):
+    def __init__(self, cfg: RunConfig, grid: np.ndarray, pick, metadata: dict):
         self.cfg, self.pick, self.metadata = cfg, pick, metadata
-        sync_steps = cfg.schedule.sync_steps
-        # Every stride-th step and every synchronization step (T among them).
-        grid = sorted(set(sync_steps).union(range(0, cfg.T + 1, cfg.stride())))
-        # subopt grid step -> its column in subopt
-        self.subopt_column = {t: j for j, t in enumerate(sorted(_subopt_steps(grid, cfg.T)))}
-        self.t = np.asarray(grid, dtype=np.int64)
-        self.synced = np.isin(self.t, sync_steps)
-        self.mean = {name: np.empty(len(grid)) for name in self._PER_ROW}
-        self.se = {name: np.empty(len(grid)) for name in self._PER_ROW}
-        self.block = np.empty((len(self._PER_ROW), S, _RECORD_BLOCK))
-        self.first = 0  # the row in block column 0
-        self.subopt = np.empty((S, len(self.subopt_column)))
-        self.xhat = np.zeros((S, len(grid), d)) if capture_xhat else None
+        self.synced_at = np.isin(grid, cfg.schedule.sync_steps)
+        self.rows = self.synced_at | (grid % cfg.stride() == 0)
+        self.t = grid[self.rows]
+        self.synced = self.synced_at[self.rows]
+        self.subopt_at = np.isin(grid, list(_subopt_steps(self.t.tolist(), cfg.T)))
+        self.mean, self.se = np.empty((2, len(self._PER_ROW), self.t.size))
+        self.subopt = []  # one (S,) column per subopt_at row, stacked at the end
+        self.xhat = None
+        self.own = slice(0)  # its S rows of _simulate's stack, while it runs
         self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
         self.error: DivergenceError | None = None
-        # Cursors, as steps are taken in order: the next row to record and
-        # its step, and the next synchronization.
-        self.row, self.due = 0, 0
-        self._syncs = iter(sync_steps)
-        self.next_sync = next(self._syncs)
-
-    def advance(self) -> tuple[int, int | None]:
-        """The row of the step now recorded (the one `due`) and its column
-        in subopt, None off that grid; moves on to the next row."""
-        r, j = self.row, self.subopt_column.get(self.due)
-        self.row += 1
-        self.due = int(self.t[self.row]) if self.row < self.t.size else -1
-        return r, j
-
-    def synchronize_next(self) -> None:
-        """Move on to the synchronization after `next_sync`."""
-        self.next_sync = next(self._syncs, -1)
-
-    def column(self, r: int) -> int:
-        """The block column of row r; when the block is full, every row but
-        the last is aggregated first and the last moves to column 0."""
-        c = r - self.first
-        if c == _RECORD_BLOCK:
-            self._aggregate(c - 1)
-            self.block[:, :, 0] = self.block[:, :, c - 1]
-            self.first, c = r - 1, 1
-        return c
-
-    def _aggregate(self, rows: int) -> None:
-        for i, name in enumerate(self._PER_ROW):
-            m, e = self.stats(self.block[i, :, :rows])
-            self.mean[name][self.first:self.first + rows] = m
-            self.se[name][self.first:self.first + rows] = e
 
     def stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and SE over the requested seeds of seed-major values."""
@@ -522,95 +484,127 @@ class _Lane:
         # sums a strided axis in another order than a contiguous one.
         return _mean_and_se(values[self.pick].T)
 
-    def finish(self, bar_tail: np.ndarray, bar_head: np.ndarray) -> None:
-        """Aggregate the last block (no gradient is taken at T) and store
-        the iterate-average suboptimalities, one per simulated seed."""
-        rows = self.t.size - self.first
-        self.block[2, :, rows - 1] = np.nan
-        self._aggregate(rows)
-        self.bar_subopt_tail, self.bar_subopt_head = bar_tail, bar_head
 
-    def subopt_stats(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and SE of subopt at every row, nan off its grid."""
-        rows = np.searchsorted(self.t, list(self.subopt_column))
-        out = np.full((2, self.t.size), np.nan)
-        out[:, rows] = self.stats(self.subopt)
-        return out[0], out[1]
-
-
-def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane],
-              seeds: Sequence[int], *, minibatch: bool) -> None:
+def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.ndarray,
+              seeds: Sequence[int], *, minibatch: bool, capture_xhat: bool) -> None:
     """Run every lane's config over the seeds, in lockstep, into its lane.
 
     The configs share T, M, gradient mode, batch and noise_sigma, so one
     engine draws each (seed, node) stream once for all of them. The state
-    is one (K, S, M, d) stack over the K lanes still running; elementwise
-    steps and trailing-axis reductions take the whole stack, and every BLAS
-    product (exact gradients, the recorder's loss) is taken per lane at the
-    width a run alone uses. A lane that diverges gets its DivergenceError
-    and leaves the stack; the others go on.
+    is one (K*S, M, d) stack over the K lanes still running, each owning
+    S consecutive rows, `lane.own`; elementwise steps and per-row
+    reductions take the whole stack, and every BLAS product (exact
+    gradients, the recorder's loss) is taken per lane at the width a run
+    alone uses. A lane that diverges gets its DivergenceError and leaves
+    the stack; the others go on.
+
+    One cursor walks `grid`, the union of the lanes' recording grids, and
+    records V_t, dist_sq and grad_norm_sq of every row of the stack into a
+    (3, K*S, _RECORD_BLOCK) block; each lane aggregates its own rows of it
+    over its seeds when the block is full, so the recorder's memory does
+    not grow with T. A lane's block is seed-major, (S, rows), and
+    aggregated as the column-major (rows, S) transpose; numpy reduces such
+    an array one row at a time in seed order whatever its row count, from 2
+    rows on, so a full block aggregates every row but the last, which moves
+    to column 0, and the last block holds at least 2 rows.
     """
     cfg = lanes[0].cfg
-    S, M, d, T = len(seeds), cfg.M, p.dim, cfg.T
+    K, S, M, d, T = len(lanes), len(seeds), cfg.M, p.dim, cfg.T
     grad_engine = _GradientEngine(p, cfg, seeds)
     live = list(lanes)
-    gamma = np.array([lane.cfg.gamma for lane in live])[:, None, None, None]
-    X = np.zeros((len(live), S, M, d))
-    xhat, same = _mean_nodes(X)
-    bar_head_sum = np.zeros((len(live), S, d))  # accumulates xhat_t over t = 0..T-1
-    bar_tail_sum = np.zeros((len(live), S, d))  # accumulates xhat_t over t = 1..T
+    for i, lane in enumerate(live):
+        lane.own = slice(i * S, (i + 1) * S)
+    gamma = np.repeat([lane.cfg.gamma for lane in live], S)[:, None, None]
+    X = np.zeros((K * S, M, d))
+    xhat, eq = _mean_nodes(X)
+    bar_sums = np.zeros((2, K * S, d))  # xhat_t summed over t = 1..T and 0..T-1
+    block = np.empty((len(_Lane._PER_ROW), K * S, _RECORD_BLOCK))
+    xhat_rows = np.zeros((K * S, grid.size, d)) if capture_xhat else None
+    # The rows at which some lane takes subopt, or synchronizes.
+    subopt_at = np.logical_or.reduce([lane.subopt_at for lane in lanes])
+    synced_at = np.logical_or.reduce([lane.synced_at for lane in lanes])
+    # The cursor: the row to record next and its step (-1 past the end), and
+    # the row in block column 0.
+    r, t_r, first = 0, 0, 0
+
+    def aggregate(rows: int) -> None:
+        """Each lane's mean and SE at its own rows among block columns
+        0..rows-1."""
+        for lane in live:
+            own = lane.rows[first:first + rows]
+            at = np.searchsorted(lane.t, grid[first])  # the lane's rows before `first`
+            out = slice(at, at + np.count_nonzero(own))
+            for j, values in enumerate(block[:, lane.own, :rows]):
+                mean, se = lane.stats(values)
+                lane.mean[j, out], lane.se[j, out] = mean[own], se[own]
 
     for t in range(T + 1):
-        recs = [(k, lane, *lane.advance()) for k, lane in enumerate(live) if lane.due == t]
-        if recs:
-            V = _vt_batch(X, xhat)
+        recorded = t == t_r
+        if recorded:
+            c = r - first
+            if c == _RECORD_BLOCK:
+                aggregate(c - 1)
+                block[:, :, 0] = block[:, :, c - 1]
+                first, c = r - 1, 1
+            col = block[:, :, c]  # (3, K*S): the row's V_t, dist_sq and grad_norm_sq
+            col[0] = _vt_batch(X, xhat)
             diff = xhat - ref.x_star
             diff *= diff
-            dist = np.add.reduce(diff, axis=-1)
-            for k, lane, r, j in recs:
-                c = lane.column(r)
-                lane.block[0, :, c] = V[k]
-                lane.block[1, :, c] = dist[k]
-                if lane.xhat is not None:
-                    lane.xhat[:, r] = xhat[k]
-                if j is not None:
-                    lane.subopt[:, j] = loss_many(p, xhat[k]) - ref.f_star
+            col[1] = np.add.reduce(diff, axis=-1)
+            if xhat_rows is not None:
+                xhat_rows[:, r] = xhat
+            if subopt_at[r]:
+                for lane in live:
+                    if lane.subopt_at[r]:
+                        lane.subopt.append(loss_many(p, xhat[lane.own]) - ref.f_star)
+            r += 1
+            t_r = int(grid[r]) if r < grid.size else -1
         if t == T:
             break
-        G = grad_engine.gradients(X, t, same)
-        if recs or minibatch:
-            g_mean = np.add.reduce(G, axis=-2)
+        G = grad_engine.gradients(X, t, eq)
+        if recorded or minibatch:
+            g_mean = np.add.reduce(G, axis=1)
             g_mean /= M
-        if recs:
-            gsq = np.add.reduce(g_mean * g_mean, axis=-1)
-            for k, lane, r, _ in recs:
-                lane.block[2, :, r - lane.first] = gsq[k]
-        bar_head_sum += xhat
+        if recorded:
+            col[2] = np.add.reduce(g_mean * g_mean, axis=-1)
+        bar_sums[1] += xhat
         if minibatch:
-            xhat = xhat - gamma[..., 0] * g_mean
+            xhat = xhat - gamma[:, 0] * g_mean
         else:
             X -= np.multiply(G, gamma, out=G)
-            xhat, same = _mean_nodes(X)
-        for k, lane in enumerate(live):
-            if minibatch or lane.next_sync == t + 1:
-                X[k] = _synchronize(X[k], xhat[k])
-                same[k] = True  # every node now holds xhat
-                lane.synchronize_next()
-        bar_tail_sum += xhat
+            xhat, eq = _mean_nodes(X)
+        if minibatch or (t_r == t + 1 and synced_at[r]):
+            for lane in live:
+                if minibatch or lane.synced_at[r]:
+                    X[lane.own] = _synchronize(X[lane.own], xhat[lane.own])
+                    eq[lane.own] = True  # every node now holds xhat
+        bar_sums[0] += xhat
         # A nan peak fails the comparison too.
         if not np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
-            ok = np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT
-            for k in np.flatnonzero(~ok):
-                live[k].error = _divergence(X[k], t + 1, seeds)
-            live = [lane for lane, keep in zip(live, ok) if keep]
+            peak = np.maximum.reduce(np.abs(X), axis=(1, 2)).reshape(len(live), S)
+            ok = np.logical_and.reduce(peak <= _DIVERGENCE_LIMIT, axis=1)
+            for lane, keep in zip(live, ok):
+                if not keep:
+                    lane.error = _divergence(X[lane.own], t + 1, seeds)
+            live = [lane for lane in live if lane.error is None]
             if not live:
                 return
-            X, xhat, same, gamma, bar_head_sum, bar_tail_sum = (
-                a[ok] for a in (X, xhat, same, gamma, bar_head_sum, bar_tail_sum))
+            for i, lane in enumerate(live):
+                lane.own = slice(i * S, (i + 1) * S)
+            keep = np.repeat(ok, S)
+            X, xhat, eq, gamma = (a[keep] for a in (X, xhat, eq, gamma))
+            block, bar_sums = block[:, keep], bar_sums[:, keep]
+            if xhat_rows is not None:
+                xhat_rows = xhat_rows[keep]
 
-    for k, lane in enumerate(live):
-        lane.finish(loss_many(p, bar_tail_sum[k] / T) - ref.f_star,
-                    loss_many(p, bar_head_sum[k] / T) - ref.f_star)
+    block[2, :, grid.size - 1 - first] = np.nan  # no gradient is taken at T
+    aggregate(grid.size - first)
+    for lane in live:
+        lane.bar_subopt_tail, lane.bar_subopt_head = (
+            loss_many(p, s[lane.own] / T) - ref.f_star for s in bar_sums)
+        lane.subopt = np.stack(lane.subopt, axis=1)
+        if xhat_rows is not None:
+            lane.xhat = xhat_rows[lane.own][:, lane.rows]
 
 
 # The fields every config of a sweep shares: they fix the steps, the draws
@@ -625,10 +619,12 @@ class Sweep:
     The configs share T, M, gradient mode, batch, noise_sigma and
     record_every (each is checked, and every config validated, here);
     their schedules and stepsizes differ. They share the (seed, node)
-    streams, drawn once for the sweep, and each config's results are bitwise
-    those of its run alone, whichever configs share the sweep. Hand a sweep
-    to run_local_sgd or run_replicated, with the same p, ref and seeds, to
-    get one config's result from it.
+    streams, drawn once for the sweep, and one recording grid, the sorted
+    union of theirs: every stride-th step and each config's synchronization
+    steps. Each config's results are bitwise those of its run alone,
+    whichever configs share the sweep. Hand a sweep to run_local_sgd or
+    run_replicated, with the same p, ref and seeds, to get one config's
+    result from it.
     """
 
     def __init__(self, p: Problem, cfgs: Sequence[RunConfig], ref: ReferenceSolution,
@@ -667,11 +663,13 @@ class Sweep:
             position = {s: i for i, s in enumerate(sim)}
             rows = [position.get(s, 0) for s in self.seeds]
             pick = slice(None) if rows == list(range(len(sim))) else rows
+            grid = np.union1d(np.arange(0, cfg.T + 1, cfg.stride()),
+                              np.concatenate([c.schedule.sync_steps for c in self.cfgs]))
             engine = "minibatch" if self.minibatch else "local"
-            lanes = [_Lane(c, len(sim), pick, self.p.dim,
-                           _base_metadata(self.p, c, self.ref, engine), self.capture_xhat)
+            lanes = [_Lane(c, grid, pick, _base_metadata(self.p, c, self.ref, engine))
                      for c in self.cfgs]
-            _simulate(self.p, self.ref, lanes, sim, minibatch=self.minibatch)
+            _simulate(self.p, self.ref, lanes, grid, sim, minibatch=self.minibatch,
+                      capture_xhat=self.capture_xhat)
             self._lanes = lanes
         lane = self._lanes[self.cfgs.index(cfg)]
         if lane.error is not None:
@@ -679,18 +677,29 @@ class Sweep:
         return lane
 
 
-def _single(sweep: Sweep, cfg: RunConfig) -> Trace:
-    """The Trace of cfg's one-seed run in the sweep: its one observation per
-    row is its own mean."""
-    lane = sweep.lane(cfg, [cfg.seed])
-    subopt, _ = lane.subopt_stats()
-    return Trace(t=lane.t, synced=lane.synced, V=lane.mean["V"],
-                 dist_sq=lane.mean["dist_sq"], subopt=subopt,
-                 grad_norm_sq=lane.mean["grad_norm_sq"],
-                 bar_subopt_tail=float(lane.bar_subopt_tail[0]),
-                 bar_subopt_head=float(lane.bar_subopt_head[0]),
-                 metadata=dict(lane.metadata, seed=cfg.seed),
-                 xhat=None if lane.xhat is None else lane.xhat[0])
+def _result(sweep: Sweep, cfg: RunConfig, seeds: Sequence[int]) -> Trace | AggregateTrace:
+    """cfg's result in the sweep over `seeds`: the Trace of its run when the
+    sweep has one seed, whose one observation per row is its own mean, else
+    the AggregateTrace over the seeds."""
+    lane = sweep.lane(cfg, seeds)
+    mean, se = dict(zip(lane._PER_ROW, lane.mean)), dict(zip(lane._PER_ROW, lane.se))
+    subopt = np.full((2, lane.t.size), np.nan)  # nan off its grid
+    subopt[:, lane.subopt_at[lane.rows]] = lane.stats(lane.subopt)
+    mean["subopt"], se["subopt"] = subopt
+    tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
+    if len(sweep.seeds) == 1:
+        return Trace(t=lane.t, synced=lane.synced, V=mean["V"], dist_sq=mean["dist_sq"],
+                     subopt=mean["subopt"], grad_norm_sq=mean["grad_norm_sq"],
+                     bar_subopt_tail=float(tail[0]), bar_subopt_head=float(head[0]),
+                     metadata=dict(lane.metadata, seed=sweep.seeds[0]),
+                     xhat=None if lane.xhat is None else lane.xhat[0])
+    return AggregateTrace(
+        t=lane.t, synced=lane.synced, mean=mean, se=se,
+        bar_subopt_tail=(float(tail[0]), float(tail[1])),
+        bar_subopt_head=(float(head[0]), float(head[1])),
+        seeds=tuple(sweep.seeds),
+        metadata=dict(lane.metadata),
+    )
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
@@ -703,15 +712,15 @@ def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
         sweep = Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat)
     elif capture_xhat != sweep.capture_xhat:
         raise ValueError("capture_xhat is the sweep's setting")
-    return _single(sweep, cfg)
+    return _result(sweep, cfg, [cfg.seed])
 
 
 def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
                       capture_xhat: bool = False) -> Trace:
     """Minibatch SGD baseline: a single iterate stepped by the average of the
     M per-node stochastic gradients, drawn from the same per-node streams."""
-    return _single(Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
-                         capture_xhat=capture_xhat), cfg)
+    return _result(Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
+                         capture_xhat=capture_xhat), cfg, [cfg.seed])
 
 
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
@@ -724,16 +733,4 @@ def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
     """
     if len(seeds) < 2:
         raise ValueError("run_replicated needs at least 2 seeds")
-    if sweep is None:
-        sweep = Sweep(p, [cfg], ref, seeds)
-    lane = sweep.lane(cfg, seeds)
-    mean, se = dict(lane.mean), dict(lane.se)
-    mean["subopt"], se["subopt"] = lane.subopt_stats()
-    tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
-    return AggregateTrace(
-        t=lane.t, synced=lane.synced, mean=mean, se=se,
-        bar_subopt_tail=(float(tail[0]), float(tail[1])),
-        bar_subopt_head=(float(head[0]), float(head[1])),
-        seeds=tuple(sweep.seeds),
-        metadata=dict(lane.metadata),
-    )
+    return _result(sweep or Sweep(p, [cfg], ref, seeds), cfg, seeds)

@@ -91,12 +91,12 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     for q in (p, replace(p, dense_rows=None)):
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
-            X = np.tile(gen.standard_normal(p.dim), (1, 1, 3, 1))
-            G = engine.gradients(X, t, same=[True])
+            X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
+            G = engine.gradients(X, t, np.ones(1, dtype=bool))
             i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
-            worst = max(worst, rel_error(G[0, 0, 0], q_i, X[0, 0, 0]))
+            worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
     for _ in range(T):
         x = gen.standard_normal(p.dim)
         worst = max(worst, rel_error(objective.node_gradients(p, x)[0], p, x))

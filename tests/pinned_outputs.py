@@ -28,6 +28,10 @@ in-process on
 A byte-identity check is `diff -r A B` and a rebaseline report is
 `python3 tests/compare_outputs.py A B`, where A was written at the parent
 (`--root` pointing at its checkout) and B at the change.
+
+The script runs BLAS on one thread (OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS are set to 1 before numpy is imported), as the benchmark
+does: the a9a workload's outputs differ in their last bits at 2 threads.
 """
 from __future__ import annotations
 
@@ -133,6 +137,8 @@ def main(argv: list[str]) -> int:
                     help="checkout whose src/ and configs/ are run")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
+    # Read when numpy loads its BLAS, so set before the package is imported.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     sys.path.insert(0, os.path.join(root, "src"))
     from localsgd import cli
 

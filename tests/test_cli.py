@@ -531,7 +531,7 @@ seeds = 0:2
         assert stdout[0] == "H=1: iterate diverged at step 4576 (seed 0, node 0) (run skipped)"
         assert stdout == outs["1"][1] + outs["4"][1] + outs["16"][1]
         summary = (out / "summary.csv").read_text().splitlines()
-        assert summary[1] == "1,None,,,diverged"
+        assert summary[1] == "1,,,,diverged"
         for i, H in enumerate(("1", "4", "16")):
             assert summary[1 + i] == (outs[H][0] / "summary.csv").read_text().splitlines()[1]
         assert not (out / "run_H1.csv").exists()

@@ -306,7 +306,7 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
         assert np.array_equal(loss_many(q, X), losses(X))
 
         engine = _GradientEngine(q, cfg, [0, 1])
-        [G] = engine.gradients(Xs[None], 0, same=[False])
+        G = engine.gradients(Xs, 0, np.zeros(len(Xs), dtype=bool))
         idx = engine._draws(0)  # (seed, node, batch)
         rows = (A[idx] if q.dense_rows is not None
                 else A[idx.ravel()].toarray().reshape(*idx.shape, p.dim))
@@ -322,8 +322,8 @@ def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
     cfg = RunConfig(M=p.M, schedule=SyncSchedule.one_shot(T), gamma=0.0,
                     gradient_mode=mode, seed=seeds[0], batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
-    X = np.tile(x, (1, len(seeds), p.M, 1))
-    return [engine.gradients(X, t, same=[True])[0] for t in range(T)]
+    X = np.tile(x, (len(seeds), p.M, 1))
+    return [engine.gradients(X, t, np.ones(len(seeds), dtype=bool)) for t in range(T)]
 
 
 class TestStochasticGrad:
@@ -354,7 +354,7 @@ class TestStochasticGrad:
                         gradient_mode=mode, seed=0, noise_sigma=0.3)
         for q in storages(p):
             engine = _GradientEngine(q, cfg, seeds)
-            [G] = engine.gradients(X[None], 0, same=[common])
+            G = engine.gradients(X, 0, np.full(len(seeds), common))
             noise = (engine._draws(0) if mode == GradientMode.INJECTED_NOISE
                      else np.zeros_like(X))
             for s in range(len(seeds)):

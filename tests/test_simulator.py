@@ -458,7 +458,7 @@ class TestRefill:
         tracemalloc.start()
         try:
             engine = simulator._GradientEngine(p, cfg, seeds)
-            engine.gradients(X[None], 0, same=[True])
+            engine.gradients(X, 0, np.ones(len(seeds), dtype=bool))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -474,11 +474,12 @@ def setup_uneven(request):
     return p, solve_reference(p, 1e-11)
 
 
-def sweep_cfgs(p, mode, T=150, Hs=(1, 4, 16), seed=0):
-    # Gammas differ per config, as a planner's would.
+def sweep_cfgs(p, mode, T=150, Hs=(1, 4, 16), seed=0, record_every=1):
+    # Gammas differ per config, as a planner's would. Recording every 7th
+    # step gives each H its own recording and subopt grid.
     return [RunConfig(M=3, schedule=SyncSchedule.uniform(H, T),
                       gamma=1.0 / ((3 + k) * p.L), gradient_mode=mode, seed=seed,
-                      batch=2, noise_sigma=0.4, record_every=1)
+                      batch=2, noise_sigma=0.4, record_every=record_every)
             for k, H in enumerate(Hs)]
 
 
@@ -488,9 +489,11 @@ class TestSweep:
 
     @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("seeds", [[5], [3, 0, 8]], ids=["1seed", "3seeds"])
-    def test_each_config_equals_its_run_alone(self, setup_uneven, mode, seeds):
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_each_config_equals_its_run_alone(self, setup_uneven, mode, seeds,
+                                              record_every):
         p, ref = setup_uneven
-        cfgs = sweep_cfgs(p, mode, seed=seeds[0])
+        cfgs = sweep_cfgs(p, mode, seed=seeds[0], record_every=record_every)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         for cfg in cfgs:
             if len(seeds) == 1:
@@ -516,11 +519,27 @@ class TestSweep:
             outputs.add(csv_of(run_replicated(p, cfg, ref, seeds)))
         assert len(outputs) == 1
 
-    def test_diverging_config_fails_alone_and_the_others_complete(self, setup):
+    @pytest.mark.parametrize("rows", [3, 4])
+    def test_small_record_blocks_keep_each_config_equal_to_its_run_alone(
+            self, setup_uneven, monkeypatch, rows):
+        # Recording every 7th step, the configs' grids differ, so a block of
+        # the sweep's grid holds none, some or all of a config's rows.
+        p, ref = setup_uneven
+        cfgs = sweep_cfgs(p, GradientMode.STOCHASTIC, record_every=7)
+        seeds = [0, 1, 2]
+        alone = [csv_of(run_replicated(p, cfg, ref, seeds)) for cfg in cfgs]
+        monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
+        sweep = simulator.Sweep(p, cfgs, ref, seeds)
+        assert [csv_of(run_replicated(p, cfg, ref, seeds, sweep=sweep))
+                for cfg in cfgs] == alone
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_diverging_config_fails_alone_and_the_others_complete(self, setup,
+                                                                   record_every):
         p, ref = setup
-        cfgs = [make_cfg(p, T=60, H=4, record_every=1),
-                make_cfg(p, T=60, H=1, gamma=1e6, record_every=1),
-                make_cfg(p, T=60, H=16, record_every=1)]
+        cfgs = [make_cfg(p, T=60, H=4, record_every=record_every),
+                make_cfg(p, T=60, H=1, gamma=1e6, record_every=record_every),
+                make_cfg(p, T=60, H=16, record_every=record_every)]
         seeds = [0, 1, 2]
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         with pytest.raises(DivergenceError) as alone:
