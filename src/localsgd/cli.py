@@ -359,6 +359,11 @@ def cmd_run(args) -> int:
     _apply_overrides(cfg, args)
     # Check the whole configuration before the first solve.
     schedules = [resolve_schedule(cfg.schedule_spec, H, cfg.T) for H in cfg.H_list]
+    for i, schedule in enumerate(schedules):  # none may run, and write its files, twice
+        if schedule in schedules[:i]:
+            first = cfg.H_list[schedules.index(schedule)]
+            raise _invalid("H_list", f"H={first} and H={cfg.H_list[i]} give the same "
+                                     f"schedule {schedule.describe()}")
     if cfg.gradient_mode == GradientMode.INJECTED_NOISE and cfg.noise_sigma is None:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     _check_output(cfg.out_dir, is_dir=True, name="out_dir")
@@ -385,19 +390,13 @@ def cmd_run(args) -> int:
     # Every H is simulated in one lockstep sweep, on the first request below;
     # each H's result is then requested in turn, as its own run (the
     # benchmark's probe, bench/tracing.py, counts each request as one run).
-    sweep = Sweep(p, run_cfgs, ref, cfg.seeds if replicated else cfg.seeds[:1])
+    sweep = Sweep(p, run_cfgs, ref, cfg.seeds)
     for run_cfg in run_cfgs:
         schedule = run_cfg.schedule
         tag = f"H{schedule.H}"
         try:
-            if replicated:
-                trace = run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep)
-                final_sub = trace.mean["subopt"][-1]
-                final_dist = trace.mean["dist_sq"][-1]
-            else:
-                trace = run_local_sgd(p, run_cfg, ref, sweep=sweep)
-                final_sub = trace.subopt[-1]
-                final_dist = trace.dist_sq[-1]
+            trace = (run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep) if replicated
+                     else run_local_sgd(p, run_cfg, ref, sweep=sweep))
         except DivergenceError as e:
             print(f"H={schedule.H}: {e} (run skipped)")
             summary.append((schedule.H, None, None, None, "diverged"))
@@ -406,6 +405,7 @@ def cmd_run(args) -> int:
         with open(os.path.join(cfg.out_dir, f"run_{tag}.csv"), "w") as f:
             trace.to_csv(f)
         comm = trace.comm_rounds
+        final_sub, final_dist = trace.mean["subopt"][-1], trace.mean["dist_sq"][-1]
         verdicts = (_emit_bounds(cfg, p, run_cfg, ref, var_report, trace, tag)
                     if replicated else [])
         holds = all(v.holds for _, v in verdicts) if verdicts else None

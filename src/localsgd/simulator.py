@@ -140,9 +140,11 @@ class RunConfig:
             raise ValueError("batch must be >= 1")
         if self.record_every is not None and self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.gradient_mode == GradientMode.INJECTED_NOISE:
-            if self.noise_sigma is None or self.noise_sigma <= 0:
-                raise ValueError("injected-noise mode needs noise_sigma > 0")
+        sigma = self.noise_sigma
+        if self.gradient_mode == GradientMode.INJECTED_NOISE and sigma is None:
+            raise ValueError("injected-noise mode needs noise_sigma > 0")
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"noise_sigma must be finite and positive, got {sigma!r}")
 
     def stride(self) -> int:
         if self.record_every is not None:
@@ -313,68 +315,47 @@ def _write_csv(stream: TextIO, metadata: dict, t: np.ndarray, synced: np.ndarray
         stream.write(f"{step},{rnd},{sync}," + ",".join(map(repr, values)) + "\n")
 
 
-# The per-step metrics of a Trace, each aggregated over seeds.
+# The per-step metrics of a run, each aggregated over its seeds.
 _METRICS = ("V", "dist_sq", "subopt", "grad_norm_sq")
 
 
 @dataclass
-class Trace:
-    """Recorded metrics of a single run plus its summary."""
-
-    t: np.ndarray
-    synced: np.ndarray
-    V: np.ndarray
-    dist_sq: np.ndarray
-    subopt: np.ndarray  # nan off the _subopt_steps grid
-    grad_norm_sq: np.ndarray  # nan at T, where no gradient is taken
-    bar_subopt_tail: float  # f(mean of xhat_t, t = 1..T) - f*
-    bar_subopt_head: float  # f(mean of xhat_t, t = 0..T-1) - f*
-    metadata: dict
-    xhat: np.ndarray | None = None  # optional (rows, d) trajectory capture
-
-    @property
-    def comm_rounds(self) -> int:
-        return int(self.synced.sum())  # every synchronization is a recorded row
-
-    def to_csv(self, stream: TextIO) -> None:
-        md = dict(self.metadata,
-                  bar_subopt_tail=repr(float(self.bar_subopt_tail)),
-                  bar_subopt_head=repr(float(self.bar_subopt_head)),
-                  comm_rounds=self.comm_rounds)
-        _write_csv(stream, md, self.t, self.synced,
-                   {"V_t": self.V, "dist_sq": self.dist_sq, "subopt": self.subopt,
-                    "grad_norm_sq": self.grad_norm_sq})
-
-
-@dataclass
 class AggregateTrace:
-    """Per-step mean and standard error over a list of seeded runs."""
+    """The result of a run over one seed or many: the per-step mean and
+    standard error of each metric over the seeds, in sorted order. One seed
+    is the case S = 1: the means are the run's own values, the SEs 0, and
+    the CSV keeps a single run's layout, one value per metric and no SEs.
+    subopt is nan off the _subopt_steps grid, grad_norm_sq at T."""
 
     t: np.ndarray
     synced: np.ndarray
     mean: dict[str, np.ndarray]  # keyed by _METRICS
     se: dict[str, np.ndarray]
-    bar_subopt_tail: tuple[float, float]  # (mean, se)
-    bar_subopt_head: tuple[float, float]
+    bar_subopt_tail: tuple[float, float]  # (mean, se) of f(mean of xhat_t, t = 1..T) - f*
+    bar_subopt_head: tuple[float, float]  # (mean, se) of f(mean of xhat_t, t = 0..T-1) - f*
     seeds: tuple[int, ...]
     metadata: dict
+    xhat: np.ndarray | None = None  # captured (seeds, rows, d); xhat[i] is seeds[i]'s
 
     @property
     def comm_rounds(self) -> int:
         return int(self.synced.sum())  # every synchronization is a recorded row
 
     def to_csv(self, stream: TextIO) -> None:
-        md = dict(self.metadata,
-                  seeds=",".join(str(s) for s in self.seeds),
-                  n_seeds=len(self.seeds),
-                  comm_rounds=self.comm_rounds,
-                  bar_subopt_tail_mean=repr(self.bar_subopt_tail[0]),
-                  bar_subopt_tail_se=repr(self.bar_subopt_tail[1]),
-                  bar_subopt_head_mean=repr(self.bar_subopt_head[0]),
-                  bar_subopt_head_se=repr(self.bar_subopt_head[1]))
-        columns = {f"{name}_{stat}": values[name] for name in _METRICS
-                   for stat, values in (("mean", self.mean), ("se", self.se))}
-        _write_csv(stream, md, self.t, self.synced, columns)
+        bars = {"bar_subopt_tail": self.bar_subopt_tail, "bar_subopt_head": self.bar_subopt_head}
+        if len(self.seeds) == 1:
+            md = dict(self.metadata, seed=self.seeds[0],
+                      **{key: repr(mean) for key, (mean, _) in bars.items()})
+            columns = {"V_t" if name == "V" else name: self.mean[name] for name in _METRICS}
+        else:
+            md = dict(self.metadata, seeds=",".join(str(s) for s in self.seeds),
+                      n_seeds=len(self.seeds),
+                      **{f"{key}_{stat}": repr(value) for key, bar in bars.items()
+                         for stat, value in zip(("mean", "se"), bar)})
+            columns = {f"{name}_{stat}": values[name] for name in _METRICS
+                       for stat, values in (("mean", self.mean), ("se", self.se))}
+        _write_csv(stream, dict(md, comm_rounds=self.comm_rounds), self.t, self.synced,
+                   columns)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -622,9 +603,10 @@ class Sweep:
     streams, drawn once for the sweep, and one recording grid, the sorted
     union of theirs: every stride-th step and each config's synchronization
     steps. Each config's results are bitwise those of its run alone,
-    whichever configs share the sweep. Hand a sweep to run_local_sgd or
-    run_replicated, with the same p, ref and seeds, to get one config's
-    result from it.
+    whichever configs share the sweep. Hand a sweep to run_local_sgd (one
+    seed) or run_replicated, with the same p, ref and seeds, to get one
+    config's AggregateTrace from it; with capture_xhat, its xhat holds the
+    node-average trajectory of each requested seed.
     """
 
     def __init__(self, p: Problem, cfgs: Sequence[RunConfig], ref: ReferenceSolution,
@@ -677,37 +659,28 @@ class Sweep:
         return lane
 
 
-def _result(sweep: Sweep, cfg: RunConfig, seeds: Sequence[int]) -> Trace | AggregateTrace:
-    """cfg's result in the sweep over `seeds`: the Trace of its run when the
-    sweep has one seed, whose one observation per row is its own mean, else
-    the AggregateTrace over the seeds."""
+def _result(sweep: Sweep, cfg: RunConfig, seeds: Sequence[int]) -> AggregateTrace:
+    """cfg's result in the sweep, aggregated over `seeds` (the sweep's)."""
     lane = sweep.lane(cfg, seeds)
     mean, se = dict(zip(lane._PER_ROW, lane.mean)), dict(zip(lane._PER_ROW, lane.se))
     subopt = np.full((2, lane.t.size), np.nan)  # nan off its grid
     subopt[:, lane.subopt_at[lane.rows]] = lane.stats(lane.subopt)
     mean["subopt"], se["subopt"] = subopt
     tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
-    if len(sweep.seeds) == 1:
-        return Trace(t=lane.t, synced=lane.synced, V=mean["V"], dist_sq=mean["dist_sq"],
-                     subopt=mean["subopt"], grad_norm_sq=mean["grad_norm_sq"],
-                     bar_subopt_tail=float(tail[0]), bar_subopt_head=float(head[0]),
-                     metadata=dict(lane.metadata, seed=sweep.seeds[0]),
-                     xhat=None if lane.xhat is None else lane.xhat[0])
     return AggregateTrace(
         t=lane.t, synced=lane.synced, mean=mean, se=se,
-        bar_subopt_tail=(float(tail[0]), float(tail[1])),
-        bar_subopt_head=(float(head[0]), float(head[1])),
-        seeds=tuple(sweep.seeds),
-        metadata=dict(lane.metadata),
+        bar_subopt_tail=tuple(map(float, tail)), bar_subopt_head=tuple(map(float, head)),
+        seeds=tuple(sweep.seeds), metadata=dict(lane.metadata),
+        xhat=None if lane.xhat is None else lane.xhat[lane.pick],
     )
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
-                  capture_xhat: bool = False, sweep: Sweep | None = None) -> Trace:
-    """One Local SGD run: every node steps on its own stream; at each
-    scheduled timestamp all nodes are replaced by their average. With a
-    sweep holding cfg over the one seed cfg.seed, its result is taken from
-    the sweep."""
+                  capture_xhat: bool = False, sweep: Sweep | None = None) -> AggregateTrace:
+    """One Local SGD run over the seed cfg.seed: every node steps on its own
+    stream; at each scheduled timestamp all nodes are replaced by their
+    average. With a sweep holding cfg over that one seed, its result is
+    taken from the sweep."""
     if sweep is None:
         sweep = Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat)
     elif capture_xhat != sweep.capture_xhat:
@@ -716,21 +689,19 @@ def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
 
 
 def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
-                      capture_xhat: bool = False) -> Trace:
-    """Minibatch SGD baseline: a single iterate stepped by the average of the
-    M per-node stochastic gradients, drawn from the same per-node streams."""
+                      capture_xhat: bool = False) -> AggregateTrace:
+    """Minibatch SGD baseline over cfg.seed: a single iterate stepped by the
+    average of the M per-node stochastic gradients, from the same streams."""
     return _result(Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
                          capture_xhat=capture_xhat), cfg, [cfg.seed])
 
 
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
                    seeds: Sequence[int], *, sweep: Sweep | None = None) -> AggregateTrace:
-    """Mean and standard error of the trace metrics over independent seeds;
-    with a sweep holding cfg over these seeds, taken from the sweep.
+    """Local SGD runs of cfg over independent seeds, one or more; with a
+    sweep holding cfg over these seeds, taken from the sweep.
 
     Seeds are aggregated in sorted order so the result does not depend on how
     the list was arranged.
     """
-    if len(seeds) < 2:
-        raise ValueError("run_replicated needs at least 2 seeds")
     return _result(sweep or Sweep(p, [cfg], ref, seeds), cfg, seeds)

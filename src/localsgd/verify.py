@@ -118,8 +118,8 @@ def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
                     gradient_mode=GradientMode.STOCHASTIC, seed=11, record_every=1)
     tr_loc = run_local_sgd(p, cfg, ref, capture_xhat=True)
     tr_mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
-    denom = np.maximum(np.linalg.norm(tr_mb.xhat, axis=1), 1e-300)
-    rel = np.linalg.norm(tr_loc.xhat - tr_mb.xhat, axis=1) / denom
+    denom = np.maximum(np.linalg.norm(tr_mb.xhat[0], axis=1), 1e-300)
+    rel = np.linalg.norm(tr_loc.xhat[0] - tr_mb.xhat[0], axis=1) / denom
     worst = float(rel.max())
     return _result("engine-equivalence-H1", worst <= 1e-12,
                    f"max per-step iterate relative difference {worst:.2e}", t0)
@@ -150,7 +150,7 @@ def criterion_sync_invariant(level: str = "full") -> CriterionResult:
                         gamma=1.0 / (4 * p.L), gradient_mode=GradientMode.STOCHASTIC,
                         seed=int(gen.integers(2**31)), record_every=1)
         tr = run_local_sgd(p, cfg, ref)
-        if not np.all(tr.V[tr.synced] == 0.0):
+        if not np.all(tr.mean["V"][tr.synced] == 0.0):
             bad += 1
     return _result("sync-point-invariant", bad == 0,
                    f"{100 - bad}/100 random schedules had V_t == 0 exactly at syncs", t0)
@@ -274,14 +274,14 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
                      gradient_mode=GradientMode.FULL, seed=0)
     tr2 = run_local_sgd(p2, cfg2, ref2)
     limit = 4.0 * r0_sq(ref2) / (gamma2 * T2) * 1.01
-    one_shot_ok = (tr2.bar_subopt_head <= limit
-                   and tr2.subopt[-1] < tr2.subopt[0])
+    one_shot_ok = (tr2.bar_subopt_head[0] <= limit
+                   and tr2.mean["subopt"][-1] < tr2.mean["subopt"][0])
 
     ok = v.holds and one_shot_ok
     return _result("heterogeneous-bound", ok,
                    f"averaged-iterate bound {'ok' if v.holds else 'VIOLATED'} "
                    f"(emp/bound {v.slack_ratio:.3g}); one-shot interpolation "
-                   f"subopt {tr2.bar_subopt_head:.3e} <= {limit:.3e}: "
+                   f"subopt {tr2.bar_subopt_head[0]:.3e} <= {limit:.3e}: "
                    f"{'ok' if one_shot_ok else 'VIOLATED'}", t0)
 
 
@@ -406,7 +406,7 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
                             gradient_mode=GradientMode.STOCHASTIC, seed=3,
                             record_every=T + 1)
             tr = run_local_sgd(p, cfg, ref)
-            per_round = tr.dist_sq[tr.synced]
+            per_round = tr.mean["dist_sq"][tr.synced]
             tail = per_round[50:]
             if not _plateau_reached(tail):
                 falling.append(f"{gname} H={H}")
@@ -445,7 +445,7 @@ def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                         gradient_mode=GradientMode.FULL, seed=0, record_every=T + 1)
         tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
-        per_round[H] = objective.loss_many(p, tr.xhat[tr.synced]) - ref.f_star
+        per_round[H] = objective.loss_many(p, tr.xhat[0, tr.synced]) - ref.f_star
     target = 10.0 * per_round[16][-1]
     hits = {}
     for H, sub in per_round.items():

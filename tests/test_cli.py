@@ -307,6 +307,9 @@ dir = {tmp_path / 'out'}
     @pytest.mark.parametrize("flags, key", [
         (["--schedule", "explicit:5,10"], "[run] schedule (--schedule)"),
         (["--schedule", "explicit:10,5"], "[run] schedule (--schedule)"),
+        (["--H", "4,4"], "[run] H (--H): H=4 and H=4 give the same schedule uniform(H=4)"),
+        (["--schedule", "one-shot", "--H", "1,4"],
+         "[run] H (--H): H=1 and H=4 give the same schedule"),
         (["--gradient-mode", "injected-noise"], "[run] noise_sigma (--noise-sigma)"),
         (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
         (["--gamma", "-0.1"], "--gamma"),

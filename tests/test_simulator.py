@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,10 +115,10 @@ class TestLocalSgdBasics:
         p, ref = setup
         cfg = make_cfg(p, T=32, H=8, mode=GradientMode.FULL, record_every=1)
         tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
-        assert np.all(tr.V == 0.0)
+        assert np.all(tr.mean["V"] == 0.0)
         x = np.zeros(p.dim)
         for i, t in enumerate(tr.t):
-            assert np.allclose(tr.xhat[i], x, rtol=1e-12, atol=1e-300)
+            assert np.allclose(tr.xhat[0, i], x, rtol=1e-12, atol=1e-300)
             steps = (tr.t[i + 1] - t) if i + 1 < tr.t.size else 0
             for _ in range(int(steps)):
                 x = x - cfg.gamma * full_grad_global(p, x)
@@ -127,8 +128,8 @@ class TestLocalSgdBasics:
         cfg = make_cfg(p, T=80, H=1, record_every=1)
         a = run_local_sgd(p, cfg, ref, capture_xhat=True)
         b = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
-        rel = (np.linalg.norm(a.xhat - b.xhat, axis=1)
-               / np.maximum(np.linalg.norm(b.xhat, axis=1), 1e-300))
+        rel = (np.linalg.norm(a.xhat[0] - b.xhat[0], axis=1)
+               / np.maximum(np.linalg.norm(b.xhat[0], axis=1), 1e-300))
         assert np.max(rel) <= 1e-12
 
     def test_single_node_is_serial_sgd(self, setup):
@@ -155,7 +156,7 @@ class TestLocalSgdBasics:
         tr = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
         x = np.zeros(p.dim)
         for i in range(tr.t.size):
-            assert np.allclose(tr.xhat[i], x, rtol=1e-12, atol=1e-300)
+            assert np.allclose(tr.xhat[0, i], x, rtol=1e-12, atol=1e-300)
             x = x - cfg.gamma * full_grad_global(p, x)
 
     def test_config_validation(self, setup):
@@ -164,6 +165,11 @@ class TestLocalSgdBasics:
             run_local_sgd(p, make_cfg(p, M=3), ref)
         with pytest.raises(ValueError, match="noise_sigma"):
             run_local_sgd(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref)
+        for sigma in (float("nan"), float("inf")):
+            for mode in (GradientMode.INJECTED_NOISE, GradientMode.STOCHASTIC):
+                with pytest.raises(ValueError, match=f"noise_sigma must be finite and "
+                                                     f"positive, got {sigma!r}"):
+                    run_local_sgd(p, make_cfg(p, mode=mode, noise_sigma=sigma), ref)
 
 
 class TestInvariants:
@@ -171,10 +177,11 @@ class TestInvariants:
         p, ref = setup_het
         cfg = make_cfg(p, T=60, H=7, record_every=1)
         tr = run_local_sgd(p, cfg, ref)
-        assert tr.V[0] == 0.0
-        assert np.all(tr.V[tr.synced] == 0.0)
+        V = tr.mean["V"]
+        assert V[0] == 0.0
+        assert np.all(V[tr.synced] == 0.0)
         between = ~tr.synced & (tr.t > 0)
-        assert np.all(tr.V[between] > 0.0)
+        assert np.all(V[between] > 0.0)
 
     def test_recorded_rows_on_the_subopt_grid(self, setup_het):
         # 151 rows: subopt at t <= 64 and at 64 log-spaced steps up to T.
@@ -185,15 +192,16 @@ class TestInvariants:
         grid = simulator._subopt_steps(list(range(151)), 150)
         assert set(range(65)) | {150} <= grid and len(grid) == 129
         floor = 4 * np.finfo(float).eps * ref.f_star
+        xhat, dist_sq, subopt = tr.xhat[0], tr.mean["dist_sq"], tr.mean["subopt"]
         for r in range(151):
-            diff = tr.xhat[r] - ref.x_star
-            assert tr.dist_sq[r] == np.sum(diff * diff)
+            diff = xhat[r] - ref.x_star
+            assert dist_sq[r] == np.sum(diff * diff)
             if r in grid:
-                assert tr.subopt[r] == pytest.approx(loss(p, tr.xhat[r]) - ref.f_star,
-                                                     rel=1e-12, abs=floor)
+                assert subopt[r] == pytest.approx(loss(p, xhat[r]) - ref.f_star,
+                                                  rel=1e-12, abs=floor)
             else:
-                assert np.isnan(tr.subopt[r])
-        assert np.all(tr.V[tr.synced] == 0.0) and tr.synced.sum() == 38
+                assert np.isnan(subopt[r])
+        assert np.all(tr.mean["V"][tr.synced] == 0.0) and tr.synced.sum() == 38
 
     def test_recorder_loss_is_one_s_column_product_per_grid_row(self, setup_het,
                                                                 monkeypatch):
@@ -241,7 +249,7 @@ class TestInvariants:
             if (t + 1) in cfg.schedule.sync_steps:
                 X = np.tile(X.mean(axis=0), (4, 1))
             denom = max(float(np.linalg.norm(xhat_next_pred)), 1e-300)
-            rel = np.linalg.norm(tr.xhat[t + 1] - xhat_next_pred) / denom
+            rel = np.linalg.norm(tr.xhat[0, t + 1] - xhat_next_pred) / denom
             assert rel <= 1e-12
 
     def test_schedule_equivalence_bitwise(self, setup):
@@ -258,8 +266,7 @@ class TestInvariants:
             out.append(run_local_sgd(p, cfg, ref))
         a, b = out
         for field in ("V", "dist_sq", "subopt", "grad_norm_sq"):
-            assert np.array_equal(getattr(a, field), getattr(b, field),
-                                  equal_nan=True)
+            assert np.array_equal(a.mean[field], b.mean[field], equal_nan=True)
 
     def test_comm_rounds_uniform(self, setup):
         p, ref = setup
@@ -275,7 +282,7 @@ class TestInvariants:
         cfg = make_cfg(p, T=24, H=4, record_every=1)
         skip_averaging(monkeypatch)
         tr = run_local_sgd(p, cfg, ref)
-        assert np.any(tr.V[tr.synced] > 0.0)
+        assert np.any(tr.mean["V"][tr.synced] > 0.0)
 
     def test_disable_averaging_breaks_h1_equivalence(self, setup, monkeypatch):
         p, ref = setup
@@ -283,8 +290,8 @@ class TestInvariants:
         mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
         skip_averaging(monkeypatch)
         tampered = run_local_sgd(p, cfg, ref, capture_xhat=True)
-        rel = (np.linalg.norm(tampered.xhat - mb.xhat, axis=1)
-               / np.maximum(np.linalg.norm(mb.xhat, axis=1), 1e-300))
+        rel = (np.linalg.norm(tampered.xhat[0] - mb.xhat[0], axis=1)
+               / np.maximum(np.linalg.norm(mb.xhat[0], axis=1), 1e-300))
         assert np.max(rel) > 1e-12
 
     def test_disable_averaging_fails_sync_criterion(self, monkeypatch):
@@ -341,13 +348,20 @@ class TestReplicated:
         for s in (0, 1):
             cfg_s = make_cfg(p, T=30, H=5, seed=s, record_every=1)
             traces.append(run_local_sgd(p, cfg_s, ref))
-        stacked = np.stack([tr.dist_sq for tr in traces], axis=1)
+        stacked = np.stack([tr.mean["dist_sq"] for tr in traces], axis=1)
         assert np.allclose(agg.mean["dist_sq"], stacked.mean(axis=1), rtol=1e-12)
 
-    def test_needs_two_seeds(self, setup):
+    def test_one_seed_is_the_single_run(self, setup):
+        # One seed is the S = 1 aggregate: the run's own values, SEs of 0,
+        # and the single-run CSV layout.
         p, ref = setup
-        with pytest.raises(ValueError, match="2 seeds"):
-            run_replicated(p, make_cfg(p), ref, seeds=[0])
+        cfg = make_cfg(p, T=30, H=5, seed=4, record_every=1)
+        agg = run_replicated(p, cfg, ref, seeds=[4])
+        assert csv_of(agg) == csv_of(run_local_sgd(p, cfg, ref))
+        assert agg.seeds == (4,)
+        for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
+            assert np.all((agg.se[name] == 0.0) | np.isnan(agg.mean[name]))
+        assert agg.bar_subopt_tail[1] == agg.bar_subopt_head[1] == 0.0
 
     def test_noise_replication_matches_single(self, setup):
         p, ref = setup
@@ -357,7 +371,7 @@ class TestReplicated:
         tr9 = run_local_sgd(p, make_cfg(p, T=20, H=4, seed=9,
                                         mode=GradientMode.INJECTED_NOISE,
                                         noise_sigma=0.5, record_every=1), ref)
-        stacked_max = np.maximum(agg.mean["dist_sq"], tr9.dist_sq)
+        stacked_max = np.maximum(agg.mean["dist_sq"], tr9.mean["dist_sq"])
         # seed 9's trace participates in the aggregate: mean of {s0, s9}
         # lies between min and max of the pair at every step
         assert np.all(agg.mean["dist_sq"] <= stacked_max + 1e-30)
@@ -551,6 +565,24 @@ class TestSweep:
         for cfg in (cfgs[0], cfgs[2]):
             assert (csv_of(run_replicated(p, cfg, ref, seeds, sweep=sweep))
                     == csv_of(run_replicated(p, cfg, ref, seeds)))
+
+    @pytest.mark.parametrize("mode", [GradientMode.STOCHASTIC, GradientMode.FULL],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("seeds", [[2, 0, 1], [1, 0, 1]], ids=["distinct", "repeat"])
+    def test_captured_xhat_holds_each_seeds_trajectory(self, setup_uneven, mode, seeds):
+        # FULL simulates one seed for all of them, and a repeated seed once.
+        # Injected noise is left out: its exact-gradient product rounds the
+        # iterates differently at another batch width, in the last bit.
+        p, ref = setup_uneven
+        cfgs = sweep_cfgs(p, mode, T=40)
+        sweep = simulator.Sweep(p, cfgs, ref, seeds, capture_xhat=True)
+        for cfg in cfgs:
+            agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+            assert agg.xhat.shape == (len(seeds), agg.t.size, p.dim)
+            assert agg.seeds == tuple(sorted(seeds))
+            for seed, xhat in zip(agg.seeds, agg.xhat):
+                alone = run_local_sgd(p, replace(cfg, seed=seed), ref, capture_xhat=True)
+                assert np.array_equal(xhat, alone.xhat[0])
 
     def test_configs_must_share_the_steps_and_draws(self, setup):
         p, ref = setup
