@@ -8,6 +8,7 @@ loader never downloads anything.
 """
 from __future__ import annotations
 
+import array
 import enum
 import gzip
 import hashlib
@@ -15,12 +16,14 @@ import io
 import math
 import os
 from dataclasses import KW_ONLY, dataclass
-from typing import Iterable, TextIO
+from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .numkit import RngStream
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class LibsvmFormatError(ValueError):
@@ -51,14 +54,19 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sparse labeled samples in file order; rows live in one CSR matrix."""
+    """Labeled samples in file order, their rows in one matrix of either
+    storage: a dense (n, dim) float64 ndarray (synthetic data) or a CSR
+    matrix (LIBSVM files). Only code that builds or reads CSR imports
+    scipy.sparse, so a dense dataset never loads it."""
 
-    features: sp.csr_matrix  # shape (n, dim), float64
+    features: np.ndarray | sp.csr_matrix  # shape (n, dim), float64
     labels: np.ndarray  # shape (n,), entries in {-1.0, +1.0}
     _: KW_ONLY
     name: str = "unnamed"
 
     def __post_init__(self):
+        if self.is_dense and self.features.ndim != 2:
+            raise ValueError("dense features must be a 2-D array")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
         if self.dim <= 0:
@@ -75,7 +83,17 @@ class Dataset:
     def dim(self) -> int:
         return int(self.features.shape[1])
 
+    @property
+    def is_dense(self) -> bool:
+        return isinstance(self.features, np.ndarray)
+
     def row_norms_sq(self) -> np.ndarray:
+        """||a_i||^2 per row. The dense sum runs left to right over each
+        row, as scipy's CSR row sum does, so both storages of one matrix
+        give the same bits; a pairwise sum (np.sum(axis=1)) would not."""
+        if self.is_dense:
+            sq = np.square(self.features).ravel()
+            return np.add.reduceat(sq, np.arange(0, sq.size, self.dim))
         sq = self.features.multiply(self.features)
         return np.asarray(sq.sum(axis=1)).ravel()
 
@@ -112,13 +130,16 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
 
     Indices are converted to 0-based and must be strictly increasing within a
     line. `dim` may only pad the inferred dimension upward (LIBSVM files omit
-    trailing all-zero features).
+    trailing all-zero features). Entries collect in typed buffers, 8 bytes
+    per value and per index, rather than in lists of Python numbers.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    raw_labels: list[float] = []
+    data = array.array("d")
+    indices = array.array("q")
+    indptr = array.array("q", [0])
+    raw_labels = array.array("d")
+    add_value, add_index, end_row = data.append, indices.append, indptr.append
+    isfinite = math.isfinite
 
     for lineno, line in enumerate(stream, start=1):
         line = line.split("#", 1)[0].strip()
@@ -137,32 +158,35 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
                 val = float(val_s)
             except ValueError:
                 raise LibsvmFormatError(f"line {lineno}: malformed feature {tok!r}") from None
-            if idx < 0:
-                raise LibsvmFormatError(f"line {lineno}: feature index must be >= 1")
-            if idx <= prev:
-                raise LibsvmFormatError(f"line {lineno}: indices not strictly increasing")
-            if not math.isfinite(val):
+            if idx <= prev:  # prev starts at -1, so this also catches idx < 0
+                raise LibsvmFormatError(
+                    f"line {lineno}: feature index must be >= 1" if idx < 0
+                    else f"line {lineno}: indices not strictly increasing")
+            if not isfinite(val):
                 raise LibsvmFormatError(f"line {lineno}: non-finite feature {tok!r}")
             prev = idx
             if val != 0.0:
-                indices.append(idx)
-                data.append(val)
-        indptr.append(len(data))
+                add_index(idx)
+                add_value(val)
+        end_row(len(data))
 
     if not raw_labels:
         raise LibsvmFormatError("empty file: no samples")
 
-    inferred = (max(indices) + 1) if indices else 1
+    # Views of the buffers, not copies.
+    idx_arr = np.frombuffer(indices, dtype=np.int64)
+    inferred = int(idx_arr.max()) + 1 if idx_arr.size else 1
     if dim is None:
         dim = inferred
     elif dim < inferred:
         raise LibsvmFormatError(f"dim override {dim} below max feature index ({inferred})")
 
-    labels = _normalize_labels(np.asarray(raw_labels, dtype=np.float64))
+    import scipy.sparse as sp
+
+    labels = _normalize_labels(np.frombuffer(raw_labels, dtype=np.float64))
     mat = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
+        (np.frombuffer(data, dtype=np.float64), idx_arr,
+         np.frombuffer(indptr, dtype=np.int64)),
         shape=(len(raw_labels), dim),
     )
     return Dataset(features=mat, labels=labels, name=name)
@@ -300,17 +324,24 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         labels = labels[order]
     if name is None:
         name = f"synthetic-n{n}-d{d}-s{seed}"
-    return Dataset(features=sp.csr_matrix(feats), labels=labels, name=name)
+    return Dataset(features=feats, labels=labels, name=name)
 
 
 def concat_datasets(parts: Iterable[Dataset], name: str = "concat") -> Dataset:
-    """Stack datasets in order; used e.g. to replicate one block across nodes."""
+    """Stack datasets in order, narrower ones padded with zero columns; used
+    e.g. to replicate one block across nodes. The result is dense when every
+    part is, else CSR."""
     parts = list(parts)
     if not parts:
         raise ValueError("nothing to concatenate")
     dim = max(p.dim for p in parts)
-    mats = [sp.csr_matrix((p.features.data, p.features.indices, p.features.indptr),
-                          shape=(p.n, dim)) for p in parts]
-    feats = sp.vstack(mats, format="csr")
     labels = np.concatenate([p.labels for p in parts])
+    if all(p.is_dense for p in parts):
+        feats = np.vstack([np.pad(p.features, ((0, 0), (0, dim - p.dim))) for p in parts])
+    else:
+        import scipy.sparse as sp
+
+        mats = [sp.csr_matrix(p.features) for p in parts]
+        feats = sp.vstack([sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], dim))
+                           for m in mats], format="csr")
     return Dataset(features=feats, labels=labels, name=name)

@@ -6,13 +6,15 @@ evaluated exactly at that optimum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TextIO
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataio import Dataset, Partition, Regime
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ConvergenceError(RuntimeError):
@@ -37,6 +39,11 @@ class Problem:
     gradient or loss takes a pass over the labels. Negation is exact and
     rounding is sign-symmetric, so each product is the unsigned one times
     y_i bit for bit.
+
+    B is held once, in exactly one of two storages: `dense_rows` for a
+    dense dataset or a CSR one that is mostly dense anyway, else
+    `csr_rows`. Only the d x d Gram helper behind L and the Newton
+    curvature reads the dataset's unsigned matrix, in dense blocks.
     """
 
     dataset: Dataset
@@ -47,11 +54,8 @@ class Problem:
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
     # B as CSR: signed data sharing the dataset's indices and indptr.
-    csr_rows: sp.csr_matrix = field(repr=False)
-    # Dense copy of B when the stored matrix is mostly dense anyway
-    # (synthetic data); genuinely sparse datasets keep None and all products
-    # go through CSR. Only the d x d Gram helper behind L and the Newton
-    # curvature reads the dataset's unsigned matrix, in dense blocks.
+    csr_rows: sp.csr_matrix | None = field(default=None, repr=False)
+    # B as one C-contiguous (n, d) array.
     dense_rows: np.ndarray | None = field(default=None, repr=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -113,13 +117,26 @@ _GRAM_ROWS = 256
 
 
 def _weighted_gram(dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    """A^T diag(w) A for the dataset's CSR rows A, as a dense (d, d) array
-    summed over dense blocks of its rows."""
-    A = dataset.features
-    G = np.zeros((A.shape[1], A.shape[1]))
-    for start in range(0, A.shape[0], _GRAM_ROWS):
-        B = A[start:start + _GRAM_ROWS].toarray()
-        G += B.T @ (w[start:start + _GRAM_ROWS, None] * B)
+    """A^T diag(w) A for the dataset's unsigned rows A, as a dense (d, d)
+    array summed over dense blocks of its rows. A CSR block is scattered
+    into a zeroed array straight from indptr, indices and data, which gives
+    the block scipy's toarray() would (the entries of a row are distinct)."""
+    A, n, d = dataset.features, dataset.n, dataset.dim
+    G = np.zeros((d, d))
+    scratch = None if dataset.is_dense else np.empty(_GRAM_ROWS * d)
+    for start in range(0, n, _GRAM_ROWS):
+        stop = min(start + _GRAM_ROWS, n)
+        if scratch is None:
+            B = A[start:stop]
+        else:
+            ptr = A.indptr[start:stop + 1]
+            B = scratch[:(stop - start) * d]
+            B[:] = 0.0
+            flat = np.repeat(np.arange(0, (stop - start) * d, d), np.diff(ptr))
+            flat += A.indices[ptr[0]:ptr[-1]]
+            B[flat] = A.data[ptr[0]:ptr[-1]]
+            B = B.reshape(stop - start, d)
+        G += B.T @ (w[start:stop, None] * B)
     return G
 
 
@@ -137,18 +154,35 @@ def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
+def _signed_csr(A: sp.csr_matrix, y: np.ndarray) -> sp.csr_matrix:
+    """B = diag(y) A for CSR rows A: signed data sharing A's indices and
+    indptr."""
+    import scipy.sparse as sp
+
+    data = np.repeat(y, np.diff(A.indptr))  # the label of each stored entry
+    data *= A.data
+    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape, copy=False)
+
+
 def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -> Problem:
-    """Assemble a Problem; lam defaults to 1/n as in the experimental setup."""
+    """Assemble a Problem; lam defaults to 1/n as in the experimental setup.
+
+    A dense dataset's rows are signed straight into `dense_rows`. A CSR
+    dataset keeps B as CSR, or densifies it when at least half its entries
+    are stored, where dense products cost no more."""
     if lam is None:
         lam = 1.0 / dataset.n
     if lam < 0:
         raise ValueError("lam must be >= 0")
     rn = dataset.row_norms_sq()
     A, y = dataset.features, dataset.labels
-    data = np.repeat(y, np.diff(A.indptr))  # the label of each stored entry
-    data *= A.data
-    signed = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape, copy=False)
-    dense = signed.toarray() if A.nnz >= 0.5 * A.shape[0] * A.shape[1] else None
+    csr = dense = None
+    if dataset.is_dense:
+        dense = np.multiply(A, y[:, None], order="C")
+    else:
+        csr = _signed_csr(A, y)
+        if A.nnz >= 0.5 * A.shape[0] * A.shape[1]:
+            csr, dense = None, csr.toarray()
     return Problem(
         dataset=dataset,
         part=part,
@@ -157,9 +191,20 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
-        csr_rows=signed,
+        csr_rows=csr,
         dense_rows=dense,
     )
+
+
+def csr_twin(p: Problem) -> Problem:
+    """p with its dataset and rows held as CSR and every product taken
+    through CSR: the sparse code path on the same problem, for checking it
+    against the dense one."""
+    import scipy.sparse as sp
+
+    A = sp.csr_matrix(p.dataset.features)
+    return replace(p, dataset=replace(p.dataset, features=A),
+                   csr_rows=_signed_csr(A, p.dataset.labels), dense_rows=None)
 
 
 # ---------------------------------------------------------------------------

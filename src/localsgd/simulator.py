@@ -106,10 +106,12 @@ class SyncSchedule:
         return cls(sync_steps=steps, H=_max_gap(steps))
 
     def describe(self) -> str:
-        if self.sync_steps == tuple(range(self.H, self.final + 1, self.H)):
-            return f"uniform(H={self.H})"
+        # A single synchronization reads one-shot whatever H was declared:
+        # uniform(T, T) and uniform(H > T, T) are one-shot schedules too.
         if len(self.sync_steps) == 1:
             return f"one-shot(T={self.final})"
+        if self.sync_steps == tuple(range(self.H, self.final + 1, self.H)):
+            return f"uniform(H={self.H})"
         return "explicit(" + ",".join(str(s) for s in self.sync_steps) + f";H={self.H})"
 
 

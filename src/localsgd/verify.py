@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,13 +88,13 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
                     gradient_mode=GradientMode.STOCHASTIC, seed=101)
     drawn = draw_indices(RngStream(seed=cfg.seed, stream_id=0), p.dataset.n, (T, 1))
     worst = 0.0
-    for q in (p, replace(p, dense_rows=None)):
+    for q in (p, objective.csr_twin(p)):
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
             G = engine.gradients(X, t, np.ones(1, dtype=bool))
             i = int(drawn[t, 0])
-            row = dataio.Dataset(ds.features[i], ds.labels[i:i + 1])
+            row = dataio.Dataset(ds.features[i:i + 1], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
             worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
     for _ in range(T):

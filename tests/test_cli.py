@@ -309,7 +309,7 @@ dir = {tmp_path / 'out'}
         (["--schedule", "explicit:10,5"], "[run] schedule (--schedule)"),
         (["--H", "4,4"], "[run] H (--H): H=4 and H=4 give the same schedule uniform(H=4)"),
         (["--schedule", "one-shot", "--H", "1,4"],
-         "[run] H (--H): H=1 and H=4 give the same schedule"),
+         "[run] H (--H): H=1 and H=4 give the same schedule one-shot(T=20)"),
         (["--gradient-mode", "injected-noise"], "[run] noise_sigma (--noise-sigma)"),
         (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
         (["--gamma", "-0.1"], "--gamma"),
@@ -816,3 +816,42 @@ class TestVerifyRegistry:
         from localsgd.verify import CriterionResult
         r = CriterionResult("x", "PASS", "fine", 1.234)
         assert r.line().startswith("[PASS] x (1.2s)")
+
+
+class TestImportFootprint:
+    """scipy.sparse is loaded only where CSR data is built or read: a
+    synthetic run and the planner never pay for it, a LIBSVM load does."""
+
+    _SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _sparse_loaded(self, argv, tmp_path) -> bool:
+        code = ("import sys; from localsgd import cli; "
+                "code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0; "
+                "print(code, 'scipy.sparse' in sys.modules)")
+        env = dict(os.environ,
+                   PYTHONPATH=self._SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        env.pop("LOCALSGD_DATA_DIR", None)
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                             check=True, capture_output=True, text=True).stdout
+        status, loaded = out.strip().splitlines()[-1].split()
+        assert status == "0"
+        return loaded == "True"
+
+    def test_import_plan_and_synthetic_run_leave_it_out(self, tmp_path):
+        cfg = TestRunCmd()._config(tmp_path)
+        for argv in ([], ["plan", "--what", "h", "--rule", "wc-heterogeneous",
+                          "--T", "256", "--M", "4"],
+                     ["run", "--config", cfg, "--seeds", "0:2"]):
+            assert not self._sparse_loaded(argv, tmp_path), argv
+        assert (tmp_path / "out" / "run_H2.csv").exists()
+
+    def test_libsvm_load_brings_it_in(self, tmp_path):
+        data_dir = tmp_path / "data"  # the default data dir, under the cwd
+        data_dir.mkdir()
+        with open(data_dir / "toy.txt", "w") as f:
+            to_libsvm(generate_synthetic(40, 4, seed=10), f)
+        sha = sha256_of(str(data_dir / "toy.txt"))
+        (data_dir / "manifest.txt").write_text(f"toy toy.txt {sha} 40 4\n")
+        assert self._sparse_loaded(["solve-ref", "--source", "toy", "--tol", "1e-6",
+                                    "--out", str(tmp_path / "ref.txt")], tmp_path)
+        assert (tmp_path / "ref.txt").exists()

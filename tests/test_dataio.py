@@ -1,5 +1,6 @@
 import gzip
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,28 @@ class TestParse:
         ds = parse_libsvm("# header\n+1 1:1.0\n\n-1 2:1.0  # trailing\n")
         assert ds.n == 2
 
+    def test_parse_memory_per_nonzero(self):
+        # a9a-shaped rows: 14 stored entries of 123 per row. The parsed CSR
+        # keeps 8 bytes per value and 4 per index; the parse may peak at 48
+        # bytes per entry. One Python float per entry in a list costs 32.
+        gen = np.random.default_rng(12)
+        rows = []
+        for i in range(2000):
+            cols = np.sort(gen.choice(123, 14, replace=False)) + 1
+            vals = gen.standard_normal(14)
+            rows.append(("+1 " if i % 4 else "-1 ")
+                         + " ".join(f"{c}:{v!r}" for c, v in zip(cols.tolist(), vals.tolist())))
+        stream = io.StringIO("\n".join(rows) + "\n")  # allocated before tracing
+        import scipy.sparse  # noqa: F401 -- the parse is measured, not this import
+        tracemalloc.start()
+        try:
+            ds = parse_libsvm(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.nnz == 2000 * 14
+        assert peak / ds.features.nnz <= 48, f"{peak / ds.features.nnz:.1f} bytes per nonzero"
+
 
 class TestRoundTrip:
     @given(st.integers(0, 2**31))
@@ -102,7 +125,7 @@ class TestRoundTrip:
         again = parse_libsvm(buf.getvalue(), name=ds.name, dim=ds.dim)
         assert again.n == ds.n and again.dim == ds.dim
         assert np.array_equal(again.labels, ds.labels)
-        assert (again.features != ds.features).nnz == 0
+        assert np.array_equal(again.features.toarray(), ds.features)
 
     def test_awkward_values_round_trip(self):
         text = "+1 1:1e-300 3:0.1\n-1 2:123456789.123456789\n"
@@ -210,7 +233,7 @@ class TestSynthetic:
         a = generate_synthetic(50, 7, seed=11)
         b = generate_synthetic(50, 7, seed=11)
         assert np.array_equal(a.labels, b.labels)
-        assert (a.features != b.features).nnz == 0
+        assert np.array_equal(a.features, b.features)
 
     def test_sorted_labels(self):
         ds = generate_synthetic(100, 5, seed=12, sort_by_label=True)
@@ -227,3 +250,23 @@ class TestSynthetic:
         tiled = concat_datasets([block] * 3)
         assert tiled.n == 60
         assert np.array_equal(tiled.labels[:20], block.labels)
+
+    def test_concat_pads_narrow_parts_in_either_storage(self):
+        # All-dense parts stay dense; any CSR part makes the result CSR.
+        dense = generate_synthetic(20, 5, seed=14)
+        narrow = generate_synthetic(4, 3, seed=15)
+        sparse = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n")  # dim 3
+        want = np.vstack([dense.features, np.pad(narrow.features, ((0, 0), (0, 2))),
+                          np.pad(sparse.features.toarray(), ((0, 0), (0, 2)))])
+        both = concat_datasets([dense, narrow])
+        assert both.is_dense and np.array_equal(both.features, want[:24])
+        mixed = concat_datasets([dense, narrow, sparse])
+        assert not mixed.is_dense and np.array_equal(mixed.features.toarray(), want)
+        assert np.array_equal(mixed.labels, np.concatenate(
+            [dense.labels, narrow.labels, sparse.labels]))
+
+    def test_dense_features_must_be_a_matrix(self):
+        ds = generate_synthetic(5, 3, seed=16)
+        assert Dataset(ds.features[:1], ds.labels[:1]).dim == 3
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(ds.features[0], ds.labels[:1])  # one row taken as a vector

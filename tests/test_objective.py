@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -262,7 +261,26 @@ class TestGradients:
 
 def storages(p):
     """p and its CSR twin, the same problem with every product through CSR."""
-    return p, dataclasses.replace(p, dense_rows=None)
+    return p, objective.csr_twin(p)
+
+
+def test_dataset_storages_build_the_same_problem_bitwise():
+    # The shipped heterogeneous data as its dense array and as CSR. The CSR
+    # dataset is fully stored, so it is densified too; every constant, the
+    # signed rows and the reference optimum must agree bit for bit.
+    ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True, label_noise=0.02)
+    as_csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels, name=ds.name)
+    assert ds.is_dense and not as_csr.is_dense
+    assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
+    assert np.array_equal(ds.row_norms_sq(), as_csr.row_norms_sq())
+    dense, csr = (build_problem(d, partition(d, 4, Regime.HETEROGENEOUS))
+                  for d in (ds, as_csr))
+    assert dense.csr_rows is None and csr.csr_rows is None  # B is held once
+    assert np.array_equal(dense.row_norms_sq, csr.row_norms_sq)
+    assert dense.L == csr.L and dense.L_component == csr.L_component
+    assert np.array_equal(dense.dense_rows, csr.dense_rows)
+    assert np.array_equal(solve_reference(dense, 1e-11).x_star,
+                          solve_reference(csr, 1e-11).x_star)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -285,7 +303,7 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
                     gradient_mode=GradientMode.STOCHASTIC, seed=0, batch=3)
     for q in storages(p):
-        A = p.dataset.features if q.dense_rows is None else p.dataset.features.toarray()
+        A = q.dataset.features
 
         def grads(X, num):
             U = y[:, None] * (A @ X.T)
@@ -415,7 +433,7 @@ class TestStochasticGrad:
         x = np.ones(4) * 0.2
         # reproduce the draw with the same stream and average manually
         idx = draw_indices(RngStream(seed=13, stream_id=0), 20, (1, 7))[0]
-        rows = p.dataset.features[idx].toarray()
+        rows = p.dataset.features[idx]
         ys = p.dataset.labels[idx]
         manual = np.zeros(4)
         for a, y in zip(rows, ys):
@@ -450,7 +468,7 @@ class TestEstimateL:
 
     def test_against_dense_eigensolver(self):
         ds = generate_synthetic(50, 7, seed=16)
-        A = ds.features.toarray()
+        A = ds.features
         oracle = float(np.linalg.eigvalsh(A.T @ A / (4 * ds.n)).max())
         assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(oracle, rel=1e-8)
 
@@ -458,7 +476,7 @@ class TestEstimateL:
         # Oracle: the largest singular value of the dense A, squared.
         ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True,
                                 label_noise=0.02)
-        sigma_max = np.linalg.svd(ds.features.toarray(), compute_uv=False)[0]
+        sigma_max = np.linalg.svd(ds.features, compute_uv=False)[0]
         assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(
             sigma_max**2 / (4 * ds.n), rel=1e-12)
 
@@ -470,9 +488,22 @@ class TestEstimateL:
         p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS), lam=0.0)
         assert [b - a for a, b in p.part.node_ranges] == [4, 3]
         w = np.repeat([1 / (2 * 4), 1 / (2 * 3)], [4, 3])
-        A = ds.features.toarray()
+        A = ds.features
         oracle = float(np.linalg.eigvalsh(A.T @ (w[:, None] * A) / 4)[-1])
         assert p.L >= oracle * (1 - 1e-12)
+
+    def test_csr_gram_blocks_equal_scipy_blocks(self):
+        # The Gram's CSR blocks are scattered from indptr, indices and data;
+        # they must sum to the bits of scipy's sliced toarray() blocks, over
+        # empty rows and a last block shorter than the others.
+        p = sparse_problem(601, d=40, density=0.05)
+        A, w, rows = p.dataset.features, p.weights, objective._GRAM_ROWS
+        assert np.any(np.diff(A.indptr) == 0) and A.shape[0] % rows
+        want = np.zeros((40, 40))
+        for start in range(0, A.shape[0], rows):
+            B = A[start:start + rows].toarray()
+            want += B.T @ (w[start:start + rows, None] * B)
+        assert np.array_equal(objective._weighted_gram(p.dataset, w), want)
 
     def test_component_constant_dominates(self):
         p = small_problem(n=50, d=5)
@@ -527,7 +558,7 @@ class TestSolveReference:
         # Newton system has no unique solution, and the step must still
         # be defined.
         ds = generate_synthetic(80, 4, seed=21, label_noise=0.3)
-        A = ds.features.toarray()
+        A = ds.features
         dup = dataset_from_rows(np.hstack([A, A[:, :1]]), ds.labels)
         p = build_problem(dup, partition(dup, 2, Regime.IDENTICAL), lam=0.0)
         assert np.linalg.matrix_rank(A.T @ A) == 4
@@ -620,7 +651,7 @@ class TestMeasureVariances:
         ref = solve_reference(p, 1e-12)
         x = ref.x_star
         comps = [-y * expit(-y * float(a @ x)) * a + p.lam * x
-                 for a, y in zip(ds.features.toarray(), ds.labels)]
+                 for a, y in zip(ds.features, ds.labels)]
 
         def pair_moment(start, stop):
             block = range(start, stop)

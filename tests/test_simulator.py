@@ -80,6 +80,23 @@ class TestSyncSchedule:
         s = SyncSchedule.from_steps([3, 5, 11])
         assert s.H == 6  # the 5 -> 11 gap
 
+    @pytest.mark.parametrize("schedule", [
+        SyncSchedule.one_shot(20), SyncSchedule.uniform(20, 20), SyncSchedule.uniform(40, 20),
+    ])
+    def test_single_sync_describes_as_one_shot(self, schedule):
+        # uniform(20, 20) is one_shot(20); uniform(40, 20) syncs only at T too.
+        assert schedule.sync_steps == (20,)
+        assert schedule.describe() == "one-shot(T=20)"
+
+    @pytest.mark.parametrize("schedule, text", [
+        (SyncSchedule.uniform(4, 12), "uniform(H=4)"),
+        (SyncSchedule.uniform(1, 2), "uniform(H=1)"),
+        (SyncSchedule.uniform(5, 12), "explicit(5,10,12;H=5)"),
+        (SyncSchedule.from_steps([3, 5, 11]), "explicit(3,5,11;H=6)"),
+    ])
+    def test_describe_other_schedules(self, schedule, text):
+        assert schedule.describe() == text
+
 
 def engine_vt(X) -> float:
     """V_t of one (M, d) stack of node iterates, as the engine computes it."""
@@ -232,7 +249,7 @@ class TestInvariants:
         from localsgd.numkit import draw_indices
         from scipy.special import expit
         X = np.zeros((4, p.dim))
-        rows_all = p.dataset.features.toarray()
+        rows_all = p.dataset.features
         idx = {m: p.node_range(m)[0] + draw_indices(
             RngStream(seed=cfg.seed, stream_id=m),
             p.node_range(m)[1] - p.node_range(m)[0], (cfg.T, 1))
