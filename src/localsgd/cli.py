@@ -328,8 +328,7 @@ def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_variances(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _resolved_config(args)
     _check_output(cfg.out_dir, is_dir=True, name="out_dir")
     ds = resolve_dataset(cfg)
     # Check every node count before the first solve.
@@ -355,8 +354,7 @@ def cmd_variances(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _resolved_config(args)
     # Check the whole configuration before the first solve.
     schedules = [resolve_schedule(cfg.schedule_spec, H, cfg.T) for H in cfg.H_list]
     for i, schedule in enumerate(schedules):  # none may run, and write its files, twice
@@ -467,8 +465,7 @@ def _write_curve_csv(stream, curve, agg) -> None:
 
 
 def cmd_solve_ref(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _resolved_config(args)
     out = args.out
     if out is None:
         _check_output(cfg.out_dir, is_dir=True, name="out_dir")
@@ -516,11 +513,18 @@ def cmd_verify(args) -> int:
     return EXIT_CRITERION if failed else EXIT_OK
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> None:
+def _resolved_config(args) -> ExperimentConfig:
+    """The config file with the flags applied, refused before any work if
+    lambda^2 is not finite: it enters every per-sample gradient norm of the
+    variance report."""
+    cfg = load_config(args.config)
     for f in fields(cfg):
         raw = getattr(args, f.name, None) if f.metadata["flag"] else None
         if raw is not None:
             setattr(cfg, f.name, _parse(f.metadata["parse"], raw, f.metadata["flag"]))
+    if cfg.lam is not None and not math.isfinite(cfg.lam * cfg.lam):
+        raise _invalid("lam", f"{cfg.lam!r} has a square that is not finite")
+    return cfg
 
 
 # The flagged fields `variances` and `solve-ref` read; `run` reads them all.

@@ -16,6 +16,7 @@ import io
 import math
 import os
 from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, TextIO
 
 import numpy as np
@@ -108,6 +109,21 @@ class Partition:
     @property
     def M(self) -> int:
         return len(self.node_ranges)
+
+    @cached_property
+    def block_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The node blocks grouped into runs of adjacent blocks of one size,
+        each as (first node, first row, block count g, block size), the run
+        covering g * size consecutive rows. A heterogeneous `partition`
+        makes at most two runs."""
+        runs: list[list[int]] = []
+        for m, (start, stop) in enumerate(self.node_ranges):
+            last = runs[-1] if runs else None
+            if last and last[3] == stop - start and last[1] + last[2] * last[3] == start:
+                last[2] += 1
+            else:
+                runs.append([m, start, 1, stop - start])
+        return tuple(tuple(r) for r in runs)
 
 
 def _normalize_labels(raw: np.ndarray) -> np.ndarray:

@@ -78,6 +78,37 @@ class Problem:
             return self.dense_rows[idx]
         return self.csr_rows[idx.ravel()].toarray().reshape(*idx.shape, self.dim)
 
+    def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The exact gradient of f_m at every point X[j, m], shape (k, M, d)
+        -> (k, M, d), written into `out` (C-contiguous) when given.
+
+        Identical nodes share f: one product over all n rows takes every
+        point as a column. Heterogeneous node m averages its own n_m rows
+        only, with the slope numerator -1/n_m, so the work and temporaries
+        are those of its block. Dense rows take one batched product per run
+        of adjacent equal-size blocks, on a (g, n_g, d) view of
+        `dense_rows`; numpy multiplies each block as its own 2-D product, so
+        every node gets the bits of B_m @ X_m.T and B_m.T @ C_m. CSR rows
+        take each node's row slice."""
+        if out is None:
+            out = np.empty_like(X)
+        if self.part.regime == Regime.IDENTICAL:
+            _exact_grads(self, X.reshape(-1, self.dim), -1.0 / self.dataset.n,
+                         out=out.reshape(-1, self.dim))  # a view: out is C-contiguous
+        elif self.dense_rows is not None:
+            for m, start, g, size in self.part.block_runs:
+                B = self.dense_rows[start:start + g * size].reshape(g, size, self.dim)
+                U = B @ X[:, m:m + g].transpose(1, 2, 0)  # (g, size, k) margins
+                C = _logistic_slope(-1.0 / size, U, out=U)
+                np.add((B.transpose(0, 2, 1) @ C).transpose(2, 0, 1),
+                       self.lam * X[:, m:m + g], out=out[:, m:m + g])
+        else:
+            for m, (start, stop) in enumerate(self.part.node_ranges):
+                B = self.csr_rows[start:stop]
+                C = _logistic_slope(-1.0 / (stop - start), B @ X[:, m].T)
+                np.add((B.T @ C).T, self.lam * X[:, m], out=out[:, m])
+        return out
+
     @property
     def mu(self) -> float:
         return self.lam
@@ -262,25 +293,13 @@ def loss(p: Problem, x: np.ndarray) -> float:
     return float(loss_many(p, x[None, :])[0])
 
 
-def _slope_numerator(p: Problem, k: int) -> float | np.ndarray:
-    """The slope's numerator for k points per node, columns ordered (point,
-    node): -1/n_m in node m's columns for the rows of node m's block, else 0.
-    Identical nodes weigh every sample by 1/n, so the scalar -1/n serves all."""
-    n = p.dataset.n
-    if p.part.regime == Regime.IDENTICAL:
-        return -1.0 / n
-    num = np.zeros((n, k, p.M))
-    for m, (start, stop) in enumerate(p.part.node_ranges):
-        num[start:stop, :, m] = -1.0 / (stop - start)
-    return num.reshape(n, k * p.M)
-
-
 def _exact_grads(p: Problem, X: np.ndarray, num,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """The one exact-gradient kernel, shape (k, d) -> (k, d), written into
-    `out` when given: row j is sum_i c_ij y_i a_i + lam x_j, c_ij the
-    logistic slope at the signed margin y_i a_i.x_j with numerator num[i, j]
-    (a scalar or column broadcasts), computed in the margins."""
+    """The exact gradient over all n rows, shape (k, d) -> (k, d), written
+    into `out` when given: row j is sum_i c_ij y_i a_i + lam x_j, c_ij the
+    logistic slope at the signed margin y_i a_i.x_j with numerator num, a
+    scalar or an (n, 1) column of per-sample weights, computed in the
+    margins."""
     U = p.margins(X)  # (n, k)
     C = _logistic_slope(num, U, out=U)
     return np.add(p.rows_T_dot(C).T, p.lam * X, out=out)
@@ -290,8 +309,7 @@ def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:
     """The exact gradient of every f_m at x, shape (d,) -> (M, d). Identical
     nodes share f, so one gradient stands for all of them."""
     k = 1 if p.part.regime == Regime.IDENTICAL else p.M
-    G = _exact_grads(p, np.tile(x, (k, 1)), _slope_numerator(p, 1))
-    return np.broadcast_to(G, (p.M, p.dim))
+    return np.broadcast_to(p.node_grads(np.tile(x, (1, k, 1)))[0], (p.M, p.dim))
 
 
 def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .dataio import Regime
 from .numkit import RngStream, draw_indices
-from .objective import (Problem, ReferenceSolution, _exact_grads, _logistic_slope,
-                        _slope_numerator, loss_many)
+from .objective import Problem, ReferenceSolution, _logistic_slope, loss_many
 
 # Stream-id namespace: index draws use the node id, Gaussian noise draws use
 # the node id with the top bit set, so the two never collide.
@@ -232,7 +231,6 @@ class _GradientEngine:
 
             self._draw, per_step, dtype = draw, cfg.batch, np.int64
         else:
-            self._num = _slope_numerator(p, self.S)
             # Nodes that coincide and share f need one gradient per seed.
             self._shortcut = p.part.regime == Regime.IDENTICAL
 
@@ -281,17 +279,16 @@ class _GradientEngine:
             return self._stochastic_grads(X, t)
         p, S, M, d = self.p, self.S, self.M, self.d
         G = np.empty_like(X)
-        # Config k's rows as one (S*M, d) block, columns ordered (s, m) as
-        # the numerator's: each config is its own product, at the width a
-        # run alone uses.
-        Xk, Gk = X.reshape(-1, S * M, d), G.reshape(-1, S * M, d)
+        # Config k's (S, M, d) rows: each config is its own product, at the
+        # width a run alone uses.
+        Xk, Gk = X.reshape(-1, S, M, d), G.reshape(-1, S, M, d)
         if self._shortcut:
             same = np.logical_and.reduce(eq.reshape(-1, S), axis=1)  # per config
         for k in range(len(Xk)):
             if self._shortcut and same[k]:  # one gradient per seed, at node 0
-                Gk[k].reshape(S, M, d)[...] = _exact_grads(p, Xk[k, ::M], self._num)[:, None]
+                Gk[k] = p.node_grads(Xk[k, :, :1])
             else:
-                _exact_grads(p, Xk[k], self._num, out=Gk[k])
+                p.node_grads(Xk[k], out=Gk[k])
         if mode == GradientMode.INJECTED_NOISE:
             per_config = G.reshape(-1, S, M, d)  # a view
             per_config += self._draws(t)

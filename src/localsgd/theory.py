@@ -101,7 +101,11 @@ _H_AT_MOST_SQRT_T_M = Need(
 def _plan_sc(a, scale: float, steps: float) -> tuple[float, int]:
     """gamma = 1/(mu scale), scale being the statement's function of kappa
     and t_param; the step count steps * scale * log(scale) is rounded up."""
-    return 1.0 / (a.mu * scale), math.ceil(steps * scale * math.log(scale))
+    count = steps * scale * math.log(scale)
+    if not math.isfinite(count):
+        raise PreconditionError(f"the suggested T is not finite: {count!r} "
+                                f"(L={a.L!r}, mu={a.mu!r})")
+    return 1.0 / (a.mu * scale), math.ceil(count)
 
 
 def _plan_wc(c: float):
@@ -331,14 +335,18 @@ def plan_H(rule: str, T: int, M: int, kappa: float | None = None) -> int:
     if rule == "sc-identical":
         if kappa is None or kappa <= 0:
             raise PreconditionError("sc-identical rule needs kappa > 0")
-        H = 1 + math.floor(T / (kappa * M))
+        ratio, text = T / (kappa * M), "T/(kappa M)"
     elif rule == "wc-identical":
-        H = 1 + math.floor(math.sqrt(T) / M**1.5)
+        ratio, text = math.sqrt(T) / M**1.5, "sqrt(T) M^{-3/2}"
     elif rule == "wc-heterogeneous":
-        H = 1 + math.floor(T**0.25 / M**0.75)
+        ratio, text = T**0.25 / M**0.75, "T^{1/4} M^{-3/4}"
     else:
         raise UnknownRuleError(
             f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
+    if not math.isfinite(ratio):
+        raise PreconditionError(f"{rule} plans H = 1 + floor({text}), and {text} "
+                                f"is not finite: {ratio!r}")
+    H = 1 + math.floor(ratio)
     if H > T:
         raise PreconditionError(f"{rule} plans H={H}, longer than the run T={T}")
     return H

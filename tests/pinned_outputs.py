@@ -10,6 +10,9 @@ in-process on
   gamma 0.002, uniform schedule, H=1,4, T=40, over {identical,
   heterogeneous} x {stochastic, full, injected-noise} x {seeds 0:3, seed 5},
   into OUT_DIR/pinned/<name>/;
+- 2 more `run` configs like those, heterogeneous full and injected-noise
+  over seeds 0:3 but on M=4 nodes, whose blocks (23, 23, 22, 22) have two
+  sizes, into OUT_DIR/pinned/heterogeneous-<mode>-M4/;
 - a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
   OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
   2.05, just past the lambda gamma = 2 stability limit, with T between the
@@ -55,7 +58,7 @@ sort_by_label = true
 
 [problem]
 lambda = 1/n
-M = 3
+M = {M}
 regime = {regime}
 
 [solver]
@@ -97,17 +100,19 @@ seeds = 0:2
 
 
 def write_configs(config_dir: str) -> dict[str, str]:
-    """Write the 12 pinned `run` configs; name -> INI path. They name no
+    """Write the 14 pinned `run` configs; name -> INI path. They name no
     output directory: the caller passes --out-dir."""
+    specs = {f"{regime}-{mode}-{tag}": dict(regime=regime, mode=mode, seeds=seeds, M=3)
+             for regime in REGIMES for mode in MODES for tag, seeds in SEEDS.items()}
+    for mode in ("full", "injected-noise"):  # unequal node blocks
+        specs[f"heterogeneous-{mode}-M4"] = dict(regime="heterogeneous", mode=mode,
+                                                 seeds=SEEDS["replicated"], M=4)
     paths = {}
-    for regime in REGIMES:
-        for mode in MODES:
-            for tag, seeds in SEEDS.items():
-                name = f"{regime}-{mode}-{tag}"
-                path = os.path.join(config_dir, f"{name}.ini")
-                with open(path, "w") as f:
-                    f.write(_PINNED.format(regime=regime, mode=mode, seeds=seeds))
-                paths[name] = path
+    for name, spec in specs.items():
+        path = os.path.join(config_dir, f"{name}.ini")
+        with open(path, "w") as f:
+            f.write(_PINNED.format(**spec))
+        paths[name] = path
     return paths
 
 

@@ -1,5 +1,6 @@
 import gzip
 import io
+import math
 import os
 import string
 import subprocess
@@ -80,6 +81,17 @@ class TestPlan:
         assert run_cli(["plan", *argv]) == 2
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, why", [
+        (["--what", "h", "--rule", "sc-identical", "--T", "10", "--M", "2",
+          "--kappa", "1e-320"], "T/(kappa M) is not finite: inf"),
+        (["--what", "gamma", "--rule", "sc-identical-fs", "--L", "1e300", "--mu", "1e-300",
+          "--M", "2", "--H", "1", "--t-param", "1"], "the suggested T is not finite: inf"),
+    ])
+    def test_plan_that_overflows_exits_2_naming_the_quantity(self, capsys, argv, why):
+        assert run_cli(["plan", *argv]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and why in err[0]
+
     def test_python_m_localsgd_runs_the_cli(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -130,6 +142,27 @@ class TestVariancesCmd:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "[variances] M" in err[0]
         assert solves == [] and not out.exists()
+
+    @pytest.mark.parametrize("flags, ini_lambda", [(["--lam", "1e200"], "1/n"),
+                                                    ([], "1e200")])
+    def test_lambda_whose_square_overflows_exits_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, flags, ini_lambda):
+        monkeypatch.setattr(cli, "solve_reference", None)  # never reached
+        cfg = tmp_path / "variances.ini"
+        cfg.write_text((CONFIGS / "variances.ini").read_text().replace(
+            "lambda = 1/n", f"lambda = {ini_lambda}"))
+        out = tmp_path / "out"
+        assert run_cli(["variances", "--config", str(cfg), "--out-dir", str(out), *flags]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: [problem] lambda (--lam): 1e+200 has a square "
+                       "that is not finite"]
+        assert not out.exists()
+
+    def test_largest_lambda_whose_square_is_finite_runs(self, tmp_path):
+        lam = repr(math.sqrt(sys.float_info.max) * (1 - 2**-52))
+        assert float(lam) ** 2 < math.inf
+        assert run_cli(["variances", "--config", str(CONFIGS / "variances.ini"),
+                        "--lam", lam, "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_flags_it_does_not_read_are_usage_errors(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -316,6 +349,10 @@ dir = {tmp_path / 'out'}
         (["--gamma", "sc-identical-ubv", "--lam", "0"], "[run] gamma (--gamma)"),
         (["--gamma", "1e308/L"], "[run] gamma (--gamma): 1e308/L gives a stepsize "
                                  "that is not finite: inf (L="),
+        (["--gamma", "sc-identical-ubv", "--lam", "1e-320"],
+         "[run] gamma (--gamma): the suggested T is not finite: inf"),
+        (["--lam", "1e200"], "[problem] lambda (--lam): 1e+200 has a square that is "
+                             "not finite"),
     ])
     def test_bad_run_config_names_its_key(self, tmp_path, capsys, flags, key):
         cfg = tmp_path / "bad.ini"

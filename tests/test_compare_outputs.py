@@ -92,5 +92,6 @@ def test_missing_file_is_a_problem(run_dir, tmp_path):
 def test_pinned_configs_load(tmp_path):
     paths = write_configs(str(tmp_path))
     cfgs = [cli.load_config(path) for path in paths.values()]
-    assert len({(c.regime, c.gradient_mode, c.seeds) for c in cfgs}) == 12
-    assert all((c.n, c.d, c.M, c.T, c.H_list) == (90, 7, 3, 40, (1, 4)) for c in cfgs)
+    assert len({(c.regime, c.gradient_mode, c.seeds, c.M) for c in cfgs}) == 14
+    assert all((c.n, c.d, c.T, c.H_list) == (90, 7, 40, (1, 4)) for c in cfgs)
+    assert sorted(c.M for c in cfgs) == [3] * 12 + [4] * 2

@@ -264,6 +264,55 @@ def storages(p):
     return p, objective.csr_twin(p)
 
 
+class TestNodeBlockKernel:
+    """Problem.node_grads on heterogeneous nodes: node m's exact gradient
+    over its own rows only."""
+
+    @staticmethod
+    def per_node(p, X):
+        """The definition: one 2-D product pair over each node's signed rows,
+        at its points X[:, m]."""
+        G = np.empty_like(X)
+        for m in range(p.M):
+            start, stop = p.node_range(m)
+            B, X_m = p.dense_rows[start:stop], X[:, m]
+            C = (-1.0 / (stop - start)) / (1.0 + np.exp(B @ X_m.T))
+            G[:, m] = (B.T @ C).T + p.lam * X_m
+        return G
+
+    @pytest.mark.parametrize("n, runs", [(60, 1), (61, 2)])  # blocks 20^3; 21, 20, 20
+    @pytest.mark.parametrize("width", [1, 5])
+    def test_batched_products_equal_the_per_node_products_bitwise(self, n, runs, width):
+        p = small_problem(n=n, d=5, M=3, regime=Regime.HETEROGENEOUS, sort_by_label=True)
+        assert p.dense_rows is not None and len(p.part.block_runs) == runs
+        X = RngStream(seed=47).generator().standard_normal((width, p.M, p.dim))
+        G = p.node_grads(X)
+        assert np.array_equal(G, self.per_node(p, X))
+        out = np.full_like(X, np.nan)
+        assert p.node_grads(X, out=out) is out and np.array_equal(out, G)
+        assert np.allclose(objective.csr_twin(p).node_grads(X), G,
+                           rtol=1e-12, atol=0)
+
+    def test_exact_step_memory_does_not_grow_with_M(self):
+        # At M = 20 an (n, S M) slope matrix alone would take 16 MB; a node
+        # block kernel holds about one (n, S) margin matrix, 0.8 MB.
+        n, d, M, S = 2000, 30, 20, 50
+        p = small_problem(n=n, d=d, M=M, regime=Regime.HETEROGENEOUS, lam=1.0 / n)
+        cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
+                        gradient_mode=GradientMode.FULL, seed=0)
+        engine = _GradientEngine(p, cfg, range(S))
+        X = RngStream(seed=48).generator().standard_normal((S, M, d))
+        eq = np.zeros(S, dtype=bool)
+        tracemalloc.start()
+        try:
+            G = engine.gradients(X, 0, eq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(G, self.per_node(p, X))
+        assert peak < 4 * n * S * 8
+
+
 def test_dataset_storages_build_the_same_problem_bitwise():
     # The shipped heterogeneous data as its dense array and as CSR. The CSR
     # dataset is fully stored, so it is densified too; every constant, the
@@ -288,15 +337,12 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     # Labels fold into the stored rows, b_i = y_i a_i. Negation is exact and
     # rounding sign-symmetric, so every kernel must equal its formula written
     # on the unsigned rows a_i with margins y (A @ X.T) and the numerator
-    # -y w, bit for bit. n = 61 over M = 3 gives unequal blocks.
+    # -y / n_m, bit for bit: identical nodes as one product over all n rows,
+    # heterogeneous node m as one product over its own rows. n = 61 over
+    # M = 3 gives unequal blocks.
     p = small_problem(n=61, d=5, M=3, regime=regime, sort_by_label=True)
-    y, lam, M = p.dataset.labels, p.lam, p.M
+    y, lam, M, n = p.dataset.labels, p.lam, p.M, p.dataset.n
     assert set(y.tolist()) == {-1.0, 1.0}
-    w = np.zeros((p.dataset.n, M))  # w[i, m]: weight of sample i in f_m
-    for m in range(M):
-        start, stop = p.node_range(m)
-        w[start:stop, m] = 1.0 / (p.dataset.n if regime == Regime.IDENTICAL
-                                  else stop - start)
     gen = RngStream(seed=46).generator()
     X = gen.standard_normal((M, p.dim))  # one point per node
     Xs = gen.standard_normal((2, M, p.dim))  # (seed, node) iterates
@@ -305,22 +351,25 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     for q in storages(p):
         A = q.dataset.features
 
-        def grads(X, num):
-            U = y[:, None] * (A @ X.T)
-            return (A.T @ (num / (1.0 + np.exp(U)))).T + lam * X
+        def grads(rows, X):
+            start, stop = rows
+            A_m, y_m = A[start:stop], y[start:stop, None]
+            U = y_m * (A_m @ X.T)
+            return (A_m.T @ ((-y_m / (stop - start)) / (1.0 + np.exp(U)))).T + lam * X
 
         def losses(X):
             t = y[:, None] * (A @ X.T)
             per_sample = np.log1p(np.exp(-np.abs(t))) - np.minimum(t, 0.0)
             return q.weights @ per_sample + 0.5 * lam * np.einsum("kd,kd->k", X, X)
 
-        num = -y[:, None] * w  # column m serves node m's point
         if regime == Regime.IDENTICAL:
-            num = num[:, :1]  # every node weighs sample i by 1/n
-        assert np.array_equal(objective._exact_grads(q, X, objective._slope_numerator(q, 1)),
-                              grads(X, num))
-        want = grads(np.tile(X[0], (num.shape[1], 1)), num)
-        assert np.array_equal(node_gradients(q, X[0]), np.broadcast_to(want, (M, p.dim)))
+            want, want_at_x0 = grads((0, n), X), grads((0, n), X[:1])
+        else:
+            want = np.concatenate([grads(q.node_range(m), X[m:m + 1]) for m in range(M)])
+            want_at_x0 = np.concatenate([grads(q.node_range(m), X[:1]) for m in range(M)])
+        assert np.array_equal(q.node_grads(X[None])[0], want)
+        assert np.array_equal(node_gradients(q, X[0]),
+                              np.broadcast_to(want_at_x0, (M, p.dim)))
         assert np.array_equal(loss_many(q, X), losses(X))
 
         engine = _GradientEngine(q, cfg, [0, 1])
