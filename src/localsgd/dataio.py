@@ -8,13 +8,13 @@ loader never downloads anything.
 """
 from __future__ import annotations
 
-import array
 import enum
 import gzip
 import hashlib
 import io
 import math
 import os
+import re
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, TextIO
@@ -128,16 +128,190 @@ class Partition:
 
 def _normalize_labels(raw: np.ndarray) -> np.ndarray:
     """Map raw labels onto {-1, +1}; smaller raw label becomes -1."""
-    distinct = set(float(v) for v in np.unique(raw))
-    if distinct <= {-1.0, 1.0}:
+    distinct = np.unique(raw).tolist()  # sorted, a nan last: the message is reproducible
+    if set(distinct) <= {-1.0, 1.0}:
         return raw.astype(np.float64)
-    if distinct <= {0.0, 1.0}:
+    if set(distinct) <= {0.0, 1.0}:
         return np.where(raw <= 0.0, -1.0, 1.0)
-    if distinct <= {1.0, 2.0}:
+    if set(distinct) <= {1.0, 2.0}:
         return np.where(raw <= 1.0, -1.0, 1.0)
     raise LibsvmFormatError(
-        f"unsupported label set {sorted(distinct)}; expected {{0,1}}, {{-1,+1}} or {{1,2}}"
+        f"unsupported label set {distinct}; expected {{0,1}}, {{-1,+1}} or {{1,2}}"
     )
+
+
+# Characters of LIBSVM text lexed at a time. A chunk is cut back to its last
+# line end; its temporaries take a few dozen bytes per character, so they
+# stay small beside the parsed matrix.
+_CHUNK_CHARS = 1 << 14
+
+# Each byte's class. The whitespace classes are the bytes str.split()
+# splits on; the non-ASCII characters it splits on, _UNICODE_SPACES, a
+# chunk maps to a space before it is encoded. A token's bytes that are not
+# digits are its marks. The tables are intp and float64, the types the rest
+# of the program computes in: each numpy loop of another type that the
+# lexer alone ran would add its code pages to the resident set.
+_SPACE, _NEWLINE, _DIGIT, _COLON, _PLUS, _MINUS, _DOT, _OTHER = range(8)
+_CLASS = np.full(256, _OTHER, dtype=np.intp)
+_CLASS[list(b"\t\x0b\x0c\r\x1c\x1d\x1e\x1f ")] = _SPACE
+_CLASS[list(b"0123456789")] = _DIGIT
+_CLASS[list(b"\n:+-.")] = (_NEWLINE, _COLON, _PLUS, _MINUS, _DOT)
+_DIGIT_VALUE = np.zeros(256)
+_DIGIT_VALUE[list(b"0123456789")] = np.arange(10)
+_UNICODE_SPACES = dict.fromkeys(
+    (0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000),
+    " ")
+_COMMENT = re.compile(r"#[^\n]*")
+# A plain index has 1-9 digits, a plain value at most 15: its mantissa is
+# below 2**53 and 10**k is exact, so the digits sum exactly in float64 and
+# one division rounds the value correctly, to the float() of its text.
+_POW10 = 10.0 ** np.arange(16)
+# The largest 1-based feature index that int32 CSR indices can hold.
+_MAX_INDEX = 2**31 - 1
+# Why a token outside the plain grammar fails.
+_MALFORMED, _NON_FINITE, _TOO_LARGE = 1, 2, 3
+
+
+def _digit_runs(b: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers that runs b[lo[i]:hi[i]] of at most 15 ASCII digits
+    spell, exact in float64, one decimal place per pass. b[lo[i] - 1] must
+    be no digit (at lo 0, the chunk's last byte: a newline), so a pass
+    beyond a run's start adds nothing."""
+    top = hi - 1
+    out = np.zeros(top.size)
+    for k in range(int((hi - lo).max(initial=0))):
+        out += _DIGIT_VALUE.take(b[np.maximum(top - k, lo - 1)]) * _POW10[k]
+    return out
+
+
+def _lex_chunk(text: str, line0: int) -> tuple[np.ndarray, ...]:
+    """The rows of whole lines of LIBSVM text, which ends with a newline, as
+    (labels, stored entries per row, 0-based int32 indices, values); or a
+    LibsvmFormatError for the first failure in it, its line counted from
+    line0 + 1.
+
+    numpy finds the tokens, the labels (each line's first token) and the
+    marks: a token's bytes that are not digits. A plain feature is `i:v`,
+    i of 1-9 ASCII digits and v an optional sign, at most one dot and 1-15
+    digits; a plain label is such a v. Plain tokens are converted in numpy;
+    every other token takes the int()/float() calls that define the
+    grammar, one at a time."""
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if not text.isascii():
+        text = text.translate(_UNICODE_SPACES)
+    raw = text.encode("utf-8", "surrogatepass")
+    b = np.frombuffer(raw, dtype=np.uint8)
+    cls = _CLASS.take(b)
+    space = cls <= _NEWLINE
+    edges = np.flatnonzero(np.diff(space, prepend=True))
+    starts, ends = edges[0::2], edges[1::2]  # token i is raw[starts[i]:ends[i]]
+    first = np.zeros(starts.size + 1, dtype=bool)  # a line's first token is its label
+    first[np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE))] = True
+    first[0] = True
+    first = first[:-1]
+    feat = ~first
+    mark = cls >= _COLON
+    del space
+
+    # Up to three marks of each token: a plain feature's colon, then the
+    # marks of its value, as of a plain label: an optional sign at the
+    # value's start, then an optional dot.
+    before = np.zeros(b.size + 1, dtype=np.int32)  # marks before each byte
+    np.cumsum(mark, out=before[1:])
+    at = before[starts]  # the token's first mark
+    n_value_marks = before[ends] - at - feat
+    marks = np.flatnonzero(mark)
+    mark_pos = np.append(marks, [b.size] * 3)  # three past the end, for the
+    mark_cls = np.append(cls[marks], [_OTHER] * 3)  # last tokens' reads
+    del cls, before, mark, marks
+    colon = mark_pos[at]
+    is_colon = mark_cls[at] == _COLON
+    at += feat  # the value's first mark
+    vstart = np.where(feat, colon + 1, starts)  # the value is raw[vstart:ends]
+    sign = mark_cls[at]
+    signed = ((n_value_marks > 0) & (mark_pos[at] == vstart)
+              & ((sign == _PLUS) | (sign == _MINUS)))
+    negative = signed & (sign == _MINUS)
+    at += signed
+    dotted = (n_value_marks > signed) & (mark_cls[at] == _DOT)
+    dot = mark_pos[at]
+    n_digits = ends - vstart - n_value_marks
+    idx_len = colon - starts
+    plain = ((n_value_marks == signed + dotted) & (n_digits >= 1) & (n_digits <= 15)
+             & (first | (is_colon & (idx_len >= 1) & (idx_len <= 9))))
+    # Each temporary goes once used, so a chunk's peak stays a few times
+    # the size of its text.
+    del n_value_marks, mark_pos, mark_cls, at, is_colon, sign, n_digits, idx_len
+
+    index = np.full(starts.size, -1, dtype=np.int64)
+    value = np.empty(starts.size)
+    p = np.flatnonzero(plain)
+    vstart, ends_p, dotted = vstart[p], ends[p], dotted[p]
+    int_end = np.where(dotted, dot[p], ends_p)
+    mantissa = _digit_runs(b, vstart + signed[p], int_end)
+    frac_len = np.zeros(p.size, dtype=np.intp)  # digits after the dot
+    if dotted.any():
+        q = np.flatnonzero(dotted)
+        frac_len[q] = ends_p[q] - int_end[q] - 1
+        mantissa[q] *= _POW10[frac_len[q]]
+        mantissa[q] += _digit_runs(b, int_end[q] + 1, ends_p[q])
+    mantissa /= _POW10[frac_len]
+    value[p] = np.where(negative[p], -mantissa, mantissa)
+    p = p[feat[p]]
+    index[p] = _digit_runs(b, starts[p], colon[p]) - 1
+
+    # Every other token, by the grammar's definition. A feature that fails
+    # there is flagged: its text is refused by split(), int() or float(), its
+    # value is not finite, or its index is beyond int32.
+    flag = np.zeros(starts.size, dtype=np.int8)
+    for i in np.flatnonzero(~plain).tolist():
+        tok = raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
+        try:
+            if first[i]:
+                value[i] = float(tok)
+                continue
+            idx_s, val_s = tok.split(":")
+            idx, val = int(idx_s) - 1, float(val_s)
+        except ValueError:
+            flag[i] = _MALFORMED
+            continue
+        index[i], value[i] = min(max(idx, -1), _MAX_INDEX), val
+        if not math.isfinite(val):
+            flag[i] = _NON_FINITE
+        elif idx >= _MAX_INDEX:
+            flag[i] = _TOO_LARGE
+
+    # A feature's index must exceed the one before it; a label's is -1.
+    unordered = np.zeros(starts.size, dtype=bool)
+    unordered[1:] = feat[1:] & (index[1:] <= index[:-1])
+    bad = unordered | flag.astype(bool)
+    if bad.any():  # the first failure, in the order the definition checks
+        i = int(np.argmax(bad))
+        tok = raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass")
+        where = "line %d" % (line0 + raw.count(b"\n", 0, starts[i]) + 1)
+        if flag[i] == _MALFORMED:
+            raise LibsvmFormatError(f"{where}: non-numeric label {tok!r}" if first[i]
+                                    else f"{where}: malformed feature {tok!r}")
+        if unordered[i]:
+            raise LibsvmFormatError(f"{where}: feature index must be >= 1" if index[i] < 0
+                                    else f"{where}: indices not strictly increasing")
+        if flag[i] == _NON_FINITE:
+            raise LibsvmFormatError(f"{where}: non-finite feature {tok!r}")
+        raise LibsvmFormatError(f"{where}: feature index above {_MAX_INDEX} in {tok!r}")
+
+    keep = feat & (value != 0.0)
+    counts = np.add.reduceat(keep, np.flatnonzero(first), dtype=np.intp)
+    return value[first], counts, index[keep].astype(np.int32), value[keep]
+
+
+def _put(buf: np.ndarray, at: int, piece: np.ndarray) -> None:
+    """Write piece into buf from index `at` on, first growing buf by half
+    or more when it is too short. ndarray.resize grows the buffer in place
+    (realloc), so it is never copied and leaves no freed block behind."""
+    if at + piece.size > buf.size:
+        buf.resize(max(at + piece.size, buf.size * 3 // 2), refcheck=False)
+    buf[at:at + piece.size] = piece
 
 
 def parse_libsvm(source: TextIO | str, name: str = "unnamed",
@@ -145,53 +319,40 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
     """Parse LIBSVM text ("label idx:val ...", 1-based indices) into a Dataset.
 
     Indices are converted to 0-based and must be strictly increasing within a
-    line. `dim` may only pad the inferred dimension upward (LIBSVM files omit
-    trailing all-zero features). Entries collect in typed buffers, 8 bytes
-    per value and per index, rather than in lists of Python numbers.
+    line, and at most 2**31 - 1. `dim` may only pad the inferred dimension
+    upward (LIBSVM files omit trailing all-zero features). The text is lexed
+    in chunks of whole lines (`_lex_chunk`), whose entries go straight into
+    output buffers of int32 indices and float64 values, 12 bytes per stored
+    entry, grown in place and cut to size at the end.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
-    data = array.array("d")
-    indices = array.array("q")
-    indptr = array.array("q", [0])
-    raw_labels = array.array("d")
-    add_value, add_index, end_row = data.append, indices.append, indptr.append
-    isfinite = math.isfinite
+    labels, indptr = np.empty(1 << 10), np.zeros(1 << 10, dtype=np.int64)
+    indices, data = np.empty(1 << 12, dtype=np.int32), np.empty(1 << 12)
+    n = nnz = 0
+    line0, carry = 0, ""
+    while True:
+        block = stream.read(_CHUNK_CHARS)
+        text = carry + block
+        cut = text.rfind("\n") + 1 if block else len(text)
+        text, carry = text[:cut], text[cut:]
+        if text:
+            if not text.endswith("\n"):
+                text += "\n"  # the last line, with no line end of its own
+            row_labels, counts, row_indices, values = _lex_chunk(text, line0)
+            _put(labels, n, row_labels)
+            _put(indptr, n + 1, nnz + np.cumsum(counts))
+            _put(indices, nnz, row_indices)
+            _put(data, nnz, values)
+            n, nnz = n + row_labels.size, nnz + values.size
+            line0 += text.count("\n")
+        if not block:
+            break
 
-    for lineno, line in enumerate(stream, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            raw_labels.append(float(parts[0]))
-        except ValueError:
-            raise LibsvmFormatError(f"line {lineno}: non-numeric label {parts[0]!r}") from None
-        prev = -1
-        for tok in parts[1:]:
-            try:
-                idx_s, val_s = tok.split(":")
-                idx = int(idx_s) - 1
-                val = float(val_s)
-            except ValueError:
-                raise LibsvmFormatError(f"line {lineno}: malformed feature {tok!r}") from None
-            if idx <= prev:  # prev starts at -1, so this also catches idx < 0
-                raise LibsvmFormatError(
-                    f"line {lineno}: feature index must be >= 1" if idx < 0
-                    else f"line {lineno}: indices not strictly increasing")
-            if not isfinite(val):
-                raise LibsvmFormatError(f"line {lineno}: non-finite feature {tok!r}")
-            prev = idx
-            if val != 0.0:
-                add_index(idx)
-                add_value(val)
-        end_row(len(data))
-
-    if not raw_labels:
+    if not n:
         raise LibsvmFormatError("empty file: no samples")
-
-    # Views of the buffers, not copies.
-    idx_arr = np.frombuffer(indices, dtype=np.int64)
-    inferred = int(idx_arr.max()) + 1 if idx_arr.size else 1
+    for buf, size in ((labels, n), (indptr, n + 1), (indices, nnz), (data, nnz)):
+        buf.resize(size, refcheck=False)  # in place: no copy, and the excess is freed
+    inferred = int(indices.max()) + 1 if indices.size else 1
     if dim is None:
         dim = inferred
     elif dim < inferred:
@@ -199,13 +360,8 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
 
     import scipy.sparse as sp
 
-    labels = _normalize_labels(np.frombuffer(raw_labels, dtype=np.float64))
-    mat = sp.csr_matrix(
-        (np.frombuffer(data, dtype=np.float64), idx_arr,
-         np.frombuffer(indptr, dtype=np.int64)),
-        shape=(len(raw_labels), dim),
-    )
-    return Dataset(features=mat, labels=labels, name=name)
+    mat = sp.csr_matrix((data, indices, indptr), shape=(labels.size, dim))
+    return Dataset(features=mat, labels=_normalize_labels(labels), name=name)
 
 
 def partition(ds: Dataset, M: int, regime: Regime) -> Partition:

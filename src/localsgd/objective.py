@@ -76,7 +76,8 @@ class Problem:
         (*idx.shape, d)."""
         if self.dense_rows is not None:
             return self.dense_rows[idx]
-        return self.csr_rows[idx.ravel()].toarray().reshape(*idx.shape, self.dim)
+        rows = _csr_dense(self.csr_rows, idx.ravel(), np.empty(idx.size * self.dim))
+        return rows.reshape(*idx.shape, self.dim)
 
     def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The exact gradient of f_m at every point X[j, m], shape (k, M, d)
@@ -89,7 +90,8 @@ class Problem:
         of adjacent equal-size blocks, on a (g, n_g, d) view of
         `dense_rows`; numpy multiplies each block as its own 2-D product, so
         every node gets the bits of B_m @ X_m.T and B_m.T @ C_m. CSR rows
-        take each node's row slice."""
+        take each node's rows as a CSR matrix over views of `csr_rows`,
+        with no copy."""
         if out is None:
             out = np.empty_like(X)
         if self.part.regime == Regime.IDENTICAL:
@@ -103,8 +105,13 @@ class Problem:
                 np.add((B.transpose(0, 2, 1) @ C).transpose(2, 0, 1),
                        self.lam * X[:, m:m + g], out=out[:, m:m + g])
         else:
+            import scipy.sparse as sp
+
+            A = self.csr_rows
             for m, (start, stop) in enumerate(self.part.node_ranges):
-                B = self.csr_rows[start:stop]
+                lo, hi = A.indptr[start], A.indptr[stop]  # node m's rows, as views
+                B = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
+                                  shape=(stop - start, self.dim), copy=False)
                 C = _logistic_slope(-1.0 / (stop - start), B @ X[:, m].T)
                 np.add((B.T @ C).T, self.lam * X[:, m], out=out[:, m])
         return out
@@ -147,26 +154,34 @@ def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
 _GRAM_ROWS = 256
 
 
+def _csr_dense(A: sp.csr_matrix, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The CSR rows A[rows] as a dense (len(rows), d) block, scattered into
+    the flat buffer `out` straight from indptr, indices and data. The
+    entries of a row are distinct, so this is the block scipy's
+    A[rows].toarray() gives, bit for bit."""
+    d = A.shape[1]
+    block = out[:rows.size * d]
+    block[:] = 0.0
+    lo = A.indptr[rows]
+    counts = A.indptr[rows + 1] - lo
+    # Each stored entry read: its position in data, and its place in block.
+    src = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    src += np.arange(src.size)
+    flat = np.repeat(np.arange(0, rows.size * d, d), counts)
+    flat += A.indices[src]
+    block[flat] = A.data[src]
+    return block.reshape(rows.size, d)
+
+
 def _weighted_gram(dataset: Dataset, w: np.ndarray) -> np.ndarray:
     """A^T diag(w) A for the dataset's unsigned rows A, as a dense (d, d)
-    array summed over dense blocks of its rows. A CSR block is scattered
-    into a zeroed array straight from indptr, indices and data, which gives
-    the block scipy's toarray() would (the entries of a row are distinct)."""
+    array summed over dense blocks of its rows (`_csr_dense` for CSR)."""
     A, n, d = dataset.features, dataset.n, dataset.dim
     G = np.zeros((d, d))
     scratch = None if dataset.is_dense else np.empty(_GRAM_ROWS * d)
     for start in range(0, n, _GRAM_ROWS):
         stop = min(start + _GRAM_ROWS, n)
-        if scratch is None:
-            B = A[start:stop]
-        else:
-            ptr = A.indptr[start:stop + 1]
-            B = scratch[:(stop - start) * d]
-            B[:] = 0.0
-            flat = np.repeat(np.arange(0, (stop - start) * d, d), np.diff(ptr))
-            flat += A.indices[ptr[0]:ptr[-1]]
-            B[flat] = A.data[ptr[0]:ptr[-1]]
-            B = B.reshape(stop - start, d)
+        B = A[start:stop] if scratch is None else _csr_dense(A, np.arange(start, stop), scratch)
         G += B.T @ (w[start:stop, None] * B)
     return G
 

@@ -263,13 +263,28 @@ class _GradientEngine:
         return self._buf[:, :, t - self._first]
 
     def _stochastic_grads(self, X: np.ndarray, t: int) -> np.ndarray:
-        p, cfg = self.p, self.cfg
+        """Minibatch gradients at step t, taken for as many seeds at a time
+        as keep the gathered rows within about _REFILL_BYTES: the step's
+        memory does not grow with S."""
         idx = self._draws(t)  # (S, M, batch)
-        rows = p.gather(idx)  # (S, M, batch, d) signed rows, from either storage
         Xk = X.reshape(-1, self.S, self.M, self.d)  # one (S, M, d) view per config
+        seeds = max(1, _REFILL_BYTES // (idx[0].size * self.d * 8))
+        if seeds >= self.S:
+            return self._minibatch_grads(idx, Xk).reshape(X.shape)
+        G = np.empty_like(X)
+        Gk = G.reshape(Xk.shape)
+        for s in range(0, self.S, seeds):
+            Gk[:, s:s + seeds] = self._minibatch_grads(idx[s:s + seeds], Xk[:, s:s + seeds])
+        return G
+
+    def _minibatch_grads(self, idx: np.ndarray, Xk: np.ndarray) -> np.ndarray:
+        """The (K, s, M, d) gradients at Xk of the rows at idx, shape (s, M,
+        batch), which every config shares."""
+        p = self.p
+        rows = p.gather(idx)  # (s, M, batch, d) signed rows, from either storage
         tv = np.einsum("smbd,ksmd->ksmb", rows, Xk)
-        c = _logistic_slope(-1.0 / cfg.batch, tv, out=tv)
-        return (np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * Xk).reshape(X.shape)
+        c = _logistic_slope(-1.0 / self.cfg.batch, tv, out=tv)
+        return np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * Xk
 
     def gradients(self, X: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
         """Gradients at the (K*S, M, d) stack X of step t; eq[i] says that

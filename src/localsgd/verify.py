@@ -36,7 +36,7 @@ class CriterionResult:
     name: str
     status: str
     details: str
-    seconds: float
+    seconds: float  # CPU seconds of this process (time.process_time)
 
     @property
     def failed(self) -> bool:
@@ -51,7 +51,7 @@ def _seeds(level: str) -> list[int]:
 
 
 def _result(name: str, ok: bool, details: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, PASS if ok else FAIL, details, time.time() - t0)
+    return CriterionResult(name, PASS if ok else FAIL, details, time.process_time() - t0)
 
 
 def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
@@ -69,7 +69,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     """The package's own gradients against central differences of
     objective.loss: the engine's single-sample stochastic gradient on dense
     and on CSR storage, and node_gradients."""
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(60, 8, seed=101)
     p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.05)
     gen = np.random.Generator(np.random.Philox(key=101))
@@ -110,7 +110,7 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(1000, 20, seed=102)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))
     ref = solve_reference(p, 1e-10)
@@ -130,7 +130,7 @@ def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_sync_invariant(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(80, 6, seed=103)
     gen = np.random.Generator(np.random.Philox(key=103))
     setups = {}  # one problem + reference per node count
@@ -161,7 +161,7 @@ def criterion_sync_invariant(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_vt_lemma(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(100, 10, seed=104)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.05)
     ref = solve_reference(p, 1e-11)
@@ -188,7 +188,7 @@ def criterion_vt_lemma(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(120, 20, seed=105)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.1)
     ref = solve_reference(p, 1e-11)
@@ -216,7 +216,7 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(400, 25, seed=106)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))  # lam = 1/n
     ref = solve_reference(p, 1e-12)
@@ -247,7 +247,7 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(240, 15, seed=107, sort_by_label=True, label_noise=0.05)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     ref = solve_reference(p, 1e-12)
@@ -290,7 +290,7 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_variance_identities(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(300, 12, seed=108, sort_by_label=True)
     p1 = build_problem(ds, partition(ds, 1, Regime.HETEROGENEOUS))
     ref = solve_reference(p1, 1e-12)
@@ -322,7 +322,7 @@ def criterion_variance_identities(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_planners(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     checks = [theory.plan_H("wc-heterogeneous", 256, 4) == 2,
               theory.plan_H("wc-identical", 10**6, 10) == 32,
               # T below kappa*M: the floor argument is below 1
@@ -372,24 +372,24 @@ def _plateau_reached(window: np.ndarray) -> bool:
 
 
 def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     data_dir, manifest = dataio.manifest_path()
     if not os.path.exists(manifest):
         return CriterionResult(
             "real-data-protocol", SKIP,
             "a9a not present (no manifest); fetch it per data/README.md to "
-            "enable this check", time.time() - t0)
+            "enable this check", time.process_time() - t0)
     entries = dataio.read_manifest(manifest)
     if "a9a" not in entries:
         return CriterionResult("real-data-protocol", SKIP,
-                               "manifest has no a9a entry", time.time() - t0)
+                               "manifest has no a9a entry", time.process_time() - t0)
     entry = entries["a9a"]
     ds = dataio.load_dataset(entry, data_dir)
     if ds.n != 32561 or ds.dim != 123:
         return CriterionResult(
             "real-data-protocol", FAIL,
             f"a9a shape {ds.n}x{ds.dim} differs from the published 32561x123",
-            time.time() - t0)
+            time.process_time() - t0)
     p = build_problem(ds, partition(ds, 20, Regime.IDENTICAL))  # lam = 1/n
     ref = solve_reference(p, 1e-9)
 
@@ -433,7 +433,7 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
-    t0 = time.time()
+    t0 = time.process_time()
     ds = generate_synthetic(400, 30, seed=51, sort_by_label=True, label_noise=0.02)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     ref = solve_reference(p, 1e-12)

@@ -313,6 +313,20 @@ class TestNodeBlockKernel:
         assert peak < 4 * n * S * 8
 
 
+def test_csr_gather_scatters_the_rows_toarray_gives():
+    # Repeated and unordered indices and an empty row, gathered from CSR
+    # rows about 30% stored, as the stochastic step gathers them.
+    gen = RngStream(seed=49).generator()
+    rows = gen.standard_normal((30, 8)) * (gen.random((30, 8)) < 0.3)
+    rows[4] = 0.0
+    ds = dataset_from_rows(rows, np.where(gen.random(30) < 0.5, -1.0, 1.0))
+    p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.1)
+    assert p.csr_rows is not None
+    for idx in (np.array([[4, 4, 7], [29, 0, 4]]), gen.integers(0, 30, (5, 3, 2))):
+        want = p.csr_rows[idx.ravel()].toarray().reshape(*idx.shape, p.dim)
+        assert p.gather(idx).tobytes() == want.tobytes()
+
+
 def test_dataset_storages_build_the_same_problem_bitwise():
     # The shipped heterogeneous data as its dense array and as CSR. The CSR
     # dataset is fully stored, so it is densified too; every constant, the

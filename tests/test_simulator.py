@@ -7,7 +7,7 @@ import pytest
 from localsgd import simulator
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
-from localsgd.objective import (build_problem, full_grad_global, loss, loss_many,
+from localsgd.objective import (build_problem, csr_twin, full_grad_global, loss, loss_many,
                                 solve_reference)
 from localsgd.simulator import (
     DivergenceError,
@@ -457,6 +457,44 @@ class TestRefill:
         assert csv_of(run_replicated(p, cfg, ref, seeds)) == whole
         monkeypatch.setattr(simulator, "_REFILL_BYTES", 1)
         assert csv_of(run_local_sgd(p, one, ref)) == single
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("seeds_per_block", [1, 2])
+    def test_seed_blocks_do_not_change_stochastic_gradients(self, setup_het, monkeypatch,
+                                                            storage, seeds_per_block):
+        # Two configs of five seeds, their rows gathered for one or two seeds
+        # at a time instead of all five.
+        p, _ = setup_het
+        p = csr_twin(p) if storage == "csr" else p
+        cfg = make_cfg(p, T=6, batch=3)
+        seeds = [0, 3, 8, 2, 5]
+        X = np.random.default_rng(7).standard_normal((2 * len(seeds), 4, p.dim))
+        eq = np.zeros(len(X), dtype=bool)
+        whole = simulator._GradientEngine(p, cfg, seeds)
+        want = [whole.gradients(X, t, eq) for t in range(cfg.T)]
+        monkeypatch.setattr(simulator, "_REFILL_BYTES", seeds_per_block * 4 * 3 * p.dim * 8)
+        blocks = simulator._GradientEngine(p, cfg, seeds)
+        for t in range(cfg.T):
+            assert blocks.gradients(X, t, eq).tobytes() == want[t].tobytes()
+
+    def test_stochastic_step_memory_does_not_grow_with_seeds(self):
+        # One seed's rows are 4 * 2000 * 30 * 8 bytes = 1.9 MB, within one
+        # refill; all 50 seeds' rows at once would take 96 MB.
+        import tracemalloc
+        ds = generate_synthetic(2000, 30, seed=46)
+        p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.01)
+        S = 50
+        cfg = make_cfg(p, T=1, H=1, batch=2000)
+        engine = simulator._GradientEngine(p, cfg, range(S))
+        X = np.zeros((S, 4, p.dim))
+        engine._draws(0)  # the refill buffer is the engine's, not the step's
+        tracemalloc.start()
+        try:
+            engine.gradients(X, 0, np.zeros(S, dtype=bool))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * simulator._REFILL_BYTES, f"{peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("mode, kw", [
         (GradientMode.STOCHASTIC, {}),
