@@ -362,6 +362,11 @@ def cmd_run(args) -> int:
             first = cfg.H_list[schedules.index(schedule)]
             raise _invalid("H_list", f"H={first} and H={cfg.H_list[i]} give the same "
                                      f"schedule {schedule.describe()}")
+    seen = set()
+    for seed in cfg.seeds:  # a repeat would count one run as two in every verdict
+        if seed in seen:
+            raise _invalid("seeds", f"seed {seed} repeats")
+        seen.add(seed)
     if cfg.gradient_mode == GradientMode.INJECTED_NOISE and cfg.noise_sigma is None:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     _check_output(cfg.out_dir, is_dir=True, name="out_dir")

@@ -17,7 +17,7 @@ import os
 import re
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
@@ -496,24 +496,4 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         labels = labels[order]
     if name is None:
         name = f"synthetic-n{n}-d{d}-s{seed}"
-    return Dataset(features=feats, labels=labels, name=name)
-
-
-def concat_datasets(parts: Iterable[Dataset], name: str = "concat") -> Dataset:
-    """Stack datasets in order, narrower ones padded with zero columns; used
-    e.g. to replicate one block across nodes. The result is dense when every
-    part is, else CSR."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    dim = max(p.dim for p in parts)
-    labels = np.concatenate([p.labels for p in parts])
-    if all(p.is_dense for p in parts):
-        feats = np.vstack([np.pad(p.features, ((0, 0), (0, dim - p.dim))) for p in parts])
-    else:
-        import scipy.sparse as sp
-
-        mats = [sp.csr_matrix(p.features) for p in parts]
-        feats = sp.vstack([sp.csr_matrix((m.data, m.indices, m.indptr), shape=(m.shape[0], dim))
-                           for m in mats], format="csr")
     return Dataset(features=feats, labels=labels, name=name)

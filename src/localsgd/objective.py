@@ -80,18 +80,19 @@ class Problem:
         return rows.reshape(*idx.shape, self.dim)
 
     def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The exact gradient of f_m at every point X[j, m], shape (k, M, d)
-        -> (k, M, d), written into `out` (C-contiguous) when given.
+        """The exact gradient of f_m at every point X[m, j], node-major,
+        shape (M, k, d) -> (M, k, d), written into `out` (C-contiguous) when
+        given.
 
         Identical nodes share f: one product over all n rows takes every
-        point as a column. Heterogeneous node m averages its own n_m rows
-        only, with the slope numerator -1/n_m, so the work and temporaries
-        are those of its block. Dense rows take one batched product per run
-        of adjacent equal-size blocks, on a (g, n_g, d) view of
-        `dense_rows`; numpy multiplies each block as its own 2-D product, so
-        every node gets the bits of B_m @ X_m.T and B_m.T @ C_m. CSR rows
-        take each node's rows as a CSR matrix over views of `csr_rows`,
-        with no copy."""
+        point as a column, in node order. Heterogeneous node m averages its
+        own n_m rows only, at its points X[m], with the slope numerator
+        -1/n_m, so the work and temporaries are those of its block. Dense
+        rows take one batched product per run of adjacent equal-size
+        blocks, on a (g, n_g, d) view of `dense_rows`; numpy multiplies each
+        block as its own 2-D product, so every node gets the bits of
+        B_m @ X_m.T and B_m.T @ C_m. CSR rows take each node's rows as a CSR
+        matrix over views of `csr_rows`, with no copy."""
         if out is None:
             out = np.empty_like(X)
         if self.part.regime == Regime.IDENTICAL:
@@ -100,10 +101,10 @@ class Problem:
         elif self.dense_rows is not None:
             for m, start, g, size in self.part.block_runs:
                 B = self.dense_rows[start:start + g * size].reshape(g, size, self.dim)
-                U = B @ X[:, m:m + g].transpose(1, 2, 0)  # (g, size, k) margins
+                U = B @ X[m:m + g].transpose(0, 2, 1)  # (g, size, k) margins
                 C = _logistic_slope(-1.0 / size, U, out=U)
-                np.add((B.transpose(0, 2, 1) @ C).transpose(2, 0, 1),
-                       self.lam * X[:, m:m + g], out=out[:, m:m + g])
+                np.add((B.transpose(0, 2, 1) @ C).transpose(0, 2, 1),
+                       self.lam * X[m:m + g], out=out[m:m + g])
         else:
             import scipy.sparse as sp
 
@@ -112,8 +113,8 @@ class Problem:
                 lo, hi = A.indptr[start], A.indptr[stop]  # node m's rows, as views
                 B = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
                                   shape=(stop - start, self.dim), copy=False)
-                C = _logistic_slope(-1.0 / (stop - start), B @ X[:, m].T)
-                np.add((B.T @ C).T, self.lam * X[:, m], out=out[:, m])
+                C = _logistic_slope(-1.0 / (stop - start), B @ X[m].T)
+                np.add((B.T @ C).T, self.lam * X[m], out=out[m])
         return out
 
     @property
@@ -324,7 +325,7 @@ def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:
     """The exact gradient of every f_m at x, shape (d,) -> (M, d). Identical
     nodes share f, so one gradient stands for all of them."""
     k = 1 if p.part.regime == Regime.IDENTICAL else p.M
-    return np.broadcast_to(p.node_grads(np.tile(x, (1, k, 1)))[0], (p.M, p.dim))
+    return np.broadcast_to(p.node_grads(np.tile(x, (k, 1, 1)))[:, 0], (p.M, p.dim))
 
 
 def full_grad_global(p: Problem, x: np.ndarray) -> np.ndarray:

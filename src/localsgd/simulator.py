@@ -161,32 +161,57 @@ def r0_sq(ref: ReferenceSolution) -> float:
 # The per-step reductions below call the ufunc reductions that numpy's
 # wrappers (mean, sum, all, max) call, without the wrappers' Python layer:
 # np.add.reduce(X, axis) / M is X.mean(axis) bit for bit. They take a
-# sweep's (K*S, M, d) stack, one row per (config, seed), and reduce only
-# within a row, so each row's values do not depend on the stack around it.
+# sweep's node-major (K, M, S, d) stack, config k owning the contiguous
+# block X[k], and reduce only within a (config, seed), so each one's values
+# do not depend on the stack around it.
+
+def _node_sum(X: np.ndarray) -> np.ndarray:
+    """The sum over the nodes of a (K, M, S, d) stack, shape (K, S, d), in
+    the order of additions of a seed-major (K*S, M, d) stack's: numpy adds
+    the nodes in order while a contiguous axis lies below them (d > 1), but
+    pairwise where the node axis is the contiguous one, as it is there at
+    d = 1. So at d = 1 the nodes are summed as contiguous rows for every S,
+    not only for a lone seed."""
+    if X.shape[-1] > 1:
+        return np.add.reduce(X, axis=1)
+    return np.add.reduce(X[..., 0].transpose(0, 2, 1).copy(), axis=-1)[..., None]
+
 
 def _mean_nodes(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Node average of each row of a (rows, M, d) stack, exact for a row
-    whose nodes coincide, and whether they do, one flag per row."""
-    xhat = np.add.reduce(X, axis=1)
+    """Node average of each (config, seed) of a (K, M, S, d) stack, shape
+    (K, S, d), exact where the nodes coincide, and whether they do, shape
+    (K, S)."""
+    xhat = _node_sum(X)
     xhat /= X.shape[1]
-    eq = np.logical_and.reduce(X == X[:, :1, :], axis=(1, 2))
-    np.copyto(xhat, X[:, 0, :], where=eq[:, None])
+    # Nodes that differ in coordinate 0 differ: every coordinate is
+    # compared only where some seed's nodes agree in it.
+    first = X[..., 0]
+    eq = np.logical_and.reduce(first[:, 1:] == first[:, :1], axis=1)
+    if np.logical_or.reduce(eq, axis=None):
+        eq &= np.logical_and.reduce(np.logical_and.reduce(X[:, 1:] == X[:, :1], axis=1),
+                                    axis=-1)
+        np.copyto(xhat, X[:, 0], where=eq[..., None])
     return xhat, eq
 
 
 def _synchronize(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     """The communication step of one config: every node of a seed takes the
-    seed's average xhat, shape (S, d); X (S, M, d) is overwritten and
+    seed's average xhat, shape (S, d); X (M, S, d) is overwritten and
     returned."""
-    X[...] = xhat[:, None, :]
+    X[...] = xhat
     return X
 
 
 def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
-    """V_t per row: the mean squared distance of its nodes from xhat."""
-    D = X - xhat[:, None, :]
+    """V_t per (config, seed), shape (K, S): the mean squared distance of its
+    nodes from xhat. Each node's squares are summed over d, then each
+    (config, seed)'s M sums as one contiguous row: numpy adds a contiguous
+    row pairwise, a strided axis in order, so the row keeps the sum's
+    association whatever the layout of X."""
+    D = X - xhat[:, None]
     D *= D
-    V = np.add.reduce(np.add.reduce(D, axis=-1), axis=-1)
+    per_node = np.add.reduce(D, axis=-1).transpose(0, 2, 1).copy()  # (K, S, M)
+    V = np.add.reduce(per_node, axis=-1)
     V /= X.shape[1]
     return V
 
@@ -196,15 +221,14 @@ def _vt_batch(X: np.ndarray, xhat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _GradientEngine:
-    """Per-step gradients for all (seed, node) pairs of a sweep's configs,
+    """Per-step gradients for all (node, seed) pairs of a sweep's configs,
     which share cfg's T, M, gradient mode, batch and noise_sigma. The
-    iterates are a (K*S, M, d) stack, config k owning rows k*S to
-    k*S + S - 1.
+    iterates are a node-major (K, M, S, d) stack, config k owning X[k].
 
     All randomness takes one path: a mode's `draw(s, m, out)` writes the
     next steps of the (seed s, node m) stream into out, its contiguous block
-    of a preallocated stream-major (S, M, k, ...) buffer of about
-    _REFILL_BYTES, which `_draws` refills; step t reads its (S, M, ...)
+    of a preallocated node-major (M, S, k, ...) buffer of about
+    _REFILL_BYTES, which `_draws` refills; step t reads its (M, S, ...)
     slice, shared by every config. The streams are counter-based, so no
     value depends on where a refill starts. Steps are taken in order.
     """
@@ -250,63 +274,59 @@ class _GradientEngine:
         if self._draw is not None:
             step_bytes = self.S * self.M * per_step * np.dtype(dtype).itemsize
             steps = min(cfg.T, max(1, _REFILL_BYTES // step_bytes))
-            self._buf = np.empty((self.S, self.M, steps, per_step), dtype=dtype)
+            self._buf = np.empty((self.M, self.S, steps, per_step), dtype=dtype)
             self._first, self._filled = 0, 0  # the steps held: first, first + 1, ...
 
     def _draws(self, t: int) -> np.ndarray:
-        """The (S, M, ...) draws of step t, refilling the buffer from t on."""
+        """The (M, S, ...) draws of step t, refilling the buffer from t on."""
         if t >= self._first + self._filled:
             self._first, self._filled = t, min(self._buf.shape[2], self.cfg.T - t)
-            for s in range(self.S):
-                for m in range(self.M):
-                    self._draw(s, m, self._buf[s, m, :self._filled])
+            for m in range(self.M):
+                for s in range(self.S):
+                    self._draw(s, m, self._buf[m, s, :self._filled])
         return self._buf[:, :, t - self._first]
 
     def _stochastic_grads(self, X: np.ndarray, t: int) -> np.ndarray:
         """Minibatch gradients at step t, taken for as many seeds at a time
         as keep the gathered rows within about _REFILL_BYTES: the step's
         memory does not grow with S."""
-        idx = self._draws(t)  # (S, M, batch)
-        Xk = X.reshape(-1, self.S, self.M, self.d)  # one (S, M, d) view per config
-        seeds = max(1, _REFILL_BYTES // (idx[0].size * self.d * 8))
+        idx = self._draws(t)  # (M, S, batch)
+        seeds = max(1, _REFILL_BYTES // (idx[:, 0].size * self.d * 8))
         if seeds >= self.S:
-            return self._minibatch_grads(idx, Xk).reshape(X.shape)
+            return self._minibatch_grads(idx, X)
         G = np.empty_like(X)
-        Gk = G.reshape(Xk.shape)
         for s in range(0, self.S, seeds):
-            Gk[:, s:s + seeds] = self._minibatch_grads(idx[s:s + seeds], Xk[:, s:s + seeds])
+            G[:, :, s:s + seeds] = self._minibatch_grads(idx[:, s:s + seeds],
+                                                          X[:, :, s:s + seeds])
         return G
 
-    def _minibatch_grads(self, idx: np.ndarray, Xk: np.ndarray) -> np.ndarray:
-        """The (K, s, M, d) gradients at Xk of the rows at idx, shape (s, M,
+    def _minibatch_grads(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The (K, M, s, d) gradients at X of the rows at idx, shape (M, s,
         batch), which every config shares."""
         p = self.p
-        rows = p.gather(idx)  # (s, M, batch, d) signed rows, from either storage
-        tv = np.einsum("smbd,ksmd->ksmb", rows, Xk)
+        rows = p.gather(idx)  # (M, s, batch, d) signed rows, from either storage
+        tv = np.einsum("msbd,kmsd->kmsb", rows, X)
         c = _logistic_slope(-1.0 / self.cfg.batch, tv, out=tv)
-        return np.einsum("ksmb,smbd->ksmd", c, rows) + p.lam * Xk
+        return np.einsum("kmsb,msbd->kmsd", c, rows) + p.lam * X
 
     def gradients(self, X: np.ndarray, t: int, eq: np.ndarray) -> np.ndarray:
-        """Gradients at the (K*S, M, d) stack X of step t; eq[i] says that
-        the nodes of row i coincide, as _mean_nodes measures."""
+        """Gradients at the (K, M, S, d) stack X of step t; eq[k, s] says that
+        the nodes of config k's seed s coincide, as _mean_nodes measures."""
         mode = self.cfg.gradient_mode
         if mode == GradientMode.STOCHASTIC:
             return self._stochastic_grads(X, t)
-        p, S, M, d = self.p, self.S, self.M, self.d
+        p = self.p
         G = np.empty_like(X)
-        # Config k's (S, M, d) rows: each config is its own product, at the
-        # width a run alone uses.
-        Xk, Gk = X.reshape(-1, S, M, d), G.reshape(-1, S, M, d)
+        # Each config is its own product, at the width a run alone uses.
         if self._shortcut:
-            same = np.logical_and.reduce(eq.reshape(-1, S), axis=1)  # per config
-        for k in range(len(Xk)):
+            same = np.logical_and.reduce(eq, axis=1)  # per config
+        for k in range(len(X)):
             if self._shortcut and same[k]:  # one gradient per seed, at node 0
-                Gk[k] = p.node_grads(Xk[k, :, :1])
+                G[k] = p.node_grads(X[k, :1])
             else:
-                p.node_grads(Xk[k], out=Gk[k])
+                p.node_grads(X[k], out=G[k])
         if mode == GradientMode.INJECTED_NOISE:
-            per_config = G.reshape(-1, S, M, d)  # a view
-            per_config += self._draws(t)
+            G += self._draws(t)
         return G
 
 
@@ -420,10 +440,11 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
 
 
 def _divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> DivergenceError:
-    """The error naming the first (seed, node) of one config's (S, M, d)
-    stack X whose iterate is not finite or exceeds _DIVERGENCE_LIMIT."""
+    """The error naming the first (seed, node), in seed-then-node order, of
+    one config's (M, S, d) stack X whose iterate is not finite or exceeds
+    _DIVERGENCE_LIMIT."""
     bad = ~np.isfinite(X) | (np.abs(X) > _DIVERGENCE_LIMIT)
-    s, m = np.argwhere(np.any(bad, axis=2))[0]
+    s, m = np.argwhere(np.any(bad, axis=2).T)[0]
     return DivergenceError(t, seeds[int(s)], int(m))
 
 
@@ -469,7 +490,7 @@ class _Lane:
         self.mean, self.se = np.empty((2, len(self._PER_ROW), self.t.size))
         self.subopt = []  # one (S,) column per subopt_at row, stacked at the end
         self.xhat = None
-        self.own = slice(0)  # its S rows of _simulate's stack, while it runs
+        self.own = 0  # its block of _simulate's stack, while it runs
         self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
         self.error: DivergenceError | None = None
 
@@ -480,44 +501,57 @@ class _Lane:
         return _mean_and_se(values[self.pick].T)
 
 
+def _recording_lanes(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
+    """For each row of the sweep's grid, the range [lo, hi) of `lanes`
+    outside which no lane records it; lo = hi where none does."""
+    rows = np.array([lane.rows for lane in lanes])  # (K, grid)
+    some = np.logical_or.reduce(rows, axis=0)
+    lo = np.where(some, np.argmax(rows, axis=0), 0)
+    hi = np.where(some, len(lanes) - np.argmax(rows[::-1], axis=0), 0)
+    return lo.tolist(), hi.tolist()
+
+
 def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.ndarray,
               seeds: Sequence[int], *, minibatch: bool, capture_xhat: bool) -> None:
     """Run every lane's config over the seeds, in lockstep, into its lane.
 
     The configs share T, M, gradient mode, batch and noise_sigma, so one
     engine draws each (seed, node) stream once for all of them. The state
-    is one (K*S, M, d) stack over the K lanes still running, each owning
-    S consecutive rows, `lane.own`; elementwise steps and per-row
-    reductions take the whole stack, and every BLAS product (exact
+    is one node-major (K, M, S, d) stack over the K lanes still running,
+    lane `own` owning the contiguous block X[own]; elementwise steps and
+    node reductions take the whole stack, and every BLAS product (exact
     gradients, the recorder's loss) is taken per lane at the width a run
     alone uses. A lane that diverges gets its DivergenceError and leaves
     the stack; the others go on.
 
     One cursor walks `grid`, the union of the lanes' recording grids, and
-    records V_t, dist_sq and grad_norm_sq of every row of the stack into a
-    (3, K*S, _RECORD_BLOCK) block; each lane aggregates its own rows of it
-    over its seeds when the block is full, so the recorder's memory does
-    not grow with T. A lane's block is seed-major, (S, rows), and
-    aggregated as the column-major (rows, S) transpose; numpy reduces such
-    an array one row at a time in seed order whatever its row count, from 2
-    rows on, so a full block aggregates every row but the last, which moves
-    to column 0, and the last block holds at least 2 rows.
+    records V_t, dist_sq and grad_norm_sq into a (3, K, S, _RECORD_BLOCK)
+    block. They are computed only for the range [lo, hi) of lanes outside
+    which no lane records the row, and the other lanes' columns are zeroed.
+    Each lane aggregates its own rows of the block over its seeds when the
+    block is full, so the recorder's memory does not grow with T. A lane's
+    block is seed-major, (S, rows), and aggregated as the column-major
+    (rows, S) transpose; numpy reduces such an array one row at a time in
+    seed order whatever its row count, from 2 rows on, so a full block
+    aggregates every row but the last, which moves to column 0, and the
+    last block holds at least 2 rows.
     """
     cfg = lanes[0].cfg
     K, S, M, d, T = len(lanes), len(seeds), cfg.M, p.dim, cfg.T
     grad_engine = _GradientEngine(p, cfg, seeds)
     live = list(lanes)
-    for i, lane in enumerate(live):
-        lane.own = slice(i * S, (i + 1) * S)
-    gamma = np.repeat([lane.cfg.gamma for lane in live], S)[:, None, None]
-    X = np.zeros((K * S, M, d))
+    for k, lane in enumerate(live):
+        lane.own = k
+    gamma = np.array([lane.cfg.gamma for lane in live])[:, None, None, None]
+    X = np.zeros((K, M, S, d))
     xhat, eq = _mean_nodes(X)
-    bar_sums = np.zeros((2, K * S, d))  # xhat_t summed over t = 1..T and 0..T-1
-    block = np.empty((len(_Lane._PER_ROW), K * S, _RECORD_BLOCK))
-    xhat_rows = np.zeros((K * S, grid.size, d)) if capture_xhat else None
+    bar_sums = np.zeros((2, K, S, d))  # xhat_t summed over t = 1..T and 0..T-1
+    block = np.empty((len(_Lane._PER_ROW), K, S, _RECORD_BLOCK))
+    xhat_rows = np.zeros((K, S, grid.size, d)) if capture_xhat else None
     # The rows at which some lane takes subopt, or synchronizes.
     subopt_at = np.logical_or.reduce([lane.subopt_at for lane in lanes])
     synced_at = np.logical_or.reduce([lane.synced_at for lane in lanes])
+    los, his = _recording_lanes(live)
     # The cursor: the row to record next and its step (-1 past the end), and
     # the row in block column 0.
     r, t_r, first = 0, 0, 0
@@ -529,7 +563,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             own = lane.rows[first:first + rows]
             at = np.searchsorted(lane.t, grid[first])  # the lane's rows before `first`
             out = slice(at, at + np.count_nonzero(own))
-            for j, values in enumerate(block[:, lane.own, :rows]):
+            for j, values in enumerate(block[:, lane.own, :, :rows]):
                 mean, se = lane.stats(values)
                 lane.mean[j, out], lane.se[j, out] = mean[own], se[own]
 
@@ -539,15 +573,17 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             c = r - first
             if c == _RECORD_BLOCK:
                 aggregate(c - 1)
-                block[:, :, 0] = block[:, :, c - 1]
+                block[..., 0] = block[..., c - 1]
                 first, c = r - 1, 1
-            col = block[:, :, c]  # (3, K*S): the row's V_t, dist_sq and grad_norm_sq
-            col[0] = _vt_batch(X, xhat)
-            diff = xhat - ref.x_star
+            lo, hi = los[r], his[r]
+            col = block[..., c]  # (3, K, S): the row's V_t, dist_sq and grad_norm_sq
+            col[:, :lo] = col[:, hi:] = 0.0
+            col[0, lo:hi] = _vt_batch(X[lo:hi], xhat[lo:hi])
+            diff = xhat[lo:hi] - ref.x_star
             diff *= diff
-            col[1] = np.add.reduce(diff, axis=-1)
+            col[1, lo:hi] = np.add.reduce(diff, axis=-1)
             if xhat_rows is not None:
-                xhat_rows[:, r] = xhat
+                xhat_rows[:, :, r] = xhat
             if subopt_at[r]:
                 for lane in live:
                     if lane.subopt_at[r]:
@@ -557,11 +593,12 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
         if t == T:
             break
         G = grad_engine.gradients(X, t, eq)
-        if recorded or minibatch:
-            g_mean = np.add.reduce(G, axis=1)
+        if minibatch:
+            g_mean = _node_sum(G)
             g_mean /= M
         if recorded:
-            col[2] = np.add.reduce(g_mean * g_mean, axis=-1)
+            g = g_mean[lo:hi] if minibatch else _node_sum(G[lo:hi]) / M
+            col[2, lo:hi] = np.add.reduce(g * g, axis=-1)
         bar_sums[1] += xhat
         if minibatch:
             xhat = xhat - gamma[:, 0] * g_mean
@@ -576,23 +613,22 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
         bar_sums[0] += xhat
         # A nan peak fails the comparison too.
         if not np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
-            peak = np.maximum.reduce(np.abs(X), axis=(1, 2)).reshape(len(live), S)
-            ok = np.logical_and.reduce(peak <= _DIVERGENCE_LIMIT, axis=1)
+            ok = np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT
             for lane, keep in zip(live, ok):
                 if not keep:
                     lane.error = _divergence(X[lane.own], t + 1, seeds)
             live = [lane for lane in live if lane.error is None]
             if not live:
                 return
-            for i, lane in enumerate(live):
-                lane.own = slice(i * S, (i + 1) * S)
-            keep = np.repeat(ok, S)
-            X, xhat, eq, gamma = (a[keep] for a in (X, xhat, eq, gamma))
-            block, bar_sums = block[:, keep], bar_sums[:, keep]
+            for k, lane in enumerate(live):
+                lane.own = k
+            X, xhat, eq, gamma = (a[ok] for a in (X, xhat, eq, gamma))
+            block, bar_sums = block[:, ok], bar_sums[:, ok]
             if xhat_rows is not None:
-                xhat_rows = xhat_rows[keep]
+                xhat_rows = xhat_rows[ok]
+            los, his = _recording_lanes(live)
 
-    block[2, :, grid.size - 1 - first] = np.nan  # no gradient is taken at T
+    block[2, :, :, grid.size - 1 - first] = np.nan  # no gradient is taken at T
     aggregate(grid.size - first)
     for lane in live:
         lane.bar_subopt_tail, lane.bar_subopt_head = (

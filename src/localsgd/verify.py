@@ -91,12 +91,12 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     for q in (p, objective.csr_twin(p)):
         engine = simulator._GradientEngine(q, cfg, [cfg.seed])
         for t in range(T):
-            X = np.tile(gen.standard_normal(p.dim), (1, 3, 1))
-            G = engine.gradients(X, t, np.ones(1, dtype=bool))
+            X = np.tile(gen.standard_normal(p.dim), (1, 3, 1, 1))  # (config, node, seed, d)
+            G = engine.gradients(X, t, np.ones((1, 1), dtype=bool))
             i = int(drawn[t, 0])
             row = dataio.Dataset(ds.features[i:i + 1], ds.labels[i:i + 1])
             q_i = build_problem(row, partition(row, 1, Regime.IDENTICAL), lam=p.lam)
-            worst = max(worst, rel_error(G[0, 0], q_i, X[0, 0]))
+            worst = max(worst, rel_error(G[0, 0, 0], q_i, X[0, 0, 0]))
     for _ in range(T):
         x = gen.standard_normal(p.dim)
         worst = max(worst, rel_error(objective.node_gradients(p, x)[0], p, x))
@@ -265,7 +265,8 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
     # node's full gradient vanishes at x* and sigma_dif = 0; one-shot
     # averaging must still converge below 4 r0^2 / (gamma T).
     block = generate_synthetic(60, 15, seed=1070)
-    tiled = dataio.concat_datasets([block] * 4, name="tiled")
+    tiled = dataio.Dataset(np.tile(block.features, (4, 1)), np.tile(block.labels, 4),
+                           name="tiled")
     p2 = build_problem(tiled, partition(tiled, 4, Regime.HETEROGENEOUS))
     ref2 = solve_reference(p2, 1e-12)
     T2 = 512

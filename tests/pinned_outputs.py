@@ -13,6 +13,13 @@ in-process on
 - 2 more `run` configs like those, heterogeneous full and injected-noise
   over seeds 0:3 but on M=4 nodes, whose blocks (23, 23, 22, 22) have two
   sizes, into OUT_DIR/pinned/heterogeneous-<mode>-M4/;
+- 4 `run` configs on CSR-stored data, the tiny a9a-shaped LIBSVM file and
+  manifest that CHECKOUT's `bench/workloads.py` writes for the a9a
+  workload at seed 1 (n=2000, 123 columns, 14 nonzeros per row): lambda
+  1/n, M=4, tol 1e-9, gamma 0.05/L, batch 3, noise_sigma 0.5, H=1,4, T=40,
+  seeds 0:3, heterogeneous x {full, injected-noise, stochastic} and
+  identical injected-noise, into OUT_DIR/csr/<regime>-<mode>/. They cover
+  the CSR node blocks, the CSR gather and the CSR identical-regime product;
 - a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
   OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
   2.05, just past the lambda gamma = 2 stability limit, with T between the
@@ -99,6 +106,51 @@ seeds = 0:2
 """
 
 
+_CSR = """\
+[data]
+source = a9a
+manifest = {data_dir}/manifest.txt
+dir = {data_dir}
+
+[problem]
+lambda = 1/n
+M = 4
+regime = {regime}
+
+[solver]
+tol = 1e-9
+
+[run]
+gradient_mode = {mode}
+batch = 3
+noise_sigma = 0.5
+gamma = 0.05/L
+schedule = uniform
+H = 1,4
+T = 40
+seeds = 0:3
+"""
+
+CSR_RUNS = (("heterogeneous", "full"), ("heterogeneous", "injected-noise"),
+            ("heterogeneous", "stochastic"), ("identical", "injected-noise"))
+
+
+def write_csr_configs(config_dir: str, workloads) -> dict[str, str]:
+    """Write the tiny a9a-shaped LIBSVM file and manifest of the bench's a9a
+    workload, and the CSR `run` configs on them; name -> INI path."""
+    for file_name, data in workloads.generate("a9a-sparse-sgd", BENCH_SEED, tiny=True).items():
+        if file_name != "config.ini":
+            with open(os.path.join(config_dir, file_name), "wb") as f:
+                f.write(data)
+    paths = {}
+    for regime, mode in CSR_RUNS:
+        name = f"{regime}-{mode}"
+        paths[name] = os.path.join(config_dir, f"csr-{name}.ini")
+        with open(paths[name], "w") as f:
+            f.write(_CSR.format(data_dir=config_dir, regime=regime, mode=mode))
+    return paths
+
+
 def write_configs(config_dir: str) -> dict[str, str]:
     """Write the 14 pinned `run` configs; name -> INI path. They name no
     output directory: the caller passes --out-dir."""
@@ -116,12 +168,15 @@ def write_configs(config_dir: str) -> dict[str, str]:
     return paths
 
 
-def invocations(out_dir: str, root: str, config_dir: str) -> list[list[str]]:
-    """The CLI argument lists that write every pinned output."""
+def invocations(out_dir: str, root: str, config_dir: str, workloads) -> list[list[str]]:
+    """The CLI argument lists that write every pinned output but the bench
+    workloads'."""
     shipped = os.path.join(root, "configs")
     het = os.path.join(shipped, "synthetic-heterogeneous.ini")
     argvs = [["run", "--config", path, "--out-dir", os.path.join(out_dir, "pinned", name)]
              for name, path in write_configs(config_dir).items()]
+    argvs += [["run", "--config", path, "--out-dir", os.path.join(out_dir, "csr", name)]
+              for name, path in write_csr_configs(config_dir, workloads).items()]
     diverging = os.path.join(config_dir, "diverging-sweep.ini")
     with open(diverging, "w") as f:
         f.write(_DIVERGING)
@@ -152,7 +207,7 @@ def main(argv: list[str]) -> int:
 
     out_dir = os.path.abspath(args.out_dir)
     with tempfile.TemporaryDirectory() as config_dir:
-        for argv_ in invocations(out_dir, root, config_dir):
+        for argv_ in invocations(out_dir, root, config_dir, workloads):
             rc = cli.main(argv_)
             if rc != 0:
                 print(f"exit {rc}: localsgd {' '.join(argv_)}", file=sys.stderr)

@@ -343,6 +343,8 @@ dir = {tmp_path / 'out'}
         (["--H", "4,4"], "[run] H (--H): H=4 and H=4 give the same schedule uniform(H=4)"),
         (["--schedule", "one-shot", "--H", "1,4"],
          "[run] H (--H): H=1 and H=4 give the same schedule one-shot(T=20)"),
+        (["--seeds", "3,3"], "[run] seeds (--seeds): seed 3 repeats"),
+        (["--seeds", "0,5,2,5,2"], "[run] seeds (--seeds): seed 5 repeats"),
         (["--gradient-mode", "injected-noise"], "[run] noise_sigma (--noise-sigma)"),
         (["--regime", "heterogeneous", "--M", "60"], "[problem] M (--M)"),
         (["--gamma", "-0.1"], "--gamma"),
@@ -362,6 +364,17 @@ dir = {tmp_path / 'out'}
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
         assert not (tmp_path / "out").exists()  # refused before any output
+
+    def test_repeated_seed_is_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # One distinct run counted twice would give traces of n_seeds = 2 and
+        # verdicts with an SE of 0.
+        monkeypatch.setattr(cli, "resolve_problem", None)  # never reached
+        out = tmp_path / "out"
+        assert run_cli(["run", "--seeds", "3,3", "--T", "200", "--H", "1,5",
+                        "--gamma", "wc-identical-fs", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: [run] seeds (--seeds): seed 3 repeats"]
+        assert not out.exists()
 
     def test_unreachable_tol_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "D"

@@ -1,11 +1,13 @@
+import os
 import shutil
+import sys
 
 import pytest
 
 from localsgd import cli
 
 from compare_outputs import compare_dirs, main
-from pinned_outputs import write_configs
+from pinned_outputs import write_configs, write_csr_configs
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +97,16 @@ def test_pinned_configs_load(tmp_path):
     assert len({(c.regime, c.gradient_mode, c.seeds, c.M) for c in cfgs}) == 14
     assert all((c.n, c.d, c.T, c.H_list) == (90, 7, 40, (1, 4)) for c in cfgs)
     assert sorted(c.M for c in cfgs) == [3] * 12 + [4] * 2
+
+
+def test_pinned_csr_configs_load_csr_data(tmp_path):
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    paths = write_csr_configs(str(tmp_path), workloads)
+    cfgs = [cli.load_config(path) for path in paths.values()]
+    assert len({(c.regime, c.gradient_mode) for c in cfgs}) == 4
+    ds = cli.resolve_dataset(cfgs[0])
+    assert not ds.is_dense and (ds.n, ds.dim) == (2000, 123)

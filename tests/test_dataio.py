@@ -15,7 +15,6 @@ from localsgd.dataio import (
     LibsvmFormatError,
     ManifestError,
     Regime,
-    concat_datasets,
     generate_synthetic,
     load_dataset,
     parse_libsvm,
@@ -406,26 +405,6 @@ class TestSynthetic:
         noisy = generate_synthetic(200, 5, seed=13, label_noise=0.2)
         flipped = np.mean(clean.labels != noisy.labels)
         assert 0.05 < flipped < 0.4
-
-    def test_concat(self):
-        block = generate_synthetic(20, 5, seed=14)
-        tiled = concat_datasets([block] * 3)
-        assert tiled.n == 60
-        assert np.array_equal(tiled.labels[:20], block.labels)
-
-    def test_concat_pads_narrow_parts_in_either_storage(self):
-        # All-dense parts stay dense; any CSR part makes the result CSR.
-        dense = generate_synthetic(20, 5, seed=14)
-        narrow = generate_synthetic(4, 3, seed=15)
-        sparse = parse_libsvm("+1 1:0.5 3:2.0\n-1 2:1.0\n")  # dim 3
-        want = np.vstack([dense.features, np.pad(narrow.features, ((0, 0), (0, 2))),
-                          np.pad(sparse.features.toarray(), ((0, 0), (0, 2)))])
-        both = concat_datasets([dense, narrow])
-        assert both.is_dense and np.array_equal(both.features, want[:24])
-        mixed = concat_datasets([dense, narrow, sparse])
-        assert not mixed.is_dense and np.array_equal(mixed.features.toarray(), want)
-        assert np.array_equal(mixed.labels, np.concatenate(
-            [dense.labels, narrow.labels, sparse.labels]))
 
     def test_dense_features_must_be_a_matrix(self):
         ds = generate_synthetic(5, 3, seed=16)

@@ -264,6 +264,14 @@ def storages(p):
     return p, objective.csr_twin(p)
 
 
+def engine_grads(engine, X, t, eq):
+    """The engine's gradients at step t of one config's seed-major (S, M, d)
+    iterates X, taken on its node-major (config, node, seed, d) stack and
+    returned seed-major; eq[s] says that seed s's nodes coincide."""
+    G = engine.gradients(X.transpose(1, 0, 2)[None].copy(), t, np.asarray(eq)[None])
+    return G[0].transpose(1, 0, 2)
+
+
 class TestNodeBlockKernel:
     """Problem.node_grads on heterogeneous nodes: node m's exact gradient
     over its own rows only."""
@@ -271,13 +279,13 @@ class TestNodeBlockKernel:
     @staticmethod
     def per_node(p, X):
         """The definition: one 2-D product pair over each node's signed rows,
-        at its points X[:, m]."""
+        at its points X[m] of the node-major (M, k, d) stack X."""
         G = np.empty_like(X)
         for m in range(p.M):
             start, stop = p.node_range(m)
-            B, X_m = p.dense_rows[start:stop], X[:, m]
+            B, X_m = p.dense_rows[start:stop], X[m]
             C = (-1.0 / (stop - start)) / (1.0 + np.exp(B @ X_m.T))
-            G[:, m] = (B.T @ C).T + p.lam * X_m
+            G[m] = (B.T @ C).T + p.lam * X_m
         return G
 
     @pytest.mark.parametrize("n, runs", [(60, 1), (61, 2)])  # blocks 20^3; 21, 20, 20
@@ -285,7 +293,7 @@ class TestNodeBlockKernel:
     def test_batched_products_equal_the_per_node_products_bitwise(self, n, runs, width):
         p = small_problem(n=n, d=5, M=3, regime=Regime.HETEROGENEOUS, sort_by_label=True)
         assert p.dense_rows is not None and len(p.part.block_runs) == runs
-        X = RngStream(seed=47).generator().standard_normal((width, p.M, p.dim))
+        X = RngStream(seed=47).generator().standard_normal((p.M, width, p.dim))
         G = p.node_grads(X)
         assert np.array_equal(G, self.per_node(p, X))
         out = np.full_like(X, np.nan)
@@ -301,15 +309,15 @@ class TestNodeBlockKernel:
         cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
                         gradient_mode=GradientMode.FULL, seed=0)
         engine = _GradientEngine(p, cfg, range(S))
-        X = RngStream(seed=48).generator().standard_normal((S, M, d))
-        eq = np.zeros(S, dtype=bool)
+        X = RngStream(seed=48).generator().standard_normal((1, M, S, d))
+        eq = np.zeros((1, S), dtype=bool)
         tracemalloc.start()
         try:
             G = engine.gradients(X, 0, eq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(G, self.per_node(p, X))
+        assert np.array_equal(G[0], self.per_node(p, X[0]))
         assert peak < 4 * n * S * 8
 
 
@@ -381,14 +389,14 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
         else:
             want = np.concatenate([grads(q.node_range(m), X[m:m + 1]) for m in range(M)])
             want_at_x0 = np.concatenate([grads(q.node_range(m), X[:1]) for m in range(M)])
-        assert np.array_equal(q.node_grads(X[None])[0], want)
+        assert np.array_equal(q.node_grads(X[:, None])[:, 0], want)
         assert np.array_equal(node_gradients(q, X[0]),
                               np.broadcast_to(want_at_x0, (M, p.dim)))
         assert np.array_equal(loss_many(q, X), losses(X))
 
         engine = _GradientEngine(q, cfg, [0, 1])
-        G = engine.gradients(Xs, 0, np.zeros(len(Xs), dtype=bool))
-        idx = engine._draws(0)  # (seed, node, batch)
+        G = engine_grads(engine, Xs, 0, np.zeros(len(Xs), dtype=bool))
+        idx = engine._draws(0).transpose(1, 0, 2)  # (seed, node, batch)
         rows = (A[idx] if q.dense_rows is not None
                 else A[idx.ravel()].toarray().reshape(*idx.shape, p.dim))
         y_sel = y[idx]
@@ -404,7 +412,7 @@ def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
                     gradient_mode=mode, seed=seeds[0], batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
     X = np.tile(x, (len(seeds), p.M, 1))
-    return [engine.gradients(X, t, np.ones(len(seeds), dtype=bool)) for t in range(T)]
+    return [engine_grads(engine, X, t, np.ones(len(seeds), dtype=bool)) for t in range(T)]
 
 
 class TestStochasticGrad:
@@ -435,8 +443,8 @@ class TestStochasticGrad:
                         gradient_mode=mode, seed=0, noise_sigma=0.3)
         for q in storages(p):
             engine = _GradientEngine(q, cfg, seeds)
-            G = engine.gradients(X, 0, np.full(len(seeds), common))
-            noise = (engine._draws(0) if mode == GradientMode.INJECTED_NOISE
+            G = engine_grads(engine, X, 0, np.full(len(seeds), common))
+            noise = (engine._draws(0).transpose(1, 0, 2) if mode == GradientMode.INJECTED_NOISE
                      else np.zeros_like(X))
             for s in range(len(seeds)):
                 for m in range(p.M):
@@ -523,9 +531,9 @@ class TestEstimateL:
         assert estimate_L(ds, one_node(ds), 0.37) == pytest.approx(base + 0.37, rel=1e-12)
 
     def test_duplication_invariance(self):
-        from localsgd.dataio import concat_datasets
         ds = generate_synthetic(30, 5, seed=15)
-        doubled = concat_datasets([ds, ds])
+        doubled = Dataset(np.vstack([ds.features, ds.features]),
+                          np.concatenate([ds.labels, ds.labels]))
         assert estimate_L(doubled, one_node(doubled), 0.01) == pytest.approx(
             estimate_L(ds, one_node(ds), 0.01), rel=1e-8)
 

@@ -1,11 +1,12 @@
 import io
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from localsgd import simulator
-from localsgd.dataio import Regime, generate_synthetic, partition
+from localsgd.dataio import Dataset, Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
 from localsgd.objective import (build_problem, csr_twin, full_grad_global, loss, loss_many,
                                 solve_reference)
@@ -99,9 +100,10 @@ class TestSyncSchedule:
 
 
 def engine_vt(X) -> float:
-    """V_t of one (M, d) stack of node iterates, as the engine computes it."""
-    X = np.asarray(X, dtype=np.float64)[None]
-    return float(_vt_batch(X, _mean_nodes(X)[0])[0])
+    """V_t of one (M, d) stack of node iterates, as the engine computes it
+    on its (config, node, seed, d) stack."""
+    X = np.asarray(X, dtype=np.float64)[None, :, None]
+    return float(_vt_batch(X, _mean_nodes(X)[0])[0, 0])
 
 
 class TestComputeVt:
@@ -321,7 +323,7 @@ class TestInvariants:
         # not at their average; V_t measured at the sync rows must show it.
         from localsgd import verify
         monkeypatch.setattr(simulator, "_synchronize",
-                            lambda X, xhat: np.repeat(X[:, :1, :], X.shape[1], axis=1))
+                            lambda X, xhat: np.repeat(X[:1], X.shape[0], axis=0))
         assert verify.criterion_sync_invariant("fast").status == verify.FAIL
 
     def test_divergence_reported(self, setup):
@@ -332,6 +334,83 @@ class TestInvariants:
                         gradient_mode=GradientMode.FULL, seed=0)
         with pytest.raises(DivergenceError, match="diverged at step"):
             run_local_sgd(p, cfg, ref)
+
+    def test_divergence_names_the_first_seed_then_node(self):
+        # One config's node-major (M, S, d) stack in which seed 0's node 2
+        # and seed 1's node 0 blow up in the same step: seed order comes
+        # first, where a node-major scan would name seed 1's node 0.
+        X = np.zeros((3, 2, 4))
+        X[2, 0, 3] = np.nan
+        X[0, 1, 1] = np.inf
+        X[1, 1, 0] = 2e100
+        e = simulator._divergence(X, 17, [7, 9])
+        assert (e.t, e.seed, e.node) == (17, 7, 2)
+        X[2, 0, 3] = 0.0
+        e = simulator._divergence(X, 17, [7, 9])
+        assert (e.seed, e.node) == (9, 0)
+
+
+def one_step_after_syncs(agg, H):
+    """The rows one step after x0 and after each synchronization."""
+    return np.flatnonzero(agg.t % H == 1)
+
+
+class TestExactDeviation:
+    """V_t one step after a synchronization, where every node left the same
+    point xhat: x_m = xhat - gamma g_m, so V = gamma^2 (1/M) sum_m
+    ||g_m - mean_m g_m||^2, two-sided checks of the per-(seed, node) noise
+    routing and of the heterogeneous node-block kernel."""
+
+    @staticmethod
+    def within_4se(sigma_run, sigma_checked=1.0, H=8):
+        # vt-deviation's problem: identical data, exact gradients plus
+        # noise of total variance sigma^2 per node, so E V = gamma^2
+        # sigma^2 (M - 1)/M at each row one step after a sync.
+        ds = generate_synthetic(100, 10, seed=104)
+        p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.05)
+        ref = solve_reference(p, 1e-11)
+        gamma = 1.0 / (2 * p.L)
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 96), gamma=gamma,
+                        gradient_mode=GradientMode.INJECTED_NOISE,
+                        noise_sigma=sigma_run, seed=0, record_every=1)
+        agg = run_replicated(p, cfg, ref, range(40))
+        rows = one_step_after_syncs(agg, H)
+        assert rows.size == 12
+        want = gamma**2 * sigma_checked**2 * 3 / 4
+        z = (agg.mean["V"][rows] - want) / agg.se["V"][rows]
+        return bool(np.all(np.abs(z) <= 4.0))
+
+    def test_injected_noise_deviation_is_its_expectation(self):
+        assert self.within_4se(1.0)
+
+    def test_doubled_noise_fails_the_check(self):
+        assert not self.within_4se(2.0, sigma_checked=1.0)
+
+    @pytest.mark.parametrize("n, storage", [(400, "dense"), (400, "csr"), (90, "dense")],
+                             ids=["dense", "csr", "unequal-blocks"])
+    def test_full_gradient_deviation_is_the_node_gradient_spread(self, n, storage):
+        # Heterogeneous data: node m's gradient is that of a one-node problem
+        # on its own rows, independently of the engine's node-block kernel.
+        # n = 90 over M = 4 gives blocks of 23, 23, 22 and 22 rows.
+        ds = generate_synthetic(n, 30, seed=109, sort_by_label=True)
+        p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
+        nodes = []
+        for start, stop in p.part.node_ranges:
+            rows = Dataset(ds.features[start:stop], ds.labels[start:stop])
+            nodes.append(build_problem(rows, partition(rows, 1, Regime.IDENTICAL), lam=p.lam))
+        q = csr_twin(p) if storage == "csr" else p
+        ref = solve_reference(p, 1e-10)
+        H, gamma = 4, 1.0 / p.L
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 32), gamma=gamma,
+                        gradient_mode=GradientMode.FULL, seed=0, record_every=1)
+        agg = run_local_sgd(q, cfg, ref, capture_xhat=True)
+        rows = one_step_after_syncs(agg, H)
+        assert rows.size == 8
+        for r in rows:
+            xhat = agg.xhat[0, r - 1]  # every node's point at the sync
+            g = np.array([full_grad_global(node, xhat) for node in nodes])
+            want = gamma**2 * np.mean(np.sum((g - g.mean(axis=0))**2, axis=1))
+            assert want > 0 and abs(agg.mean["V"][r] - want) <= 1e-12 * want
 
 
 class TestReplicated:
@@ -468,8 +547,8 @@ class TestRefill:
         p = csr_twin(p) if storage == "csr" else p
         cfg = make_cfg(p, T=6, batch=3)
         seeds = [0, 3, 8, 2, 5]
-        X = np.random.default_rng(7).standard_normal((2 * len(seeds), 4, p.dim))
-        eq = np.zeros(len(X), dtype=bool)
+        X = np.random.default_rng(7).standard_normal((2, 4, len(seeds), p.dim))
+        eq = np.zeros((2, len(seeds)), dtype=bool)
         whole = simulator._GradientEngine(p, cfg, seeds)
         want = [whole.gradients(X, t, eq) for t in range(cfg.T)]
         monkeypatch.setattr(simulator, "_REFILL_BYTES", seeds_per_block * 4 * 3 * p.dim * 8)
@@ -486,11 +565,11 @@ class TestRefill:
         S = 50
         cfg = make_cfg(p, T=1, H=1, batch=2000)
         engine = simulator._GradientEngine(p, cfg, range(S))
-        X = np.zeros((S, 4, p.dim))
+        X = np.zeros((1, 4, S, p.dim))
         engine._draws(0)  # the refill buffer is the engine's, not the step's
         tracemalloc.start()
         try:
-            engine.gradients(X, 0, np.zeros(S, dtype=bool))
+            engine.gradients(X, 0, np.zeros((1, S), dtype=bool))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -523,11 +602,11 @@ class TestRefill:
         cfg = RunConfig(M=4, schedule=SyncSchedule.one_shot(T), gamma=0.1,
                         gradient_mode=GradientMode.STOCHASTIC, seed=0)
         seeds = list(range(50))
-        X = np.zeros((50, 4, p.dim))
+        X = np.zeros((1, 4, 50, p.dim))
         tracemalloc.start()
         try:
             engine = simulator._GradientEngine(p, cfg, seeds)
-            engine.gradients(X, 0, np.ones(len(seeds), dtype=bool))
+            engine.gradients(X, 0, np.ones((1, len(seeds)), dtype=bool))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -638,6 +717,27 @@ class TestSweep:
             for seed, xhat in zip(agg.seeds, agg.xhat):
                 alone = run_local_sgd(p, replace(cfg, seed=seed), ref, capture_xhat=True)
                 assert np.array_equal(xhat, alone.xhat[0])
+
+    def test_recording_range_spans_exactly_the_lanes_that_record(self):
+        # Per grid row, the lanes [lo, hi) whose metrics are computed: rows
+        # 1 and 4 are recorded by no lane, so nothing is computed there.
+        rows = [[1, 0, 0, 1, 0], [0, 0, 1, 1, 0], [1, 0, 0, 0, 0]]
+        lanes = [SimpleNamespace(rows=np.array(r, dtype=bool)) for r in rows]
+        assert simulator._recording_lanes(lanes) == ([0, 0, 1, 0, 0], [3, 0, 2, 2, 0])
+
+    def test_one_coordinate_seed_alone_equals_seed_in_a_batch(self):
+        # At d = 1 the nodes of a lone seed are numpy's contiguous axis, and
+        # M = 9 of them are summed pairwise, not in order; the seed's node
+        # means must not change when other seeds share its batch.
+        ds = generate_synthetic(200, 1, seed=3)
+        p = build_problem(ds, partition(ds, 9, Regime.IDENTICAL), lam=0.05)
+        ref = solve_reference(p, 1e-10)
+        cfg = RunConfig(M=9, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
+                        gradient_mode=GradientMode.STOCHASTIC, seed=1, record_every=1)
+        alone = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        sweep = simulator.Sweep(p, [cfg], ref, [0, 1, 2], capture_xhat=True)
+        inside = run_replicated(p, cfg, ref, [0, 1, 2], sweep=sweep)
+        assert np.array_equal(alone.xhat[0], inside.xhat[1])
 
     def test_configs_must_share_the_steps_and_draws(self, setup):
         p, ref = setup
