@@ -31,7 +31,9 @@ from .simulator import (
     RunConfig,
     Sweep,
     SyncSchedule,
-    run_local_sgd,
+    # Not called here: bench/tracing.py wraps, and bench/worker.py replaces,
+    # cli.run_local_sgd by name.
+    run_local_sgd,  # noqa: F401
     run_replicated,
 )
 
@@ -398,8 +400,7 @@ def cmd_run(args) -> int:
         schedule = run_cfg.schedule
         tag = f"H{schedule.H}"
         try:
-            trace = (run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep) if replicated
-                     else run_local_sgd(p, run_cfg, ref, sweep=sweep))
+            trace = run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep)
         except DivergenceError as e:
             print(f"H={schedule.H}: {e} (run skipped)")
             summary.append((schedule.H, None, None, None, "diverged"))
@@ -520,15 +521,18 @@ def cmd_verify(args) -> int:
 
 def _resolved_config(args) -> ExperimentConfig:
     """The config file with the flags applied, refused before any work if
-    lambda^2 is not finite: it enters every per-sample gradient norm of the
-    variance report."""
+    lambda^2 or noise_sigma^2 is not finite: the first enters every
+    per-sample gradient norm of the variance report, the second every
+    bound's sigma^2."""
     cfg = load_config(args.config)
     for f in fields(cfg):
         raw = getattr(args, f.name, None) if f.metadata["flag"] else None
         if raw is not None:
             setattr(cfg, f.name, _parse(f.metadata["parse"], raw, f.metadata["flag"]))
-    if cfg.lam is not None and not math.isfinite(cfg.lam * cfg.lam):
-        raise _invalid("lam", f"{cfg.lam!r} has a square that is not finite")
+    for name in ("lam", "noise_sigma"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value * value):
+            raise _invalid(name, f"{value!r} has a square that is not finite")
     return cfg
 
 

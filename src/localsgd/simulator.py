@@ -466,15 +466,15 @@ _RECORD_BLOCK = 64
 
 class _Lane:
     """One config of a sweep, filled in by _simulate: the mean and SE over
-    the requested seeds at each of its own rows, subopt and the
+    the sweep's seeds at each of its own rows, subopt and the
     iterate-average suboptimalities per seed, the trajectory when captured,
     or its DivergenceError.
 
     `rows`, `synced_at` and `subopt_at` are masks over the sweep's grid:
     the config's own recording grid (every stride-th step and every
     synchronization step, T among them), its synchronization steps and its
-    _subopt_steps. `pick` maps the requested seeds (sorted, repeats kept)
-    to the simulated ones: a slice when each was simulated once, else a list
+    _subopt_steps. `pick` maps the sweep's seeds (sorted, repeats kept) to
+    the simulated ones: a slice when each was simulated once, else a list
     of rows.
     """
 
@@ -490,12 +490,11 @@ class _Lane:
         self.mean, self.se = np.empty((2, len(self._PER_ROW), self.t.size))
         self.subopt = []  # one (S,) column per subopt_at row, stacked at the end
         self.xhat = None
-        self.own = 0  # its block of _simulate's stack, while it runs
         self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
         self.error: DivergenceError | None = None
 
     def stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and SE over the requested seeds of seed-major values."""
+        """Mean and SE over the sweep's seeds of seed-major values."""
         # Seeds on the last axis of a column-major (rows, seeds) array: numpy
         # sums a strided axis in another order than a contiguous one.
         return _mean_and_se(values[self.pick].T)
@@ -517,12 +516,13 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
 
     The configs share T, M, gradient mode, batch and noise_sigma, so one
     engine draws each (seed, node) stream once for all of them. The state
-    is one node-major (K, M, S, d) stack over the K lanes still running,
-    lane `own` owning the contiguous block X[own]; elementwise steps and
-    node reductions take the whole stack, and every BLAS product (exact
-    gradients, the recorder's loss) is taken per lane at the width a run
-    alone uses. A lane that diverges gets its DivergenceError and leaves
-    the stack; the others go on.
+    is one node-major (K, M, S, d) stack, lane k owning the contiguous
+    block X[k] for the whole run; elementwise steps and node reductions take
+    the whole stack, and every BLAS product (exact gradients, the
+    recorder's loss) is taken per lane at the width a run alone uses. A
+    lane that diverges gets its DivergenceError and is parked: its iterates
+    and stepsize are set to 0, and it is never synchronized, aggregated or
+    evaluated again; the others go on.
 
     One cursor walks `grid`, the union of the lanes' recording grids, and
     records V_t, dist_sq and grad_norm_sq into a (3, K, S, _RECORD_BLOCK)
@@ -539,10 +539,8 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     cfg = lanes[0].cfg
     K, S, M, d, T = len(lanes), len(seeds), cfg.M, p.dim, cfg.T
     grad_engine = _GradientEngine(p, cfg, seeds)
-    live = list(lanes)
-    for k, lane in enumerate(live):
-        lane.own = k
-    gamma = np.array([lane.cfg.gamma for lane in live])[:, None, None, None]
+    live = list(enumerate(lanes))  # (k, lane) of the lanes not parked
+    gamma = np.array([lane.cfg.gamma for lane in lanes])[:, None, None, None]
     X = np.zeros((K, M, S, d))
     xhat, eq = _mean_nodes(X)
     bar_sums = np.zeros((2, K, S, d))  # xhat_t summed over t = 1..T and 0..T-1
@@ -551,7 +549,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     # The rows at which some lane takes subopt, or synchronizes.
     subopt_at = np.logical_or.reduce([lane.subopt_at for lane in lanes])
     synced_at = np.logical_or.reduce([lane.synced_at for lane in lanes])
-    los, his = _recording_lanes(live)
+    los, his = _recording_lanes(lanes)
     # The cursor: the row to record next and its step (-1 past the end), and
     # the row in block column 0.
     r, t_r, first = 0, 0, 0
@@ -559,11 +557,11 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     def aggregate(rows: int) -> None:
         """Each lane's mean and SE at its own rows among block columns
         0..rows-1."""
-        for lane in live:
+        for k, lane in live:
             own = lane.rows[first:first + rows]
             at = np.searchsorted(lane.t, grid[first])  # the lane's rows before `first`
             out = slice(at, at + np.count_nonzero(own))
-            for j, values in enumerate(block[:, lane.own, :, :rows]):
+            for j, values in enumerate(block[:, k, :, :rows]):
                 mean, se = lane.stats(values)
                 lane.mean[j, out], lane.se[j, out] = mean[own], se[own]
 
@@ -585,9 +583,9 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             if xhat_rows is not None:
                 xhat_rows[:, :, r] = xhat
             if subopt_at[r]:
-                for lane in live:
+                for k, lane in live:
                     if lane.subopt_at[r]:
-                        lane.subopt.append(loss_many(p, xhat[lane.own]) - ref.f_star)
+                        lane.subopt.append(loss_many(p, xhat[k]) - ref.f_star)
             r += 1
             t_r = int(grid[r]) if r < grid.size else -1
         if t == T:
@@ -606,36 +604,30 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             X -= np.multiply(G, gamma, out=G)
             xhat, eq = _mean_nodes(X)
         if minibatch or (t_r == t + 1 and synced_at[r]):
-            for lane in live:
+            for k, lane in live:
                 if minibatch or lane.synced_at[r]:
-                    X[lane.own] = _synchronize(X[lane.own], xhat[lane.own])
-                    eq[lane.own] = True  # every node now holds xhat
+                    X[k] = _synchronize(X[k], xhat[k])
+                    eq[k] = True  # every node now holds xhat
         bar_sums[0] += xhat
         # A nan peak fails the comparison too.
         if not np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
-            ok = np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT
-            for lane, keep in zip(live, ok):
-                if not keep:
-                    lane.error = _divergence(X[lane.own], t + 1, seeds)
-            live = [lane for lane in live if lane.error is None]
+            bad = ~(np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT)
+            for k in np.flatnonzero(bad):
+                if lanes[k].error is None:  # a parked lane keeps its first error
+                    lanes[k].error = _divergence(X[k], t + 1, seeds)
+            live = [(k, lane) for k, lane in live if lane.error is None]
             if not live:
                 return
-            for k, lane in enumerate(live):
-                lane.own = k
-            X, xhat, eq, gamma = (a[ok] for a in (X, xhat, eq, gamma))
-            block, bar_sums = block[:, ok], bar_sums[:, ok]
-            if xhat_rows is not None:
-                xhat_rows = xhat_rows[ok]
-            los, his = _recording_lanes(live)
+            X[bad], xhat[bad], gamma[bad], eq[bad] = 0.0, 0.0, 0.0, True
 
     block[2, :, :, grid.size - 1 - first] = np.nan  # no gradient is taken at T
     aggregate(grid.size - first)
-    for lane in live:
+    for k, lane in live:
         lane.bar_subopt_tail, lane.bar_subopt_head = (
-            loss_many(p, s[lane.own] / T) - ref.f_star for s in bar_sums)
+            loss_many(p, s[k] / T) - ref.f_star for s in bar_sums)
         lane.subopt = np.stack(lane.subopt, axis=1)
         if xhat_rows is not None:
-            lane.xhat = xhat_rows[lane.own][:, lane.rows]
+            lane.xhat = xhat_rows[k][:, lane.rows]
 
 
 # The fields every config of a sweep shares: they fix the steps, the draws
@@ -653,10 +645,9 @@ class Sweep:
     streams, drawn once for the sweep, and one recording grid, the sorted
     union of theirs: every stride-th step and each config's synchronization
     steps. Each config's results are bitwise those of its run alone,
-    whichever configs share the sweep. Hand a sweep to run_local_sgd (one
-    seed) or run_replicated, with the same p, ref and seeds, to get one
-    config's AggregateTrace from it; with capture_xhat, its xhat holds the
-    node-average trajectory of each requested seed.
+    whichever configs share the sweep. `result(cfg)` gives one config's
+    AggregateTrace over the sweep's seeds; with capture_xhat, its xhat holds
+    the node-average trajectory of each seed.
     """
 
     def __init__(self, p: Problem, cfgs: Sequence[RunConfig], ref: ReferenceSolution,
@@ -678,13 +669,11 @@ class Sweep:
         self.minibatch, self.capture_xhat = minibatch, capture_xhat
         self._lanes: list[_Lane] | None = None
 
-    def lane(self, cfg: RunConfig, seeds: Sequence[int]) -> _Lane:
-        """The finished lane of cfg run over `seeds`, simulating the whole
-        sweep on the first request; raises cfg's DivergenceError."""
+    def result(self, cfg: RunConfig) -> AggregateTrace:
+        """cfg's result over the sweep's seeds, simulating the whole sweep
+        on the first request; raises cfg's DivergenceError."""
         if cfg not in self.cfgs:
             raise ValueError("the config is not one of the sweep's")
-        if sorted(int(s) for s in seeds) != self.seeds:
-            raise ValueError(f"the sweep runs seeds {self.seeds}, not {list(seeds)}")
         if self._lanes is None:
             # Each distinct seed is simulated once. A run is a pure function
             # of its seed, and exact-gradient runs do not touch the streams
@@ -706,52 +695,47 @@ class Sweep:
         lane = self._lanes[self.cfgs.index(cfg)]
         if lane.error is not None:
             raise lane.error
-        return lane
-
-
-def _result(sweep: Sweep, cfg: RunConfig, seeds: Sequence[int]) -> AggregateTrace:
-    """cfg's result in the sweep, aggregated over `seeds` (the sweep's)."""
-    lane = sweep.lane(cfg, seeds)
-    mean, se = dict(zip(lane._PER_ROW, lane.mean)), dict(zip(lane._PER_ROW, lane.se))
-    subopt = np.full((2, lane.t.size), np.nan)  # nan off its grid
-    subopt[:, lane.subopt_at[lane.rows]] = lane.stats(lane.subopt)
-    mean["subopt"], se["subopt"] = subopt
-    tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
-    return AggregateTrace(
-        t=lane.t, synced=lane.synced, mean=mean, se=se,
-        bar_subopt_tail=tuple(map(float, tail)), bar_subopt_head=tuple(map(float, head)),
-        seeds=tuple(sweep.seeds), metadata=dict(lane.metadata),
-        xhat=None if lane.xhat is None else lane.xhat[lane.pick],
-    )
+        mean, se = dict(zip(lane._PER_ROW, lane.mean)), dict(zip(lane._PER_ROW, lane.se))
+        subopt = np.full((2, lane.t.size), np.nan)  # nan off its grid
+        subopt[:, lane.subopt_at[lane.rows]] = lane.stats(lane.subopt)
+        mean["subopt"], se["subopt"] = subopt
+        tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
+        return AggregateTrace(
+            t=lane.t, synced=lane.synced, mean=mean, se=se,
+            bar_subopt_tail=tuple(map(float, tail)), bar_subopt_head=tuple(map(float, head)),
+            seeds=tuple(self.seeds), metadata=dict(lane.metadata),
+            xhat=None if lane.xhat is None else lane.xhat[lane.pick],
+        )
 
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
-                  capture_xhat: bool = False, sweep: Sweep | None = None) -> AggregateTrace:
+                  capture_xhat: bool = False) -> AggregateTrace:
     """One Local SGD run over the seed cfg.seed: every node steps on its own
     stream; at each scheduled timestamp all nodes are replaced by their
-    average. With a sweep holding cfg over that one seed, its result is
-    taken from the sweep."""
-    if sweep is None:
-        sweep = Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat)
-    elif capture_xhat != sweep.capture_xhat:
-        raise ValueError("capture_xhat is the sweep's setting")
-    return _result(sweep, cfg, [cfg.seed])
+    average."""
+    return Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat).result(cfg)
 
 
 def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
                       capture_xhat: bool = False) -> AggregateTrace:
     """Minibatch SGD baseline over cfg.seed: a single iterate stepped by the
     average of the M per-node stochastic gradients, from the same streams."""
-    return _result(Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
-                         capture_xhat=capture_xhat), cfg, [cfg.seed])
+    return Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
+                 capture_xhat=capture_xhat).result(cfg)
 
 
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
                    seeds: Sequence[int], *, sweep: Sweep | None = None) -> AggregateTrace:
-    """Local SGD runs of cfg over independent seeds, one or more; with a
-    sweep holding cfg over these seeds, taken from the sweep.
+    """Local SGD runs of cfg over independent seeds, one or more, aggregated
+    in sorted order so the result does not depend on how the list was
+    arranged.
 
-    Seeds are aggregated in sorted order so the result does not depend on how
-    the list was arranged.
+    `sweep=` is the per-H request of `localsgd run`, which the benchmark's
+    probe (bench/tracing.py) wraps to count runs: the result is taken from
+    a sweep holding cfg over these same seeds.
     """
-    return _result(sweep or Sweep(p, [cfg], ref, seeds), cfg, seeds)
+    if sweep is None:
+        sweep = Sweep(p, [cfg], ref, seeds)
+    elif sorted(int(s) for s in seeds) != sweep.seeds:
+        raise ValueError(f"the sweep runs seeds {sweep.seeds}, not {list(seeds)}")
+    return sweep.result(cfg)

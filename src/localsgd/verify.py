@@ -6,6 +6,7 @@ counts for quick iteration; `level="full"` runs the stated settings.
 """
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -50,8 +51,18 @@ def _seeds(level: str) -> list[int]:
     return list(range(200 if level == "full" else 50))
 
 
-def _result(name: str, ok: bool, details: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, PASS if ok else FAIL, details, time.process_time() - t0)
+def _criterion(name: str):
+    """Make fn(level) -> (ok or status, details) a criterion whose result is
+    named `name` and timed in CPU seconds of this process."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def timed(level: str = "full") -> CriterionResult:
+            t0 = time.process_time()
+            outcome, details = fn(level)
+            status = outcome if isinstance(outcome, str) else (PASS if outcome else FAIL)
+            return CriterionResult(name, status, details, time.process_time() - t0)
+        return timed
+    return decorate
 
 
 def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
@@ -65,11 +76,11 @@ def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
 # 1. Gradient correctness against central differences
 # ---------------------------------------------------------------------------
 
-def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
+@_criterion("gradient-correctness")
+def criterion_gradient_correctness(level: str) -> tuple:
     """The package's own gradients against central differences of
     objective.loss: the engine's single-sample stochastic gradient on dense
     and on CSR storage, and node_gradients."""
-    t0 = time.process_time()
     ds = generate_synthetic(60, 8, seed=101)
     p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.05)
     gen = np.random.Generator(np.random.Philox(key=101))
@@ -100,17 +111,16 @@ def criterion_gradient_correctness(level: str = "full") -> CriterionResult:
     for _ in range(T):
         x = gen.standard_normal(p.dim)
         worst = max(worst, rel_error(objective.node_gradients(p, x)[0], p, x))
-    return _result("gradient-correctness", worst <= 1e-6,
-                   f"max relative error {worst:.2e} over {T} (x, sample) pairs "
-                   f"per storage and {T} full gradients", t0)
+    return worst <= 1e-6, (f"max relative error {worst:.2e} over {T} (x, sample) pairs "
+                           f"per storage and {T} full gradients")
 
 
 # ---------------------------------------------------------------------------
 # 2. Local SGD with H=1 equals minibatch SGD
 # ---------------------------------------------------------------------------
 
-def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("engine-equivalence-H1")
+def criterion_engine_equivalence(level: str) -> tuple:
     ds = generate_synthetic(1000, 20, seed=102)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))
     ref = solve_reference(p, 1e-10)
@@ -121,16 +131,15 @@ def criterion_engine_equivalence(level: str = "full") -> CriterionResult:
     denom = np.maximum(np.linalg.norm(tr_mb.xhat[0], axis=1), 1e-300)
     rel = np.linalg.norm(tr_loc.xhat[0] - tr_mb.xhat[0], axis=1) / denom
     worst = float(rel.max())
-    return _result("engine-equivalence-H1", worst <= 1e-12,
-                   f"max per-step iterate relative difference {worst:.2e}", t0)
+    return worst <= 1e-12, f"max per-step iterate relative difference {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
 # 3. V_t is exactly zero at synchronization timestamps (schedule fuzz)
 # ---------------------------------------------------------------------------
 
-def criterion_sync_invariant(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("sync-point-invariant")
+def criterion_sync_invariant(level: str) -> tuple:
     ds = generate_synthetic(80, 6, seed=103)
     gen = np.random.Generator(np.random.Philox(key=103))
     setups = {}  # one problem + reference per node count
@@ -152,16 +161,15 @@ def criterion_sync_invariant(level: str = "full") -> CriterionResult:
         tr = run_local_sgd(p, cfg, ref)
         if not np.all(tr.mean["V"][tr.synced] == 0.0):
             bad += 1
-    return _result("sync-point-invariant", bad == 0,
-                   f"{100 - bad}/100 random schedules had V_t == 0 exactly at syncs", t0)
+    return bad == 0, f"{100 - bad}/100 random schedules had V_t == 0 exactly at syncs"
 
 
 # ---------------------------------------------------------------------------
 # 4. Iterate-deviation bound (identical data, exact injected variance)
 # ---------------------------------------------------------------------------
 
-def criterion_vt_lemma(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("vt-deviation-bound")
+def criterion_vt_lemma(level: str) -> tuple:
     ds = generate_synthetic(100, 10, seed=104)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.05)
     ref = solve_reference(p, 1e-11)
@@ -175,20 +183,19 @@ def criterion_vt_lemma(level: str = "full") -> CriterionResult:
     sweep = Sweep(p, cfgs, ref, seeds)
     for cfg in cfgs:
         H = cfg.schedule.H
-        agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+        agg = sweep.result(cfg)
         v = theory.check_vt_bound(agg, gamma, H, 1.0, L=p.L)
         ok = ok and v.holds
         lines.append(f"H={H}:{'ok' if v.holds else 'VIOLATED'}")
-    return _result("vt-deviation-bound", ok,
-                   f"mean V_t <= (H-1) gamma^2 sigma^2 + 3SE ({', '.join(lines)})", t0)
+    return ok, f"mean V_t <= (H-1) gamma^2 sigma^2 + 3SE ({', '.join(lines)})"
 
 
 # ---------------------------------------------------------------------------
 # 5. Strongly convex identical-data distance bound (uniform variance)
 # ---------------------------------------------------------------------------
 
-def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("sc-identical-distance-bound")
+def criterion_sc_identical_ubv(level: str) -> tuple:
     ds = generate_synthetic(120, 20, seed=105)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.1)
     ref = solve_reference(p, 1e-11)
@@ -202,21 +209,20 @@ def criterion_sc_identical_ubv(level: str = "full") -> CriterionResult:
                       seed=0) for H in (1, 4, 16)]
     sweep = Sweep(p, cfgs, ref, seeds)
     for cfg in cfgs:
-        agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+        agg = sweep.result(cfg)
         v = _check("SC_IID_UBV", p, cfg, ref, None, agg)
         ok = ok and v.holds
         slacks.append(f"H={cfg.schedule.H}:{v.slack_ratio:.3f}")
-    return _result("sc-identical-distance-bound", ok,
-                   f"mean dist_sq within RHS + 3SE at every recorded step "
-                   f"(emp/bound {', '.join(slacks)})", t0)
+    return ok, (f"mean dist_sq within RHS + 3SE at every recorded step "
+                f"(emp/bound {', '.join(slacks)})")
 
 
 # ---------------------------------------------------------------------------
 # 6. Finite-sum identical-data bounds (planner-supplied stepsizes)
 # ---------------------------------------------------------------------------
 
-def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("finite-sum-identical-bounds")
+def criterion_finite_sum_identical(level: str) -> tuple:
     ds = generate_synthetic(400, 25, seed=106)
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))  # lam = 1/n
     ref = solve_reference(p, 1e-12)
@@ -236,18 +242,17 @@ def criterion_finite_sum_identical(level: str = "full") -> CriterionResult:
     v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
     ok = v5.holds and v6.holds
-    return _result("finite-sum-identical-bounds", ok,
-                   f"sync-point distance bound {'ok' if v5.holds else 'VIOLATED'} "
-                   f"(emp/bound {v5.slack_ratio:.3f}); averaged-iterate bound "
-                   f"{'ok' if v6.holds else 'VIOLATED'} ({v6.slack_ratio:.3g})", t0)
+    return ok, (f"sync-point distance bound {'ok' if v5.holds else 'VIOLATED'} "
+                f"(emp/bound {v5.slack_ratio:.3f}); averaged-iterate bound "
+                f"{'ok' if v6.holds else 'VIOLATED'} ({v6.slack_ratio:.3g})")
 
 
 # ---------------------------------------------------------------------------
 # 7. Heterogeneous bound and the one-shot interpolation case
 # ---------------------------------------------------------------------------
 
-def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("heterogeneous-bound")
+def criterion_heterogeneous_bound(level: str) -> tuple:
     ds = generate_synthetic(240, 15, seed=107, sort_by_label=True, label_noise=0.05)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     ref = solve_reference(p, 1e-12)
@@ -279,19 +284,18 @@ def criterion_heterogeneous_bound(level: str = "full") -> CriterionResult:
                    and tr2.mean["subopt"][-1] < tr2.mean["subopt"][0])
 
     ok = v.holds and one_shot_ok
-    return _result("heterogeneous-bound", ok,
-                   f"averaged-iterate bound {'ok' if v.holds else 'VIOLATED'} "
-                   f"(emp/bound {v.slack_ratio:.3g}); one-shot interpolation "
-                   f"subopt {tr2.bar_subopt_head[0]:.3e} <= {limit:.3e}: "
-                   f"{'ok' if one_shot_ok else 'VIOLATED'}", t0)
+    return ok, (f"averaged-iterate bound {'ok' if v.holds else 'VIOLATED'} "
+                f"(emp/bound {v.slack_ratio:.3g}); one-shot interpolation "
+                f"subopt {tr2.bar_subopt_head[0]:.3e} <= {limit:.3e}: "
+                f"{'ok' if one_shot_ok else 'VIOLATED'}")
 
 
 # ---------------------------------------------------------------------------
 # 8. Variance identities at the optimum
 # ---------------------------------------------------------------------------
 
-def criterion_variance_identities(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("variance-identities")
+def criterion_variance_identities(level: str) -> tuple:
     ds = generate_synthetic(300, 12, seed=108, sort_by_label=True)
     p1 = build_problem(ds, partition(ds, 1, Regime.HETEROGENEOUS))
     ref = solve_reference(p1, 1e-12)
@@ -312,18 +316,17 @@ def criterion_variance_identities(level: str = "full") -> CriterionResult:
     diff_fb = abs(vrM.sigma_dif_sq - oracle)
 
     ok = diff_m1 <= 1e-12 and diff_fb <= 1e-10
-    return _result("variance-identities", ok,
-                   f"|sigma_dif - sigma_opt| at M=1: {diff_m1:.2e} (<=1e-12); "
-                   f"full-batch heterogeneous vs (1/M) sum ||grad f_m(x*)||^2: "
-                   f"{diff_fb:.2e} (<=1e-10)", t0)
+    return ok, (f"|sigma_dif - sigma_opt| at M=1: {diff_m1:.2e} (<=1e-12); "
+                f"full-batch heterogeneous vs (1/M) sum ||grad f_m(x*)||^2: "
+                f"{diff_fb:.2e} (<=1e-10)")
 
 
 # ---------------------------------------------------------------------------
 # 9. Planner arithmetic
 # ---------------------------------------------------------------------------
 
-def criterion_planners(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("planner-arithmetic")
+def criterion_planners(level: str) -> tuple:
     checks = [theory.plan_H("wc-heterogeneous", 256, 4) == 2,
               theory.plan_H("wc-identical", 10**6, 10) == 32,
               # T below kappa*M: the floor argument is below 1
@@ -355,9 +358,8 @@ def criterion_planners(level: str = "full") -> CriterionResult:
         grid_ok &= g7 <= lim7 * (1 + 1e-12)
     checks.append(grid_ok)
     ok = all(checks)
-    return _result("planner-arithmetic", ok,
-                   f"fixed identities {'ok' if all(checks[:4]) else 'VIOLATED'}; "
-                   f"100-point stepsize grid admissible: {grid_ok}", t0)
+    return ok, (f"fixed identities {'ok' if all(checks[:4]) else 'VIOLATED'}; "
+                f"100-point stepsize grid admissible: {grid_ok}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +374,19 @@ def _plateau_reached(window: np.ndarray) -> bool:
     return bool(np.mean(window[half:][None, :] < window[:half, None]) <= 0.75)
 
 
-def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("real-data-protocol")
+def criterion_real_data_protocol(level: str) -> tuple:
     data_dir, manifest = dataio.manifest_path()
     if not os.path.exists(manifest):
-        return CriterionResult(
-            "real-data-protocol", SKIP,
-            "a9a not present (no manifest); fetch it per data/README.md to "
-            "enable this check", time.process_time() - t0)
+        return SKIP, ("a9a not present (no manifest); fetch it per data/README.md to "
+                      "enable this check")
     entries = dataio.read_manifest(manifest)
     if "a9a" not in entries:
-        return CriterionResult("real-data-protocol", SKIP,
-                               "manifest has no a9a entry", time.process_time() - t0)
+        return SKIP, "manifest has no a9a entry"
     entry = entries["a9a"]
     ds = dataio.load_dataset(entry, data_dir)
     if ds.n != 32561 or ds.dim != 123:
-        return CriterionResult(
-            "real-data-protocol", FAIL,
-            f"a9a shape {ds.n}x{ds.dim} differs from the published 32561x123",
-            time.process_time() - t0)
+        return FAIL, f"a9a shape {ds.n}x{ds.dim} differs from the published 32561x123"
     p = build_problem(ds, partition(ds, 20, Regime.IDENTICAL))  # lam = 1/n
     ref = solve_reference(p, 1e-9)
 
@@ -426,15 +422,15 @@ def criterion_real_data_protocol(level: str = "full") -> CriterionResult:
     ok = ok and lvl_big > lvl_small
     notes.append(f"plateau(1/L)={lvl_big:.3e} > plateau(0.05/L)={lvl_small:.3e}: "
                  f"{lvl_big > lvl_small}")
-    return _result("real-data-protocol", ok, "; ".join(notes), t0)
+    return ok, "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------
 # 11. Heterogeneous local GD: fewer rounds to moderate accuracy for larger H
 # ---------------------------------------------------------------------------
 
-def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
-    t0 = time.process_time()
+@_criterion("communication-tradeoff")
+def criterion_communication_tradeoff(level: str) -> tuple:
     ds = generate_synthetic(400, 30, seed=51, sort_by_label=True, label_noise=0.02)
     p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
     ref = solve_reference(p, 1e-12)
@@ -455,9 +451,8 @@ def criterion_communication_tradeoff(level: str = "full") -> CriterionResult:
     seq = [hits[H] for H in (1, 2, 4, 8, 16)]
     reached = all(r is not None for r in seq)
     mono = reached and all(a >= b for a, b in zip(seq, seq[1:]))
-    return _result("communication-tradeoff", reached and mono,
-                   f"rounds to 10x the H=16 level over H=(1,2,4,8,16): {seq} "
-                   f"(nonincreasing: {mono})", t0)
+    return reached and mono, (f"rounds to 10x the H=16 level over H=(1,2,4,8,16): {seq} "
+                              f"(nonincreasing: {mono})")
 
 
 CRITERIA: list[Callable[[str], CriterionResult]] = [

@@ -50,8 +50,9 @@ print(json.dumps({{"rc": rc, "package": localsgd.__file__,
 """
 
 
-def test_bench_tracing_wraps_a_run(tmp_path):
-    (tmp_path / "run.ini").write_text(_CONFIG)
+def _traced_run(tmp_path, seeds: str) -> dict:
+    """The probe's and spans' record of one `localsgd run` over `seeds`."""
+    (tmp_path / "run.ini").write_text(_CONFIG.replace("seeds = 0:2", f"seeds = {seeds}"))
     script = _SCRIPT.format(src=os.path.join(ROOT, "src"),
                             bench=os.path.join(ROOT, "bench"))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -61,6 +62,11 @@ def test_bench_tracing_wraps_a_run(tmp_path):
     record = json.loads(done.stdout.strip().splitlines()[-1])
     assert record["rc"] == 0
     assert record["package"].startswith(os.path.join(ROOT, "src") + os.sep)
+    return record
+
+
+def test_bench_tracing_wraps_a_run(tmp_path):
+    record = _traced_run(tmp_path, "0:2")
     counts = record["counts"]
     assert counts["simulator.runs"] == 2  # one per H
     assert counts["simulator.node_steps"] == 2 * (2 * 2 * 20)  # H-runs x seeds x M x T
@@ -72,3 +78,9 @@ def test_bench_tracing_wraps_a_run(tmp_path):
             "objective.measure_variances", "objective.loss_many", "numkit.draw_indices",
             "simulator.run", "simulator.to_csv",
             "theory.check_bound"} <= set(record["spans"])
+
+
+def test_bench_tracing_counts_a_one_seed_run(tmp_path):
+    counts = _traced_run(tmp_path, "5")["counts"]
+    assert counts["simulator.runs"] == 2  # one per H
+    assert counts["simulator.node_steps"] == 2 * (1 * 2 * 20)

@@ -355,6 +355,9 @@ dir = {tmp_path / 'out'}
          "[run] gamma (--gamma): the suggested T is not finite: inf"),
         (["--lam", "1e200"], "[problem] lambda (--lam): 1e+200 has a square that is "
                              "not finite"),
+        (["--T", "3", "--seeds", "0:2", "--gradient-mode", "injected-noise",
+          "--noise-sigma", "1e300", "--gamma", "1e-320"],
+         "[run] noise_sigma (--noise-sigma): 1e+300 has a square that is not finite"),
     ])
     def test_bad_run_config_names_its_key(self, tmp_path, capsys, flags, key):
         cfg = tmp_path / "bad.ini"
@@ -617,14 +620,15 @@ seeds = 0:2
         assert sorted(k for k in hits if k[1] & flag == flag) == [
             (seed, m | flag) for seed in range(3) for m in range(4)]
 
-    @pytest.mark.parametrize("seeds, name", [("0:3", "run_replicated"),
-                                             ("5", "run_local_sgd")])
+    @pytest.mark.parametrize("seeds, expected", [("0:3", [0, 1, 2]), ("5", [5])],
+                             ids=["0:3", "5"])
     def test_each_H_is_requested_in_order_and_the_first_request_simulates(
-            self, tmp_path, monkeypatch, seeds, name):
+            self, tmp_path, monkeypatch, seeds, expected):
         # The benchmark counts node-steps per request from its positional
-        # (p, run_cfg, ref[, seeds]) and ends set-up at the first one.
+        # (p, run_cfg, ref, seeds) and ends set-up at the first one; one
+        # seed is requested the same way.
         from localsgd import simulator
-        real_simulate, real_request = simulator._simulate, getattr(cli, name)
+        real_simulate, real_request = simulator._simulate, cli.run_replicated
         simulated, requests = [], []
 
         def simulate(*args, **kwargs):
@@ -636,16 +640,15 @@ seeds = 0:2
             return real_request(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "_simulate", simulate)
-        monkeypatch.setattr(cli, name, request)
+        monkeypatch.setattr(cli, "run_replicated", request)
         cfg = TestRunCmd()._config(tmp_path)
         assert run_cli(["run", "--config", cfg, "--H", "4,1,2", "--seeds", seeds]) == 0
         assert [args[1].schedule.H for args, _ in requests] == [4, 1, 2]
-        assert all(len(args) == (4 if name == "run_replicated" else 3)
+        assert all(len(args) == 4
                    and isinstance(args[0], objective.Problem)
                    and isinstance(args[2], objective.ReferenceSolution)
+                   and list(args[3]) == expected
                    for args, _ in requests)
-        if name == "run_replicated":
-            assert all(list(args[3]) == [0, 1, 2] for args, _ in requests)
         # Nothing simulated before the first request, once within it.
         assert [done for _, done in requests] == [0, 1, 1] and simulated == [1]
 

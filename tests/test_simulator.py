@@ -644,13 +644,9 @@ class TestSweep:
         cfgs = sweep_cfgs(p, mode, seed=seeds[0], record_every=record_every)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         for cfg in cfgs:
-            if len(seeds) == 1:
-                together = run_local_sgd(p, cfg, ref, sweep=sweep)
-                alone = run_local_sgd(p, cfg, ref)
-            else:
-                together = run_replicated(p, cfg, ref, seeds, sweep=sweep)
-                alone = run_replicated(p, cfg, ref, seeds)
-            assert csv_of(together) == csv_of(alone)
+            alone = (run_local_sgd(p, cfg, ref) if len(seeds) == 1
+                     else run_replicated(p, cfg, ref, seeds))
+            assert csv_of(sweep.result(cfg)) == csv_of(alone)
 
     @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("seeds", [[0, 1, 2], [2, 0, 1, 2]], ids=["distinct", "repeat"])
@@ -678,8 +674,7 @@ class TestSweep:
         alone = [csv_of(run_replicated(p, cfg, ref, seeds)) for cfg in cfgs]
         monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
-        assert [csv_of(run_replicated(p, cfg, ref, seeds, sweep=sweep))
-                for cfg in cfgs] == alone
+        assert [csv_of(sweep.result(cfg)) for cfg in cfgs] == alone
 
     @pytest.mark.parametrize("record_every", [1, 7])
     def test_diverging_config_fails_alone_and_the_others_complete(self, setup,
@@ -693,12 +688,46 @@ class TestSweep:
         with pytest.raises(DivergenceError) as alone:
             run_replicated(p, cfgs[1], ref, seeds)
         with pytest.raises(DivergenceError) as together:
-            run_replicated(p, cfgs[1], ref, seeds, sweep=sweep)
+            sweep.result(cfgs[1])
         assert ((together.value.t, together.value.seed, together.value.node)
                 == (alone.value.t, alone.value.seed, alone.value.node))
         for cfg in (cfgs[0], cfgs[2]):
-            assert (csv_of(run_replicated(p, cfg, ref, seeds, sweep=sweep))
-                    == csv_of(run_replicated(p, cfg, ref, seeds)))
+            assert csv_of(sweep.result(cfg)) == csv_of(run_replicated(p, cfg, ref, seeds))
+
+    def test_a_parked_lane_keeps_its_first_error_and_takes_no_loss(self, setup,
+                                                                  monkeypatch):
+        # Lane 1's gradients are made infinite at every step: it diverges at
+        # step 1 and is parked, and then 0 * inf turns its block nan on every
+        # later step. It must keep its first error, never evaluate the loss
+        # again, and leave the other lanes' results as they are alone.
+        p, ref = setup
+        cfgs = [make_cfg(p, T=60, H=H, record_every=1) for H in (4, 1, 16)]
+        seeds = [0, 1, 2]
+        losses = []
+        real_loss = simulator.loss_many
+
+        def counting_loss(*args):
+            losses.append(1)
+            return real_loss(*args)
+
+        monkeypatch.setattr(simulator, "loss_many", counting_loss)
+        alone = {k: csv_of(run_replicated(p, cfgs[k], ref, seeds)) for k in (0, 2)}
+        calls_alone = len(losses)
+        real_grads = simulator._GradientEngine.gradients
+
+        def infinite_lane_1(engine, X, t, eq):
+            G = real_grads(engine, X, t, eq)
+            G[1] = np.inf
+            return G
+
+        monkeypatch.setattr(simulator._GradientEngine, "gradients", infinite_lane_1)
+        sweep = simulator.Sweep(p, cfgs, ref, seeds)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as err:
+            sweep.result(cfgs[1])
+        assert (err.value.t, err.value.seed, err.value.node) == (1, 0, 0)
+        assert len(losses) - calls_alone == calls_alone + 1  # lane 1 at step 0 only
+        for k in (0, 2):
+            assert csv_of(sweep.result(cfgs[k])) == alone[k]
 
     @pytest.mark.parametrize("mode", [GradientMode.STOCHASTIC, GradientMode.FULL],
                              ids=lambda m: m.value)
@@ -711,7 +740,7 @@ class TestSweep:
         cfgs = sweep_cfgs(p, mode, T=40)
         sweep = simulator.Sweep(p, cfgs, ref, seeds, capture_xhat=True)
         for cfg in cfgs:
-            agg = run_replicated(p, cfg, ref, seeds, sweep=sweep)
+            agg = sweep.result(cfg)
             assert agg.xhat.shape == (len(seeds), agg.t.size, p.dim)
             assert agg.seeds == tuple(sorted(seeds))
             for seed, xhat in zip(agg.seeds, agg.xhat):
@@ -736,7 +765,7 @@ class TestSweep:
                         gradient_mode=GradientMode.STOCHASTIC, seed=1, record_every=1)
         alone = run_local_sgd(p, cfg, ref, capture_xhat=True)
         sweep = simulator.Sweep(p, [cfg], ref, [0, 1, 2], capture_xhat=True)
-        inside = run_replicated(p, cfg, ref, [0, 1, 2], sweep=sweep)
+        inside = sweep.result(cfg)
         assert np.array_equal(alone.xhat[0], inside.xhat[1])
 
     def test_configs_must_share_the_steps_and_draws(self, setup):
@@ -768,7 +797,7 @@ class TestSweep:
         with pytest.raises(ValueError, match="seeds"):
             run_replicated(p, cfg, ref, [0, 2], sweep=sweep)
         with pytest.raises(ValueError, match="not one of"):
-            run_replicated(p, make_cfg(p, T=20, H=2), ref, [0, 1], sweep=sweep)
+            sweep.result(make_cfg(p, T=20, H=2))
 
     def test_recorder_memory_does_not_grow_with_T(self):
         # Three configs of 40 seeds over T = 2000 steps, every step
@@ -787,7 +816,7 @@ class TestSweep:
         sweep = simulator.Sweep(p, cfgs, ref, range(S))
         tracemalloc.start()
         try:
-            run_replicated(p, cfgs[0], ref, range(S), sweep=sweep)
+            sweep.result(cfgs[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
