@@ -332,6 +332,8 @@ def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
 def cmd_variances(args) -> int:
     cfg = _resolved_config(args)
     _check_output(cfg.out_dir, is_dir=True, name="out_dir")
+    out_path = os.path.join(cfg.out_dir, "variances.csv")
+    _check_output(out_path, is_dir=False, name="out_dir")
     ds = resolve_dataset(cfg)
     # Check every node count before the first solve.
     parts = [_partition(ds, M, Regime.HETEROGENEOUS, "var_M_list")
@@ -346,7 +348,6 @@ def cmd_variances(args) -> int:
             vr = measure_variances(p, ref, batch=batch, exhaustive=exhaustive)
             rows.append((ds.name, p.M, batch_spec, vr.sigma_opt_sq, vr.sigma_dif_sq))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "variances.csv")
     with open(out_path, "w") as f:
         f.write("dataset,M,batch,sigma_opt_sq,sigma_dif_sq\n")
         for name, M, batch_spec, so, sd in rows:
@@ -372,6 +373,15 @@ def cmd_run(args) -> int:
     if cfg.gradient_mode == GradientMode.INJECTED_NOISE and cfg.noise_sigma is None:
         raise _invalid("noise_sigma", "injected-noise mode needs noise_sigma > 0")
     _check_output(cfg.out_dir, is_dir=True, name="out_dir")
+    replicated = len(cfg.seeds) >= 2  # only a replicated run writes bound files
+    theorems = theory.theorems_for(cfg.regime, cfg.gradient_mode) if replicated else []
+    tags = [f"H{s.H}" for s in schedules]
+    files = ["variances.txt", "variances_per_node.csv", "summary.csv",
+             *(f"run_{tag}.csv" for tag in tags),
+             *(f"bound_{thm.id}_{tag}{ext}" for thm in theorems for tag in tags
+               for ext in (".csv", ".verdict.txt"))]
+    for name in files:
+        _check_output(os.path.join(cfg.out_dir, name), is_dir=False, name="out_dir")
     p = resolve_problem(cfg)
     gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
     ref = resolve_reference(p, cfg)
@@ -384,21 +394,18 @@ def cmd_run(args) -> int:
 
     summary = []
     any_failed = False
-    replicated = len(cfg.seeds) >= 2
     if not replicated:
         print("guarantees not checked: a verdict needs at least 2 seeds")
     run_cfgs = [RunConfig(M=cfg.M, schedule=schedule, gamma=gamma,
-                          gradient_mode=cfg.gradient_mode, seed=cfg.seeds[0],
-                          batch=cfg.batch, noise_sigma=cfg.noise_sigma,
-                          record_every=cfg.record_every)
+                          gradient_mode=cfg.gradient_mode, batch=cfg.batch,
+                          noise_sigma=cfg.noise_sigma, record_every=cfg.record_every)
                 for schedule, gamma in zip(schedules, gammas)]
     # Every H is simulated in one lockstep sweep, on the first request below;
     # each H's result is then requested in turn, as its own run (the
     # benchmark's probe, bench/tracing.py, counts each request as one run).
     sweep = Sweep(p, run_cfgs, ref, cfg.seeds)
-    for run_cfg in run_cfgs:
+    for run_cfg, tag in zip(run_cfgs, tags):
         schedule = run_cfg.schedule
-        tag = f"H{schedule.H}"
         try:
             trace = run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep)
         except DivergenceError as e:

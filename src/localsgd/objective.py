@@ -40,10 +40,10 @@ class Problem:
     rounding is sign-symmetric, so each product is the unsigned one times
     y_i bit for bit.
 
-    B is held once, in exactly one of two storages: `dense_rows` for a
-    dense dataset or a CSR one that is mostly dense anyway, else
-    `csr_rows`. Only the d x d Gram helper behind L and the Newton
-    curvature reads the dataset's unsigned matrix, in dense blocks.
+    B is held once, in `rows`: a C-contiguous (n, d) array for a dense
+    dataset or a CSR one that is mostly dense anyway, else CSR. Only the
+    set-up in build_problem and csr_twin reads the dataset's unsigned
+    matrix.
     """
 
     dataset: Dataset
@@ -53,30 +53,30 @@ class Problem:
     L_component: float
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
-    # B as CSR: signed data sharing the dataset's indices and indptr.
-    csr_rows: sp.csr_matrix | None = field(default=None, repr=False)
-    # B as one C-contiguous (n, d) array.
-    dense_rows: np.ndarray | None = field(default=None, repr=False)
+    # B, dense or CSR; a CSR B shares the dataset's indices and indptr.
+    rows: np.ndarray | sp.csr_matrix = field(repr=False)
+
+    @property
+    def dense_rows(self) -> np.ndarray | None:
+        """`rows` when dense, else None. The benchmark's probe
+        (bench/tracing.py) reads it to count the work of a product."""
+        return self.rows if isinstance(self.rows, np.ndarray) else None
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         """B @ X.T for a stack of points, entry (i, j) = y_i a_i.x_j, shape
         (k, d) -> (n, k)."""
-        if self.dense_rows is not None:
-            return self.dense_rows @ X.T
-        return self.csr_rows @ X.T
+        return self.rows @ X.T
 
     def rows_T_dot(self, C: np.ndarray) -> np.ndarray:
         """B.T @ C = sum_i y_i a_i C[i], shape (n, k) -> (d, k)."""
-        if self.dense_rows is not None:
-            return self.dense_rows.T @ C
-        return self.csr_rows.T @ C
+        return self.rows.T @ C
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """The signed rows at an index array as one dense block, shape
         (*idx.shape, d)."""
         if self.dense_rows is not None:
-            return self.dense_rows[idx]
-        rows = _csr_dense(self.csr_rows, idx.ravel(), np.empty(idx.size * self.dim))
+            return self.rows[idx]
+        rows = _csr_dense(self.rows, idx.ravel(), np.empty(idx.size * self.dim))
         return rows.reshape(*idx.shape, self.dim)
 
     def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -89,10 +89,10 @@ class Problem:
         own n_m rows only, at its points X[m], with the slope numerator
         -1/n_m, so the work and temporaries are those of its block. Dense
         rows take one batched product per run of adjacent equal-size
-        blocks, on a (g, n_g, d) view of `dense_rows`; numpy multiplies each
-        block as its own 2-D product, so every node gets the bits of
-        B_m @ X_m.T and B_m.T @ C_m. CSR rows take each node's rows as a CSR
-        matrix over views of `csr_rows`, with no copy."""
+        blocks, on a (g, n_g, d) view of `rows`; numpy multiplies each block
+        as its own 2-D product, so every node gets the bits of B_m @ X_m.T
+        and B_m.T @ C_m. CSR rows take each node's rows as a CSR matrix over
+        views of `rows`, with no copy."""
         if out is None:
             out = np.empty_like(X)
         if self.part.regime == Regime.IDENTICAL:
@@ -100,7 +100,7 @@ class Problem:
                          out=out.reshape(-1, self.dim))  # a view: out is C-contiguous
         elif self.dense_rows is not None:
             for m, start, g, size in self.part.block_runs:
-                B = self.dense_rows[start:start + g * size].reshape(g, size, self.dim)
+                B = self.rows[start:start + g * size].reshape(g, size, self.dim)
                 U = B @ X[m:m + g].transpose(0, 2, 1)  # (g, size, k) margins
                 C = _logistic_slope(-1.0 / size, U, out=U)
                 np.add((B.transpose(0, 2, 1) @ C).transpose(0, 2, 1),
@@ -108,7 +108,7 @@ class Problem:
         else:
             import scipy.sparse as sp
 
-            A = self.csr_rows
+            A = self.rows
             for m, (start, stop) in enumerate(self.part.node_ranges):
                 lo, hi = A.indptr[start], A.indptr[stop]  # node m's rows, as views
                 B = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
@@ -174,12 +174,14 @@ def _csr_dense(A: sp.csr_matrix, rows: np.ndarray, out: np.ndarray) -> np.ndarra
     return block.reshape(rows.size, d)
 
 
-def _weighted_gram(dataset: Dataset, w: np.ndarray) -> np.ndarray:
-    """A^T diag(w) A for the dataset's unsigned rows A, as a dense (d, d)
-    array summed over dense blocks of its rows (`_csr_dense` for CSR)."""
-    A, n, d = dataset.features, dataset.n, dataset.dim
+def _weighted_gram(A: np.ndarray | sp.csr_matrix, w: np.ndarray) -> np.ndarray:
+    """A^T diag(w) A for a dense or CSR (n, d) matrix A, as a dense (d, d)
+    array summed over dense blocks of its rows (`_csr_dense` for CSR).
+    Signed rows y_i a_i give the unsigned result bit for bit: negation is
+    exact, so each term is (y b)(y w b) = b (w b) for y = +-1."""
+    n, d = A.shape
     G = np.zeros((d, d))
-    scratch = None if dataset.is_dense else np.empty(_GRAM_ROWS * d)
+    scratch = None if isinstance(A, np.ndarray) else np.empty(_GRAM_ROWS * d)
     for start in range(0, n, _GRAM_ROWS):
         stop = min(start + _GRAM_ROWS, n)
         B = A[start:stop] if scratch is None else _csr_dense(A, np.arange(start, stop), scratch)
@@ -197,7 +199,7 @@ def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    gram = _weighted_gram(dataset, sample_weights(dataset, part) / 4.0)
+    gram = _weighted_gram(dataset.features, sample_weights(dataset, part) / 4.0)
     return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
@@ -214,7 +216,7 @@ def _signed_csr(A: sp.csr_matrix, y: np.ndarray) -> sp.csr_matrix:
 def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -> Problem:
     """Assemble a Problem; lam defaults to 1/n as in the experimental setup.
 
-    A dense dataset's rows are signed straight into `dense_rows`. A CSR
+    A dense dataset's rows are signed straight into dense `rows`. A CSR
     dataset keeps B as CSR, or densifies it when at least half its entries
     are stored, where dense products cost no more."""
     if lam is None:
@@ -223,13 +225,12 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         raise ValueError("lam must be >= 0")
     rn = dataset.row_norms_sq()
     A, y = dataset.features, dataset.labels
-    csr = dense = None
     if dataset.is_dense:
-        dense = np.multiply(A, y[:, None], order="C")
+        rows = np.multiply(A, y[:, None], order="C")
     else:
-        csr = _signed_csr(A, y)
+        rows = _signed_csr(A, y)
         if A.nnz >= 0.5 * A.shape[0] * A.shape[1]:
-            csr, dense = None, csr.toarray()
+            rows = rows.toarray()
     return Problem(
         dataset=dataset,
         part=part,
@@ -238,8 +239,7 @@ def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -
         L_component=float(rn.max()) / 4.0 + lam,
         row_norms_sq=rn,
         weights=sample_weights(dataset, part),
-        csr_rows=csr,
-        dense_rows=dense,
+        rows=rows,
     )
 
 
@@ -251,7 +251,7 @@ def csr_twin(p: Problem) -> Problem:
 
     A = sp.csr_matrix(p.dataset.features)
     return replace(p, dataset=replace(p.dataset, features=A),
-                   csr_rows=_signed_csr(A, p.dataset.labels), dense_rows=None)
+                   rows=_signed_csr(A, p.dataset.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def solve_reference(p: Problem, tol: float, *,
         # sigmoid(-a.x), with a.x = y (y a.x) exactly; s(1 - s) is even
         # in a.x only up to rounding, so the unsigned margin is recovered.
         s = _logistic_slope(1.0, p.dataset.labels * p.margins(x[None, :])[:, 0])
-        hessian = _weighted_gram(p.dataset, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
+        hessian = _weighted_gram(p.rows, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
         step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for halving in range(_MAX_HALVINGS):
             t = 0.5 ** halving

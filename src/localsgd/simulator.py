@@ -123,7 +123,6 @@ class RunConfig:
     schedule: SyncSchedule
     gamma: float
     gradient_mode: GradientMode
-    seed: int
     batch: int = 1
     noise_sigma: float | None = None
     record_every: int | None = None
@@ -244,7 +243,7 @@ class _GradientEngine:
         self._draw = None  # exact gradients draw nothing
 
         if mode == GradientMode.STOCHASTIC:
-            # The draws a single run makes, shared with the minibatch engine:
+            # The draws a single run makes, shared with minibatch SGD:
             # `batch` indices per step into node m's block.
             streams = [[RngStream(seed=seed, stream_id=m) for m in range(self.M)]
                        for seed in self.seeds]
@@ -519,10 +518,14 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     is one node-major (K, M, S, d) stack, lane k owning the contiguous
     block X[k] for the whole run; elementwise steps and node reductions take
     the whole stack, and every BLAS product (exact gradients, the
-    recorder's loss) is taken per lane at the width a run alone uses. A
-    lane that diverges gets its DivergenceError and is parked: its iterates
-    and stepsize are set to 0, and it is never synchronized, aggregated or
-    evaluated again; the others go on.
+    recorder's loss) is taken per lane at the width a run alone uses. Under
+    `minibatch` every node steps with the nodes' mean gradient: a lane's
+    nodes start equal and take the same step, so they stay equal,
+    _mean_nodes returns node 0's value exactly, V_t is 0 and a sync changes
+    nothing, which is minibatch SGD bit for bit. A lane that diverges gets
+    its DivergenceError and is parked: its iterates and stepsize are set to
+    0, and it is never synchronized, aggregated or evaluated again; the
+    others go on.
 
     One cursor walks `grid`, the union of the lanes' recording grids, and
     records V_t, dist_sq and grad_norm_sq into a (3, K, S, _RECORD_BLOCK)
@@ -591,21 +594,17 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
         if t == T:
             break
         G = grad_engine.gradients(X, t, eq)
-        if minibatch:
-            g_mean = _node_sum(G)
-            g_mean /= M
         if recorded:
-            g = g_mean[lo:hi] if minibatch else _node_sum(G[lo:hi]) / M
+            g = _node_sum(G[lo:hi]) / M
             col[2, lo:hi] = np.add.reduce(g * g, axis=-1)
-        bar_sums[1] += xhat
         if minibatch:
-            xhat = xhat - gamma[:, 0] * g_mean
-        else:
-            X -= np.multiply(G, gamma, out=G)
-            xhat, eq = _mean_nodes(X)
-        if minibatch or (t_r == t + 1 and synced_at[r]):
+            G[...] = (_node_sum(G) / M)[:, None]
+        bar_sums[1] += xhat
+        X -= np.multiply(G, gamma, out=G)
+        xhat, eq = _mean_nodes(X)
+        if t_r == t + 1 and synced_at[r]:
             for k, lane in live:
-                if minibatch or lane.synced_at[r]:
+                if lane.synced_at[r]:
                     X[k] = _synchronize(X[k], xhat[k])
                     eq[k] = True  # every node now holds xhat
         bar_sums[0] += xhat
@@ -708,19 +707,18 @@ class Sweep:
         )
 
 
-def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
+def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
                   capture_xhat: bool = False) -> AggregateTrace:
-    """One Local SGD run over the seed cfg.seed: every node steps on its own
-    stream; at each scheduled timestamp all nodes are replaced by their
-    average."""
-    return Sweep(p, [cfg], ref, [cfg.seed], capture_xhat=capture_xhat).result(cfg)
+    """One Local SGD run over `seed`: every node steps on its own stream; at
+    each scheduled timestamp all nodes are replaced by their average."""
+    return Sweep(p, [cfg], ref, [seed], capture_xhat=capture_xhat).result(cfg)
 
 
-def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *,
+def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
                       capture_xhat: bool = False) -> AggregateTrace:
-    """Minibatch SGD baseline over cfg.seed: a single iterate stepped by the
+    """Minibatch SGD baseline over `seed`: a single iterate stepped by the
     average of the M per-node stochastic gradients, from the same streams."""
-    return Sweep(p, [cfg], ref, [cfg.seed], minibatch=True,
+    return Sweep(p, [cfg], ref, [seed], minibatch=True,
                  capture_xhat=capture_xhat).result(cfg)
 
 

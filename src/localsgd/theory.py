@@ -307,14 +307,17 @@ def applicable_bounds(p, run_cfg, ref, var_report
     gradient mode whose other hypotheses fail.
     """
     curves, skipped = [], []
-    for thm in _TABLE:
-        if p.part.regime == thm.regime and run_cfg.gradient_mode in thm.modes:
-            try:
-                curves.append(bound(thm.id, bound_inputs(thm.id, p, run_cfg, ref,
-                                                         var_report)))
-            except PreconditionError as e:
-                skipped.append((thm.id, str(e)))
+    for thm in theorems_for(p.part.regime, run_cfg.gradient_mode):
+        try:
+            curves.append(bound(thm.id, bound_inputs(thm.id, p, run_cfg, ref, var_report)))
+        except PreconditionError as e:
+            skipped.append((thm.id, str(e)))
     return curves, skipped
+
+
+def theorems_for(regime: Regime, mode: GradientMode) -> list[Theorem]:
+    """The rows of the table made for runs in this regime and gradient mode."""
+    return [thm for thm in _TABLE if thm.regime == regime and mode in thm.modes]
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,11 @@ def criterion_gradient_correctness(level: str) -> tuple:
     # draws are read from its stream here, independently of the engine.
     T = 100
     cfg = RunConfig(M=3, schedule=SyncSchedule.one_shot(T), gamma=0.0,
-                    gradient_mode=GradientMode.STOCHASTIC, seed=101)
-    drawn = draw_indices(RngStream(seed=cfg.seed, stream_id=0), p.dataset.n, (T, 1))
+                    gradient_mode=GradientMode.STOCHASTIC)
+    drawn = draw_indices(RngStream(seed=101, stream_id=0), p.dataset.n, (T, 1))
     worst = 0.0
     for q in (p, objective.csr_twin(p)):
-        engine = simulator._GradientEngine(q, cfg, [cfg.seed])
+        engine = simulator._GradientEngine(q, cfg, [101])
         for t in range(T):
             X = np.tile(gen.standard_normal(p.dim), (1, 3, 1, 1))  # (config, node, seed, d)
             G = engine.gradients(X, t, np.ones((1, 1), dtype=bool))
@@ -125,9 +125,9 @@ def criterion_engine_equivalence(level: str) -> tuple:
     p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL))
     ref = solve_reference(p, 1e-10)
     cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(1, 500), gamma=1.0 / (4 * p.L),
-                    gradient_mode=GradientMode.STOCHASTIC, seed=11, record_every=1)
-    tr_loc = run_local_sgd(p, cfg, ref, capture_xhat=True)
-    tr_mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+                    gradient_mode=GradientMode.STOCHASTIC, record_every=1)
+    tr_loc = run_local_sgd(p, cfg, ref, seed=11, capture_xhat=True)
+    tr_mb = run_minibatch_sgd(p, cfg, ref, seed=11, capture_xhat=True)
     denom = np.maximum(np.linalg.norm(tr_mb.xhat[0], axis=1), 1e-300)
     rel = np.linalg.norm(tr_loc.xhat[0] - tr_mb.xhat[0], axis=1) / denom
     worst = float(rel.max())
@@ -157,8 +157,8 @@ def criterion_sync_invariant(level: str) -> tuple:
         p, ref = setups[M]
         cfg = RunConfig(M=M, schedule=SyncSchedule.from_steps(steps),
                         gamma=1.0 / (4 * p.L), gradient_mode=GradientMode.STOCHASTIC,
-                        seed=int(gen.integers(2**31)), record_every=1)
-        tr = run_local_sgd(p, cfg, ref)
+                        record_every=1)
+        tr = run_local_sgd(p, cfg, ref, seed=int(gen.integers(2**31)))
         if not np.all(tr.mean["V"][tr.synced] == 0.0):
             bad += 1
     return bad == 0, f"{100 - bad}/100 random schedules had V_t == 0 exactly at syncs"
@@ -179,7 +179,7 @@ def criterion_vt_lemma(level: str) -> tuple:
     ok = True
     cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, 96), gamma=gamma,
                       gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
-                      seed=0, record_every=1) for H in (2, 8, 32)]
+                      record_every=1) for H in (2, 8, 32)]
     sweep = Sweep(p, cfgs, ref, seeds)
     for cfg in cfgs:
         H = cfg.schedule.H
@@ -205,8 +205,8 @@ def criterion_sc_identical_ubv(level: str) -> tuple:
     ok = True
     slacks = []
     cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                      gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
-                      seed=0) for H in (1, 4, 16)]
+                      gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0)
+            for H in (1, 4, 16)]
     sweep = Sweep(p, cfgs, ref, seeds)
     for cfg in cfgs:
         agg = sweep.result(cfg)
@@ -232,13 +232,13 @@ def criterion_finite_sum_identical(level: str) -> tuple:
     H5, T5 = 4, 400
     cfg5 = RunConfig(M=4, schedule=SyncSchedule.uniform(H5, T5),
                      gamma=theory.planned_gamma("sc-identical-fs", p, M=4, T=T5, H=H5),
-                     gradient_mode=GradientMode.STOCHASTIC, seed=0, record_every=1)
+                     gradient_mode=GradientMode.STOCHASTIC, record_every=1)
     v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
 
     H6, T6 = 5, 400
     cfg6 = RunConfig(M=4, schedule=SyncSchedule.uniform(H6, T6),
                      gamma=theory.planned_gamma("wc-identical-fs", p, M=4, T=T6, H=H6),
-                     gradient_mode=GradientMode.STOCHASTIC, seed=0)
+                     gradient_mode=GradientMode.STOCHASTIC)
     v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
     ok = v5.holds and v6.holds
@@ -263,7 +263,7 @@ def criterion_heterogeneous_bound(level: str) -> tuple:
     H = theory.plan_H("wc-heterogeneous", T, 4)
     cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T),
                     gamma=theory.planned_gamma("wc-heterogeneous", p, M=4, T=T, H=H),
-                    gradient_mode=GradientMode.STOCHASTIC, seed=0)
+                    gradient_mode=GradientMode.STOCHASTIC)
     v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
 
     # Interpolation case: one dataset replicated across all nodes, so every
@@ -277,8 +277,8 @@ def criterion_heterogeneous_bound(level: str) -> tuple:
     T2 = 512
     gamma2 = 1.0 / (8 * p2.L_component * (T2 - 1))
     cfg2 = RunConfig(M=4, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
-                     gradient_mode=GradientMode.FULL, seed=0)
-    tr2 = run_local_sgd(p2, cfg2, ref2)
+                     gradient_mode=GradientMode.FULL)
+    tr2 = run_local_sgd(p2, cfg2, ref2, seed=0)
     limit = 4.0 * r0_sq(ref2) / (gamma2 * T2) * 1.01
     one_shot_ok = (tr2.bar_subopt_head[0] <= limit
                    and tr2.mean["subopt"][-1] < tr2.mean["subopt"][0])
@@ -400,9 +400,8 @@ def criterion_real_data_protocol(level: str) -> tuple:
         for H in (1, 4, 16, 64):
             T = H * rounds
             cfg = RunConfig(M=20, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                            gradient_mode=GradientMode.STOCHASTIC, seed=3,
-                            record_every=T + 1)
-            tr = run_local_sgd(p, cfg, ref)
+                            gradient_mode=GradientMode.STOCHASTIC, record_every=T + 1)
+            tr = run_local_sgd(p, cfg, ref, seed=3)
             per_round = tr.mean["dist_sq"][tr.synced]
             tail = per_round[50:]
             if not _plateau_reached(tail):
@@ -440,8 +439,8 @@ def criterion_communication_tradeoff(level: str) -> tuple:
     for H in (1, 2, 4, 8, 16):
         T = H * rounds
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                        gradient_mode=GradientMode.FULL, seed=0, record_every=T + 1)
-        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+                        gradient_mode=GradientMode.FULL, record_every=T + 1)
+        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         per_round[H] = objective.loss_many(p, tr.xhat[0, tr.synced]) - ref.f_star
     target = 10.0 * per_round[16][-1]
     hits = {}

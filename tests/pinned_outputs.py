@@ -33,7 +33,13 @@ in-process on
   OUT_DIR/solve-ref/reference.txt;
 - `run` on each of the three benchmark workloads at seed 1 and full size,
   its inputs written by CHECKOUT's `bench/workloads.py`, into
-  OUT_DIR/bench/<workload>/.
+  OUT_DIR/bench/<workload>/;
+- through the library, which `run` does not reach: the local SGD run at
+  H=1 and the minibatch SGD run on the pinned n=90, d=7, M=3 data, for
+  {identical, heterogeneous} x {stochastic, full, injected-noise}, over
+  seeds 0:3 with the captured trajectories, into
+  OUT_DIR/minibatch/<regime>-<mode>-<engine>.csv (the trace) and .xhat.txt
+  (each seed's xhat at each recorded step, as `repr` text).
 
 A byte-identity check is `diff -r A B` and a rebaseline report is
 `python3 tests/compare_outputs.py A B`, where A was written at the parent
@@ -49,6 +55,7 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 REGIMES = ("identical", "heterogeneous")
 MODES = ("stochastic", "full", "injected-noise")
@@ -190,6 +197,33 @@ def invocations(out_dir: str, root: str, config_dir: str, workloads) -> list[lis
     return argvs
 
 
+def write_minibatch(out_dir: str) -> None:
+    """The library section: local SGD at H=1 and minibatch SGD, each traced
+    and with its captured xhat, on the pinned data of every regime x mode."""
+    from localsgd import dataio, objective, simulator
+
+    ds = dataio.generate_synthetic(90, 7, seed=3, sort_by_label=True)
+    # A checkout whose RunConfig still holds the seed gets one; no run reads it.
+    seed = {"seed": 0} if "seed" in {f.name for f in fields(simulator.RunConfig)} else {}
+    os.makedirs(out_dir, exist_ok=True)
+    for regime in REGIMES:
+        p = objective.build_problem(ds, dataio.partition(ds, 3, dataio.Regime(regime)),
+                                    lam=1.0 / ds.n)
+        ref = objective.solve_reference(p, 1e-10)
+        for mode in MODES:
+            cfg = simulator.RunConfig(M=3, schedule=simulator.SyncSchedule.uniform(1, 40),
+                                      gamma=0.002, gradient_mode=simulator.GradientMode(mode),
+                                      batch=3, noise_sigma=0.5, **seed)
+            for engine, minibatch in (("local", False), ("minibatch", True)):
+                trace = simulator.Sweep(p, [cfg], ref, [0, 1, 2], minibatch=minibatch,
+                                        capture_xhat=True).result(cfg)
+                base = os.path.join(out_dir, f"{regime}-{mode}-{engine}")
+                with open(base + ".csv", "w") as f:
+                    trace.to_csv(f)
+                with open(base + ".xhat.txt", "w") as f:
+                    f.write(repr(trace.xhat.tolist()) + "\n")
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out_dir")
@@ -212,6 +246,7 @@ def main(argv: list[str]) -> int:
             if rc != 0:
                 print(f"exit {rc}: localsgd {' '.join(argv_)}", file=sys.stderr)
                 return rc
+    write_minibatch(os.path.join(out_dir, "minibatch"))
     cwd = os.getcwd()
     for name in workloads.WORKLOADS:
         with tempfile.TemporaryDirectory() as work_dir:

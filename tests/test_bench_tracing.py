@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+import workloads  # noqa: E402
 
 _CONFIG = """\
 [data]
@@ -50,9 +52,10 @@ print(json.dumps({{"rc": rc, "package": localsgd.__file__,
 """
 
 
-def _traced_run(tmp_path, seeds: str) -> dict:
-    """The probe's and spans' record of one `localsgd run` over `seeds`."""
-    (tmp_path / "run.ini").write_text(_CONFIG.replace("seeds = 0:2", f"seeds = {seeds}"))
+def _traced_run(tmp_path, config: str) -> dict:
+    """The probe's and spans' record of one `localsgd run` of `config`, run
+    in tmp_path."""
+    (tmp_path / "run.ini").write_text(config)
     script = _SCRIPT.format(src=os.path.join(ROOT, "src"),
                             bench=os.path.join(ROOT, "bench"))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -66,7 +69,7 @@ def _traced_run(tmp_path, seeds: str) -> dict:
 
 
 def test_bench_tracing_wraps_a_run(tmp_path):
-    record = _traced_run(tmp_path, "0:2")
+    record = _traced_run(tmp_path, _CONFIG)
     counts = record["counts"]
     assert counts["simulator.runs"] == 2  # one per H
     assert counts["simulator.node_steps"] == 2 * (2 * 2 * 20)  # H-runs x seeds x M x T
@@ -81,6 +84,18 @@ def test_bench_tracing_wraps_a_run(tmp_path):
 
 
 def test_bench_tracing_counts_a_one_seed_run(tmp_path):
-    counts = _traced_run(tmp_path, "5")["counts"]
+    counts = _traced_run(tmp_path, _CONFIG.replace("seeds = 0:2", "seeds = 5"))["counts"]
     assert counts["simulator.runs"] == 2  # one per H
     assert counts["simulator.node_steps"] == 2 * (1 * 2 * 20)
+
+
+def test_bench_tracing_counts_a_csr_run(tmp_path):
+    # The tiny a9a-shaped workload: 2000 rows, 14 of 123 columns stored, so
+    # the rows stay CSR and the probe counts work from the dataset's nnz.
+    files = workloads.generate("a9a-sparse-sgd", 1, tiny=True)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    counts = _traced_run(tmp_path, files["config.ini"].decode())["counts"]
+    assert counts["simulator.runs"] == 2  # one per H
+    assert counts["simulator.node_steps"] == 2 * (3 * 4 * 64)  # H-runs x seeds x M x T
+    assert counts["grad_madds"] > 0

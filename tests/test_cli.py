@@ -666,6 +666,17 @@ seeds = 0:2
         with pytest.raises(Stop):
             run_cli(["run", "--config", TestRunCmd()._config(tmp_path)])
 
+    @pytest.mark.parametrize("seeds", ["0:3", "5"])
+    def test_run_never_calls_run_local_sgd(self, tmp_path, monkeypatch, seeds):
+        # The benchmark's probe wraps cli.run_local_sgd as well, and would
+        # read the seed of a call to it from RunConfig, which has none.
+        def called(*args, **kwargs):
+            raise AssertionError("cli.run_local_sgd was called")
+
+        monkeypatch.setattr(cli, "run_local_sgd", called)
+        assert run_cli(["run", "--config", TestRunCmd()._config(tmp_path),
+                        "--seeds", seeds]) == 0
+
     def test_a_non_finite_rhs_is_not_checked(self, tmp_path, capsys):
         # gamma = 3e-320: the worst-case RHS c r0^2 / (gamma T) overflows.
         out = tmp_path / "out"
@@ -775,9 +786,17 @@ class TestSolveRefCmd:
     (["variances", "--config", str(CONFIGS / "variances.ini"), "--out-dir", ""],
      "", "[output] dir (--out-dir)"),
     (["verify", "--out", ""], "", "--out"),
+    # A directory where one of the files of the output directory O goes.
+    *((["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"), "--out-dir", "O"],
+       f"O/{name}", "[output] dir (--out-dir)")
+      for name in ("variances.txt", "summary.csv", "run_H1.csv",
+                   "bound_WC_HET_FS_H8.verdict.txt")),
+    (["variances", "--config", str(CONFIGS / "variances.ini"), "--out-dir", "O"],
+     "O/variances.csv", "[output] dir (--out-dir)"),
 ], ids=["solve-ref-dir", "solve-ref-under-file", "run", "variances", "verify",
         "solve-ref-empty", "solve-ref-empty-dir", "run-empty", "variances-empty",
-        "verify-empty"])
+        "verify-empty", "run-variances-file", "run-summary", "run-trace", "run-verdict",
+        "variances-file"])
 def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                       argv, bad, key):
     monkeypatch.chdir(tmp_path)  # an empty path must not fall back to the cwd
@@ -786,8 +805,10 @@ def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypa
     monkeypatch.setattr(verify, "CRITERIA", [lambda level: work.append("criterion")])
     (tmp_path / "D").mkdir()
     (tmp_path / "F").write_text("a file\n")
+    if bad.startswith("O/"):
+        (tmp_path / bad).mkdir(parents=True)
     before = sorted(tmp_path.rglob("*"))
-    argv = [str(tmp_path / a) if a in ("D", "F", "F/x.txt") else a for a in argv]
+    argv = [str(tmp_path / a) if a in ("D", "F", "F/x.txt", "O") else a for a in argv]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"{key}: {tmp_path / bad if bad else 'empty path'}" in err[0]

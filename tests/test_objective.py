@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ class TestNodeBlockKernel:
         n, d, M, S = 2000, 30, 20, 50
         p = small_problem(n=n, d=d, M=M, regime=Regime.HETEROGENEOUS, lam=1.0 / n)
         cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
-                        gradient_mode=GradientMode.FULL, seed=0)
+                        gradient_mode=GradientMode.FULL)
         engine = _GradientEngine(p, cfg, range(S))
         X = RngStream(seed=48).generator().standard_normal((1, M, S, d))
         eq = np.zeros((1, S), dtype=bool)
@@ -329,9 +330,9 @@ def test_csr_gather_scatters_the_rows_toarray_gives():
     rows[4] = 0.0
     ds = dataset_from_rows(rows, np.where(gen.random(30) < 0.5, -1.0, 1.0))
     p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.1)
-    assert p.csr_rows is not None
+    assert p.dense_rows is None
     for idx in (np.array([[4, 4, 7], [29, 0, 4]]), gen.integers(0, 30, (5, 3, 2))):
-        want = p.csr_rows[idx.ravel()].toarray().reshape(*idx.shape, p.dim)
+        want = p.rows[idx.ravel()].toarray().reshape(*idx.shape, p.dim)
         assert p.gather(idx).tobytes() == want.tobytes()
 
 
@@ -346,10 +347,10 @@ def test_dataset_storages_build_the_same_problem_bitwise():
     assert np.array_equal(ds.row_norms_sq(), as_csr.row_norms_sq())
     dense, csr = (build_problem(d, partition(d, 4, Regime.HETEROGENEOUS))
                   for d in (ds, as_csr))
-    assert dense.csr_rows is None and csr.csr_rows is None  # B is held once
+    assert dense.dense_rows is not None and csr.dense_rows is not None
     assert np.array_equal(dense.row_norms_sq, csr.row_norms_sq)
     assert dense.L == csr.L and dense.L_component == csr.L_component
-    assert np.array_equal(dense.dense_rows, csr.dense_rows)
+    assert np.array_equal(dense.rows, csr.rows)
     assert np.array_equal(solve_reference(dense, 1e-11).x_star,
                           solve_reference(csr, 1e-11).x_star)
 
@@ -369,7 +370,7 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     X = gen.standard_normal((M, p.dim))  # one point per node
     Xs = gen.standard_normal((2, M, p.dim))  # (seed, node) iterates
     cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
-                    gradient_mode=GradientMode.STOCHASTIC, seed=0, batch=3)
+                    gradient_mode=GradientMode.STOCHASTIC, batch=3)
     for q in storages(p):
         A = q.dataset.features
 
@@ -409,7 +410,7 @@ def node_grads(p, x, seeds=(0,), T=1, batch=1, mode=GradientMode.STOCHASTIC):
     """The engine's gradients of every (seed, node) at the common point x,
     one (S, M, d) array per step t < T."""
     cfg = RunConfig(M=p.M, schedule=SyncSchedule.one_shot(T), gamma=0.0,
-                    gradient_mode=mode, seed=seeds[0], batch=batch)
+                    gradient_mode=mode, batch=batch)
     engine = _GradientEngine(p, cfg, seeds)
     X = np.tile(x, (len(seeds), p.M, 1))
     return [engine_grads(engine, X, t, np.ones(len(seeds), dtype=bool)) for t in range(T)]
@@ -440,7 +441,7 @@ class TestStochasticGrad:
         if common:
             X[:] = X[0, 0]
         cfg = RunConfig(M=p.M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
-                        gradient_mode=mode, seed=0, noise_sigma=0.3)
+                        gradient_mode=mode, noise_sigma=0.3)
         for q in storages(p):
             engine = _GradientEngine(q, cfg, seeds)
             G = engine_grads(engine, X, 0, np.full(len(seeds), common))
@@ -485,9 +486,8 @@ class TestStochasticGrad:
         p = small_problem(n=90, d=7, M=3, regime=Regime.HETEROGENEOUS)
         ref = solve_reference(p, 1e-10)
         cfg = RunConfig(M=3, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
-                        gradient_mode=GradientMode.STOCHASTIC, seed=5, batch=3,
-                        record_every=1)
-        dense, csr = (run_local_sgd(q, cfg, ref, capture_xhat=True).xhat
+                        gradient_mode=GradientMode.STOCHASTIC, batch=3, record_every=1)
+        dense, csr = (run_local_sgd(q, cfg, ref, seed=5, capture_xhat=True).xhat
                       for q in storages(p))
         assert np.array_equal(dense, csr)
 
@@ -565,16 +565,26 @@ class TestEstimateL:
 
     def test_csr_gram_blocks_equal_scipy_blocks(self):
         # The Gram's CSR blocks are scattered from indptr, indices and data;
-        # they must sum to the bits of scipy's sliced toarray() blocks, over
-        # empty rows and a last block shorter than the others.
-        p = sparse_problem(601, d=40, density=0.05)
-        A, w, rows = p.dataset.features, p.weights, objective._GRAM_ROWS
-        assert np.any(np.diff(A.indptr) == 0) and A.shape[0] % rows
-        want = np.zeros((40, 40))
-        for start in range(0, A.shape[0], rows):
-            B = A[start:start + rows].toarray()
-            want += B.T @ (w[start:start + rows, None] * B)
-        assert np.array_equal(objective._weighted_gram(p.dataset, w), want)
+        # they must sum to the bits of scipy's sliced toarray() blocks of the
+        # unsigned rows, over empty rows and a last block shorter than the
+        # others. The signed rows the Newton solve passes must give the same
+        # bits on each storage: CSR, dense, and a mostly-dense CSR dataset,
+        # which build_problem densifies.
+        sparse = sparse_problem(601, d=40, density=0.05)
+        assert np.any(np.diff(sparse.dataset.features.indptr) == 0)
+        mostly_dense = sparse_problem(601, d=40, density=0.7)
+        ds = replace(mostly_dense.dataset, features=mostly_dense.dataset.features.toarray())
+        dense = build_problem(ds, mostly_dense.part, lam=mostly_dense.lam)
+        rows = objective._GRAM_ROWS
+        for p, stored in ((sparse, "csr"), (mostly_dense, "dense"), (dense, "dense")):
+            A, w = sp.csr_matrix(p.dataset.features), p.weights
+            assert A.shape[0] % rows and (p.dense_rows is None) == (stored == "csr")
+            want = np.zeros((40, 40))
+            for start in range(0, A.shape[0], rows):
+                B = A[start:start + rows].toarray()
+                want += B.T @ (w[start:start + rows, None] * B)
+            assert np.array_equal(objective._weighted_gram(p.dataset.features, w), want)
+            assert np.array_equal(objective._weighted_gram(p.rows, w), want)
 
     def test_component_constant_dominates(self):
         p = small_problem(n=50, d=5)

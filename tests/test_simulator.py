@@ -44,11 +44,10 @@ def skip_averaging(monkeypatch):
     monkeypatch.setattr(simulator, "_synchronize", lambda X, xhat: X)
 
 
-def make_cfg(p, T=64, H=8, gamma=None, mode=GradientMode.STOCHASTIC, M=4,
-             seed=0, **kw):
+def make_cfg(p, T=64, H=8, gamma=None, mode=GradientMode.STOCHASTIC, M=4, **kw):
     gamma = gamma if gamma is not None else 1.0 / (4 * p.L)
     return RunConfig(M=M, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
-                     gradient_mode=mode, seed=seed, **kw)
+                     gradient_mode=mode, **kw)
 
 
 class TestSyncSchedule:
@@ -133,7 +132,7 @@ class TestLocalSgdBasics:
         # everywhere, and the trajectory is plain GD on f.
         p, ref = setup
         cfg = make_cfg(p, T=32, H=8, mode=GradientMode.FULL, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         assert np.all(tr.mean["V"] == 0.0)
         x = np.zeros(p.dim)
         for i, t in enumerate(tr.t):
@@ -145,8 +144,8 @@ class TestLocalSgdBasics:
     def test_h1_equals_minibatch(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=80, H=1, record_every=1)
-        a = run_local_sgd(p, cfg, ref, capture_xhat=True)
-        b = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+        a = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        b = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         rel = (np.linalg.norm(a.xhat[0] - b.xhat[0], axis=1)
                / np.maximum(np.linalg.norm(b.xhat[0], axis=1), 1e-300))
         assert np.max(rel) <= 1e-12
@@ -157,22 +156,21 @@ class TestLocalSgdBasics:
         ref1 = solve_reference(p1, 1e-11)
         cfg_a = make_cfg(p1, T=50, H=5, M=1, record_every=1)
         cfg_b = make_cfg(p1, T=50, H=50, M=1, record_every=1)
-        a = run_local_sgd(p1, cfg_a, ref1, capture_xhat=True)
-        b = run_local_sgd(p1, cfg_b, ref1, capture_xhat=True)
+        a = run_local_sgd(p1, cfg_a, ref1, seed=0, capture_xhat=True)
+        b = run_local_sgd(p1, cfg_b, ref1, seed=0, capture_xhat=True)
         assert np.array_equal(a.xhat, b.xhat)
 
     def test_gamma_zero_freezes_minibatch(self, setup):
         p, ref = setup
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(1, 20), gamma=0.0,
-                        gradient_mode=GradientMode.STOCHASTIC, seed=0,
-                        record_every=1)
-        tr = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+                        gradient_mode=GradientMode.STOCHASTIC, record_every=1)
+        tr = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         assert np.all(tr.xhat == 0.0)
 
     def test_minibatch_full_is_exact_gd(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=16, H=1, mode=GradientMode.FULL, record_every=1)
-        tr = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+        tr = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         x = np.zeros(p.dim)
         for i in range(tr.t.size):
             assert np.allclose(tr.xhat[0, i], x, rtol=1e-12, atol=1e-300)
@@ -181,21 +179,21 @@ class TestLocalSgdBasics:
     def test_config_validation(self, setup):
         p, ref = setup
         with pytest.raises(ValueError, match="partition"):
-            run_local_sgd(p, make_cfg(p, M=3), ref)
+            run_local_sgd(p, make_cfg(p, M=3), ref, seed=0)
         with pytest.raises(ValueError, match="noise_sigma"):
-            run_local_sgd(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref)
+            run_local_sgd(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref, seed=0)
         for sigma in (float("nan"), float("inf")):
             for mode in (GradientMode.INJECTED_NOISE, GradientMode.STOCHASTIC):
                 with pytest.raises(ValueError, match=f"noise_sigma must be finite and "
                                                      f"positive, got {sigma!r}"):
-                    run_local_sgd(p, make_cfg(p, mode=mode, noise_sigma=sigma), ref)
+                    run_local_sgd(p, make_cfg(p, mode=mode, noise_sigma=sigma), ref, seed=0)
 
 
 class TestInvariants:
     def test_vt_zero_at_syncs_and_start(self, setup_het):
         p, ref = setup_het
         cfg = make_cfg(p, T=60, H=7, record_every=1)
-        tr = run_local_sgd(p, cfg, ref)
+        tr = run_local_sgd(p, cfg, ref, seed=0)
         V = tr.mean["V"]
         assert V[0] == 0.0
         assert np.all(V[tr.synced] == 0.0)
@@ -206,7 +204,7 @@ class TestInvariants:
         # 151 rows: subopt at t <= 64 and at 64 log-spaced steps up to T.
         p, ref = setup_het
         cfg = make_cfg(p, T=150, H=4, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         assert tr.t.tolist() == list(range(151))
         grid = simulator._subopt_steps(list(range(151)), 150)
         assert set(range(65)) | {150} <= grid and len(grid) == 129
@@ -246,14 +244,14 @@ class TestInvariants:
         p, ref = setup_het
         gamma = 1.0 / (4 * p.L)
         cfg = make_cfg(p, T=40, H=5, gamma=gamma, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         # replay the per-node dynamics with the same streams
         from localsgd.numkit import draw_indices
         from scipy.special import expit
         X = np.zeros((4, p.dim))
         rows_all = p.dataset.features
         idx = {m: p.node_range(m)[0] + draw_indices(
-            RngStream(seed=cfg.seed, stream_id=m),
+            RngStream(seed=0, stream_id=m),
             p.node_range(m)[1] - p.node_range(m)[0], (cfg.T, 1))
             for m in range(4)}
         for t in range(cfg.T):
@@ -280,9 +278,8 @@ class TestInvariants:
         out = []
         for s in (s1, s2):
             cfg = RunConfig(M=4, schedule=s, gamma=1.0 / (4 * p.L),
-                            gradient_mode=GradientMode.STOCHASTIC, seed=5,
-                            record_every=1)
-            out.append(run_local_sgd(p, cfg, ref))
+                            gradient_mode=GradientMode.STOCHASTIC, record_every=1)
+            out.append(run_local_sgd(p, cfg, ref, seed=5))
         a, b = out
         for field in ("V", "dist_sq", "subopt", "grad_norm_sq"):
             assert np.array_equal(a.mean[field], b.mean[field], equal_nan=True)
@@ -291,7 +288,7 @@ class TestInvariants:
         p, ref = setup
         for T, H in ((100, 10), (100, 7), (64, 64), (5, 1)):
             cfg = make_cfg(p, T=T, H=H)
-            tr = run_local_sgd(p, cfg, ref)
+            tr = run_local_sgd(p, cfg, ref, seed=0)
             assert tr.comm_rounds == int(np.ceil(T / H))
 
     def test_disable_averaging_breaks_sync_invariant(self, setup, monkeypatch):
@@ -300,15 +297,15 @@ class TestInvariants:
         p, ref = setup
         cfg = make_cfg(p, T=24, H=4, record_every=1)
         skip_averaging(monkeypatch)
-        tr = run_local_sgd(p, cfg, ref)
+        tr = run_local_sgd(p, cfg, ref, seed=0)
         assert np.any(tr.mean["V"][tr.synced] > 0.0)
 
     def test_disable_averaging_breaks_h1_equivalence(self, setup, monkeypatch):
         p, ref = setup
         cfg = make_cfg(p, T=40, H=1, record_every=1)
-        mb = run_minibatch_sgd(p, cfg, ref, capture_xhat=True)
+        mb = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         skip_averaging(monkeypatch)
-        tampered = run_local_sgd(p, cfg, ref, capture_xhat=True)
+        tampered = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         rel = (np.linalg.norm(tampered.xhat[0] - mb.xhat[0], axis=1)
                / np.maximum(np.linalg.norm(mb.xhat[0], axis=1), 1e-300))
         assert np.max(rel) > 1e-12
@@ -331,9 +328,9 @@ class TestInvariants:
         p = build_problem(ds, partition(ds, 2, Regime.IDENTICAL), lam=1.0)
         ref = solve_reference(p, 1e-9)
         cfg = RunConfig(M=2, schedule=SyncSchedule.uniform(10, 500), gamma=1e4,
-                        gradient_mode=GradientMode.FULL, seed=0)
+                        gradient_mode=GradientMode.FULL)
         with pytest.raises(DivergenceError, match="diverged at step"):
-            run_local_sgd(p, cfg, ref)
+            run_local_sgd(p, cfg, ref, seed=0)
 
     def test_divergence_names_the_first_seed_then_node(self):
         # One config's node-major (M, S, d) stack in which seed 0's node 2
@@ -372,7 +369,7 @@ class TestExactDeviation:
         gamma = 1.0 / (2 * p.L)
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 96), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE,
-                        noise_sigma=sigma_run, seed=0, record_every=1)
+                        noise_sigma=sigma_run, record_every=1)
         agg = run_replicated(p, cfg, ref, range(40))
         rows = one_step_after_syncs(agg, H)
         assert rows.size == 12
@@ -402,8 +399,8 @@ class TestExactDeviation:
         ref = solve_reference(p, 1e-10)
         H, gamma = 4, 1.0 / p.L
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 32), gamma=gamma,
-                        gradient_mode=GradientMode.FULL, seed=0, record_every=1)
-        agg = run_local_sgd(q, cfg, ref, capture_xhat=True)
+                        gradient_mode=GradientMode.FULL, record_every=1)
+        agg = run_local_sgd(q, cfg, ref, seed=0, capture_xhat=True)
         rows = one_step_after_syncs(agg, H)
         assert rows.size == 8
         for r in rows:
@@ -440,10 +437,7 @@ class TestReplicated:
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=[0, 1])
-        traces = []
-        for s in (0, 1):
-            cfg_s = make_cfg(p, T=30, H=5, seed=s, record_every=1)
-            traces.append(run_local_sgd(p, cfg_s, ref))
+        traces = [run_local_sgd(p, cfg, ref, seed=s) for s in (0, 1)]
         stacked = np.stack([tr.mean["dist_sq"] for tr in traces], axis=1)
         assert np.allclose(agg.mean["dist_sq"], stacked.mean(axis=1), rtol=1e-12)
 
@@ -451,9 +445,9 @@ class TestReplicated:
         # One seed is the S = 1 aggregate: the run's own values, SEs of 0,
         # and the single-run CSV layout.
         p, ref = setup
-        cfg = make_cfg(p, T=30, H=5, seed=4, record_every=1)
+        cfg = make_cfg(p, T=30, H=5, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=[4])
-        assert csv_of(agg) == csv_of(run_local_sgd(p, cfg, ref))
+        assert csv_of(agg) == csv_of(run_local_sgd(p, cfg, ref, seed=4))
         assert agg.seeds == (4,)
         for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
             assert np.all((agg.se[name] == 0.0) | np.isnan(agg.mean[name]))
@@ -464,9 +458,7 @@ class TestReplicated:
         cfg = make_cfg(p, T=20, H=4, mode=GradientMode.INJECTED_NOISE,
                        noise_sigma=0.5, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=[0, 9])
-        tr9 = run_local_sgd(p, make_cfg(p, T=20, H=4, seed=9,
-                                        mode=GradientMode.INJECTED_NOISE,
-                                        noise_sigma=0.5, record_every=1), ref)
+        tr9 = run_local_sgd(p, cfg, ref, seed=9)
         stacked_max = np.maximum(agg.mean["dist_sq"], tr9.mean["dist_sq"])
         # seed 9's trace participates in the aggregate: mean of {s0, s9}
         # lies between min and max of the pair at every step
@@ -477,7 +469,7 @@ class TestTraceCsv:
     def test_round_and_columns(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4, record_every=1)
-        tr = run_local_sgd(p, cfg, ref)
+        tr = run_local_sgd(p, cfg, ref, seed=0)
         buf = io.StringIO()
         tr.to_csv(buf)
         text = buf.getvalue()
@@ -492,7 +484,7 @@ class TestTraceCsv:
         cfg = make_cfg(p, T=25, H=5)
         bufs = []
         for _ in range(2):
-            tr = run_local_sgd(p, cfg, ref)
+            tr = run_local_sgd(p, cfg, ref, seed=0)
             buf = io.StringIO()
             tr.to_csv(buf)
             bufs.append(buf.getvalue())
@@ -528,14 +520,13 @@ class TestRefill:
         cfg = make_cfg(p, T=23, H=5, mode=mode, record_every=1, **kw)
         seeds = [0, 3, 8]
         whole = csv_of(run_replicated(p, cfg, ref, seeds))
-        one = make_cfg(p, T=23, H=5, mode=mode, record_every=1, seed=3, **kw)
-        single = csv_of(run_local_sgd(p, one, ref))
+        single = csv_of(run_local_sgd(p, cfg, ref, seed=3))
         # 5 steps per refill: four full refills and a partial one of 3 steps.
         item = 3 * 8 if mode == GradientMode.STOCHASTIC else p.dim * 8
         monkeypatch.setattr(simulator, "_REFILL_BYTES", 5 * len(seeds) * 4 * item)
         assert csv_of(run_replicated(p, cfg, ref, seeds)) == whole
         monkeypatch.setattr(simulator, "_REFILL_BYTES", 1)
-        assert csv_of(run_local_sgd(p, one, ref)) == single
+        assert csv_of(run_local_sgd(p, cfg, ref, seed=3)) == single
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("seeds_per_block", [1, 2])
@@ -600,7 +591,7 @@ class TestRefill:
         p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.1)
         T = 100_000
         cfg = RunConfig(M=4, schedule=SyncSchedule.one_shot(T), gamma=0.1,
-                        gradient_mode=GradientMode.STOCHASTIC, seed=0)
+                        gradient_mode=GradientMode.STOCHASTIC)
         seeds = list(range(50))
         X = np.zeros((1, 4, 50, p.dim))
         tracemalloc.start()
@@ -622,12 +613,11 @@ def setup_uneven(request):
     return p, solve_reference(p, 1e-11)
 
 
-def sweep_cfgs(p, mode, T=150, Hs=(1, 4, 16), seed=0, record_every=1):
+def sweep_cfgs(p, mode, T=150, Hs=(1, 4, 16), record_every=1):
     # Gammas differ per config, as a planner's would. Recording every 7th
     # step gives each H its own recording and subopt grid.
     return [RunConfig(M=3, schedule=SyncSchedule.uniform(H, T),
-                      gamma=1.0 / ((3 + k) * p.L), gradient_mode=mode, seed=seed,
-                      batch=2, noise_sigma=0.4, record_every=record_every)
+                      gamma=1.0 / ((3 + k) * p.L), gradient_mode=mode, batch=2, noise_sigma=0.4, record_every=record_every)
             for k, H in enumerate(Hs)]
 
 
@@ -641,10 +631,10 @@ class TestSweep:
     def test_each_config_equals_its_run_alone(self, setup_uneven, mode, seeds,
                                               record_every):
         p, ref = setup_uneven
-        cfgs = sweep_cfgs(p, mode, seed=seeds[0], record_every=record_every)
+        cfgs = sweep_cfgs(p, mode, record_every=record_every)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         for cfg in cfgs:
-            alone = (run_local_sgd(p, cfg, ref) if len(seeds) == 1
+            alone = (run_local_sgd(p, cfg, ref, seed=seeds[0]) if len(seeds) == 1
                      else run_replicated(p, cfg, ref, seeds))
             assert csv_of(sweep.result(cfg)) == csv_of(alone)
 
@@ -744,7 +734,7 @@ class TestSweep:
             assert agg.xhat.shape == (len(seeds), agg.t.size, p.dim)
             assert agg.seeds == tuple(sorted(seeds))
             for seed, xhat in zip(agg.seeds, agg.xhat):
-                alone = run_local_sgd(p, replace(cfg, seed=seed), ref, capture_xhat=True)
+                alone = run_local_sgd(p, cfg, ref, seed=seed, capture_xhat=True)
                 assert np.array_equal(xhat, alone.xhat[0])
 
     def test_recording_range_spans_exactly_the_lanes_that_record(self):
@@ -762,8 +752,8 @@ class TestSweep:
         p = build_problem(ds, partition(ds, 9, Regime.IDENTICAL), lam=0.05)
         ref = solve_reference(p, 1e-10)
         cfg = RunConfig(M=9, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
-                        gradient_mode=GradientMode.STOCHASTIC, seed=1, record_every=1)
-        alone = run_local_sgd(p, cfg, ref, capture_xhat=True)
+                        gradient_mode=GradientMode.STOCHASTIC, record_every=1)
+        alone = run_local_sgd(p, cfg, ref, seed=1, capture_xhat=True)
         sweep = simulator.Sweep(p, [cfg], ref, [0, 1, 2], capture_xhat=True)
         inside = sweep.result(cfg)
         assert np.array_equal(alone.xhat[0], inside.xhat[1])
@@ -788,7 +778,7 @@ class TestSweep:
                                              f"got {gamma!r}"):
             simulator.Sweep(p, [make_cfg(p, T=40, H=1), bad], ref, [0])
         with pytest.raises(ValueError, match="gamma"):
-            run_local_sgd(p, bad, ref)
+            run_local_sgd(p, bad, ref, seed=0)
 
     def test_a_sweep_serves_only_its_configs_and_seeds(self, setup):
         p, ref = setup
@@ -812,7 +802,7 @@ class TestSweep:
         T, S = 2000, 40
         cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=0.1,
                           gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0,
-                          seed=0, record_every=1) for H in (1, 4, 16)]
+                          record_every=1) for H in (1, 4, 16)]
         sweep = simulator.Sweep(p, cfgs, ref, range(S))
         tracemalloc.start()
         try:

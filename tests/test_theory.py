@@ -423,8 +423,7 @@ class TestRuntimeDiagnosticsIntegration:
         vr = measure_variances(p, ref, batch=1)
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(6, 48),
                         gamma=1.0 / (8 * p.L_component),
-                        gradient_mode=GradientMode.STOCHASTIC, seed=0,
-                        record_every=1)
+                        gradient_mode=GradientMode.STOCHASTIC, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
         v = check_grad_norm_bound(agg, L=p.L_component, M=4,
                                   sigma_dif_sq=vr.sigma_dif_sq)
@@ -464,7 +463,7 @@ class TestRuntimeDiagnosticsIntegration:
         gamma = 1.0 / (2 * p.L)
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(8, 40), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE,
-                        noise_sigma=0.7, seed=0, record_every=1)
+                        noise_sigma=0.7, record_every=1)
         agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
         v = check_vt_bound(agg, gamma, 8, 0.7**2, L=p.L)
         assert v.holds, v.details
