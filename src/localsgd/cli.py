@@ -104,7 +104,10 @@ def _parse_seeds(spec: str) -> tuple[int, ...]:
         if len(ends) != 2:
             raise ValueError(f"expected 'a:b' (the seeds a..b-1) or a comma list, "
                              f"got {spec!r}")
-        seeds = tuple(range(_seed(ends[0]), _seed(ends[1])))
+        try:
+            seeds = tuple(range(_seed(ends[0]), _seed(ends[1])))
+        except (OverflowError, MemoryError):  # far more seeds than memory holds
+            raise ValueError(f"too many seeds in {spec!r} to list") from None
     else:
         seeds = tuple(_seed(tok) for tok in spec.split(",") if tok.strip())
     if not seeds:
@@ -283,7 +286,8 @@ def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
 
 def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
     """The schedule of the H-run; a malformed one, or one that does not end
-    at T, is a ConfigError on the schedule key."""
+    at T, is a ConfigError on the schedule key. A T with more uniform sync
+    steps than memory holds is a ConfigError on T."""
     spec = spec.strip()
     try:
         if spec == "uniform":
@@ -296,6 +300,8 @@ def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
             raise ValueError(f"unknown schedule spec {spec!r}")
     except ValueError as e:
         raise _invalid("schedule_spec", str(e)) from None
+    except (OverflowError, MemoryError):  # from the list of uniform sync steps
+        raise _invalid("T", f"too many sync steps at H={H} to list") from None
     if schedule.final != T:
         raise _invalid("schedule_spec",
                        f"schedule ends at {schedule.final}, run length T is {T}")

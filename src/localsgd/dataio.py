@@ -55,12 +55,16 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled samples in file order, their rows in one matrix of either
-    storage: a dense (n, dim) float64 ndarray (synthetic data) or a CSR
-    matrix (LIBSVM files). Only code that builds or reads CSR imports
-    scipy.sparse, so a dense dataset never loads it."""
+    """Labeled samples in file order, held once as their label-signed rows
+    b_i = y_i a_i, B = diag(y) A, in one matrix of either storage: a dense
+    (n, dim) float64 ndarray (synthetic data) or a CSR matrix (LIBSVM
+    files). The loaders sign the rows as they build them, and nothing keeps
+    the unsigned A: negation is exact, so y_i b_i gives a_i back bit for
+    bit. Only code that builds or reads CSR imports scipy.sparse, so a
+    dense dataset never loads it."""
 
-    features: np.ndarray | sp.csr_matrix  # shape (n, dim), float64
+    # B, shape (n, dim), float64; bench/tracing.py reads features.nnz.
+    features: np.ndarray | sp.csr_matrix
     labels: np.ndarray  # shape (n,), entries in {-1.0, +1.0}
     _: KW_ONLY
     name: str = "unnamed"
@@ -89,14 +93,19 @@ class Dataset:
         return isinstance(self.features, np.ndarray)
 
     def row_norms_sq(self) -> np.ndarray:
-        """||a_i||^2 per row. The dense sum runs left to right over each
-        row, as scipy's CSR row sum does, so both storages of one matrix
-        give the same bits; a pairwise sum (np.sum(axis=1)) would not."""
+        """||a_i||^2 = ||b_i||^2 per row. Both storages sum each row's
+        squares left to right with np.add.reduceat, which is what scipy's
+        CSR row sum runs, so both storages of one matrix give the same
+        bits; a pairwise sum (np.sum(axis=1)) would not. On CSR only the
+        stored values are squared, with no squared copy of the matrix."""
         if self.is_dense:
             sq = np.square(self.features).ravel()
             return np.add.reduceat(sq, np.arange(0, sq.size, self.dim))
-        sq = self.features.multiply(self.features)
-        return np.asarray(sq.sum(axis=1)).ravel()
+        B = self.features
+        out = np.zeros(self.n)
+        filled = np.flatnonzero(np.diff(B.indptr))  # reduceat needs non-empty rows
+        out[filled] = np.add.reduceat(np.square(B.data), B.indptr[filled])
+        return out
 
 
 @dataclass(frozen=True)
@@ -323,7 +332,8 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
     upward (LIBSVM files omit trailing all-zero features). The text is lexed
     in chunks of whole lines (`_lex_chunk`), whose entries go straight into
     output buffers of int32 indices and float64 values, 12 bytes per stored
-    entry, grown in place and cut to size at the end.
+    entry, grown in place and cut to size at the end. The rows come out
+    label-signed: the values of each row labelled -1 are negated in place.
     """
     stream = io.StringIO(source) if isinstance(source, str) else source
     labels, indptr = np.empty(1 << 10), np.zeros(1 << 10, dtype=np.int64)
@@ -360,8 +370,10 @@ def parse_libsvm(source: TextIO | str, name: str = "unnamed",
 
     import scipy.sparse as sp
 
+    labels = _normalize_labels(labels)
+    np.negative(data, out=data, where=np.repeat(labels < 0.0, np.diff(indptr)))
     mat = sp.csr_matrix((data, indices, indptr), shape=(labels.size, dim))
-    return Dataset(features=mat, labels=_normalize_labels(labels), name=name)
+    return Dataset(features=mat, labels=labels, name=name)
 
 
 def partition(ds: Dataset, M: int, regime: Regime) -> Partition:
@@ -475,7 +487,8 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
 def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
                        sort_by_label: bool = False,
                        name: str | None = None) -> Dataset:
-    """Seeded synthetic classification data: Gaussian features, planted separator.
+    """Seeded synthetic classification data: Gaussian features, planted
+    separator, the rows label-signed in place once the labels are final.
 
     `sort_by_label` orders samples by label so that contiguous index-based
     partitioning yields deliberately non-i.i.d. nodes. `label_noise` flips
@@ -494,6 +507,7 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         order = np.argsort(labels, kind="stable")  # all -1 first, file order within class
         feats = feats[order]
         labels = labels[order]
+    feats *= labels[:, None]
     if name is None:
         name = f"synthetic-n{n}-d{d}-s{seed}"
     return Dataset(features=feats, labels=labels, name=name)

@@ -34,16 +34,15 @@ class Problem:
     the finite-sum bounds hold for that constant, not for the (smaller)
     global L.
 
-    The rows are stored label-signed, b_i = y_i a_i, so every product with
-    them (margins, rows_T_dot, gather) works on B = diag(y) A and no
-    gradient or loss takes a pass over the labels. Negation is exact and
-    rounding is sign-symmetric, so each product is the unsigned one times
-    y_i bit for bit.
+    The rows are label-signed, b_i = y_i a_i, as the dataset holds them, so
+    every product with them (margins, rows_T_dot, gather) works on
+    B = diag(y) A and no gradient or loss takes a pass over the labels.
+    Negation is exact and rounding is sign-symmetric, so each product is
+    the unsigned one times y_i bit for bit.
 
-    B is held once, in `rows`: a C-contiguous (n, d) array for a dense
-    dataset or a CSR one that is mostly dense anyway, else CSR. Only the
-    set-up in build_problem and csr_twin reads the dataset's unsigned
-    matrix.
+    B is held once: `rows` is the dataset's own matrix, except that a CSR
+    dataset that is mostly dense anyway is densified into a C-contiguous
+    (n, d) array.
     """
 
     dataset: Dataset
@@ -53,7 +52,7 @@ class Problem:
     L_component: float
     row_norms_sq: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
-    # B, dense or CSR; a CSR B shares the dataset's indices and indptr.
+    # B, dense or CSR: dataset.features unless densified.
     rows: np.ndarray | sp.csr_matrix = field(repr=False)
 
     @property
@@ -195,7 +194,8 @@ def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
 
     f weighs sample i by w_i, and the logistic curvature of a sample is at
     most 1/4, so A^T diag(w) A / 4 dominates the Hessian of f at every
-    point and the result is a global smoothness constant for f.
+    point and the result is a global smoothness constant for f. The Gram
+    of the signed rows the dataset holds is that of A bit for bit.
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
@@ -203,34 +203,24 @@ def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) + lam
 
 
-def _signed_csr(A: sp.csr_matrix, y: np.ndarray) -> sp.csr_matrix:
-    """B = diag(y) A for CSR rows A: signed data sharing A's indices and
-    indptr."""
-    import scipy.sparse as sp
-
-    data = np.repeat(y, np.diff(A.indptr))  # the label of each stored entry
-    data *= A.data
-    return sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape, copy=False)
-
-
 def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -> Problem:
     """Assemble a Problem; lam defaults to 1/n as in the experimental setup.
 
-    A dense dataset's rows are signed straight into dense `rows`. A CSR
-    dataset keeps B as CSR, or densifies it when at least half its entries
-    are stored, where dense products cost no more."""
+    `rows` is the dataset's signed matrix itself (a dense one made
+    C-contiguous if it is not). A CSR dataset is densified only when at
+    least half its entries are stored, where dense products cost no more."""
     if lam is None:
         lam = 1.0 / dataset.n
     if lam < 0:
         raise ValueError("lam must be >= 0")
     rn = dataset.row_norms_sq()
-    A, y = dataset.features, dataset.labels
+    B = dataset.features
     if dataset.is_dense:
-        rows = np.multiply(A, y[:, None], order="C")
+        rows = np.ascontiguousarray(B)
+    elif B.nnz >= 0.5 * B.shape[0] * B.shape[1]:
+        rows = B.toarray()
     else:
-        rows = _signed_csr(A, y)
-        if A.nnz >= 0.5 * A.shape[0] * A.shape[1]:
-            rows = rows.toarray()
+        rows = B
     return Problem(
         dataset=dataset,
         part=part,
@@ -249,9 +239,8 @@ def csr_twin(p: Problem) -> Problem:
     against the dense one."""
     import scipy.sparse as sp
 
-    A = sp.csr_matrix(p.dataset.features)
-    return replace(p, dataset=replace(p.dataset, features=A),
-                   rows=_signed_csr(A, p.dataset.labels))
+    B = sp.csr_matrix(p.dataset.features)
+    return replace(p, dataset=replace(p.dataset, features=B), rows=B)
 
 
 # ---------------------------------------------------------------------------

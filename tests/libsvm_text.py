@@ -1,6 +1,7 @@
 """LIBSVM text for test fixtures: a writer, the inverse of
 dataio.parse_libsvm, and a reference parser, the definition that
-parse_libsvm's chunked lexer is tested against."""
+parse_libsvm's chunked lexer is tested against. Both speak of the
+unsigned rows a_i of the text; a Dataset holds them label-signed."""
 import io
 import math
 from typing import TextIO
@@ -8,17 +9,18 @@ from typing import TextIO
 import numpy as np
 
 from localsgd.dataio import Dataset, LibsvmFormatError, _normalize_labels
+from signed_data import signed_dataset
 
 
 def _row_entries(ds: Dataset, i: int):
-    """(0-based indices, values) of row i's stored entries, in column order;
-    a dense row stores its nonzeros."""
+    """(0-based indices, unsigned values) of row i's stored entries, in
+    column order; a dense row stores its nonzeros."""
     if ds.is_dense:
         cols = np.flatnonzero(ds.features[i])
-        return cols, ds.features[i, cols]
+        return cols, ds.labels[i] * ds.features[i, cols]
     mat = ds.features
     start, stop = mat.indptr[i], mat.indptr[i + 1]
-    return mat.indices[start:stop], mat.data[start:stop]
+    return mat.indices[start:stop], ds.labels[i] * mat.data[start:stop]
 
 
 def to_libsvm(ds: Dataset, stream: TextIO) -> None:
@@ -75,4 +77,4 @@ def reference_parse(text: str, dim: int | None = None) -> Dataset:
 
     mat = sp.csr_matrix((np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
                          np.array(indptr, dtype=np.int64)), shape=(len(raw_labels), dim))
-    return Dataset(features=mat, labels=_normalize_labels(np.array(raw_labels)))
+    return signed_dataset(mat, _normalize_labels(np.array(raw_labels)))

@@ -33,7 +33,7 @@ in-process on
   OUT_DIR/solve-ref/reference.txt;
 - `run` on each of the three benchmark workloads at seed 1 and full size,
   its inputs written by CHECKOUT's `bench/workloads.py`, into
-  OUT_DIR/bench/<workload>/;
+  OUT_DIR/bench/<workload>/, unless --skip-bench is given;
 - through the library, which `run` does not reach: the local SGD run at
   H=1 and the minibatch SGD run on the pinned n=90, d=7, M=3 data, for
   {identical, heterogeneous} x {stochastic, full, injected-noise}, over
@@ -45,6 +45,16 @@ A byte-identity check is `diff -r A B` and a rebaseline report is
 `python3 tests/compare_outputs.py A B`, where A was written at the parent
 (`--root` pointing at its checkout) and B at the change.
 
+`--manifest FILE` writes, once the outputs are written, the sha256 of
+every file under OUT_DIR and the numpy, scipy and OpenBLAS versions and
+OpenBLAS core they were computed with. The committed manifest,
+tests/pinned_digests.txt, is that of the outputs without the benchmark
+workloads:
+
+    python3 tests/pinned_outputs.py OUT --skip-bench --manifest tests/pinned_digests.txt
+
+and test_pinned_digests.py regenerates and compares it.
+
 The script runs BLAS on one thread (OPENBLAS_NUM_THREADS and
 OMP_NUM_THREADS are set to 1 before numpy is imported), as the benchmark
 does: the a9a workload's outputs differ in their last bits at 2 threads.
@@ -52,6 +62,8 @@ does: the a9a workload's outputs differ in their last bits at 2 threads.
 from __future__ import annotations
 
 import argparse
+import glob
+import hashlib
 import os
 import sys
 import tempfile
@@ -224,11 +236,73 @@ def write_minibatch(out_dir: str) -> None:
                     f.write(repr(trace.xhat.tolist()) + "\n")
 
 
+def environment() -> dict[str, str]:
+    """The numpy, scipy and OpenBLAS versions and the OpenBLAS core this
+    process computes with; "unknown" where numpy does not say."""
+    import ctypes
+
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    core = "unknown"
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*.so*"))
+    if libs:  # the OpenBLAS that numpy wheels bundle names the core it picked
+        get_corename = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+        if get_corename is not None:
+            get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
+            core = get_corename().decode()
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "openblas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "openblas_core": core}
+
+
+def digests(out_dir: str) -> dict[str, str]:
+    """Path under out_dir (with / separators) -> sha256 of the file."""
+    found = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                found[os.path.relpath(path, out_dir).replace(os.sep, "/")] = (
+                    hashlib.sha256(f.read()).hexdigest())
+    return dict(sorted(found.items()))
+
+
+def write_manifest(path: str, env: dict[str, str], files: dict[str, str]) -> None:
+    with open(path, "w") as f:
+        f.write("# The pinned outputs' sha256, written by tests/pinned_outputs.py "
+                "--manifest:\n# `key = value` of the environment, then `sha256  path`.\n")
+        f.writelines(f"{k} = {v}\n" for k, v in env.items())
+        f.writelines(f"{digest}  {name}\n" for name, digest in files.items())
+
+
+def read_manifest(path: str) -> tuple[dict[str, str], dict[str, str]]:
+    """(environment, files) of a manifest that write_manifest wrote."""
+    env, files = {}, {}
+    with open(path) as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            if " = " in line:
+                key, value = line.split(" = ", 1)
+                env[key] = value
+            else:
+                digest, name = line.split("  ", 1)
+                files[name] = digest
+    return env, files
+
+
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out_dir")
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     help="checkout whose src/ and configs/ are run")
+    ap.add_argument("--skip-bench", action="store_true",
+                    help="leave out the three full-size benchmark workloads")
+    ap.add_argument("--manifest", help="write the outputs' digests to this file")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     # Read when numpy loads its BLAS, so set before the package is imported.
@@ -248,7 +322,7 @@ def main(argv: list[str]) -> int:
                 return rc
     write_minibatch(os.path.join(out_dir, "minibatch"))
     cwd = os.getcwd()
-    for name in workloads.WORKLOADS:
+    for name in () if args.skip_bench else workloads.WORKLOADS:
         with tempfile.TemporaryDirectory() as work_dir:
             for file_name, data in workloads.generate(name, BENCH_SEED).items():
                 with open(os.path.join(work_dir, file_name), "wb") as f:
@@ -264,6 +338,8 @@ def main(argv: list[str]) -> int:
                 print(f"exit {rc}: localsgd {' '.join(argv_)} (bench workload {name})",
                       file=sys.stderr)
                 return rc
+    if args.manifest:
+        write_manifest(args.manifest, environment(), digests(out_dir))
     return 0
 
 

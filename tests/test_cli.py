@@ -379,6 +379,34 @@ dir = {tmp_path / 'out'}
             "config error: [run] seeds (--seeds): seed 3 repeats"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("T", "99999999999999999999",
+         "config error: [run] T (--T): too many sync steps at H=1 to list"),
+        ("seeds", "0:100000000000",
+         "config error: [run] seeds: too many seeds in '0:100000000000' to list"),
+    ])
+    def test_too_long_to_list_exits_2_naming_its_key(self, tmp_path, key, value, line):
+        # T's uniform sync steps outnumber what a list can index, and 10^11
+        # seeds ask for an 800 GB tuple: both fail at once. The child's
+        # address space is capped, so the tuple fails wherever the kernel
+        # would promise the memory.
+        import resource
+
+        run = {"T": "20", "H": "1", "seeds": "0:2", key: value}
+        cfg = tmp_path / "big.ini"
+        cfg.write_text("[data]\nn = 50\nd = 3\n[run]\n"
+                       + "".join(f"{k} = {v}\n" for k, v in run.items())
+                       + f"[output]\ndir = {tmp_path / 'out'}\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        cap = 4 << 30
+        done = subprocess.run(
+            [sys.executable, "-m", "localsgd", "run", "--config", str(cfg)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert (done.returncode, done.stderr.splitlines()) == (2, [line])
+        assert not (tmp_path / "out").exists()
+
     def test_unreachable_tol_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "D"
         assert run_cli(["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"),
@@ -929,3 +957,65 @@ class TestImportFootprint:
         assert self._sparse_loaded(["solve-ref", "--source", "toy", "--tol", "1e-6",
                                     "--out", str(tmp_path / "ref.txt")], tmp_path)
         assert (tmp_path / "ref.txt").exists()
+
+
+class TestBlasThreads:
+    """Both entry points run BLAS on one thread, so a run's bytes do not
+    depend on the thread count of the environment. On this injected-noise
+    config a run at 2 BLAS threads writes other last bits in both traces
+    and the summary than at 1 thread."""
+
+    _SRC = str(Path(__file__).resolve().parent.parent / "src")
+    _CONFIG = """\
+[data]
+source = synthetic
+n = 2000
+d = 30
+seed = 7
+
+[problem]
+lambda = 1/n
+M = 4
+regime = identical
+
+[solver]
+tol = 1e-10
+
+[run]
+gradient_mode = injected-noise
+noise_sigma = 0.5
+gamma = 0.25/L
+schedule = uniform
+H = 1,4
+T = 200
+seeds = 0:50
+"""
+    # `python -m localsgd`, and what the `localsgd` console script runs.
+    _ENTRIES = {"python -m": ["-m", "localsgd"],
+                "script": ["-c", "import sys; from localsgd.__main__ import main; "
+                                 "sys.exit(main(sys.argv[1:]))"]}
+
+    def _run(self, tmp_path, entry, threads) -> dict[str, bytes]:
+        out = tmp_path / f"{entry}-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=self._SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, *self._ENTRIES[entry], "run", "--config",
+                        str(tmp_path / "noise.ini"), "--out-dir", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        (tmp_path / "noise.ini").write_text(self._CONFIG)
+        want = self._run(tmp_path, "python -m", 1)
+        assert {"run_H1.csv", "run_H4.csv", "summary.csv"} <= set(want)
+        for entry in self._ENTRIES:
+            got = self._run(tmp_path, entry, 2)
+            assert got.keys() == want.keys()
+            assert [n for n in want if got[n] != want[n]] == [], entry
+
+    def test_the_console_script_is_that_entry(self):
+        import tomllib
+
+        with open(Path(self._SRC).parent / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"localsgd": "localsgd.__main__:main"}

@@ -22,6 +22,8 @@ from localsgd.dataio import (
     partition,
     sha256_of,
 )
+from localsgd.numkit import RngStream
+from localsgd.objective import build_problem
 
 from libsvm_text import reference_parse, to_libsvm
 
@@ -43,6 +45,16 @@ class TestParse:
     def test_one_two_labels(self):
         ds = parse_libsvm("2 1:1.0\n1 1:1.0\n")
         assert list(ds.labels) == [1.0, -1.0]
+
+    def test_rows_are_label_signed(self):
+        # Row i is stored as y_i a_i: the values of a row labelled -1 are
+        # negated, after the raw labels are mapped onto -1 and +1.
+        for text, labels in (("-1 1:0.5 3:-2\n+1 2:-1.5\n", "-1 +1"),
+                             ("0 1:0.5 3:-2\n1 2:-1.5\n", "0 1"),
+                             ("1 1:0.5 3:-2\n2 2:-1.5\n", "1 2")):
+            ds = parse_libsvm(text)
+            assert ds.labels.tolist() == [-1.0, 1.0], labels
+            assert ds.features.toarray().tolist() == [[-0.5, 0.0, 2.0], [0.0, -1.5, 0.0]]
 
     def test_unsupported_labels(self):
         with pytest.raises(LibsvmFormatError):
@@ -94,42 +106,71 @@ class TestParse:
         assert ds.n == 2
 
     @staticmethod
-    def a9a_rows(value):
-        """a9a-shaped rows: 14 stored entries of 123 per row, as LIBSVM text,
-        each entry's value written by value(gen)."""
+    def a9a_rows(value, n=2000):
+        """n a9a-shaped rows: 14 stored entries of 123 per row, as LIBSVM
+        text, each entry's value written by value(gen)."""
         gen = np.random.default_rng(12)
         rows = []
-        for i in range(2000):
+        for i in range(n):
             cols = np.sort(gen.choice(123, 14, replace=False)) + 1
             rows.append(("+1 " if i % 4 else "-1 ")
                         + " ".join(f"{c}:{value(gen)}" for c in cols.tolist()))
         return "\n".join(rows) + "\n"
 
     @staticmethod
-    def parse_peak_per_nonzero(text):
+    def load_and_build_per_nonzero(text):
+        """Traced bytes per stored entry of parsing the text and building
+        its problem (M=20, identical, as the a9a benchmark): the parse's
+        peak, the peak of build_problem above the loaded dataset, and what
+        the problem keeps once the dataset's own name is dropped."""
         stream = io.StringIO(text)  # allocated before tracing
-        import scipy.sparse  # noqa: F401 -- the parse is measured, not this import
+        # The parse and build are measured, not the imports and first-call
+        # caches that a tiny warm-up build takes.
+        tiny = parse_libsvm("+1 1:1\n-1 2:1\n")
+        build_problem(tiny, partition(tiny, 2, Regime.IDENTICAL))
         tracemalloc.start()
         try:
             ds = parse_libsvm(stream)
-            peak = tracemalloc.get_traced_memory()[1]
+            loaded, parse_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            p = build_problem(ds, partition(ds, 20, Regime.IDENTICAL))
+            build_peak = tracemalloc.get_traced_memory()[1] - loaded
+            nnz = ds.features.nnz
+            del ds
+            kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert ds.features.nnz == 2000 * 14
-        return peak / ds.features.nnz
+        assert nnz == text.count("\n") * 14
+        assert p.rows is p.dataset.features  # CSR, 11% stored: the rows are not copied
+        return parse_peak / nnz, build_peak / nnz, kept / nnz
 
     def test_parse_memory_per_nonzero(self):
         # The parsed CSR keeps 8 bytes per value and 4 per index; the parse
         # may peak at 48 bytes per entry. One Python float per entry in a
         # list costs 32. Values of 17 digits: every entry takes float().
-        per = self.parse_peak_per_nonzero(self.a9a_rows(lambda gen: repr(gen.standard_normal())))
+        per, _, _ = self.load_and_build_per_nonzero(
+            self.a9a_rows(lambda gen: repr(gen.standard_normal())))
         assert per <= 48, f"{per:.1f} bytes per nonzero"
 
     def test_parse_memory_per_nonzero_of_plain_values(self):
         # Values of one digit, as in a9a: every entry is lexed in numpy, with
         # more tokens per chunk of text.
-        per = self.parse_peak_per_nonzero(self.a9a_rows(lambda gen: "1"))
+        per, _, _ = self.load_and_build_per_nonzero(self.a9a_rows(lambda gen: "1"))
         assert per <= 48, f"{per:.1f} bytes per nonzero"
+
+    def test_problem_holds_the_loaded_rows_once(self):
+        # The problem keeps the dataset's 12 bytes per entry and four
+        # n-vectors (labels, indptr, row norms, weights) of 4 or 8 bytes a
+        # row, of 14 entries: about 14 bytes per entry in all. A second,
+        # signed copy of the values would add 8, and squaring the matrix
+        # with scipy's multiply would peak at 27 while the build runs.
+        # At n = 20000 rows the Gram blocks of estimate_L (two 256 x 123
+        # blocks and two 123 x 123 matrices, whatever n is) cost 2.7 bytes
+        # per entry.
+        _, build_peak, kept = self.load_and_build_per_nonzero(
+            self.a9a_rows(lambda gen: "1", n=20000))
+        assert kept <= 16, f"{kept:.1f} bytes per nonzero kept"
+        assert build_peak <= 14, f"{build_peak:.1f} bytes per nonzero at the build's peak"
 
 
 _SEPARATORS = [" ", " ", " ", "  ", "\t", " \t", "\xa0", "\u3000", "\x0b", "\x1c"]
@@ -395,6 +436,13 @@ class TestSynthetic:
         b = generate_synthetic(50, 7, seed=11)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.features, b.features)
+
+    def test_rows_are_label_signed(self):
+        # The Gaussian draw times the final labels, flipped ones included.
+        ds = generate_synthetic(50, 4, seed=14, label_noise=0.2)
+        draw = RngStream(seed=14, stream_id=0).generator().standard_normal((50, 4))
+        assert np.array_equal(ds.features, draw * ds.labels[:, None])
+        assert ds.features.flags.c_contiguous
 
     def test_sorted_labels(self):
         ds = generate_synthetic(100, 5, seed=12, sort_by_label=True)

@@ -32,6 +32,7 @@ from localsgd.simulator import (
     _GradientEngine,
     run_local_sgd,
 )
+from signed_data import signed_dataset, unsigned_rows
 
 
 def small_problem(n=60, d=6, M=3, lam=0.1, regime=Regime.IDENTICAL, seed=1, **kw):
@@ -40,9 +41,9 @@ def small_problem(n=60, d=6, M=3, lam=0.1, regime=Regime.IDENTICAL, seed=1, **kw
 
 
 def dataset_from_rows(rows, labels, name="manual"):
-    mat = sp.csr_matrix(np.asarray(rows, dtype=np.float64))
-    return Dataset(features=mat, labels=np.asarray(labels, dtype=np.float64),
-                   name=name)
+    """The CSR dataset of the unsigned rows and their labels."""
+    return signed_dataset(sp.csr_matrix(np.asarray(rows, dtype=np.float64)), labels,
+                          name=name)
 
 
 def loss_many_oracle(p, X):
@@ -58,9 +59,10 @@ def loss_many_oracle(p, X):
 
 def node_grad_oracle(p, m, x):
     """The exact gradient of f_m from node m's own CSR rows, with scipy's
-    expit: the formula, independent of the package's kernel and storage."""
+    expit: the formula on the unsigned rows, independent of the package's
+    kernel and storage."""
     start, stop = p.node_range(m)
-    A = p.dataset.features[start:stop]
+    A = unsigned_rows(p.dataset)[start:stop]
     y = p.dataset.labels[start:stop]
     return A.T @ (-y * expit(-y * (A @ x))) / (stop - start) + p.lam * x
 
@@ -355,6 +357,36 @@ def test_dataset_storages_build_the_same_problem_bitwise():
                           solve_reference(csr, 1e-11).x_star)
 
 
+def test_csr_row_norms_are_scipy_row_sums_bitwise():
+    # The CSR branch sums only non-empty rows' stored squares; it must give
+    # the bits of scipy's row sum of the squared matrix over empty rows and
+    # an explicitly stored zero.
+    sparse = sparse_problem(601, d=40, density=0.05).dataset
+    assert np.any(np.diff(sparse.features.indptr) == 0)
+    B = sp.csr_matrix((np.array([3.0, 0.0, -0.1, 0.7]), np.array([0, 2, 1, 2]),
+                       np.array([0, 2, 2, 2, 4])), shape=(4, 3))
+    assert B.nnz == 4
+    stored_zero = Dataset(B, np.array([1.0, -1.0, 1.0, -1.0]))
+    for ds in (sparse, stored_zero):
+        B = ds.features
+        want = np.asarray(B.multiply(B).sum(axis=1)).ravel()
+        assert ds.row_norms_sq().tobytes() == want.tobytes()
+
+
+def test_problem_rows_are_the_dataset_rows():
+    # The dataset's signed rows are B itself: no copy for dense data or for
+    # sparse CSR data, and a dense copy only of CSR data at least half stored.
+    dense = small_problem()
+    assert dense.rows is dense.dataset.features
+    sparse = sparse_problem(50, density=0.1)
+    assert sparse.rows is sparse.dataset.features
+    mostly_dense = sparse_problem(50, density=0.7)
+    assert isinstance(mostly_dense.rows, np.ndarray)
+    assert np.array_equal(mostly_dense.rows, mostly_dense.dataset.features.toarray())
+    twin = objective.csr_twin(dense)
+    assert twin.rows is twin.dataset.features
+
+
 @pytest.mark.parametrize("regime", list(Regime))
 def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     # Labels fold into the stored rows, b_i = y_i a_i. Negation is exact and
@@ -372,7 +404,7 @@ def test_signed_rows_give_the_unsigned_formulas_bitwise(regime):
     cfg = RunConfig(M=M, schedule=SyncSchedule.one_shot(1), gamma=0.0,
                     gradient_mode=GradientMode.STOCHASTIC, batch=3)
     for q in storages(p):
-        A = q.dataset.features
+        A = unsigned_rows(q.dataset)
 
         def grads(rows, X):
             start, stop = rows
@@ -504,7 +536,7 @@ class TestStochasticGrad:
         x = np.ones(4) * 0.2
         # reproduce the draw with the same stream and average manually
         idx = draw_indices(RngStream(seed=13, stream_id=0), 20, (1, 7))[0]
-        rows = p.dataset.features[idx]
+        rows = unsigned_rows(p.dataset)[idx]
         ys = p.dataset.labels[idx]
         manual = np.zeros(4)
         for a, y in zip(rows, ys):
@@ -559,7 +591,7 @@ class TestEstimateL:
         p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS), lam=0.0)
         assert [b - a for a, b in p.part.node_ranges] == [4, 3]
         w = np.repeat([1 / (2 * 4), 1 / (2 * 3)], [4, 3])
-        A = ds.features
+        A = unsigned_rows(ds)
         oracle = float(np.linalg.eigvalsh(A.T @ (w[:, None] * A) / 4)[-1])
         assert p.L >= oracle * (1 - 1e-12)
 
@@ -567,9 +599,10 @@ class TestEstimateL:
         # The Gram's CSR blocks are scattered from indptr, indices and data;
         # they must sum to the bits of scipy's sliced toarray() blocks of the
         # unsigned rows, over empty rows and a last block shorter than the
-        # others. The signed rows the Newton solve passes must give the same
-        # bits on each storage: CSR, dense, and a mostly-dense CSR dataset,
-        # which build_problem densifies.
+        # others. The dataset's signed matrix (what estimate_L reads) and the
+        # signed rows the Newton solve passes must each give those bits on
+        # each storage: CSR, dense, and a mostly-dense CSR dataset, which
+        # build_problem densifies.
         sparse = sparse_problem(601, d=40, density=0.05)
         assert np.any(np.diff(sparse.dataset.features.indptr) == 0)
         mostly_dense = sparse_problem(601, d=40, density=0.7)
@@ -577,7 +610,7 @@ class TestEstimateL:
         dense = build_problem(ds, mostly_dense.part, lam=mostly_dense.lam)
         rows = objective._GRAM_ROWS
         for p, stored in ((sparse, "csr"), (mostly_dense, "dense"), (dense, "dense")):
-            A, w = sp.csr_matrix(p.dataset.features), p.weights
+            A, w = sp.csr_matrix(unsigned_rows(p.dataset)), p.weights
             assert A.shape[0] % rows and (p.dense_rows is None) == (stored == "csr")
             want = np.zeros((40, 40))
             for start in range(0, A.shape[0], rows):
@@ -639,7 +672,7 @@ class TestSolveReference:
         # Newton system has no unique solution, and the step must still
         # be defined.
         ds = generate_synthetic(80, 4, seed=21, label_noise=0.3)
-        A = ds.features
+        A = unsigned_rows(ds)
         dup = dataset_from_rows(np.hstack([A, A[:, :1]]), ds.labels)
         p = build_problem(dup, partition(dup, 2, Regime.IDENTICAL), lam=0.0)
         assert np.linalg.matrix_rank(A.T @ A) == 4
@@ -732,7 +765,7 @@ class TestMeasureVariances:
         ref = solve_reference(p, 1e-12)
         x = ref.x_star
         comps = [-y * expit(-y * float(a @ x)) * a + p.lam * x
-                 for a, y in zip(ds.features, ds.labels)]
+                 for a, y in zip(unsigned_rows(ds), ds.labels)]
 
         def pair_moment(start, stop):
             block = range(start, stop)

@@ -21,6 +21,7 @@ from localsgd.simulator import (
     run_minibatch_sgd,
     run_replicated,
 )
+from signed_data import unsigned_rows
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +250,7 @@ class TestInvariants:
         from localsgd.numkit import draw_indices
         from scipy.special import expit
         X = np.zeros((4, p.dim))
-        rows_all = p.dataset.features
+        rows_all = unsigned_rows(p.dataset)
         idx = {m: p.node_range(m)[0] + draw_indices(
             RngStream(seed=0, stream_id=m),
             p.node_range(m)[1] - p.node_range(m)[0], (cfg.T, 1))

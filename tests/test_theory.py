@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from localsgd.simulator import AggregateTrace
+from signed_data import unsigned_rows
 from localsgd.theory import (
     BoundInputs,
     THEOREMS,
@@ -441,7 +442,7 @@ class TestRuntimeDiagnosticsIntegration:
         p = build_problem(ds, partition(ds, 3, Regime.IDENTICAL), lam=0.03)
         ref = solve_reference(p, 1e-11)
         vr = measure_variances(p, ref, batch=1)
-        A, y = ds.features, ds.labels
+        A, y = unsigned_rows(ds), ds.labels
         gen = RngStream(seed=79).generator()
         for _ in range(50):
             x = ref.x_star + gen.standard_normal(p.dim) * gen.uniform(0, 3)
