@@ -188,8 +188,10 @@ class ExperimentConfig:
     out_dir: str = _key("output", "dir", str, "out", "--out-dir")
 
 
-def _invalid(name: str, why: str) -> ConfigError:
-    """A ConfigError naming the INI key, and the flag, of field `name`."""
+def _invalid(name: str | None, why: str) -> ConfigError:
+    """A ConfigError naming the INI key, and the flag, of field `name` (None: --out)."""
+    if name is None:
+        return ConfigError(f"--out: {why}")
     meta = ExperimentConfig.__dataclass_fields__[name].metadata
     flag = f" ({meta['flag']})" if meta["flag"] else ""
     return ConfigError(f"[{meta['section']}] {meta['key']}{flag}: {why}")
@@ -319,8 +321,14 @@ def resolve_reference(p: Problem, cfg: ExperimentConfig) -> ReferenceSolution:
 
 def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
     """Refuse, before any work, an output path that cannot be written: an
-    empty one, a directory where the file goes, or a file where the directory
-    or one of its ancestors goes. `name` is its config field; None means --out."""
+    empty one, a directory where the file goes, a file where the directory
+    or one of its ancestors goes, or one the system will not look up (a
+    name too long, a directory it may not search)."""
+    try:
+        os.stat(path)
+    except OSError as e:  # anything but a path that is not there (yet)
+        if not isinstance(e, (FileNotFoundError, NotADirectoryError)):
+            raise _invalid(name, f"{path}: {e.strerror}") from None
     head = path if is_dir else os.path.dirname(path)
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
@@ -328,7 +336,15 @@ def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
            f"{path} is a directory" if not is_dir and os.path.isdir(path) else
            f"{head} is not a directory" if head and not os.path.isdir(head) else None)
     if why:
-        raise _invalid(name, why) if name else ConfigError(f"--out: {why}")
+        raise _invalid(name, why)
+
+
+def _make_output_dir(path: str, name: str | None = None) -> None:
+    """os.makedirs(path, exist_ok=True), refusing a directory it cannot make."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise _invalid(name, f"{path}: {e.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +369,7 @@ def cmd_variances(args) -> int:
             batch = 1 if exhaustive else int(batch_spec)
             vr = measure_variances(p, ref, batch=batch, exhaustive=exhaustive)
             rows.append((ds.name, p.M, batch_spec, vr.sigma_opt_sq, vr.sigma_dif_sq))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_output_dir(cfg.out_dir, "out_dir")
     with open(out_path, "w") as f:
         f.write("dataset,M,batch,sigma_opt_sq,sigma_dif_sq\n")
         for name, M, batch_spec, so, sd in rows:
@@ -391,7 +407,7 @@ def cmd_run(args) -> int:
     p = resolve_problem(cfg)
     gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
     ref = resolve_reference(p, cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_output_dir(cfg.out_dir, "out_dir")
     var_report = measure_variances(p, ref, batch=cfg.batch)
     with open(os.path.join(cfg.out_dir, "variances.txt"), "w") as f:
         f.write(var_report.to_kv_text())
@@ -492,7 +508,7 @@ def cmd_solve_ref(args) -> int:
     _check_output(out, is_dir=False, name="out_dir" if args.out is None else None)
     p = resolve_problem(cfg)
     ref = resolve_reference(p, cfg)
-    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    _make_output_dir(os.path.dirname(out) or ".", "out_dir" if args.out is None else None)
     with open(out, "w") as f:
         f.write(ref.to_kv_text())
         f.write(f"L = {p.L!r}\nL_component = {p.L_component!r}\n"
@@ -520,7 +536,7 @@ def cmd_verify(args) -> int:
         print(r.line())
     failed = [r for r in results if r.failed]
     if args.out is not None:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        _make_output_dir(os.path.dirname(args.out) or ".")
         with open(args.out, "w") as f:
             json.dump([{"name": r.name, "status": r.status,
                         "details": r.details, "seconds": round(r.seconds, 3)}

@@ -15,7 +15,7 @@ import io
 import math
 import os
 import re
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, TextIO
 
@@ -60,8 +60,10 @@ class Dataset:
     (n, dim) float64 ndarray (synthetic data) or a CSR matrix (LIBSVM
     files). The loaders sign the rows as they build them, and nothing keeps
     the unsigned A: negation is exact, so y_i b_i gives a_i back bit for
-    bit. Only code that builds or reads CSR imports scipy.sparse, so a
-    dense dataset never loads it."""
+    bit. Products take B's storage: dense B is made C-contiguous float64
+    (not copied if it already is), CSR B stays CSR whatever its density;
+    only `load_dataset` densifies. Only code that builds or reads CSR
+    imports scipy.sparse, so a dense dataset never loads it."""
 
     # B, shape (n, dim), float64; bench/tracing.py reads features.nnz.
     features: np.ndarray | sp.csr_matrix
@@ -70,12 +72,14 @@ class Dataset:
     name: str = "unnamed"
 
     def __post_init__(self):
-        if self.is_dense and self.features.ndim != 2:
-            raise ValueError("dense features must be a 2-D array")
+        if self.is_dense:
+            if self.features.ndim != 2:
+                raise ValueError("dense features must be a 2-D array")
+            object.__setattr__(self, "features", np.ascontiguousarray(self.features, np.float64))
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
+        if self.n == 0 or self.dim <= 0:
+            raise ValueError(f"a dataset needs a sample and a feature, got {self.features.shape}")
         bad = ~np.isin(self.labels, (-1.0, 1.0))
         if np.any(bad):
             raise ValueError("labels must be exactly -1 or +1")
@@ -458,7 +462,9 @@ def sha256_of(path: str) -> str:
 
 
 def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
-    """Load and validate a manifest entry; fails loudly on any mismatch."""
+    """Load and validate a manifest entry; fails loudly on any mismatch. The
+    rows are held as CSR, or dense when at least half of their entries are
+    stored, where dense products cost no more."""
     path = os.path.join(data_dir, entry.path)
     if not os.path.exists(path):
         raise ManifestError(f"dataset file not found: {path}")
@@ -477,7 +483,8 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
     if ds.n != entry.n:
         raise ManifestError(
             f"shape mismatch for {entry.name}: manifest says n={entry.n}, file has n={ds.n}")
-    return ds
+    B = ds.features
+    return replace(ds, features=B.toarray()) if B.nnz >= 0.5 * B.shape[0] * B.shape[1] else ds
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,11 @@ class Problem:
     """f(x) = (1/M) sum_m f_m(x), each f_m an average of logistic losses plus
     (lam/2)||x||^2 over its node's samples.
 
-    L is the global smoothness constant lambda_max(A^T diag(w) A)/4 + lam,
-    w the per-sample weights of f; the logistic part contributes at least
-    zero curvature so mu equals lam exactly. L_component is the almost-sure
+    Made from the dataset, partition and lam alone, which derive every
+    constant once (`replace(p, lam=...)` derives them again). L is the
+    global smoothness constant lambda_max(A^T diag(w) A)/4 + lam, w the
+    per-sample weights of f; the logistic part contributes at least zero
+    curvature so mu equals lam exactly. L_component is the almost-sure
     smoothness bound over single-sample draws, max_i ||a_i||^2 / 4 + lam;
     the finite-sum bounds hold for that constant, not for the (smaller)
     global L.
@@ -38,28 +40,42 @@ class Problem:
     every product with them (margins, rows_T_dot, gather) works on
     B = diag(y) A and no gradient or loss takes a pass over the labels.
     Negation is exact and rounding is sign-symmetric, so each product is
-    the unsigned one times y_i bit for bit.
-
-    B is held once: `rows` is the dataset's own matrix, except that a CSR
-    dataset that is mostly dense anyway is densified into a C-contiguous
-    (n, d) array.
+    the unsigned one times y_i bit for bit. B is held once, by the dataset:
+    `rows` is its matrix, and the products take the storage it has.
     """
 
     dataset: Dataset
     part: Partition
     lam: float
-    L: float
-    L_component: float
-    row_norms_sq: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)  # per-sample weight in f; sums to 1
-    # B, dense or CSR: dataset.features unless densified.
-    rows: np.ndarray | sp.csr_matrix = field(repr=False)
+    L: float = field(init=False)
+    L_component: float = field(init=False)
+    row_norms_sq: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)  # per-sample weight in f; sums to 1
+
+    def __post_init__(self):
+        if self.lam < 0:
+            raise ValueError("lam must be >= 0")
+        w = sample_weights(self.dataset, self.part)
+        rn = self.dataset.row_norms_sq()
+        # f weighs sample i by w_i and the logistic curvature of a sample is
+        # at most 1/4, so B^T diag(w) B / 4, which is A^T diag(w) A / 4 bit
+        # for bit, dominates the Hessian of f at every point.
+        gram = _weighted_gram(self.rows, w / 4.0)
+        for name, value in (("weights", w), ("row_norms_sq", rn),
+                            ("L", float(np.linalg.eigvalsh(gram)[-1]) + self.lam),
+                            ("L_component", float(rn.max()) / 4.0 + self.lam)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def rows(self) -> np.ndarray | sp.csr_matrix:
+        """B, dense or CSR: the dataset's own matrix."""
+        return self.dataset.features
 
     @property
     def dense_rows(self) -> np.ndarray | None:
         """`rows` when dense, else None. The benchmark's probe
         (bench/tracing.py) reads it to count the work of a product."""
-        return self.rows if isinstance(self.rows, np.ndarray) else None
+        return self.rows if self.dataset.is_dense else None
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         """B @ X.T for a stack of points, entry (i, j) = y_i a_i.x_j, shape
@@ -139,13 +155,11 @@ def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
     weighs 1/n. Heterogeneous: sample i in node m weighs 1/(M * n_m), which
     differs from 1/n only when block sizes are unequal.
     """
-    n = dataset.n
     if part.regime == Regime.IDENTICAL:
-        return np.full(n, 1.0 / n)
-    w = np.zeros(n)
-    M = part.M
+        return np.full(dataset.n, 1.0 / dataset.n)
+    w = np.zeros(dataset.n)
     for start, stop in part.node_ranges:
-        w[start:stop] = 1.0 / (M * (stop - start))
+        w[start:stop] = 1.0 / (part.M * (stop - start))
     return w
 
 
@@ -188,59 +202,19 @@ def _weighted_gram(A: np.ndarray | sp.csr_matrix, w: np.ndarray) -> np.ndarray:
     return G
 
 
-def estimate_L(dataset: Dataset, part: Partition, lam: float) -> float:
-    """L = lambda_max(A^T diag(w) A)/4 + lam, the largest eigenvalue of the
-    d x d Gram matrix, w = sample_weights(dataset, part).
-
-    f weighs sample i by w_i, and the logistic curvature of a sample is at
-    most 1/4, so A^T diag(w) A / 4 dominates the Hessian of f at every
-    point and the result is a global smoothness constant for f. The Gram
-    of the signed rows the dataset holds is that of A bit for bit.
-    """
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    gram = _weighted_gram(dataset.features, sample_weights(dataset, part) / 4.0)
-    return float(np.linalg.eigvalsh(gram)[-1]) + lam
-
-
 def build_problem(dataset: Dataset, part: Partition, lam: float | None = None) -> Problem:
-    """Assemble a Problem; lam defaults to 1/n as in the experimental setup.
-
-    `rows` is the dataset's signed matrix itself (a dense one made
-    C-contiguous if it is not). A CSR dataset is densified only when at
-    least half its entries are stored, where dense products cost no more."""
-    if lam is None:
-        lam = 1.0 / dataset.n
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    rn = dataset.row_norms_sq()
-    B = dataset.features
-    if dataset.is_dense:
-        rows = np.ascontiguousarray(B)
-    elif B.nnz >= 0.5 * B.shape[0] * B.shape[1]:
-        rows = B.toarray()
-    else:
-        rows = B
-    return Problem(
-        dataset=dataset,
-        part=part,
-        lam=lam,
-        L=estimate_L(dataset, part, lam),
-        L_component=float(rn.max()) / 4.0 + lam,
-        row_norms_sq=rn,
-        weights=sample_weights(dataset, part),
-        rows=rows,
-    )
+    """The Problem of the dataset over the partition; lam defaults to 1/n,
+    as in the experimental setup."""
+    return Problem(dataset, part, 1.0 / dataset.n if lam is None else lam)
 
 
 def csr_twin(p: Problem) -> Problem:
-    """p with its dataset and rows held as CSR and every product taken
-    through CSR: the sparse code path on the same problem, for checking it
-    against the dense one."""
+    """p with its dataset held as CSR, so every product is taken through
+    CSR: the sparse code path on the same problem, for checking it against
+    the dense one."""
     import scipy.sparse as sp
 
-    B = sp.csr_matrix(p.dataset.features)
-    return replace(p, dataset=replace(p.dataset, features=B), rows=B)
+    return replace(p, dataset=replace(p.dataset, features=sp.csr_matrix(p.dataset.features)))
 
 
 # ---------------------------------------------------------------------------

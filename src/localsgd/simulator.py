@@ -509,6 +509,7 @@ def _recording_lanes(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
     return lo.tolist(), hi.tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported, not warned of
 def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.ndarray,
               seeds: Sequence[int], *, minibatch: bool, capture_xhat: bool) -> None:
     """Run every lane's config over the seeds, in lockstep, into its lane.

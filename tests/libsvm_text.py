@@ -4,11 +4,12 @@ parse_libsvm's chunked lexer is tested against. Both speak of the
 unsigned rows a_i of the text; a Dataset holds them label-signed."""
 import io
 import math
+import os
 from typing import TextIO
 
 import numpy as np
 
-from localsgd.dataio import Dataset, LibsvmFormatError, _normalize_labels
+from localsgd.dataio import Dataset, LibsvmFormatError, ManifestEntry, _normalize_labels, sha256_of
 from signed_data import signed_dataset
 
 
@@ -30,6 +31,18 @@ def to_libsvm(ds: Dataset, stream: TextIO) -> None:
         feats = " ".join(f"{c + 1}:{float(v)!r}" for c, v in zip(cols.tolist(), vals.tolist()))
         label = "+1" if ds.labels[i] > 0 else "-1"
         stream.write(f"{label} {feats}".rstrip() + "\n")
+
+
+def write_manifest_file(ds: Dataset, data_dir: str, name: str = "toy") -> ManifestEntry:
+    """Write ds as LIBSVM text to data_dir/<name>.txt, and data_dir/manifest.txt
+    naming that file; the file's manifest entry."""
+    path = os.path.join(data_dir, f"{name}.txt")
+    with open(path, "w") as f:
+        to_libsvm(ds, f)
+    entry = ManifestEntry(name, f"{name}.txt", sha256_of(path), ds.n, ds.dim)
+    with open(os.path.join(data_dir, "manifest.txt"), "w") as f:
+        f.write(f"{name} {entry.path} {entry.sha256} {entry.n} {entry.dim}\n")
+    return entry
 
 
 def reference_parse(text: str, dim: int | None = None) -> Dataset:

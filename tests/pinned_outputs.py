@@ -20,6 +20,10 @@ in-process on
   seeds 0:3, heterogeneous x {full, injected-noise, stochastic} and
   identical injected-noise, into OUT_DIR/csr/<regime>-<mode>/. They cover
   the CSR node blocks, the CSR gather and the CSR identical-regime product;
+- a `run` on the pinned n=90, d=7 data written as a LIBSVM file and read
+  through a manifest: every entry is stored, so the loader densifies it.
+  Heterogeneous stochastic gradients, M=3, lambda 1/n, tol 1e-10, batch 3,
+  gamma 0.002, H=1,4, T=40, seeds 0:3, into OUT_DIR/densified/;
 - a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
   OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
   2.05, just past the lambda gamma = 2 stability limit, with T between the
@@ -150,6 +154,48 @@ T = 40
 seeds = 0:3
 """
 
+_DENSIFIED = """\
+[data]
+source = pinned
+manifest = {data_dir}/manifest.txt
+dir = {data_dir}
+
+[problem]
+lambda = 1/n
+M = 3
+regime = heterogeneous
+
+[solver]
+tol = 1e-10
+
+[run]
+gradient_mode = stochastic
+batch = 3
+gamma = 0.002
+schedule = uniform
+H = 1,4
+T = 40
+seeds = 0:3
+"""
+
+
+def write_densified_config(config_dir: str) -> str:
+    """Write the pinned n=90, d=7 data as a LIBSVM file, every entry stored,
+    with its manifest, into config_dir/densified, and the `run` config on
+    it; the INI path."""
+    from libsvm_text import write_manifest_file
+    from localsgd import dataio
+
+    data_dir = os.path.join(config_dir, "densified")
+    os.makedirs(data_dir)
+    write_manifest_file(dataio.generate_synthetic(90, 7, seed=3, sort_by_label=True),
+                        data_dir, name="pinned")
+    path = os.path.join(data_dir, "run.ini")
+    with open(path, "w") as f:
+        f.write(_DENSIFIED.format(data_dir=data_dir))
+    return path
+
+
 CSR_RUNS = (("heterogeneous", "full"), ("heterogeneous", "injected-noise"),
             ("heterogeneous", "stochastic"), ("identical", "injected-noise"))
 
@@ -196,6 +242,8 @@ def invocations(out_dir: str, root: str, config_dir: str, workloads) -> list[lis
              for name, path in write_configs(config_dir).items()]
     argvs += [["run", "--config", path, "--out-dir", os.path.join(out_dir, "csr", name)]
               for name, path in write_csr_configs(config_dir, workloads).items()]
+    argvs.append(["run", "--config", write_densified_config(config_dir),
+                  "--out-dir", os.path.join(out_dir, "densified")])
     diverging = os.path.join(config_dir, "diverging-sweep.ini")
     with open(diverging, "w") as f:
         f.write(_DIVERGING)

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import io
 import math
@@ -6,6 +7,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from pathlib import Path
@@ -841,6 +843,114 @@ def test_unusable_output_path_exits_2_before_any_work(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"{key}: {tmp_path / bad if bad else 'empty path'}" in err[0]
     assert work == [] and sorted(tmp_path.rglob("*")) == before
+
+
+_TINY = """\
+[data]
+source = synthetic
+n = 60
+d = 5
+seed = 3
+
+[problem]
+M = 3
+
+[run]
+gradient_mode = stochastic
+H = 1,4
+T = 20
+seeds = 0:2
+
+[variances]
+M = 1,3
+batch = 1,full
+"""
+
+
+def _output_argvs(config):
+    """(argv, key) of every output path flag, the path given last, under
+    "P": the output directory of run, variances and solve-ref, and the file
+    of solve-ref --out and verify --out."""
+    return [(["run", "--config", config, "--out-dir", "P"], "[output] dir (--out-dir)"),
+            (["variances", "--config", config, "--out-dir", "P"], "[output] dir (--out-dir)"),
+            (["solve-ref", "--config", config, "--out-dir", "P"], "[output] dir (--out-dir)"),
+            (["solve-ref", "--config", config, "--out", "P/reference.txt"], "--out"),
+            (["verify", "--out", "P/results.json"], "--out")]
+
+
+_OUTPUT_IDS = ["run", "variances", "solve-ref-dir", "solve-ref-out", "verify"]
+
+
+@pytest.mark.parametrize("case", range(len(_OUTPUT_IDS)), ids=_OUTPUT_IDS)
+@pytest.mark.parametrize("cause", ["name-too-long", "lookup-denied"])
+def test_path_that_cannot_be_looked_up_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               case, cause):
+    monkeypatch.chdir(tmp_path)
+    work = []
+    monkeypatch.setattr(cli, "solve_reference", lambda *a, **k: work.append("solve"))
+    monkeypatch.setattr(verify, "CRITERIA", [lambda level: work.append("criterion")])
+    config = tmp_path / "tiny.ini"
+    config.write_text(_TINY)
+    if cause == "name-too-long":  # one component above the 255 bytes a name may take
+        bad, why = tmp_path / ("a" * 300), "File name too long"
+    else:  # a directory it may not search; the process runs as root, so a fake stat
+        bad, why = tmp_path / "locked" / "out", "Permission denied"
+        stat = os.stat
+
+        def denied(path, *a, **k):
+            if str(path).startswith(str(bad)):
+                raise PermissionError(errno.EACCES, why, str(path))
+            return stat(path, *a, **k)
+
+        monkeypatch.setattr(os, "stat", denied)
+    argv, key = _output_argvs(str(config))[case]
+    given = str(bad) + argv[-1][1:]  # the lookup of the path given fails first
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli([*argv[:-1], given]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f"{key}: {given}: {why}")
+    assert work == [] and sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", range(len(_OUTPUT_IDS)), ids=_OUTPUT_IDS)
+@pytest.mark.parametrize("error", [PermissionError(errno.EACCES, "Permission denied"),
+                                   FileNotFoundError(errno.ENOENT, "No such file or directory")],
+                         ids=["denied", "not-found"])
+def test_output_dir_that_cannot_be_made_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                              case, error):
+    # The checks pass and the work is done; making the directory then
+    # fails, as a race with another process or a directory that refuses
+    # writes would make it fail.
+    monkeypatch.setattr(verify, "CRITERIA", [
+        lambda level: verify.CriterionResult("stub", verify.PASS, "", 0.0)])
+
+    def refuse(path, *a, **k):
+        raise type(error)(error.errno, error.strerror, path)
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    config = tmp_path / "tiny.ini"
+    config.write_text(_TINY)
+    argv, key = _output_argvs(str(config))[case]
+    out = tmp_path / "out"
+    assert run_cli([*argv[:-1], str(out) + argv[-1][1:]]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].endswith(f"{key}: {out}: {error.strerror}")
+    assert not out.exists()
+
+
+def test_diverging_run_reports_it_without_a_numpy_warning(tmp_path, capsys):
+    # The first step overflows; the divergence check names it, and numpy
+    # must not warn of it as well.
+    config = tmp_path / "tiny.ini"
+    config.write_text(_TINY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "--config", str(config), "--gamma", "1e308",
+                        "--out-dir", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        f"H={H}: iterate diverged at step 1 (seed 0, node 0) (run skipped)" for H in (1, 4)]
 
 
 class TestShippedConfigs:

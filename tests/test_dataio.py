@@ -25,7 +25,8 @@ from localsgd.dataio import (
 from localsgd.numkit import RngStream
 from localsgd.objective import build_problem
 
-from libsvm_text import reference_parse, to_libsvm
+from libsvm_text import reference_parse, to_libsvm, write_manifest_file
+from signed_data import signed_dataset
 
 
 class TestParse:
@@ -164,9 +165,9 @@ class TestParse:
         # row, of 14 entries: about 14 bytes per entry in all. A second,
         # signed copy of the values would add 8, and squaring the matrix
         # with scipy's multiply would peak at 27 while the build runs.
-        # At n = 20000 rows the Gram blocks of estimate_L (two 256 x 123
-        # blocks and two 123 x 123 matrices, whatever n is) cost 2.7 bytes
-        # per entry.
+        # At n = 20000 rows the Gram blocks that L is derived from (two
+        # 256 x 123 blocks and two 123 x 123 matrices, whatever n is) cost
+        # 2.7 bytes per entry.
         _, build_peak, kept = self.load_and_build_per_nonzero(
             self.a9a_rows(lambda gen: "1", n=20000))
         assert kept <= 16, f"{kept:.1f} bytes per nonzero kept"
@@ -420,6 +421,28 @@ class TestManifest:
         with pytest.raises(LibsvmFormatError, match="below max feature index"):
             load_dataset(entries["toy"], str(tmp_path))
 
+    def test_load_densifies_a_file_at_least_half_stored(self, tmp_path):
+        # Dense products cost no more once half the entries are stored: the
+        # loader holds such a file as a C-contiguous array, and a sparser
+        # one (11% stored, as a9a) as CSR; 200 of 400 is the least it
+        # densifies.
+        gen = RngStream(seed=6).generator()
+        labels = np.where(gen.random(40) < 0.5, -1.0, 1.0)
+        for stored in (400, 200, 199, 44):
+            A = gen.standard_normal((40, 10))
+            A.ravel()[gen.permutation(400)[stored:]] = 0.0
+            ds = signed_dataset(A, labels)
+            data_dir = tmp_path / str(stored)
+            data_dir.mkdir()
+            loaded = load_dataset(write_manifest_file(ds, str(data_dir)), str(data_dir))
+            assert loaded.is_dense == (stored >= 200), stored
+            if loaded.is_dense:
+                assert loaded.features.flags.c_contiguous
+                assert np.array_equal(loaded.features, ds.features)
+            else:
+                assert loaded.features.nnz == stored
+                assert np.array_equal(loaded.features.toarray(), ds.features)
+
     def test_missing_file(self, tmp_path):
         entries = parse_manifest("toy nothere.txt deadbeef 1 1\n")
         with pytest.raises(ManifestError, match="not found"):
@@ -453,6 +476,17 @@ class TestSynthetic:
         noisy = generate_synthetic(200, 5, seed=13, label_noise=0.2)
         flipped = np.mean(clean.labels != noisy.labels)
         assert 0.05 < flipped < 0.4
+
+    def test_dataset_without_samples_is_refused(self):
+        with pytest.raises(ValueError, match="a sample and a feature"):
+            Dataset(np.zeros((0, 3)), np.zeros(0))
+
+    def test_dense_features_are_held_c_contiguous_float64(self):
+        ds = generate_synthetic(5, 3, seed=16)
+        assert Dataset(ds.features, ds.labels).features is ds.features
+        held = Dataset(np.asfortranarray(ds.features, dtype=np.float32), ds.labels).features
+        assert held.flags.c_contiguous and held.dtype == np.float64
+        assert np.array_equal(held, ds.features.astype(np.float32))
 
     def test_dense_features_must_be_a_matrix(self):
         ds = generate_synthetic(5, 3, seed=16)

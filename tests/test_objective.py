@@ -11,13 +11,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from localsgd.dataio import Dataset, Regime, generate_synthetic, parse_libsvm, partition
+from localsgd.dataio import (Dataset, Regime, generate_synthetic, load_dataset, parse_libsvm,
+                             partition)
 from localsgd import objective
 from localsgd.numkit import RngStream, draw_indices
 from localsgd.objective import (
     ConvergenceError,
     build_problem,
-    estimate_L,
     full_grad_global,
     loss,
     loss_many,
@@ -32,6 +32,7 @@ from localsgd.simulator import (
     _GradientEngine,
     run_local_sgd,
 )
+from libsvm_text import write_manifest_file
 from signed_data import signed_dataset, unsigned_rows
 
 
@@ -338,23 +339,25 @@ def test_csr_gather_scatters_the_rows_toarray_gives():
         assert p.gather(idx).tobytes() == want.tobytes()
 
 
-def test_dataset_storages_build_the_same_problem_bitwise():
-    # The shipped heterogeneous data as its dense array and as CSR. The CSR
-    # dataset is fully stored, so it is densified too; every constant, the
-    # signed rows and the reference optimum must agree bit for bit.
+def test_dataset_storages_build_the_same_problem_bitwise(tmp_path):
+    # The shipped heterogeneous data, generated and as a LIBSVM file read
+    # through a manifest. The file is fully stored, so the loader densifies
+    # it; the rows, every constant and the reference optimum must agree bit
+    # for bit. Held as CSR (csr_twin), the rows give the same constants.
     ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True, label_noise=0.02)
-    as_csr = Dataset(features=sp.csr_matrix(ds.features), labels=ds.labels, name=ds.name)
-    assert ds.is_dense and not as_csr.is_dense
-    assert ds.features.flags.c_contiguous and ds.features.dtype == np.float64
-    assert np.array_equal(ds.row_norms_sq(), as_csr.row_norms_sq())
-    dense, csr = (build_problem(d, partition(d, 4, Regime.HETEROGENEOUS))
-                  for d in (ds, as_csr))
-    assert dense.dense_rows is not None and csr.dense_rows is not None
-    assert np.array_equal(dense.row_norms_sq, csr.row_norms_sq)
-    assert dense.L == csr.L and dense.L_component == csr.L_component
-    assert np.array_equal(dense.rows, csr.rows)
+    loaded = load_dataset(write_manifest_file(ds, str(tmp_path)), str(tmp_path))
+    assert ds.is_dense and loaded.is_dense
+    assert loaded.features.flags.c_contiguous and loaded.features.dtype == np.float64
+    assert np.array_equal(ds.features, loaded.features)
+    dense, from_file = (build_problem(d, partition(d, 4, Regime.HETEROGENEOUS))
+                        for d in (ds, loaded))
+    twin = objective.csr_twin(dense)
+    assert twin.dense_rows is None
+    for q in (from_file, twin):
+        assert q.row_norms_sq.tobytes() == dense.row_norms_sq.tobytes()
+        assert q.L == dense.L and q.L_component == dense.L_component
     assert np.array_equal(solve_reference(dense, 1e-11).x_star,
-                          solve_reference(csr, 1e-11).x_star)
+                          solve_reference(from_file, 1e-11).x_star)
 
 
 def test_csr_row_norms_are_scipy_row_sums_bitwise():
@@ -373,18 +376,32 @@ def test_csr_row_norms_are_scipy_row_sums_bitwise():
         assert ds.row_norms_sq().tobytes() == want.tobytes()
 
 
-def test_problem_rows_are_the_dataset_rows():
-    # The dataset's signed rows are B itself: no copy for dense data or for
-    # sparse CSR data, and a dense copy only of CSR data at least half stored.
-    dense = small_problem()
-    assert dense.rows is dense.dataset.features
-    sparse = sparse_problem(50, density=0.1)
-    assert sparse.rows is sparse.dataset.features
-    mostly_dense = sparse_problem(50, density=0.7)
-    assert isinstance(mostly_dense.rows, np.ndarray)
-    assert np.array_equal(mostly_dense.rows, mostly_dense.dataset.features.toarray())
-    twin = objective.csr_twin(dense)
-    assert twin.rows is twin.dataset.features
+def test_problem_rows_are_the_dataset_rows(tmp_path):
+    # The dataset's signed rows are B itself, never copied, in the storage
+    # the dataset holds: dense, CSR however much of it is stored, and the
+    # dense array the loader makes of a file at least half stored.
+    loaded = load_dataset(write_manifest_file(generate_synthetic(20, 4, seed=2), str(tmp_path)),
+                          str(tmp_path))
+    problems = {
+        "dense": small_problem(),
+        "csr": sparse_problem(50, density=0.1),
+        "csr-70%-stored": sparse_problem(50, density=0.7),
+        "csr-twin": objective.csr_twin(small_problem()),
+        "loaded": build_problem(loaded, partition(loaded, 2, Regime.IDENTICAL)),
+    }
+    for name, p in problems.items():
+        assert p.rows is p.dataset.features, name
+        assert (p.dense_rows is not None) == (name in ("dense", "loaded")), name
+
+
+def test_replaced_lambda_derives_the_constants_again():
+    # L and L_component both hold lam; a problem with another lam must get
+    # the constants of a problem built with it, bit for bit.
+    for p in (small_problem(lam=0.1), sparse_problem(60)):
+        for lam in (0.0, 1.0, 2.5e-3):
+            q, want = replace(p, lam=lam), build_problem(p.dataset, p.part, lam=lam)
+            assert (q.L, q.L_component) == (want.L, want.L_component)
+            assert q.L_component == float(q.row_norms_sq.max()) / 4.0 + lam
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -555,32 +572,32 @@ def one_node(ds):
 class TestEstimateL:
     def test_single_row_exact(self):
         ds = dataset_from_rows([[2.0, 0.0]], [1.0])
-        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(1.0, rel=1e-9)
+        assert build_problem(ds, one_node(ds), 0.0).L == pytest.approx(1.0, rel=1e-9)
 
     def test_lambda_shifts_additively(self):
         ds = generate_synthetic(40, 6, seed=14)
-        base = estimate_L(ds, one_node(ds), 0.0)
-        assert estimate_L(ds, one_node(ds), 0.37) == pytest.approx(base + 0.37, rel=1e-12)
+        base = build_problem(ds, one_node(ds), 0.0).L
+        assert build_problem(ds, one_node(ds), 0.37).L == pytest.approx(base + 0.37, rel=1e-12)
 
     def test_duplication_invariance(self):
         ds = generate_synthetic(30, 5, seed=15)
         doubled = Dataset(np.vstack([ds.features, ds.features]),
                           np.concatenate([ds.labels, ds.labels]))
-        assert estimate_L(doubled, one_node(doubled), 0.01) == pytest.approx(
-            estimate_L(ds, one_node(ds), 0.01), rel=1e-8)
+        assert build_problem(doubled, one_node(doubled), 0.01).L == pytest.approx(
+            build_problem(ds, one_node(ds), 0.01).L, rel=1e-8)
 
     def test_against_dense_eigensolver(self):
         ds = generate_synthetic(50, 7, seed=16)
         A = ds.features
         oracle = float(np.linalg.eigvalsh(A.T @ A / (4 * ds.n)).max())
-        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(oracle, rel=1e-8)
+        assert build_problem(ds, one_node(ds), 0.0).L == pytest.approx(oracle, rel=1e-8)
 
     def test_exact_on_shipped_heterogeneous_data(self):
         # Oracle: the largest singular value of the dense A, squared.
         ds = generate_synthetic(2000, 30, seed=51, sort_by_label=True,
                                 label_noise=0.02)
         sigma_max = np.linalg.svd(ds.features, compute_uv=False)[0]
-        assert estimate_L(ds, one_node(ds), 0.0) == pytest.approx(
+        assert build_problem(ds, one_node(ds), 0.0).L == pytest.approx(
             sigma_max**2 / (4 * ds.n), rel=1e-12)
 
     def test_weighs_samples_as_f_does(self):
@@ -599,25 +616,25 @@ class TestEstimateL:
         # The Gram's CSR blocks are scattered from indptr, indices and data;
         # they must sum to the bits of scipy's sliced toarray() blocks of the
         # unsigned rows, over empty rows and a last block shorter than the
-        # others. The dataset's signed matrix (what estimate_L reads) and the
-        # signed rows the Newton solve passes must each give those bits on
-        # each storage: CSR, dense, and a mostly-dense CSR dataset, which
-        # build_problem densifies.
+        # others, and L must be that Gram's largest eigenvalue plus lam. The
+        # signed rows must give those bits on each storage: CSR 5% stored,
+        # CSR 70% stored (a dataset made by hand stays CSR whatever its
+        # density), and dense.
         sparse = sparse_problem(601, d=40, density=0.05)
         assert np.any(np.diff(sparse.dataset.features.indptr) == 0)
         mostly_dense = sparse_problem(601, d=40, density=0.7)
         ds = replace(mostly_dense.dataset, features=mostly_dense.dataset.features.toarray())
         dense = build_problem(ds, mostly_dense.part, lam=mostly_dense.lam)
         rows = objective._GRAM_ROWS
-        for p, stored in ((sparse, "csr"), (mostly_dense, "dense"), (dense, "dense")):
-            A, w = sp.csr_matrix(unsigned_rows(p.dataset)), p.weights
+        for p, stored in ((sparse, "csr"), (mostly_dense, "csr"), (dense, "dense")):
+            A, w = sp.csr_matrix(unsigned_rows(p.dataset)), p.weights / 4.0
             assert A.shape[0] % rows and (p.dense_rows is None) == (stored == "csr")
             want = np.zeros((40, 40))
             for start in range(0, A.shape[0], rows):
                 B = A[start:start + rows].toarray()
                 want += B.T @ (w[start:start + rows, None] * B)
-            assert np.array_equal(objective._weighted_gram(p.dataset.features, w), want)
             assert np.array_equal(objective._weighted_gram(p.rows, w), want)
+            assert p.L == float(np.linalg.eigvalsh(want)[-1]) + p.lam
 
     def test_component_constant_dominates(self):
         p = small_problem(n=50, d=5)
