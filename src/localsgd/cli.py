@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import json
 import math
 import os
@@ -289,7 +290,7 @@ def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
 def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
     """The schedule of the H-run; a malformed one, or one that does not end
     at T, is a ConfigError on the schedule key. A T with more uniform sync
-    steps than memory holds is a ConfigError on T."""
+    steps than numpy can hold is a ConfigError on T."""
     spec = spec.strip()
     try:
         if spec == "uniform":
@@ -302,7 +303,7 @@ def resolve_schedule(spec: str, H: int, T: int) -> SyncSchedule:
             raise ValueError(f"unknown schedule spec {spec!r}")
     except ValueError as e:
         raise _invalid("schedule_spec", str(e)) from None
-    except (OverflowError, MemoryError):  # from the list of uniform sync steps
+    except (OverflowError, MemoryError):  # from the array of uniform sync steps
         raise _invalid("T", f"too many sync steps at H={H} to list") from None
     if schedule.final != T:
         raise _invalid("schedule_spec",
@@ -323,20 +324,27 @@ def _check_output(path: str, *, is_dir: bool, name: str | None = None) -> None:
     """Refuse, before any work, an output path that cannot be written: an
     empty one, a directory where the file goes, a file where the directory
     or one of its ancestors goes, or one the system will not look up (a
-    name too long, a directory it may not search)."""
+    name too long, a directory it may not search). The lookup stops at the
+    first component that is not there, so the names of the missing ones
+    are measured here."""
     try:
         os.stat(path)
     except OSError as e:  # anything but a path that is not there (yet)
         if not isinstance(e, (FileNotFoundError, NotADirectoryError)):
             raise _invalid(name, f"{path}: {e.strerror}") from None
     head = path if is_dir else os.path.dirname(path)
+    missing = [] if is_dir else [os.path.basename(path)]
     while head and not os.path.exists(head):
-        head = os.path.dirname(head)
+        head, tail = os.path.split(head)
+        missing.append(tail)
     why = ("empty path" if not path else
            f"{path} is a directory" if not is_dir and os.path.isdir(path) else
            f"{head} is not a directory" if head and not os.path.isdir(head) else None)
     if why:
         raise _invalid(name, why)
+    name_max = os.pathconf(head or ".", "PC_NAME_MAX")
+    if any(len(os.fsencode(part)) > name_max for part in missing):
+        raise _invalid(name, f"{path}: {os.strerror(errno.ENAMETOOLONG)}")
 
 
 def _make_output_dir(path: str, name: str | None = None) -> None:
@@ -478,7 +486,7 @@ def _emit_bounds(cfg, p, run_cfg, ref, var_report, agg, tag) -> list:
         verdicts.append((curve, v))
         base = os.path.join(cfg.out_dir, f"bound_{curve.theorem_id}_{tag}")
         with open(base + ".csv", "w") as f:
-            _write_curve_csv(f, curve, agg)
+            _write_curve_csv(f, curve, v)
         with open(base + ".verdict.txt", "w") as f:
             f.write(v.to_kv_text())
             f.write(f"theorem_id = {curve.theorem_id}\n")
@@ -487,7 +495,8 @@ def _emit_bounds(cfg, p, run_cfg, ref, var_report, agg, tag) -> list:
     return verdicts
 
 
-def _write_curve_csv(stream, curve, agg) -> None:
+def _write_curve_csv(stream, curve, verdict) -> None:
+    """The curve's inputs, then its RHS at each step the verdict compared."""
     stream.write(f"# theorem_id = {curve.theorem_id}\n")
     stream.write(f"# metric = {curve.metric}\n")
     for k, val in sorted(vars(curve.inputs).items()):
@@ -495,8 +504,8 @@ def _write_curve_csv(stream, curve, agg) -> None:
     if curve.notes:
         stream.write(f"# notes = {curve.notes}\n")
     stream.write("t,rhs\n")
-    for t in agg.t[theory.compared_steps(curve, agg)]:
-        stream.write(f"{int(t)},{curve.rhs_at(int(t))!r}\n")
+    for t, rhs in zip(verdict.steps.tolist(), verdict.rhs.tolist()):
+        stream.write(f"{t},{rhs!r}\n")
 
 
 def cmd_solve_ref(args) -> int:

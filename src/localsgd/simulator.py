@@ -9,7 +9,6 @@ local SGD with H=1 consumes the same per-node draws as minibatch SGD.
 """
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -48,52 +47,97 @@ class DivergenceError(RuntimeError):
         self.node = node
 
 
-def _max_gap(steps: tuple[int, ...]) -> int:
-    """Largest gap between consecutive timestamps, the one from 0 included."""
-    return max([1] + [b - a for a, b in zip((0,) + steps, steps)])
+# Steps per chunk of the gap check: no temporary of the check grows with
+# the number of sync steps.
+_GAP_CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
+def _steps_array(steps: Sequence[int] | np.ndarray) -> np.ndarray:
+    """steps as a read-only int64 array: a read-only int64 array is held as
+    it is, anything else copied into one."""
+    if isinstance(steps, np.ndarray) and steps.dtype == np.int64 and not steps.flags.writeable:
+        return steps
+    try:
+        steps = np.array(steps, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("synchronization steps must be below 2^63") from None
+    steps.flags.writeable = False
+    return steps
+
+
+def _max_gap(steps: np.ndarray) -> int:
+    """Largest gap between consecutive timestamps, the one from 0 included,
+    after checking that the timestamps are a schedule's: at least one, the
+    first >= 1, strictly increasing."""
+    if not steps.size:
+        raise ValueError("schedule needs at least one synchronization step")
+    if steps[0] < 1:
+        raise ValueError("first synchronization step must be >= 1")
+    hi, prev = 1, 0
+    for start in range(0, steps.size, _GAP_CHUNK):
+        chunk = steps[start:start + _GAP_CHUNK]
+        # After a first step >= 1 a step below 1 is a decrease, and with
+        # every step >= 1 no gap overflows int64.
+        if chunk.min() < 1 or (gaps := np.diff(chunk, prepend=prev)).min() < 1:
+            raise ValueError("synchronization steps must be strictly increasing")
+        hi, prev = max(hi, int(gaps.max())), chunk[-1]
+    return hi
+
+
+@dataclass(frozen=True, eq=False)
 class SyncSchedule:
-    """Strictly increasing synchronization timestamps with max gap H.
+    """Strictly increasing synchronization timestamps with max gap H, held
+    as one read-only int64 array.
 
     The gap from 0 to the first timestamp counts; the final timestamp is
-    the run length T.
+    the run length T. Schedules are equal when their H and steps are.
     """
 
-    sync_steps: tuple[int, ...]
+    sync_steps: np.ndarray
     H: int
 
     def __post_init__(self):
-        steps = tuple(int(s) for s in self.sync_steps)
-        object.__setattr__(self, "sync_steps", steps)
-        if not steps:
-            raise ValueError("schedule needs at least one synchronization step")
-        if steps[0] < 1:
-            raise ValueError("first synchronization step must be >= 1")
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("synchronization steps must be strictly increasing")
+        object.__setattr__(self, "sync_steps", _steps_array(self.sync_steps))
+        gap = _max_gap(self.sync_steps)
         if self.H < 1:
             raise ValueError("H must be >= 1")
-        if self.max_gap() > self.H:
-            raise ValueError(f"schedule gap {self.max_gap()} exceeds declared H={self.H}")
+        if gap > self.H:
+            raise ValueError(f"schedule gap {gap} exceeds declared H={self.H}")
+
+    def __eq__(self, other):
+        if not isinstance(other, SyncSchedule):
+            return NotImplemented
+        return self.H == other.H and np.array_equal(self.sync_steps, other.sync_steps)
+
+    def __hash__(self):
+        return hash((self.H, self.sync_steps.tobytes()))
 
     def max_gap(self) -> int:
         return _max_gap(self.sync_steps)
 
     @property
     def final(self) -> int:
-        return self.sync_steps[-1]
+        return int(self.sync_steps[-1])
 
     @classmethod
     def uniform(cls, H: int, T: int) -> "SyncSchedule":
-        """Every H steps, plus T itself when H does not divide T."""
+        """Every H steps, plus T itself when H does not divide T. Raises
+        MemoryError, or OverflowError past int64, when numpy cannot hold
+        the steps."""
         if H < 1 or T < 1:
             raise ValueError("H and T must be >= 1")
-        steps = list(range(H, T + 1, H))
-        if not steps or steps[-1] != T:
-            steps.append(T)
-        return cls(sync_steps=tuple(steps), H=H)
+        try:
+            # One per sync, counted in integers: np.arange(H, T + H, H)
+            # counts in floats, one short for some T near 10^17.
+            steps = np.arange(1, -(-T // H) + 1, dtype=np.int64)
+        except ValueError:  # numpy's refusal of the size
+            raise MemoryError(f"{-(-T // H)} sync steps") from None
+        # H, 2H, ...; the last is at or past T, where it may wrap past
+        # int64, and becomes T.
+        steps *= min(H, T)
+        steps[-1] = T
+        steps.flags.writeable = False
+        return cls(sync_steps=steps, H=H)
 
     @classmethod
     def one_shot(cls, T: int) -> "SyncSchedule":
@@ -101,17 +145,20 @@ class SyncSchedule:
 
     @classmethod
     def from_steps(cls, steps: Sequence[int]) -> "SyncSchedule":
-        steps = tuple(int(s) for s in steps)
+        steps = _steps_array(steps)
         return cls(sync_steps=steps, H=_max_gap(steps))
 
     def describe(self) -> str:
         # A single synchronization reads one-shot whatever H was declared:
         # uniform(T, T) and uniform(H > T, T) are one-shot schedules too.
-        if len(self.sync_steps) == 1:
+        steps = self.sync_steps
+        if steps.size == 1:
             return f"one-shot(T={self.final})"
-        if self.sync_steps == tuple(range(self.H, self.final + 1, self.H)):
+        # No gap exceeds H, and the gaps add up to T: T = H * (sync count)
+        # holds exactly when every gap is H, which is uniform(H, T).
+        if self.final == self.H * steps.size:
             return f"uniform(H={self.H})"
-        return "explicit(" + ",".join(str(s) for s in self.sync_steps) + f";H={self.H})"
+        return "explicit(" + ",".join(map(str, steps.tolist())) + f";H={self.H})"
 
 
 @dataclass(frozen=True)
@@ -447,16 +494,14 @@ def _divergence(X: np.ndarray, t: int, seeds: Sequence[int]) -> DivergenceError:
     return DivergenceError(t, seeds[int(s)], int(m))
 
 
-def _subopt_steps(grid: Sequence[int], T: int) -> frozenset[int]:
-    """The recorded steps whose suboptimality is evaluated: all up to
-    D = _SUBOPT_DENSE, then the first at or after each step
-    ceil(D (T/D)^(k/D)), k = 1..D, the last of which is T."""
+def _subopt_steps(t: np.ndarray, T: int) -> np.ndarray:
+    """The recorded steps, of the sorted array t that ends at T, whose
+    suboptimality is evaluated, sorted: all up to D = _SUBOPT_DENSE, then
+    the first at or after each step ceil(D (T/D)^(k/D)), k = 1..D, the last
+    of which is T."""
     D = _SUBOPT_DENSE
-    steps = {t for t in grid if t <= D}
-    for k in range(1, D + 1):
-        step = min(T, math.ceil(D * (T / D) ** (k / D)))
-        steps.add(grid[bisect.bisect_left(grid, step)])
-    return frozenset(steps)
+    targets = [min(T, math.ceil(D * (T / D) ** (k / D))) for k in range(1, D + 1)]
+    return np.union1d(t[t <= D], t[np.searchsorted(t, targets)])
 
 
 # Recorded rows per aggregation block of a sweep.
@@ -485,7 +530,7 @@ class _Lane:
         self.rows = self.synced_at | (grid % cfg.stride() == 0)
         self.t = grid[self.rows]
         self.synced = self.synced_at[self.rows]
-        self.subopt_at = np.isin(grid, list(_subopt_steps(self.t.tolist(), cfg.T)))
+        self.subopt_at = np.isin(grid, _subopt_steps(self.t, cfg.T))
         self.mean, self.se = np.empty((2, len(self._PER_ROW), self.t.size))
         self.subopt = []  # one (S,) column per subopt_at row, stacked at the end
         self.xhat = None

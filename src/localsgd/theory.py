@@ -17,7 +17,7 @@ constant (Problem.L_component), not the smaller global estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
@@ -401,6 +401,9 @@ class Verdict:
     slack_ratio: float  # max over compared points of empirical / bound
     compared: int
     details: str
+    # The steps compared and the RHS at each, which the bound CSV lists.
+    steps: np.ndarray | None = field(default=None, repr=False, compare=False)
+    rhs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_kv_text(self) -> str:
         return (f"holds = {self.holds}\nmargin = {self.margin!r}\n"
@@ -409,7 +412,7 @@ class Verdict:
 
 
 def _verdict(emp: np.ndarray, se: np.ndarray, rhs: np.ndarray,
-             details: str) -> Verdict:
+             details: str, steps: np.ndarray | None = None) -> Verdict:
     ok = emp <= rhs + 3.0 * se
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rhs > 0, emp / rhs, np.inf)
@@ -419,6 +422,8 @@ def _verdict(emp: np.ndarray, se: np.ndarray, rhs: np.ndarray,
         slack_ratio=float(np.max(ratios)),
         compared=int(emp.size),
         details=details,
+        steps=steps,
+        rhs=rhs,
     )
 
 
@@ -448,15 +453,15 @@ def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
     statement defines.
     """
     mask = compared_steps(curve, agg)
+    ts = agg.t[mask]
+    rhs = np.asarray([curve.rhs_at(t) for t in ts.tolist()])
     if curve.metric == "dist_sq":
-        ts = agg.t[mask]
-        rhs = np.asarray([curve.rhs_at(int(t)) for t in ts])
         return _verdict(agg.mean["dist_sq"][mask], agg.se["dist_sq"][mask], rhs,
-                        f"{curve.theorem_id}: dist_sq at {ts.size} steps")
+                        f"{curve.theorem_id}: dist_sq at {ts.size} steps", ts)
     emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[curve.convention]
-    return _verdict(np.asarray([emp]), np.asarray([se]), np.asarray([curve.final()]),
+    return _verdict(np.asarray([emp]), np.asarray([se]), rhs,
                     f"{curve.theorem_id}: f(bar x_T) - f* at T={curve.inputs.T} "
-                    f"({curve.convention} average)")
+                    f"({curve.convention} average)", ts)
 
 
 def check_vt_bound(agg: AggregateTrace, gamma: float, H: int,

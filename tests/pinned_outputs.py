@@ -24,6 +24,11 @@ in-process on
   through a manifest: every entry is stored, so the loader densifies it.
   Heterogeneous stochastic gradients, M=3, lambda 1/n, tol 1e-10, batch 3,
   gamma 0.002, H=1,4, T=40, seeds 0:3, into OUT_DIR/densified/;
+- 2 `run`s of pinned configs with schedules no other run has: heterogeneous
+  stochastic over seeds 0:3 at H=3,50 (3 does not divide T=40, and 50 is
+  past it, a one-shot run) into OUT_DIR/schedules/uniform/, and identical
+  injected-noise over seeds 0:3 with `schedule = explicit:5,12,40` (a
+  single H, as the steps fix it) into OUT_DIR/schedules/explicit/;
 - a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
   OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
   2.05, just past the lambda gamma = 2 stability limit, with T between the
@@ -238,8 +243,14 @@ def invocations(out_dir: str, root: str, config_dir: str, workloads) -> list[lis
     workloads'."""
     shipped = os.path.join(root, "configs")
     het = os.path.join(shipped, "synthetic-heterogeneous.ini")
+    pinned = write_configs(config_dir)
     argvs = [["run", "--config", path, "--out-dir", os.path.join(out_dir, "pinned", name)]
-             for name, path in write_configs(config_dir).items()]
+             for name, path in pinned.items()]
+    argvs.append(["run", "--config", pinned["heterogeneous-stochastic-replicated"],
+                  "--H", "3,50", "--out-dir", os.path.join(out_dir, "schedules", "uniform")])
+    argvs.append(["run", "--config", pinned["identical-injected-noise-replicated"],
+                  "--schedule", "explicit:5,12,40", "--H", "28",
+                  "--out-dir", os.path.join(out_dir, "schedules", "explicit")])
     argvs += [["run", "--config", path, "--out-dir", os.path.join(out_dir, "csr", name)]
               for name, path in write_csr_configs(config_dir, workloads).items()]
     argvs.append(["run", "--config", write_densified_config(config_dir),

@@ -409,6 +409,20 @@ dir = {tmp_path / 'out'}
         assert (done.returncode, done.stderr.splitlines()) == (2, [line])
         assert not (tmp_path / "out").exists()
 
+    def test_uniform_schedule_holds_8_bytes_per_sync_step(self):
+        # A million sync steps: one int64 array, and the gap check's
+        # temporaries do not grow with it.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            schedule = cli.resolve_schedule("uniform", 1, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert schedule.sync_steps.size == 10**6 and schedule.final == 10**6
+        assert peak < 8.5e6
+
     def test_unreachable_tol_leaves_no_output_dir(self, tmp_path, capsys):
         out = tmp_path / "D"
         assert run_cli(["run", "--config", str(CONFIGS / "synthetic-heterogeneous.ini"),
@@ -882,7 +896,8 @@ _OUTPUT_IDS = ["run", "variances", "solve-ref-dir", "solve-ref-out", "verify"]
 
 
 @pytest.mark.parametrize("case", range(len(_OUTPUT_IDS)), ids=_OUTPUT_IDS)
-@pytest.mark.parametrize("cause", ["name-too-long", "lookup-denied"])
+@pytest.mark.parametrize("cause", ["name-too-long", "name-too-long-below-a-missing-dir",
+                                   "lookup-denied"])
 def test_path_that_cannot_be_looked_up_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                                case, cause):
     monkeypatch.chdir(tmp_path)
@@ -893,6 +908,8 @@ def test_path_that_cannot_be_looked_up_exits_2_before_any_work(tmp_path, capsys,
     config.write_text(_TINY)
     if cause == "name-too-long":  # one component above the 255 bytes a name may take
         bad, why = tmp_path / ("a" * 300), "File name too long"
+    elif cause == "name-too-long-below-a-missing-dir":  # the lookup stops at NEW
+        bad, why = tmp_path / "NEW" / ("a" * 300), "File name too long"
     else:  # a directory it may not search; the process runs as root, so a fake stat
         bad, why = tmp_path / "locked" / "out", "Permission denied"
         stat = os.stat
@@ -910,6 +927,13 @@ def test_path_that_cannot_be_looked_up_exits_2_before_any_work(tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].endswith(f"{key}: {given}: {why}")
     assert work == [] and sorted(tmp_path.rglob("*")) == before
+
+
+def test_file_name_too_long_below_a_missing_dir_is_refused(tmp_path):
+    path = tmp_path / "NEW" / ("b" * 300 + ".txt")
+    with pytest.raises(cli.ConfigError, match=f"^--out: {path}: File name too long$"):
+        cli._check_output(str(path), is_dir=False)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("case", range(len(_OUTPUT_IDS)), ids=_OUTPUT_IDS)

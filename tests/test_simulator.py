@@ -1,4 +1,5 @@
 import io
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -54,16 +55,16 @@ def make_cfg(p, T=64, H=8, gamma=None, mode=GradientMode.STOCHASTIC, M=4, **kw):
 class TestSyncSchedule:
     def test_uniform_divisible(self):
         s = SyncSchedule.uniform(4, 12)
-        assert s.sync_steps == (4, 8, 12)
+        assert tuple(s.sync_steps) == (4, 8, 12)
 
     def test_uniform_with_remainder_appends_final(self):
         s = SyncSchedule.uniform(5, 12)
-        assert s.sync_steps == (5, 10, 12)
+        assert tuple(s.sync_steps) == (5, 10, 12)
         assert s.max_gap() == 5
 
     def test_one_shot(self):
         s = SyncSchedule.one_shot(100)
-        assert s.sync_steps == (100,) and s.H == 100
+        assert tuple(s.sync_steps) == (100,) and s.H == 100
 
     def test_gap_exceeding_H_rejected(self):
         with pytest.raises(ValueError, match="gap"):
@@ -86,7 +87,7 @@ class TestSyncSchedule:
     ])
     def test_single_sync_describes_as_one_shot(self, schedule):
         # uniform(20, 20) is one_shot(20); uniform(40, 20) syncs only at T too.
-        assert schedule.sync_steps == (20,)
+        assert tuple(schedule.sync_steps) == (20,)
         assert schedule.describe() == "one-shot(T=20)"
 
     @pytest.mark.parametrize("schedule, text", [
@@ -97,6 +98,68 @@ class TestSyncSchedule:
     ])
     def test_describe_other_schedules(self, schedule, text):
         assert schedule.describe() == text
+
+    # Each schedule's steps, H, final, max_gap() and describe(), and a
+    # schedule built another way that equals it, all as before the steps
+    # became an int64 array.
+    @pytest.mark.parametrize("schedule, steps, H, final, gap, text, twin", [
+        (SyncSchedule.uniform(4, 12), (4, 8, 12), 4, 12, 4, "uniform(H=4)",
+         SyncSchedule.from_steps([4, 8, 12])),
+        (SyncSchedule.uniform(5, 12), (5, 10, 12), 5, 12, 5, "explicit(5,10,12;H=5)",
+         SyncSchedule.from_steps([5, 10, 12])),
+        (SyncSchedule.uniform(40, 20), (20,), 40, 20, 20, "one-shot(T=20)",
+         SyncSchedule((20,), H=40)),
+        (SyncSchedule.uniform(20, 20), (20,), 20, 20, 20, "one-shot(T=20)",
+         SyncSchedule.one_shot(20)),
+        (SyncSchedule.one_shot(100), (100,), 100, 100, 100, "one-shot(T=100)",
+         SyncSchedule.uniform(100, 100)),
+        (SyncSchedule.from_steps([3, 5, 11]), (3, 5, 11), 6, 11, 6, "explicit(3,5,11;H=6)",
+         SyncSchedule(np.array([3, 5, 11]), H=6)),
+        (SyncSchedule((3, 6, 9, 12, 20), H=12), (3, 6, 9, 12, 20), 12, 20, 8,
+         "explicit(3,6,9,12,20;H=12)", SyncSchedule([3, 6, 9, 12, 20], H=12)),
+    ])
+    def test_values_and_identity(self, schedule, steps, H, final, gap, text, twin):
+        assert tuple(schedule.sync_steps) == steps and schedule.H == H
+        assert schedule.final == final and type(schedule.final) is int
+        assert schedule.max_gap() == gap and type(schedule.max_gap()) is int
+        assert schedule.describe() == text
+        assert schedule.sync_steps.dtype == np.int64 and not schedule.sync_steps.flags.writeable
+        assert schedule == twin and hash(schedule) == hash(twin) and len({schedule, twin}) == 1
+        # The same steps under another declared H, or other steps under the
+        # same H, make another schedule.
+        assert schedule != SyncSchedule(steps, H=H + 1)
+        assert schedule != SyncSchedule(steps[:-1] + (final + 1,), H=H + 1)
+        assert schedule != steps
+
+    def test_uniform_counts_its_steps_in_integers(self):
+        # np.arange(H, T + H, H) counts (T + H - H) / H in floats: 1 + 1e-17
+        # rounds to a single step.
+        s = SyncSchedule.uniform(10**17, 10**17 + 1)
+        assert s.sync_steps.tolist() == [10**17, 10**17 + 1] and s.max_gap() == 10**17
+
+    @pytest.mark.parametrize("steps, H, match", [
+        ((), 4, "at least one"),
+        ((0, 4), 4, "first"),
+        ((4, 3, 8), 8, "increasing"),
+        ((5, -(2**63) + 3), 2**62, "increasing"),  # its gap overflows int64
+        ((4, 8), 0, "H must be"),
+        ((4, 8), 3, "gap 4 exceeds declared H=3"),
+        ((4, 2**63), 2**63, "below 2\\^63"),
+    ])
+    def test_malformed_schedule_refused(self, steps, H, match):
+        with pytest.raises(ValueError, match=match):
+            SyncSchedule(steps, H=H)
+
+    def test_gaps_are_checked_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_GAP_CHUNK", 3)
+        steps = [1, 2, 3, 4, 5, 6, 9]
+        assert SyncSchedule.from_steps(steps).H == 3
+        # A repeat, and a decrease, at the start of the second chunk.
+        for bad in ([1, 2, 3, 3, 5, 6], [1, 2, 3, 2, 5, 6]):
+            with pytest.raises(ValueError, match="increasing"):
+                SyncSchedule.from_steps(bad)
+        with pytest.raises(ValueError, match="gap 3 exceeds"):
+            SyncSchedule(steps, H=2)
 
 
 def engine_vt(X) -> float:
@@ -207,7 +270,7 @@ class TestInvariants:
         cfg = make_cfg(p, T=150, H=4, record_every=1)
         tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
         assert tr.t.tolist() == list(range(151))
-        grid = simulator._subopt_steps(list(range(151)), 150)
+        grid = set(simulator._subopt_steps(np.arange(151), 150).tolist())
         assert set(range(65)) | {150} <= grid and len(grid) == 129
         floor = 4 * np.finfo(float).eps * ref.f_star
         xhat, dist_sq, subopt = tr.xhat[0], tr.mean["dist_sq"], tr.mean["subopt"]
@@ -220,6 +283,20 @@ class TestInvariants:
             else:
                 assert np.isnan(subopt[r])
         assert np.all(tr.mean["V"][tr.synced] == 0.0) and tr.synced.sum() == 38
+
+    @pytest.mark.parametrize("T, stride, H", [(150, 1, 4), (5000, 5, 16), (5000, 5, 7),
+                                              (40, 1, 50), (64, 1, 3), (65, 2, 64)])
+    def test_subopt_steps_pick_the_first_recorded_step_at_each_target(self, T, stride, H):
+        # The bisect walk over the row list that the searchsorted pick replaced.
+        import bisect
+
+        rows = np.union1d(np.arange(0, T + 1, stride), SyncSchedule.uniform(H, T).sync_steps)
+        grid, D = rows.tolist(), simulator._SUBOPT_DENSE
+        want = {t for t in grid if t <= D}
+        for k in range(1, D + 1):
+            want.add(grid[bisect.bisect_left(grid, min(T, math.ceil(D * (T / D) ** (k / D))))])
+        got = simulator._subopt_steps(rows, T)
+        assert got.tolist() == sorted(want)
 
     def test_recorder_loss_is_one_s_column_product_per_grid_row(self, setup_het,
                                                                 monkeypatch):
