@@ -110,10 +110,9 @@ class SyncSchedule:
         return self.H == other.H and np.array_equal(self.sync_steps, other.sync_steps)
 
     def __hash__(self):
-        return hash((self.H, self.sync_steps.tobytes()))
-
-    def max_gap(self) -> int:
-        return _max_gap(self.sync_steps)
+        # Equal schedules share H, step count and final step; hashing these
+        # copies no step.
+        return hash((self.H, self.sync_steps.size, self.final))
 
     @property
     def final(self) -> int:
@@ -395,7 +394,8 @@ def _write_csv(stream: TextIO, metadata: dict, t: np.ndarray, synced: np.ndarray
         stream.write(f"{step},{rnd},{sync}," + ",".join(map(repr, values)) + "\n")
 
 
-# The per-step metrics of a run, each aggregated over its seeds.
+# The per-step metrics of a run, each aggregated over its seeds; the rows
+# of _simulate's recording block, in this order.
 _METRICS = ("V", "dist_sq", "subopt", "grad_norm_sq")
 
 
@@ -403,9 +403,10 @@ _METRICS = ("V", "dist_sq", "subopt", "grad_norm_sq")
 class AggregateTrace:
     """The result of a run over one seed or many: the per-step mean and
     standard error of each metric over the seeds, in sorted order. One seed
-    is the case S = 1: the means are the run's own values, the SEs 0, and
-    the CSV keeps a single run's layout, one value per metric and no SEs.
-    subopt is nan off the _subopt_steps grid, grad_norm_sq at T."""
+    is the case S = 1: the means are the run's own values, the SEs 0 (nan
+    where the value is), and the CSV keeps a single run's layout, one value
+    per metric and no SEs. subopt is nan off the _subopt_steps grid,
+    grad_norm_sq at T."""
 
     t: np.ndarray
     synced: np.ndarray
@@ -439,12 +440,12 @@ class AggregateTrace:
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean/SE over the last axis; identical observations, a single one
-    among them, give the exact value and an SE of 0 instead of
-    floating-point dust."""
+    """Mean/SE over the last axis; identical finite observations, a single
+    one among them, give the exact value and an SE of 0 instead of
+    floating-point dust. A nan value has a nan SE."""
     n = values.shape[-1]
     mean = values.mean(axis=-1)
-    se = values.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    se = values.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.full_like(mean, np.nan)
     spread = values.max(axis=-1) - values.min(axis=-1)
     exact = spread == 0.0
     mean = np.where(exact, values[..., 0], mean)
@@ -510,7 +511,7 @@ _RECORD_BLOCK = 64
 
 class _Lane:
     """One config of a sweep, filled in by _simulate: the mean and SE over
-    the sweep's seeds at each of its own rows, subopt and the
+    the sweep's seeds of each of _METRICS at each of its own rows, the
     iterate-average suboptimalities per seed, the trajectory when captured,
     or its DivergenceError.
 
@@ -522,8 +523,6 @@ class _Lane:
     of rows.
     """
 
-    _PER_ROW = ("V", "dist_sq", "grad_norm_sq")  # the recording block's metrics, in order
-
     def __init__(self, cfg: RunConfig, grid: np.ndarray, pick, metadata: dict):
         self.cfg, self.pick, self.metadata = cfg, pick, metadata
         self.synced_at = np.isin(grid, cfg.schedule.sync_steps)
@@ -531,8 +530,7 @@ class _Lane:
         self.t = grid[self.rows]
         self.synced = self.synced_at[self.rows]
         self.subopt_at = np.isin(grid, _subopt_steps(self.t, cfg.T))
-        self.mean, self.se = np.empty((2, len(self._PER_ROW), self.t.size))
-        self.subopt = []  # one (S,) column per subopt_at row, stacked at the end
+        self.mean, self.se = np.empty((2, len(_METRICS), self.t.size))
         self.xhat = None
         self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
         self.error: DivergenceError | None = None
@@ -574,16 +572,15 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     others go on.
 
     One cursor walks `grid`, the union of the lanes' recording grids, and
-    records V_t, dist_sq and grad_norm_sq into a (3, K, S, _RECORD_BLOCK)
-    block. They are computed only for the range [lo, hi) of lanes outside
-    which no lane records the row, and the other lanes' columns are zeroed.
-    Each lane aggregates its own rows of the block over its seeds when the
-    block is full, so the recorder's memory does not grow with T. A lane's
-    block is seed-major, (S, rows), and aggregated as the column-major
-    (rows, S) transpose; numpy reduces such an array one row at a time in
-    seed order whatever its row count, from 2 rows on, so a full block
-    aggregates every row but the last, which moves to column 0, and the
-    last block holds at least 2 rows.
+    records the row's _METRICS into a column of a (4, K, S, _RECORD_BLOCK)
+    block. The column starts as nan; V_t, dist_sq and grad_norm_sq are
+    computed for the range [lo, hi) of lanes outside which no lane records
+    the row, and subopt for the lanes whose _subopt_steps hold it. When the
+    block is full, and at the end, each lane aggregates all its columns over
+    its seeds and keeps its own rows, so the recorder's memory does not grow
+    with T. A lane's block is seed-major, (S, rows), and aggregated as the
+    column-major (rows, S) transpose; numpy reduces such an array one row at
+    a time in seed order whatever its row count, from 2 rows on.
     """
     cfg = lanes[0].cfg
     K, S, M, d, T = len(lanes), len(seeds), cfg.M, p.dim, cfg.T
@@ -593,7 +590,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     X = np.zeros((K, M, S, d))
     xhat, eq = _mean_nodes(X)
     bar_sums = np.zeros((2, K, S, d))  # xhat_t summed over t = 1..T and 0..T-1
-    block = np.empty((len(_Lane._PER_ROW), K, S, _RECORD_BLOCK))
+    block = np.full((len(_METRICS), K, S, _RECORD_BLOCK), np.nan)
     xhat_rows = np.zeros((K, S, grid.size, d)) if capture_xhat else None
     # The rows at which some lane takes subopt, or synchronizes.
     subopt_at = np.logical_or.reduce([lane.subopt_at for lane in lanes])
@@ -603,14 +600,13 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     # the row in block column 0.
     r, t_r, first = 0, 0, 0
 
-    def aggregate(rows: int) -> None:
-        """Each lane's mean and SE at its own rows among block columns
-        0..rows-1."""
+    def aggregate() -> None:
+        """Each lane's mean and SE at its own rows among the block's."""
         for k, lane in live:
-            own = lane.rows[first:first + rows]
+            own = np.flatnonzero(lane.rows[first:first + _RECORD_BLOCK])
             at = np.searchsorted(lane.t, grid[first])  # the lane's rows before `first`
-            out = slice(at, at + np.count_nonzero(own))
-            for j, values in enumerate(block[:, k, :, :rows]):
+            out = slice(at, at + own.size)
+            for j, values in enumerate(block[:, k]):
                 mean, se = lane.stats(values)
                 lane.mean[j, out], lane.se[j, out] = mean[own], se[own]
 
@@ -619,12 +615,11 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
         if recorded:
             c = r - first
             if c == _RECORD_BLOCK:
-                aggregate(c - 1)
-                block[..., 0] = block[..., c - 1]
-                first, c = r - 1, 1
+                aggregate()
+                first, c = r, 0
             lo, hi = los[r], his[r]
-            col = block[..., c]  # (3, K, S): the row's V_t, dist_sq and grad_norm_sq
-            col[:, :lo] = col[:, hi:] = 0.0
+            col = block[..., c]  # (4, K, S): the row's _METRICS
+            col[...] = np.nan
             col[0, lo:hi] = _vt_batch(X[lo:hi], xhat[lo:hi])
             diff = xhat[lo:hi] - ref.x_star
             diff *= diff
@@ -634,7 +629,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             if subopt_at[r]:
                 for k, lane in live:
                     if lane.subopt_at[r]:
-                        lane.subopt.append(loss_many(p, xhat[k]) - ref.f_star)
+                        col[2, k] = loss_many(p, xhat[k]) - ref.f_star
             r += 1
             t_r = int(grid[r]) if r < grid.size else -1
         if t == T:
@@ -642,7 +637,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
         G = grad_engine.gradients(X, t, eq)
         if recorded:
             g = _node_sum(G[lo:hi]) / M
-            col[2, lo:hi] = np.add.reduce(g * g, axis=-1)
+            col[3, lo:hi] = np.add.reduce(g * g, axis=-1)
         if minibatch:
             G[...] = (_node_sum(G) / M)[:, None]
         bar_sums[1] += xhat
@@ -665,12 +660,10 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
                 return
             X[bad], xhat[bad], gamma[bad], eq[bad] = 0.0, 0.0, 0.0, True
 
-    block[2, :, :, grid.size - 1 - first] = np.nan  # no gradient is taken at T
-    aggregate(grid.size - first)
+    aggregate()
     for k, lane in live:
         lane.bar_subopt_tail, lane.bar_subopt_head = (
             loss_many(p, s[k] / T) - ref.f_star for s in bar_sums)
-        lane.subopt = np.stack(lane.subopt, axis=1)
         if xhat_rows is not None:
             lane.xhat = xhat_rows[k][:, lane.rows]
 
@@ -740,10 +733,7 @@ class Sweep:
         lane = self._lanes[self.cfgs.index(cfg)]
         if lane.error is not None:
             raise lane.error
-        mean, se = dict(zip(lane._PER_ROW, lane.mean)), dict(zip(lane._PER_ROW, lane.se))
-        subopt = np.full((2, lane.t.size), np.nan)  # nan off its grid
-        subopt[:, lane.subopt_at[lane.rows]] = lane.stats(lane.subopt)
-        mean["subopt"], se["subopt"] = subopt
+        mean, se = dict(zip(_METRICS, lane.mean)), dict(zip(_METRICS, lane.se))
         tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
         return AggregateTrace(
             t=lane.t, synced=lane.synced, mean=mean, se=se,

@@ -257,9 +257,6 @@ class BoundCurve:
             raise ValueError(f"{self.theorem_id} bounds only the final average at T={b.T}")
         return self.theorem.rhs(b, t)
 
-    def final(self) -> float:
-        return self.rhs_at(self.inputs.T)
-
 
 def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
     """The guarantee `theorem_id` for inputs b; raises PreconditionError

@@ -29,6 +29,10 @@ in-process on
   past it, a one-shot run) into OUT_DIR/schedules/uniform/, and identical
   injected-noise over seeds 0:3 with `schedule = explicit:5,12,40` (a
   single H, as the steps fix it) into OUT_DIR/schedules/explicit/;
+- 4 `run`s of pinned configs that record more than one aggregation block
+  (64 rows), each H its own rows: identical injected-noise and
+  heterogeneous stochastic, each over seeds 0:3 and over seed 5, at T=200,
+  H=1,4,16 and `record_every = 7`, into OUT_DIR/record-blocks/<name>/;
 - a `run` sweep in which H=1 diverges and H=4 and H=16 complete, into
   OUT_DIR/diverging-sweep/: heterogeneous full gradients at lambda gamma =
   2.05, just past the lambda gamma = 2 stability limit, with T between the
@@ -251,6 +255,11 @@ def invocations(out_dir: str, root: str, config_dir: str, workloads) -> list[lis
     argvs.append(["run", "--config", pinned["identical-injected-noise-replicated"],
                   "--schedule", "explicit:5,12,40", "--H", "28",
                   "--out-dir", os.path.join(out_dir, "schedules", "explicit")])
+    for name in (f"{run}-{tag}" for run in ("identical-injected-noise", "heterogeneous-stochastic")
+                 for tag in SEEDS):
+        argvs.append(["run", "--config", pinned[name], "--T", "200", "--H", "1,4,16",
+                      "--record-every", "7",
+                      "--out-dir", os.path.join(out_dir, "record-blocks", name)])
     argvs += [["run", "--config", path, "--out-dir", os.path.join(out_dir, "csr", name)]
               for name, path in write_csr_configs(config_dir, workloads).items()]
     argvs.append(["run", "--config", write_densified_config(config_dir),

@@ -60,7 +60,7 @@ class TestSyncSchedule:
     def test_uniform_with_remainder_appends_final(self):
         s = SyncSchedule.uniform(5, 12)
         assert tuple(s.sync_steps) == (5, 10, 12)
-        assert s.max_gap() == 5
+        assert simulator._max_gap(s.sync_steps) == 5
 
     def test_one_shot(self):
         s = SyncSchedule.one_shot(100)
@@ -99,7 +99,7 @@ class TestSyncSchedule:
     def test_describe_other_schedules(self, schedule, text):
         assert schedule.describe() == text
 
-    # Each schedule's steps, H, final, max_gap() and describe(), and a
+    # Each schedule's steps, H, final, largest gap and describe(), and a
     # schedule built another way that equals it, all as before the steps
     # became an int64 array.
     @pytest.mark.parametrize("schedule, steps, H, final, gap, text, twin", [
@@ -121,7 +121,8 @@ class TestSyncSchedule:
     def test_values_and_identity(self, schedule, steps, H, final, gap, text, twin):
         assert tuple(schedule.sync_steps) == steps and schedule.H == H
         assert schedule.final == final and type(schedule.final) is int
-        assert schedule.max_gap() == gap and type(schedule.max_gap()) is int
+        max_gap = simulator._max_gap(schedule.sync_steps)
+        assert max_gap == gap and type(max_gap) is int
         assert schedule.describe() == text
         assert schedule.sync_steps.dtype == np.int64 and not schedule.sync_steps.flags.writeable
         assert schedule == twin and hash(schedule) == hash(twin) and len({schedule, twin}) == 1
@@ -135,7 +136,8 @@ class TestSyncSchedule:
         # np.arange(H, T + H, H) counts (T + H - H) / H in floats: 1 + 1e-17
         # rounds to a single step.
         s = SyncSchedule.uniform(10**17, 10**17 + 1)
-        assert s.sync_steps.tolist() == [10**17, 10**17 + 1] and s.max_gap() == 10**17
+        assert s.sync_steps.tolist() == [10**17, 10**17 + 1]
+        assert simulator._max_gap(s.sync_steps) == 10**17
 
     @pytest.mark.parametrize("steps, H, match", [
         ((), 4, "at least one"),
@@ -149,6 +151,18 @@ class TestSyncSchedule:
     def test_malformed_schedule_refused(self, steps, H, match):
         with pytest.raises(ValueError, match=match):
             SyncSchedule(steps, H=H)
+
+    def test_hashing_copies_no_step(self):
+        # Hashing the steps' bytes would copy 8 MB.
+        import tracemalloc
+        s = SyncSchedule.uniform(1, 10**6)
+        tracemalloc.start()
+        try:
+            hash(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak / 1e6:.1f} MB"
 
     def test_gaps_are_checked_across_chunks(self, monkeypatch):
         monkeypatch.setattr(simulator, "_GAP_CHUNK", 3)
@@ -531,6 +545,17 @@ class TestReplicated:
             assert np.all((agg.se[name] == 0.0) | np.isnan(agg.mean[name]))
         assert agg.bar_subopt_tail[1] == agg.bar_subopt_head[1] == 0.0
 
+    @pytest.mark.parametrize("seeds", [[4], [4, 9]], ids=["1seed", "2seeds"])
+    def test_se_is_nan_exactly_where_the_mean_is(self, setup, seeds):
+        # subopt off its grid (the steps past 64 between the log-spaced ones)
+        # and grad_norm_sq at T are never measured: no SE, one seed or more.
+        p, ref = setup
+        cfg = make_cfg(p, T=300, H=5, record_every=1)
+        agg = run_replicated(p, cfg, ref, seeds)
+        assert np.isnan(agg.mean["grad_norm_sq"][-1]) and np.isnan(agg.mean["subopt"]).any()
+        for name in simulator._METRICS:
+            assert np.array_equal(np.isnan(agg.se[name]), np.isnan(agg.mean[name])), name
+
     def test_noise_replication_matches_single(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4, mode=GradientMode.INJECTED_NOISE,
@@ -717,19 +742,26 @@ class TestSweep:
             assert csv_of(sweep.result(cfg)) == csv_of(alone)
 
     @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("seeds", [[0, 1, 2], [2, 0, 1, 2]], ids=["distinct", "repeat"])
+    @pytest.mark.parametrize("seeds", [[0, 1, 2], [2, 0, 1, 2], [5]],
+                             ids=["distinct", "repeat", "1seed"])
     def test_record_block_size_does_not_change_outputs(self, setup_uneven, monkeypatch,
                                                        mode, seeds):
-        # 151 rows: the smallest block (3 rows, 2 aggregated per flush), a
-        # block that splits the rows unevenly, the default, and one block
-        # holding every row, as a seed-major whole-run recorder would.
+        # 151 rows: the smallest block that keeps the seeds reduced in order
+        # (2 rows), blocks that split the rows unevenly, the default, and one
+        # block holding every row, as a seed-major whole-run recorder would.
+        # The arrays are compared too: a one-seed CSV shows no SE.
         p, ref = setup_uneven
         [cfg] = sweep_cfgs(p, mode, Hs=(4,))
-        outputs = set()
-        for rows in (3, 4, 64, 152):
+        results = []
+        for rows in (2, 3, 4, 64, 152):
             monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
-            outputs.add(csv_of(run_replicated(p, cfg, ref, seeds)))
-        assert len(outputs) == 1
+            results.append(run_replicated(p, cfg, ref, seeds))
+        want = results[0]
+        for got in results[1:]:
+            assert csv_of(got) == csv_of(want)
+            for name in simulator._METRICS:
+                assert np.array_equal(got.mean[name], want.mean[name], equal_nan=True)
+                assert np.array_equal(got.se[name], want.se[name], equal_nan=True)
 
     @pytest.mark.parametrize("rows", [3, 4])
     def test_small_record_blocks_keep_each_config_equal_to_its_run_alone(

@@ -25,6 +25,11 @@ def inputs(**kw):
     return BoundInputs(**base)
 
 
+def final(curve):
+    """The RHS at the run's last step T."""
+    return curve.rhs_at(curve.inputs.T)
+
+
 @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
 @pytest.mark.parametrize("gamma", [0.0, math.inf])
 def test_stepsize_must_be_finite_and_positive(theorem_id, gamma):
@@ -84,18 +89,18 @@ class TestWcIdenticalUbv:
         b = inputs(mu=None)
         expected = 2 * 1.0 / (0.25 * 100) + 2 * 0.25 * 1.0 / 2 \
             + 4 * 0.25**2 * 1.0 * 1.0 * 3
-        assert bound("WC_IID_UBV", b).final() == pytest.approx(expected, rel=1e-12)
+        assert final(bound("WC_IID_UBV", b)) == pytest.approx(expected, rel=1e-12)
 
     def test_h1_sigma0(self):
         b = inputs(H=1, sigma_sq=0.0)
-        assert bound("WC_IID_UBV", b).final() == pytest.approx(
+        assert final(bound("WC_IID_UBV", b)) == pytest.approx(
             2 / (0.25 * 100), rel=1e-12)
 
     def test_doubling_T_halves_only_first_term(self):
         b1 = inputs(sigma_sq=0.0)
         b2 = inputs(sigma_sq=0.0, T=200)
-        assert bound("WC_IID_UBV", b2).final() == pytest.approx(
-            bound("WC_IID_UBV", b1).final() / 2, rel=1e-12)
+        assert final(bound("WC_IID_UBV", b2)) == pytest.approx(
+            final(bound("WC_IID_UBV", b1)) / 2, rel=1e-12)
 
     def test_uses_tail_average(self):
         assert bound("WC_IID_UBV", inputs()).convention == "tail"
@@ -133,7 +138,7 @@ class TestWcIdenticalFs:
         b = inputs(gamma=gamma, sigma_opt_sq=2.0)
         expected = 10 * 1.0 / (gamma * 100) + 20 * gamma * 2.0 / 2 \
             + 40 * gamma**2 * 1.0 * 2.0 * 3
-        assert bound("WC_IID_FS", b).final() == pytest.approx(expected, rel=1e-12)
+        assert final(bound("WC_IID_FS", b)) == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_nodes(self):
         with pytest.raises(PreconditionError, match="M >= 2"):
@@ -142,7 +147,7 @@ class TestWcIdenticalFs:
     def test_sigma0(self):
         gamma = 1.0 / 40
         b = inputs(gamma=gamma, sigma_opt_sq=0.0)
-        assert bound("WC_IID_FS", b).final() == pytest.approx(
+        assert final(bound("WC_IID_FS", b)) == pytest.approx(
             10 / (gamma * 100), rel=1e-12)
 
 
@@ -152,20 +157,20 @@ class TestWcHeterogeneous:
         b = inputs(gamma=gamma, sigma_dif_sq=0.7)
         expected = 4 * 1.0 / (gamma * 100) + 20 * gamma * 0.7 / 2 \
             + 16 * gamma**2 * 1.0 * 9 * 0.7
-        assert bound("WC_HET_FS", b).final() == pytest.approx(expected, rel=1e-12)
+        assert final(bound("WC_HET_FS", b)) == pytest.approx(expected, rel=1e-12)
 
     def test_interpolation_any_H_converges(self):
         # sigma_dif = 0 keeps only 4 r0^2/(gamma T) for any admissible H.
         for H, T in ((1, 64), (64, 64)):
             gamma = 1.0 / 4.0 if H == 1 else 1.0 / (8 * (H - 1))
             b = inputs(H=H, T=T, gamma=gamma, sigma_dif_sq=0.0)
-            assert bound("WC_HET_FS", b).final() == pytest.approx(
+            assert final(bound("WC_HET_FS", b)) == pytest.approx(
                 4 / (gamma * T), rel=1e-12)
 
     def test_h1_drops_quadratic_term(self):
         b = inputs(H=1, gamma=0.25, sigma_dif_sq=0.7)
         expected = 4 / (0.25 * 100) + 20 * 0.25 * 0.7 / 2
-        assert bound("WC_HET_FS", b).final() == pytest.approx(expected, rel=1e-12)
+        assert final(bound("WC_HET_FS", b)) == pytest.approx(expected, rel=1e-12)
 
     def test_h1_accepts_quarter_L(self):
         bound("WC_HET_FS", inputs(H=1, gamma=0.25))
@@ -190,22 +195,22 @@ class TestMonotonicity:
             prev = None
             for H in (1, 2, 4, 8):
                 b = inputs(gamma=gamma, H=H, M=4)
-                val = bound(tid, b).final()
+                val = final(bound(tid, b))
                 if prev is not None:
                     assert val >= prev
                 prev = val
-            lo = bound(tid, inputs(gamma=gamma, M=4, **{sig: 0.5})).final()
-            hi = bound(tid, inputs(gamma=gamma, M=4, **{sig: 2.0})).final()
+            lo = final(bound(tid, inputs(gamma=gamma, M=4, **{sig: 0.5})))
+            hi = final(bound(tid, inputs(gamma=gamma, M=4, **{sig: 2.0})))
             assert hi >= lo
-            lo = bound(tid, inputs(gamma=gamma, M=4, r0_sq=0.5)).final()
-            hi = bound(tid, inputs(gamma=gamma, M=4, r0_sq=2.0)).final()
+            lo = final(bound(tid, inputs(gamma=gamma, M=4, r0_sq=0.5)))
+            hi = final(bound(tid, inputs(gamma=gamma, M=4, r0_sq=2.0)))
             assert hi >= lo
 
     def test_wc_first_term_decreases_in_T(self):
         gamma = 1e-3
         for tid in ("WC_IID_UBV", "WC_IID_FS", "WC_HET_FS"):
-            vals = [bound(tid, inputs(gamma=gamma, M=4, sigma_sq=0.0, sigma_opt_sq=0.0,
-                              sigma_dif_sq=0.0, T=T)).final()
+            vals = [final(bound(tid, inputs(gamma=gamma, M=4, sigma_sq=0.0, sigma_opt_sq=0.0,
+                              sigma_dif_sq=0.0, T=T)))
                     for T in (100, 1000, 10000)]
             assert vals[0] > vals[1] > vals[2]
 
