@@ -449,7 +449,7 @@ def cmd_run(args) -> int:
         final_sub, final_dist = trace.mean["subopt"][-1], trace.mean["dist_sq"][-1]
         verdicts = (_emit_bounds(cfg, p, run_cfg, ref, var_report, trace, tag)
                     if replicated else [])
-        holds = all(v.holds for _, v in verdicts) if verdicts else None
+        holds = all(v.holds for v in verdicts) if verdicts else None
         if holds is False:
             any_failed = True
         summary.append((schedule.H, comm, float(final_sub), float(final_dist),
@@ -477,32 +477,30 @@ def _sigma_metadata(vr) -> dict:
 
 
 def _emit_bounds(cfg, p, run_cfg, ref, var_report, agg, tag) -> list:
-    curves, skipped = theory.applicable_bounds(p, run_cfg, ref, var_report)
-    for theorem_id, why in skipped:
+    checked, skipped = theory.check_run(p, run_cfg, ref, var_report, agg)
+    for theorem_id, why in skipped.items():
         print(f"H={run_cfg.schedule.H}: {theorem_id} not checked: {why}")
-    verdicts = []
-    for curve in curves:
-        v = theory.check_bound(curve, agg)
-        verdicts.append((curve, v))
-        base = os.path.join(cfg.out_dir, f"bound_{curve.theorem_id}_{tag}")
+    for theorem_id, (curve, v) in checked.items():
+        base = os.path.join(cfg.out_dir, f"bound_{theorem_id}_{tag}")
         with open(base + ".csv", "w") as f:
             _write_curve_csv(f, curve, v)
         with open(base + ".verdict.txt", "w") as f:
             f.write(v.to_kv_text())
-            f.write(f"theorem_id = {curve.theorem_id}\n")
+            f.write(f"theorem_id = {theorem_id}\n")
             for k, val in sorted(vars(curve.inputs).items()):
                 f.write(f"input.{k} = {val!r}\n")
-    return verdicts
+    return [v for _, v in checked.values()]
 
 
 def _write_curve_csv(stream, curve, verdict) -> None:
     """The curve's inputs, then its RHS at each step the verdict compared."""
-    stream.write(f"# theorem_id = {curve.theorem_id}\n")
-    stream.write(f"# metric = {curve.metric}\n")
+    thm = curve.theorem
+    stream.write(f"# theorem_id = {thm.id}\n")
+    stream.write(f"# metric = {thm.metric}\n")
     for k, val in sorted(vars(curve.inputs).items()):
         stream.write(f"# input.{k} = {val!r}\n")
-    if curve.notes:
-        stream.write(f"# notes = {curve.notes}\n")
+    if thm.notes:
+        stream.write(f"# notes = {thm.notes}\n")
     stream.write("t,rhs\n")
     for t, rhs in zip(verdict.steps.tolist(), verdict.rhs.tolist()):
         stream.write(f"{t},{rhs!r}\n")

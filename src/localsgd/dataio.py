@@ -492,8 +492,7 @@ def load_dataset(entry: ManifestEntry, data_dir: str) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
-                       sort_by_label: bool = False,
-                       name: str | None = None) -> Dataset:
+                       sort_by_label: bool = False) -> Dataset:
     """Seeded synthetic classification data: Gaussian features, planted
     separator, the rows label-signed in place once the labels are final.
 
@@ -515,6 +514,4 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         feats = feats[order]
         labels = labels[order]
     feats *= labels[:, None]
-    if name is None:
-        name = f"synthetic-n{n}-d{d}-s{seed}"
-    return Dataset(features=feats, labels=labels, name=name)
+    return Dataset(features=feats, labels=labels, name=f"synthetic-n{n}-d{d}-s{seed}")

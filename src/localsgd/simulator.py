@@ -153,9 +153,9 @@ class SyncSchedule:
         steps = self.sync_steps
         if steps.size == 1:
             return f"one-shot(T={self.final})"
-        # No gap exceeds H, and the gaps add up to T: T = H * (sync count)
-        # holds exactly when every gap is H, which is uniform(H, T).
-        if self.final == self.H * steps.size:
+        # No gap exceeds H: the step before the last is H * (sync count - 1)
+        # exactly when every gap but the last is H, which is uniform(H, T).
+        if int(steps[-2]) == self.H * (steps.size - 1):
             return f"uniform(H={self.H})"
         return "explicit(" + ",".join(map(str, steps.tolist())) + f";H={self.H})"
 
@@ -589,7 +589,10 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     gamma = np.array([lane.cfg.gamma for lane in lanes])[:, None, None, None]
     X = np.zeros((K, M, S, d))
     xhat, eq = _mean_nodes(X)
-    bar_sums = np.zeros((2, K, S, d))  # xhat_t summed over t = 1..T and 0..T-1
+    # xhat_t summed over t = 0..T-1. xhat_0 is +0.0, so adding it changes no
+    # bit of the sum over t = 1..T-1, and that sum plus xhat_T is the sum over
+    # t = 1..T, with the same additions in the same order.
+    bar_sum = np.zeros((K, S, d))
     block = np.full((len(_METRICS), K, S, _RECORD_BLOCK), np.nan)
     xhat_rows = np.zeros((K, S, grid.size, d)) if capture_xhat else None
     # The rows at which some lane takes subopt, or synchronizes.
@@ -640,7 +643,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             col[3, lo:hi] = np.add.reduce(g * g, axis=-1)
         if minibatch:
             G[...] = (_node_sum(G) / M)[:, None]
-        bar_sums[1] += xhat
+        bar_sum += xhat
         X -= np.multiply(G, gamma, out=G)
         xhat, eq = _mean_nodes(X)
         if t_r == t + 1 and synced_at[r]:
@@ -648,7 +651,6 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
                 if lane.synced_at[r]:
                     X[k] = _synchronize(X[k], xhat[k])
                     eq[k] = True  # every node now holds xhat
-        bar_sums[0] += xhat
         # A nan peak fails the comparison too.
         if not np.maximum.reduce(np.abs(X), axis=None) <= _DIVERGENCE_LIMIT:
             bad = ~(np.maximum.reduce(np.abs(X), axis=(1, 2, 3)) <= _DIVERGENCE_LIMIT)
@@ -663,7 +665,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     aggregate()
     for k, lane in live:
         lane.bar_subopt_tail, lane.bar_subopt_head = (
-            loss_many(p, s[k] / T) - ref.f_star for s in bar_sums)
+            loss_many(p, s / T) - ref.f_star for s in (bar_sum[k] + xhat[k], bar_sum[k]))
         if xhat_rows is not None:
             lane.xhat = xhat_rows[k][:, lane.rows]
 

@@ -8,8 +8,10 @@ Every guarantee is one row of THEOREMS, keyed by its identifier:
   SC_IID_FS   strongly convex, identical data, finite-sum sampling
   WC_IID_FS   convex, identical data, finite-sum sampling
   WC_HET_FS   convex, heterogeneous data, finite-sum sampling
-`bound`, `bound_inputs`, `plan_gamma`, `applicable_bounds` and the
-checkers read the row and know nothing else about the statement.
+`bound`, `plan_gamma` and the checkers read the row and know nothing else
+about the statement. `check_run` is the one path from a run to its
+verdicts: it instantiates every row made for the run's regime and gradient
+mode, and checks those whose hypotheses hold.
 
 The finite-sum guarantees require the almost-sure component smoothness
 constant (Problem.L_component), not the smaller global estimate.
@@ -243,19 +245,13 @@ class BoundCurve:
     theorem: Theorem
     inputs: BoundInputs
 
-    theorem_id = property(lambda self: self.theorem.id)
-    metric = property(lambda self: self.theorem.metric)
-    sync_only = property(lambda self: self.theorem.sync_only)
-    convention = property(lambda self: self.theorem.convention)
-    notes = property(lambda self: self.theorem.notes)
-
     def rhs_at(self, t: int) -> float:
-        b = self.inputs
+        b, thm = self.inputs, self.theorem
         if t < 0 or t > b.T:
             raise ValueError(f"t={t} outside [0, {b.T}]")
-        if self.metric != "dist_sq" and t != b.T:
-            raise ValueError(f"{self.theorem_id} bounds only the final average at T={b.T}")
-        return self.theorem.rhs(b, t)
+        if thm.metric != "dist_sq" and t != b.T:
+            raise ValueError(f"{thm.id} bounds only the final average at T={b.T}")
+        return thm.rhs(b, t)
 
 
 def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
@@ -276,40 +272,6 @@ def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
         if not math.isfinite(rhs):
             raise PreconditionError(f"the right-hand side is not finite at t={t}: {rhs!r}")
     return curve
-
-
-def bound_inputs(theorem_id: str, p, run_cfg, ref, var_report) -> BoundInputs:
-    """The inputs of guarantee `theorem_id` for a run of Problem p under
-    RunConfig run_cfg, with smoothness constant and variance the ones its
-    row names.
-
-    Injected noise of scale noise_sigma makes the uniform variance bound
-    hold exactly with sigma^2 = noise_sigma^2; the finite-sum variances come
-    from the VarianceReport var_report, which uniform-variance statements
-    do not read.
-    """
-    thm = _lookup(THEOREMS, theorem_id, "theorem")
-    sigma = ((run_cfg.noise_sigma or 0.0) ** 2 if thm.sigma == "sigma_sq"
-             else getattr(var_report, thm.sigma))
-    return BoundInputs(L=thm.smoothness(p), gamma=run_cfg.gamma, T=run_cfg.T,
-                       H=run_cfg.schedule.H, M=run_cfg.M, r0_sq=r0_sq(ref), mu=p.mu,
-                       **{thm.sigma: sigma})
-
-
-def applicable_bounds(p, run_cfg, ref, var_report
-                      ) -> tuple[list[BoundCurve], list[tuple[str, str]]]:
-    """The guarantees checked on a run of Problem p under RunConfig run_cfg:
-    the curves of those whose hypotheses the run satisfies, and the
-    (theorem id, failed hypothesis) of those made for its regime and
-    gradient mode whose other hypotheses fail.
-    """
-    curves, skipped = [], []
-    for thm in theorems_for(p.part.regime, run_cfg.gradient_mode):
-        try:
-            curves.append(bound(thm.id, bound_inputs(thm.id, p, run_cfg, ref, var_report)))
-        except PreconditionError as e:
-            skipped.append((thm.id, str(e)))
-    return curves, skipped
 
 
 def theorems_for(regime: Regime, mode: GradientMode) -> list[Theorem]:
@@ -354,7 +316,6 @@ def plan_H(rule: str, T: int, M: int, kappa: float | None = None) -> int:
 
 class PlannedGamma(NamedTuple):
     gamma: float
-    rule: str
     precondition: str  # the theorem hypothesis this stepsize satisfies
     suggested_T: int | None = None
 
@@ -377,7 +338,7 @@ def plan_gamma(rule: str, L: float, mu: float | None = None,
         raise PreconditionError(f"{rule} plans a stepsize that is not finite: "
                                 f"{gamma!r} (L={L!r})")
     _check_gamma(gamma, thm.limit.of(a), thm.limit.text)
-    return PlannedGamma(gamma, rule, thm.limit.text, suggested_T)
+    return PlannedGamma(gamma, thm.limit.text, suggested_T)
 
 
 def planned_gamma(rule: str, p, M: int, T: int, H: int) -> float:
@@ -428,14 +389,14 @@ def compared_steps(curve: BoundCurve, agg: AggregateTrace) -> np.ndarray:
     """Mask of the recorded rows where the guarantee speaks: every row (or
     every synchronization row) for distance bounds, the final row T for
     suboptimality bounds."""
-    T = curve.inputs.T
+    T, thm = curve.inputs.T, curve.theorem
     if int(agg.t[-1]) != T:
         raise ValueError(f"trace ends at {int(agg.t[-1])}, bound is for T={T}")
-    if curve.metric == "subopt":
-        if curve.sync_only and not bool(agg.synced[-1]):
+    if thm.metric == "subopt":
+        if thm.sync_only and not bool(agg.synced[-1]):
             raise ValueError("T is not a synchronization timestamp")
         return np.arange(agg.t.size) == agg.t.size - 1
-    mask = agg.synced if curve.sync_only else np.ones(agg.t.size, dtype=bool)
+    mask = agg.synced if thm.sync_only else np.ones(agg.t.size, dtype=bool)
     if not np.any(mask):
         raise ValueError("no comparable steps recorded")
     return mask
@@ -449,16 +410,48 @@ def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
     bounds are compared once at T using the iterate-average convention the
     statement defines.
     """
-    mask = compared_steps(curve, agg)
+    thm, mask = curve.theorem, compared_steps(curve, agg)
     ts = agg.t[mask]
     rhs = np.asarray([curve.rhs_at(t) for t in ts.tolist()])
-    if curve.metric == "dist_sq":
+    if thm.metric == "dist_sq":
         return _verdict(agg.mean["dist_sq"][mask], agg.se["dist_sq"][mask], rhs,
-                        f"{curve.theorem_id}: dist_sq at {ts.size} steps", ts)
-    emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[curve.convention]
+                        f"{thm.id}: dist_sq at {ts.size} steps", ts)
+    emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[thm.convention]
     return _verdict(np.asarray([emp]), np.asarray([se]), rhs,
-                    f"{curve.theorem_id}: f(bar x_T) - f* at T={curve.inputs.T} "
-                    f"({curve.convention} average)", ts)
+                    f"{thm.id}: f(bar x_T) - f* at T={curve.inputs.T} "
+                    f"({thm.convention} average)", ts)
+
+
+def check_run(p, run_cfg, ref, var_report, agg
+              ) -> tuple[dict[str, tuple[BoundCurve, Verdict]], dict[str, str]]:
+    """The guarantees of a run of Problem p under RunConfig run_cfg, whose
+    seed aggregate is agg, as (checked, skipped). Each row `theorems_for`
+    gives is instantiated with the smoothness constant and variance it
+    names; `checked` maps the id of each row whose hypotheses hold to its
+    (curve, verdict), and `skipped` maps every other id to the hypothesis
+    that failed. Both are in table order.
+
+    Injected noise of scale noise_sigma makes the uniform variance bound
+    hold exactly with sigma^2 = noise_sigma^2; the finite-sum variances come
+    from the VarianceReport var_report, which uniform-variance statements
+    do not read.
+    """
+    checked, skipped = {}, {}
+    for thm in theorems_for(p.part.regime, run_cfg.gradient_mode):
+        sigma = ((run_cfg.noise_sigma or 0.0) ** 2 if thm.sigma == "sigma_sq"
+                 else getattr(var_report, thm.sigma))
+        inputs = BoundInputs(L=thm.smoothness(p), gamma=run_cfg.gamma, T=run_cfg.T,
+                             H=run_cfg.schedule.H, M=run_cfg.M, r0_sq=r0_sq(ref),
+                             mu=p.mu, **{thm.sigma: sigma})
+        try:
+            curve = bound(thm.id, inputs)
+        except PreconditionError as e:
+            skipped[thm.id] = str(e)
+            continue
+        # Through the module global, so that a wrapper of check_bound sees
+        # every verdict.
+        checked[thm.id] = (curve, check_bound(curve, agg))
+    return checked, skipped
 
 
 def check_vt_bound(agg: AggregateTrace, gamma: float, H: int,

@@ -67,9 +67,12 @@ def _criterion(name: str):
 
 def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
     """The verdict of guarantee `theorem_id` on agg, the aggregate of runs of
-    cfg, with the inputs `run` would give it."""
-    inputs = theory.bound_inputs(theorem_id, p, cfg, ref, vr)
-    return theory.check_bound(theory.bound(theorem_id, inputs), agg)
+    cfg, as `run` would give it; PreconditionError with the reason `run`
+    would print when it is not checked."""
+    checked, skipped = theory.check_run(p, cfg, ref, vr, agg)
+    if theorem_id in skipped:
+        raise theory.PreconditionError(skipped[theorem_id])
+    return checked[theorem_id][1]
 
 
 # ---------------------------------------------------------------------------

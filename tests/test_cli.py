@@ -1000,7 +1000,7 @@ class TestShippedConfigs:
 
 class TestManifestIntegration:
     def test_run_on_manifest_dataset(self, tmp_path):
-        ds = generate_synthetic(60, 5, seed=9, name="tiny")
+        ds = generate_synthetic(60, 5, seed=9)
         data_dir = tmp_path / "data"
         data_dir.mkdir()
         with open(data_dir / "tiny.txt", "w") as f:
@@ -1030,7 +1030,7 @@ dir = {tmp_path / 'out'}
         assert (tmp_path / "out" / "run_H4.csv").exists()
 
     def test_data_dir_env_var(self, tmp_path, monkeypatch):
-        ds = generate_synthetic(40, 4, seed=10, name="envy")
+        ds = generate_synthetic(40, 4, seed=10)
         data_dir = tmp_path / "elsewhere"
         data_dir.mkdir()
         with open(data_dir / "envy.txt", "w") as f:

@@ -93,7 +93,7 @@ class TestSyncSchedule:
     @pytest.mark.parametrize("schedule, text", [
         (SyncSchedule.uniform(4, 12), "uniform(H=4)"),
         (SyncSchedule.uniform(1, 2), "uniform(H=1)"),
-        (SyncSchedule.uniform(5, 12), "explicit(5,10,12;H=5)"),
+        (SyncSchedule.uniform(5, 12), "uniform(H=5)"),
         (SyncSchedule.from_steps([3, 5, 11]), "explicit(3,5,11;H=6)"),
     ])
     def test_describe_other_schedules(self, schedule, text):
@@ -105,7 +105,7 @@ class TestSyncSchedule:
     @pytest.mark.parametrize("schedule, steps, H, final, gap, text, twin", [
         (SyncSchedule.uniform(4, 12), (4, 8, 12), 4, 12, 4, "uniform(H=4)",
          SyncSchedule.from_steps([4, 8, 12])),
-        (SyncSchedule.uniform(5, 12), (5, 10, 12), 5, 12, 5, "explicit(5,10,12;H=5)",
+        (SyncSchedule.uniform(5, 12), (5, 10, 12), 5, 12, 5, "uniform(H=5)",
          SyncSchedule.from_steps([5, 10, 12])),
         (SyncSchedule.uniform(40, 20), (20,), 40, 20, 20, "one-shot(T=20)",
          SyncSchedule((20,), H=40)),
@@ -163,6 +163,19 @@ class TestSyncSchedule:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"{peak / 1e6:.1f} MB"
+
+    def test_describing_uniform_with_a_remainder_lists_no_step(self):
+        # 3 does not divide T: the last gap is 2, and the name is still uniform.
+        import tracemalloc
+        s = SyncSchedule.uniform(3, 10**6 + 1)
+        tracemalloc.start()
+        try:
+            text = s.describe()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "uniform(H=3)"
+        assert peak < 64 << 10, f"{peak / 1e3:.1f} kB"
 
     def test_gaps_are_checked_across_chunks(self, monkeypatch):
         monkeypatch.setattr(simulator, "_GAP_CHUNK", 3)
@@ -846,6 +859,22 @@ class TestSweep:
             for seed, xhat in zip(agg.seeds, agg.xhat):
                 alone = run_local_sgd(p, cfg, ref, seed=seed, capture_xhat=True)
                 assert np.array_equal(xhat, alone.xhat[0])
+
+    @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
+    def test_averaged_iterates_are_the_means_of_the_trajectory(self, setup_uneven, mode):
+        # f at the mean of the captured rows 1..T (tail) and 0..T-1 (head),
+        # for each H of a sweep over one seed, whose mean is the seed's value.
+        p, ref = setup_uneven
+        cfgs = sweep_cfgs(p, mode, T=40)
+        sweep = simulator.Sweep(p, cfgs, ref, [5], capture_xhat=True)
+        for cfg in cfgs:
+            agg = sweep.result(cfg)
+            assert agg.t.tolist() == list(range(41))
+            xhat = agg.xhat[0]
+            tail, head = loss_many(p, np.stack([xhat[1:].mean(axis=0),
+                                                xhat[:-1].mean(axis=0)])) - ref.f_star
+            assert agg.bar_subopt_tail[0] == pytest.approx(tail, rel=1e-12)
+            assert agg.bar_subopt_head[0] == pytest.approx(head, rel=1e-12)
 
     def test_recording_range_spans_exactly_the_lanes_that_record(self):
         # Per grid row, the lanes [lo, hi) whose metrics are computed: rows

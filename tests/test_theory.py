@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from localsgd.simulator import AggregateTrace
+from localsgd import verify
+from localsgd.dataio import Regime, generate_synthetic, partition
+from localsgd.objective import build_problem, measure_variances, solve_reference
+from localsgd.simulator import (AggregateTrace, GradientMode, RunConfig, SyncSchedule,
+                                run_replicated)
 from signed_data import unsigned_rows
 from localsgd.theory import (
     BoundInputs,
@@ -11,9 +15,11 @@ from localsgd.theory import (
     PreconditionError,
     bound,
     check_bound,
+    check_run,
     check_vt_bound,
     plan_H,
     plan_gamma,
+    theorems_for,
     _verdict,
 )
 
@@ -103,7 +109,7 @@ class TestWcIdenticalUbv:
             final(bound("WC_IID_UBV", b1)) / 2, rel=1e-12)
 
     def test_uses_tail_average(self):
-        assert bound("WC_IID_UBV", inputs()).convention == "tail"
+        assert bound("WC_IID_UBV", inputs()).theorem.convention == "tail"
 
 
 class TestScIdenticalFs:
@@ -117,7 +123,7 @@ class TestScIdenticalFs:
 
     def test_sync_only_flag(self):
         gamma = 1.0 / (0.1 + 8 * 3)
-        assert bound("SC_IID_FS", inputs(gamma=gamma)).sync_only
+        assert bound("SC_IID_FS", inputs(gamma=gamma)).theorem.sync_only
 
     def test_interpolation_pure_contraction(self):
         gamma = 1.0 / (0.1 + 8 * 3)
@@ -177,7 +183,7 @@ class TestWcHeterogeneous:
 
     def test_uses_head_average(self):
         b = inputs(H=1, gamma=0.25)
-        assert bound("WC_HET_FS", b).convention == "head"
+        assert bound("WC_HET_FS", b).theorem.convention == "head"
 
     def test_stepsize_reading(self):
         with pytest.raises(PreconditionError):
@@ -473,3 +479,53 @@ class TestRuntimeDiagnosticsIntegration:
         agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
         v = check_vt_bound(agg, gamma, 8, 0.7**2, L=p.L)
         assert v.holds, v.details
+
+
+class TestCheckRun:
+    """check_run is the one path from a run to its verdicts, `run`'s and
+    the acceptance criteria's."""
+
+    @pytest.fixture(scope="class", params=list(Regime), ids=lambda r: r.value)
+    def setup(self, request):
+        ds = generate_synthetic(80, 5, seed=81, sort_by_label=True)
+        p = build_problem(ds, partition(ds, 4, request.param), lam=0.05)
+        ref = solve_reference(p, 1e-11)
+        return p, ref, measure_variances(p, ref, batch=1)
+
+    @staticmethod
+    def run(p, ref, mode, gamma):
+        cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(4, 40), gamma=gamma,
+                        gradient_mode=mode, noise_sigma=0.5)
+        return cfg, run_replicated(p, cfg, ref, [0, 1])
+
+    # At 1/(4 L_component) only the uniform-variance rows admit the
+    # stepsize; at 1/(40 L_component) every row does.
+    @pytest.mark.parametrize("scale", [4, 40])
+    @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
+    def test_every_row_made_for_the_run_is_checked_or_skipped(self, setup, mode, scale):
+        p, ref, vr = setup
+        cfg, agg = self.run(p, ref, mode, 1.0 / (scale * p.L_component))
+        checked, skipped = check_run(p, cfg, ref, vr, agg)
+        ids = [thm.id for thm in theorems_for(p.part.regime, mode)]
+        assert sorted([*checked, *skipped], key=ids.index) == ids
+        assert list(checked) == [i for i in ids if i in checked]
+        assert list(skipped) == [i for i in ids if i in skipped]
+        for theorem_id, (curve, v) in checked.items():
+            assert curve.theorem is THEOREMS[theorem_id]
+            assert v == check_bound(curve, agg)
+        for theorem_id, why in skipped.items():
+            assert scale == 4 and THEOREMS[theorem_id].sigma != "sigma_sq"
+            assert why.startswith("stepsize")
+
+    def test_verify_gets_the_verdict_or_the_skip_reason(self, setup):
+        p, ref, vr = setup
+        cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / p.L_component)
+        checked, skipped = check_run(p, cfg, ref, vr, agg)
+        [theorem_id, *_] = skipped  # gamma is above every finite-sum limit
+        with pytest.raises(PreconditionError) as e:
+            verify._check(theorem_id, p, cfg, ref, vr, agg)
+        assert str(e.value) == skipped[theorem_id]
+        cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / (40 * p.L_component))
+        checked, _ = check_run(p, cfg, ref, vr, agg)
+        for theorem_id, (_, v) in checked.items():
+            assert verify._check(theorem_id, p, cfg, ref, vr, agg) == v
