@@ -51,6 +51,7 @@ class Problem:
     L_component: float = field(init=False)
     row_norms_sq: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)  # per-sample weight in f; sums to 1
+    gram: np.ndarray = field(init=False, repr=False)  # B^T diag(w/4) B: L's, and Newton's at 0
 
     def __post_init__(self):
         if self.lam < 0:
@@ -61,7 +62,7 @@ class Problem:
         # at most 1/4, so B^T diag(w) B / 4, which is A^T diag(w) A / 4 bit
         # for bit, dominates the Hessian of f at every point.
         gram = _weighted_gram(self.rows, w / 4.0)
-        for name, value in (("weights", w), ("row_norms_sq", rn),
+        for name, value in (("weights", w), ("row_norms_sq", rn), ("gram", gram),
                             ("L", float(np.linalg.eigvalsh(gram)[-1]) + self.lam),
                             ("L_component", float(rn.max()) / 4.0 + self.lam)):
             object.__setattr__(self, name, value)
@@ -77,14 +78,17 @@ class Problem:
         (bench/tracing.py) reads it to count the work of a product."""
         return self.rows if self.dataset.is_dense else None
 
-    def margins(self, X: np.ndarray) -> np.ndarray:
+    def margins(self, X: np.ndarray, rows=None) -> np.ndarray:
         """B @ X.T for a stack of points, entry (i, j) = y_i a_i.x_j, shape
-        (k, d) -> (n, k)."""
-        return self.rows @ X.T
+        (k, d) -> (n, k); over a block `rows` in B's place (`_exact_grads`),
+        a (g, n_g, d) stack takes (g, k, d) -> (g, n_g, k)."""
+        return (self.rows if rows is None else rows) @ X.swapaxes(-1, -2)
 
-    def rows_T_dot(self, C: np.ndarray) -> np.ndarray:
-        """B.T @ C = sum_i y_i a_i C[i], shape (n, k) -> (d, k)."""
-        return self.rows.T @ C
+    def rows_T_dot(self, C: np.ndarray, rows=None) -> np.ndarray:
+        """B.T @ C = sum_i y_i a_i C[i], shape (n, k) -> (d, k); over a
+        block `rows`, as in `margins`, (g, n_g, k) -> (g, d, k) for a stack."""
+        B = self.rows if rows is None else rows
+        return (B.T if B.ndim == 2 else B.transpose(0, 2, 1)) @ C  # CSR has .T only
 
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """The signed rows at an index array as one dense block, shape
@@ -97,17 +101,16 @@ class Problem:
     def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The exact gradient of f_m at every point X[m, j], node-major,
         shape (M, k, d) -> (M, k, d), written into `out` (C-contiguous) when
-        given.
+        given. It picks each block of rows; `_exact_grads` computes.
 
         Identical nodes share f: one product over all n rows takes every
         point as a column, in node order. Heterogeneous node m averages its
-        own n_m rows only, at its points X[m], with the slope numerator
-        -1/n_m, so the work and temporaries are those of its block. Dense
-        rows take one batched product per run of adjacent equal-size
-        blocks, on a (g, n_g, d) view of `rows`; numpy multiplies each block
-        as its own 2-D product, so every node gets the bits of B_m @ X_m.T
-        and B_m.T @ C_m. CSR rows take each node's rows as a CSR matrix over
-        views of `rows`, with no copy."""
+        own n_m rows at its points X[m], with the numerator -1/n_m, so the
+        work and temporaries are those of its block. Dense rows pass a
+        (g, n_g, d) view of `rows` per run of adjacent equal-size blocks,
+        which numpy multiplies as g 2-D products: node m gets the bits of
+        B_m @ X_m.T and B_m.T @ C_m. CSR rows pass each node's rows as a CSR
+        matrix over views of `rows`, with no copy."""
         if out is None:
             out = np.empty_like(X)
         if self.part.regime == Regime.IDENTICAL:
@@ -116,20 +119,14 @@ class Problem:
         elif self.dense_rows is not None:
             for m, start, g, size in self.part.block_runs:
                 B = self.rows[start:start + g * size].reshape(g, size, self.dim)
-                U = B @ X[m:m + g].transpose(0, 2, 1)  # (g, size, k) margins
-                C = _logistic_slope(-1.0 / size, U, out=U)
-                np.add((B.transpose(0, 2, 1) @ C).transpose(0, 2, 1),
-                       self.lam * X[m:m + g], out=out[m:m + g])
+                _exact_grads(self, X[m:m + g], -1.0 / size, out=out[m:m + g], rows=B)
         else:
-            import scipy.sparse as sp
-
             A = self.rows
             for m, (start, stop) in enumerate(self.part.node_ranges):
                 lo, hi = A.indptr[start], A.indptr[stop]  # node m's rows, as views
-                B = sp.csr_matrix((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
-                                  shape=(stop - start, self.dim), copy=False)
-                C = _logistic_slope(-1.0 / (stop - start), B @ X[m].T)
-                np.add((B.T @ C).T, self.lam * X[m], out=out[m])
+                B = type(A)((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
+                            shape=(stop - start, self.dim), copy=False)
+                _exact_grads(self, X[m], -1.0 / (stop - start), out=out[m], rows=B)
         return out
 
     @property
@@ -272,16 +269,17 @@ def loss(p: Problem, x: np.ndarray) -> float:
     return float(loss_many(p, x[None, :])[0])
 
 
-def _exact_grads(p: Problem, X: np.ndarray, num,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The exact gradient over all n rows, shape (k, d) -> (k, d), written
-    into `out` when given: row j is sum_i c_ij y_i a_i + lam x_j, c_ij the
-    logistic slope at the signed margin y_i a_i.x_j with numerator num, a
-    scalar or an (n, 1) column of per-sample weights, computed in the
-    margins."""
-    U = p.margins(X)  # (n, k)
+def _exact_grads(p: Problem, X: np.ndarray, num, out: np.ndarray | None = None,
+                 rows=None) -> np.ndarray:
+    """The exact gradient over a block of signed rows, shape (k, d) -> (k, d),
+    written into `out` when given: row j is sum_i c_ij y_i a_i + lam x_j,
+    c_ij the logistic slope at the signed margin y_i a_i.x_j with numerator
+    num, a scalar or an (n, 1) column of per-sample weights. `rows` is None
+    for all n rows, one node's rows as a dense or CSR matrix, or a (g, n_g, d)
+    stack of blocks, X then (g, k, d); the products are margins and rows_T_dot."""
+    U = p.margins(X, rows)  # (n, k), or (g, n_g, k) for a stack
     C = _logistic_slope(num, U, out=U)
-    return np.add(p.rows_T_dot(C).T, p.lam * X, out=out)
+    return np.add(p.rows_T_dot(C, rows).swapaxes(-1, -2), p.lam * X, out=out)
 
 
 def node_gradients(p: Problem, x: np.ndarray) -> np.ndarray:
@@ -351,10 +349,7 @@ def solve_reference(p: Problem, tol: float, *,
             raise ConvergenceError(
                 f"reference solve hit the {_MAX_NEWTON_STEPS}-step cap at ||grad|| = "
                 f"{gn:.3e} (target {tol:.3e})")
-        # sigmoid(-a.x), with a.x = y (y a.x) exactly; s(1 - s) is even
-        # in a.x only up to rounding, so the unsigned margin is recovered.
-        s = _logistic_slope(1.0, p.dataset.labels * p.margins(x[None, :])[:, 0])
-        hessian = _weighted_gram(p.rows, p.weights * s * (1.0 - s)) + p.lam * np.eye(p.dim)
+        hessian = _curvature_gram(p, x) + p.lam * np.eye(p.dim)
         step = np.linalg.lstsq(hessian, -g, rcond=None)[0]
         for halving in range(_MAX_HALVINGS):
             t = 0.5 ** halving
@@ -370,6 +365,16 @@ def solve_reference(p: Problem, tol: float, *,
         x, g, gn = x_new, g_new, gn_new
         steps += 1
     return ReferenceSolution(x, loss(p, x), gn, tol, steps)
+
+
+def _curvature_gram(p: Problem, x: np.ndarray) -> np.ndarray:
+    """A^T diag(w s(1 - s)) A, the logistic part of f's Hessian at x, with
+    s = sigmoid(-a.x) at a.x = y (y a.x): s(1 - s) is even only up to rounding.
+    At x = 0 every margin is +-0 and w s(1 - s) is w/4 bit for bit: p.gram."""
+    if not x.any():
+        return p.gram
+    s = _logistic_slope(1.0, p.dataset.labels * p.margins(x[None, :])[:, 0])
+    return _weighted_gram(p.rows, p.weights * s * (1.0 - s))
 
 
 # ---------------------------------------------------------------------------

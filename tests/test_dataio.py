@@ -167,7 +167,8 @@ class TestParse:
         # with scipy's multiply would peak at 27 while the build runs.
         # At n = 20000 rows the Gram blocks that L is derived from (two
         # 256 x 123 blocks and two 123 x 123 matrices, whatever n is) cost
-        # 2.7 bytes per entry.
+        # 2.7 bytes per entry. The problem keeps one of those matrices, the
+        # Gram that Newton's first step reuses: 0.4 bytes per entry.
         _, build_peak, kept = self.load_and_build_per_nonzero(
             self.a9a_rows(lambda gen: "1", n=20000))
         assert kept <= 16, f"{kept:.1f} bytes per nonzero kept"

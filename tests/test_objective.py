@@ -283,11 +283,12 @@ class TestNodeBlockKernel:
     @staticmethod
     def per_node(p, X):
         """The definition: one 2-D product pair over each node's signed rows,
-        at its points X[m] of the node-major (M, k, d) stack X."""
+        at its points X[m] of the node-major (M, k, d) stack X. The rows are
+        a slice of the dense array, or a sliced copy of the CSR matrix."""
         G = np.empty_like(X)
         for m in range(p.M):
             start, stop = p.node_range(m)
-            B, X_m = p.dense_rows[start:stop], X[m]
+            B, X_m = p.rows[start:stop], X[m]
             C = (-1.0 / (stop - start)) / (1.0 + np.exp(B @ X_m.T))
             G[m] = (B.T @ C).T + p.lam * X_m
         return G
@@ -302,8 +303,38 @@ class TestNodeBlockKernel:
         assert np.array_equal(G, self.per_node(p, X))
         out = np.full_like(X, np.nan)
         assert p.node_grads(X, out=out) is out and np.array_equal(out, G)
-        assert np.allclose(objective.csr_twin(p).node_grads(X), G,
-                           rtol=1e-12, atol=0)
+        # Each node's CSR view over the matrix's data and indices gives the
+        # bits of the 2-D CSR products over a sliced copy of its rows.
+        csr = objective.csr_twin(p)
+        G_csr = csr.node_grads(X)
+        assert np.array_equal(G_csr, self.per_node(csr, X))
+        out = np.full_like(X, np.nan)
+        assert csr.node_grads(X, out=out) is out and np.array_equal(out, G_csr)
+        assert np.allclose(G_csr, G, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_every_product_is_a_spanned_problem_method(self, monkeypatch, storage, regime):
+        # The benchmark's probe counts the exact-gradient products by
+        # wrapping Problem.margins and Problem.rows_T_dot, as done here:
+        # identical nodes make one call of each per node_grads call, and
+        # heterogeneous nodes one per row block (a run of equal-size dense
+        # blocks, or one CSR node).
+        p = small_problem(n=61, d=5, M=3, regime=regime, sort_by_label=True)
+        p = p if storage == "dense" else objective.csr_twin(p)
+        calls = {}
+        for name in ("margins", "rows_T_dot"):
+            def counted(self, *args, _real=getattr(objective.Problem, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(self, *args)
+            monkeypatch.setattr(objective.Problem, name, counted)
+        X = RngStream(seed=51).generator().standard_normal((p.M, 4, p.dim))
+        G = p.node_grads(X)
+        blocks = (1 if regime == Regime.IDENTICAL
+                  else len(p.part.block_runs) if storage == "dense" else p.M)
+        assert calls == {"margins": blocks, "rows_T_dot": blocks}
+        monkeypatch.undo()
+        assert np.array_equal(G, p.node_grads(X))
 
     def test_exact_step_memory_does_not_grow_with_M(self):
         # At M = 20 an (n, S M) slope matrix alone would take 16 MB; a node
@@ -401,6 +432,7 @@ def test_replaced_lambda_derives_the_constants_again():
         for lam in (0.0, 1.0, 2.5e-3):
             q, want = replace(p, lam=lam), build_problem(p.dataset, p.part, lam=lam)
             assert (q.L, q.L_component) == (want.L, want.L_component)
+            assert q.gram.tobytes() == want.gram.tobytes()
             assert q.L_component == float(q.row_norms_sq.max()) / 4.0 + lam
 
 
@@ -707,6 +739,45 @@ class TestSolveReference:
         p = small_problem(lam=1e-6, n=100)
         with pytest.raises(ConvergenceError, match="cap"):
             solve_reference(p, 1e-14)
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_first_hessian_reuses_the_gram_of_L_bitwise(self, monkeypatch, storage, regime):
+        # At x = 0 every margin is +-0, so s(1 - s) = 1/4 exactly and the
+        # first Newton Gram is the one L was derived from. With the reuse
+        # forced off every Gram is computed, and the solution is the same
+        # bit for bit. From a nonzero start the first Gram is computed too.
+        # Unequal blocks (61 rows, M = 3) make the
+        # heterogeneous weights differ from 1/n.
+        p = small_problem(n=61, d=5, M=3, regime=regime, lam=0.01, label_noise=0.1)
+        p = p if storage == "dense" else objective.csr_twin(p)
+        grams = []
+        real_gram = objective._weighted_gram
+
+        def counted_gram(A, w):
+            grams.append(w)
+            return real_gram(A, w)
+
+        def always_computed(q, x):
+            s = objective._logistic_slope(1.0, q.dataset.labels * q.margins(x[None, :])[:, 0])
+            return counted_gram(q.rows, q.weights * s * (1.0 - s))
+
+        monkeypatch.setattr(objective, "_weighted_gram", counted_gram)
+        reused = [solve_reference(p, 1e-11, x0=x0) for x0 in (None, np.zeros(p.dim))]
+        assert reused[0].iterations >= 3
+        assert len(grams) == 2 * (reused[0].iterations - 1)
+        grams.clear()
+        from_nonzero = solve_reference(p, 1e-11, x0=np.full(p.dim, 0.25))
+        assert len(grams) == from_nonzero.iterations  # its first Gram is computed
+        assert grams[0].tobytes() != (p.weights / 4.0).tobytes()
+        grams.clear()
+        monkeypatch.setattr(objective, "_curvature_gram", always_computed)
+        computed = solve_reference(p, 1e-11)
+        assert len(grams) == computed.iterations
+        assert grams[0].tobytes() == (p.weights / 4.0).tobytes()
+        for ref in reused:
+            assert ref.to_kv_text() == computed.to_kv_text()
+            assert ref.x_star.tobytes() == computed.x_star.tobytes()
 
 
 class TestMeasureVariances:
