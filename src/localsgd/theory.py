@@ -19,6 +19,7 @@ constant (Problem.L_component), not the smaller global estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -137,7 +138,9 @@ class Theorem:
     component_L: bool  # stated for Problem.L_component rather than Problem.L
     sigma: str  # the BoundInputs variance field the RHS reads
     limit: StepsizeLimit
-    rhs: Callable[[BoundInputs, int], float]
+    # ("initial", f), ("noise", f) and ("drift", f): the initial distance, the
+    # noise floor and the drift that grows with H, each f(b, t) one summand
+    terms: tuple[tuple[str, Callable[[BoundInputs, int], float]], ...]
     plan: Callable[[Any], tuple[float, int | None]]  # (gamma, suggested T)
     bound_needs: tuple[Need, ...] = ()  # besides mu > 0 and the limit
     plan_needs: tuple[Need, ...] = ()
@@ -147,6 +150,14 @@ class Theorem:
         """The smoothness constant of Problem p this statement is stated for."""
         return p.L_component if self.component_L else p.L
 
+    def rhs(self, b: BoundInputs, t: int) -> float:
+        """The terms added left to right from 0.0. Not builtin sum: from
+        Python 3.12 it adds floats with compensation, which moves bits."""
+        total = 0.0
+        for _, term in self.terms:
+            total += term(b, t)
+        return total
+
 
 _TABLE = (
     Theorem(
@@ -154,10 +165,9 @@ _TABLE = (
         sync_only=False, convention=None, regime=Regime.IDENTICAL,
         modes=(GradientMode.INJECTED_NOISE,), needs_mu=True, component_L=False,
         sigma="sigma_sq", limit=_QUARTER_L,
-        # contraction, a gamma sigma^2/(mu M) floor, and the drift term
-        rhs=lambda b, t: ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
-                          + b.gamma * b.sigma_sq / (b.mu * b.M)
-                          + 2.0 * b.L * b.gamma**2 * (b.H - 1) * b.sigma_sq / b.mu),
+        terms=(("initial", lambda b, t: (1.0 - b.gamma * b.mu) ** t * b.r0_sq),
+               ("noise", lambda b, t: b.gamma * b.sigma_sq / (b.mu * b.M)),
+               ("drift", lambda b, t: 2.0 * b.L * b.gamma**2 * (b.H - 1) * b.sigma_sq / b.mu)),
         plan=lambda a: _plan_sc(a, 4.0 * (a.L / a.mu) + a.t_param, 2.0),
         plan_needs=(_T_PARAM_POSITIVE,)),
     Theorem(
@@ -165,9 +175,9 @@ _TABLE = (
         sync_only=False, convention="tail", regime=Regime.IDENTICAL,
         modes=(GradientMode.INJECTED_NOISE,), needs_mu=False, component_L=False,
         sigma="sigma_sq", limit=_QUARTER_L,
-        rhs=lambda b, t: (2.0 * b.r0_sq / (b.gamma * b.T)
-                          + 2.0 * b.gamma * b.sigma_sq / b.M
-                          + 4.0 * b.gamma**2 * b.L * b.sigma_sq * (b.H - 1)),
+        terms=(("initial", lambda b, t: 2.0 * b.r0_sq / (b.gamma * b.T)),
+               ("noise", lambda b, t: 2.0 * b.gamma * b.sigma_sq / b.M),
+               ("drift", lambda b, t: 4.0 * b.gamma**2 * b.L * b.sigma_sq * (b.H - 1))),
         plan=_plan_wc(4.0),
         plan_needs=(Need("T >= M",
                          lambda a: a.M is None or a.T is None or a.T < a.M),)),
@@ -179,9 +189,10 @@ _TABLE = (
         limit=StepsizeLimit("gamma <= min{1/(4L(1+2/M)), 1/(mu+8L(H-1))}",
                             lambda a: min(1.0 / (4.0 * a.L * (1.0 + 2.0 / a.M)),
                                           1.0 / (a.mu + 8.0 * a.L * (a.H - 1)))),
-        rhs=lambda b, t: ((1.0 - b.gamma * b.mu) ** t * b.r0_sq
-                          + 2.0 * b.gamma * b.sigma_opt_sq / (b.mu * b.M)
-                          + 4.0 * b.sigma_opt_sq * b.gamma**2 * (b.H - 1) * b.L / b.mu),
+        terms=(("initial", lambda b, t: (1.0 - b.gamma * b.mu) ** t * b.r0_sq),
+               ("noise", lambda b, t: 2.0 * b.gamma * b.sigma_opt_sq / (b.mu * b.M)),
+               ("drift",
+                lambda b, t: 4.0 * b.sigma_opt_sq * b.gamma**2 * (b.H - 1) * b.L / b.mu)),
         plan=lambda a: _plan_sc(a, 18.0 * (a.L / a.mu) * a.t_param, 18.0),
         plan_needs=(_T_PARAM_POSITIVE,
                     Need("H <= t_param",
@@ -192,9 +203,9 @@ _TABLE = (
         modes=(GradientMode.STOCHASTIC,), needs_mu=False, component_L=True,
         sigma="sigma_opt_sq",
         limit=StepsizeLimit("gamma <= 1/(10LH)", lambda a: 1.0 / (10.0 * a.L * a.H)),
-        rhs=lambda b, t: (10.0 * b.r0_sq / (b.gamma * b.T)
-                          + 20.0 * b.gamma * b.sigma_opt_sq / b.M
-                          + 40.0 * b.gamma**2 * b.L * b.sigma_opt_sq * (b.H - 1)),
+        terms=(("initial", lambda b, t: 10.0 * b.r0_sq / (b.gamma * b.T)),
+               ("noise", lambda b, t: 20.0 * b.gamma * b.sigma_opt_sq / b.M),
+               ("drift", lambda b, t: 40.0 * b.gamma**2 * b.L * b.sigma_opt_sq * (b.H - 1))),
         plan=_plan_wc(10.0),
         bound_needs=(_TWO_NODES,), plan_needs=(_H_AT_MOST_SQRT_T_M,)),
     Theorem(
@@ -204,9 +215,9 @@ _TABLE = (
         # sigma_dif_sq measures.
         modes=(GradientMode.STOCHASTIC, GradientMode.FULL), needs_mu=False,
         component_L=True, sigma="sigma_dif_sq", limit=_HET_LIMIT,
-        rhs=lambda b, t: (4.0 * b.r0_sq / (b.gamma * b.T)
-                          + 20.0 * b.gamma * b.sigma_dif_sq / b.M
-                          + 16.0 * b.gamma**2 * b.L * (b.H - 1) ** 2 * b.sigma_dif_sq),
+        terms=(("initial", lambda b, t: 4.0 * b.r0_sq / (b.gamma * b.T)),
+               ("noise", lambda b, t: 20.0 * b.gamma * b.sigma_dif_sq / b.M),
+               ("drift", lambda b, t: 16.0 * b.gamma**2 * b.L * (b.H - 1) ** 2 * b.sigma_dif_sq)),
         plan=_plan_wc(8.0),
         bound_needs=(_TWO_NODES,), plan_needs=(_H_AT_MOST_SQRT_T_M,),
         notes="stepsize condition read as " + _HET_LIMIT.text.removeprefix("gamma <= ")),
@@ -239,19 +250,26 @@ def _check_gamma(gamma: float, limit: float, what: str) -> None:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Evaluable RHS of one guarantee for fixed inputs: a function of t for
-    'dist_sq' statements, a single value at T for 'subopt' ones."""
+    """Evaluable RHS, whole or by term, of one guarantee for fixed inputs: a
+    function of t for 'dist_sq' statements, a value at T for 'subopt' ones."""
 
     theorem: Theorem
     inputs: BoundInputs
 
-    def rhs_at(self, t: int) -> float:
+    def _speaks_at(self, t: int) -> int:
         b, thm = self.inputs, self.theorem
         if t < 0 or t > b.T:
             raise ValueError(f"t={t} outside [0, {b.T}]")
         if thm.metric != "dist_sq" and t != b.T:
             raise ValueError(f"{thm.id} bounds only the final average at T={b.T}")
-        return thm.rhs(b, t)
+        return t
+
+    def rhs_at(self, t: int) -> float:
+        return self.theorem.rhs(self.inputs, self._speaks_at(t))
+
+    def terms_at(self, t: int) -> dict[str, float]:
+        t = self._speaks_at(t)
+        return {name: term(self.inputs, t) for name, term in self.theorem.terms}
 
 
 def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
@@ -264,9 +282,8 @@ def bound(theorem_id: str, b: BoundInputs) -> BoundCurve:
     _assert_needs(thm.id, thm, thm.bound_needs, b)
     _check_gamma(b.gamma, thm.limit.of(b), thm.limit.text)
     curve = BoundCurve(thm, b)
-    # A distance RHS moves with t only through (1 - gamma mu)^t r0^2, which
-    # the stepsize limit keeps within [0, r0^2]: finite at 0 and T, it is
-    # finite at every step.
+    # Only a distance RHS's initial term (1 - gamma mu)^t r0^2 moves with t,
+    # within [0, r0^2] by the stepsize limit: finite at 0 and T, it is finite.
     for t in (0, b.T) if thm.metric == "dist_sq" else (b.T,):
         rhs = curve.rhs_at(t)
         if not math.isfinite(rhs):
@@ -283,28 +300,33 @@ def theorems_for(regime: Regime, mode: GradientMode) -> list[Theorem]:
 # Planners
 # ---------------------------------------------------------------------------
 
-PLAN_H_RULES = ("sc-identical", "wc-identical", "wc-heterogeneous")
+_PLAN_H = {  # rule: the ratio whose floor is H - 1, as text and as f(T, M, kappa)
+    "sc-identical": ("T/(kappa M)", lambda T, M, kappa: T / (kappa * M)),
+    "wc-identical": ("sqrt(T) M^{-3/2}", lambda T, M, kappa: math.sqrt(T) / M**1.5),
+    "wc-heterogeneous": ("T^{1/4} M^{-3/4}", lambda T, M, kappa: T**0.25 / M**0.75),
+}
+
+
+def _within_float_range(rule: str, **inputs) -> None:
+    """Refuse an integer input past float range: the planners compute in floats."""
+    for name, v in inputs.items():
+        if v is not None and v > sys.float_info.max:
+            raise PreconditionError(f"{rule} needs {name} within float range")
 
 
 def plan_H(rule: str, T: int, M: int, kappa: float | None = None) -> int:
-    """Largest synchronization interval that keeps the matching rate.
-
-    sc-identical: 1 + floor(T / (kappa M)); wc-identical:
-    1 + floor(sqrt(T) M^{-3/2}); wc-heterogeneous: 1 + floor(T^{1/4} M^{-3/4}).
-    """
+    """Largest synchronization interval that keeps the matching rate: one
+    plus the floor of the rule's ratio in _PLAN_H."""
     if T is None or M is None or T < 1 or M < 1:
         raise PreconditionError("T and M must be >= 1")
-    if rule == "sc-identical":
-        if kappa is None or kappa <= 0:
-            raise PreconditionError("sc-identical rule needs kappa > 0")
-        ratio, text = T / (kappa * M), "T/(kappa M)"
-    elif rule == "wc-identical":
-        ratio, text = math.sqrt(T) / M**1.5, "sqrt(T) M^{-3/2}"
-    elif rule == "wc-heterogeneous":
-        ratio, text = T**0.25 / M**0.75, "T^{1/4} M^{-3/4}"
-    else:
-        raise UnknownRuleError(
-            f"unknown plan_H rule {rule!r}; expected one of {PLAN_H_RULES}")
+    text, ratio_of = _lookup(_PLAN_H, rule, "plan_H rule")
+    if rule == "sc-identical" and (kappa is None or kappa <= 0):
+        raise PreconditionError("sc-identical rule needs kappa > 0")
+    _within_float_range(rule, T=T, M=M)
+    try:
+        ratio = ratio_of(T, M, kappa)
+    except OverflowError:  # M^{3/2}, with M within float range
+        raise PreconditionError(f"{rule} needs M^(3/2) within float range") from None
     if not math.isfinite(ratio):
         raise PreconditionError(f"{rule} plans H = 1 + floor({text}), and {text} "
                                 f"is not finite: {ratio!r}")
@@ -331,6 +353,7 @@ def plan_gamma(rule: str, L: float, mu: float | None = None,
     if L is None or L <= 0:
         raise PreconditionError("L must be positive")
     thm = _lookup(_BY_RULE, rule, "plan_gamma rule")
+    _within_float_range(rule, M=M, T=T, H=H)
     a = SimpleNamespace(L=L, mu=mu, M=M, T=T, H=H, t_param=t_param)
     _assert_needs(rule, thm, thm.plan_needs, a)
     gamma, suggested_T = thm.plan(a)
@@ -385,41 +408,32 @@ def _verdict(emp: np.ndarray, se: np.ndarray, rhs: np.ndarray,
     )
 
 
-def compared_steps(curve: BoundCurve, agg: AggregateTrace) -> np.ndarray:
-    """Mask of the recorded rows where the guarantee speaks: every row (or
-    every synchronization row) for distance bounds, the final row T for
-    suboptimality bounds."""
+def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
+    """Is the empirical mean below the RHS (plus 3 standard errors) wherever
+    the guarantee speaks?
+
+    Distance bounds are compared at every recorded row (every
+    synchronization row for sync-only statements); suboptimality bounds
+    are compared once at T using the iterate-average convention the
+    statement defines.
+    """
     T, thm = curve.inputs.T, curve.theorem
     if int(agg.t[-1]) != T:
         raise ValueError(f"trace ends at {int(agg.t[-1])}, bound is for T={T}")
     if thm.metric == "subopt":
         if thm.sync_only and not bool(agg.synced[-1]):
             raise ValueError("T is not a synchronization timestamp")
-        return np.arange(agg.t.size) == agg.t.size - 1
+        emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[thm.convention]
+        return _verdict(np.asarray([emp]), np.asarray([se]), np.asarray([curve.rhs_at(T)]),
+                        f"{thm.id}: f(bar x_T) - f* at T={T} ({thm.convention} average)",
+                        agg.t[-1:])
     mask = agg.synced if thm.sync_only else np.ones(agg.t.size, dtype=bool)
     if not np.any(mask):
         raise ValueError("no comparable steps recorded")
-    return mask
-
-
-def check_bound(curve: BoundCurve, agg: AggregateTrace) -> Verdict:
-    """Is the empirical mean below the RHS (plus 3 standard errors) wherever
-    the guarantee speaks?
-
-    Distance bounds are compared at every compared step; suboptimality
-    bounds are compared once at T using the iterate-average convention the
-    statement defines.
-    """
-    thm, mask = curve.theorem, compared_steps(curve, agg)
     ts = agg.t[mask]
     rhs = np.asarray([curve.rhs_at(t) for t in ts.tolist()])
-    if thm.metric == "dist_sq":
-        return _verdict(agg.mean["dist_sq"][mask], agg.se["dist_sq"][mask], rhs,
-                        f"{thm.id}: dist_sq at {ts.size} steps", ts)
-    emp, se = {"tail": agg.bar_subopt_tail, "head": agg.bar_subopt_head}[thm.convention]
-    return _verdict(np.asarray([emp]), np.asarray([se]), rhs,
-                    f"{thm.id}: f(bar x_T) - f* at T={curve.inputs.T} "
-                    f"({thm.convention} average)", ts)
+    return _verdict(agg.mean["dist_sq"][mask], agg.se["dist_sq"][mask], rhs,
+                    f"{thm.id}: dist_sq at {ts.size} steps", ts)
 
 
 def check_run(p, run_cfg, ref, var_report, agg

@@ -65,14 +65,22 @@ def _criterion(name: str):
     return decorate
 
 
-def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> theory.Verdict:
-    """The verdict of guarantee `theorem_id` on agg, the aggregate of runs of
-    cfg, as `run` would give it; PreconditionError with the reason `run`
-    would print when it is not checked."""
+def _check(theorem_id: str, p, cfg: RunConfig, ref, vr, agg) -> tuple:
+    """The (curve, verdict) of guarantee `theorem_id` on agg, the aggregate
+    of runs of cfg, as `run` would give it; PreconditionError with the
+    reason `run` would print when it is not checked."""
     checked, skipped = theory.check_run(p, cfg, ref, vr, agg)
     if theorem_id in skipped:
         raise theory.PreconditionError(skipped[theorem_id])
-    return checked[theorem_id][1]
+    return checked[theorem_id]
+
+
+def _largest_term(curve: theory.BoundCurve) -> str:
+    """The largest term of curve's RHS at T and its share of the RHS there,
+    as in 'initial 99.98%': the term the bound at T rests on."""
+    terms = curve.terms_at(curve.inputs.T)
+    name = max(terms, key=terms.get)
+    return f"{name} {terms[name] / curve.rhs_at(curve.inputs.T):.2%}"
 
 
 # ---------------------------------------------------------------------------
@@ -205,17 +213,14 @@ def criterion_sc_identical_ubv(level: str) -> tuple:
     gamma = 1.0 / (4 * p.L)
     seeds = _seeds(level)
     T = 5000
-    ok = True
-    slacks = []
     cfgs = [RunConfig(M=4, schedule=SyncSchedule.uniform(H, T), gamma=gamma,
                       gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0)
             for H in (1, 4, 16)]
     sweep = Sweep(p, cfgs, ref, seeds)
-    for cfg in cfgs:
-        agg = sweep.result(cfg)
-        v = _check("SC_IID_UBV", p, cfg, ref, None, agg)
-        ok = ok and v.holds
-        slacks.append(f"H={cfg.schedule.H}:{v.slack_ratio:.3f}")
+    checked = [_check("SC_IID_UBV", p, cfg, ref, None, sweep.result(cfg)) for cfg in cfgs]
+    slacks = [f"H={curve.inputs.H}:{v.slack_ratio:.3f} {_largest_term(curve)}"
+              for curve, v in checked]
+    ok = all(v.holds for _, v in checked)
     return ok, (f"mean dist_sq within RHS + 3SE at every recorded step "
                 f"(emp/bound {', '.join(slacks)})")
 
@@ -236,18 +241,19 @@ def criterion_finite_sum_identical(level: str) -> tuple:
     cfg5 = RunConfig(M=4, schedule=SyncSchedule.uniform(H5, T5),
                      gamma=theory.planned_gamma("sc-identical-fs", p, M=4, T=T5, H=H5),
                      gradient_mode=GradientMode.STOCHASTIC, record_every=1)
-    v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
+    curve5, v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
 
     H6, T6 = 5, 400
     cfg6 = RunConfig(M=4, schedule=SyncSchedule.uniform(H6, T6),
                      gamma=theory.planned_gamma("wc-identical-fs", p, M=4, T=T6, H=H6),
                      gradient_mode=GradientMode.STOCHASTIC)
-    v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
+    curve6, v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
     ok = v5.holds and v6.holds
     return ok, (f"sync-point distance bound {'ok' if v5.holds else 'VIOLATED'} "
-                f"(emp/bound {v5.slack_ratio:.3f}); averaged-iterate bound "
-                f"{'ok' if v6.holds else 'VIOLATED'} ({v6.slack_ratio:.3g})")
+                f"(emp/bound {v5.slack_ratio:.3f} {_largest_term(curve5)}); "
+                f"averaged-iterate bound {'ok' if v6.holds else 'VIOLATED'} "
+                f"({v6.slack_ratio:.3g} {_largest_term(curve6)})")
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +273,11 @@ def criterion_heterogeneous_bound(level: str) -> tuple:
     cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T),
                     gamma=theory.planned_gamma("wc-heterogeneous", p, M=4, T=T, H=H),
                     gradient_mode=GradientMode.STOCHASTIC)
-    v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
+    curve, v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
 
     # Interpolation case: one dataset replicated across all nodes, so every
     # node's full gradient vanishes at x* and sigma_dif = 0; one-shot
-    # averaging must still converge below 4 r0^2 / (gamma T).
+    # averaging must still converge below WC_HET_FS's initial term 4 r0^2/(gamma T).
     block = generate_synthetic(60, 15, seed=1070)
     tiled = dataio.Dataset(np.tile(block.features, (4, 1)), np.tile(block.labels, 4),
                            name="tiled")
@@ -282,14 +288,17 @@ def criterion_heterogeneous_bound(level: str) -> tuple:
     cfg2 = RunConfig(M=4, schedule=SyncSchedule.one_shot(T2), gamma=gamma2,
                      gradient_mode=GradientMode.FULL)
     tr2 = run_local_sgd(p2, cfg2, ref2, seed=0)
-    limit = 4.0 * r0_sq(ref2) / (gamma2 * T2) * 1.01
+    one_shot = theory.BoundCurve(theory.THEOREMS["WC_HET_FS"], theory.BoundInputs(
+        L=p2.L_component, gamma=gamma2, T=T2, H=T2, M=4, r0_sq=r0_sq(ref2),
+        sigma_dif_sq=0.0))
+    limit = one_shot.terms_at(T2)["initial"] * 1.01
     one_shot_ok = (tr2.bar_subopt_head[0] <= limit
                    and tr2.mean["subopt"][-1] < tr2.mean["subopt"][0])
 
     ok = v.holds and one_shot_ok
     return ok, (f"averaged-iterate bound {'ok' if v.holds else 'VIOLATED'} "
-                f"(emp/bound {v.slack_ratio:.3g}); one-shot interpolation "
-                f"subopt {tr2.bar_subopt_head[0]:.3e} <= {limit:.3e}: "
+                f"(emp/bound {v.slack_ratio:.3g} {_largest_term(curve)}); one-shot "
+                f"interpolation subopt {tr2.bar_subopt_head[0]:.3e} <= {limit:.3e}: "
                 f"{'ok' if one_shot_ok else 'VIOLATED'}")
 
 

@@ -94,6 +94,28 @@ class TestPlan:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and why in err[0]
 
+    @pytest.mark.parametrize("argv, named", [
+        (["h", "wc-identical", "--T", str(10**400), "--M", "4"], "needs T within"),
+        (["h", "wc-heterogeneous", "--T", str(10**400), "--M", "4"], "needs T within"),
+        (["h", "sc-identical", "--kappa", "2", "--T", str(10**400), "--M", "4"],
+         "needs T within"),
+        # M fits a float, M^{3/2} does not
+        (["h", "wc-identical", "--T", "4", "--M", str(10**206)], "needs M^(3/2) within"),
+        (["gamma", "wc-identical-ubv", "--L", "1", "--M", "4", "--T", str(10**400)],
+         "needs T within"),
+        (["gamma", "wc-heterogeneous", "--L", "1", "--M", "4", "--T", str(10**400),
+          "--H", "2"], "needs T within"),
+        (["gamma", "sc-identical-fs", "--L", "1", "--mu", "0.5", "--M", str(10**400),
+          "--H", "1", "--t-param", "2"], "needs M within"),
+    ], ids=["h-wc-identical-T", "h-wc-heterogeneous-T", "h-sc-identical-T",
+            "h-wc-identical-M", "gamma-wc-identical-ubv-T", "gamma-wc-heterogeneous-T",
+            "gamma-sc-identical-fs-M"])
+    def test_integer_past_float_range_exits_2_naming_it(self, capsys, argv, named):
+        what, rule, *rest = argv
+        assert run_cli(["plan", "--what", what, "--rule", rule, *rest]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and named in err[0]
+
     def test_python_m_localsgd_runs_the_cli(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -7,6 +7,7 @@ from localsgd import verify
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.objective import build_problem, measure_variances, solve_reference
 from localsgd.simulator import (AggregateTrace, GradientMode, RunConfig, SyncSchedule,
+                                r0_sq,
                                 run_replicated)
 from signed_data import unsigned_rows
 from localsgd.theory import (
@@ -19,6 +20,7 @@ from localsgd.theory import (
     check_vt_bound,
     plan_H,
     plan_gamma,
+    planned_gamma,
     theorems_for,
     _verdict,
 )
@@ -219,6 +221,72 @@ class TestMonotonicity:
                               sigma_dif_sq=0.0, T=T)))
                     for T in (100, 1000, 10000)]
             assert vals[0] > vals[1] > vals[2]
+
+
+class TestTerms:
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_the_rhs_is_its_three_terms_added_in_order(self, theorem_id):
+        """Bit for bit, as the one-lambda RHS of each row gave it."""
+        thm = THEOREMS[theorem_id]
+        assert tuple(name for name, _ in thm.terms) == ("initial", "noise", "drift")
+        gen = np.random.Generator(np.random.Philox(key=33))
+        for _ in range(300):
+            L = float(10.0 ** gen.uniform(-2, 2))
+            T = int(gen.integers(1, 10**6))
+            sigma = float(10.0 ** gen.uniform(-6, 4)) if gen.random() < 0.9 else 0.0
+            b = inputs(L=L, mu=L / float(10.0 ** gen.uniform(0, 4)),
+                       gamma=float(10.0 ** gen.uniform(-6, 0)) / (4 * L), T=T,
+                       H=int(gen.integers(1, T + 1)), M=int(gen.integers(1, 65)),
+                       r0_sq=float(10.0 ** gen.uniform(-6, 4)),
+                       sigma_sq=sigma, sigma_opt_sq=sigma, sigma_dif_sq=sigma)
+            for t in (0, 1, T // 3, T):
+                initial, noise, drift = (term(b, t) for _, term in thm.terms)
+                assert thm.rhs(b, t).hex() == (initial + noise + drift).hex()
+
+    @pytest.mark.parametrize("theorem_id", sorted(THEOREMS))
+    def test_terms_at_refuses_the_steps_rhs_at_refuses(self, theorem_id):
+        curve = bound(theorem_id, inputs(gamma=0.01))
+        for t in (-1, 0, 1, 50, 99, 100, 101):
+            try:
+                rhs = curve.rhs_at(t)
+            except ValueError as e:
+                with pytest.raises(ValueError) as refused:
+                    curve.terms_at(t)
+                assert str(refused.value) == str(e)
+                continue
+            terms = curve.terms_at(t)
+            assert list(terms) == ["initial", "noise", "drift"]
+            assert rhs == terms["initial"] + terms["noise"] + terms["drift"]
+
+    @staticmethod
+    def largest(curve):
+        name, share = verify._largest_term(curve).split()
+        return name, float(share.removesuffix("%"))
+
+    def test_heterogeneous_bound_rests_on_the_initial_term(self):
+        """heterogeneous-bound's run: n=240, M=4, T=256, planned H=2."""
+        ds = generate_synthetic(240, 15, seed=107, sort_by_label=True, label_noise=0.05)
+        p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS))
+        ref = solve_reference(p, 1e-12)
+        vr = measure_variances(p, ref, batch=1)
+        H = plan_H("wc-heterogeneous", 256, 4)
+        gamma = planned_gamma("wc-heterogeneous", p, M=4, T=256, H=H)
+        curve = bound("WC_HET_FS", BoundInputs(
+            L=p.L_component, gamma=gamma, T=256, H=H, M=4, r0_sq=r0_sq(ref),
+            sigma_dif_sq=vr.sigma_dif_sq))
+        name, share = self.largest(curve)
+        assert name == "initial" and share >= 99.9
+
+    def test_the_drift_takes_over_the_distance_bound_as_H_grows(self):
+        """sc-identical-distance-bound's problem at T=5000."""
+        ds = generate_synthetic(120, 20, seed=105)
+        p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.1)
+        ref = solve_reference(p, 1e-11)
+        for H, expected in ((1, "noise"), (4, "drift"), (16, "drift")):
+            curve = bound("SC_IID_UBV", BoundInputs(
+                L=p.L, gamma=1.0 / (4 * p.L), T=5000, H=H, M=4, r0_sq=r0_sq(ref),
+                mu=p.mu, sigma_sq=1.0))
+            assert self.largest(curve)[0] == expected
 
 
 class TestPlanners:
@@ -527,5 +595,5 @@ class TestCheckRun:
         assert str(e.value) == skipped[theorem_id]
         cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / (40 * p.L_component))
         checked, _ = check_run(p, cfg, ref, vr, agg)
-        for theorem_id, (_, v) in checked.items():
-            assert verify._check(theorem_id, p, cfg, ref, vr, agg) == v
+        for theorem_id, (curve, v) in checked.items():
+            assert verify._check(theorem_id, p, cfg, ref, vr, agg) == (curve, v)
