@@ -379,9 +379,7 @@ def cmd_variances(args) -> int:
             rows.append((ds.name, p.M, batch_spec, vr.sigma_opt_sq, vr.sigma_dif_sq))
     _make_output_dir(cfg.out_dir, "out_dir")
     with open(out_path, "w") as f:
-        f.write("dataset,M,batch,sigma_opt_sq,sigma_dif_sq\n")
-        for name, M, batch_spec, so, sd in rows:
-            f.write(f"{name},{M},{batch_spec},{so!r},{sd!r}\n")
+        dataio.write_csv(f, (), ("dataset", "M", "batch", "sigma_opt_sq", "sigma_dif_sq"), rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -440,7 +438,7 @@ def cmd_run(args) -> int:
             trace = run_replicated(p, run_cfg, ref, cfg.seeds, sweep=sweep)
         except DivergenceError as e:
             print(f"H={schedule.H}: {e} (run skipped)")
-            summary.append((schedule.H, None, None, None, "diverged"))
+            summary.append((schedule.H, "", "", "", "diverged"))
             continue
         trace.metadata.update(_sigma_metadata(var_report))
         with open(os.path.join(cfg.out_dir, f"run_{tag}.csv"), "w") as f:
@@ -459,19 +457,17 @@ def cmd_run(args) -> int:
               + (f" bounds={'ok' if holds else 'VIOLATED'}" if holds is not None else ""))
 
     with open(os.path.join(cfg.out_dir, "summary.csv"), "w") as f:
-        f.write("H,comm_rounds,final_subopt,final_dist_sq,bounds\n")
-        for H, comm, fs, fd, b in summary:
-            f.write(f"{H},{'' if comm is None else comm},{'' if fs is None else repr(fs)},"
-                    f"{'' if fd is None else repr(fd)},{b}\n")
+        dataio.write_csv(f, (), ("H", "comm_rounds", "final_subopt", "final_dist_sq", "bounds"),
+                         summary)
     return EXIT_CRITERION if any_failed else EXIT_OK
 
 
 def _sigma_metadata(vr) -> dict:
     return {
-        "sigma_sq_estimate": repr(float(vr.sigma_sq)),
+        "sigma_sq_estimate": vr.sigma_sq,
         "sigma_sq_is_estimate": True,
-        "sigma_opt_sq": repr(float(vr.sigma_opt_sq)),
-        "sigma_dif_sq": repr(float(vr.sigma_dif_sq)),
+        "sigma_opt_sq": vr.sigma_opt_sq,
+        "sigma_dif_sq": vr.sigma_dif_sq,
         "sigma_batch": vr.batch_size,
     }
 
@@ -481,29 +477,18 @@ def _emit_bounds(cfg, p, run_cfg, ref, var_report, agg, tag) -> list:
     for theorem_id, why in skipped.items():
         print(f"H={run_cfg.schedule.H}: {theorem_id} not checked: {why}")
     for theorem_id, (curve, v) in checked.items():
-        base = os.path.join(cfg.out_dir, f"bound_{theorem_id}_{tag}")
-        with open(base + ".csv", "w") as f:
-            _write_curve_csv(f, curve, v)
+        thm, base = curve.theorem, os.path.join(cfg.out_dir, f"bound_{theorem_id}_{tag}")
+        inputs = [(f"input.{k}", val) for k, val in sorted(vars(curve.inputs).items())]
+        with open(base + ".csv", "w") as f:  # the RHS at each step the verdict compared
+            dataio.write_csv(f, [("theorem_id", thm.id), ("metric", thm.metric), *inputs,
+                                 *([("notes", thm.notes)] if thm.notes else [])],
+                             ("t", "rhs"), zip(v.steps.tolist(), v.rhs.tolist()))
         with open(base + ".verdict.txt", "w") as f:
-            f.write(v.to_kv_text())
-            f.write(f"theorem_id = {theorem_id}\n")
-            for k, val in sorted(vars(curve.inputs).items()):
-                f.write(f"input.{k} = {val!r}\n")
+            f.write(dataio.kv_text([
+                ("holds", v.holds), ("margin", v.margin), ("slack_ratio", v.slack_ratio),
+                ("compared", v.compared), ("details", v.details), ("theorem_id", theorem_id),
+                *inputs]))
     return [v for _, v in checked.values()]
-
-
-def _write_curve_csv(stream, curve, verdict) -> None:
-    """The curve's inputs, then its RHS at each step the verdict compared."""
-    thm = curve.theorem
-    stream.write(f"# theorem_id = {thm.id}\n")
-    stream.write(f"# metric = {thm.metric}\n")
-    for k, val in sorted(vars(curve.inputs).items()):
-        stream.write(f"# input.{k} = {val!r}\n")
-    if thm.notes:
-        stream.write(f"# notes = {thm.notes}\n")
-    stream.write("t,rhs\n")
-    for t, rhs in zip(verdict.steps.tolist(), verdict.rhs.tolist()):
-        stream.write(f"{t},{rhs!r}\n")
 
 
 def cmd_solve_ref(args) -> int:
@@ -517,9 +502,8 @@ def cmd_solve_ref(args) -> int:
     ref = resolve_reference(p, cfg)
     _make_output_dir(os.path.dirname(out) or ".", "out_dir" if args.out is None else None)
     with open(out, "w") as f:
-        f.write(ref.to_kv_text())
-        f.write(f"L = {p.L!r}\nL_component = {p.L_component!r}\n"
-                f"mu = {p.mu!r}\nlambda = {p.lam!r}\n")
+        f.write(ref.to_kv_text() + dataio.kv_text([
+            ("L", p.L), ("L_component", p.L_component), ("mu", p.mu), ("lambda", p.lam)]))
     print(f"wrote {out} (f* = {ref.f_star!r}, ||grad|| = {ref.grad_norm:.3e})")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""LIBSVM dataset ingestion and assignment of samples to nodes.
+"""LIBSVM dataset ingestion, assignment of samples to nodes, and output formats.
 
 Parsing preserves file order exactly: heterogeneity in the experiments comes
 from partitioning by index, so no shuffling happens anywhere in this module.
@@ -515,3 +515,25 @@ def generate_synthetic(n: int, d: int, seed: int, *, label_noise: float = 0.0,
         labels = labels[order]
     feats *= labels[:, None]
     return Dataset(features=feats, labels=labels, name=f"synthetic-n{n}-d{d}-s{seed}")
+
+
+# ---------------------------------------------------------------------------
+# Output formats
+# ---------------------------------------------------------------------------
+
+def kv_text(pairs) -> str:
+    """One `key = value` line per (key, value) pair, in the order given.
+    Values are written with `str`, so a Python float is its shortest
+    round-trip repr and reads back to the same bits."""
+    return "".join(f"{k} = {v}\n" for k, v in pairs)
+
+
+def write_csv(stream: TextIO, header_pairs, columns, rows) -> None:
+    """A `# key = value` line per header pair, the column names, then one
+    comma-separated line per row, written one row at a time; values as in
+    `kv_text`."""
+    for k, v in header_pairs:
+        stream.write(f"# {k} = {v}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(map(str, row)) + "\n")

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, TextIO
 
 import numpy as np
 
-from .dataio import Dataset, Partition, Regime
+from .dataio import Dataset, Partition, Regime, kv_text, write_csv
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -311,15 +311,12 @@ class ReferenceSolution:
             raise ValueError("reference solution does not meet its tolerance")
 
     def to_kv_text(self) -> str:
-        lines = [
-            f"f_star = {self.f_star!r}",
-            f"grad_norm = {self.grad_norm!r}",
-            f"tolerance = {self.tolerance!r}",
-            f"iterations = {self.iterations}",
-            "method = newton",
-            "x_star = " + ",".join(repr(float(v)) for v in self.x_star),
-        ]
-        return "\n".join(lines) + "\n"
+        """`key = value` lines by `dataio.kv_text`, floats as their shortest repr."""
+        return kv_text([
+            ("f_star", self.f_star), ("grad_norm", self.grad_norm),
+            ("tolerance", self.tolerance), ("iterations", self.iterations),
+            ("method", "newton"), ("x_star", ",".join(map(str, self.x_star.tolist()))),
+        ])
 
 
 # Step halvings before the line search gives up: below 2^-50 of a Newton
@@ -405,21 +402,17 @@ class VarianceReport:
             raise ValueError("variance quantities must be nonnegative")
 
     def to_kv_text(self) -> str:
-        lines = [
-            f"sigma_sq = {self.sigma_sq!r}",
-            "sigma_sq_is_estimate = True",
-            f"sigma_opt_sq = {self.sigma_opt_sq!r}",
-            f"sigma_dif_sq = {self.sigma_dif_sq!r}",
-            f"batch_size = {self.batch_size}",
-            f"exhaustive = {self.exhaustive}",
-            f"regime = {self.regime.value}",
-        ]
-        return "\n".join(lines) + "\n"
+        """`key = value` lines by `dataio.kv_text`, floats as their shortest repr."""
+        return kv_text([
+            ("sigma_sq", self.sigma_sq), ("sigma_sq_is_estimate", True),
+            ("sigma_opt_sq", self.sigma_opt_sq), ("sigma_dif_sq", self.sigma_dif_sq),
+            ("batch_size", self.batch_size), ("exhaustive", self.exhaustive),
+            ("regime", self.regime.value),
+        ])
 
     def to_csv(self, stream: TextIO) -> None:
-        stream.write("node,sigma_m_sq\n")
-        for m, v in enumerate(self.per_node_sigma_sq):
-            stream.write(f"{m},{v!r}\n")
+        """A `node,sigma_m_sq` row per node by `dataio.write_csv`, as in `to_kv_text`."""
+        write_csv(stream, (), ("node", "sigma_m_sq"), enumerate(self.per_node_sigma_sq))
 
 
 def _per_sample_grad_sq(p: Problem, x: np.ndarray) -> np.ndarray:

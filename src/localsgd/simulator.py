@@ -16,7 +16,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataio import Regime
+from .dataio import Regime, write_csv
 from .numkit import RngStream, draw_indices
 from .objective import Problem, ReferenceSolution, _logistic_slope, loss_many
 
@@ -379,21 +379,6 @@ class _GradientEngine:
 # Traces
 # ---------------------------------------------------------------------------
 
-def _write_csv(stream: TextIO, metadata: dict, t: np.ndarray, synced: np.ndarray,
-               columns: dict[str, np.ndarray]) -> None:
-    """Metadata header, then one row per recorded step. `round` counts
-    completed synchronizations up to t, so curves can be read against either
-    the step axis or the communication-round axis."""
-    for k in sorted(metadata):
-        stream.write(f"# {k} = {metadata[k]}\n")
-    stream.write(",".join(["t", "round", "synced", *columns]) + "\n")
-    rows = zip(np.asarray(t, dtype=np.int64).tolist(), np.cumsum(synced).tolist(),
-               np.asarray(synced, dtype=np.int64).tolist(),
-               *(np.asarray(c, dtype=np.float64).tolist() for c in columns.values()))
-    for step, rnd, sync, *values in rows:
-        stream.write(f"{step},{rnd},{sync}," + ",".join(map(repr, values)) + "\n")
-
-
 # The per-step metrics of a run, each aggregated over its seeds; the rows
 # of _simulate's recording block, in this order.
 _METRICS = ("V", "dist_sq", "subopt", "grad_norm_sq")
@@ -423,20 +408,25 @@ class AggregateTrace:
         return int(self.synced.sum())  # every synchronization is a recorded row
 
     def to_csv(self, stream: TextIO) -> None:
+        """Sorted metadata, then a row per recorded step, by `dataio.write_csv`
+        (floats as their shortest round-trip repr). `round` counts completed
+        synchronizations up to t, so curves read on either axis."""
         bars = {"bar_subopt_tail": self.bar_subopt_tail, "bar_subopt_head": self.bar_subopt_head}
         if len(self.seeds) == 1:
             md = dict(self.metadata, seed=self.seeds[0],
-                      **{key: repr(mean) for key, (mean, _) in bars.items()})
+                      **{key: mean for key, (mean, _) in bars.items()})
             columns = {"V_t" if name == "V" else name: self.mean[name] for name in _METRICS}
         else:
             md = dict(self.metadata, seeds=",".join(str(s) for s in self.seeds),
                       n_seeds=len(self.seeds),
-                      **{f"{key}_{stat}": repr(value) for key, bar in bars.items()
+                      **{f"{key}_{stat}": value for key, bar in bars.items()
                          for stat, value in zip(("mean", "se"), bar)})
             columns = {f"{name}_{stat}": values[name] for name in _METRICS
                        for stat, values in (("mean", self.mean), ("se", self.se))}
-        _write_csv(stream, dict(md, comm_rounds=self.comm_rounds), self.t, self.synced,
-                   columns)
+        md["comm_rounds"] = self.comm_rounds
+        rows = zip(self.t.tolist(), np.cumsum(self.synced).tolist(),
+                   self.synced.astype(np.int64).tolist(), *(c.tolist() for c in columns.values()))
+        write_csv(stream, sorted(md.items()), ["t", "round", "synced", *columns], rows)
 
 
 def _mean_and_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,20 +458,20 @@ def _base_metadata(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
         "T": cfg.T,
         "H": cfg.schedule.H,
         "schedule": cfg.schedule.describe(),
-        "gamma": repr(float(cfg.gamma)),
+        "gamma": float(cfg.gamma),
         "batch": cfg.batch,
         "regime": p.part.regime.value,
         "gradient_mode": cfg.gradient_mode.value,
-        "noise_sigma": "" if cfg.noise_sigma is None else repr(float(cfg.noise_sigma)),
+        "noise_sigma": "" if cfg.noise_sigma is None else float(cfg.noise_sigma),
         "record_every": cfg.stride(),
-        "lambda": repr(float(p.lam)),
-        "mu": repr(float(p.mu)),
-        "L": repr(float(p.L)),
-        "L_component": repr(float(p.L_component)),
-        "f_star": repr(float(ref.f_star)),
-        "ref_grad_norm": repr(float(ref.grad_norm)),
+        "lambda": float(p.lam),
+        "mu": float(p.mu),
+        "L": float(p.L),
+        "L_component": float(p.L_component),
+        "f_star": float(ref.f_star),
+        "ref_grad_norm": float(ref.grad_norm),
         "x0": "zeros",
-        "r0_sq": repr(r0_sq(ref)),
+        "r0_sq": r0_sq(ref),
         "intercept": "none",
     }
 

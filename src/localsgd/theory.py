@@ -386,11 +386,6 @@ class Verdict:
     steps: np.ndarray | None = field(default=None, repr=False, compare=False)
     rhs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
-    def to_kv_text(self) -> str:
-        return (f"holds = {self.holds}\nmargin = {self.margin!r}\n"
-                f"slack_ratio = {self.slack_ratio!r}\ncompared = {self.compared}\n"
-                f"details = {self.details}\n")
-
 
 def _verdict(emp: np.ndarray, se: np.ndarray, rhs: np.ndarray,
              details: str, steps: np.ndarray | None = None) -> Verdict:

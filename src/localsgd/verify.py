@@ -217,10 +217,16 @@ def criterion_sc_identical_ubv(level: str) -> tuple:
                       gradient_mode=GradientMode.INJECTED_NOISE, noise_sigma=1.0)
             for H in (1, 4, 16)]
     sweep = Sweep(p, cfgs, ref, seeds)
-    checked = [_check("SC_IID_UBV", p, cfg, ref, None, sweep.result(cfg)) for cfg in cfgs]
-    slacks = [f"H={curve.inputs.H}:{v.slack_ratio:.3f} {_largest_term(curve)}"
-              for curve, v in checked]
-    ok = all(v.holds for _, v in checked)
+    ok, slacks = True, []
+    for cfg in cfgs:
+        # The max ratio is at t=0, where it is r0^2/RHS(0) for any run;
+        # the ratio at T is the one the run's dynamics set.
+        agg = sweep.result(cfg)
+        curve, v = _check("SC_IID_UBV", p, cfg, ref, None, agg)
+        at_T = agg.mean["dist_sq"][-1] / curve.rhs_at(T)
+        slacks.append(f"H={cfg.schedule.H}:{v.slack_ratio:.3f} ({at_T:.3f} at T) "
+                      f"{_largest_term(curve)}")
+        ok = ok and v.holds
     return ok, (f"mean dist_sq within RHS + 3SE at every recorded step "
                 f"(emp/bound {', '.join(slacks)})")
 

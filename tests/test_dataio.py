@@ -1,5 +1,7 @@
+import csv
 import gzip
 import io
+import math
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +25,8 @@ from localsgd.dataio import (
     sha256_of,
 )
 from localsgd.numkit import RngStream
-from localsgd.objective import build_problem
+from localsgd.objective import build_problem, solve_reference
+from localsgd.simulator import GradientMode, RunConfig, SyncSchedule, run_replicated
 
 from libsvm_text import reference_parse, to_libsvm, write_manifest_file
 from signed_data import signed_dataset
@@ -494,3 +497,58 @@ class TestSynthetic:
         assert Dataset(ds.features[:1], ds.labels[:1]).dim == 3
         with pytest.raises(ValueError, match="2-D"):
             Dataset(ds.features[0], ds.labels[:1])  # one row taken as a vector
+
+
+class TestOutputFormats:
+    # A value and the text both writers give it: floats as their shortest
+    # round-trip repr, everything else as `str` gives it.
+    VALUES = [(0.1 + 0.2, "0.30000000000000004"), (1e-300, "1e-300"), (-0.0, "-0.0"),
+              (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (7, "7"),
+              (True, "True"), (None, "None"), ("newton", "newton")]
+
+    def test_kv_text_writes_one_line_per_pair_in_order(self):
+        pairs = [(f"k{9 - i}", value) for i, (value, _) in enumerate(self.VALUES)]
+        assert dataio.kv_text(pairs) == "".join(
+            f"k{9 - i} = {text}\n" for i, (_, text) in enumerate(self.VALUES))
+        assert dataio.kv_text([]) == ""
+
+    def test_write_csv_writes_header_columns_and_rows(self):
+        buf = io.StringIO()
+        header = [("z", 0.1 + 0.2), ("a", None), ("m", "x,y")]
+        dataio.write_csv(buf, header, ("value", "twice"),
+                         ((value, value) for value, _ in self.VALUES))
+        assert buf.getvalue() == (
+            "# z = 0.30000000000000004\n# a = None\n# m = x,y\nvalue,twice\n"
+            + "".join(f"{text},{text}\n" for _, text in self.VALUES))
+
+    def test_an_empty_header_writes_no_comment_line(self):
+        buf = io.StringIO()
+        dataio.write_csv(buf, (), ("node", "sigma_m_sq"), [(0, 1.5), (1, -0.0)])
+        assert buf.getvalue() == "node,sigma_m_sq\n0,1.5\n1,-0.0\n"
+
+    def test_a_trace_reads_back_bit_for_bit(self):
+        ds = generate_synthetic(40, 5, seed=3)
+        p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS), lam=0.05)
+        ref = solve_reference(p, 1e-10)
+        cfg = RunConfig(M=2, schedule=SyncSchedule.uniform(3, 12), gamma=0.1,
+                        gradient_mode=GradientMode.STOCHASTIC, batch=2, record_every=1)
+        agg = run_replicated(p, cfg, ref, [0, 1, 2])
+        agg.mean["V"][1], agg.se["V"][2] = -0.0, 1e-300  # values a run may not give
+        buf = io.StringIO()
+        agg.to_csv(buf)
+        lines = buf.getvalue().splitlines()
+        header = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("#"))
+        for stat, value in zip(("mean", "se"), agg.bar_subopt_tail):
+            assert float(header[f"bar_subopt_tail_{stat}"]).hex() == value.hex()
+        assert float(header["r0_sq"]).hex() == float(np.sum(ref.x_star ** 2)).hex()
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+        columns = {name: [row[j] for row in rows[1:]] for j, name in enumerate(rows[0])}
+        assert columns["t"] == [str(t) for t in agg.t.tolist()]
+        for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
+            for stat, values in (("mean", agg.mean), ("se", agg.se)):
+                back = np.array(columns[f"{name}_{stat}"], dtype=np.float64)
+                nan = np.isnan(values[name])
+                assert np.array_equal(np.isnan(back), nan)
+                assert np.array_equal(back[~nan].view(np.uint64),
+                                      values[name][~nan].view(np.uint64))
+        assert np.signbit(np.float64(columns["V_mean"][1]))

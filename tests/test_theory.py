@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,6 +288,29 @@ class TestTerms:
                 L=p.L, gamma=1.0 / (4 * p.L), T=5000, H=H, M=4, r0_sq=r0_sq(ref),
                 mu=p.mu, sigma_sq=1.0))
             assert self.largest(curve)[0] == expected
+
+    def test_the_distance_criterion_prints_the_ratio_at_T(self, monkeypatch):
+        """sc-identical-distance-bound's max emp/bound ratio is at t=0, so
+        each H's ratio at T is printed beside it: mean dist_sq at T over the
+        RHS at T, below the max at H=4."""
+        check, runs = verify._check, []
+
+        def spy(theorem_id, p, cfg, ref, vr, agg):
+            curve, v = check(theorem_id, p, cfg, ref, vr, agg)
+            runs.append((curve, v, agg))
+            return curve, v
+
+        monkeypatch.setattr(verify, "_check", spy)
+        result = verify.criterion_sc_identical_ubv("fast")
+        printed = re.findall(r"H=(\d+):([\d.]+) \(([\d.]+) at T\)", result.details)
+        assert len(printed) == len(runs) == 3
+        for (H, largest, at_T), (curve, v, agg) in zip(printed, runs):
+            T = curve.inputs.T
+            assert int(H) == curve.inputs.H and int(agg.t[-1]) == T
+            assert largest == f"{v.slack_ratio:.3f}"
+            assert at_T == f"{agg.mean['dist_sq'][-1] / curve.rhs_at(T):.3f}"
+        H, largest, at_T = printed[1]
+        assert H == "4" and float(at_T) < float(largest)
 
 
 class TestPlanners:
