@@ -269,13 +269,13 @@ def resolve_problem(cfg: ExperimentConfig) -> Problem:
     return build_problem(ds, _partition(ds, cfg.M, cfg.regime, "M"), lam=cfg.lam)
 
 
-def resolve_gamma(spec: str, p: Problem, M: int, T: int, H: int) -> float:
+def resolve_gamma(spec: str, p: Problem, T: int, H: int) -> float:
     """Stepsize spec: absolute float, 'c/L' multiples of the estimated L, or
     a planner rule name; a planner that refuses, or a 'c/L' that overflows,
     is a ConfigError on gamma."""
     if spec in theory.GAMMA_RULES:
         try:
-            return theory.planned_gamma(spec, p, M=M, T=T, H=H)
+            return theory.planned_gamma(spec, p, T=T, H=H)
         except theory.PreconditionError as e:
             raise _invalid("gamma_spec", str(e)) from None
     if spec.endswith("/L"):
@@ -411,7 +411,7 @@ def cmd_run(args) -> int:
     for name in files:
         _check_output(os.path.join(cfg.out_dir, name), is_dir=False, name="out_dir")
     p = resolve_problem(cfg)
-    gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.M, cfg.T, s.H) for s in schedules]
+    gammas = [resolve_gamma(cfg.gamma_spec, p, cfg.T, s.H) for s in schedules]
     ref = resolve_reference(p, cfg)
     _make_output_dir(cfg.out_dir, "out_dir")
     var_report = measure_variances(p, ref, batch=cfg.batch)

@@ -420,9 +420,10 @@ class ManifestEntry:
 
 
 def parse_manifest(source: TextIO | str) -> dict[str, ManifestEntry]:
-    """Parse a manifest: one `name path sha256 n dim` entry per line."""
+    """Parse a manifest: one `name path sha256 n dim` entry per line, a name once."""
     stream = io.StringIO(source) if isinstance(source, str) else source
     entries: dict[str, ManifestEntry] = {}
+    first: dict[str, int] = {}  # the line of each name
     for lineno, line in enumerate(stream, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -431,6 +432,9 @@ def parse_manifest(source: TextIO | str) -> dict[str, ManifestEntry]:
         if len(parts) != 5:
             raise ManifestError(f"manifest line {lineno}: expected 5 fields, got {len(parts)}")
         name, path, sha, n_s, dim_s = parts
+        if first.setdefault(name, lineno) != lineno:
+            raise ManifestError(f"manifest line {lineno}: dataset {name!r} is listed again "
+                                f"(first on line {first[name]})")
         try:
             entries[name] = ManifestEntry(name, path, sha, int(n_s), int(dim_s))
         except ValueError:

@@ -501,20 +501,18 @@ _RECORD_BLOCK = 64
 
 class _Lane:
     """One config of a sweep, filled in by _simulate: the mean and SE over
-    the sweep's seeds of each of _METRICS at each of its own rows, the
-    iterate-average suboptimalities per seed, the trajectory when captured,
+    the sweep's seeds of each of _METRICS at each of its own rows and of
+    the two iterate-average suboptimalities, the trajectory when captured,
     or its DivergenceError.
 
     `rows`, `synced_at` and `subopt_at` are masks over the sweep's grid:
     the config's own recording grid (every stride-th step and every
     synchronization step, T among them), its synchronization steps and its
-    _subopt_steps. `pick` maps the sweep's seeds (sorted, repeats kept) to
-    the simulated ones: a slice when each was simulated once, else a list
-    of rows.
+    _subopt_steps.
     """
 
-    def __init__(self, cfg: RunConfig, grid: np.ndarray, pick, metadata: dict):
-        self.cfg, self.pick, self.metadata = cfg, pick, metadata
+    def __init__(self, cfg: RunConfig, grid: np.ndarray):
+        self.cfg = cfg
         self.synced_at = np.isin(grid, cfg.schedule.sync_steps)
         self.rows = self.synced_at | (grid % cfg.stride() == 0)
         self.t = grid[self.rows]
@@ -522,14 +520,15 @@ class _Lane:
         self.subopt_at = np.isin(grid, _subopt_steps(self.t, cfg.T))
         self.mean, self.se = np.empty((2, len(_METRICS), self.t.size))
         self.xhat = None
-        self.bar_subopt_tail = self.bar_subopt_head = None  # (S,) each, at the end
+        self.bar_subopt_tail = self.bar_subopt_head = None  # (mean, SE) each, at the end
         self.error: DivergenceError | None = None
 
-    def stats(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and SE over the sweep's seeds of seed-major values."""
-        # Seeds on the last axis of a column-major (rows, seeds) array: numpy
-        # sums a strided axis in another order than a contiguous one.
-        return _mean_and_se(values[self.pick].T)
+
+def _seed_stats(values: np.ndarray, pick: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and SE over a sweep's seeds, each seed's row of values at pick."""
+    # Seeds on the last axis of a column-major (rows, seeds) array: numpy
+    # sums a strided axis in another order than a contiguous one.
+    return _mean_and_se(values[pick].T)
 
 
 def _recording_lanes(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
@@ -544,7 +543,8 @@ def _recording_lanes(lanes: list[_Lane]) -> tuple[list[int], list[int]]:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported, not warned of
 def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.ndarray,
-              seeds: Sequence[int], *, minibatch: bool, capture_xhat: bool) -> None:
+              seeds: Sequence[int], pick: np.ndarray, *, minibatch: bool,
+              capture_xhat: bool) -> None:
     """Run every lane's config over the seeds, in lockstep, into its lane.
 
     The configs share T, M, gradient mode, batch and noise_sigma, so one
@@ -567,10 +567,11 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     computed for the range [lo, hi) of lanes outside which no lane records
     the row, and subopt for the lanes whose _subopt_steps hold it. When the
     block is full, and at the end, each lane aggregates all its columns over
-    its seeds and keeps its own rows, so the recorder's memory does not grow
-    with T. A lane's block is seed-major, (S, rows), and aggregated as the
-    column-major (rows, S) transpose; numpy reduces such an array one row at
-    a time in seed order whatever its row count, from 2 rows on.
+    the sweep's seeds, which pick maps to the simulated ones, and keeps its
+    own rows, so the recorder's memory does not grow with T. A lane's block
+    is seed-major, (S, rows), and aggregated as the column-major (rows, S)
+    transpose; numpy reduces such an array one row at a time in seed order
+    whatever its row count, from 2 rows on.
     """
     cfg = lanes[0].cfg
     K, S, M, d, T = len(lanes), len(seeds), cfg.M, p.dim, cfg.T
@@ -600,7 +601,7 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
             at = np.searchsorted(lane.t, grid[first])  # the lane's rows before `first`
             out = slice(at, at + own.size)
             for j, values in enumerate(block[:, k]):
-                mean, se = lane.stats(values)
+                mean, se = _seed_stats(values, pick)
                 lane.mean[j, out], lane.se[j, out] = mean[own], se[own]
 
     for t in range(T + 1):
@@ -655,22 +656,23 @@ def _simulate(p: Problem, ref: ReferenceSolution, lanes: list[_Lane], grid: np.n
     aggregate()
     for k, lane in live:
         lane.bar_subopt_tail, lane.bar_subopt_head = (
-            loss_many(p, s / T) - ref.f_star for s in (bar_sum[k] + xhat[k], bar_sum[k]))
+            tuple(map(float, _seed_stats(loss_many(p, s / T) - ref.f_star, pick)))
+            for s in (bar_sum[k] + xhat[k], bar_sum[k]))
         if xhat_rows is not None:
             lane.xhat = xhat_rows[k][:, lane.rows]
 
 
-# The fields every config of a sweep shares: they fix the steps, the draws
-# and the recording stride.
-_SHARED = ("T", "M", "gradient_mode", "batch", "noise_sigma", "record_every")
+# The fields every config of a sweep shares besides M, which validate fixes
+# to the problem's: they fix the steps, the draws and the recording stride.
+_SHARED = ("T", "gradient_mode", "batch", "noise_sigma", "record_every")
 
 
 class Sweep:
     """Runs of several RunConfigs over the same seeds, simulated together in
     lockstep when the first result is requested.
 
-    The configs share T, M, gradient mode, batch, noise_sigma and
-    record_every (each is checked, and every config validated, here);
+    The configs share the problem's M (every config is validated here), T,
+    gradient mode, batch, noise_sigma and record_every (each checked here);
     their schedules and stepsizes differ. They share the (seed, node)
     streams, drawn once for the sweep, and one recording grid, the sorted
     union of theirs: every stride-th step and each config's synchronization
@@ -705,33 +707,30 @@ class Sweep:
         if cfg not in self.cfgs:
             raise ValueError("the config is not one of the sweep's")
         if self._lanes is None:
-            # Each distinct seed is simulated once. A run is a pure function
-            # of its seed, and exact-gradient runs do not touch the streams
-            # at all, so under FULL one run stands for every seed.
+            # Each distinct seed, a Python int exact to 2^64 - 1, is simulated
+            # once: a run is a pure function of its seed. Exact-gradient runs
+            # do not touch the streams, so under FULL one run stands for all.
             sim = sorted(set(self.seeds))
             if cfg.gradient_mode == GradientMode.FULL:
                 sim = sim[:1]
             position = {s: i for i, s in enumerate(sim)}
-            rows = [position.get(s, 0) for s in self.seeds]
-            pick = slice(None) if rows == list(range(len(sim))) else rows
+            self._pick = np.array([position.get(s, 0) for s in self.seeds])
             grid = np.union1d(np.arange(0, cfg.T + 1, cfg.stride()),
                               np.concatenate([c.schedule.sync_steps for c in self.cfgs]))
-            engine = "minibatch" if self.minibatch else "local"
-            lanes = [_Lane(c, grid, pick, _base_metadata(self.p, c, self.ref, engine))
-                     for c in self.cfgs]
-            _simulate(self.p, self.ref, lanes, grid, sim, minibatch=self.minibatch,
-                      capture_xhat=self.capture_xhat)
+            lanes = [_Lane(c, grid) for c in self.cfgs]
+            _simulate(self.p, self.ref, lanes, grid, sim, self._pick,
+                      minibatch=self.minibatch, capture_xhat=self.capture_xhat)
             self._lanes = lanes
         lane = self._lanes[self.cfgs.index(cfg)]
         if lane.error is not None:
             raise lane.error
         mean, se = dict(zip(_METRICS, lane.mean)), dict(zip(_METRICS, lane.se))
-        tail, head = lane.stats(lane.bar_subopt_tail), lane.stats(lane.bar_subopt_head)
+        engine = "minibatch" if self.minibatch else "local"
         return AggregateTrace(
             t=lane.t, synced=lane.synced, mean=mean, se=se,
-            bar_subopt_tail=tuple(map(float, tail)), bar_subopt_head=tuple(map(float, head)),
-            seeds=tuple(self.seeds), metadata=dict(lane.metadata),
-            xhat=None if lane.xhat is None else lane.xhat[lane.pick],
+            bar_subopt_tail=lane.bar_subopt_tail, bar_subopt_head=lane.bar_subopt_head,
+            seeds=tuple(self.seeds), metadata=_base_metadata(self.p, cfg, self.ref, engine),
+            xhat=None if lane.xhat is None else lane.xhat[self._pick],
         )
 
 

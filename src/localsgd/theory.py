@@ -364,11 +364,11 @@ def plan_gamma(rule: str, L: float, mu: float | None = None,
     return PlannedGamma(gamma, thm.limit.text, suggested_T)
 
 
-def planned_gamma(rule: str, p, M: int, T: int, H: int) -> float:
-    """plan_gamma for a run on Problem p with t_param = H, using the
-    smoothness constant the rule's statement is stated for."""
+def planned_gamma(rule: str, p, T: int, H: int) -> float:
+    """plan_gamma for a run on Problem p, on its p.M nodes, with t_param =
+    H, using the smoothness constant the rule's statement is stated for."""
     L = _lookup(_BY_RULE, rule, "plan_gamma rule").smoothness(p)
-    return plan_gamma(rule, L=L, mu=p.mu, M=M, T=T, H=H, t_param=float(H)).gamma
+    return plan_gamma(rule, L=L, mu=p.mu, M=p.M, T=T, H=H, t_param=float(H)).gamma
 
 
 # ---------------------------------------------------------------------------

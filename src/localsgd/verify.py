@@ -51,9 +51,13 @@ def _seeds(level: str) -> list[int]:
     return list(range(200 if level == "full" else 50))
 
 
+# Every criterion, in the order of definition: _criterion adds each.
+CRITERIA: list[Callable[[str], CriterionResult]] = []
+
+
 def _criterion(name: str):
     """Make fn(level) -> (ok or status, details) a criterion whose result is
-    named `name` and timed in CPU seconds of this process."""
+    named `name` and timed in CPU seconds of this process; add it to CRITERIA."""
     def decorate(fn):
         @functools.wraps(fn)
         def timed(level: str = "full") -> CriterionResult:
@@ -61,6 +65,7 @@ def _criterion(name: str):
             outcome, details = fn(level)
             status = outcome if isinstance(outcome, str) else (PASS if outcome else FAIL)
             return CriterionResult(name, status, details, time.process_time() - t0)
+        CRITERIA.append(timed)
         return timed
     return decorate
 
@@ -245,13 +250,13 @@ def criterion_finite_sum_identical(level: str) -> tuple:
 
     H5, T5 = 4, 400
     cfg5 = RunConfig(M=4, schedule=SyncSchedule.uniform(H5, T5),
-                     gamma=theory.planned_gamma("sc-identical-fs", p, M=4, T=T5, H=H5),
+                     gamma=theory.planned_gamma("sc-identical-fs", p, T=T5, H=H5),
                      gradient_mode=GradientMode.STOCHASTIC, record_every=1)
     curve5, v5 = _check("SC_IID_FS", p, cfg5, ref, vr, run_replicated(p, cfg5, ref, seeds))
 
     H6, T6 = 5, 400
     cfg6 = RunConfig(M=4, schedule=SyncSchedule.uniform(H6, T6),
-                     gamma=theory.planned_gamma("wc-identical-fs", p, M=4, T=T6, H=H6),
+                     gamma=theory.planned_gamma("wc-identical-fs", p, T=T6, H=H6),
                      gradient_mode=GradientMode.STOCHASTIC)
     curve6, v6 = _check("WC_IID_FS", p, cfg6, ref, vr, run_replicated(p, cfg6, ref, seeds))
 
@@ -277,7 +282,7 @@ def criterion_heterogeneous_bound(level: str) -> tuple:
     T = 256
     H = theory.plan_H("wc-heterogeneous", T, 4)
     cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, T),
-                    gamma=theory.planned_gamma("wc-heterogeneous", p, M=4, T=T, H=H),
+                    gamma=theory.planned_gamma("wc-heterogeneous", p, T=T, H=H),
                     gradient_mode=GradientMode.STOCHASTIC)
     curve, v = _check("WC_HET_FS", p, cfg, ref, vr, run_replicated(p, cfg, ref, seeds))
 
@@ -470,21 +475,6 @@ def criterion_communication_tradeoff(level: str) -> tuple:
     mono = reached and all(a >= b for a, b in zip(seq, seq[1:]))
     return reached and mono, (f"rounds to 10x the H=16 level over H=(1,2,4,8,16): {seq} "
                               f"(nonincreasing: {mono})")
-
-
-CRITERIA: list[Callable[[str], CriterionResult]] = [
-    criterion_gradient_correctness,
-    criterion_engine_equivalence,
-    criterion_sync_invariant,
-    criterion_vt_lemma,
-    criterion_sc_identical_ubv,
-    criterion_finite_sum_identical,
-    criterion_heterogeneous_bound,
-    criterion_variance_identities,
-    criterion_planners,
-    criterion_real_data_protocol,
-    criterion_communication_tradeoff,
-]
 
 
 def run_all(level: str = "full") -> list[CriterionResult]:

@@ -1,6 +1,7 @@
 import errno
 import gzip
 import io
+import json
 import math
 import os
 import string
@@ -9,7 +10,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,27 @@ dir = {tmp_path / 'out'}
         assert summary[1].endswith(",holds") and summary[2].endswith(",")
         assert not list((tmp_path / "out").glob("bound_*_H16.*"))
 
+    def test_a_violated_bound_exits_1_and_is_reported_everywhere(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # check_run calls check_bound through the module, so every verdict
+        # of the run reads violated.
+        from localsgd import theory
+        real = theory.check_bound
+        monkeypatch.setattr(theory, "check_bound",
+                            lambda curve, agg: replace(real(curve, agg), holds=False))
+        out = tmp_path / "out"
+        assert run_cli(["run", "--T", "200", "--H", "1,5", "--seeds", "0:3",
+                        "--gamma", "wc-identical-fs", "--out-dir", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [l.split(":")[0] for l in lines] == ["H=1", "H=5"]
+        assert all(l.endswith(" bounds=VIOLATED") for l in lines)
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in summary] == ["bounds", "violated", "violated"]
+        for thm in ("SC_IID_FS", "WC_IID_FS"):
+            for H in (1, 5):
+                verdict = (out / f"bound_{thm}_H{H}.verdict.txt").read_text()
+                assert verdict.startswith("holds = False\n")
+
     def test_reference_solve_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(objective, "_MAX_NEWTON_STEPS", 3)
         assert run_cli(["run", "--config", self._config(tmp_path)]) == 2
@@ -326,6 +348,7 @@ dir = {tmp_path / 'out'}
         (["--seeds=-3:-1"], {}),
         (["--noise-sigma", "nan"], {}),
         (["--seeds=1:2:3"], {}),
+        (["--schedule", "weekly"], {}),
     ])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, flags, keys):
         keys = {"lambda": "1/n", "seeds": "0:2", **keys}
@@ -456,6 +479,7 @@ dir = {tmp_path / 'out'}
     @pytest.mark.parametrize("text, name", [
         ("[run]\ngrdient_mode = full\n", "[run] grdient_mode: unknown key"),
         ("[sovler]\ntol = 1e-8\n", "[sovler]: unknown section"),
+        ("[DEFAULT]\nT = 8\n", "[DEFAULT]: unknown section"),
     ])
     def test_unknown_ini_name_exits_2(self, tmp_path, capsys, text, name):
         cfg = tmp_path / "bad.ini"
@@ -1051,6 +1075,24 @@ dir = {tmp_path / 'out'}
         assert run_cli(["run", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "run_H4.csv").exists()
 
+    @pytest.mark.parametrize("manifest, message", [
+        ("tiny tiny.txt beef 40 3\n", "dataset 'b9b' not in manifest {}"),
+        ("b9b b9b.txt beef ten 3\n", "manifest line 1: n and dim must be integers"),
+        ("b9b b9b-old.txt beef 40 3\nb9b b9b.txt beef 40 3\n",
+         "manifest line 2: dataset 'b9b' is listed again (first on line 1)"),
+    ], ids=["not-listed", "n-not-integer", "listed-twice"])
+    @pytest.mark.parametrize("command", ["run", "variances", "solve-ref"])
+    def test_manifest_refusal_exits_3_with_one_line(self, tmp_path, capsys, manifest,
+                                                    message, command):
+        path = tmp_path / "manifest.txt"
+        path.write_text(manifest)
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[data]\nsource = b9b\ndir = {tmp_path}\n"
+                       f"[output]\ndir = {tmp_path / 'out'}\n")
+        assert run_cli([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: {message.format(path)}"]
+
     def test_data_dir_env_var(self, tmp_path, monkeypatch):
         ds = generate_synthetic(40, 4, seed=10)
         data_dir = tmp_path / "elsewhere"
@@ -1069,6 +1111,34 @@ class TestVerifyRegistry:
     def test_eleven_criteria_registered(self):
         from localsgd import verify
         assert len(verify.CRITERIA) == 11
+
+    def test_criteria_register_in_definition_order(self):
+        names = [fn.__name__ for fn in verify.CRITERIA]
+        defined = [name for name in vars(verify) if name.startswith("criterion_")]
+        assert names == defined and len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("with_failure", [True, False], ids=["fail", "no-fail"])
+    def test_verify_out_writes_the_results_and_exits_by_them(self, tmp_path, capsys,
+                                                             monkeypatch, with_failure):
+        results = [("a", verify.PASS, "fine", 0.1234), ("b", verify.FAIL, "broke", 1.0),
+                   ("c", verify.SKIP, "absent", 0.0)]
+        if not with_failure:
+            del results[1]
+        monkeypatch.setattr(verify, "CRITERIA", [
+            lambda level, r=r: verify.CriterionResult(*r) for r in results])
+        out = tmp_path / "sub" / "verify.json"
+        code = run_cli(["verify", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        expected = {"a": "[PASS] a (0.1s): fine", "b": "[FAIL] b (1.0s): broke",
+                    "c": "[SKIP] c (0.0s): absent"}
+        assert lines[:-2] == [expected[name] for name, *_ in results]
+        assert lines[-2] == f"wrote {out}"
+        assert lines[-1] == f"1 passed, {int(with_failure)} failed, 1 skipped"
+        assert code == (1 if with_failure else 0)
+        rounded = {0.1234: 0.123, 1.0: 1.0, 0.0: 0.0}
+        assert json.loads(out.read_text()) == [
+            {"name": name, "status": status, "details": details, "seconds": rounded[sec]}
+            for name, status, details, sec in results]
 
     def test_result_line_format(self):
         from localsgd.verify import CriterionResult

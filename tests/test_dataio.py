@@ -2,6 +2,7 @@ import csv
 import gzip
 import io
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -456,6 +457,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 1"):
             parse_manifest("only three fields\n")
 
+    def test_comment_and_blank_lines_are_skipped(self):
+        entries = parse_manifest("# name path sha256 n dim\n\n   \ntoy toy.txt beef 4 2  # ok\n")
+        assert list(entries) == ["toy"] and entries["toy"].n == 4
+
+    def test_a_name_listed_twice_is_refused(self):
+        with pytest.raises(ManifestError, match=r"^manifest line 3: dataset 'a9a' is listed "
+                                                r"again \(first on line 1\)$"):
+            parse_manifest("a9a a9a-old aaaa 10 3\n# the new one\na9a a9a-new bbbb 12 3\n")
+
 
 class TestSynthetic:
     def test_deterministic(self):
@@ -552,3 +562,23 @@ class TestOutputFormats:
                 assert np.array_equal(back[~nan].view(np.uint64),
                                       values[name][~nan].view(np.uint64))
         assert np.signbit(np.float64(columns["V_mean"][1]))
+
+
+# Refusals of the library: each row is a call and the message of the
+# ValueError it must raise.
+_REFUSALS = [
+    pytest.param(lambda: Dataset(np.ones((3, 2)), np.ones(2)),
+                 "features and labels disagree on sample count", id="row-label-count"),
+    pytest.param(lambda: Dataset(np.ones((2, 2)), np.array([1.0, 0.0])),
+                 "labels must be exactly -1 or +1", id="label-0"),
+    pytest.param(lambda: generate_synthetic(0, 3, seed=1), "n and d must be positive",
+                 id="synthetic-n-0"),
+    pytest.param(lambda: generate_synthetic(5, -1, seed=1), "n and d must be positive",
+                 id="synthetic-d-negative"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS)
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -888,3 +889,28 @@ class TestLibsvmIntegration:
         p = build_problem(ds, partition(ds, 2, Regime.HETEROGENEOUS))
         ref = solve_reference(p, 1e-9)
         assert ref.grad_norm <= 1e-9
+
+
+# Refusals of the library: each row is a call, given a small problem and its
+# reference, and the message of the ValueError it must raise.
+_REFUSALS = [
+    pytest.param(lambda p, ref: build_problem(p.dataset, p.part, lam=-0.1),
+                 "lam must be >= 0", id="negative-lambda"),
+    pytest.param(lambda p, ref: replace(ref, grad_norm=2 * ref.tolerance),
+                 "reference solution does not meet its tolerance", id="reference-above-tol"),
+    pytest.param(lambda p, ref: solve_reference(p, 0.0), "tol must be positive", id="tol-0"),
+    pytest.param(lambda p, ref: replace(measure_variances(p, ref), sigma_dif_sq=-1e-300),
+                 "variance quantities must be nonnegative", id="negative-variance"),
+    pytest.param(lambda p, ref: replace(measure_variances(p, ref), per_node_sigma_sq=(1.0, -1.0)),
+                 "variance quantities must be nonnegative", id="negative-node-variance"),
+    pytest.param(lambda p, ref: measure_variances(p, ref, batch=0), "batch must be >= 1",
+                 id="variance-batch-0"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS)
+def test_refusal_names_its_cause(call, message):
+    p = small_problem()
+    ref = solve_reference(p, 1e-10)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(p, ref)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -951,3 +952,41 @@ class TestSweep:
             tracemalloc.stop()
         per_row = 3 * 2 * 8 * (T + 1)  # the mean and SE of three metrics
         assert peak <= simulator._REFILL_BYTES + 3 * per_row + (1 << 20)
+
+    def test_seeds_near_2_64_map_to_their_own_runs(self, setup_uneven):
+        # The sweep's seed map is built from the Python ints: numpy would
+        # hold seeds past 2^63 as uint64 or float, and float merges them.
+        p, ref = setup_uneven
+        [cfg] = sweep_cfgs(p, GradientMode.STOCHASTIC, T=40, Hs=(4,))
+        top = [2**64 - 1, 2**64 - 2, 2**64 - 1]
+        agg = simulator.Sweep(p, [cfg], ref, top, capture_xhat=True).result(cfg)
+        assert agg.seeds == (2**64 - 2, 2**64 - 1, 2**64 - 1)
+        for seed, xhat in zip(agg.seeds, agg.xhat):
+            alone = run_local_sgd(p, cfg, ref, seed=seed, capture_xhat=True)
+            assert np.array_equal(xhat, alone.xhat[0])
+        assert not np.array_equal(agg.xhat[0], agg.xhat[1])
+
+
+# Refusals of the library: each row is a call on the `setup` problem and
+# reference, and the message of the ValueError it must raise.
+_REFUSALS = [
+    pytest.param(lambda p, ref: SyncSchedule.uniform(0, 8), "H and T must be >= 1",
+                 id="uniform-H-0"),
+    pytest.param(lambda p, ref: SyncSchedule.uniform(4, 0), "H and T must be >= 1",
+                 id="uniform-T-0"),
+    pytest.param(lambda p, ref: make_cfg(p, batch=0).validate(p), "batch must be >= 1",
+                 id="batch-0"),
+    pytest.param(lambda p, ref: make_cfg(p, record_every=0).validate(p),
+                 "record_every must be >= 1", id="record-every-0"),
+    pytest.param(lambda p, ref: simulator.Sweep(p, [], ref, [0]),
+                 "a sweep needs at least one config", id="sweep-without-config"),
+    pytest.param(lambda p, ref: simulator.Sweep(p, [make_cfg(p)], ref, []),
+                 "a sweep needs at least one seed", id="sweep-without-seed"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS)
+def test_refusal_names_its_cause(setup, call, message):
+    p, ref = setup
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(p, ref)

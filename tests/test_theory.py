@@ -271,7 +271,7 @@ class TestTerms:
         ref = solve_reference(p, 1e-12)
         vr = measure_variances(p, ref, batch=1)
         H = plan_H("wc-heterogeneous", 256, 4)
-        gamma = planned_gamma("wc-heterogeneous", p, M=4, T=256, H=H)
+        gamma = planned_gamma("wc-heterogeneous", p, T=256, H=H)
         curve = bound("WC_HET_FS", BoundInputs(
             L=p.L_component, gamma=gamma, T=256, H=H, M=4, r0_sq=r0_sq(ref),
             sigma_dif_sq=vr.sigma_dif_sq))
@@ -621,3 +621,36 @@ class TestCheckRun:
         checked, _ = check_run(p, cfg, ref, vr, agg)
         for theorem_id, (curve, v) in checked.items():
             assert verify._check(theorem_id, p, cfg, ref, vr, agg) == (curve, v)
+
+
+
+def _sync_only_distance_curve():
+    return bound("SC_IID_FS", inputs(T=4, H=2, gamma=1.0 / (0.1 + 8 * 1.0)))
+
+
+# Refusals of the library: each row is a call, the error it must raise and
+# its message.
+_REFUSALS = [
+    pytest.param(lambda: inputs(sigma_sq=float("nan")).require("sigma_sq"), PreconditionError,
+                 "bound needs a finite value for sigma_sq", id="non-finite-input"),
+    pytest.param(lambda: inputs(mu=None).require("mu"), PreconditionError,
+                 "bound needs a finite value for mu", id="missing-input"),
+    pytest.param(lambda: inputs(L=-1.0).require(), PreconditionError,
+                 "L must be finite and nonnegative", id="negative-L"),
+    pytest.param(lambda: inputs(r0_sq=-1.0).require(), PreconditionError,
+                 "r0_sq must be finite and nonnegative", id="negative-r0"),
+    *(pytest.param(lambda name=name: inputs(**{name: 0}).require(), PreconditionError,
+                   "T, H and M must be >= 1", id=f"{name}-0") for name in ("T", "H", "M")),
+    pytest.param(lambda: plan_gamma("wc-heterogeneous", L=0.0, M=2, T=100, H=4),
+                 PreconditionError, "L must be positive", id="plan-L-0"),
+    pytest.param(lambda: check_bound(_sync_only_distance_curve(),
+                                     fake_agg(range(5), [False] * 5, [0.5] * 5, [0.0] * 5)),
+                 ValueError, "no comparable steps recorded", id="no-step-to-compare"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _REFUSALS)
+def test_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as e:
+        call()
+    assert type(e.value) is error
