@@ -736,31 +736,17 @@ class Sweep:
 
 def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
                   capture_xhat: bool = False) -> AggregateTrace:
-    """One Local SGD run over `seed`: every node steps on its own stream; at
-    each scheduled timestamp all nodes are replaced by their average."""
+    """One Local SGD run of cfg over `seed`, a one-config sweep. Nothing in
+    the package calls it; it stays while the benchmark's probe
+    (bench/tracing.py, bench/worker.py) wraps and replaces it on `cli` by
+    name."""
     return Sweep(p, [cfg], ref, [seed], capture_xhat=capture_xhat).result(cfg)
 
 
-def run_minibatch_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
-                      capture_xhat: bool = False) -> AggregateTrace:
-    """Minibatch SGD baseline over `seed`: a single iterate stepped by the
-    average of the M per-node stochastic gradients, from the same streams."""
-    return Sweep(p, [cfg], ref, [seed], minibatch=True,
-                 capture_xhat=capture_xhat).result(cfg)
-
-
 def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
-                   seeds: Sequence[int], *, sweep: Sweep | None = None) -> AggregateTrace:
-    """Local SGD runs of cfg over independent seeds, one or more, aggregated
-    in sorted order so the result does not depend on how the list was
-    arranged.
-
-    `sweep=` is the per-H request of `localsgd run`, which the benchmark's
-    probe (bench/tracing.py) wraps to count runs: the result is taken from
-    a sweep holding cfg over these same seeds.
-    """
-    if sweep is None:
-        sweep = Sweep(p, [cfg], ref, seeds)
-    elif sorted(int(s) for s in seeds) != sweep.seeds:
-        raise ValueError(f"the sweep runs seeds {sweep.seeds}, not {list(seeds)}")
+                   seeds: Sequence[int], *, sweep: Sweep) -> AggregateTrace:
+    """`localsgd run`'s request for one H: cfg's result from the sweep that
+    holds every H over `seeds`. The benchmark's probe (bench/tracing.py)
+    wraps `cli.run_replicated` to count runs, reading the positional
+    (p, cfg, ref, seeds)."""
     return sweep.result(cfg)

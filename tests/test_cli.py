@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localsgd import cli, objective, verify
+from localsgd import cli, objective, theory, verify
 from localsgd.dataio import generate_synthetic, sha256_of
 
 from libsvm_text import to_libsvm
@@ -1139,6 +1139,27 @@ class TestVerifyRegistry:
         assert json.loads(out.read_text()) == [
             {"name": name, "status": status, "details": details, "seconds": rounded[sec]}
             for name, status, details, sec in results]
+
+    def test_a_guarantee_not_checked_fails_its_criterion_and_verify_goes_on(
+            self, capsys, monkeypatch):
+        # A row that check_run cannot check is a FAIL naming the row and the
+        # reason, not a config error that ends verify before its first line.
+        real = theory.bound
+
+        def refuse_het(theorem_id, b):
+            if theorem_id == "WC_HET_FS":
+                raise theory.PreconditionError("stub: hypothesis fails")
+            return real(theorem_id, b)
+
+        monkeypatch.setattr(theory, "bound", refuse_het)
+        monkeypatch.setattr(verify, "CRITERIA", [verify.criterion_heterogeneous_bound,
+                                                 verify.criterion_planners])
+        code = run_cli(["verify", "--level", "fast"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] heterogeneous-bound")
+        assert "H=2 WC_HET_FS not checked: stub: hypothesis fails" in lines[0]
+        assert lines[1].startswith("[PASS] planner-arithmetic")
+        assert lines[2:] == ["1 passed, 1 failed, 0 skipped"] and code == 1
 
     def test_result_line_format(self):
         from localsgd.verify import CriterionResult

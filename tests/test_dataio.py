@@ -27,9 +27,10 @@ from localsgd.dataio import (
 )
 from localsgd.numkit import RngStream
 from localsgd.objective import build_problem, solve_reference
-from localsgd.simulator import GradientMode, RunConfig, SyncSchedule, run_replicated
+from localsgd.simulator import GradientMode, RunConfig, SyncSchedule
 
 from libsvm_text import reference_parse, to_libsvm, write_manifest_file
+from one_config import run_alone
 from signed_data import signed_dataset
 
 
@@ -542,7 +543,7 @@ class TestOutputFormats:
         ref = solve_reference(p, 1e-10)
         cfg = RunConfig(M=2, schedule=SyncSchedule.uniform(3, 12), gamma=0.1,
                         gradient_mode=GradientMode.STOCHASTIC, batch=2, record_every=1)
-        agg = run_replicated(p, cfg, ref, [0, 1, 2])
+        agg = run_alone(p, cfg, ref, [0, 1, 2])
         agg.mean["V"][1], agg.se["V"][2] = -0.0, 1e-300  # values a run may not give
         buf = io.StringIO()
         agg.to_csv(buf)

@@ -31,9 +31,9 @@ from localsgd.simulator import (
     RunConfig,
     SyncSchedule,
     _GradientEngine,
-    run_local_sgd,
 )
 from libsvm_text import write_manifest_file
+from one_config import run_alone
 from signed_data import signed_dataset, unsigned_rows
 
 
@@ -569,7 +569,7 @@ class TestStochasticGrad:
         ref = solve_reference(p, 1e-10)
         cfg = RunConfig(M=3, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
                         gradient_mode=GradientMode.STOCHASTIC, batch=3, record_every=1)
-        dense, csr = (run_local_sgd(q, cfg, ref, seed=5, capture_xhat=True).xhat
+        dense, csr = (run_alone(q, cfg, ref, 5, capture_xhat=True).xhat
                       for q in storages(p))
         assert np.array_equal(dense, csr)
 

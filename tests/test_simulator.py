@@ -19,10 +19,8 @@ from localsgd.simulator import (
     SyncSchedule,
     _mean_nodes,
     _vt_batch,
-    run_local_sgd,
-    run_minibatch_sgd,
-    run_replicated,
 )
+from one_config import run_alone
 from signed_data import unsigned_rows
 
 
@@ -224,7 +222,7 @@ class TestLocalSgdBasics:
         # everywhere, and the trajectory is plain GD on f.
         p, ref = setup
         cfg = make_cfg(p, T=32, H=8, mode=GradientMode.FULL, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tr = run_alone(p, cfg, ref, 0, capture_xhat=True)
         assert np.all(tr.mean["V"] == 0.0)
         x = np.zeros(p.dim)
         for i, t in enumerate(tr.t):
@@ -236,8 +234,8 @@ class TestLocalSgdBasics:
     def test_h1_equals_minibatch(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=80, H=1, record_every=1)
-        a = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
-        b = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        a = run_alone(p, cfg, ref, 0, capture_xhat=True)
+        b = run_alone(p, cfg, ref, 0, minibatch=True, capture_xhat=True)
         rel = (np.linalg.norm(a.xhat[0] - b.xhat[0], axis=1)
                / np.maximum(np.linalg.norm(b.xhat[0], axis=1), 1e-300))
         assert np.max(rel) <= 1e-12
@@ -248,21 +246,21 @@ class TestLocalSgdBasics:
         ref1 = solve_reference(p1, 1e-11)
         cfg_a = make_cfg(p1, T=50, H=5, M=1, record_every=1)
         cfg_b = make_cfg(p1, T=50, H=50, M=1, record_every=1)
-        a = run_local_sgd(p1, cfg_a, ref1, seed=0, capture_xhat=True)
-        b = run_local_sgd(p1, cfg_b, ref1, seed=0, capture_xhat=True)
+        a = run_alone(p1, cfg_a, ref1, 0, capture_xhat=True)
+        b = run_alone(p1, cfg_b, ref1, 0, capture_xhat=True)
         assert np.array_equal(a.xhat, b.xhat)
 
     def test_gamma_zero_freezes_minibatch(self, setup):
         p, ref = setup
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(1, 20), gamma=0.0,
                         gradient_mode=GradientMode.STOCHASTIC, record_every=1)
-        tr = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tr = run_alone(p, cfg, ref, 0, minibatch=True, capture_xhat=True)
         assert np.all(tr.xhat == 0.0)
 
     def test_minibatch_full_is_exact_gd(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=16, H=1, mode=GradientMode.FULL, record_every=1)
-        tr = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tr = run_alone(p, cfg, ref, 0, minibatch=True, capture_xhat=True)
         x = np.zeros(p.dim)
         for i in range(tr.t.size):
             assert np.allclose(tr.xhat[0, i], x, rtol=1e-12, atol=1e-300)
@@ -271,21 +269,21 @@ class TestLocalSgdBasics:
     def test_config_validation(self, setup):
         p, ref = setup
         with pytest.raises(ValueError, match="partition"):
-            run_local_sgd(p, make_cfg(p, M=3), ref, seed=0)
+            run_alone(p, make_cfg(p, M=3), ref, 0)
         with pytest.raises(ValueError, match="noise_sigma"):
-            run_local_sgd(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref, seed=0)
+            run_alone(p, make_cfg(p, mode=GradientMode.INJECTED_NOISE), ref, 0)
         for sigma in (float("nan"), float("inf")):
             for mode in (GradientMode.INJECTED_NOISE, GradientMode.STOCHASTIC):
                 with pytest.raises(ValueError, match=f"noise_sigma must be finite and "
                                                      f"positive, got {sigma!r}"):
-                    run_local_sgd(p, make_cfg(p, mode=mode, noise_sigma=sigma), ref, seed=0)
+                    run_alone(p, make_cfg(p, mode=mode, noise_sigma=sigma), ref, 0)
 
 
 class TestInvariants:
     def test_vt_zero_at_syncs_and_start(self, setup_het):
         p, ref = setup_het
         cfg = make_cfg(p, T=60, H=7, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, seed=0)
+        tr = run_alone(p, cfg, ref, 0)
         V = tr.mean["V"]
         assert V[0] == 0.0
         assert np.all(V[tr.synced] == 0.0)
@@ -296,7 +294,7 @@ class TestInvariants:
         # 151 rows: subopt at t <= 64 and at 64 log-spaced steps up to T.
         p, ref = setup_het
         cfg = make_cfg(p, T=150, H=4, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tr = run_alone(p, cfg, ref, 0, capture_xhat=True)
         assert tr.t.tolist() == list(range(151))
         grid = set(simulator._subopt_steps(np.arange(151), 150).tolist())
         assert set(range(65)) | {150} <= grid and len(grid) == 129
@@ -340,7 +338,7 @@ class TestInvariants:
 
         monkeypatch.setattr(simulator, "loss_many", counting_loss_many)
         cfg = make_cfg(p, T=2000, H=4, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=[0, 1, 2])
+        agg = run_alone(p, cfg, ref, [0, 1, 2])
         assert agg.t.size == 2001 and max(widths) <= 3 and len(widths) <= 129 + 2
         assert np.sum(~np.isnan(agg.mean["subopt"])) == len(widths) - 2
 
@@ -350,7 +348,7 @@ class TestInvariants:
         p, ref = setup_het
         gamma = 1.0 / (4 * p.L)
         cfg = make_cfg(p, T=40, H=5, gamma=gamma, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tr = run_alone(p, cfg, ref, 0, capture_xhat=True)
         # replay the per-node dynamics with the same streams
         from localsgd.numkit import draw_indices
         from scipy.special import expit
@@ -385,7 +383,7 @@ class TestInvariants:
         for s in (s1, s2):
             cfg = RunConfig(M=4, schedule=s, gamma=1.0 / (4 * p.L),
                             gradient_mode=GradientMode.STOCHASTIC, record_every=1)
-            out.append(run_local_sgd(p, cfg, ref, seed=5))
+            out.append(run_alone(p, cfg, ref, 5))
         a, b = out
         for field in ("V", "dist_sq", "subopt", "grad_norm_sq"):
             assert np.array_equal(a.mean[field], b.mean[field], equal_nan=True)
@@ -394,7 +392,7 @@ class TestInvariants:
         p, ref = setup
         for T, H in ((100, 10), (100, 7), (64, 64), (5, 1)):
             cfg = make_cfg(p, T=T, H=H)
-            tr = run_local_sgd(p, cfg, ref, seed=0)
+            tr = run_alone(p, cfg, ref, 0)
             assert tr.comm_rounds == int(np.ceil(T / H))
 
     def test_disable_averaging_breaks_sync_invariant(self, setup, monkeypatch):
@@ -403,15 +401,15 @@ class TestInvariants:
         p, ref = setup
         cfg = make_cfg(p, T=24, H=4, record_every=1)
         skip_averaging(monkeypatch)
-        tr = run_local_sgd(p, cfg, ref, seed=0)
+        tr = run_alone(p, cfg, ref, 0)
         assert np.any(tr.mean["V"][tr.synced] > 0.0)
 
     def test_disable_averaging_breaks_h1_equivalence(self, setup, monkeypatch):
         p, ref = setup
         cfg = make_cfg(p, T=40, H=1, record_every=1)
-        mb = run_minibatch_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        mb = run_alone(p, cfg, ref, 0, minibatch=True, capture_xhat=True)
         skip_averaging(monkeypatch)
-        tampered = run_local_sgd(p, cfg, ref, seed=0, capture_xhat=True)
+        tampered = run_alone(p, cfg, ref, 0, capture_xhat=True)
         rel = (np.linalg.norm(tampered.xhat[0] - mb.xhat[0], axis=1)
                / np.maximum(np.linalg.norm(mb.xhat[0], axis=1), 1e-300))
         assert np.max(rel) > 1e-12
@@ -436,7 +434,7 @@ class TestInvariants:
         cfg = RunConfig(M=2, schedule=SyncSchedule.uniform(10, 500), gamma=1e4,
                         gradient_mode=GradientMode.FULL)
         with pytest.raises(DivergenceError, match="diverged at step"):
-            run_local_sgd(p, cfg, ref, seed=0)
+            run_alone(p, cfg, ref, 0)
 
     def test_divergence_names_the_first_seed_then_node(self):
         # One config's node-major (M, S, d) stack in which seed 0's node 2
@@ -476,7 +474,7 @@ class TestExactDeviation:
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 96), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE,
                         noise_sigma=sigma_run, record_every=1)
-        agg = run_replicated(p, cfg, ref, range(40))
+        agg = run_alone(p, cfg, ref, range(40))
         rows = one_step_after_syncs(agg, H)
         assert rows.size == 12
         want = gamma**2 * sigma_checked**2 * 3 / 4
@@ -506,7 +504,7 @@ class TestExactDeviation:
         H, gamma = 4, 1.0 / p.L
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(H, 32), gamma=gamma,
                         gradient_mode=GradientMode.FULL, record_every=1)
-        agg = run_local_sgd(q, cfg, ref, seed=0, capture_xhat=True)
+        agg = run_alone(q, cfg, ref, 0, capture_xhat=True)
         rows = one_step_after_syncs(agg, H)
         assert rows.size == 8
         for r in rows:
@@ -520,40 +518,41 @@ class TestReplicated:
     def test_repeated_seed_zero_se(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5)
-        agg = run_replicated(p, cfg, ref, seeds=[7, 7, 7])
+        agg = run_alone(p, cfg, ref, [7, 7, 7])
         for name in ("V", "dist_sq", "subopt"):
             assert np.all(agg.se[name] == 0.0)
 
     def test_full_gradient_zero_variance(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5, mode=GradientMode.FULL)
-        agg = run_replicated(p, cfg, ref, seeds=[1, 2, 3, 4])
+        agg = run_alone(p, cfg, ref, [1, 2, 3, 4])
         for name in ("V", "dist_sq", "subopt"):
             assert np.all(agg.se[name] == 0.0)
 
     def test_seed_order_irrelevant(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5)
-        a = run_replicated(p, cfg, ref, seeds=[3, 1, 2])
-        b = run_replicated(p, cfg, ref, seeds=[1, 2, 3])
+        a = run_alone(p, cfg, ref, [3, 1, 2])
+        b = run_alone(p, cfg, ref, [1, 2, 3])
         for name in ("V", "dist_sq", "subopt"):
             assert np.array_equal(a.mean[name], b.mean[name])
 
     def test_matches_individual_runs(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=[0, 1])
-        traces = [run_local_sgd(p, cfg, ref, seed=s) for s in (0, 1)]
+        agg = run_alone(p, cfg, ref, [0, 1])
+        traces = [run_alone(p, cfg, ref, s) for s in (0, 1)]
         stacked = np.stack([tr.mean["dist_sq"] for tr in traces], axis=1)
         assert np.allclose(agg.mean["dist_sq"], stacked.mean(axis=1), rtol=1e-12)
 
     def test_one_seed_is_the_single_run(self, setup):
         # One seed is the S = 1 aggregate: the run's own values, SEs of 0,
-        # and the single-run CSV layout.
+        # and the single-run CSV layout, which run_local_sgd, the name the
+        # benchmark's probe wraps, gives too.
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=[4])
-        assert csv_of(agg) == csv_of(run_local_sgd(p, cfg, ref, seed=4))
+        agg = run_alone(p, cfg, ref, [4])
+        assert csv_of(agg) == csv_of(simulator.run_local_sgd(p, cfg, ref, seed=4))
         assert agg.seeds == (4,)
         for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
             assert np.all((agg.se[name] == 0.0) | np.isnan(agg.mean[name]))
@@ -565,7 +564,7 @@ class TestReplicated:
         # and grad_norm_sq at T are never measured: no SE, one seed or more.
         p, ref = setup
         cfg = make_cfg(p, T=300, H=5, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds)
+        agg = run_alone(p, cfg, ref, seeds)
         assert np.isnan(agg.mean["grad_norm_sq"][-1]) and np.isnan(agg.mean["subopt"]).any()
         for name in simulator._METRICS:
             assert np.array_equal(np.isnan(agg.se[name]), np.isnan(agg.mean[name])), name
@@ -574,8 +573,8 @@ class TestReplicated:
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4, mode=GradientMode.INJECTED_NOISE,
                        noise_sigma=0.5, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=[0, 9])
-        tr9 = run_local_sgd(p, cfg, ref, seed=9)
+        agg = run_alone(p, cfg, ref, [0, 9])
+        tr9 = run_alone(p, cfg, ref, 9)
         stacked_max = np.maximum(agg.mean["dist_sq"], tr9.mean["dist_sq"])
         # seed 9's trace participates in the aggregate: mean of {s0, s9}
         # lies between min and max of the pair at every step
@@ -586,7 +585,7 @@ class TestTraceCsv:
     def test_round_and_columns(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4, record_every=1)
-        tr = run_local_sgd(p, cfg, ref, seed=0)
+        tr = run_alone(p, cfg, ref, 0)
         buf = io.StringIO()
         tr.to_csv(buf)
         text = buf.getvalue()
@@ -601,7 +600,7 @@ class TestTraceCsv:
         cfg = make_cfg(p, T=25, H=5)
         bufs = []
         for _ in range(2):
-            tr = run_local_sgd(p, cfg, ref, seed=0)
+            tr = run_alone(p, cfg, ref, 0)
             buf = io.StringIO()
             tr.to_csv(buf)
             bufs.append(buf.getvalue())
@@ -610,7 +609,7 @@ class TestTraceCsv:
     def test_aggregate_csv(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4)
-        agg = run_replicated(p, cfg, ref, seeds=[0, 1, 2])
+        agg = run_alone(p, cfg, ref, [0, 1, 2])
         buf = io.StringIO()
         agg.to_csv(buf)
         text = buf.getvalue()
@@ -636,14 +635,14 @@ class TestRefill:
         p, ref = setup_het
         cfg = make_cfg(p, T=23, H=5, mode=mode, record_every=1, **kw)
         seeds = [0, 3, 8]
-        whole = csv_of(run_replicated(p, cfg, ref, seeds))
-        single = csv_of(run_local_sgd(p, cfg, ref, seed=3))
+        whole = csv_of(run_alone(p, cfg, ref, seeds))
+        single = csv_of(run_alone(p, cfg, ref, 3))
         # 5 steps per refill: four full refills and a partial one of 3 steps.
         item = 3 * 8 if mode == GradientMode.STOCHASTIC else p.dim * 8
         monkeypatch.setattr(simulator, "_REFILL_BYTES", 5 * len(seeds) * 4 * item)
-        assert csv_of(run_replicated(p, cfg, ref, seeds)) == whole
+        assert csv_of(run_alone(p, cfg, ref, seeds)) == whole
         monkeypatch.setattr(simulator, "_REFILL_BYTES", 1)
-        assert csv_of(run_local_sgd(p, cfg, ref, seed=3)) == single
+        assert csv_of(run_alone(p, cfg, ref, 3)) == single
 
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("seeds_per_block", [1, 2])
@@ -751,9 +750,7 @@ class TestSweep:
         cfgs = sweep_cfgs(p, mode, record_every=record_every)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         for cfg in cfgs:
-            alone = (run_local_sgd(p, cfg, ref, seed=seeds[0]) if len(seeds) == 1
-                     else run_replicated(p, cfg, ref, seeds))
-            assert csv_of(sweep.result(cfg)) == csv_of(alone)
+            assert csv_of(sweep.result(cfg)) == csv_of(run_alone(p, cfg, ref, seeds))
 
     @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("seeds", [[0, 1, 2], [2, 0, 1, 2], [5]],
@@ -769,7 +766,7 @@ class TestSweep:
         results = []
         for rows in (2, 3, 4, 64, 152):
             monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
-            results.append(run_replicated(p, cfg, ref, seeds))
+            results.append(run_alone(p, cfg, ref, seeds))
         want = results[0]
         for got in results[1:]:
             assert csv_of(got) == csv_of(want)
@@ -785,7 +782,7 @@ class TestSweep:
         p, ref = setup_uneven
         cfgs = sweep_cfgs(p, GradientMode.STOCHASTIC, record_every=7)
         seeds = [0, 1, 2]
-        alone = [csv_of(run_replicated(p, cfg, ref, seeds)) for cfg in cfgs]
+        alone = [csv_of(run_alone(p, cfg, ref, seeds)) for cfg in cfgs]
         monkeypatch.setattr(simulator, "_RECORD_BLOCK", rows)
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         assert [csv_of(sweep.result(cfg)) for cfg in cfgs] == alone
@@ -800,13 +797,13 @@ class TestSweep:
         seeds = [0, 1, 2]
         sweep = simulator.Sweep(p, cfgs, ref, seeds)
         with pytest.raises(DivergenceError) as alone:
-            run_replicated(p, cfgs[1], ref, seeds)
+            run_alone(p, cfgs[1], ref, seeds)
         with pytest.raises(DivergenceError) as together:
             sweep.result(cfgs[1])
         assert ((together.value.t, together.value.seed, together.value.node)
                 == (alone.value.t, alone.value.seed, alone.value.node))
         for cfg in (cfgs[0], cfgs[2]):
-            assert csv_of(sweep.result(cfg)) == csv_of(run_replicated(p, cfg, ref, seeds))
+            assert csv_of(sweep.result(cfg)) == csv_of(run_alone(p, cfg, ref, seeds))
 
     def test_a_parked_lane_keeps_its_first_error_and_takes_no_loss(self, setup,
                                                                   monkeypatch):
@@ -825,7 +822,7 @@ class TestSweep:
             return real_loss(*args)
 
         monkeypatch.setattr(simulator, "loss_many", counting_loss)
-        alone = {k: csv_of(run_replicated(p, cfgs[k], ref, seeds)) for k in (0, 2)}
+        alone = {k: csv_of(run_alone(p, cfgs[k], ref, seeds)) for k in (0, 2)}
         calls_alone = len(losses)
         real_grads = simulator._GradientEngine.gradients
 
@@ -858,7 +855,7 @@ class TestSweep:
             assert agg.xhat.shape == (len(seeds), agg.t.size, p.dim)
             assert agg.seeds == tuple(sorted(seeds))
             for seed, xhat in zip(agg.seeds, agg.xhat):
-                alone = run_local_sgd(p, cfg, ref, seed=seed, capture_xhat=True)
+                alone = run_alone(p, cfg, ref, seed, capture_xhat=True)
                 assert np.array_equal(xhat, alone.xhat[0])
 
     @pytest.mark.parametrize("mode", list(GradientMode), ids=lambda m: m.value)
@@ -893,7 +890,7 @@ class TestSweep:
         ref = solve_reference(p, 1e-10)
         cfg = RunConfig(M=9, schedule=SyncSchedule.uniform(4, 40), gamma=0.5,
                         gradient_mode=GradientMode.STOCHASTIC, record_every=1)
-        alone = run_local_sgd(p, cfg, ref, seed=1, capture_xhat=True)
+        alone = run_alone(p, cfg, ref, 1, capture_xhat=True)
         sweep = simulator.Sweep(p, [cfg], ref, [0, 1, 2], capture_xhat=True)
         inside = sweep.result(cfg)
         assert np.array_equal(alone.xhat[0], inside.xhat[1])
@@ -918,14 +915,12 @@ class TestSweep:
                                              f"got {gamma!r}"):
             simulator.Sweep(p, [make_cfg(p, T=40, H=1), bad], ref, [0])
         with pytest.raises(ValueError, match="gamma"):
-            run_local_sgd(p, bad, ref, seed=0)
+            run_alone(p, bad, ref, 0)
 
-    def test_a_sweep_serves_only_its_configs_and_seeds(self, setup):
+    def test_a_sweep_serves_only_its_configs(self, setup):
         p, ref = setup
         cfg = make_cfg(p, T=20, H=4)
         sweep = simulator.Sweep(p, [cfg], ref, [0, 1])
-        with pytest.raises(ValueError, match="seeds"):
-            run_replicated(p, cfg, ref, [0, 2], sweep=sweep)
         with pytest.raises(ValueError, match="not one of"):
             sweep.result(make_cfg(p, T=20, H=2))
 
@@ -962,7 +957,7 @@ class TestSweep:
         agg = simulator.Sweep(p, [cfg], ref, top, capture_xhat=True).result(cfg)
         assert agg.seeds == (2**64 - 2, 2**64 - 1, 2**64 - 1)
         for seed, xhat in zip(agg.seeds, agg.xhat):
-            alone = run_local_sgd(p, cfg, ref, seed=seed, capture_xhat=True)
+            alone = run_alone(p, cfg, ref, seed, capture_xhat=True)
             assert np.array_equal(xhat, alone.xhat[0])
         assert not np.array_equal(agg.xhat[0], agg.xhat[1])
 

@@ -1,15 +1,16 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from localsgd import verify
+from localsgd import theory, verify
 from localsgd.dataio import Regime, generate_synthetic, partition
 from localsgd.objective import build_problem, measure_variances, solve_reference
-from localsgd.simulator import (AggregateTrace, GradientMode, RunConfig, SyncSchedule,
-                                r0_sq,
-                                run_replicated)
+from localsgd.simulator import (AggregateTrace, GradientMode, RunConfig, Sweep, SyncSchedule,
+                                r0_sq)
+from one_config import run_alone
 from signed_data import unsigned_rows
 from localsgd.theory import (
     BoundInputs,
@@ -290,27 +291,34 @@ class TestTerms:
             assert self.largest(curve)[0] == expected
 
     def test_the_distance_criterion_prints_the_ratio_at_T(self, monkeypatch):
-        """sc-identical-distance-bound's max emp/bound ratio is at t=0, so
-        each H's ratio at T is printed beside it: mean dist_sq at T over the
-        RHS at T, below the max at H=4."""
-        check, runs = verify._check, []
+        """sc-identical-distance-bound checks both uniform-variance rows of
+        each H, SC_IID_UBV and WC_IID_UBV. The distance row's max emp/bound
+        ratio is at t=0, so its ratio at T is printed beside it: mean
+        dist_sq at T over the RHS at T, below the max at H=4."""
+        real, runs = theory.check_run, []
 
-        def spy(theorem_id, p, cfg, ref, vr, agg):
-            curve, v = check(theorem_id, p, cfg, ref, vr, agg)
-            runs.append((curve, v, agg))
-            return curve, v
+        def spy(p, cfg, ref, vr, agg):
+            checked, skipped = real(p, cfg, ref, vr, agg)
+            runs.append((checked, skipped, agg))
+            return checked, skipped
 
-        monkeypatch.setattr(verify, "_check", spy)
+        monkeypatch.setattr(theory, "check_run", spy)
         result = verify.criterion_sc_identical_ubv("fast")
-        printed = re.findall(r"H=(\d+):([\d.]+) \(([\d.]+) at T\)", result.details)
+        assert result.status == verify.PASS
+        assert re.findall(r"H=(\d+) (\w+) ok", result.details) == [
+            (H, theorem_id) for H in ("1", "4", "16") for theorem_id in ("SC_IID_UBV", "WC_IID_UBV")]
+        printed = re.findall(r"SC_IID_UBV ok ([\d.]+) \(([\d.]+) at T\)", result.details)
         assert len(printed) == len(runs) == 3
-        for (H, largest, at_T), (curve, v, agg) in zip(printed, runs):
+        for (largest, at_T), (checked, skipped, agg) in zip(printed, runs):
+            curve, v = checked["SC_IID_UBV"]
             T = curve.inputs.T
-            assert int(H) == curve.inputs.H and int(agg.t[-1]) == T
-            assert largest == f"{v.slack_ratio:.3f}"
-            assert at_T == f"{agg.mean['dist_sq'][-1] / curve.rhs_at(T):.3f}"
-        H, largest, at_T = printed[1]
-        assert H == "4" and float(at_T) < float(largest)
+            assert not skipped and int(agg.t[-1]) == T
+            assert largest == f"{v.slack_ratio:.3g}"
+            assert at_T == f"{agg.mean['dist_sq'][-1] / curve.rhs_at(T):.3g}"
+            curve, v = checked["WC_IID_UBV"]
+            assert f"H={curve.inputs.H} WC_IID_UBV ok {v.slack_ratio:.3g} " in result.details
+        largest, at_T = printed[1]
+        assert float(at_T) < float(largest)
 
 
 class TestPlanners:
@@ -335,6 +343,31 @@ class TestPlanners:
 
     def test_plan_H_always_at_least_one(self):
         assert plan_H("wc-heterogeneous", 1, 100) == 1
+
+    @pytest.mark.parametrize("theorem_id, h_rule, ratio", [
+        ("WC_HET_FS", "wc-heterogeneous", 0.1),
+        ("WC_IID_UBV", "wc-identical", 0.5),
+        ("WC_IID_FS", "wc-identical", 0.2),
+    ])
+    def test_the_planned_H_and_gamma_fix_the_drift_to_noise_ratio(self, theorem_id,
+                                                                  h_rule, ratio):
+        # The paper's optimal number of local steps read off the table: with
+        # H - 1 at the H rule's ratio (unfloored) and gamma at the row's
+        # planner, drift/noise does not move with T or M. It moves if
+        # _PLAN_H and the row's terms or planner drift apart.
+        thm = THEOREMS[theorem_id]
+        terms = dict(thm.terms)
+        _, ratio_of = theory._PLAN_H[h_rule]
+        L = 3.7
+        for T in (10**3, 10**5, 10**7, 10**9):
+            for M in (2, 8, 64):
+                H = 1.0 + ratio_of(T, M, None)
+                gamma, _ = thm.plan(SimpleNamespace(L=L, mu=None, M=M, T=T, H=H,
+                                                    t_param=None))
+                b = BoundInputs(L=L, gamma=gamma, T=T, H=H, M=M, r0_sq=1.0,
+                                **{thm.sigma: 1.0})
+                assert terms["drift"](b, T) / terms["noise"](b, T) == pytest.approx(
+                    ratio, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("rule, T, M, kappa", [
         ("wc-heterogeneous", 1, 1, None),
@@ -519,8 +552,7 @@ class TestRuntimeDiagnosticsIntegration:
     def test_heterogeneous_grad_norm_bound_on_run(self):
         from localsgd.dataio import Regime, generate_synthetic, partition
         from localsgd.objective import build_problem, measure_variances, solve_reference
-        from localsgd.simulator import (GradientMode, RunConfig, SyncSchedule,
-                                        run_replicated)
+        from localsgd.simulator import GradientMode, RunConfig, SyncSchedule
         ds = generate_synthetic(160, 8, seed=77, sort_by_label=True)
         p = build_problem(ds, partition(ds, 4, Regime.HETEROGENEOUS), lam=0.02)
         ref = solve_reference(p, 1e-11)
@@ -528,7 +560,7 @@ class TestRuntimeDiagnosticsIntegration:
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(6, 48),
                         gamma=1.0 / (8 * p.L_component),
                         gradient_mode=GradientMode.STOCHASTIC, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
+        agg = run_alone(p, cfg, ref, list(range(64)))
         v = check_grad_norm_bound(agg, L=p.L_component, M=4,
                                   sigma_dif_sq=vr.sigma_dif_sq)
         assert v.holds, v.details
@@ -559,8 +591,7 @@ class TestRuntimeDiagnosticsIntegration:
     def test_vt_lemma_on_run(self):
         from localsgd.dataio import Regime, generate_synthetic, partition
         from localsgd.objective import build_problem, solve_reference
-        from localsgd.simulator import (GradientMode, RunConfig, SyncSchedule,
-                                        run_replicated)
+        from localsgd.simulator import GradientMode, RunConfig, SyncSchedule
         ds = generate_synthetic(100, 6, seed=80)
         p = build_problem(ds, partition(ds, 4, Regime.IDENTICAL), lam=0.05)
         ref = solve_reference(p, 1e-10)
@@ -568,7 +599,7 @@ class TestRuntimeDiagnosticsIntegration:
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(8, 40), gamma=gamma,
                         gradient_mode=GradientMode.INJECTED_NOISE,
                         noise_sigma=0.7, record_every=1)
-        agg = run_replicated(p, cfg, ref, seeds=list(range(64)))
+        agg = run_alone(p, cfg, ref, list(range(64)))
         v = check_vt_bound(agg, gamma, 8, 0.7**2, L=p.L)
         assert v.holds, v.details
 
@@ -588,7 +619,7 @@ class TestCheckRun:
     def run(p, ref, mode, gamma):
         cfg = RunConfig(M=4, schedule=SyncSchedule.uniform(4, 40), gamma=gamma,
                         gradient_mode=mode, noise_sigma=0.5)
-        return cfg, run_replicated(p, cfg, ref, [0, 1])
+        return cfg, run_alone(p, cfg, ref, [0, 1])
 
     # At 1/(4 L_component) only the uniform-variance rows admit the
     # stepsize; at 1/(40 L_component) every row does.
@@ -610,17 +641,23 @@ class TestCheckRun:
             assert why.startswith("stepsize")
 
     def test_verify_gets_the_verdict_or_the_skip_reason(self, setup):
+        # At 1/L_component gamma is above every finite-sum limit, so every
+        # row is skipped, and the criterion fails naming each reason; at
+        # 1/(40 L_component) every row is checked, and the criterion holds
+        # iff every verdict does.
         p, ref, vr = setup
-        cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / p.L_component)
-        checked, skipped = check_run(p, cfg, ref, vr, agg)
-        [theorem_id, *_] = skipped  # gamma is above every finite-sum limit
-        with pytest.raises(PreconditionError) as e:
-            verify._check(theorem_id, p, cfg, ref, vr, agg)
-        assert str(e.value) == skipped[theorem_id]
-        cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / (40 * p.L_component))
-        checked, _ = check_run(p, cfg, ref, vr, agg)
-        for theorem_id, (curve, v) in checked.items():
-            assert verify._check(theorem_id, p, cfg, ref, vr, agg) == (curve, v)
+        for scale in (1, 40):
+            cfg, agg = self.run(p, ref, GradientMode.STOCHASTIC, 1.0 / (scale * p.L_component))
+            checked, skipped = check_run(p, cfg, ref, vr, agg)
+            ok, details = verify._check_sweep(Sweep(p, [cfg], ref, [0, 1]), vr)
+            assert len(re.findall(r"H=4 [A-Z_]+ ", details)) == len(checked) + len(skipped) > 0
+            for theorem_id, why in skipped.items():
+                assert f"H=4 {theorem_id} not checked: {why}" in details
+            for theorem_id, (curve, v) in checked.items():
+                verdict = "ok" if v.holds else "VIOLATED"
+                assert f"H=4 {theorem_id} {verdict} {v.slack_ratio:.3g}" in details
+            assert bool(skipped) == (scale == 1)
+            assert ok == (not skipped and all(v.holds for _, v in checked.values()))
 
 
 
