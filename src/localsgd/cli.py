@@ -27,15 +27,12 @@ from .objective import (
     solve_reference,
 )
 from .simulator import (
+    AggregateTrace,
     DivergenceError,
     GradientMode,
     RunConfig,
     Sweep,
     SyncSchedule,
-    # Not called here: bench/tracing.py wraps, and bench/worker.py replaces,
-    # cli.run_local_sgd by name.
-    run_local_sgd,  # noqa: F401
-    run_replicated,
 )
 
 EXIT_OK = 0
@@ -382,6 +379,22 @@ def cmd_variances(args) -> int:
         dataio.write_csv(f, (), ("dataset", "M", "batch", "sigma_opt_sq", "sigma_dif_sq"), rows)
     print(f"wrote {out_path} ({len(rows)} rows)")
     return EXIT_OK
+
+
+def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
+                  capture_xhat: bool = False) -> AggregateTrace:
+    """One Local SGD run of cfg over `seed`, a one-config sweep. Nothing in
+    the package calls it; the benchmark's probe (bench/tracing.py,
+    bench/worker.py) wraps and replaces it here by name."""
+    return Sweep(p, [cfg], ref, [seed], capture_xhat=capture_xhat).result(cfg)
+
+
+def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
+                   seeds: tuple[int, ...], *, sweep: Sweep) -> AggregateTrace:
+    """`run`'s request for one H: cfg's result from the sweep that holds
+    every H over `seeds`. The benchmark's probe (bench/tracing.py) wraps
+    it here to count runs, reading the positional (p, cfg, ref, seeds)."""
+    return sweep.result(cfg)
 
 
 def cmd_run(args) -> int:

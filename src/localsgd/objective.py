@@ -52,6 +52,7 @@ class Problem:
     row_norms_sq: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)  # per-sample weight in f; sums to 1
     gram: np.ndarray = field(init=False, repr=False)  # B^T diag(w/4) B: L's, and Newton's at 0
+    blocks: tuple = field(init=False, repr=False)  # (nodes, rows) per node block: _node_blocks
 
     def __post_init__(self):
         if self.lam < 0:
@@ -64,7 +65,8 @@ class Problem:
         gram = _weighted_gram(self.rows, w / 4.0)
         for name, value in (("weights", w), ("row_norms_sq", rn), ("gram", gram),
                             ("L", float(np.linalg.eigvalsh(gram)[-1]) + self.lam),
-                            ("L_component", float(rn.max()) / 4.0 + self.lam)):
+                            ("L_component", float(rn.max()) / 4.0 + self.lam),
+                            ("blocks", _node_blocks(self.rows, self.part))):
             object.__setattr__(self, name, value)
 
     @property
@@ -101,32 +103,20 @@ class Problem:
     def node_grads(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The exact gradient of f_m at every point X[m, j], node-major,
         shape (M, k, d) -> (M, k, d), written into `out` (C-contiguous) when
-        given. It picks each block of rows; `_exact_grads` computes.
+        given; `_exact_grads` computes.
 
         Identical nodes share f: one product over all n rows takes every
         point as a column, in node order. Heterogeneous node m averages its
         own n_m rows at its points X[m], with the numerator -1/n_m, so the
-        work and temporaries are those of its block. Dense rows pass a
-        (g, n_g, d) view of `rows` per run of adjacent equal-size blocks,
-        which numpy multiplies as g 2-D products: node m gets the bits of
-        B_m @ X_m.T and B_m.T @ C_m. CSR rows pass each node's rows as a CSR
-        matrix over views of `rows`, with no copy."""
+        work and temporaries are those of its block: each of `blocks` takes
+        its nodes' points and rows, dense or CSR alike."""
         if out is None:
             out = np.empty_like(X)
         if self.part.regime == Regime.IDENTICAL:
             _exact_grads(self, X.reshape(-1, self.dim), -1.0 / self.dataset.n,
                          out=out.reshape(-1, self.dim))  # a view: out is C-contiguous
-        elif self.dense_rows is not None:
-            for m, start, g, size in self.part.block_runs:
-                B = self.rows[start:start + g * size].reshape(g, size, self.dim)
-                _exact_grads(self, X[m:m + g], -1.0 / size, out=out[m:m + g], rows=B)
-        else:
-            A = self.rows
-            for m, (start, stop) in enumerate(self.part.node_ranges):
-                lo, hi = A.indptr[start], A.indptr[stop]  # node m's rows, as views
-                B = type(A)((A.data[lo:hi], A.indices[lo:hi], A.indptr[start:stop + 1] - lo),
-                            shape=(stop - start, self.dim), copy=False)
-                _exact_grads(self, X[m], -1.0 / (stop - start), out=out[m], rows=B)
+        for nodes, rows in self.blocks:
+            _exact_grads(self, X[nodes], -1.0 / rows.shape[-2], out=out[nodes], rows=rows)
         return out
 
     @property
@@ -143,6 +133,33 @@ class Problem:
 
     def node_range(self, node: int) -> tuple[int, int]:
         return self.part.node_ranges[node]
+
+
+def _node_blocks(B: np.ndarray | sp.csr_matrix, part: Partition) -> tuple:
+    """Each heterogeneous node's signed rows as (nodes, rows) pairs, built
+    once; identical nodes share all n rows and get none. Dense rows make a
+    (g, n_g, d) view of B per run of g adjacent blocks of one size, nodes
+    the slice of its g nodes; numpy multiplies it as g 2-D products, so
+    node m gets the bits of B_m @ X_m.T and B_m.T @ C_m. CSR rows make one
+    CSR matrix per node m, nodes = m, over its rows' data and indices and
+    its own indptr shifted to 0. scipy keeps such data as a view of B only
+    while it spans half of B, so CSR blocks hold up to one more copy of it."""
+    if part.regime == Regime.IDENTICAL:
+        return ()
+    d = B.shape[1]
+    if not isinstance(B, np.ndarray):
+        ptr = B.indptr
+        return tuple((m, type(B)((B.data[ptr[a]:ptr[b]], B.indices[ptr[a]:ptr[b]],
+                                  ptr[a:b + 1] - ptr[a]), shape=(b - a, d), copy=False))
+                     for m, (a, b) in enumerate(part.node_ranges))
+    runs: list[list[int]] = []  # [first node, first row, g, n_g]
+    for m, (a, b) in enumerate(part.node_ranges):
+        if runs and runs[-1][3] == b - a and runs[-1][1] + runs[-1][2] * (b - a) == a:
+            runs[-1][2] += 1
+        else:
+            runs.append([m, a, 1, b - a])
+    return tuple((slice(m, m + g), B[a:a + g * size].reshape(g, size, d))
+                 for m, a, g, size in runs)
 
 
 def sample_weights(dataset: Dataset, part: Partition) -> np.ndarray:
@@ -275,8 +292,9 @@ def _exact_grads(p: Problem, X: np.ndarray, num, out: np.ndarray | None = None,
     written into `out` when given: row j is sum_i c_ij y_i a_i + lam x_j,
     c_ij the logistic slope at the signed margin y_i a_i.x_j with numerator
     num, a scalar or an (n, 1) column of per-sample weights. `rows` is None
-    for all n rows, one node's rows as a dense or CSR matrix, or a (g, n_g, d)
-    stack of blocks, X then (g, k, d); the products are margins and rows_T_dot."""
+    for all n rows, or the rows of one of `Problem.blocks`: a node's CSR
+    matrix, or a (g, n_g, d) stack of blocks with X then (g, k, d). The
+    products are margins and rows_T_dot."""
     U = p.margins(X, rows)  # (n, k), or (g, n_g, k) for a stack
     C = _logistic_slope(num, U, out=U)
     return np.add(p.rows_T_dot(C, rows).swapaxes(-1, -2), p.lam * X, out=out)

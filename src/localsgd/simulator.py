@@ -733,20 +733,3 @@ class Sweep:
             xhat=None if lane.xhat is None else lane.xhat[self._pick],
         )
 
-
-def run_local_sgd(p: Problem, cfg: RunConfig, ref: ReferenceSolution, *, seed: int,
-                  capture_xhat: bool = False) -> AggregateTrace:
-    """One Local SGD run of cfg over `seed`, a one-config sweep. Nothing in
-    the package calls it; it stays while the benchmark's probe
-    (bench/tracing.py, bench/worker.py) wraps and replaces it on `cli` by
-    name."""
-    return Sweep(p, [cfg], ref, [seed], capture_xhat=capture_xhat).result(cfg)
-
-
-def run_replicated(p: Problem, cfg: RunConfig, ref: ReferenceSolution,
-                   seeds: Sequence[int], *, sweep: Sweep) -> AggregateTrace:
-    """`localsgd run`'s request for one H: cfg's result from the sweep that
-    holds every H over `seeds`. The benchmark's probe (bench/tracing.py)
-    wraps `cli.run_replicated` to count runs, reading the positional
-    (p, cfg, ref, seeds)."""
-    return sweep.result(cfg)

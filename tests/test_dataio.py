@@ -367,18 +367,6 @@ class TestPartition:
         assert max(sizes) - min(sizes) <= 1
         covered = [i for a, b in part.node_ranges for i in range(a, b)]
         assert covered == list(range(n))
-        runs = part.block_runs
-        assert len(runs) <= 2 and sum(g for _, _, g, _ in runs) == M
-        assert [(m, start) for m, start, _, _ in runs] == [
-            (m, part.node_ranges[m][0]) for m, _, _, _ in runs]
-
-    def test_block_runs_group_adjacent_blocks_of_one_size(self):
-        runs = partition(self._ds(90), 4, Regime.HETEROGENEOUS).block_runs
-        assert runs == ((0, 0, 2, 23), (2, 46, 2, 22))
-        assert partition(self._ds(60), 3, Regime.HETEROGENEOUS).block_runs == ((0, 0, 3, 20),)
-        # Identical nodes all reference rows 0..n: no two blocks are adjacent.
-        assert partition(self._ds(10), 2, Regime.IDENTICAL).block_runs == (
-            (0, 0, 1, 10), (1, 0, 1, 10))
 
 
 class TestManifest:

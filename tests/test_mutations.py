@@ -3,12 +3,16 @@
 Each mutation is monkeypatched into the package, and the cheapest criterion
 that catches it must FAIL at `--level fast` (README lists every criterion
 that catches each one). The no-averaging mutations, through the
-`simulator._synchronize` seam, are in test_simulator.py.
+`simulator._synchronize` seam, are in test_simulator.py. The mutations of
+the theorem table zero one term of one row; README lists the terms that no
+criterion catches, with the measured ratio that says why.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from localsgd import objective, simulator, verify
+from localsgd import objective, simulator, theory, verify
 from localsgd.dataio import Regime
 from localsgd.simulator import GradientMode
 
@@ -54,3 +58,22 @@ def test_the_criterion_catches_the_mutation(monkeypatch, owner, attr, mutate, cr
     assert criterion("fast").status == verify.PASS
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     assert criterion("fast").status == verify.FAIL
+
+
+@pytest.mark.parametrize("row, term, criterion", [
+    ("SC_IID_UBV", "initial", verify.criterion_sc_identical_ubv),
+    ("SC_IID_UBV", "noise", verify.criterion_sc_identical_ubv),
+    ("SC_IID_FS", "initial", verify.criterion_finite_sum_identical),
+    ("WC_IID_FS", "initial", verify.criterion_finite_sum_identical),
+    ("WC_HET_FS", "initial", verify.criterion_heterogeneous_bound),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_the_criterion_catches_the_zeroed_term(monkeypatch, row, term, criterion):
+    # test_acceptance checks that every criterion PASSes unmutated.
+    table = tuple(
+        replace(thm, terms=tuple((name, (lambda b, t: 0.0) if name == term else f)
+                                 for name, f in thm.terms)) if thm.id == row else thm
+        for thm in theory._TABLE)
+    monkeypatch.setattr(theory, "_TABLE", table)
+    monkeypatch.setattr(theory, "THEOREMS", {thm.id: thm for thm in table})
+    result = criterion("fast")
+    assert result.status == verify.FAIL and f" {row} VIOLATED " in result.details

@@ -12,8 +12,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
-from localsgd.dataio import (Dataset, Regime, generate_synthetic, load_dataset, parse_libsvm,
-                             partition)
+from localsgd.dataio import (Dataset, Partition, Regime, generate_synthetic, load_dataset,
+                             parse_libsvm, partition)
 from localsgd import objective
 from localsgd.numkit import RngStream, draw_indices
 from localsgd.objective import (
@@ -298,7 +298,7 @@ class TestNodeBlockKernel:
     @pytest.mark.parametrize("width", [1, 5])
     def test_batched_products_equal_the_per_node_products_bitwise(self, n, runs, width):
         p = small_problem(n=n, d=5, M=3, regime=Regime.HETEROGENEOUS, sort_by_label=True)
-        assert p.dense_rows is not None and len(p.part.block_runs) == runs
+        assert p.dense_rows is not None and len(p.blocks) == runs
         X = RngStream(seed=47).generator().standard_normal((p.M, width, p.dim))
         G = p.node_grads(X)
         assert np.array_equal(G, self.per_node(p, X))
@@ -331,11 +331,68 @@ class TestNodeBlockKernel:
             monkeypatch.setattr(objective.Problem, name, counted)
         X = RngStream(seed=51).generator().standard_normal((p.M, 4, p.dim))
         G = p.node_grads(X)
-        blocks = (1 if regime == Regime.IDENTICAL
-                  else len(p.part.block_runs) if storage == "dense" else p.M)
+        blocks = 1 if regime == Regime.IDENTICAL else len(p.blocks)
         assert calls == {"margins": blocks, "rows_T_dot": blocks}
         monkeypatch.undo()
         assert np.array_equal(G, p.node_grads(X))
+
+    @pytest.mark.parametrize("n, M, runs", [
+        (90, 4, [(slice(0, 2), (2, 23, 5)), (slice(2, 4), (2, 22, 5))]),
+        (60, 3, [(slice(0, 3), (3, 20, 5))]),
+    ], ids=["two-runs", "one-run"])
+    def test_blocks_stack_adjacent_dense_blocks_of_one_size(self, n, M, runs):
+        p = small_problem(n=n, d=5, M=M, regime=Regime.HETEROGENEOUS)
+        assert [(nodes, rows.shape) for nodes, rows in p.blocks] == runs
+        assert all(rows.base is not None and np.shares_memory(rows, p.rows)
+                   for _, rows in p.blocks)  # views of B, no copy
+        # Identical nodes all take the one product over every row.
+        assert small_problem(n=n, d=5, M=M).blocks == ()
+
+    def test_an_even_split_makes_at_most_two_runs_over_every_node(self):
+        for n, M in [(7, 7), (20, 3), (61, 7), (200, 13), (200, 40)]:
+            nodes = [b[0] for b in small_problem(n=n, d=2, M=M,
+                                                 regime=Regime.HETEROGENEOUS).blocks]
+            assert len(nodes) <= 2 and nodes[0].start == 0 and nodes[-1].stop == M
+            assert all(a.stop == b.start for a, b in zip(nodes, nodes[1:]))
+
+    def test_equal_blocks_that_are_not_adjacent_are_not_stacked(self):
+        ds = generate_synthetic(60, 5, seed=1, sort_by_label=True)
+        part = Partition(node_ranges=((0, 20), (40, 60), (20, 40)),
+                         regime=Regime.HETEROGENEOUS)
+        p = build_problem(ds, part, lam=0.1)
+        assert [(nodes, rows.shape) for nodes, rows in p.blocks] == [
+            (slice(m, m + 1), (1, 20, 5)) for m in range(3)]
+        X = RngStream(seed=52).generator().standard_normal((p.M, 3, p.dim))
+        for q in (p, objective.csr_twin(p)):
+            assert np.array_equal(q.node_grads(X), self.per_node(q, X))
+
+    def test_a_derived_problem_gets_blocks_over_its_own_storage(self):
+        p = small_problem(n=61, d=5, M=3, regime=Regime.HETEROGENEOUS)
+        q = replace(p, lam=0.5)
+        assert all(np.shares_memory(rows, q.rows) for _, rows in q.blocks)
+        assert [(a, b.shape) for a, b in q.blocks] == [(a, b.shape) for a, b in p.blocks]
+        csr = objective.csr_twin(p)
+        assert [m for m, _ in csr.blocks] == list(range(p.M))
+        for m, rows in csr.blocks:
+            start, stop = p.node_range(m)
+            assert isinstance(rows, type(csr.rows)) and rows.shape == (stop - start, p.dim)
+            assert (rows != csr.rows[start:stop]).nnz == 0
+
+    def test_csr_node_grads_build_no_sparse_matrix(self, monkeypatch):
+        # Each CSR node's matrix is built once, with the problem; a call
+        # only multiplies. Count every construction of the rows' type.
+        p = objective.csr_twin(small_problem(n=61, d=5, M=3, regime=Regime.HETEROGENEOUS))
+        cls, made = type(p.rows), []
+
+        def counted(self, *args, _real=type(p.rows).__init__, **kwargs):
+            made.append(args)
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+        X = RngStream(seed=53).generator().standard_normal((p.M, 4, p.dim))
+        G = [p.node_grads(X) for _ in range(3)]
+        assert made == []
+        monkeypatch.undo()
+        assert np.array_equal(G[2], self.per_node(p, X))
 
     def test_exact_step_memory_does_not_grow_with_M(self):
         # At M = 20 an (n, S M) slope matrix alone would take 16 MB; a node

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from localsgd import simulator
+from localsgd import cli, simulator
 from localsgd.dataio import Dataset, Regime, generate_synthetic, partition
 from localsgd.numkit import RngStream
 from localsgd.objective import (build_problem, csr_twin, full_grad_global, loss, loss_many,
@@ -547,12 +547,12 @@ class TestReplicated:
 
     def test_one_seed_is_the_single_run(self, setup):
         # One seed is the S = 1 aggregate: the run's own values, SEs of 0,
-        # and the single-run CSV layout, which run_local_sgd, the name the
-        # benchmark's probe wraps, gives too.
+        # and the single-run CSV layout, which cli.run_local_sgd, the name
+        # the benchmark's probe wraps, gives too.
         p, ref = setup
         cfg = make_cfg(p, T=30, H=5, record_every=1)
         agg = run_alone(p, cfg, ref, [4])
-        assert csv_of(agg) == csv_of(simulator.run_local_sgd(p, cfg, ref, seed=4))
+        assert csv_of(agg) == csv_of(cli.run_local_sgd(p, cfg, ref, seed=4))
         assert agg.seeds == (4,)
         for name in ("V", "dist_sq", "subopt", "grad_norm_sq"):
             assert np.all((agg.se[name] == 0.0) | np.isnan(agg.mean[name]))
